@@ -418,6 +418,9 @@ def fit_cmd(ctx, features_path, graphs_path, schema_key, task, lam, penalty, out
         f"iters={model.report.iterations}",
         err=True,
     )
+    if not model.report.converged:
+        click.echo(f"warning: fit did not converge (iters={model.report.iterations}, "
+                   f"grad_norm={model.report.grad_norm:.3g})", err=True)
     if predictions:
         ids = manifest.get("ids") or [g.graph_id or str(i) for i, g in enumerate(graphs)]
         _write_predictions(predictions, ids, model.decision(X))

@@ -2,8 +2,8 @@
 
 When the vertex embedding is trained, it is trained inside each training
 fold only; the trained matrix remembers which rows it saw and refuses to
-score rows it was trained on. Random embeddings are label-free and shared
-across folds. Features can be exported to CSV/binary with a manifest
+score rows it was trained on. Random embeddings are label-free, so the
+corpus is embedded once and every fold slices its rows. Features can be exported to CSV/binary with a manifest
 sufficient to reproduce them.
 """
 
@@ -140,6 +140,18 @@ def _select_lambda(X, y, task, penalty, metric, seed) -> float:
     return best_lam if best_lam is not None else 1e-3
 
 
+def _score_fold(X_tr, y_tr, X_te, y_te, task, metric, lam, penalty, seed,
+                max_iter=2000):
+    """Fit on a training fold (lambda by inner CV when None); score its test fold."""
+    if lam is None:
+        lam = _select_lambda(X_tr, y_tr, task, penalty, metric, seed)
+    try:
+        model = fit(X_tr, y_tr, task=task, lam=lam, penalty=penalty, max_iter=max_iter)
+    except DegenerateLabels:
+        return None
+    return compute_metric(metric, y_te, model.decision(X_te))
+
+
 def kfold_features(
     X,
     y,
@@ -155,37 +167,24 @@ def kfold_features(
     """Cross-validate a linear model on a fixed feature matrix."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
-    values = []
-    for tr, te in fold_indices(X.shape[0], folds, seed, labels=y, stratified=stratified):
-        fold_lam = lam if lam is not None else _select_lambda(
-            X[tr], y[tr], task, penalty, metric, seed
-        )
-        try:
-            model = fit(X[tr], y[tr], task=task, lam=fold_lam, penalty=penalty,
-                        max_iter=max_iter)
-        except DegenerateLabels:
-            values.append(None)
-            continue
-        values.append(compute_metric(metric, y[te], model.decision(X[te])))
+    splits = fold_indices(X.shape[0], folds, seed, labels=y, stratified=stratified)
+    values = [_score_fold(X[tr], y[tr], X[te], y[te], task, metric, lam, penalty, seed,
+                          max_iter) for tr, te in splits]
     return EvalReport(metric=metric, fold_values=values, task=task)
 
 
 def _fold_embedding(graphs, train_idx, schema, cfg: PipelineConfig, fold: int):
-    if cfg.embedding == "trained":
-        cbow_cfg = cfg.cbow or CbowConfig(r=cfg.r, seed=cfg.seed + fold)
-        emb, _ = train_on_graphs(
-            [graphs[i] for i in train_idx],
-            schema,
-            cbow_cfg,
-            dataset_id=f"cv-fold-{fold}",
-        )
-        prov = dict(emb.provenance)
-        prov["train_rows"] = sorted(int(i) for i in train_idx)
-        return VertexEmbeddingMatrix(matrix=emb.matrix, schema=schema, provenance=prov)
-    if cfg.embedding in ("random-gaussian", "random-rademacher"):
-        dist = cfg.embedding.split("-", 1)[1]
-        return random_embedding(schema, cfg.r, dist=dist, seed=cfg.seed)
-    raise ValueError(f"unknown embedding source {cfg.embedding!r}")
+    """CBOW-train a vertex embedding on one fold's training graphs only."""
+    cbow_cfg = cfg.cbow or CbowConfig(r=cfg.r, seed=cfg.seed + fold)
+    emb, _ = train_on_graphs(
+        [graphs[i] for i in train_idx],
+        schema,
+        cbow_cfg,
+        dataset_id=f"cv-fold-{fold}",
+    )
+    prov = dict(emb.provenance)
+    prov["train_rows"] = sorted(int(i) for i in train_idx)
+    return VertexEmbeddingMatrix(matrix=emb.matrix, schema=schema, provenance=prov)
 
 
 def _check_no_leakage(emb: VertexEmbeddingMatrix, test_idx) -> None:
@@ -207,35 +206,36 @@ def kfold_cv(
     seed: int = 0,
     stratified: bool = False,
 ) -> EvalReport:
-    """End-to-end cross-validation: embed within folds, fit, score."""
+    """End-to-end cross-validation: embed, fit and score every fold.
+
+    A random embedding is the same in every fold and rows embed
+    independently, so the corpus is embedded once and ``kfold_features``
+    scores the folds on row slices of that one matrix.
+    """
     cfg = cfg or PipelineConfig()
     y = np.asarray(labels, dtype=np.float64).ravel()
     if y.size != len(graphs):
         raise ValueError("labels must align with graphs")
+    embed = dict(T=cfg.T, variant=cfg.variant, level_scale=cfg.level_scale,
+                 normalization=cfg.normalization)
+    if cfg.embedding in ("random-gaussian", "random-rademacher"):
+        dist = cfg.embedding.split("-", 1)[1]
+        emb = random_embedding(schema, cfg.r, dist=dist, seed=cfg.seed)
+        X, _ = embed_corpus(graphs, emb, **embed)
+        return kfold_features(X, y, task=cfg.task, metric=cfg.metric, folds=folds,
+                              seed=seed, lam=cfg.lam, penalty=cfg.penalty,
+                              stratified=stratified)
+    if cfg.embedding != "trained":
+        raise ValueError(f"unknown embedding source {cfg.embedding!r}")
     values = []
     splits = fold_indices(len(graphs), folds, seed, labels=y, stratified=stratified)
     for fold, (tr, te) in enumerate(splits):
         emb = _fold_embedding(graphs, tr, schema, cfg, fold)
         _check_no_leakage(emb, te)
-        X_tr, _ = embed_corpus(
-            [graphs[i] for i in tr], emb, cfg.T,
-            variant=cfg.variant, level_scale=cfg.level_scale,
-            normalization=cfg.normalization,
-        )
-        X_te, _ = embed_corpus(
-            [graphs[i] for i in te], emb, cfg.T,
-            variant=cfg.variant, level_scale=cfg.level_scale,
-            normalization=cfg.normalization,
-        )
-        lam = cfg.lam if cfg.lam is not None else _select_lambda(
-            X_tr, y[tr], cfg.task, cfg.penalty, cfg.metric, seed
-        )
-        try:
-            model = fit(X_tr, y[tr], task=cfg.task, lam=lam, penalty=cfg.penalty)
-        except DegenerateLabels:
-            values.append(None)
-            continue
-        values.append(compute_metric(cfg.metric, y[te], model.decision(X_te)))
+        X_tr, _ = embed_corpus([graphs[i] for i in tr], emb, **embed)
+        X_te, _ = embed_corpus([graphs[i] for i in te], emb, **embed)
+        values.append(_score_fold(X_tr, y[tr], X_te, y[te], cfg.task, cfg.metric,
+                                  cfg.lam, cfg.penalty, seed))
     return EvalReport(metric=cfg.metric, fold_values=values, task=cfg.task)
 
 

@@ -159,10 +159,3 @@ def _encode_row(schema: AttributeSchema, row: dict) -> list[int]:
         else:  # yes/no flags
             out.append(1 if value else 0)
     return out
-
-
-def featurize_stream(records, cfg: FeaturizerConfig | None = None):
-    """Featurize records in order; yields (graph, warnings) pairs."""
-    cfg = cfg or FeaturizerConfig()
-    for rec in records:
-        yield featurize(rec, cfg)

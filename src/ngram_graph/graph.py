@@ -210,13 +210,8 @@ def one_hot(g: MolecularGraph, schema: AttributeSchema, i: int) -> np.ndarray:
     if not 0 <= i < g.num_vertices:
         raise GraphError(f"vertex index {i} out of range for m={g.num_vertices}")
     h = np.zeros(schema.total_width, dtype=np.int64)
-    h[one_hot_indices(g, schema, i)] = 1
+    h[np.asarray(schema.offsets, dtype=np.int64) + g.attr[i]] = 1
     return h
-
-
-def one_hot_indices(g: MolecularGraph, schema: AttributeSchema, i: int) -> np.ndarray:
-    offs = np.asarray(schema.offsets, dtype=np.int64)
-    return offs + g.attr[i]
 
 
 def permute(g: MolecularGraph, pi) -> MolecularGraph:

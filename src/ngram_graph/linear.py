@@ -1,8 +1,8 @@
 """Regularized linear models (logistic / least squares) and ranking metrics.
 
-Fitting is deterministic full-batch gradient descent with Armijo
-backtracking on the penalized objective; the accepted step never increases
-the objective. The penalty is either the squared l2 norm (smooth, default)
+Fitting is a deterministic damped Newton solve with Armijo backtracking
+on the penalized objective; the accepted step never increases the
+objective. The penalty is either the squared l2 norm (smooth, default)
 or the plain l2 norm, whose subgradient at zero is taken as zero. The
 intercept is never penalized.
 """
@@ -132,6 +132,28 @@ def _objective_and_grad(theta, X, y, task, lam, penalty):
     return loss, grad
 
 
+def _newton_direction(theta, grad, X1, task, lam, penalty):
+    """Newton direction -H^-1 g; X1 is X with an intercept column appended."""
+    D = 1.0
+    if task == "logistic":
+        p = _sigmoid(X1 @ theta)
+        D = p * (1.0 - p)
+    H = (X1.T * D) @ X1 / X1.shape[0]
+    w = theta[:-1]
+    wnorm = float(np.linalg.norm(w))
+    if penalty == "squared-l2":
+        H[:-1, :-1] += 2.0 * lam * np.eye(w.size)
+    elif wnorm > 0:
+        u = w / wnorm
+        H[:-1, :-1] += lam / wnorm * (np.eye(w.size) - np.outer(u, u))
+    try:
+        L = np.linalg.cholesky(H)
+        d = -np.linalg.solve(L.T, np.linalg.solve(L, grad))
+    except np.linalg.LinAlgError:  # singular Hessian: least-squares solution
+        d = -np.linalg.lstsq(H, grad, rcond=None)[0]
+    return d if float(grad @ d) < 0 else -grad
+
+
 def fit(
     X: np.ndarray,
     y: np.ndarray,
@@ -140,13 +162,8 @@ def fit(
     penalty: str = "squared-l2",
     max_iter: int = 2000,
     grad_tol: float = 1e-8,
-    seed: int | None = None,
 ) -> LinearModel:
-    """Minimize mean loss + penalty by descent with backtracking line search.
-
-    ``seed`` is accepted for pipeline plumbing but the solve itself is
-    deterministic (zero initialization).
-    """
+    """Minimize mean loss + penalty by Newton steps with backtracking from zero."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if task not in TASKS:
@@ -164,42 +181,30 @@ def fit(
         if classes.size < 2:
             raise DegenerateLabels("labels contain a single class")
 
+    X1 = np.hstack([X, np.ones((X.shape[0], 1))])
     theta = np.zeros(X.shape[1] + 1)
     obj, grad = _objective_and_grad(theta, X, y, task, lam, penalty)
     report = FitReport(objective_trace=[obj])
-    step = 1.0
-    prev_theta = prev_grad = None
     for it in range(1, max_iter + 1):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= grad_tol:
-            report.converged = True
+        if float(np.linalg.norm(grad)) <= grad_tol:
             break
-        # Barzilai-Borwein trial step; backtracking below keeps descent safe.
-        if prev_grad is not None:
-            s = theta - prev_theta
-            dg = grad - prev_grad
-            denom = float(s @ dg)
-            if denom > 0:
-                step = float(s @ s) / denom
-        step = float(np.clip(step * 2.0, 1e-12, 1e8))
-        accepted = False
-        prev_theta, prev_grad = theta, grad
+        d = _newton_direction(theta, grad, X1, task, lam, penalty)
+        slope = float(grad @ d)
+        step = 1.0
+        report.iterations = it
         for _ in range(80):
-            cand = theta - step * grad
+            cand = theta + step * d
             cand_obj, cand_grad = _objective_and_grad(cand, X, y, task, lam, penalty)
-            if cand_obj <= obj - 1e-4 * step * gnorm * gnorm:
-                theta, obj, grad = cand, cand_obj, cand_grad
-                accepted = True
+            if cand_obj <= obj + 1e-4 * step * slope:
                 break
             step *= 0.5
-        report.iterations = it
-        report.objective_trace.append(obj)
-        if not accepted:
-            # step underflow: no descent direction left at this precision
+        else:  # step underflow: no descent direction left at this precision
             break
+        theta, obj, grad = cand, cand_obj, cand_grad
+        report.objective_trace.append(obj)
     report.objective = obj
     report.grad_norm = float(np.linalg.norm(grad))
-    report.converged = report.converged or report.grad_norm <= grad_tol
+    report.converged = report.grad_norm <= grad_tol
     return LinearModel(
         weights=theta[:-1].copy(),
         intercept=float(theta[-1]),

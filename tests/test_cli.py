@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ngram_graph as ng
+from ngram_graph import cli
 from ngram_graph.cli import main
 from ngram_graph.graph import write_jsonl
 from ngram_graph.vertex import save_embedding
@@ -314,6 +315,32 @@ class TestFitEval:
         assert doc["manifest_hash"]
         out = json.loads(capsys.readouterr().out)
         assert out["metric"] == "roc-auc" and out["value"] is not None
+
+    def test_fit_warns_when_not_converged(self, labeled_setup, tmp_path, capsys,
+                                          monkeypatch):
+        sch, gp, feats = labeled_setup
+        model_path = tmp_path / "model.json"
+        args = ["fit", "--features", str(feats), "--graphs", str(gp),
+                "-o", str(model_path)]
+        assert main(args) == 0
+        assert "warning" not in capsys.readouterr().err
+        real_fit = cli.fit_linear
+        fitted = []
+
+        def unconverged(*a, **kw):
+            model = real_fit(*a, **kw)
+            model.report.converged = False
+            fitted.append(model)
+            return model
+
+        monkeypatch.setattr(cli, "fit_linear", unconverged)
+        assert main(args) == 0
+        rep = fitted[0].report
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert warnings == [f"warning: fit did not converge (iters={rep.iterations}, "
+                            f"grad_norm={rep.grad_norm:.3g})"]
+        assert model_path.read_text() == fitted[0].to_json()
 
     def test_sweep_grid_table(self, tmp_path, rng, capsys):
         sch = ng.FULL_SCHEMA

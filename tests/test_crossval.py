@@ -81,6 +81,21 @@ class TestKfoldPipeline:
         assert len(report.fold_values) == 5
         assert report.mean is not None and report.mean > 0.5
 
+    def test_random_embedding_embeds_corpus_once(self, rng):
+        # rows embed independently, so one corpus matrix sliced per fold
+        # scores exactly like a feature-matrix cross-validation of it
+        sch = synth.single_attribute_schema(6)
+        graphs, labels, _ = synth.count_label_corpus(rng, sch, n_graphs=60,
+                                                     m_range=(4, 7))
+        cfg = PipelineConfig(embedding="random-rademacher", r=8, T=3,
+                             variant="path", seed=4)
+        report = kfold_cv(graphs, labels, sch, cfg, folds=4, seed=2, stratified=True)
+        emb = ng.random_embedding(sch, 8, dist="rademacher", seed=4)
+        X, _ = ng.embed_corpus(graphs, emb, 3, variant="path",
+                               normalization=cfg.normalization)
+        direct = kfold_features(X, labels, folds=4, seed=2, stratified=True)
+        assert report.fold_values == direct.fold_values
+
     def test_trained_embedding_isolated_per_fold(self, rng):
         sch = synth.small_schema(ks=(5, 4))
         graphs = synth.random_corpus(rng, sch, 25, density=0.5, connected=True)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from ngram_graph.crossval import LAMBDA_GRID
 from ngram_graph.linear import (
+    PENALTIES,
+    TASKS,
     DegenerateLabels,
     LinearModel,
     _objective_and_grad,
@@ -74,13 +77,46 @@ class TestFit:
             num[i] = (lu - ld) / (2 * eps)
         assert np.linalg.norm(grad - num) / np.linalg.norm(num) <= 1e-5
 
-    def test_objective_nonincreasing(self):
+    @pytest.mark.parametrize("penalty", PENALTIES)
+    @pytest.mark.parametrize("task", TASKS)
+    def test_objective_nonincreasing(self, task, penalty):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((40, 6))
         y = (rng.random(40) > 0.5).astype(float)
-        model = fit(X, y, lam=1e-3, max_iter=200)
+        model = fit(X, y, task=task, lam=1e-3, penalty=penalty, max_iter=200)
         trace = model.report.objective_trace
+        assert len(trace) >= 2
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+
+    def test_newton_converges_over_lambda_grid(self):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((120, 10))
+        y = (X @ rng.standard_normal(10) + rng.standard_normal(120) > 0).astype(float)
+        for lam in LAMBDA_GRID:
+            report = fit(X, y, task="logistic", lam=lam).report
+            assert report.converged, lam
+            assert report.grad_norm <= 1e-8, lam
+            assert report.iterations <= 50, lam
+
+    def test_singular_hessian_takes_lstsq(self, monkeypatch):
+        # a duplicated column with no penalty makes the Hessian singular
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((30, 3))
+        X = np.hstack([X, X[:, :1]])
+        y = X @ np.array([1.0, -2.0, 0.5, 1.0]) + 0.25
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        model = fit(X, y, task="least-squares", lam=0.0)
+        assert calls
+        assert np.isfinite(model.weights).all() and np.isfinite(model.intercept)
+        assert model.report.converged
+        assert np.allclose(model.decision(X), y, atol=1e-8)
 
     def test_single_class_faults(self):
         X = np.ones((5, 2))
