@@ -32,6 +32,7 @@ from .cbow import CbowConfig, ContextSample, extract_contexts, train_cbow, train
 from .ngram import (
     GraphTooLarge,
     NGramEmbedding,
+    WalkOverflow,
     embed_corpus,
     graph_embed,
     oracle_embed,

@@ -88,18 +88,15 @@ def extract_contexts(graphs, schema: AttributeSchema) -> list[ContextSample]:
     K = schema.total_width
     samples: list[ContextSample] = []
     for g in graphs:
+        hot = np.zeros((g.num_vertices, K))  # one-hot table, row per vertex
+        hot[np.arange(g.num_vertices)[:, None], offs + g.attr] = 1.0
+        contexts = g.adjacency() @ hot
         degs = g.degrees()
-        hot = offs[None, :] + g.attr  # (m, S) one-hot indices per vertex
-        for i in range(g.num_vertices):
-            if degs[i] == 0:
-                continue
-            ctx = np.zeros(K, dtype=np.float64)
-            nbrs = g.neighbors(i)
-            np.add.at(ctx, hot[nbrs].ravel(), 1.0)
+        for i in np.flatnonzero(degs).tolist():
             samples.append(
                 ContextSample(
                     target=g.attr[i].copy(),
-                    context=ctx,
+                    context=contexts[i],
                     context_size=int(degs[i]),
                 )
             )

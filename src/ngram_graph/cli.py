@@ -391,11 +391,10 @@ def _write_predictions(path, ids, scores) -> None:
               type=click.Choice(["squared-l2", "unsquared-l2"]))
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--predictions", default=None, type=click.Path(dir_okay=False))
-@click.option("--seed", default=None, type=int)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.pass_context
 def fit_cmd(ctx, features_path, graphs_path, schema_key, task, lam, penalty, out,
-            predictions, seed, config_path):
+            predictions, config_path):
     """Fit the linear head on an exported feature matrix."""
     _merge_config(ctx, config_path)
     p = ctx.params

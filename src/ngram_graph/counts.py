@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .graph import MolecularGraph
-from .ngram import _neighbor_lists
+from .ngram import check_int64_walks
 from .schema import AttributeSchema
 
 
@@ -119,7 +119,7 @@ def _distinct_walk_scan(g: MolecularGraph, schema: AttributeSchema, T: int, F=No
         levels = [np.zeros(F.shape[0], dtype=F.dtype) for _ in range(T)]
 
     attr = g.attr
-    nbrs = _neighbor_lists(g)
+    ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
 
     for start in range(g.num_vertices):
         seed_vals = tuple((attr[start, j],) for j in range(S))
@@ -135,7 +135,7 @@ def _distinct_walk_scan(g: MolecularGraph, schema: AttributeSchema, T: int, F=No
                 levels[n - 1] += prod
             if n == T:
                 continue
-            for u in nbrs[v]:
+            for u in nbrs[ptr[v] : ptr[v + 1]]:
                 row = attr[u]
                 if any(row[j] in vals[j] for j in range(S)):
                     continue
@@ -166,5 +166,6 @@ def walk_products_distinct(
     g: MolecularGraph, schema: AttributeSchema, F: np.ndarray, T: int
 ):
     """Sum of element-wise walk products over the distinct-value walk set."""
+    check_int64_walks(g, T, F)
     _, _, levels = _distinct_walk_scan(g, schema, T, F=F)
     return levels

@@ -1,8 +1,9 @@
 """Vertex-attributed graph data model and canonical JSON interchange.
 
 Graphs are immutable after construction. The edge relation is undirected
-and binary: it is held both as a canonical edge list (u < v, sorted, for
-iteration) and as per-vertex bitset rows (for O(1) membership checks).
+and binary: it is held as a canonical edge list (u < v, sorted, for
+serialization) and as one CSR adjacency (``indptr``/``indices``, each row
+in ascending order) that every neighbour lookup and walk sum reads.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .schema import AttributeSchema
 
@@ -40,8 +42,10 @@ class MolecularGraph:
 
     ``edges`` keeps pairs exactly as given (so validation can report
     self-loops and duplicates); use :meth:`canonical_edges` for the
-    deduplicated u < v list. ``raw_adjacency`` is only set when the graph
-    was built from a dense matrix and is consulted by validation.
+    deduplicated u < v list. ``indptr``/``indices`` are the symmetric CSR
+    adjacency: the neighbours of i are ``indices[indptr[i]:indptr[i + 1]]``,
+    ascending. ``raw_adjacency`` is only set when the graph was built from a
+    dense matrix and is consulted by validation.
     """
 
     num_vertices: int
@@ -51,7 +55,8 @@ class MolecularGraph:
     graph_id: str | None = None
     schema_fingerprint: str | None = None
     raw_adjacency: np.ndarray | None = None
-    _bitrows: tuple = field(init=False, repr=False, compare=False)
+    indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    indices: np.ndarray = field(init=False, repr=False, compare=False)
     _canonical: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -68,21 +73,19 @@ class MolecularGraph:
         object.__setattr__(self, "attr", attr)
         object.__setattr__(self, "edges", edges)
 
+        m = self.num_vertices
         lo = np.minimum(edges[:, 0], edges[:, 1])
         hi = np.maximum(edges[:, 0], edges[:, 1])
-        in_range = (lo >= 0) & (hi < self.num_vertices)
-        proper = np.unique(np.stack([lo[in_range], hi[in_range]], axis=1), axis=0)
-        if proper.size == 0:
-            proper = np.empty((0, 2), dtype=np.int64)
-        proper = proper[proper[:, 0] != proper[:, 1]]
-        proper.setflags(write=False)
-        object.__setattr__(self, "_canonical", proper)
-
-        rows = [0] * self.num_vertices
-        for u, v in proper:
-            rows[u] |= 1 << int(v)
-            rows[v] |= 1 << int(u)
-        object.__setattr__(self, "_bitrows", tuple(rows))
+        proper = (lo >= 0) & (hi < m) & (lo != hi)
+        key = np.unique(lo[proper] * m + hi[proper])  # u*m + v, u < v
+        u, v = np.divmod(key, max(m, 1))
+        both = np.sort(np.concatenate([key, v * m + u]))  # both orientations
+        indices = both % max(m, 1)
+        indptr = np.searchsorted(both, np.arange(m + 1, dtype=np.int64) * m)
+        canonical = np.stack([u, v], axis=1)
+        for name, arr in (("_canonical", canonical), ("indptr", indptr), ("indices", indices)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     # -- construction helpers -------------------------------------------------
 
@@ -92,8 +95,7 @@ class MolecularGraph:
         adjacency = np.asarray(adjacency)
         attr = np.asarray(attr, dtype=np.int64)
         m = attr.shape[0]
-        iu, iv = np.nonzero(np.triu(adjacency, k=1))
-        edges = np.stack([iu, iv], axis=1) if iu.size else np.empty((0, 2), dtype=np.int64)
+        edges = np.stack(np.nonzero(np.triu(adjacency, k=1)), axis=1)
         return cls(num_vertices=m, attr=attr, edges=edges, raw_adjacency=adjacency, **kw)
 
     # -- basic structure -------------------------------------------------------
@@ -107,25 +109,25 @@ class MolecularGraph:
         return self._canonical
 
     def neighbors(self, i: int) -> np.ndarray:
-        e = self._canonical
-        return np.concatenate([e[e[:, 0] == i, 1], e[e[:, 1] == i, 0]])
+        """Neighbours of vertex i in ascending order (a read-only CSR row)."""
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self._bitrows[u] >> v) & 1)
+        row = self.neighbors(u)
+        k = int(np.searchsorted(row, v))
+        return k < row.size and int(row[k]) == v
 
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.num_vertices, dtype=np.int64)
-        e = self._canonical
-        np.add.at(d, e[:, 0], 1)
-        np.add.at(d, e[:, 1], 1)
-        return d
+        return np.diff(self.indptr)
+
+    def adjacency(self) -> scipy.sparse.csr_array:
+        """The CSR adjacency as a sparse 0/1 matrix, for products ``A @ X``."""
+        m = self.num_vertices
+        data = np.ones(self.indices.size, dtype=np.int64)
+        return scipy.sparse.csr_array((data, self.indices, self.indptr), shape=(m, m))
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.num_vertices, self.num_vertices), dtype=np.int64)
-        e = self._canonical
-        a[e[:, 0], e[:, 1]] = 1
-        a[e[:, 1], e[:, 0]] = 1
-        return a
+        return self.adjacency().toarray()
 
     def replace(self, **kw) -> "MolecularGraph":
         base = dict(
@@ -167,27 +169,25 @@ def validate_graph(g: MolecularGraph, schema: AttributeSchema) -> ValidationRepo
         )
     else:
         ks = schema.cardinalities
-        for j in range(schema.num_attributes):
-            col = g.attr[:, j]
-            for i in np.nonzero((col < 0) | (col >= ks[j]))[0]:
-                bad.append(
-                    f"attr index out of range: attr[{i}][{j}]={col[i]} with k_{j}={ks[j]}"
-                )
+        bad_attr = (g.attr < 0) | (g.attr >= np.asarray(ks))
+        for j, i in zip(*np.nonzero(bad_attr.T)):  # attribute-major order
+            bad.append(
+                f"attr index out of range: attr[{i}][{j}]={g.attr[i, j]} with k_{j}={ks[j]}"
+            )
 
-    edges = np.asarray(g.edges)
-    for idx in range(edges.shape[0]):
-        u, v = int(edges[idx, 0]), int(edges[idx, 1])
-        if u == v:
-            bad.append(f"self-loop@{u}")
-        if not (0 <= u < m) or not (0 <= v < m):
-            bad.append(f"edge ({u},{v}) endpoint out of range for m={m}")
-    pairs = {}
-    for idx in range(edges.shape[0]):
-        key = (min(edges[idx]), max(edges[idx]))
-        pairs[key] = pairs.get(key, 0) + 1
-    for (u, v), cnt in sorted(pairs.items()):
-        if cnt > 1 and u != v:
-            bad.append(f"duplicate edge ({u},{v}) listed {cnt} times")
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    loop = u == v
+    outside = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= m)
+    for idx in np.flatnonzero(loop | outside).tolist():
+        if loop[idx]:
+            bad.append(f"self-loop@{u[idx]}")
+        if outside[idx]:
+            bad.append(f"edge ({u[idx]},{v[idx]}) endpoint out of range for m={m}")
+    pairs = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)[~loop]
+    if pairs.shape[0] > g.num_edges:  # some pair repeats or lies out of range
+        pairs, counts = np.unique(pairs, axis=0, return_counts=True)
+        for (a, b), cnt in zip(pairs[counts > 1].tolist(), counts[counts > 1].tolist()):
+            bad.append(f"duplicate edge ({a},{b}) listed {cnt} times")
 
     if g.raw_adjacency is not None:
         a = np.asarray(g.raw_adjacency)
@@ -196,9 +196,7 @@ def validate_graph(g: MolecularGraph, schema: AttributeSchema) -> ValidationRepo
         else:
             if not np.array_equal(a, a.T):
                 bad.append("adjacency not symmetric")
-            if np.any(np.diag(a) != 0):
-                hits = np.nonzero(np.diag(a))[0]
-                bad.extend(f"self-loop@{i}" for i in hits)
+            bad.extend(f"self-loop@{i}" for i in np.flatnonzero(np.diag(a)))
             if not np.isin(a, (0, 1)).all():
                 bad.append("adjacency entries outside {0,1}")
 
@@ -222,21 +220,11 @@ def permute(g: MolecularGraph, pi) -> MolecularGraph:
         raise GraphError("pi is not a bijection on [0, m)")
     new_attr = np.empty_like(g.attr)
     new_attr[pi] = g.attr
-    new_edges = pi[g.edges] if g.edges.size else g.edges
     raw = None
     if g.raw_adjacency is not None:
-        inv = np.empty_like(pi)
-        inv[pi] = np.arange(m)
+        inv = inverse_permutation(pi)
         raw = g.raw_adjacency[np.ix_(inv, inv)]
-    return MolecularGraph(
-        num_vertices=m,
-        attr=new_attr,
-        edges=new_edges,
-        label=g.label,
-        graph_id=g.graph_id,
-        schema_fingerprint=g.schema_fingerprint,
-        raw_adjacency=raw,
-    )
+    return g.replace(attr=new_attr, edges=pi[g.edges], raw_adjacency=raw)
 
 
 def inverse_permutation(pi) -> np.ndarray:
@@ -308,12 +296,10 @@ def read_json_graphs(data, schema: AttributeSchema, strict: bool = True):
     problem raises; otherwise problems are collected and returned alongside
     the good graphs as ``(graphs, errors)``.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     if hasattr(data, "read"):
         data = data.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
 
     text = data.strip()
     docs: list = []

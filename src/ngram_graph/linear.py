@@ -3,7 +3,8 @@
 Fitting is a deterministic damped Newton solve with Armijo backtracking
 on the penalized objective; the accepted step never increases the
 objective. The penalty is either the squared l2 norm (smooth, default)
-or the plain l2 norm, whose subgradient at zero is taken as zero. The
+or the plain l2 norm, whose optimality test at w = 0 uses the
+minimum-norm subgradient, so an optimum at w = 0 reports convergence. The
 intercept is never penalized.
 """
 
@@ -146,12 +147,22 @@ def _newton_direction(theta, grad, X1, task, lam, penalty):
     elif wnorm > 0:
         u = w / wnorm
         H[:-1, :-1] += lam / wnorm * (np.eye(w.size) - np.outer(u, u))
+    elif np.linalg.norm(grad[:-1]) <= lam:  # w = 0 is optimal: move the intercept alone
+        return np.r_[np.zeros(w.size), -grad[-1] / H[-1, -1]]
     try:
         L = np.linalg.cholesky(H)
         d = -np.linalg.solve(L.T, np.linalg.solve(L, grad))
     except np.linalg.LinAlgError:  # singular Hessian: least-squares solution
         d = -np.linalg.lstsq(H, grad, rcond=None)[0]
     return d if float(grad @ d) < 0 else -grad
+
+
+def _grad_norm(theta, grad, lam, penalty) -> float:
+    """Norm of the minimum-norm subgradient; for the plain l2 norm at w = 0
+    the loss gradient's weight part shrinks by lam (to zero inside the ball)."""
+    if penalty == "squared-l2" or theta[:-1].any():
+        return float(np.linalg.norm(grad))
+    return float(np.hypot(max(float(np.linalg.norm(grad[:-1])) - lam, 0.0), grad[-1]))
 
 
 def fit(
@@ -186,7 +197,7 @@ def fit(
     obj, grad = _objective_and_grad(theta, X, y, task, lam, penalty)
     report = FitReport(objective_trace=[obj])
     for it in range(1, max_iter + 1):
-        if float(np.linalg.norm(grad)) <= grad_tol:
+        if _grad_norm(theta, grad, lam, penalty) <= grad_tol:
             break
         d = _newton_direction(theta, grad, X1, task, lam, penalty)
         slope = float(grad @ d)
@@ -203,7 +214,7 @@ def fit(
         theta, obj, grad = cand, cand_obj, cand_grad
         report.objective_trace.append(obj)
     report.objective = obj
-    report.grad_norm = float(np.linalg.norm(grad))
+    report.grad_norm = _grad_norm(theta, grad, lam, penalty)
     report.converged = report.grad_norm <= grad_tol
     return LinearModel(
         weights=theta[:-1].copy(),

@@ -2,8 +2,8 @@
 
 A level-n embedding sums, over all n-vertex walks, the element-wise product
 of the walk's vertex embeddings. Levels 1..T are computed by the latent
-recurrence ``X_n = (neighbor-sum of X_{n-1}) * X_1`` which touches each edge
-once per level, so the cost is linear in T and in vertices + edges. An
+recurrence ``X_n = (A @ X_{n-1}) * X_1``, one sparse adjacency product per
+level, so the cost is linear in T and in vertices + edges. An
 exponential-time enumerator over explicit walks serves as an independent
 cross-check and also powers the variants that exclude walks with repeated
 attribute rows (``path``) or repeated vertices (``vertex_path``).
@@ -26,6 +26,10 @@ LEVEL_SCALES = ("none", "factorial", "count")
 
 class GraphTooLarge(ValueError):
     """Enumeration refused; use graph_embed for large graphs."""
+
+
+class WalkOverflow(ValueError):
+    """Integer walk sums could leave the int64 range; use a float embedding."""
 
 
 @dataclass(frozen=True)
@@ -51,27 +55,22 @@ class NGramEmbedding:
         return np.concatenate(self.levels)
 
 
-def _neighbor_lists(g: MolecularGraph):
-    nbrs = [[] for _ in range(g.num_vertices)]
-    for u, v in g.canonical_edges():
-        nbrs[u].append(int(v))
-        nbrs[v].append(int(u))
-    return nbrs
+def check_int64_walks(g: MolecularGraph, T: int, F: np.ndarray | None = None):
+    """Refuse integer walk sums up to level T that could wrap in int64.
 
-
-def _walk_counts(g: MolecularGraph, T: int) -> list[int]:
-    """Number of n-vertex walks for n = 1..T (all walks, no exclusions)."""
-    m = g.num_vertices
-    w = np.ones(m, dtype=np.int64)
-    counts = [int(w.sum())]
-    E = g.canonical_edges()
-    for _ in range(1, T):
-        nxt = np.zeros(m, dtype=np.int64)
-        np.add.at(nxt, E[:, 0], w[E[:, 1]])
-        np.add.at(nxt, E[:, 1], w[E[:, 0]])
-        w = nxt
-        counts.append(int(w.sum()))
-    return counts
+    A level-n sum, partial sums included, is at most
+    m * max|F| * (max|F| * maxdeg)^(n-1); walk counts are the case
+    max|F| = 1. Float embeddings are not checked.
+    """
+    fmax = 1
+    if F is not None:
+        if not np.issubdtype(F.dtype, np.integer):
+            return
+        fmax = max(int(F.max(initial=0)), -int(F.min(initial=0)))
+    deg = int(g.degrees().max(initial=0))
+    if g.num_vertices * fmax * max(fmax * deg, 1) ** (T - 1) > np.iinfo(np.int64).max:
+        raise WalkOverflow(f"int64 walk sums may overflow at T={T} (m={g.num_vertices}, "
+                           f"max|F|={fmax}, max degree={deg})")
 
 
 def _finalize(levels, counts, variant, level_scale, normalization):
@@ -109,17 +108,24 @@ def graph_embed(
 ) -> NGramEmbedding:
     """Embed one graph up to walk length T.
 
-    The ``walk`` variant runs the edge-list recurrence. The exclusion
-    variants cannot be expressed as a recurrence and fall back to pruned
-    enumeration, which stays cheap because the exclusion bounds walk depth.
+    The ``walk`` variant runs the sparse adjacency recurrence. The
+    exclusion variants cannot be expressed as a recurrence and fall back to
+    pruned enumeration, which stays cheap because the exclusion bounds walk
+    depth.
 
     Integer embedding matrices propagate exactly (no rounding) as long as
-    ``level_scale`` and ``normalization`` stay off.
+    ``level_scale`` and ``normalization`` stay off; :class:`WalkOverflow`
+    is raised when the sums could leave the int64 range.
     """
     _check_options(T, variant, level_scale, normalization)
     F = embed_vertices(g, emb)
+    check_int64_walks(g, T, F)
     if variant == "walk":
-        levels, counts = _recurrence_levels(g, F, T)
+        levels, counts = _recurrence_levels(g, F, T), None
+        if level_scale == "count":  # walk counts: the recurrence on all-ones rows
+            check_int64_walks(g, T)
+            ones = np.ones((1, g.num_vertices), dtype=np.int64)
+            counts = [int(c[0]) for c in _recurrence_levels(g, ones, T)]
     else:
         levels, counts = _enumerate_levels(g, F, T, variant)
     return _finalize(levels, counts, variant, level_scale, normalization)
@@ -139,17 +145,14 @@ def _check_options(T, variant, level_scale, normalization):
 
 
 def _recurrence_levels(g: MolecularGraph, F: np.ndarray, T: int):
-    X = F.T.copy()  # (m, r) latent vectors, row per vertex
-    base = F.T
-    E = g.canonical_edges()
+    A = g.adjacency()
+    base = np.ascontiguousarray(F.T)  # (m, r) latent vectors, row per vertex
+    X = base
     levels = [X.sum(axis=0)]
     for _ in range(1, T):
-        nbr_sum = np.zeros_like(X)
-        np.add.at(nbr_sum, E[:, 0], X[E[:, 1]])
-        np.add.at(nbr_sum, E[:, 1], X[E[:, 0]])
-        X = nbr_sum * base
+        X = (A @ X) * base
         levels.append(X.sum(axis=0))
-    return levels, _walk_counts(g, T)
+    return levels
 
 
 def _exclusion_ids(g: MolecularGraph, variant: str) -> np.ndarray | None:
@@ -165,7 +168,7 @@ def _exclusion_ids(g: MolecularGraph, variant: str) -> np.ndarray | None:
 def _enumerate_levels(g: MolecularGraph, F: np.ndarray, T: int, variant: str):
     m = g.num_vertices
     base = F.T
-    nbrs = _neighbor_lists(g)
+    ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
     ids = _exclusion_ids(g, variant)
     levels = [np.zeros(F.shape[0], dtype=F.dtype) for _ in range(T)]
     counts = [0] * T
@@ -178,7 +181,7 @@ def _enumerate_levels(g: MolecularGraph, F: np.ndarray, T: int, variant: str):
             counts[depth - 1] += 1
             if depth == T:
                 continue
-            for u in nbrs[v]:
+            for u in nbrs[ptr[v] : ptr[v + 1]]:
                 if ids is None:
                     stack.append((u, depth + 1, prod * base[u], 0))
                 else:
@@ -211,12 +214,13 @@ def oracle_embed(
             f"m={g.num_vertices} exceeds enumeration cap {cap}; use graph_embed"
         )
     F = embed_vertices(g, emb)
+    check_int64_walks(g, T, F)
     if not dedup_reverse:
         levels, counts = _enumerate_levels(g, F, T, variant)
         return _finalize(levels, counts, variant, level_scale, normalization)
 
     base = F.T
-    nbrs = _neighbor_lists(g)
+    ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
     ids = _exclusion_ids(g, variant)
     levels = [np.zeros(F.shape[0], dtype=F.dtype) for _ in range(T)]
     counts = [0] * T
@@ -231,7 +235,7 @@ def oracle_embed(
                 counts[len(seq) - 1] += weight
             if len(seq) == T:
                 continue
-            for u in nbrs[v]:
+            for u in nbrs[ptr[v] : ptr[v + 1]]:
                 if ids is not None:
                     tags = [int(ids[w]) for w in seq]
                     if int(ids[u]) in tags:

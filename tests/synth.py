@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ngram_graph import AttributeSchema, MolecularGraph
 
@@ -40,6 +41,21 @@ def random_graph(rng, schema, m=None, density=0.3, distinct_values=False,
         num_vertices=m, attr=attr, edges=edge_arr, label=label, graph_id=graph_id,
         schema_fingerprint=schema.fingerprint,
     )
+
+
+@st.composite
+def messy_graphs(draw, schema, max_m=7):
+    """Small graphs whose edge lists repeat pairs, list both orientations,
+    contain self-loops and leave vertices isolated."""
+    m = draw(st.integers(1, max_m))
+    vertex = st.integers(0, m - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * m))
+    if pairs:
+        again = draw(st.lists(st.sampled_from(pairs), max_size=m))
+        pairs += [(v, u) if draw(st.booleans()) else (u, v) for u, v in again]
+    attr = [[draw(st.integers(0, k - 1)) for k in schema.cardinalities] for _ in range(m)]
+    return MolecularGraph(num_vertices=m, attr=attr, edges=pairs,
+                          schema_fingerprint=schema.fingerprint)
 
 
 def random_corpus(rng, schema, n, **kw):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import ngram_graph as ng
 from ngram_graph import CbowConfig, extract_contexts, train_cbow
@@ -16,6 +17,21 @@ def _line_graph(schema, attrs, edges):
 
 
 class TestExtractContexts:
+    @settings(max_examples=100, deadline=None)
+    @given(g=synth.messy_graphs(synth.small_schema(), max_m=9))
+    def test_contexts_equal_dense_reference(self, g):
+        sch = synth.small_schema()
+        a = g.adjacency_matrix()
+        hot = np.stack([ng.one_hot(g, sch, i) for i in range(g.num_vertices)])
+        ref = (a @ hot).astype(np.float64)
+        kept = np.flatnonzero(a.sum(axis=1))
+        samples = extract_contexts([g], sch)
+        assert len(samples) == kept.size
+        for i, s in zip(kept, samples):
+            assert np.array_equal(s.context, ref[i])
+            assert np.array_equal(s.target, g.attr[i])
+            assert s.context_size == a[i].sum()
+
     def test_single_edge_two_samples(self, schema):
         g = _line_graph(schema, [[0, 0], [1, 1]], [[0, 1]])
         samples = extract_contexts([g], schema)

@@ -342,6 +342,29 @@ class TestFitEval:
                             f"grad_norm={rep.grad_norm:.3g})"]
         assert model_path.read_text() == fitted[0].to_json()
 
+    def test_fit_unsquared_l2_optimum_at_zero_converges(self, labeled_setup,
+                                                        tmp_path, capsys):
+        sch, gp, feats = labeled_setup
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--features", str(feats), "--graphs", str(gp),
+                     "--penalty", "unsquared-l2", "--lam", "10",
+                     "-o", str(model_path)]) == 0
+        assert "warning" not in capsys.readouterr().err
+        doc = json.loads(model_path.read_text())
+        assert doc["fit_report"]["converged"]
+        assert not any(doc["weights"])
+
+    def test_fit_takes_no_seed(self, labeled_setup, tmp_path, capsys):
+        sch, gp, feats = labeled_setup
+        args = ["fit", "--features", str(feats), "--graphs", str(gp),
+                "-o", str(tmp_path / "model.json")]
+        assert main(args + ["--seed", "3"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        cfg = tmp_path / "fit.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        assert main(args + ["--config", str(cfg)]) == 2
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+
     def test_sweep_grid_table(self, tmp_path, rng, capsys):
         sch = ng.FULL_SCHEMA
         graphs = []

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,64 @@ class TestValidation:
         for u in range(8):
             for v in range(8):
                 assert g.has_edge(u, v) == bool(a[u, v])
+
+    @pytest.mark.parametrize(
+        "m, attr, edges, expected",
+        [
+            (3, [[0, 0]] * 3, [[1, 1], [0, 2]], ["self-loop@1"]),
+            (2, [[0, 0]] * 2, [[0, 5], [-1, 1]],
+             ["edge (0,5) endpoint out of range for m=2",
+              "edge (-1,1) endpoint out of range for m=2"]),
+            (3, [[0, 0]] * 3, [[0, 1], [2, 1], [1, 0], [1, 2], [0, 1]],
+             ["duplicate edge (0,1) listed 3 times", "duplicate edge (1,2) listed 2 times"]),
+            (2, [[0, 0]] * 2, [[3, 3], [0, 1], [1, 0], [3, 3]],
+             ["self-loop@3", "edge (3,3) endpoint out of range for m=2",
+              "self-loop@3", "edge (3,3) endpoint out of range for m=2",
+              "duplicate edge (0,1) listed 2 times"]),
+            (2, [[0, 0]] * 2, [[0, 5], [5, 0]],
+             ["edge (0,5) endpoint out of range for m=2",
+              "edge (5,0) endpoint out of range for m=2",
+              "duplicate edge (0,5) listed 2 times"]),
+            (2, [[0, 4], [5, 0]], [[0, 1]],
+             ["attr index out of range: attr[1][0]=5 with k_0=5",
+              "attr index out of range: attr[0][1]=4 with k_1=4"]),
+        ],
+        ids=["self-loop", "out-of-range", "duplicates", "mixed", "duplicate-out-of-range",
+             "attr"],
+    )
+    def test_violation_strings_in_order(self, schema, m, attr, edges, expected):
+        g = MolecularGraph(num_vertices=m, attr=attr, edges=edges)
+        assert list(validate_graph(g, schema).violations) == expected
+
+
+class TestAdjacency:
+    @settings(max_examples=200, deadline=None)
+    @given(g=synth.messy_graphs(synth.small_schema(), max_m=9))
+    def test_csr_queries_match_dense_adjacency(self, g):
+        a = g.adjacency_matrix()
+        m = g.num_vertices
+        assert np.array_equal(g.degrees(), a.sum(axis=1))
+        assert np.array_equal(g.adjacency().toarray(), a)
+        for u in range(m):
+            assert g.neighbors(u).tolist() == np.flatnonzero(a[u]).tolist()
+            for v in range(m):
+                assert g.has_edge(u, v) == bool(a[u, v])
+
+    def test_path_graph_memory_linear_in_vertices(self):
+        # a 32k-vertex path; an m^2 adjacency layout would retain ~64 MiB
+        m = 32_768
+        attr = np.zeros((m, 2), dtype=np.int64)
+        edges = np.stack([np.arange(m - 1), np.arange(1, m)], axis=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = MolecularGraph(num_vertices=m, attr=attr, edges=edges)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert g.num_edges == m - 1
+        assert g.degrees().sum() == 2 * (m - 1)
+        assert retained <= 4 * 2**20
 
 
 class TestOneHot:

@@ -98,6 +98,20 @@ class TestFit:
             assert report.grad_norm <= 1e-8, lam
             assert report.iterations <= 50, lam
 
+    @pytest.mark.parametrize("task", TASKS)
+    def test_unsquared_l2_optimum_at_zero_converges(self, task):
+        # lam exceeds the loss gradient's weight norm at w = 0, so w = 0 is
+        # the optimum and only the intercept moves
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((200, 10))
+        y = (X[:, 0] + rng.standard_normal(200) > 0.3).astype(float)
+        model = fit(X, y, task=task, lam=1.0, penalty="unsquared-l2")
+        assert model.report.converged
+        assert model.report.grad_norm <= 1e-8
+        assert not model.weights.any()
+        assert abs(model.intercept - (np.log(y.mean() / (1 - y.mean()))
+                                      if task == "logistic" else y.mean())) <= 1e-8
+
     def test_singular_hessian_takes_lstsq(self, monkeypatch):
         # a duplicated column with no penalty makes the Hessian singular
         rng = np.random.default_rng(9)

@@ -2,12 +2,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ngram_graph as ng
 from ngram_graph import (
     GraphTooLarge,
     MolecularGraph,
     VertexEmbeddingMatrix,
+    WalkOverflow,
     embed_corpus,
     graph_embed,
     oracle_embed,
@@ -88,6 +91,18 @@ class TestOracleEquivalence:
             scale = max(np.max(np.abs(slow)), 1e-30)
             assert np.max(np.abs(fast - slow)) / scale <= 1e-10
 
+    @settings(max_examples=100, deadline=None)
+    @given(g=synth.messy_graphs(synth.small_schema()), seed=st.integers(0, 2**31))
+    def test_recurrence_matches_oracle_on_messy_edge_lists(self, g, seed):
+        sch = synth.small_schema()
+        rng = np.random.default_rng(seed)
+        emb = _int_rademacher(rng, sch, 4)
+        assert np.array_equal(graph_embed(g, emb, 4).vector, oracle_embed(g, emb, 4).vector)
+        emb = random_embedding(sch, 6, dist="gaussian", seed=seed)
+        fast = graph_embed(g, emb, 4).vector
+        slow = oracle_embed(g, emb, 4).vector
+        assert np.max(np.abs(fast - slow)) <= 1e-12 * max(np.max(np.abs(slow)), 1e-300)
+
     def test_reverse_dedup_strategy_agrees(self, rng, schema):
         for variant in ("walk", "path", "vertex_path"):
             g = synth.random_graph(rng, schema, m=6, density=0.5)
@@ -164,6 +179,55 @@ class TestProperties:
         t_big = time.perf_counter() - t0
         # 8x the levels should cost well under 30x the time
         assert t_big <= max(30 * t_small, 0.5)
+
+
+class TestInt64Range:
+    @staticmethod
+    def _triangle(value):
+        sch = synth.single_attribute_schema(2)
+        g = MolecularGraph(num_vertices=3, attr=[[0]] * 3, edges=[[0, 1], [0, 2], [1, 2]],
+                           graph_id="tri", schema_fingerprint=sch.fingerprint)
+        W = VertexEmbeddingMatrix(matrix=np.array([[value, 1]], dtype=np.int64), schema=sch,
+                                  provenance={"kind": "int"})
+        return sch, g, W
+
+    def test_exact_below_bound(self):
+        # 3 * 1000^5 * 2^4 fits in int64; level n sums 3 * 2^(n-1) walks of 1000^n
+        _, g, W = self._triangle(1000)
+        e = graph_embed(g, W, 5)
+        assert [int(lv[0]) for lv in e.levels] == [3 * 2 ** (n - 1) * 1000 ** n
+                                                   for n in range(1, 6)]
+
+    def test_overflow_refused_by_every_engine(self):
+        # level 8 is 384 * 1000^8 = 3.84e26, far outside int64
+        sch, g, W = self._triangle(1000)
+        for variant in ng.ngram.VARIANTS:
+            with pytest.raises(WalkOverflow):
+                graph_embed(g, W, 8, variant=variant)
+        for dedup in (False, True):
+            with pytest.raises(WalkOverflow):
+                oracle_embed(g, W, 8, dedup_reverse=dedup)
+        with pytest.raises(WalkOverflow):
+            ng.counts.walk_products_distinct(g, sch, ng.embed_vertices(g, W), 8)
+
+    def test_overflow_isolated_in_corpus(self):
+        sch, g, W = self._triangle(1000)
+        lone = g.replace(edges=[], graph_id="edgeless")
+        X, manifest = embed_corpus([lone, g], W, 8)
+        assert list(manifest["errors"]) == ["1"]
+        assert "overflow" in manifest["errors"]["1"]
+        assert np.isnan(X[1]).all() and not np.isnan(X[0]).any()
+
+    def test_walk_counts_checked_for_float_embeddings(self):
+        # K5 has 5 * 4^32 ~ 9.2e19 walks of 33 vertices
+        sch = synth.single_attribute_schema(2)
+        edges = [[u, v] for u in range(5) for v in range(u + 1, 5)]
+        g = MolecularGraph(num_vertices=5, attr=[[0]] * 5, edges=edges,
+                           schema_fingerprint=sch.fingerprint)
+        emb = VertexEmbeddingMatrix(matrix=np.array([[0.5, 1.0]]), schema=sch, provenance={})
+        assert np.isfinite(graph_embed(g, emb, 33).vector).all()
+        with pytest.raises(WalkOverflow):
+            graph_embed(g, emb, 33, level_scale="count")
 
 
 class TestNormalization:
