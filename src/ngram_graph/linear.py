@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 TASKS = ("logistic", "least-squares")
 PENALTIES = ("squared-l2", "unsquared-l2")
@@ -242,14 +241,22 @@ def mae(y_true, y_pred) -> float:
 
 
 def roc_auc(y_true, scores) -> float | None:
-    """Rank-statistic AUC with midranks for ties; None on single-class input."""
+    """Rank-statistic AUC with midranks for ties; None on single-class input.
+
+    The midranks are computed in numpy: the tied scores of one distinct
+    value share the mean of the ranks they span. Any NaN score makes the
+    result NaN, so a NaN feature row never turns into a plausible score.
+    """
     y = np.asarray(y_true).astype(bool)
     s = np.asarray(scores, dtype=np.float64)
     npos = int(y.sum())
     nneg = y.size - npos
     if npos == 0 or nneg == 0:
         return None
-    ranks = rankdata(s)  # average ranks on ties
+    if np.isnan(s).any():
+        return float("nan")
+    _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     return float((ranks[y].sum() - npos * (npos + 1) / 2.0) / (npos * nneg))
 
 

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .graph import MolecularGraph
 from .vertex import VertexEmbeddingMatrix, embed_vertices
@@ -121,11 +122,12 @@ def graph_embed(
     F = embed_vertices(g, emb)
     check_int64_walks(g, T, F)
     if variant == "walk":
-        levels, counts = _recurrence_levels(g, F, T), None
+        A = g.adjacency()
+        levels, counts = _recurrence_levels(A, F, T), None
         if level_scale == "count":  # walk counts: the recurrence on all-ones rows
             check_int64_walks(g, T)
             ones = np.ones((1, g.num_vertices), dtype=np.int64)
-            counts = [int(c[0]) for c in _recurrence_levels(g, ones, T)]
+            counts = [int(c[0]) for c in _recurrence_levels(A, ones, T)]
     else:
         levels, counts = _enumerate_levels(g, F, T, variant)
     return _finalize(levels, counts, variant, level_scale, normalization)
@@ -144,8 +146,7 @@ def _check_options(T, variant, level_scale, normalization):
         )
 
 
-def _recurrence_levels(g: MolecularGraph, F: np.ndarray, T: int):
-    A = g.adjacency()
+def _recurrence_levels(A: scipy.sparse.csr_array, F: np.ndarray, T: int):
     base = np.ascontiguousarray(F.T)  # (m, r) latent vectors, row per vertex
     X = base
     levels = [X.sum(axis=0)]

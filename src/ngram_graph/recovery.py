@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .counts import level_dimension
 from .schema import AttributeSchema
@@ -46,6 +45,14 @@ def _operator_interface(op):
     return A.shape, (lambda res: A.T @ res), norms, (lambda cols: A[:, cols])
 
 
+def _nnls(A: np.ndarray, f: np.ndarray) -> np.ndarray:
+    # Imported at the first solve: loading scipy.optimize costs more than
+    # most ngg commands take, and only recovery uses it.
+    from scipy.optimize import nnls
+
+    return nnls(A, f)[0]
+
+
 def omp_recover(
     f: np.ndarray,
     op,
@@ -71,7 +78,7 @@ def omp_recover(
             break
         support.append(pick)
         A_s = take(support).astype(np.float64)
-        coef, _ = nnls(A_s, f)
+        coef = _nnls(A_s, f)
         residual = f - A_s @ coef
     c_hat = np.zeros(ncols)
     for s, x in zip(support, coef):
@@ -136,7 +143,7 @@ def ista_recover(
     support = np.nonzero(np.abs(x) > support_threshold)[0]
     c_hat = np.zeros(A.shape[1])
     if support.size:
-        coef, _ = nnls(A[:, support], f)
+        coef = _nnls(A[:, support], f)
         c_hat[support] = coef
     res_norm = float(np.linalg.norm(f - A @ c_hat))
     return RecoveryResult(

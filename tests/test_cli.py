@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,3 +459,28 @@ class TestFitEval:
         out = json.loads(capsys.readouterr().out)
         assert out["metric"] == "roc-auc"
         assert len(out["fold_values"]) == 3
+
+
+_STARTUP_PROBE = """
+import json, sys
+import numpy as np
+import ngram_graph.cli
+from ngram_graph import recovery
+loaded = {m: m in sys.modules for m in ("scipy.stats", "scipy.optimize")}
+A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
+res = recovery.omp_recover(A @ np.array([0.0, 2.0, 3.0]), A, sparsity=2)
+print(json.dumps({"loaded": loaded, "c_hat": res.c_hat.tolist(),
+                  "converged": bool(res.converged)}))
+"""
+
+
+def test_cli_import_skips_scipy_stats_and_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    doc = json.loads(out)
+    assert doc["loaded"] == {"scipy.stats": False, "scipy.optimize": False}
+    # the first recovery solve loads scipy.optimize and still solves
+    assert doc["converged"]
+    assert np.allclose(doc["c_hat"], [0.0, 2.0, 3.0])

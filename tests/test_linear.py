@@ -196,6 +196,30 @@ class TestMetrics:
         b = roc_auc(y, np.exp(2.0 * s) + 5.0)
         assert abs(a - b) <= 1e-12
 
+    def test_roc_auc_equals_rankdata_reference(self):
+        from scipy.stats import rankdata
+
+        def reference(y, s):
+            y = np.asarray(y).astype(bool)
+            npos, nneg = int(y.sum()), int((~y).sum())
+            ranks = rankdata(s)
+            return float((ranks[y].sum() - npos * (npos + 1) / 2.0) / (npos * nneg))
+
+        rng = np.random.default_rng(8)
+        for trial in range(300):
+            n = int(rng.integers(2, 200))
+            y = rng.random(n) > 0.5
+            y[:2] = [True, False]
+            if trial % 2:
+                s = rng.integers(0, 5, size=n).astype(float)  # many ties
+            else:
+                s = rng.standard_normal(n)
+            assert roc_auc(y, s) == reference(y, s)
+
+    def test_roc_auc_nan_scores_give_nan(self):
+        assert np.isnan(roc_auc([1, 0, 1, 0], [0.1, np.nan, 0.3, 0.2]))
+        assert np.isnan(roc_auc([1, 0], [np.nan, np.nan]))
+
     def test_pr_auc_perfect(self):
         assert pr_auc([1, 1, 0, 0], [0.9, 0.8, 0.2, 0.1]) == 1.0
 

@@ -167,6 +167,17 @@ class TestProperties:
         # walk counts per level: 3, 4, 6
         assert np.allclose([lv[0] for lv in e.levels], [2.0, 4.0, 8.0])
 
+    def test_level_scale_count_builds_adjacency_once(self, path_xyz, monkeypatch):
+        sch, g = path_xyz
+        W = VertexEmbeddingMatrix(matrix=np.array([[1.0, 2.0, 3.0]]), schema=sch,
+                                  provenance={})
+        calls = []
+        build = ng.MolecularGraph.adjacency
+        monkeypatch.setattr(ng.MolecularGraph, "adjacency",
+                            lambda self: calls.append(1) or build(self))
+        graph_embed(g, W, 3, level_scale="count")
+        assert len(calls) == 1
+
     def test_runtime_roughly_linear_in_T(self, rng, schema):
         g = synth.molecule_scale_corpus(rng, schema, n_graphs=60, m_range=(24, 27))
         emb = random_embedding(schema, 64, seed=0)
