@@ -11,13 +11,14 @@ combinatorial number system, so the vectors are portable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .graph import MolecularGraph
-from .ngram import check_int64_walks
+from .ngram import BATCH_ENTRIES, check_int64_walks, expand_walks, pack, walk_bound
 from .schema import AttributeSchema
 
 
@@ -26,43 +27,24 @@ def subset_rank(subset) -> int:
     return sum(comb(int(s), t + 1) for t, s in enumerate(sorted(subset)))
 
 
-def subset_unrank(rank: int, n: int) -> tuple[int, ...]:
-    """Inverse of :func:`subset_rank`; returns the sorted subset."""
-    out = []
-    rest = rank
-    for t in range(n, 0, -1):
-        # largest s with C(s, t) <= rest
-        s = t - 1
-        while comb(s + 1, t) <= rest:
-            s += 1
-        out.append(s)
-        rest -= comb(s, t)
-    return tuple(reversed(out))
-
-
 def subsets_colex(k: int, n: int):
     """All n-subsets of range(k) in colex order."""
     return sorted(combinations(range(k), n), key=lambda t: t[::-1])
 
 
-def iter_subsets_colex(k: int, n: int):
-    """Lazy colex enumeration (successor form), for large C(k, n)."""
-    if n == 0 or n > k:
-        return
-    cur = list(range(n))
-    while True:
-        yield tuple(cur)
-        t = 0
-        while t < n:
-            nxt = cur[t] + 1
-            limit = cur[t + 1] if t + 1 < n else k
-            if nxt < limit:
-                break
-            t += 1
-        if t == n:
-            return
-        cur[t] += 1
-        cur[:t] = range(t)
+@lru_cache(maxsize=64)
+def subset_table(k: int, n: int) -> np.ndarray:
+    """All n-subsets of range(k) in colex order as a read-only (C(k, n) x n)
+    int64 array: row i is the sorted subset of rank i. For each top element
+    t in turn, the first C(t, n-1) colex (n-1)-subsets are followed by t."""
+    table = np.zeros((1, 0), dtype=np.int64)
+    for size in range(1, n + 1):
+        tops = np.arange(size - 1, k, dtype=np.int64)
+        reps = np.array([comb(int(t), size - 1) for t in tops], dtype=np.int64)
+        rows = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        table = np.concatenate([table[rows], np.repeat(tops, reps)[:, None]], axis=1)
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -88,84 +70,58 @@ class CountStatistics:
     def sparsity(self, n: int) -> int:
         return int(np.count_nonzero(self.level(n)))
 
-    def level_dim(self, n: int) -> int:
-        return sum(comb(k, n) for k in self.schema.cardinalities)
-
 
 def level_dimension(schema: AttributeSchema, n: int) -> int:
     return sum(comb(k, n) for k in schema.cardinalities)
 
 
-def _distinct_walk_scan(g: MolecularGraph, schema: AttributeSchema, T: int, F=None):
-    """DFS over walks pruned as soon as some attribute repeats a value.
+@lru_cache(maxsize=64)
+def _binomials(k: int, T: int) -> np.ndarray:
+    """C(v, t) for v < k, t <= T, as a read-only (k x T+1) int64 table."""
+    table = np.array([[comb(v, t) for t in range(T + 1)] for v in range(k)], dtype=np.int64)
+    table.setflags(write=False)
+    return table.reshape(k, T + 1)
 
-    Always accumulates subset counts; when F (r x m vertex embeddings) is
-    given, also accumulates the element-wise walk products per level over
-    exactly the same walk set.
-    """
+
+def _distinct_walks(g: MolecularGraph, T: int, width: int):
+    """The frontier over walks on which no attribute repeats a value (the
+    keys are the S attribute columns), from slices of start vertices sized
+    so that no frontier array passes BATCH_ENTRIES entries of ``width``."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    S = schema.num_attributes
-    ks = schema.cardinalities
-    blocks = [
-        [np.zeros(comb(ks[j], n), dtype=np.int64) for j in range(S)]
-        for n in range(1, T + 1)
-    ]
-    walk_counts = [0] * T
-    levels = None
-    base = None
-    if F is not None:
-        base = F.T
-        levels = [np.zeros(F.shape[0], dtype=F.dtype) for _ in range(T)]
-
-    attr = g.attr
-    ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
-
-    for start in range(g.num_vertices):
-        seed_vals = tuple((attr[start, j],) for j in range(S))
-        prod0 = base[start] if base is not None else None
-        stack = [(start, seed_vals, prod0)]
-        while stack:
-            v, vals, prod = stack.pop()
-            n = len(vals[0])
-            walk_counts[n - 1] += 1
-            for j in range(S):
-                blocks[n - 1][j][subset_rank(vals[j])] += 1
-            if levels is not None:
-                levels[n - 1] += prod
-            if n == T:
-                continue
-            for u in nbrs[ptr[v] : ptr[v + 1]]:
-                row = attr[u]
-                if any(row[j] in vals[j] for j in range(S)):
-                    continue
-                nxt = prod * base[u] if base is not None else None
-                stack.append((u, tuple(vals[j] + (row[j],) for j in range(S)), nxt))
-
-    return blocks, walk_counts, levels
+    rows = max(1, BATCH_ENTRIES // width)
+    cuts = pack(walk_bound(g.indptr, g.indices, T, rows), rows)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        yield from expand_walks(g.indptr, g.indices, g.attr, np.arange(lo, hi), T)
 
 
-def count_statistics(
-    g: MolecularGraph, schema: AttributeSchema, T: int
-) -> CountStatistics:
+def count_statistics(g: MolecularGraph, schema: AttributeSchema, T: int) -> CountStatistics:
     """Count value subsets along walks of length 1..T, both directions.
 
     A walk survives only if every attribute takes pairwise-distinct values
-    along it; each surviving walk increments one coordinate per attribute.
+    along it; each surviving walk increments one coordinate per attribute,
+    the colex rank of its value set.
     """
-    blocks, walk_counts, _ = _distinct_walk_scan(g, schema, T)
-    return CountStatistics(
-        schema=schema,
-        T=T,
-        blocks=tuple(tuple(lv) for lv in blocks),
-        walk_counts=tuple(walk_counts),
-    )
+    ks = schema.cardinalities
+    blocks = [[np.zeros(comb(k, n), dtype=np.int64) for k in ks] for n in range(1, T + 1)]
+    walk_counts = [0] * T
+    for n, _, _, hist in _distinct_walks(g, T, width=max(T * len(ks), 1)):
+        walk_counts[n - 1] += hist.shape[0]
+        for j, k in enumerate(ks):
+            values = np.sort(hist[:, :, j], axis=1)
+            ranks = _binomials(k, T)[values, np.arange(1, n + 1)].sum(axis=1)
+            blocks[n - 1][j] += np.bincount(ranks, minlength=blocks[n - 1][j].size)
+    return CountStatistics(schema=schema, T=T, blocks=tuple(tuple(lv) for lv in blocks),
+                           walk_counts=tuple(walk_counts))
 
 
-def walk_products_distinct(
-    g: MolecularGraph, schema: AttributeSchema, F: np.ndarray, T: int
-):
+def walk_products_distinct(g: MolecularGraph, schema: AttributeSchema, F: np.ndarray, T: int):
     """Sum of element-wise walk products over the distinct-value walk set."""
     check_int64_walks(g, T, F)
-    _, _, levels = _distinct_walk_scan(g, schema, T, F=F)
+    base = np.ascontiguousarray(F.T)
+    levels = [np.zeros(F.shape[0], dtype=F.dtype) for _ in range(T)]
+    width = max(F.shape[0], T * schema.num_attributes)
+    for n, parent, end, _ in _distinct_walks(g, T, width):
+        prod = base[end] if parent is None else prod[parent] * base[end]
+        levels[n - 1] += prod.sum(axis=0)
     return levels

@@ -153,7 +153,7 @@ def _encode_row(schema: AttributeSchema, row: dict) -> list[int]:
                 out.append(_unknown_index(schema, j))
             else:
                 top = len(schema.values_of(j)) - 2  # last numeric token before Unknown
-                out.append(int(np.clip(value, 0, top)))
+                out.append(min(max(value, 0), top))
         elif name == "charge":
             out.append(_bucket(schema, j, value))
         else:  # yes/no flags

@@ -1,12 +1,15 @@
 """Walk-set embeddings of attributed graphs.
 
 A level-n embedding sums, over all n-vertex walks, the element-wise product
-of the walk's vertex embeddings. Levels 1..T are computed by the latent
-recurrence ``X_n = (A @ X_{n-1}) * X_1``, one sparse adjacency product per
-level, so the cost is linear in T and in vertices + edges. An
-exponential-time enumerator over explicit walks serves as an independent
-cross-check and also powers the variants that exclude walks with repeated
-attribute rows (``path``) or repeated vertices (``vertex_path``).
+of the walk's vertex embeddings. One engine embeds a whole corpus: batches
+of graphs are stacked into one block-diagonal CSR adjacency, with one
+vertex-row gather per attribute. ``walk`` runs the recurrence
+``X_n = (A @ X_{n-1}) * X_1``, one sparse product per level, summed per
+graph. ``path`` (no attribute row twice) and ``vertex_path`` (no vertex
+twice) run :func:`expand_walks`, a level-synchronous frontier that carries
+running products. A row never depends on its batch mates.
+:func:`oracle_embed` is an independent depth-first enumerator, kept as the
+reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -18,11 +21,15 @@ import numpy as np
 import scipy.sparse
 
 from .graph import MolecularGraph
-from .vertex import VertexEmbeddingMatrix, embed_vertices
+from .vertex import VertexEmbeddingMatrix, check_schema, embed_vertices, vertex_rows
 
 VARIANTS = ("walk", "path", "vertex_path")
 NORMALIZATIONS = ("none", "unit-l2", "unit-l2-level")
 LEVEL_SCALES = ("none", "factorial", "count")
+
+# Entries (float64-sized) per stacked or frontier array, which sets the batch
+# size: 1 MiB arrays stay in cache and keep the engine's peak memory small.
+BATCH_ENTRIES = 1 << 17
 
 
 class GraphTooLarge(ValueError):
@@ -74,65 +81,6 @@ def check_int64_walks(g: MolecularGraph, T: int, F: np.ndarray | None = None):
                            f"max|F|={fmax}, max degree={deg})")
 
 
-def _finalize(levels, counts, variant, level_scale, normalization):
-    if level_scale == "factorial":
-        levels = [lv / math.factorial(n + 1) for n, lv in enumerate(levels)]
-    elif level_scale == "count":
-        levels = [
-            lv / c if c else lv.astype(np.float64)
-            for lv, c in zip(levels, counts)
-        ]
-    if normalization == "unit-l2":
-        norm = math.sqrt(sum(float(lv @ lv) for lv in levels))
-        if norm > 0:
-            levels = [lv / norm for lv in levels]
-        else:
-            levels = [np.asarray(lv, dtype=np.float64) for lv in levels]
-    elif normalization == "unit-l2-level":
-        scaled = []
-        for lv in levels:
-            norm = math.sqrt(float(lv @ lv))
-            scaled.append(lv / norm if norm > 0 else np.asarray(lv, dtype=np.float64))
-        levels = scaled
-    return NGramEmbedding(
-        levels=tuple(levels), variant=variant, normalization=normalization
-    )
-
-
-def graph_embed(
-    g: MolecularGraph,
-    emb: VertexEmbeddingMatrix,
-    T: int,
-    variant: str = "walk",
-    level_scale: str = "none",
-    normalization: str = "none",
-) -> NGramEmbedding:
-    """Embed one graph up to walk length T.
-
-    The ``walk`` variant runs the sparse adjacency recurrence. The
-    exclusion variants cannot be expressed as a recurrence and fall back to
-    pruned enumeration, which stays cheap because the exclusion bounds walk
-    depth.
-
-    Integer embedding matrices propagate exactly (no rounding) as long as
-    ``level_scale`` and ``normalization`` stay off; :class:`WalkOverflow`
-    is raised when the sums could leave the int64 range.
-    """
-    _check_options(T, variant, level_scale, normalization)
-    F = embed_vertices(g, emb)
-    check_int64_walks(g, T, F)
-    if variant == "walk":
-        A = g.adjacency()
-        levels, counts = _recurrence_levels(A, F, T), None
-        if level_scale == "count":  # walk counts: the recurrence on all-ones rows
-            check_int64_walks(g, T)
-            ones = np.ones((1, g.num_vertices), dtype=np.int64)
-            counts = [int(c[0]) for c in _recurrence_levels(A, ones, T)]
-    else:
-        levels, counts = _enumerate_levels(g, F, T, variant)
-    return _finalize(levels, counts, variant, level_scale, normalization)
-
-
 def _check_options(T, variant, level_scale, normalization):
     if T < 1:
         raise ValueError(f"walk length T must be >= 1, got {T}")
@@ -146,51 +94,190 @@ def _check_options(T, variant, level_scale, normalization):
         )
 
 
-def _recurrence_levels(A: scipy.sparse.csr_array, F: np.ndarray, T: int):
-    base = np.ascontiguousarray(F.T)  # (m, r) latent vectors, row per vertex
-    X = base
-    levels = [X.sum(axis=0)]
+def _admit(g, emb, T, variant, level_scale):
+    """Raise the error that keeps g out of the engine, if there is one."""
+    check_schema(g, emb)
+    if np.issubdtype(emb.matrix.dtype, np.integer):
+        check_int64_walks(g, T, vertex_rows(g.attr, emb))
+    if variant == "walk" and level_scale == "count":
+        check_int64_walks(g, T)
+
+
+def _finalize(L, C, level_scale, normalization):
+    """Level scaling, then normalization, of (G, T, r) sums with (G, T) counts."""
+    T = L.shape[1]
+    if level_scale == "factorial":
+        L = L / np.array([float(math.factorial(n)) for n in range(1, T + 1)])[:, None]
+    elif level_scale == "count":
+        L = np.where(C[:, :, None] > 0, L / np.maximum(C, 1)[:, :, None], L)
+    if normalization != "none":
+        sq = (L * L).sum(axis=2).astype(np.float64)
+        if normalization == "unit-l2":
+            sq = np.cumsum(sq, axis=1)[:, -1:]  # summed in level order
+        norm = np.sqrt(sq)
+        L = np.where(norm[:, :, None] > 0, L / np.where(norm > 0, norm, 1.0)[:, :, None],
+                     L.astype(np.float64))
+    return L
+
+
+# -- the walk engine ---------------------------------------------------------------
+
+
+def _stack(graphs):
+    """One block-diagonal CSR (indptr, indices) of the graphs, their stacked
+    attribute table and their vertex offsets."""
+    offsets = np.cumsum([0] + [g.num_vertices for g in graphs], dtype=np.int64)
+    nnz = np.array([g.indices.size for g in graphs], dtype=np.int64)
+    indices = np.concatenate([g.indices for g in graphs]) + np.repeat(offsets[:-1], nnz)
+    ends = np.concatenate([g.indptr[1:] for g in graphs])
+    indptr = np.concatenate([[0], ends + np.repeat(np.cumsum(nnz) - nnz, np.diff(offsets))])
+    return indptr, indices, np.concatenate([g.attr for g in graphs]), offsets
+
+
+def _ones_csr(indptr, indices, ncols):
+    """A 0/1 sparse matrix with the given CSR pattern."""
+    data = np.ones(indices.size, dtype=np.int64)
+    return scipy.sparse.csr_array((data, indices, indptr), shape=(indptr.size - 1, ncols))
+
+
+def _pool(seg, n):
+    """Sparse (n x len(seg)) matrix summing rows by their nondecreasing
+    segment ids; a product with it adds each segment's rows in order."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(seg, minlength=n))])
+    return _ones_csr(indptr, np.arange(seg.size), seg.size)
+
+
+def walk_bound(indptr, indices, T, cap):
+    """Per vertex, the number of T-vertex walks starting there, clipped to
+    ``[1, cap]``: an upper bound on every level of the frontier a start
+    vertex spawns, whatever the exclusion rule."""
+    A = _ones_csr(indptr, indices, indptr.size - 1)
+    bound = np.ones(A.shape[0], dtype=np.int64)
     for _ in range(1, T):
-        X = (A @ X) * base
-        levels.append(X.sum(axis=0))
-    return levels
+        bound = np.minimum(A @ bound, cap)  # clipping early leaves the clipped result exact
+    return np.maximum(bound, 1)
 
 
-def _exclusion_ids(g: MolecularGraph, variant: str) -> np.ndarray | None:
+def pack(costs, budget):
+    """Boundaries cutting ``costs`` into consecutive runs whose total stays
+    within ``budget``; an item over the budget runs alone."""
+    cum = np.concatenate([[0], np.cumsum(costs)])
+    cuts = [0]
+    while cuts[-1] < len(costs):
+        lo = cuts[-1]
+        cuts.append(max(int(np.searchsorted(cum, cum[lo] + budget, side="right")) - 1, lo + 1))
+    return np.array(cuts, dtype=np.int64)
+
+
+def expand_walks(indptr, indices, keys, starts, T):
+    """Level-synchronous enumeration of the walks that never repeat a key.
+
+    Yields ``(n, parent, end, hist)`` for n = 1..T: the n-vertex walks from
+    ``starts`` as their prefix's index in the previous level (``None`` at
+    n = 1), end vertex and (walks x n x key-columns) key history. A step to
+    u is refused when a key column of u equals the same column at a vertex
+    on the walk. Walks stay ordered by start, then by CSR position."""
+    end = np.asarray(starts, dtype=np.int64)
+    hist = keys[end][:, None, :]
+    yield 1, None, end, hist
+    for n in range(2, T + 1):
+        first, deg = indptr[end], indptr[end + 1] - indptr[end]
+        parent = np.repeat(np.arange(end.size), deg)
+        nbr = indices[np.arange(parent.size) + np.repeat(first - (np.cumsum(deg) - deg), deg)]
+        new = keys[nbr]
+        prefix = hist[parent]
+        keep = ~(prefix == new[:, None, :]).any(axis=(1, 2))
+        parent, end = parent[keep], nbr[keep]
+        hist = np.concatenate([prefix[keep], new[keep][:, None, :]], axis=1)
+        yield n, parent, end, hist
+
+
+def _exclusion_keys(attr, variant):
+    """Key column for the exclusion variants: attribute-row id or vertex id."""
     if variant == "path":
-        # walks may not revisit an attribute row
-        _, ids = np.unique(g.attr, axis=0, return_inverse=True)
-        return ids.astype(np.int64).ravel()
-    if variant == "vertex_path":
-        return np.arange(g.num_vertices, dtype=np.int64)
-    return None
+        return np.unique(attr, axis=0, return_inverse=True)[1].astype(np.int64).reshape(-1, 1)
+    return np.arange(attr.shape[0], dtype=np.int64).reshape(-1, 1)
 
 
-def _enumerate_levels(g: MolecularGraph, F: np.ndarray, T: int, variant: str):
-    m = g.num_vertices
-    base = F.T
-    ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
-    ids = _exclusion_ids(g, variant)
-    levels = [np.zeros(F.shape[0], dtype=F.dtype) for _ in range(T)]
-    counts = [0] * T
-    for start in range(m):
-        used0 = 0 if ids is None else 1 << int(ids[start])
-        stack = [(start, 1, base[start], used0)]
-        while stack:
-            v, depth, prod, used = stack.pop()
-            levels[depth - 1] += prod
-            counts[depth - 1] += 1
-            if depth == T:
-                continue
-            for u in nbrs[ptr[v] : ptr[v + 1]]:
-                if ids is None:
-                    stack.append((u, depth + 1, prod * base[u], 0))
-                else:
-                    bit = 1 << int(ids[u])
-                    if used & bit:
-                        continue
-                    stack.append((u, depth + 1, prod * base[u], used | bit))
-    return levels, counts
+def _levels(graphs, emb, T, variant, counts=False):
+    """Level sums (G, T, r) in the embedding's dtype and walk counts (G, T)
+    (for ``walk`` only when ``counts`` is set). Units of work, whole graphs
+    or graph-local slices of start vertices where a graph's frontier bound
+    exceeds the budget, are packed into batches, summed on their own and
+    added per graph in unit order, so a row never depends on its batch."""
+    indptr, indices, attr, offsets = _stack(graphs)
+    G, r = len(graphs), emb.dim
+    if variant == "walk":
+        rows = max(1, BATCH_ENTRIES // r)
+        ub = np.unique(offsets)  # unit boundaries
+        cost = np.diff(ub)
+    else:
+        rows = max(1, BATCH_ENTRIES // max(r, T))
+        bound = walk_bound(indptr, indices, T, rows)
+        cum = np.concatenate([[0], np.cumsum(bound)])
+        cuts = [offsets]
+        for gi in np.flatnonzero(cum[offsets[1:]] - cum[offsets[:-1]] > rows):
+            cuts.append(offsets[gi] + pack(bound[offsets[gi] : offsets[gi + 1]], rows))
+        ub = np.unique(np.concatenate(cuts))
+        cost = np.diff(cum[ub])
+        keys = _exclusion_keys(attr, variant)
+    unit_graph = np.searchsorted(offsets, ub[:-1], side="right") - 1
+    U = np.zeros((ub.size - 1, T, r), dtype=emb.matrix.dtype)
+    UC = np.zeros((ub.size - 1, T), dtype=np.int64)
+
+    batches = pack(cost, rows)
+    for u0, u1 in zip(batches[:-1], batches[1:]):
+        v0, v1 = offsets[unit_graph[u0]], offsets[unit_graph[u1 - 1] + 1]
+        ptr, idx = indptr[v0 : v1 + 1] - indptr[v0], indices[indptr[v0] : indptr[v1]] - v0
+        base = vertex_rows(attr[v0:v1], emb)
+        seg = np.repeat(np.arange(u1 - u0), np.diff(ub[u0 : u1 + 1]))
+        if variant == "walk":  # walk counts: the same recurrence on all-ones rows
+            A, P = _ones_csr(ptr, idx, v1 - v0), _pool(seg, u1 - u0)
+            ones = np.ones((v1 - v0, 1), dtype=np.int64)
+            for X1, out in [(base, U), (ones, UC[:, :, None])][: 1 + counts]:
+                X = X1
+                out[u0:u1, 0] = P @ X
+                for n in range(1, T):
+                    X = A @ X
+                    X *= X1
+                    out[u0:u1, n] = P @ X
+            continue
+        starts = np.arange(ub[u0], ub[u1]) - v0
+        for n, parent, end, _ in expand_walks(ptr, idx, keys[v0:v1], starts, T):
+            if parent is None:
+                prod = base[end]
+            else:
+                prod = prod[parent]
+                prod *= base[end]
+                seg = seg[parent]
+            U[u0:u1, n - 1] = _pool(seg, u1 - u0) @ prod
+            UC[u0:u1, n - 1] = np.bincount(seg, minlength=u1 - u0)
+
+    if np.array_equal(unit_graph, np.arange(G)):
+        return U, UC
+    Q = _pool(unit_graph, G)  # units -> graphs, added in unit order
+    return (Q @ U.reshape(-1, T * r)).reshape(G, T, r), Q @ UC
+
+
+def graph_embed(
+    g: MolecularGraph,
+    emb: VertexEmbeddingMatrix,
+    T: int,
+    variant: str = "walk",
+    level_scale: str = "none",
+    normalization: str = "none",
+) -> NGramEmbedding:
+    """Embed one graph up to walk length T: the corpus engine on one graph.
+
+    Integer embedding matrices propagate exactly (no rounding) as long as
+    ``level_scale`` and ``normalization`` stay off; :class:`WalkOverflow`
+    is raised when the sums could leave the int64 range.
+    """
+    _check_options(T, variant, level_scale, normalization)
+    _admit(g, emb, T, variant, level_scale)
+    L, C = _levels([g], emb, T, variant, counts=level_scale == "count")
+    L = _finalize(L, C, level_scale, normalization)
+    return NGramEmbedding(levels=tuple(L[0]), variant=variant, normalization=normalization)
 
 
 def oracle_embed(
@@ -203,7 +290,8 @@ def oracle_embed(
     level_scale: str = "none",
     normalization: str = "none",
 ) -> NGramEmbedding:
-    """Brute-force walk enumeration; exponential, so refuses m > cap.
+    """Brute-force depth-first walk enumeration; exponential, so refuses
+    m > cap. It shares no code with the engine's walk sums.
 
     With ``dedup_reverse`` each direction pair is enumerated once and
     counted twice (palindromic sequences once), which must agree with the
@@ -211,54 +299,52 @@ def oracle_embed(
     """
     _check_options(T, variant, level_scale, normalization)
     if g.num_vertices > cap:
-        raise GraphTooLarge(
-            f"m={g.num_vertices} exceeds enumeration cap {cap}; use graph_embed"
-        )
+        raise GraphTooLarge(f"m={g.num_vertices} exceeds enumeration cap {cap}; "
+                            "use graph_embed")
     F = embed_vertices(g, emb)
     check_int64_walks(g, T, F)
-    if not dedup_reverse:
-        levels, counts = _enumerate_levels(g, F, T, variant)
-        return _finalize(levels, counts, variant, level_scale, normalization)
-
     base = F.T
     ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
-    ids = _exclusion_ids(g, variant)
-    levels = [np.zeros(F.shape[0], dtype=F.dtype) for _ in range(T)]
-    counts = [0] * T
+    tags = None if variant == "walk" else _exclusion_keys(g.attr, variant)[:, 0].tolist()
+    levels = np.zeros((T, F.shape[0]), dtype=F.dtype)
+    counts = np.zeros(T, dtype=np.int64)
     for start in range(g.num_vertices):
-        stack = [(start, (start,), base[start])]
+        stack = [((start,), base[start])]
         while stack:
-            v, seq, prod = stack.pop()
-            rev = seq[::-1]
-            if seq <= rev:
-                weight = 1 if seq == rev else 2
-                levels[len(seq) - 1] = levels[len(seq) - 1] + weight * prod
-                counts[len(seq) - 1] += weight
-            if len(seq) == T:
+            seq, prod = stack.pop()
+            n = len(seq)
+            weight = 1
+            if dedup_reverse:
+                rev = seq[::-1]
+                weight = 0 if seq > rev else 1 if seq == rev else 2
+            if weight:
+                levels[n - 1] += weight * prod
+                counts[n - 1] += weight
+            if n == T:
                 continue
-            for u in nbrs[ptr[v] : ptr[v + 1]]:
-                if ids is not None:
-                    tags = [int(ids[w]) for w in seq]
-                    if int(ids[u]) in tags:
-                        continue
-                stack.append((u, seq + (u,), prod * base[u]))
-    return _finalize(levels, counts, variant, level_scale, normalization)
+            seen = set() if tags is None else {tags[w] for w in seq}
+            for u in nbrs[ptr[seq[-1]] : ptr[seq[-1] + 1]]:
+                if tags is None or tags[u] not in seen:
+                    stack.append((seq + (u,), prod * base[u]))
+    L = _finalize(levels[None], counts[None], level_scale, normalization)
+    return NGramEmbedding(levels=tuple(L[0]), variant=variant, normalization=normalization)
 
 
-def _embed_one(g, emb, T, variant, level_scale, normalization):
-    try:
-        e = graph_embed(
-            g, emb, T,
-            variant=variant, level_scale=level_scale, normalization=normalization,
-        )
-        return e.vector.astype(np.float64), None
-    except (ValueError, RuntimeError) as exc:
-        return None, str(exc)
-
-
-def _embed_chunk(args):
-    graphs, emb, T, variant, level_scale, normalization = args
-    return [_embed_one(g, emb, T, variant, level_scale, normalization) for g in graphs]
+def _embed_rows(graphs, emb, T, variant, level_scale, normalization):
+    """Feature rows (NaN where a graph failed) and the error map."""
+    good, errors = [], {}
+    for i, g in enumerate(graphs):
+        try:
+            _admit(g, emb, T, variant, level_scale)
+            good.append(i)
+        except (ValueError, RuntimeError) as exc:
+            errors[i] = str(exc)
+    rows = np.full((len(graphs), T * emb.dim), np.nan)
+    if good:
+        L, C = _levels([graphs[i] for i in good], emb, T, variant,
+                       counts=level_scale == "count")
+        rows[good] = _finalize(L, C, level_scale, normalization).reshape(len(good), -1)
+    return rows, errors
 
 
 def embed_corpus(
@@ -273,38 +359,32 @@ def embed_corpus(
 ):
     """Embed a corpus into a (num_graphs x T*r) float64 matrix plus manifest.
 
-    Rows follow input order. A graph that fails to embed gets a NaN row and
-    an entry in the manifest's error map instead of aborting the run.
-    With ``jobs > 1`` graphs are embedded by a process pool; the output is
+    Rows follow input order. Graphs are checked one by one (schema, int64
+    range); one that fails gets a NaN row and an entry in the manifest's
+    error map instead of aborting the run. The rest go through the batched
+    engine: the ``walk`` recurrence on a stacked adjacency, the frontier
+    expander for ``path`` and ``vertex_path``. A row never depends on which
+    graphs share its batch, so with ``jobs > 1`` (a process pool, each
+    worker running the engine on one chunk of the corpus) the output is
     identical to the sequential run.
     """
     _check_options(T, variant, level_scale, normalization)
     r = emb.dim
     width = T * r
-    rows = np.full((len(graphs), width), np.nan, dtype=np.float64)
-    errors: dict[int, str] = {}
-    ids = [
-        g.graph_id if g.graph_id is not None else str(i) for i, g in enumerate(graphs)
-    ]
+    ids = [str(i) if g.graph_id is None else g.graph_id for i, g in enumerate(graphs)]
+    options = (emb, T, variant, level_scale, normalization)
     if jobs > 1 and len(graphs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         chunk_size = max(1, (len(graphs) + jobs - 1) // jobs)
-        chunks = [graphs[i : i + chunk_size] for i in range(0, len(graphs), chunk_size)]
-        work = [(c, emb, T, variant, level_scale, normalization) for c in chunks]
-        results = []
+        starts = range(0, len(graphs), chunk_size)
+        chunks = [graphs[i : i + chunk_size] for i in starts]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_embed_chunk, work):
-                results.extend(part)
+            parts = list(pool.map(_embed_rows, chunks, *([o] * len(chunks) for o in options)))
+        rows = np.concatenate([part for part, _ in parts])
+        errors = {i + k: err for i, (_, errs) in zip(starts, parts) for k, err in errs.items()}
     else:
-        results = [
-            _embed_one(g, emb, T, variant, level_scale, normalization) for g in graphs
-        ]
-    for i, (vec, err) in enumerate(results):
-        if err is None:
-            rows[i] = vec
-        else:
-            errors[i] = err
+        rows, errors = _embed_rows(graphs, *options)
     manifest = {
         "kind": "feature-matrix",
         "num_graphs": len(graphs),
@@ -319,7 +399,7 @@ def embed_corpus(
         "schema": emb.schema.to_dict(),
         "seed": seed,
         "ids": ids,
-        "errors": {str(k): v for k, v in errors.items()},
+        "errors": {str(k): v for k, v in sorted(errors.items())},
     }
     return rows, manifest
 

@@ -37,9 +37,7 @@ class RecoveryResult:
 def _operator_interface(op):
     """Accept either a LevelOperator or a plain dense matrix."""
     if isinstance(op, LevelOperator):
-        return op.shape, op.correlations, op.column_norms(), (
-            lambda cols: np.stack([op.column(int(c)) for c in cols], axis=1)
-        )
+        return op.shape, op.correlations, op.column_norms(), op.columns
     A = np.asarray(op, dtype=np.float64)
     norms = np.linalg.norm(A, axis=0)
     return A.shape, (lambda res: A.T @ res), norms, (lambda cols: A[:, cols])

@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 
 
 class SchemaError(ValueError):
@@ -65,11 +67,7 @@ class AttributeSchema:
 
     @property
     def offsets(self) -> tuple[int, ...]:
-        offs, acc = [], 0
-        for k in self.cardinalities:
-            offs.append(acc)
-            acc += k
-        return tuple(offs)
+        return tuple(accumulate(self.cardinalities, initial=0))[:-1]
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
@@ -104,7 +102,7 @@ class AttributeSchema:
         pairs = [(a["name"], a["values"]) for a in doc["attributes"]]
         return cls.from_pairs(pairs, name=doc.get("name", "custom"))
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
         """Stable hash of the attribute layout (names + value vocabularies)."""
         payload = json.dumps(

@@ -10,14 +10,14 @@ level operators assemble those n-way column products block by block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import comb
 
 import numpy as np
 
 from .counts import (
     count_statistics,
-    iter_subsets_colex,
-    subset_unrank,
+    subset_table,
     walk_products_distinct,
 )
 from .graph import MolecularGraph
@@ -63,8 +63,8 @@ class LevelOperator:
     """Block-diagonal n-way column product operator for one level.
 
     Blocks are materialized densely while ``r * columns`` stays under
-    ``cap``; beyond that, applications fall back to chunked or per-column
-    generation.
+    ``cap``; beyond that, applications generate the columns they need, in
+    chunks. Column products come from the cached colex subset table.
     """
 
     blocks: tuple            # base blocks U^j, each (r_j, k_j)
@@ -80,11 +80,7 @@ class LevelOperator:
 
     @property
     def col_offsets(self) -> tuple:
-        offs, acc = [], 0
-        for d in self.col_dims:
-            offs.append(acc)
-            acc += d
-        return tuple(offs)
+        return tuple(accumulate(self.col_dims, initial=0))[:-1]
 
     @property
     def shape(self) -> tuple:
@@ -94,37 +90,21 @@ class LevelOperator:
     def entries(self) -> int:
         return self.shape[0] * self.shape[1]
 
+    def _block_columns(self, j: int, cols=slice(None)) -> np.ndarray:
+        """Columns ``cols`` of block j, dense (r_j x len(cols)): row gathers
+        on U^T, multiplied in subset order."""
+        UT = np.ascontiguousarray(self.blocks[j].T)
+        subsets = subset_table(UT.shape[0], self.n)[cols]
+        out = UT[subsets[:, 0]]
+        for t in range(1, self.n):
+            out *= UT[subsets[:, t]]
+        return out.T
+
     def block_matrix(self, j: int) -> np.ndarray:
         """Dense (r_j x C(k_j, n)) product block, cached."""
-        got = self._cache.get(j)
-        if got is None:
-            U = self.blocks[j]
-            d = comb(U.shape[1], self.n)
-            idx = np.fromiter(
-                (i for s in iter_subsets_colex(U.shape[1], self.n) for i in s),
-                dtype=np.int64,
-                count=d * self.n,
-            ).reshape(d, self.n)
-            got = U[:, idx].prod(axis=2) if d else np.zeros((U.shape[0], 0), U.dtype)
-            self._cache[j] = got
-        return got
-
-    def iter_column_chunks(self, j: int, chunk: int = 4096):
-        """Yield (col_start_in_block, dense r_j x width) pieces of block j."""
-        U = self.blocks[j]
-        k = U.shape[1]
-        buf = []
-        start = 0
-        for s in iter_subsets_colex(k, self.n):
-            buf.append(s)
-            if len(buf) == chunk:
-                idx = np.asarray(buf, dtype=np.int64)
-                yield start, U[:, idx].prod(axis=2)
-                start += len(buf)
-                buf = []
-        if buf:
-            idx = np.asarray(buf, dtype=np.int64)
-            yield start, U[:, idx].prod(axis=2)
+        if j not in self._cache:
+            self._cache[j] = self._block_columns(j)
+        return self._cache[j]
 
     def materialize(self, cap: int | None = None) -> np.ndarray:
         """Full dense operator; refuses beyond the entry cap."""
@@ -134,14 +114,7 @@ class LevelOperator:
                 f"level operator has {self.entries} entries, over cap {cap}; "
                 "use the matrix-free interface"
             )
-        dtype = np.result_type(*(U.dtype for U in self.blocks))
-        out = np.zeros(self.shape, dtype=dtype)
-        coffs = self.col_offsets
-        for j, U in enumerate(self.blocks):
-            b = self.block_matrix(j)
-            r0 = self.row_offsets[j]
-            out[r0 : r0 + U.shape[0], coffs[j] : coffs[j] + b.shape[1]] = b
-        return out
+        return self.columns(np.arange(self.shape[1]))
 
     def matvec(self, c: np.ndarray) -> np.ndarray:
         dtype = np.result_type(c.dtype, *(U.dtype for U in self.blocks))
@@ -154,9 +127,7 @@ class LevelOperator:
                 out[r0 : r0 + U.shape[0]] += self.block_matrix(j) @ seg
             else:
                 nz = np.nonzero(seg)[0]
-                for col in nz:
-                    s = subset_unrank(int(col), self.n)
-                    out[r0 : r0 + U.shape[0]] += seg[col] * U[:, s].prod(axis=1)
+                out[r0 : r0 + U.shape[0]] += self._block_columns(j, nz) @ seg[nz]
         return out
 
     def correlations(self, res: np.ndarray) -> np.ndarray:
@@ -168,21 +139,22 @@ class LevelOperator:
             seg = res[r0 : r0 + U.shape[0]]
             if self.entries <= self.cap:
                 out[coffs[j] : coffs[j] + self.col_dims[j]] = self.block_matrix(j).T @ seg
-            else:
-                for start, piece in self.iter_column_chunks(j):
-                    out[coffs[j] + start : coffs[j] + start + piece.shape[1]] = piece.T @ seg
+                continue
+            for start in range(0, self.col_dims[j], 4096):  # column chunks
+                piece = self._block_columns(j, slice(start, start + 4096))
+                out[coffs[j] + start : coffs[j] + start + piece.shape[1]] = piece.T @ seg
         return out
 
-    def column(self, idx: int) -> np.ndarray:
-        coffs = self.col_offsets
-        for j, U in enumerate(self.blocks):
-            if coffs[j] <= idx < coffs[j] + self.col_dims[j]:
-                s = subset_unrank(idx - coffs[j], self.n)
-                col = np.zeros(self.total_rows, dtype=np.float64)
-                r0 = self.row_offsets[j]
-                col[r0 : r0 + U.shape[0]] = U[:, s].prod(axis=1)
-                return col
-        raise IndexError(idx)
+    def columns(self, cols) -> np.ndarray:
+        """The operator's columns ``cols`` as a dense (total_rows x len(cols))
+        array in the blocks' dtype."""
+        cols = np.asarray(cols, dtype=np.int64)
+        dtype = np.result_type(*(U.dtype for U in self.blocks))
+        out = np.zeros((self.total_rows, cols.size), dtype=dtype)
+        for j, (c0, r0, U) in enumerate(zip(self.col_offsets, self.row_offsets, self.blocks)):
+            mine = (cols >= c0) & (cols < c0 + self.col_dims[j])
+            out[r0 : r0 + U.shape[0], mine] = self._block_columns(j, cols[mine] - c0)
+        return out
 
     def column_norms(self) -> np.ndarray:
         """Exact per-column norms (constant within a block for +-c entries)."""
@@ -210,11 +182,7 @@ class BlockSensingMatrix:
 
     @property
     def row_offsets(self) -> tuple:
-        offs, acc = [], 0
-        for U in self.blocks:
-            offs.append(acc)
-            acc += U.shape[0]
-        return tuple(offs)
+        return tuple(accumulate((U.shape[0] for U in self.blocks), initial=0))[:-1]
 
     def assembled(self) -> np.ndarray:
         """The block-diagonal r x K vertex embedding matrix."""

@@ -44,15 +44,6 @@ class VertexEmbeddingMatrix:
     def dim(self) -> int:
         return int(self.matrix.shape[0])
 
-    @property
-    def schema_fingerprint(self) -> str:
-        return self.schema.fingerprint
-
-    def block(self, j: int) -> np.ndarray:
-        """Columns of W belonging to attribute j."""
-        off = self.schema.offsets[j]
-        return self.matrix[:, off : off + self.schema.cardinalities[j]]
-
 
 def random_embedding(
     schema: AttributeSchema,
@@ -80,7 +71,8 @@ def random_embedding(
     return VertexEmbeddingMatrix(matrix=w, schema=schema, provenance=prov)
 
 
-def _check_schema(g: MolecularGraph, emb: VertexEmbeddingMatrix) -> None:
+def check_schema(g: MolecularGraph, emb: VertexEmbeddingMatrix) -> None:
+    """Raise EmbeddingError unless g is encoded under the embedding's schema."""
     if g.schema_fingerprint is not None:
         if g.schema_fingerprint != emb.schema.fingerprint:
             raise EmbeddingError(
@@ -93,16 +85,21 @@ def _check_schema(g: MolecularGraph, emb: VertexEmbeddingMatrix) -> None:
             raise EmbeddingError(f"graph invalid under embedding schema: {report}")
 
 
+def vertex_rows(attr: np.ndarray, emb: VertexEmbeddingMatrix) -> np.ndarray:
+    """Vertex embeddings as rows (m x r, row i = W h_i) of an unchecked
+    attribute table: one row gather per attribute for any number of graphs."""
+    WT = np.ascontiguousarray(emb.matrix.T)
+    idx = attr + np.asarray(emb.schema.offsets, dtype=np.int64)
+    F = np.zeros((attr.shape[0], WT.shape[1]), dtype=WT.dtype)
+    for j in range(emb.schema.num_attributes):
+        F += WT[idx[:, j]]
+    return F
+
+
 def embed_vertices(g: MolecularGraph, emb: VertexEmbeddingMatrix) -> np.ndarray:
     """Per-vertex embeddings as an r x m matrix (column i = W h_i)."""
-    _check_schema(g, emb)
-    W = emb.matrix
-    offs = emb.schema.offsets
-    r = W.shape[0]
-    F = np.zeros((r, g.num_vertices), dtype=W.dtype)
-    for j in range(emb.schema.num_attributes):
-        F += W[:, offs[j] + g.attr[:, j]]
-    return F
+    check_schema(g, emb)
+    return vertex_rows(g.attr, emb).T
 
 
 def save_embedding(path, emb: VertexEmbeddingMatrix) -> None:

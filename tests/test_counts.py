@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -5,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ngram_graph as ng
-from ngram_graph import count_statistics, one_hot
+from ngram_graph import count_statistics, embed_vertices, one_hot, random_embedding
 from ngram_graph.counts import (
-    iter_subsets_colex,
+    level_dimension,
     subset_rank,
-    subset_unrank,
+    subset_table,
     subsets_colex,
+    walk_products_distinct,
 )
 
 from . import synth
@@ -26,14 +28,16 @@ class TestColexIndexing:
                 for i, s in enumerate(subsets_colex(k, n)):
                     assert subset_rank(s) == i
 
-    def test_unrank_inverts_rank(self):
+    def test_table_row_has_its_rank(self):
         for k, n in ((6, 2), (7, 3), (9, 4)):
-            for i in range(comb(k, n)):
-                assert subset_rank(subset_unrank(i, n)) == i
+            table = subset_table(k, n)
+            assert [subset_rank(row) for row in table] == list(range(comb(k, n)))
 
-    def test_lazy_generator_matches_eager(self):
-        for k, n in ((5, 2), (8, 3), (4, 4), (3, 4)):
-            assert list(iter_subsets_colex(k, n)) == subsets_colex(k, n)
+    def test_subset_table_matches_eager(self):
+        for k, n in ((5, 2), (8, 3), (4, 4), (3, 4), (6, 1), (40, 2)):
+            table = subset_table(k, n)
+            assert table.dtype == np.int64 and table.shape == (comb(k, n), n)
+            assert [tuple(row) for row in table.tolist()] == subsets_colex(k, n)
 
     def test_rank_ignores_input_order(self):
         assert subset_rank((4, 1, 2)) == subset_rank((1, 2, 4))
@@ -96,7 +100,8 @@ class TestCountStatistics:
             schema_fingerprint=sch.fingerprint,
         )
         stats = count_statistics(g, sch, 3)
-        assert stats.level_dim(3) == comb(5, 3)  # the k=2 block vanishes
+        assert level_dimension(sch, 3) == comb(5, 3)  # the k=2 block vanishes
+        assert stats.level(3).size == comb(5, 3)
         assert stats.walk_counts[2] == 0
 
     @settings(max_examples=30, deadline=None)
@@ -118,3 +123,49 @@ class TestCountStatistics:
         assert np.array_equal(
             stats.stacked(), np.concatenate([stats.level(1), stats.level(2)])
         )
+
+
+def _brute_force_distinct(g, schema, F, T):
+    """Counts and walk products over every vertex sequence whose steps are
+    edges and whose values are pairwise distinct in every attribute."""
+    blocks = [[np.zeros(comb(k, n), dtype=np.int64) for k in schema.cardinalities]
+              for n in range(1, T + 1)]
+    counts = [0] * T
+    levels = [np.zeros(F.shape[0], dtype=F.dtype) for _ in range(T)]
+    for n in range(1, T + 1):
+        for seq in product(range(g.num_vertices), repeat=n):
+            if not all(g.has_edge(u, v) for u, v in zip(seq, seq[1:])):
+                continue
+            values = g.attr[list(seq)]
+            if any(len(set(values[:, j].tolist())) < n for j in range(values.shape[1])):
+                continue
+            counts[n - 1] += 1
+            for j in range(values.shape[1]):
+                blocks[n - 1][j][subset_rank(values[:, j])] += 1
+            levels[n - 1] = levels[n - 1] + F[:, list(seq)].prod(axis=1)
+    return blocks, counts, levels
+
+
+class TestBruteForceReference:
+    @settings(max_examples=60, deadline=None)
+    @given(g=synth.messy_graphs(synth.small_schema(), max_m=6), seed=st.integers(0, 2**31))
+    def test_counts_and_products_match_enumeration(self, g, seed):
+        sch = synth.small_schema()
+        T = 4
+        rng = np.random.default_rng(seed)
+        W = rng.choice((-1, 1), size=(5, sch.total_width)).astype(np.int64)
+        F = embed_vertices(g, ng.VertexEmbeddingMatrix(matrix=W, schema=sch, provenance={}))
+        blocks, counts, levels = _brute_force_distinct(g, sch, F, T)
+        stats = count_statistics(g, sch, T)
+        assert stats.walk_counts == tuple(counts)
+        for n in range(1, T + 1):
+            for j in range(sch.num_attributes):
+                assert np.array_equal(stats.block(n, j), blocks[n - 1][j])
+        got = walk_products_distinct(g, sch, F, T)
+        assert all(np.array_equal(a, b) for a, b in zip(got, levels))
+
+        F = embed_vertices(g, random_embedding(sch, 6, dist="gaussian", seed=seed))
+        _, _, levels = _brute_force_distinct(g, sch, F, T)
+        got = walk_products_distinct(g, sch, F, T)
+        for a, b in zip(got, levels):
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1e-300)

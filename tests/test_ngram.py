@@ -172,9 +172,8 @@ class TestProperties:
         W = VertexEmbeddingMatrix(matrix=np.array([[1.0, 2.0, 3.0]]), schema=sch,
                                   provenance={})
         calls = []
-        build = ng.MolecularGraph.adjacency
-        monkeypatch.setattr(ng.MolecularGraph, "adjacency",
-                            lambda self: calls.append(1) or build(self))
+        stack = ng.ngram._stack
+        monkeypatch.setattr(ng.ngram, "_stack", lambda graphs: calls.append(1) or stack(graphs))
         graph_embed(g, W, 3, level_scale="count")
         assert len(calls) == 1
 
@@ -306,3 +305,77 @@ class TestCorpus:
         par, m2 = embed_corpus(graphs, emb, 3, jobs=3)
         assert np.array_equal(seq, par)
         assert m1["errors"] == m2["errors"]
+
+
+class TestBatchIndependence:
+    """Rows must not depend on batch composition, slicing or --jobs, and
+    bad graphs must stay isolated as NaN rows with their error strings."""
+
+    T = 4
+
+    @staticmethod
+    def _corpus(rng):
+        sch = synth.small_schema()
+        other = synth.small_schema(name="other", ks=(5, 5))
+        # attr0 value 4 is left to the "over" graph
+        graphs = [g.replace(attr=np.minimum(g.attr, [3, 3]))
+                  for g in synth.random_corpus(rng, sch, 6, density=0.4)]
+        big = synth.random_graph(rng, sch, m=12, density=0.4, connected=True, graph_id="big")
+        big = big.replace(attr=np.minimum(big.attr, [3, 3]))
+        over = MolecularGraph(num_vertices=3, attr=[[4, 0]] * 3,
+                              edges=[[0, 1], [0, 2], [1, 2]], graph_id="over",
+                              schema_fingerprint=sch.fingerprint)
+        empty = MolecularGraph(num_vertices=0, attr=np.zeros((0, 2)), edges=[],
+                               graph_id="empty", schema_fingerprint=sch.fingerprint)
+        alien = synth.random_graph(rng, other, m=4, density=0.5, graph_id="alien")
+        invalid = MolecularGraph(num_vertices=2, attr=[[0, 0], [0, 9]], edges=[[0, 1]],
+                                 graph_id="invalid")
+        corpus = graphs[:2] + [empty, big, over] + graphs[2:4] + [alien, invalid] + graphs[4:]
+        W = np.random.default_rng(7).choice((-1, 1), size=(4, sch.total_width)).astype(np.int64)
+        W[:, 4] = 10**6
+        W[:, 5] = 1  # so max|F| of the "over" graph is 10**6 + 1
+        embs = {
+            "int": VertexEmbeddingMatrix(matrix=W, schema=sch, provenance={"kind": "int"}),
+            "float": random_embedding(sch, 4, dist="gaussian", seed=11),
+        }
+        errors = {
+            corpus.index(alien): "schema fingerprint mismatch: graph "
+                                 f"{other.fingerprint} vs embedding {sch.fingerprint}",
+            corpus.index(invalid): "graph invalid under embedding schema: "
+                                   "attr index out of range: attr[1][1]=9 with k_1=4",
+        }
+        overflow = {corpus.index(over): "int64 walk sums may overflow at T=4 "
+                                        "(m=3, max|F|=1000001, max degree=2)"}
+        return corpus, embs, errors, overflow
+
+    def test_rows_independent_of_batch_and_slicing(self, rng, monkeypatch):
+        corpus, embs, errors, overflow = self._corpus(rng)
+        options = [(v, ls, nm) for v in ng.ngram.VARIANTS for ls in ng.ngram.LEVEL_SCALES
+                   for nm in ng.ngram.NORMALIZATIONS]
+        unsliced = {(kind, *o): embed_corpus(corpus, emb, self.T, *o)[0]
+                    for kind, emb in embs.items() for o in options}
+        # 64 entries at r = 4: 16 frontier rows, so the 12-vertex graph is cut
+        # into slices of start vertices and the rest into many batches
+        monkeypatch.setattr(ng.ngram, "BATCH_ENTRIES", 64)
+        for kind, emb in embs.items():
+            expected = {**errors, **overflow} if kind == "int" else errors
+            for variant, level_scale, norm in options:
+                X, manifest = embed_corpus(corpus, emb, self.T, variant, level_scale, norm)
+                assert manifest["errors"] == {str(i): e for i, e in sorted(expected.items())}
+                for i, g in enumerate(corpus):
+                    if i in expected:
+                        assert np.isnan(X[i]).all()
+                        continue
+                    alone, _ = embed_corpus([g], emb, self.T, variant, level_scale, norm)
+                    assert np.array_equal(X[i], alone[0])
+                    ref = unsliced[(kind, variant, level_scale, norm)][i]
+                    assert np.max(np.abs(X[i] - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1e-300)
+
+    def test_jobs_match_sequential(self, rng):
+        corpus, embs, _, _ = self._corpus(rng)
+        for variant in ng.ngram.VARIANTS:
+            for emb in embs.values():
+                seq, m1 = embed_corpus(corpus, emb, self.T, variant, "count", "unit-l2")
+                par, m2 = embed_corpus(corpus, emb, self.T, variant, "count", "unit-l2", jobs=3)
+                assert np.array_equal(seq, par, equal_nan=True)
+                assert m1["errors"] == m2["errors"]

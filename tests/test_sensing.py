@@ -104,7 +104,7 @@ class TestOperators:
         assert np.allclose(op.matvec(c), dense @ c)
         assert np.allclose(op.correlations(res), dense.T @ res)
         for idx in (0, 5, op.shape[1] - 1):
-            assert np.allclose(op.column(idx), dense[:, idx])
+            assert np.allclose(op.columns([idx])[:, 0], dense[:, idx])
         assert np.allclose(op.column_norms(), np.linalg.norm(dense, axis=0))
 
         # same operator with a tiny cap exercises the chunked/per-column paths
