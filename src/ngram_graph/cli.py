@@ -2,11 +2,16 @@
 
 Every artifact gets a manifest (command, parameters, seed, input hashes)
 sufficient to regenerate it bit-identically. Exit codes: 0 success,
-1 numeric or validation failure, 2 I/O or parse failure.
+1 numeric or validation failure, 2 I/O, parse or usage failure.
+``--config FILE.json`` holds a JSON object of option defaults keyed by
+parameter or option name (``t_steps``, ``T``, ``level-scale``); they are
+checked like flags, and flags on the command line win. ``recover
+--config`` names the recovery grid instead.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib.resources
 import json
@@ -28,10 +33,11 @@ from .crossval import (
     manifest_hash,
 )
 from .featurize import FeaturizerConfig, featurize
-from .graph import GraphError, read_json_graphs, validate_graph, write_jsonl
-from .linear import DegenerateLabels, LinearModel, compute_metric, fit as fit_linear
+from .graph import GraphError, read_json_graphs, write_jsonl
+from .linear import (METRICS, PENALTIES, TASKS, DegenerateLabels, LinearModel,
+                     compute_metric, fit as fit_linear)
 from .matrixio import MatrixFormatError
-from .ngram import GraphTooLarge, embed_corpus, graph_embed, oracle_embed
+from .ngram import LEVEL_SCALES, VARIANTS, GraphTooLarge, embed_corpus, oracle_embed
 from .recovery import (
     RecoveryConfig,
     recovery_experiment,
@@ -70,24 +76,51 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _merge_config(ctx: click.Context, config_path) -> None:
-    """Fill parameters from a JSON config; explicit flags always win."""
-    if not config_path:
+def _config_defaults(ctx: click.Context, param, path) -> None:
+    """Eager ``--config`` callback: the JSON object becomes ``ctx.default_map``.
+
+    Each value reaches click as the text a flag would carry, so it is
+    converted and checked like one; ``null`` keeps the built-in default.
+    """
+    if path is None:
         return
-    doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    alias = {}
-    for param in ctx.command.params:
-        alias[param.name] = param.name
-        for opt in list(param.opts) + list(param.secondary_opts):
-            alias[opt.lstrip("-").replace("-", "_")] = param.name
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise click.UsageError(f"config {path} must hold a JSON object")
+    names = {}
+    for p in ctx.command.params:
+        if p.expose_value:
+            for key in (p.name, *p.opts):
+                names[key.lstrip("-").replace("-", "_")] = p.name
+    defaults = {}
     for key, value in doc.items():
-        name = alias.get(key.replace("-", "_"))
+        name = names.get(key.replace("-", "_"))
         if name is None:
             raise click.UsageError(f"unknown config key {key!r}")
-        src = ctx.get_parameter_source(name)
-        if src in (click.core.ParameterSource.DEFAULT,
-                   click.core.ParameterSource.DEFAULT_MAP):
-            ctx.params[name] = value
+        if isinstance(value, (list, dict)):
+            raise click.UsageError(f"config key {key!r} must be a string, number, "
+                                   "boolean or null")
+        if value is not None:
+            defaults[name] = value if isinstance(value, str) else json.dumps(value)
+    ctx.default_map = defaults
+
+
+_config_option = click.option(
+    "--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
+    expose_value=False, callback=_config_defaults,
+    help="JSON object of option defaults; command-line flags win",
+)
+_schema_option = click.option("--schema", "schema_key", default="full", show_default=True,
+                              type=click.Choice(sorted(BUNDLED_SCHEMAS)))
+_variant_option = click.option("--variant", default="walk", show_default=True,
+                               type=click.Choice(VARIANTS))
+_mode_option = click.option("--mode", default="random-gaussian", show_default=True,
+                            type=click.Choice(["random-gaussian", "random-rademacher",
+                                               "trained"]))
+_task_option = click.option("--task", default="logistic", show_default=True,
+                            type=click.Choice(TASKS))
+_metric_option = click.option("--metric", default="roc-auc", show_default=True,
+                              type=click.Choice(METRICS))
 
 
 def _manifest(command: str, params: dict, inputs: dict) -> dict:
@@ -115,12 +148,6 @@ def _load_graphs(path, schema):
     return graphs
 
 
-def _schema_by_key(key: str):
-    if key not in BUNDLED_SCHEMAS:
-        raise click.UsageError(f"--schema must be one of {sorted(BUNDLED_SCHEMAS)}")
-    return BUNDLED_SCHEMAS[key]
-
-
 def _resolve_schema(schema_key, manifest=None, embedding=None):
     """Prefer the schema travelling with an artifact over the bundled choice."""
     if embedding is not None:
@@ -129,7 +156,7 @@ def _resolve_schema(schema_key, manifest=None, embedding=None):
         from .schema import AttributeSchema
 
         return AttributeSchema.from_dict(manifest["schema"])
-    return _schema_by_key(schema_key)
+    return BUNDLED_SCHEMAS[schema_key]
 
 
 @click.group()
@@ -143,13 +170,10 @@ def cli():
 @cli.command("featurize")
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--schema", "schema_key", default="full", show_default=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.pass_context
-def featurize_cmd(ctx, input_path, out, schema_key, config_path):
+@_schema_option
+@_config_option
+def featurize_cmd(input_path, out, schema_key):
     """Parse .sdf/.mol or .json/.jsonl into a validated graph corpus."""
-    _merge_config(ctx, config_path)
-    schema_key = ctx.params["schema_key"]
     cfg = FeaturizerConfig(schema_key=schema_key)
     schema = cfg.schema
     suffix = Path(input_path).suffix.lower()
@@ -204,7 +228,7 @@ def featurize_cmd(ctx, input_path, out, schema_key, config_path):
 @cli.command("train-vertex")
 @click.argument("graphs_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--schema", "schema_key", default="full", show_default=True)
+@_schema_option
 @click.option("--r", default=100, show_default=True)
 @click.option("--aggregator", default="sum", show_default=True,
               type=click.Choice(["sum", "mean"]))
@@ -214,21 +238,17 @@ def featurize_cmd(ctx, input_path, out, schema_key, config_path):
 @click.option("--batch-size", default=256, show_default=True)
 @click.option("--lr", default=1e-3, show_default=True)
 @click.option("--seed", default=None, type=int)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.pass_context
-def train_vertex_cmd(ctx, graphs_path, out, schema_key, r, aggregator, hidden,
-                     epochs, batch_size, lr, seed, config_path):
+@_config_option
+def train_vertex_cmd(graphs_path, out, schema_key, r, aggregator, hidden,
+                     epochs, batch_size, lr, seed):
     """Train the vertex embedding matrix on neighbor contexts."""
-    _merge_config(ctx, config_path)
-    p = ctx.params
-    seed = p["seed"] if p["seed"] is not None else _seed_default()
-    schema = _schema_by_key(p["schema_key"])
+    seed = seed if seed is not None else _seed_default()
+    schema = BUNDLED_SCHEMAS[schema_key]
     graphs = _load_graphs(graphs_path, schema)
-    hidden_sizes = tuple(int(h) for h in str(p["hidden"]).split(",") if h)
+    hidden_sizes = tuple(int(h) for h in hidden.split(",") if h)
     cfg = CbowConfig(
-        r=int(p["r"]), aggregator=p["aggregator"], hidden=hidden_sizes,
-        epochs=int(p["epochs"]), batch_size=int(p["batch_size"]),
-        learning_rate=float(p["lr"]), seed=seed,
+        r=r, aggregator=aggregator, hidden=hidden_sizes, epochs=epochs,
+        batch_size=batch_size, learning_rate=lr, seed=seed,
     )
     emb, report = train_on_graphs(graphs, schema, cfg,
                                   dataset_id=Path(graphs_path).name)
@@ -242,7 +262,7 @@ def train_vertex_cmd(ctx, graphs_path, out, schema_key, r, aggregator, hidden,
         click.echo(f"final epoch loss: {report.epoch_losses[-1]:.6f}", err=True)
     _write_sidecar(out, _manifest(
         "train-vertex",
-        {"schema": p["schema_key"], "r": cfg.r, "aggregator": cfg.aggregator,
+        {"schema": schema_key, "r": cfg.r, "aggregator": cfg.aggregator,
          "hidden": list(hidden_sizes), "epochs": cfg.epochs,
          "batch_size": cfg.batch_size, "lr": cfg.learning_rate, "seed": seed},
         {"graphs": graphs_path},
@@ -259,42 +279,36 @@ def train_vertex_cmd(ctx, graphs_path, out, schema_key, r, aggregator, hidden,
 @click.option("-o", "--out", required=True, type=click.Path(),
               help="output base path; .nggm/.csv/.manifest.json are derived")
 @click.option("--t", "--T", "t_steps", default=6, show_default=True)
-@click.option("--variant", default="walk", show_default=True,
-              type=click.Choice(["walk", "path", "vertex_path"]))
+@_variant_option
 @click.option("--normalize/--no-normalize", default=False, show_default=True)
 @click.option("--level-scale", default="none", show_default=True,
-              type=click.Choice(["none", "factorial", "count"]))
+              type=click.Choice(LEVEL_SCALES))
 @click.option("--csv/--no-csv", "want_csv", default=True, show_default=True)
 @click.option("--jobs", default=1, show_default=True, help="worker process cap")
 @click.option("--seed", default=None, type=int)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.pass_context
-def embed(ctx, graphs_path, embedding_path, out, t_steps, variant, normalize,
-          level_scale, want_csv, jobs, seed, config_path):
+@_config_option
+def embed(graphs_path, embedding_path, out, t_steps, variant, normalize,
+          level_scale, want_csv, jobs, seed):
     """Embed a graph corpus into a feature matrix."""
-    _merge_config(ctx, config_path)
-    p = ctx.params
-    seed = p["seed"] if p["seed"] is not None else _seed_default()
-    emb = load_embedding(p["embedding_path"])
+    seed = seed if seed is not None else _seed_default()
+    emb = load_embedding(embedding_path)
     graphs = _load_graphs(graphs_path, emb.schema)
-    normalization = "unit-l2" if p["normalize"] else "none"
+    normalization = "unit-l2" if normalize else "none"
     matrix, manifest = embed_corpus(
-        graphs, emb, int(p["t_steps"]),
-        variant=p["variant"], level_scale=p["level_scale"],
-        normalization=normalization, seed=seed, jobs=int(p["jobs"]),
+        graphs, emb, t_steps, variant=variant, level_scale=level_scale,
+        normalization=normalization, seed=seed, jobs=jobs,
     )
     if manifest["errors"]:
         for row, msg in manifest["errors"].items():
             click.echo(f"row {row}: {msg}", err=True)
     run = _manifest(
         "embed",
-        {"T": int(p["t_steps"]), "variant": p["variant"],
-         "normalization": normalization, "level_scale": p["level_scale"],
-         "seed": seed},
-        {"graphs": graphs_path, "embedding": p["embedding_path"]},
+        {"T": t_steps, "variant": variant, "normalization": normalization,
+         "level_scale": level_scale, "seed": seed},
+        {"graphs": graphs_path, "embedding": embedding_path},
     )
     manifest["run"] = run
-    formats = ("bin", "csv") if p["want_csv"] else ("bin",)
+    formats = ("bin", "csv") if want_csv else ("bin",)
     paths = export_features(matrix, manifest, out, formats=formats)
     click.echo(f"embedded {matrix.shape[0]} graphs -> {paths['bin']}", err=True)
 
@@ -313,12 +327,12 @@ def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
     """Compare the recurrence against brute-force walk enumeration."""
     emb = load_embedding(embedding_path)
     graphs = _load_graphs(graphs_path, emb.schema)
+    X, manifest = embed_corpus(graphs, emb, t_steps)
+    if manifest["errors"]:
+        raise CheckFailed("; ".join(f"row {row}: {msg}"
+                                    for row, msg in manifest["errors"].items()))
     worst = 0.0
-    for g in graphs:
-        report = validate_graph(g, emb.schema)
-        if not report.ok:
-            raise CheckFailed(f"graph {g.graph_id!r} failed validation: {report}")
-        fast = graph_embed(g, emb, t_steps).vector
+    for g, fast in zip(graphs, X):
         slow = oracle_embed(g, emb, t_steps, cap=cap).vector
         scale = max(float(np.max(np.abs(slow))), 1.0)
         worst = max(worst, float(np.max(np.abs(fast - slow))) / scale)
@@ -336,8 +350,7 @@ def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
 @click.option("-o", "--out", default=None, type=click.Path(dir_okay=False))
 @click.option("--jobs", default=1, show_default=True, help="worker process cap")
 @click.option("--seed", default=None, type=int)
-@click.pass_context
-def recover(ctx, config_path, out, jobs, seed):
+def recover(config_path, out, jobs, seed):
     """Monte-Carlo sparse-recovery success rates over an (r, k, n, s) grid."""
     if config_path:
         doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
@@ -347,10 +360,10 @@ def recover(ctx, config_path, out, jobs, seed):
             .joinpath("data", "recovery_desk.json")
             .read_text(encoding="utf-8")
         )
+    cfg = RecoveryConfig.from_dict(doc)
     if seed is None:
         seed = doc.get("seed", _seed_default())
-    doc["seed"] = seed
-    cfg = RecoveryConfig.from_dict(doc)
+    cfg = dataclasses.replace(cfg, seed=seed)
     cells = recovery_experiment(cfg, jobs=jobs)
     click.echo(summarize_cells(cells))
     if out:
@@ -383,24 +396,17 @@ def _write_predictions(path, ids, scores) -> None:
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--graphs", "graphs_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--schema", "schema_key", default="full", show_default=True)
-@click.option("--task", default="logistic", show_default=True,
-              type=click.Choice(["logistic", "least-squares"]))
+@_schema_option
+@_task_option
 @click.option("--lam", default=1e-3, show_default=True)
 @click.option("--penalty", default="squared-l2", show_default=True,
-              type=click.Choice(["squared-l2", "unsquared-l2"]))
+              type=click.Choice(PENALTIES))
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--predictions", default=None, type=click.Path(dir_okay=False))
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.pass_context
-def fit_cmd(ctx, features_path, graphs_path, schema_key, task, lam, penalty, out,
-            predictions, config_path):
+@_config_option
+def fit_cmd(features_path, graphs_path, schema_key, task, lam, penalty, out,
+            predictions):
     """Fit the linear head on an exported feature matrix."""
-    _merge_config(ctx, config_path)
-    p = ctx.params
-    schema_key, task, lam, penalty = (
-        p["schema_key"], p["task"], p["lam"], p["penalty"]
-    )
     X, manifest = load_features(features_path)
     schema = _resolve_schema(schema_key, manifest=manifest)
     graphs = _load_graphs(graphs_path, schema)
@@ -428,42 +434,29 @@ def fit_cmd(ctx, features_path, graphs_path, schema_key, task, lam, penalty, out
 @cli.command("eval")
 @click.option("--graphs", "graphs_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--schema", "schema_key", default="full", show_default=True)
+@_schema_option
 @click.option("--features", "features_path", default=None,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", "model_path", default=None,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--embedding", "embedding_path", default=None,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--mode", default="random-gaussian", show_default=True,
-              type=click.Choice(["random-gaussian", "random-rademacher", "trained"]))
+@_mode_option
 @click.option("--r", default=100, show_default=True)
 @click.option("--t", "--T", "t_steps", default=6, show_default=True)
-@click.option("--variant", default="walk", show_default=True,
-              type=click.Choice(["walk", "path", "vertex_path"]))
+@_variant_option
 @click.option("--folds", default=5, show_default=True)
-@click.option("--task", default="logistic", show_default=True,
-              type=click.Choice(["logistic", "least-squares"]))
-@click.option("--metric", default="roc-auc", show_default=True,
-              type=click.Choice(["rmse", "mae", "roc-auc", "pr-auc"]))
+@_task_option
+@_metric_option
 @click.option("--lam", default=None, type=float)
 @click.option("--stratified/--no-stratified", default=False, show_default=True)
 @click.option("--predictions", default=None, type=click.Path(dir_okay=False))
 @click.option("--seed", default=None, type=int)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.pass_context
-def eval_cmd(ctx, graphs_path, schema_key, features_path, model_path, embedding_path,
+@_config_option
+def eval_cmd(graphs_path, schema_key, features_path, model_path, embedding_path,
              mode, r, t_steps, variant, folds, task, metric, lam, stratified,
-             predictions, seed, config_path):
+             predictions, seed):
     """Score a saved model, or run k-fold cross-validation."""
-    _merge_config(ctx, config_path)
-    p = ctx.params
-    schema_key, mode, r, t_steps, variant = (
-        p["schema_key"], p["mode"], p["r"], p["t_steps"], p["variant"]
-    )
-    folds, task, metric, lam, stratified, seed = (
-        p["folds"], p["task"], p["metric"], p["lam"], p["stratified"], p["seed"]
-    )
     seed = seed if seed is not None else _seed_default()
     emb = load_embedding(embedding_path) if embedding_path else None
     manifest = None
@@ -513,40 +506,27 @@ def eval_cmd(ctx, graphs_path, schema_key, features_path, model_path, embedding_
 @cli.command()
 @click.option("--graphs", "graphs_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--schema", "schema_key", default="full", show_default=True)
+@_schema_option
 @click.option("--r-grid", default="50,100", show_default=True)
 @click.option("--t-grid", default="2,4,6", show_default=True)
-@click.option("--mode", default="random-gaussian", show_default=True,
-              type=click.Choice(["random-gaussian", "random-rademacher", "trained"]))
-@click.option("--variant", default="walk", show_default=True,
-              type=click.Choice(["walk", "path", "vertex_path"]))
+@_mode_option
+@_variant_option
 @click.option("--folds", default=5, show_default=True)
-@click.option("--task", default="logistic", show_default=True,
-              type=click.Choice(["logistic", "least-squares"]))
-@click.option("--metric", default="roc-auc", show_default=True,
-              type=click.Choice(["rmse", "mae", "roc-auc", "pr-auc"]))
+@_task_option
+@_metric_option
 @click.option("--lam", default=None, type=float)
 @click.option("-o", "--out", default=None, type=click.Path(dir_okay=False))
 @click.option("--seed", default=None, type=int)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.pass_context
-def sweep(ctx, graphs_path, schema_key, r_grid, t_grid, mode, variant, folds, task,
-          metric, lam, out, seed, config_path):
+@_config_option
+def sweep(graphs_path, schema_key, r_grid, t_grid, mode, variant, folds, task,
+          metric, lam, out, seed):
     """Cross-validated metric over an (r, T) grid, one row per combination."""
-    _merge_config(ctx, config_path)
-    p = ctx.params
-    schema_key, r_grid, t_grid, mode, variant = (
-        p["schema_key"], p["r_grid"], p["t_grid"], p["mode"], p["variant"]
-    )
-    folds, task, metric, lam, seed = (
-        p["folds"], p["task"], p["metric"], p["lam"], p["seed"]
-    )
     seed = seed if seed is not None else _seed_default()
-    schema = _schema_by_key(schema_key)
+    schema = BUNDLED_SCHEMAS[schema_key]
     graphs = _load_graphs(graphs_path, schema)
     y = _labels_for(graphs)
-    rs = [int(x) for x in str(r_grid).split(",") if x]
-    ts = [int(x) for x in str(t_grid).split(",") if x]
+    rs = [int(x) for x in r_grid.split(",") if x]
+    ts = [int(x) for x in t_grid.split(",") if x]
     rows = []
     for r in rs:
         for T in ts:

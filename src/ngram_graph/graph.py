@@ -259,6 +259,8 @@ def graph_to_doc(g: MolecularGraph, schema: AttributeSchema) -> dict:
 
 
 def doc_to_graph(doc: dict, schema: AttributeSchema) -> MolecularGraph:
+    if not isinstance(doc, dict):
+        raise GraphError(f"expected a JSON object, got {type(doc).__name__}")
     if doc.get("schema_id") != schema.schema_id:
         raise GraphError(
             f"schema_id mismatch: document {doc.get('schema_id')!r} vs {schema.schema_id!r}"
@@ -312,7 +314,7 @@ def read_json_graphs(data, schema: AttributeSchema, strict: bool = True):
     for pos, doc in enumerate(docs):
         try:
             g = doc_to_graph(doc, schema)
-        except (GraphError, KeyError, ValueError) as exc:
+        except (GraphError, KeyError, TypeError, ValueError) as exc:
             if strict:
                 raise GraphError(f"document {pos}: {exc}") from exc
             errors.append((pos, str(exc)))

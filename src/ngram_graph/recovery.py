@@ -167,6 +167,9 @@ def sparse_recover(f, op, method: str = "omp", sparsity: int | None = None, **kw
 # -- Monte-Carlo experiment ----------------------------------------------------
 
 
+_CHOICES = {"method": ("omp", "ista"), "allocation": ("proportional", "equal")}
+
+
 @dataclass(frozen=True)
 class RecoveryConfig:
     r_values: tuple = (100, 200, 400, 800)
@@ -183,12 +186,25 @@ class RecoveryConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RecoveryConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        kw = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items() if k in known}
-        unknown = set(doc) - known
+        """Build from a JSON object; a ValueError names the first unknown key,
+        wrongly typed value or unknown ``method``/``allocation``."""
+        if not isinstance(doc, dict):
+            raise ValueError("recovery config must be a JSON object")
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown recovery config keys: {sorted(unknown)}")
-        return cls(**kw)
+        for key, value in doc.items():
+            default = cls.__dataclass_fields__[key].default
+            if isinstance(default, tuple):
+                want = "a list of integers"
+                ok = isinstance(value, list) and all(type(v) is int for v in value)
+            elif isinstance(default, int):
+                want, ok = "an integer", type(value) is int
+            else:
+                want, ok = f"one of {_CHOICES[key]}", value in _CHOICES[key]
+            if not ok:
+                raise ValueError(f"recovery config {key!r} must be {want}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
 
     @classmethod
     def from_json(cls, text: str) -> "RecoveryConfig":

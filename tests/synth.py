@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -198,3 +200,47 @@ WATER = molblock("water", ["O", "H", "H"], [(1, 2, 1), (1, 3, 1)])
 METHANE = molblock("methane", ["C", "H", "H", "H", "H"],
                    [(1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 5, 1)])
 ETHANOL = molblock("ethanol", ["C", "C", "O"], [(1, 2, 1), (2, 3, 1)])
+
+
+@st.composite
+def byte_mutations(draw, data: bytes, max_edits=8):
+    """``data`` after a few random byte replacements, insertions and
+    deletions (new bytes are arbitrary or taken from ``data``), and
+    possibly cut short."""
+    buf = bytearray(data)
+    for _ in range(draw(st.integers(0, max_edits))):
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        pos = draw(st.integers(0, len(buf)))
+        byte = draw(st.integers(0, 255) | st.sampled_from(sorted(set(data))))
+        if op == "insert":
+            buf.insert(pos, byte)
+        elif pos < len(buf):
+            if op == "replace":
+                buf[pos] = byte
+            else:
+                del buf[pos]
+    if draw(st.booleans()):
+        del buf[draw(st.integers(0, len(buf))):]
+    return bytes(buf)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@st.composite
+def json_field_mutations(draw, docs: list):
+    """JSONL text of ``docs`` with one document, or one of its fields,
+    replaced by an arbitrary JSON value."""
+    docs = [dict(d) for d in docs]
+    i = draw(st.integers(0, len(docs) - 1))
+    key = draw(st.sampled_from([None, *docs[i]]))
+    if key is None:
+        docs[i] = draw(JSON_VALUES)
+    else:
+        docs[i][key] = draw(JSON_VALUES)
+    return "".join(json.dumps(d) + "\n" for d in docs).encode()

@@ -7,15 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ngram_graph as ng
 from ngram_graph import cli
 from ngram_graph.cli import main
-from ngram_graph.graph import write_jsonl
+from ngram_graph import recovery
+from ngram_graph.graph import dumps_graph, write_jsonl
 from ngram_graph.vertex import save_embedding
 
 from . import synth
-from .synth import WATER, molblock, sdf_stream
+from .synth import ETHANOL, WATER, molblock, sdf_stream
 
 
 def _sha(path):
@@ -116,6 +119,48 @@ class TestFeaturize:
         out = tmp_path / "out.jsonl"
         assert main(["featurize", str(src), "-o", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
+
+
+def _jsonl_docs() -> list:
+    graphs = synth.random_corpus(np.random.default_rng(0), ng.FULL_SCHEMA, 3, density=0.5)
+    return [json.loads(dumps_graph(g, ng.FULL_SCHEMA)) for g in graphs]
+
+
+class TestReaderFuzz:
+    """Byte-mutated SDF and JSONL input: ``ngg featurize`` ends with a
+    documented exit code, never an uncaught exception."""
+
+    SDF = sdf_stream(WATER, ETHANOL, molblock("ion", ["N", "O", "C"],
+                                              [(1, 2, 2), (2, 3, 1)], [3, 5, 0])).encode()
+    DOCS = _jsonl_docs()
+    JSONL = "".join(json.dumps(d) + "\n" for d in DOCS).encode()
+
+    def _featurize(self, tmp_path, name, data):
+        src = tmp_path / name
+        src.write_bytes(data)
+        return main(["featurize", str(src), "-o", str(tmp_path / "out.jsonl")])
+
+    def test_unmutated_inputs_parse(self, tmp_path):
+        assert self._featurize(tmp_path, "in.sdf", self.SDF) == 0
+        assert self._featurize(tmp_path, "in.jsonl", self.JSONL) == 0
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=synth.byte_mutations(SDF))
+    def test_mutated_sdf(self, tmp_path, capsys, data):
+        assert self._featurize(tmp_path, "in.sdf", data) in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=synth.byte_mutations(JSONL))
+    def test_mutated_jsonl(self, tmp_path, capsys, data):
+        assert self._featurize(tmp_path, "in.jsonl", data) in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=synth.json_field_mutations(DOCS))
+    def test_jsonl_field_replaced(self, tmp_path, capsys, data):
+        assert self._featurize(tmp_path, "in.jsonl", data) in (0, 1, 2)
 
 
 class TestTrainVertex:
@@ -255,6 +300,36 @@ class TestOracleCheck:
         assert main(["oracle-check", str(gp), "--embedding", str(wp)]) == 1
         assert "cap" in capsys.readouterr().err
 
+    def test_int64_overflow_refused_with_its_message(self, tmp_path, capsys):
+        # the triangle's level-8 walk sum, 384 * 1000^8, is outside int64
+        sch = synth.single_attribute_schema(2)
+        g = ng.MolecularGraph(num_vertices=3, attr=[[0]] * 3, edges=[[0, 1], [0, 2], [1, 2]],
+                              graph_id="tri", schema_fingerprint=sch.fingerprint)
+        gp = tmp_path / "tri.jsonl"
+        gp.write_text(dumps_graph(g, sch) + "\n")
+        wp = tmp_path / "w.nggm"
+        save_embedding(wp, ng.VertexEmbeddingMatrix(
+            matrix=np.array([[1000, 1]], dtype=np.int64), schema=sch,
+            provenance={"kind": "int"}))
+        assert main(["oracle-check", str(gp), "--embedding", str(wp), "--T", "8"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 0: int64 walk sums may overflow at T=8")
+
+    def test_one_engine_call_for_the_corpus(self, tmp_path, rng, monkeypatch):
+        sch = synth.small_schema()
+        gp = tmp_path / "g.jsonl"
+        with open(gp, "w") as fh:
+            write_jsonl(synth.random_corpus(rng, sch, 6, density=0.4), sch, fh)
+        wp = tmp_path / "w.nggm"
+        save_embedding(wp, ng.random_embedding(sch, 4, seed=0))
+        calls = []
+        real = cli.embed_corpus
+        monkeypatch.setattr(cli, "embed_corpus",
+                            lambda graphs, *a, **kw: calls.append(len(graphs)) or
+                            real(graphs, *a, **kw))
+        assert main(["oracle-check", str(gp), "--embedding", str(wp), "--T", "3"]) == 0
+        assert calls == [6]
+
 
 class TestRecover:
     def test_zero_sparsity_grid_all_success(self, tmp_path, capsys):
@@ -280,6 +355,24 @@ class TestRecover:
                      "--seed", "1"]) == 0
         row = out.read_text().splitlines()[1].split(",")
         assert int(row[5]) >= 9  # calibrated regime succeeds
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"trials": "5"}, "'trials' must be an integer"),
+        ({"r_values": 100}, "'r_values' must be a list of integers"),
+        ({"method": "lasso"}, "'method' must be one of"),
+        ([8], "must be a JSON object"),
+    ])
+    def test_malformed_grid_exits_one_before_any_trial(self, tmp_path, capsys,
+                                                       monkeypatch, doc, message):
+        built = []
+        monkeypatch.setattr(recovery, "build_sensing",
+                            lambda *a, **kw: built.append(a) or 1 / 0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["recover", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert built == []
 
 
 class TestFitEval:
@@ -459,6 +552,153 @@ class TestFitEval:
         out = json.loads(capsys.readouterr().out)
         assert out["metric"] == "roc-auc"
         assert len(out["fold_values"]) == 3
+
+
+def _labeled_full_corpus(rng, n_graphs):
+    sch = ng.FULL_SCHEMA
+    graphs = []
+    for i in range(n_graphs):
+        m = int(rng.integers(3, 6))
+        attr = np.stack([rng.integers(0, k, size=m) for k in sch.cardinalities], axis=1)
+        edges = np.array([[j, j + 1] for j in range(m - 1)])
+        graphs.append(ng.MolecularGraph(
+            num_vertices=m, attr=attr, edges=edges, label=float(i % 2),
+            graph_id=f"g{i}", schema_fingerprint=sch.fingerprint))
+    return graphs
+
+
+@pytest.fixture
+def config_workspace(tmp_path, monkeypatch, rng, water_sdf):
+    """Inputs for every config-taking command; relative outputs land in
+    tmp_path. Returns each command's argv as (parameter name, tokens)."""
+    monkeypatch.chdir(tmp_path)
+    graphs = _labeled_full_corpus(rng, 12)
+    with open("g.jsonl", "w") as fh:
+        write_jsonl(graphs, ng.FULL_SCHEMA, fh)
+    with open("one.jsonl", "w") as fh:  # one graph, so --jobs starts no pool
+        write_jsonl(graphs[:1], ng.FULL_SCHEMA, fh)
+    save_embedding("w.nggm", ng.random_embedding(ng.FULL_SCHEMA, 4, seed=0))
+    assert main(["embed", "g.jsonl", "--embedding", "w.nggm", "-o", "f", "--T", "2"]) == 0
+    return {
+        "featurize": [("input_path", [str(water_sdf)]), ("out", ["-o", "out.jsonl"])],
+        "train-vertex": [("graphs_path", ["g.jsonl"]), ("out", ["-o", "tv.nggm"]),
+                         ("r", ["--r", "4"]), ("epochs", ["--epochs", "1"]),
+                         ("hidden", ["--hidden", "4"])],
+        "embed": [("graphs_path", ["one.jsonl"]), ("embedding_path", ["--embedding", "w.nggm"]),
+                  ("out", ["-o", "e"]), ("t_steps", ["--T", "2"])],
+        "fit": [("features_path", ["--features", "f.nggm"]), ("graphs_path", ["--graphs", "g.jsonl"]),
+                ("out", ["-o", "model.json"])],
+        "eval": [("graphs_path", ["--graphs", "g.jsonl"]), ("r", ["--r", "4"]),
+                 ("t_steps", ["--T", "2"]), ("folds", ["--folds", "2"]),
+                 ("lam", ["--lam", "1e-3"])],
+        "sweep": [("graphs_path", ["--graphs", "g.jsonl"]), ("r_grid", ["--r-grid", "4"]),
+                  ("t_grid", ["--t-grid", "1"]), ("folds", ["--folds", "2"]),
+                  ("lam", ["--lam", "1e-3"])],
+    }
+
+
+def _argv(workspace, command, without=None, extra=()):
+    return [command] + [tok for name, toks in workspace[command] if name != without
+                        for tok in toks] + list(extra)
+
+
+def _run_with_config(command_argv, doc):
+    Path("cfg.json").write_text(json.dumps(doc))
+    return main(command_argv + ["--config", "cfg.json"])
+
+
+def _config_keys():
+    """(command, key, parameter name) for every key a config file may use."""
+    out = []
+    for command in ("featurize", "train-vertex", "embed", "fit", "eval", "sweep"):
+        for param in cli.cli.commands[command].params:
+            if param.expose_value:
+                for key in {param.name, *(o.lstrip("-") for o in param.opts)}:
+                    out.append((command, key, param.name))
+    return sorted(out)
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 8) | st.floats()
+            | st.sampled_from(["", "0", "1", "3", "-1", "0.5", "1e-3", "nan", "inf", "true",
+                               "no", "walk", "path", "vertex_path", "full", "reduced",
+                               "sum", "mean", "count", "factorial", "least-squares",
+                               "rmse", "random-rademacher", "2,3", "3,,1", "x", "."])
+            # no digits: a numeric string could ask for a huge r or T
+            | st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4))
+
+
+class TestConfig:
+    def test_string_lambda_is_converted(self, config_workspace):
+        code = _run_with_config(_argv(config_workspace, "fit"), {"lam": "0.1"})
+        assert code == 0
+        assert json.loads(Path("model.json").read_text())["lambda"] == 0.1
+
+    def test_normalize_no_is_false(self, config_workspace):
+        assert _run_with_config(_argv(config_workspace, "embed"), {"normalize": "no"}) == 0
+        run = json.loads(Path("e.manifest.json").read_text())["run"]
+        assert run["params"]["normalization"] == "none"
+
+    def test_key_forms_and_defaults(self, config_workspace):
+        doc = {"level-scale": "count", "t_steps": 3, "csv": False, "normalize": True}
+        assert _run_with_config(_argv(config_workspace, "embed", without="t_steps"), doc) == 0
+        params = json.loads(Path("e.manifest.json").read_text())["run"]["params"]
+        assert (params["level_scale"], params["T"]) == ("count", 3)
+        assert params["normalization"] == "unit-l2"
+        assert not Path("e.csv").exists()
+
+    def test_flag_beats_config(self, config_workspace):
+        argv = _argv(config_workspace, "embed", without="t_steps", extra=["--T", "3"])
+        assert _run_with_config(argv, {"T": 5}) == 0
+        assert json.loads(Path("e.manifest.json").read_text())["T"] == 3
+
+    def test_config_supplies_required_option(self, config_workspace):
+        argv = _argv(config_workspace, "embed", without="out")
+        assert _run_with_config(argv, {"out": "from_cfg"}) == 0
+        assert Path("from_cfg.nggm").exists()
+
+    def test_null_keeps_default(self, config_workspace):
+        argv = _argv(config_workspace, "embed", without="t_steps")
+        assert _run_with_config(argv, {"T": None, "variant": None}) == 0
+        assert json.loads(Path("e.manifest.json").read_text())["T"] == 6
+
+    @pytest.mark.parametrize("command,without,doc,message", [
+        ("embed", None, {"no-normalize": True}, "unknown config key 'no-normalize'"),
+        ("embed", None, {"config": "x.json"}, "unknown config key 'config'"),
+        ("embed", None, [1, 2], "must hold a JSON object"),
+        ("embed", None, {"variant": "bogus"}, "'bogus' is not one of"),
+        ("embed", "t_steps", {"T": 2.5}, "'2.5' is not a valid integer"),
+        ("embed", "embedding_path", {"embedding": "missing.nggm"}, "does not exist"),
+        ("eval", "folds", {"folds": "two"}, "'two' is not a valid integer"),
+        ("train-vertex", "hidden", {"hidden": [8, 8]},
+         "must be a string, number, boolean or null"),
+    ])
+    def test_malformed_config_exits_two(self, config_workspace, capsys, command, without,
+                                        doc, message):
+        argv = _argv(config_workspace, command, without=without)
+        assert _run_with_config(argv, doc) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_unreadable_config_exits_two(self, config_workspace, capsys):
+        Path("cfg.json").write_text("{not json")
+        assert main(_argv(config_workspace, "fit") + ["--config", "cfg.json"]) == 2
+        assert main(_argv(config_workspace, "fit") + ["--config", "."]) == 2
+
+    def test_every_subcommand_help(self, capsys):
+        for command in cli.cli.commands:
+            assert main([command, "--help"]) == 0
+            assert "Usage:" in capsys.readouterr().out
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(target=st.sampled_from(_config_keys()),
+           value=_SCALARS | st.lists(_SCALARS, max_size=3))
+    def test_any_config_value_maps_to_an_exit_code(self, config_workspace, capsys,
+                                                   target, value):
+        command, key, name = target
+        argv = _argv(config_workspace, command, without=name)
+        assert _run_with_config(argv, {key: value}) in (0, 1, 2)
 
 
 _STARTUP_PROBE = """

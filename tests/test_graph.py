@@ -239,3 +239,25 @@ class TestJsonDocuments:
 
     def test_empty_stream(self, schema):
         assert read_json_graphs("", schema) == []
+
+    @pytest.mark.parametrize("field,value,message", [
+        (None, 5, "expected a JSON object, got int"),
+        (None, None, "expected a JSON object, got NoneType"),
+        ("num_vertices", None, "int()"),
+        ("num_vertices", [2], "int()"),
+        ("label", {"y": 1}, "float()"),
+        ("attributes", {"a": 1}, "int()"),
+    ])
+    def test_wrong_typed_document_is_a_document_error(self, rng, schema, field, value,
+                                                      message):
+        good = json.loads(dumps_graph(synth.random_graph(rng, schema, m=2), schema))
+        bad = dict(good)
+        if field is None:
+            bad = value
+        else:
+            bad[field] = value
+        text = json.dumps(bad) + "\n" + json.dumps(good)
+        graphs, errors = read_json_graphs(text, schema, strict=False)
+        assert len(graphs) == 1 and errors[0][0] == 0 and message in errors[0][1]
+        with pytest.raises(ng.GraphError, match="document 0"):
+            read_json_graphs(text, schema)

@@ -144,6 +144,23 @@ class TestExperiment:
         with pytest.raises(ValueError):
             RecoveryConfig.from_dict({"bogus": 1})
 
+    @pytest.mark.parametrize("doc,key", [
+        ({"trials": "5"}, "trials"),
+        ({"seed": True}, "seed"),
+        ({"max_iter": 2.5}, "max_iter"),
+        ({"r_values": 100}, "r_values"),
+        ({"k_values": [40, "2"]}, "k_values"),
+        ({"method": "lasso"}, "method"),
+        ({"allocation": None}, "allocation"),
+    ])
+    def test_wrong_typed_value_names_its_key(self, doc, key):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            RecoveryConfig.from_dict(doc)
+
+    def test_config_must_be_an_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            RecoveryConfig.from_dict([1, 2])
+
     def test_summary_has_one_line_per_cell(self):
         cfg = RecoveryConfig(r_values=(8,), k_values=(10,), n_values=(1, 2),
                              s_values=(1,), trials=3, seed=0)
