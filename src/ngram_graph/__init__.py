@@ -28,7 +28,7 @@ from .vertex import (
     random_embedding,
     save_embedding,
 )
-from .cbow import CbowConfig, ContextSample, extract_contexts, train_cbow, train_on_graphs
+from .cbow import CbowConfig, Contexts, extract_contexts, train_cbow, train_on_graphs
 from .ngram import (
     GraphTooLarge,
     NGramEmbedding,

@@ -1,10 +1,12 @@
 """Neighbor-context training of the vertex embedding matrix.
 
 Each non-isolated vertex yields one sample: predict its attributes from the
-aggregate of its neighbors' embeddings. The predictor is W followed by a
-small rectifier MLP whose K outputs are split into per-attribute blocks,
-each scored with softmax cross-entropy. Training is mini-batch Adam on all
-parameters (W included), in float64, fully deterministic given the seed.
+aggregate of its neighbors' embeddings. A corpus's samples are the arrays
+of one :class:`Contexts`, from one product of its stacked adjacency with
+its one-hot rows. The predictor is W followed by a small rectifier MLP
+whose K outputs are split into per-attribute blocks, each scored with
+softmax cross-entropy. Training is mini-batch Adam on all parameters
+(W included), in float64, fully deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graph import ones_csr, stack_graphs
 from .schema import AttributeSchema
 from .vertex import VertexEmbeddingMatrix
+
+HOLDOUT_FRACTION = 0.1
 
 
 class TrainingDiverged(RuntimeError):
@@ -26,13 +31,17 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ContextSample:
-    """One prediction target: attribute value indices of a vertex plus the
-    summed one-hot vector of its neighborhood."""
+class Contexts:
+    """The N samples of a corpus, one row per non-isolated vertex in
+    graph-then-vertex order: its attribute value indices and the summed
+    one-hot vector and size of its neighborhood."""
 
-    target: np.ndarray        # (S,) value indices
-    context: np.ndarray       # (K,) summed one-hot counts
-    context_size: int
+    targets: np.ndarray       # (N, S) int64 value indices
+    contexts: np.ndarray      # (N, K) float64 summed one-hot counts
+    sizes: np.ndarray         # (N,) float64 neighbor counts
+
+    def __len__(self) -> int:
+        return len(self.sizes)
 
 
 @dataclass(frozen=True)
@@ -44,7 +53,6 @@ class CbowConfig:
     batch_size: int = 256
     learning_rate: float = 1e-3
     seed: int = 0
-    holdout_fraction: float = 0.1
 
     def __post_init__(self):
         if not self.hidden:
@@ -82,25 +90,21 @@ class TrainingReport:
     num_holdout: int = 0
 
 
-def extract_contexts(graphs, schema: AttributeSchema) -> list[ContextSample]:
+def extract_contexts(graphs, schema: AttributeSchema) -> Contexts:
     """One sample per non-isolated vertex; isolated vertices are skipped."""
-    offs = np.asarray(schema.offsets, dtype=np.int64)
+    graphs = list(graphs)
     K = schema.total_width
-    samples: list[ContextSample] = []
-    for g in graphs:
-        hot = np.zeros((g.num_vertices, K))  # one-hot table, row per vertex
-        hot[np.arange(g.num_vertices)[:, None], offs + g.attr] = 1.0
-        contexts = g.adjacency() @ hot
-        degs = g.degrees()
-        for i in np.flatnonzero(degs).tolist():
-            samples.append(
-                ContextSample(
-                    target=g.attr[i].copy(),
-                    context=contexts[i],
-                    context_size=int(degs[i]),
-                )
-            )
-    return samples
+    if not graphs:
+        return Contexts(np.zeros((0, schema.num_attributes), dtype=np.int64),
+                        np.zeros((0, K)), np.zeros(0))
+    indptr, indices, attr, _ = stack_graphs(graphs)
+    n = attr.shape[0]
+    hot = np.zeros((n, K))  # one-hot table, row per vertex
+    hot[np.arange(n)[:, None], np.asarray(schema.offsets, dtype=np.int64) + attr] = 1.0
+    degs = np.diff(indptr)
+    keep = np.flatnonzero(degs)
+    return Contexts(targets=attr[keep], contexts=ones_csr(indptr, indices, n)[keep] @ hot,
+                    sizes=degs[keep].astype(np.float64))
 
 
 class CbowNetwork:
@@ -212,24 +216,21 @@ def _batches(n, batch_size, rng):
 
 
 def train_cbow(
-    samples: list[ContextSample],
+    samples: Contexts,
     schema: AttributeSchema,
     cfg: CbowConfig | None = None,
     dataset_id: str = "unnamed",
 ):
     """Fit W on context samples; returns (VertexEmbeddingMatrix, TrainingReport)."""
     cfg = cfg or CbowConfig()
-    if not samples:
+    n = len(samples)
+    if not n:
         raise ValueError("no context samples to train on")
     rng = np.random.default_rng(cfg.seed)
     net = CbowNetwork(schema, cfg, rng)
+    contexts, sizes, targets = samples.contexts, samples.sizes, samples.targets
 
-    contexts = np.stack([s.context for s in samples])
-    sizes = np.asarray([s.context_size for s in samples], dtype=np.float64)
-    targets = np.stack([s.target for s in samples])
-
-    n = len(samples)
-    n_hold = int(round(cfg.holdout_fraction * n)) if n > 1 else 0
+    n_hold = int(round(HOLDOUT_FRACTION * n)) if n > 1 else 0
     order = rng.permutation(n)
     hold, train = order[:n_hold], order[n_hold:]
     if train.size == 0:

@@ -140,12 +140,12 @@ def _write_sidecar(out_path, manifest: dict) -> None:
 
 
 def _load_graphs(path, schema):
-    text = Path(path).read_text(encoding="utf-8")
-    graphs, errors = read_json_graphs(text, schema, strict=False)
-    if errors:
-        detail = "; ".join(f"document {pos}: {msg}" for pos, msg in errors[:5])
-        raise ValidationFailure(f"{path}: {detail}")
-    return graphs
+    """The corpus at path; an undecodable line raises as a parse error (exit
+    2), an invalid document as a validation failure (exit 1)."""
+    try:
+        return read_json_graphs(Path(path).read_bytes(), schema)
+    except GraphError as exc:
+        raise ValidationFailure(f"{path}: {exc}") from exc
 
 
 def _resolve_schema(schema_key, manifest=None, embedding=None):
@@ -185,9 +185,8 @@ def featurize_cmd(input_path, out, schema_key):
     failed = 0
     graphs = []
     if suffix in (".json", ".jsonl"):
-        graphs, errors = read_json_graphs(
-            Path(input_path).read_text(encoding="utf-8"), schema, strict=False
-        )
+        errors = []
+        graphs = read_json_graphs(Path(input_path).read_bytes(), schema, errors)
         failed = len(errors)
         for pos, msg in errors:
             click.echo(f"document {pos}: {msg}", err=True)

@@ -17,7 +17,7 @@ deterministic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,14 +37,10 @@ ACCEPTOR_ELEMENTS = frozenset({"N", "O"})
 @dataclass(frozen=True)
 class FeaturizerConfig:
     schema_key: str = "full"  # "full" (8 attributes) or "reduced" (5 attributes)
-    valence: dict = field(default_factory=lambda: dict(DEFAULT_VALENCE))
-    acceptor_elements: frozenset = ACCEPTOR_ELEMENTS
-    donor_requires_hydrogen: bool = True
 
     def __post_init__(self):
         if self.schema_key not in BUNDLED_SCHEMAS:
             raise SchemaError(f"unknown schema selection {self.schema_key!r}")
-        object.__setattr__(self, "acceptor_elements", frozenset(self.acceptor_elements))
 
     @property
     def schema(self) -> AttributeSchema:
@@ -99,7 +95,7 @@ def featurize(rec: MolRecord, cfg: FeaturizerConfig | None = None):
     for old in heavy:
         atom = rec.atoms[old]
         degree = len(heavy_neighbors[old])
-        valence = cfg.valence.get(atom.symbol)
+        valence = DEFAULT_VALENCE.get(atom.symbol)
         if valence is None:
             num_h = None
             implicit = None
@@ -110,9 +106,7 @@ def featurize(rec: MolRecord, cfg: FeaturizerConfig | None = None):
             implicit = valence - total_bonds[old] - abs(atom.charge)
             num_h = explicit_h[old] + implicit
 
-        donor = atom.symbol in cfg.acceptor_elements
-        if cfg.donor_requires_hydrogen:
-            donor = donor and bool(num_h and num_h > 0)
+        acceptor = atom.symbol in ACCEPTOR_ELEMENTS
         row = {
             "symbol": atom.symbol,
             "degree": degree,
@@ -120,8 +114,8 @@ def featurize(rec: MolRecord, cfg: FeaturizerConfig | None = None):
             "implicit_valence": implicit,
             "charge": atom.charge,
             "is_aromatic": aromatic[old],
-            "is_acceptor": atom.symbol in cfg.acceptor_elements,
-            "is_donor": donor,
+            "is_acceptor": acceptor,
+            "is_donor": acceptor and bool(num_h and num_h > 0),
         }
         rows.append(_encode_row(schema, row))
 

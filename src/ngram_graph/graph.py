@@ -3,7 +3,9 @@
 Graphs are immutable after construction. The edge relation is undirected
 and binary: it is held as a canonical edge list (u < v, sorted, for
 serialization) and as one CSR adjacency (``indptr``/``indices``, each row
-in ascending order) that every neighbour lookup and walk sum reads.
+in ascending order) that every neighbour lookup reads. :func:`stack_graphs`
+lays a corpus out as one block-diagonal CSR, the adjacency that the walk
+engine and the CBOW context sums multiply with.
 """
 
 from __future__ import annotations
@@ -120,15 +122,6 @@ class MolecularGraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def adjacency(self) -> scipy.sparse.csr_array:
-        """The CSR adjacency as a sparse 0/1 matrix, for products ``A @ X``."""
-        m = self.num_vertices
-        data = np.ones(self.indices.size, dtype=np.int64)
-        return scipy.sparse.csr_array((data, self.indices, self.indptr), shape=(m, m))
-
-    def adjacency_matrix(self) -> np.ndarray:
-        return self.adjacency().toarray()
-
     def replace(self, **kw) -> "MolecularGraph":
         base = dict(
             num_vertices=self.num_vertices,
@@ -150,6 +143,23 @@ class MolecularGraph:
             and self.label == other.label
             and self.graph_id == other.graph_id
         )
+
+
+def stack_graphs(graphs):
+    """One block-diagonal CSR (indptr, indices) of the graphs, their stacked
+    attribute table and their vertex offsets (``len(graphs) + 1`` entries)."""
+    offsets = np.cumsum([0] + [g.num_vertices for g in graphs], dtype=np.int64)
+    nnz = np.array([g.indices.size for g in graphs], dtype=np.int64)
+    indices = np.concatenate([g.indices for g in graphs]) + np.repeat(offsets[:-1], nnz)
+    ends = np.concatenate([g.indptr[1:] for g in graphs])
+    indptr = np.concatenate([[0], ends + np.repeat(np.cumsum(nnz) - nnz, np.diff(offsets))])
+    return indptr, indices, np.concatenate([g.attr for g in graphs]), offsets
+
+
+def ones_csr(indptr, indices, ncols):
+    """A 0/1 sparse matrix with the given CSR pattern, for products ``A @ X``."""
+    data = np.ones(indices.size, dtype=np.int64)
+    return scipy.sparse.csr_array((data, indices, indptr), shape=(indptr.size - 1, ncols))
 
 
 def validate_graph(g: MolecularGraph, schema: AttributeSchema) -> ValidationReport:
@@ -265,8 +275,14 @@ def doc_to_graph(doc: dict, schema: AttributeSchema) -> MolecularGraph:
         raise GraphError(
             f"schema_id mismatch: document {doc.get('schema_id')!r} vs {schema.schema_id!r}"
         )
-    m = int(doc["num_vertices"])
-    attr = np.asarray(doc["attributes"], dtype=np.int64).reshape(m, schema.num_attributes)
+    for key in ("num_vertices", "attributes"):
+        if key not in doc:
+            raise GraphError(f"missing field {key!r}")
+    m, S = int(doc["num_vertices"]), schema.num_attributes
+    try:
+        attr = np.asarray(doc["attributes"], dtype=np.int64).reshape(m, S)
+    except ValueError as exc:  # ragged rows, wrong width or non-integer values
+        raise GraphError(f"attributes must be {m} rows of {S} value indices") from exc
     edges = np.asarray(doc.get("edges", []), dtype=np.int64).reshape(-1, 2)
     label = doc.get("label")
     return MolecularGraph(
@@ -291,41 +307,45 @@ def write_jsonl(graphs, schema: AttributeSchema, stream) -> None:
         stream.write("\n")
 
 
-def read_json_graphs(data, schema: AttributeSchema, strict: bool = True):
-    """Parse a JSONL stream (or JSON array) of graph documents.
+def _documents(data, errors):
+    """``(pos, document)`` pairs: the elements of one JSON array, or one per
+    nonblank JSONL line, each line decoded and parsed on its own."""
+    array = data.lstrip()[:1] in ("[", b"[")
+    chunks = [data] if array else [line for line in data.splitlines() if line.strip()]
+    for pos, chunk in enumerate(chunks):
+        try:
+            doc = json.loads(chunk.decode("utf-8") if isinstance(chunk, bytes) else chunk)
+        except ValueError as exc:  # UnicodeDecodeError, json.JSONDecodeError
+            if errors is None:
+                raise
+            errors.append((pos, str(exc)))
+            continue
+        yield from enumerate(doc) if array else [(pos, doc)]
 
-    Every graph is validated against the schema. In strict mode the first
-    problem raises; otherwise problems are collected and returned alongside
-    the good graphs as ``(graphs, errors)``.
+
+def read_json_graphs(data, schema: AttributeSchema, errors: list | None = None):
+    """Parse a JSONL stream (or one JSON array) of graph documents.
+
+    Returns the graphs that pass validation against the schema. Without an
+    ``errors`` list the first problem raises (``UnicodeDecodeError`` or
+    ``json.JSONDecodeError`` for an undecodable line, ``GraphError`` for an
+    invalid document); with one, each is appended as ``(pos, message)``.
     """
     if hasattr(data, "read"):
         data = data.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-
-    text = data.strip()
-    docs: list = []
-    if text.startswith("["):
-        docs = json.loads(text)
-    elif text:
-        docs = [json.loads(line) for line in text.splitlines() if line.strip()]
-
-    graphs, errors = [], []
-    for pos, doc in enumerate(docs):
+    graphs = []
+    for pos, doc in _documents(data, errors):
         try:
             g = doc_to_graph(doc, schema)
-        except (GraphError, KeyError, TypeError, ValueError) as exc:
-            if strict:
-                raise GraphError(f"document {pos}: {exc}") from exc
-            errors.append((pos, str(exc)))
-            continue
-        report = validate_graph(g, schema)
-        if not report.ok:
-            if strict:
-                raise GraphError(f"document {pos}: {report}")
-            errors.append((pos, str(report)))
-            continue
-        graphs.append(g)
-    if strict:
-        return graphs
-    return graphs, errors
+        except (GraphError, TypeError, ValueError) as exc:
+            problem = str(exc)
+        else:
+            report = validate_graph(g, schema)
+            if report.ok:
+                graphs.append(g)
+                continue
+            problem = str(report)
+        if errors is None:
+            raise GraphError(f"document {pos}: {problem}")
+        errors.append((pos, problem))
+    return graphs

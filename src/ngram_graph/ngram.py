@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
-from .graph import MolecularGraph
+from .graph import MolecularGraph, ones_csr, stack_graphs
 from .vertex import VertexEmbeddingMatrix, check_schema, embed_vertices, vertex_rows
 
 VARIANTS = ("walk", "path", "vertex_path")
@@ -123,35 +122,18 @@ def _finalize(L, C, level_scale, normalization):
 # -- the walk engine ---------------------------------------------------------------
 
 
-def _stack(graphs):
-    """One block-diagonal CSR (indptr, indices) of the graphs, their stacked
-    attribute table and their vertex offsets."""
-    offsets = np.cumsum([0] + [g.num_vertices for g in graphs], dtype=np.int64)
-    nnz = np.array([g.indices.size for g in graphs], dtype=np.int64)
-    indices = np.concatenate([g.indices for g in graphs]) + np.repeat(offsets[:-1], nnz)
-    ends = np.concatenate([g.indptr[1:] for g in graphs])
-    indptr = np.concatenate([[0], ends + np.repeat(np.cumsum(nnz) - nnz, np.diff(offsets))])
-    return indptr, indices, np.concatenate([g.attr for g in graphs]), offsets
-
-
-def _ones_csr(indptr, indices, ncols):
-    """A 0/1 sparse matrix with the given CSR pattern."""
-    data = np.ones(indices.size, dtype=np.int64)
-    return scipy.sparse.csr_array((data, indices, indptr), shape=(indptr.size - 1, ncols))
-
-
 def _pool(seg, n):
     """Sparse (n x len(seg)) matrix summing rows by their nondecreasing
     segment ids; a product with it adds each segment's rows in order."""
     indptr = np.concatenate([[0], np.cumsum(np.bincount(seg, minlength=n))])
-    return _ones_csr(indptr, np.arange(seg.size), seg.size)
+    return ones_csr(indptr, np.arange(seg.size), seg.size)
 
 
 def walk_bound(indptr, indices, T, cap):
     """Per vertex, the number of T-vertex walks starting there, clipped to
     ``[1, cap]``: an upper bound on every level of the frontier a start
     vertex spawns, whatever the exclusion rule."""
-    A = _ones_csr(indptr, indices, indptr.size - 1)
+    A = ones_csr(indptr, indices, indptr.size - 1)
     bound = np.ones(A.shape[0], dtype=np.int64)
     for _ in range(1, T):
         bound = np.minimum(A @ bound, cap)  # clipping early leaves the clipped result exact
@@ -205,7 +187,7 @@ def _levels(graphs, emb, T, variant, counts=False):
     or graph-local slices of start vertices where a graph's frontier bound
     exceeds the budget, are packed into batches, summed on their own and
     added per graph in unit order, so a row never depends on its batch."""
-    indptr, indices, attr, offsets = _stack(graphs)
+    indptr, indices, attr, offsets = stack_graphs(graphs)
     G, r = len(graphs), emb.dim
     if variant == "walk":
         rows = max(1, BATCH_ENTRIES // r)
@@ -232,7 +214,7 @@ def _levels(graphs, emb, T, variant, counts=False):
         base = vertex_rows(attr[v0:v1], emb)
         seg = np.repeat(np.arange(u1 - u0), np.diff(ub[u0 : u1 + 1]))
         if variant == "walk":  # walk counts: the same recurrence on all-ones rows
-            A, P = _ones_csr(ptr, idx, v1 - v0), _pool(seg, u1 - u0)
+            A, P = ones_csr(ptr, idx, v1 - v0), _pool(seg, u1 - u0)
             ones = np.ones((v1 - v0, 1), dtype=np.int64)
             for X1, out in [(base, U), (ones, UC[:, :, None])][: 1 + counts]:
                 X = X1

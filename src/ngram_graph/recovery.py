@@ -92,6 +92,11 @@ def omp_recover(
     )
 
 
+ISTA_PHASES = 12  # of the annealed threshold schedule, sharing max_iter
+ISTA_ANNEAL = 0.5
+ISTA_SUPPORT_THRESHOLD = 0.25
+
+
 def _soft(x, t):
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
@@ -101,9 +106,6 @@ def ista_recover(
     op,
     tol: float = 1e-9,
     max_iter: int = 2000,
-    anneal: float = 0.5,
-    phases: int = 12,
-    support_threshold: float = 0.25,
 ) -> RecoveryResult:
     """Soft thresholding on the l1 program with annealed threshold.
 
@@ -129,16 +131,16 @@ def ista_recover(
     mu = 0.9 * float(np.max(np.abs(A.T @ f))) if f.any() else 0.0
     fnorm = max(np.linalg.norm(f), 1.0)
     it = 0
-    per_phase = max(1, max_iter // max(phases, 1))
-    for _ in range(phases):
+    per_phase = max(1, max_iter // ISTA_PHASES)
+    for _ in range(ISTA_PHASES):
         for _ in range(per_phase):
             it += 1
             grad = A.T @ (A @ x - f)
             x = _soft(x - step * grad, step * mu)
-        mu *= anneal
+        mu *= ISTA_ANNEAL
         if np.linalg.norm(f - A @ x) <= tol * fnorm:
             break
-    support = np.nonzero(np.abs(x) > support_threshold)[0]
+    support = np.nonzero(np.abs(x) > ISTA_SUPPORT_THRESHOLD)[0]
     c_hat = np.zeros(A.shape[1])
     if support.size:
         coef = _nnls(A[:, support], f)

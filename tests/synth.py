@@ -60,6 +60,18 @@ def messy_graphs(draw, schema, max_m=7):
                           schema_fingerprint=schema.fingerprint)
 
 
+def dense_adjacency(g):
+    """Dense 0/1 adjacency built from the raw edge list (self-loops and
+    out-of-range pairs dropped, both orientations set): a reference that
+    shares no code with the graph's CSR."""
+    m = g.num_vertices
+    a = np.zeros((m, m), dtype=np.int64)
+    for u, v in g.edges.tolist():
+        if u != v and 0 <= min(u, v) and max(u, v) < m:
+            a[u, v] = a[v, u] = 1
+    return a
+
+
 def random_corpus(rng, schema, n, **kw):
     return [random_graph(rng, schema, graph_id=f"g{i}", **kw) for i in range(n)]
 

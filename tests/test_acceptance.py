@@ -171,10 +171,7 @@ class TestAcceptance:
         # analytic gradients vs central finite differences on a 10-sample batch
         net = CbowNetwork(schema, CbowConfig(r=7, hidden=(9, 5), epochs=1, seed=0),
                           np.random.default_rng(0))
-        batch = samples[:10]
-        ctx = np.stack([s.context for s in batch])
-        sz = np.asarray([s.context_size for s in batch], dtype=np.float64)
-        tg = np.stack([s.target for s in batch])
+        ctx, sz, tg = samples.contexts[:10], samples.sizes[:10], samples.targets[:10]
         _, grads = net.loss_and_grads(ctx, sz, tg)
         analytic = np.concatenate([g.ravel() for g in grads])
         x0 = net.get_flat()

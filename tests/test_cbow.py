@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ngram_graph as ng
 from ngram_graph import CbowConfig, extract_contexts, train_cbow
@@ -16,38 +17,57 @@ def _line_graph(schema, attrs, edges):
     )
 
 
+# a 0-vertex graph and an edgeless one, mixed into the corpora below
+_ZERO = ng.MolecularGraph(num_vertices=0, attr=np.zeros((0, 2), dtype=np.int64), edges=[])
+_EDGELESS = ng.MolecularGraph(num_vertices=3, attr=[[0, 1], [2, 3], [4, 0]], edges=[])
+
+
 class TestExtractContexts:
     @settings(max_examples=100, deadline=None)
-    @given(g=synth.messy_graphs(synth.small_schema(), max_m=9))
-    def test_contexts_equal_dense_reference(self, g):
+    @given(graphs=st.lists(st.one_of(synth.messy_graphs(synth.small_schema(), max_m=9),
+                                     st.sampled_from([_ZERO, _EDGELESS])), max_size=6))
+    def test_contexts_equal_dense_reference(self, graphs):
         sch = synth.small_schema()
-        a = g.adjacency_matrix()
-        hot = np.stack([ng.one_hot(g, sch, i) for i in range(g.num_vertices)])
-        ref = (a @ hot).astype(np.float64)
-        kept = np.flatnonzero(a.sum(axis=1))
-        samples = extract_contexts([g], sch)
-        assert len(samples) == kept.size
-        for i, s in zip(kept, samples):
-            assert np.array_equal(s.context, ref[i])
-            assert np.array_equal(s.target, g.attr[i])
-            assert s.context_size == a[i].sum()
+        ctx, tgt, size = [], [], []
+        for g in graphs:  # the per-graph reference, concatenated in order
+            a = synth.dense_adjacency(g)
+            hot = np.array([ng.one_hot(g, sch, i) for i in range(g.num_vertices)])
+            kept = np.flatnonzero(a.sum(axis=1))
+            ctx.extend((a @ hot.reshape(-1, sch.total_width))[kept].astype(np.float64))
+            tgt.extend(g.attr[kept])
+            size.extend(a[kept].sum(axis=1))
+        samples = extract_contexts(iter(graphs), sch)
+        assert len(samples) == len(size)
+        assert np.array_equal(samples.contexts, np.reshape(ctx, (-1, sch.total_width)))
+        assert np.array_equal(samples.targets, np.reshape(tgt, (-1, sch.num_attributes)))
+        assert np.array_equal(samples.sizes, np.asarray(size, dtype=np.float64))
+        assert samples.contexts.dtype == samples.sizes.dtype == np.float64
+        assert samples.targets.dtype == np.int64
+
+    def test_empty_corpus_has_no_samples(self, schema):
+        samples = extract_contexts([], schema)
+        assert len(samples) == 0
+        assert samples.contexts.shape == (0, schema.total_width)
+        assert samples.targets.shape == (0, schema.num_attributes)
+        with pytest.raises(ValueError, match="no context samples to train on"):
+            train_cbow(samples, schema, CbowConfig(r=4, epochs=1))
 
     def test_single_edge_two_samples(self, schema):
         g = _line_graph(schema, [[0, 0], [1, 1]], [[0, 1]])
         samples = extract_contexts([g], schema)
         assert len(samples) == 2
-        assert all(s.context_size == 1 for s in samples)
+        assert samples.sizes.tolist() == [1.0, 1.0]
 
     def test_path_middle_vertex_context(self, schema):
         g = _line_graph(schema, [[0, 0], [1, 1], [2, 2]], [[0, 1], [1, 2]])
         samples = extract_contexts([g], schema)
-        middle = samples[1]
-        assert middle.context_size == 2
+        middle = samples.contexts[1]
+        assert samples.sizes[1] == 2
         # context counts = h_0 + h_2
         offs = schema.offsets
-        assert middle.context[offs[0] + 0] == 1
-        assert middle.context[offs[0] + 2] == 1
-        assert middle.context.sum() == 2 * schema.num_attributes
+        assert middle[offs[0] + 0] == 1
+        assert middle[offs[0] + 2] == 1
+        assert middle.sum() == 2 * schema.num_attributes
 
     def test_star_center_has_four_neighbors(self, schema):
         g = _line_graph(
@@ -56,7 +76,7 @@ class TestExtractContexts:
             [[0, 1], [0, 2], [0, 3], [0, 4]],
         )
         samples = extract_contexts([g], schema)
-        assert samples[0].context_size == 4
+        assert samples.sizes[0] == 4
 
     def test_isolated_vertices_skipped(self, schema):
         g = _line_graph(schema, [[0, 0], [1, 1], [2, 2]], [[0, 1]])
@@ -131,13 +151,11 @@ class TestNetworkMath:
     def test_gradients_match_finite_differences(self, rng):
         sch = synth.small_schema(ks=(3, 2))
         graphs = synth.random_corpus(rng, sch, 5, density=0.6, connected=True)
-        samples = extract_contexts(graphs, sch)[:10]
-        assert len(samples) == 10
+        samples = extract_contexts(graphs, sch)
+        ctx, sz, tg = samples.contexts[:10], samples.sizes[:10], samples.targets[:10]
+        assert len(sz) == 10
         cfg = CbowConfig(r=7, aggregator="sum", hidden=(9, 5), epochs=1, seed=0)
         net = CbowNetwork(sch, cfg, np.random.default_rng(0))
-        ctx = np.stack([s.context for s in samples])
-        sz = np.asarray([s.context_size for s in samples], dtype=np.float64)
-        tg = np.stack([s.target for s in samples])
         _, grads = net.loss_and_grads(ctx, sz, tg)
         analytic = np.concatenate([g.ravel() for g in grads])
 

@@ -126,6 +126,54 @@ def _jsonl_docs() -> list:
     return [json.loads(dumps_graph(g, ng.FULL_SCHEMA)) for g in graphs]
 
 
+class TestJsonlInput:
+    """``featurize`` skips a JSONL line that is not valid JSON or not UTF-8,
+    like a broken SDF record; commands that load a corpus exit 2 on such a
+    line and 1 on an invalid document."""
+
+    DOCS = _jsonl_docs()
+    LINES = [json.dumps(d).encode() for d in DOCS]
+    BAD = {
+        "truncated": LINES[1][:160],
+        "not-utf8": LINES[1][:12] + b"\xff" + LINES[1][13:],
+        "missing-field": json.dumps({k: v for k, v in DOCS[1].items()
+                                     if k != "num_vertices"}).encode(),
+    }
+
+    def _write(self, tmp_path, bad, name="in.jsonl"):
+        src = tmp_path / name
+        src.write_bytes(b"\n".join([self.LINES[0], self.BAD[bad], self.LINES[2]]) + b"\n")
+        return src
+
+    @pytest.mark.parametrize("bad", ["truncated", "not-utf8", "missing-field"])
+    def test_featurize_skips_the_bad_line(self, tmp_path, capsys, bad):
+        out = tmp_path / "out.jsonl"
+        assert main(["featurize", str(self._write(tmp_path, bad)), "-o", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "document 1: " in err and "parsed=2 failed=1" in err
+        if bad == "missing-field":
+            assert "document 1: missing field 'num_vertices'" in err
+        assert out.read_text().splitlines() == [
+            json.dumps(self.DOCS[i], separators=(",", ":")) for i in (0, 2)]
+
+    def test_json_array_stays_one_document(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        src.write_bytes(b"[" + b",".join([self.LINES[0], self.BAD["truncated"]]) + b"]")
+        assert main(["featurize", str(src), "-o", str(tmp_path / "out.jsonl")]) == 2
+        assert "document 0: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad,code", [("truncated", 2), ("not-utf8", 2),
+                                          ("missing-field", 1)])
+    def test_corpus_loaders_keep_exit_codes(self, tmp_path, capsys, bad, code):
+        src = self._write(tmp_path, bad)
+        assert main(["train-vertex", str(src), "-o", str(tmp_path / "w.nggm"),
+                     "--r", "4", "--epochs", "1", "--hidden", "4"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if bad == "missing-field":
+            assert "document 1: missing field 'num_vertices'" in err
+
+
 class TestReaderFuzz:
     """Byte-mutated SDF and JSONL input: ``ngg featurize`` ends with a
     documented exit code, never an uncaught exception."""

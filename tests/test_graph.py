@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ngram_graph as ng
 from ngram_graph import MolecularGraph, one_hot, permute, validate_graph
-from ngram_graph.graph import dumps_graph, inverse_permutation, read_json_graphs
+from ngram_graph.graph import dumps_graph, inverse_permutation, ones_csr, read_json_graphs
 
 from . import synth
 
@@ -50,11 +50,11 @@ class TestValidation:
 
     def test_degrees_match_adjacency_rows(self, rng, schema):
         g = synth.random_graph(rng, schema, m=7, density=0.5)
-        assert np.array_equal(g.degrees(), g.adjacency_matrix().sum(axis=0))
+        assert np.array_equal(g.degrees(), synth.dense_adjacency(g).sum(axis=0))
 
     def test_bitset_membership_matches_edge_list(self, rng, schema):
         g = synth.random_graph(rng, schema, m=8, density=0.4)
-        a = g.adjacency_matrix()
+        a = synth.dense_adjacency(g)
         for u in range(8):
             for v in range(8):
                 assert g.has_edge(u, v) == bool(a[u, v])
@@ -92,10 +92,10 @@ class TestAdjacency:
     @settings(max_examples=200, deadline=None)
     @given(g=synth.messy_graphs(synth.small_schema(), max_m=9))
     def test_csr_queries_match_dense_adjacency(self, g):
-        a = g.adjacency_matrix()
+        a = synth.dense_adjacency(g)
         m = g.num_vertices
         assert np.array_equal(g.degrees(), a.sum(axis=1))
-        assert np.array_equal(g.adjacency().toarray(), a)
+        assert np.array_equal(ones_csr(g.indptr, g.indices, m).toarray(), a)
         for u in range(m):
             assert g.neighbors(u).tolist() == np.flatnonzero(a[u]).tolist()
             for v in range(m):
@@ -214,7 +214,8 @@ class TestJsonDocuments:
             "attributes": [[0, 0]] * 4,
             "edges": [[3, 3]],
         }
-        graphs, errors = read_json_graphs(json.dumps(doc), schema, strict=False)
+        errors = []
+        graphs = read_json_graphs(json.dumps(doc), schema, errors)
         assert not graphs
         assert "self-loop" in errors[0][1]
 
@@ -257,7 +258,62 @@ class TestJsonDocuments:
         else:
             bad[field] = value
         text = json.dumps(bad) + "\n" + json.dumps(good)
-        graphs, errors = read_json_graphs(text, schema, strict=False)
+        errors = []
+        graphs = read_json_graphs(text, schema, errors)
         assert len(graphs) == 1 and errors[0][0] == 0 and message in errors[0][1]
         with pytest.raises(ng.GraphError, match="document 0"):
             read_json_graphs(text, schema)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("num_vertices", None, "missing field 'num_vertices'"),
+        ("attributes", None, "missing field 'attributes'"),
+        ("attributes", [[0, 0], [0]], "attributes must be 2 rows of 2 value indices"),
+        ("attributes", [[0, 0, 0], [0, 0, 0]], "attributes must be 2 rows of 2 value indices"),
+    ], ids=["missing-vertex-count", "missing-attributes", "ragged", "wrong-width"])
+    def test_document_error_names_the_field(self, schema, field, value, message):
+        good = {"schema_id": schema.schema_id, "id": "g", "num_vertices": 2,
+                "attributes": [[0, 0], [1, 1]], "edges": [[0, 1]]}
+        bad = dict(good)
+        if value is None:
+            del bad[field]
+        else:
+            bad[field] = value
+        text = json.dumps(good) + "\n" + json.dumps(bad)
+        errors = []
+        assert len(read_json_graphs(text, schema, errors)) == 1
+        assert errors == [(1, message)]
+        with pytest.raises(ng.GraphError) as err:
+            read_json_graphs(text, schema)
+        assert str(err.value) == f"document 1: {message}"
+
+
+class TestJsonLines:
+    """JSONL is decoded and parsed one line at a time; a JSON array is one
+    document."""
+
+    def _lines(self, schema):
+        graphs = synth.random_corpus(np.random.default_rng(1), schema, 3, density=0.5)
+        return [dumps_graph(g, schema).encode() for g in graphs]
+
+    @pytest.mark.parametrize("broken,problem", [
+        (lambda line: line[:40], json.JSONDecodeError),
+        (lambda line: line[:12] + b"\xff" + line[13:], UnicodeDecodeError),
+    ], ids=["truncated", "not-utf8"])
+    def test_bad_line_skipped_alone(self, schema, broken, problem):
+        lines = self._lines(schema)
+        data = b"\n".join([lines[0], broken(lines[1]), b"", lines[2]]) + b"\n"
+        errors = []
+        graphs = read_json_graphs(data, schema, errors)
+        assert [dumps_graph(g, schema).encode() for g in graphs] == [lines[0], lines[2]]
+        assert [pos for pos, _ in errors] == [1]
+        with pytest.raises(problem):
+            read_json_graphs(data, schema)
+
+    def test_json_array_is_one_document(self, schema):
+        lines = self._lines(schema)
+        array = b"[" + b",\n".join(lines) + b"]"
+        assert [dumps_graph(g, schema).encode()
+                for g in read_json_graphs(array, schema)] == lines
+        errors = []
+        assert read_json_graphs(array[:-1], schema, errors) == []
+        assert [pos for pos, _ in errors] == [0]

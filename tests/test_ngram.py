@@ -172,8 +172,9 @@ class TestProperties:
         W = VertexEmbeddingMatrix(matrix=np.array([[1.0, 2.0, 3.0]]), schema=sch,
                                   provenance={})
         calls = []
-        stack = ng.ngram._stack
-        monkeypatch.setattr(ng.ngram, "_stack", lambda graphs: calls.append(1) or stack(graphs))
+        stack = ng.ngram.stack_graphs
+        monkeypatch.setattr(ng.ngram, "stack_graphs",
+                            lambda graphs: calls.append(1) or stack(graphs))
         graph_embed(g, W, 3, level_scale="count")
         assert len(calls) == 1
 
