@@ -71,7 +71,9 @@ def omp_recover(
             break
         corr = np.abs(correlate(residual)) / safe
         corr[support] = -np.inf
-        pick = int(np.argmax(corr))
+        # Rademacher columns make exact ties common; take the lowest index
+        # among them, not whichever one summation round-off favours
+        pick = int(np.argmax(corr >= corr.max() * (1 - 1e-9)))
         if not np.isfinite(corr[pick]):
             break
         support.append(pick)

@@ -113,6 +113,16 @@ class TestExperiment:
         for lo, hi in zip(rates, rates[1:]):
             assert hi >= lo - 0.05  # nondecreasing up to Monte-Carlo noise
 
+    def test_low_r_success_counts_pinned(self):
+        # near the phase transition, exact correlation ties are common; these
+        # counts hold only if every tie goes to the lowest column index
+        low_r = RecoveryConfig(r_values=(20, 30, 40), k_values=(40,), n_values=(2,),
+                               s_values=(5,), trials=100, seed=0)
+        assert [c.successes for c in recovery_experiment(low_r)] == [6, 59, 92]
+        triples = RecoveryConfig(r_values=(30,), k_values=(12,), n_values=(3,),
+                                 s_values=(5,), trials=100, seed=0)
+        assert [c.successes for c in recovery_experiment(triples)] == [88]
+
     def test_trial_determinism(self):
         rng1 = np.random.default_rng([0, 64, 20, 2, 4, 0])
         rng2 = np.random.default_rng([0, 64, 20, 2, 4, 0])
