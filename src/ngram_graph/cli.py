@@ -141,9 +141,12 @@ def _write_sidecar(out_path, manifest: dict) -> None:
 
 def _load_graphs(path, schema):
     """The corpus at path; an undecodable line raises as a parse error (exit
-    2), an invalid document as a validation failure (exit 1)."""
+    2), an invalid document as a validation failure (exit 1). Either message
+    names the file and the document's position."""
     try:
         return read_json_graphs(Path(path).read_bytes(), schema)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise GraphError(f"{path}: document {exc.document}: {exc}") from exc
     except GraphError as exc:
         raise ValidationFailure(f"{path}: {exc}") from exc
 

@@ -55,6 +55,7 @@ class CountStatistics:
     T: int
     blocks: tuple      # blocks[n-1][j] -> int64 vector of length C(k_j, n)
     walk_counts: tuple  # surviving walks per level
+    products: tuple | None = None  # per-level walk-product sums, if F was given
 
     def level(self, n: int) -> np.ndarray:
         """Concatenated c_(n) across attributes (colex within each block)."""
@@ -95,33 +96,34 @@ def _distinct_walks(g: MolecularGraph, T: int, width: int):
         yield from expand_walks(g.indptr, g.indices, g.attr, np.arange(lo, hi), T)
 
 
-def count_statistics(g: MolecularGraph, schema: AttributeSchema, T: int) -> CountStatistics:
+def count_statistics(g: MolecularGraph, schema: AttributeSchema, T: int,
+                     F: np.ndarray | None = None) -> CountStatistics:
     """Count value subsets along walks of length 1..T, both directions.
 
     A walk survives only if every attribute takes pairwise-distinct values
     along it; each surviving walk increments one coordinate per attribute,
-    the colex rank of its value set.
+    the colex rank of its value set. Given vertex features F (r x m), the
+    same pass also sums the element-wise walk products of F over the
+    surviving walks, level by level, into ``products``.
     """
     ks = schema.cardinalities
     blocks = [[np.zeros(comb(k, n), dtype=np.int64) for k in ks] for n in range(1, T + 1)]
     walk_counts = [0] * T
-    for n, _, _, hist in _distinct_walks(g, T, width=max(T * len(ks), 1)):
+    width = max(T * len(ks), 1)
+    if F is not None:
+        check_int64_walks(g, T, F)
+        base = np.ascontiguousarray(F.T)
+        products = [np.zeros(F.shape[0], dtype=F.dtype) for _ in range(T)]
+        width = max(width, F.shape[0])
+    for n, parent, end, hist in _distinct_walks(g, T, width):
         walk_counts[n - 1] += hist.shape[0]
         for j, k in enumerate(ks):
             values = np.sort(hist[:, :, j], axis=1)
             ranks = _binomials(k, T)[values, np.arange(1, n + 1)].sum(axis=1)
             blocks[n - 1][j] += np.bincount(ranks, minlength=blocks[n - 1][j].size)
+        if F is not None:
+            prod = base[end] if parent is None else prod[parent] * base[end]
+            products[n - 1] += prod.sum(axis=0)
     return CountStatistics(schema=schema, T=T, blocks=tuple(tuple(lv) for lv in blocks),
-                           walk_counts=tuple(walk_counts))
-
-
-def walk_products_distinct(g: MolecularGraph, schema: AttributeSchema, F: np.ndarray, T: int):
-    """Sum of element-wise walk products over the distinct-value walk set."""
-    check_int64_walks(g, T, F)
-    base = np.ascontiguousarray(F.T)
-    levels = [np.zeros(F.shape[0], dtype=F.dtype) for _ in range(T)]
-    width = max(F.shape[0], T * schema.num_attributes)
-    for n, parent, end, _ in _distinct_walks(g, T, width):
-        prod = base[end] if parent is None else prod[parent] * base[end]
-        levels[n - 1] += prod.sum(axis=0)
-    return levels
+                           walk_counts=tuple(walk_counts),
+                           products=None if F is None else tuple(products))

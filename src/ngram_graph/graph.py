@@ -317,6 +317,7 @@ def _documents(data, errors):
             doc = json.loads(chunk.decode("utf-8") if isinstance(chunk, bytes) else chunk)
         except ValueError as exc:  # UnicodeDecodeError, json.JSONDecodeError
             if errors is None:
+                exc.document = pos  # lets a caller name the broken document
                 raise
             errors.append((pos, str(exc)))
             continue
@@ -328,8 +329,9 @@ def read_json_graphs(data, schema: AttributeSchema, errors: list | None = None):
 
     Returns the graphs that pass validation against the schema. Without an
     ``errors`` list the first problem raises (``UnicodeDecodeError`` or
-    ``json.JSONDecodeError`` for an undecodable line, ``GraphError`` for an
-    invalid document); with one, each is appended as ``(pos, message)``.
+    ``json.JSONDecodeError`` for an undecodable line, with the line's
+    position in its ``document`` attribute; ``GraphError`` for an invalid
+    document); with one, each is appended as ``(pos, message)``.
     """
     if hasattr(data, "read"):
         data = data.read()
@@ -337,7 +339,7 @@ def read_json_graphs(data, schema: AttributeSchema, errors: list | None = None):
     for pos, doc in _documents(data, errors):
         try:
             g = doc_to_graph(doc, schema)
-        except (GraphError, TypeError, ValueError) as exc:
+        except (GraphError, TypeError, ValueError, OverflowError) as exc:
             problem = str(exc)
         else:
             report = validate_graph(g, schema)

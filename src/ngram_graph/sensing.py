@@ -4,22 +4,20 @@ With one Rademacher block U^j per attribute, arranged block-diagonally into
 W, the level-n embedding of the distinct-value walk set equals a linear
 image of the co-occurrence counts: each count coordinate's sensing column
 is the element-wise product of the n base columns named by its subset. The
-level operators assemble those n-way column products block by block.
+level operators apply those n-way column products without storing them:
+they build only the columns an application needs, and pair correlations
+come from one k x k Gram product per block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
 import numpy as np
 
-from .counts import (
-    count_statistics,
-    subset_table,
-    walk_products_distinct,
-)
+from .counts import count_statistics, subset_table
 from .graph import MolecularGraph
 from .schema import AttributeSchema
 from .vertex import VertexEmbeddingMatrix, embed_vertices
@@ -60,19 +58,20 @@ def allocate_rows(schema: AttributeSchema, r: int, allocation: str = "proportion
 
 @dataclass(frozen=True)
 class LevelOperator:
-    """Block-diagonal n-way column product operator for one level.
+    """Block-diagonal n-way column product operator for one level, matrix-free.
 
-    Blocks are materialized densely while ``r * columns`` stays under
-    ``cap``; beyond that, applications generate the columns they need, in
-    chunks. Column products come from the cached colex subset table.
+    Column S of block j is the element-wise product of the columns of U^j
+    named by the colex subset S. No block is stored: ``matvec`` builds only
+    the columns of the nonzero coefficients, and ``correlations`` reads pairs
+    (n = 2) off one k_j x k_j product U^T diag(res) U per block and gathers
+    higher levels in column chunks. ``materialize`` builds the dense operator
+    for the solvers that need it, up to an entry cap.
     """
 
     blocks: tuple            # base blocks U^j, each (r_j, k_j)
     n: int
     row_offsets: tuple
     total_rows: int
-    cap: int = MATERIALIZE_CAP
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def col_dims(self) -> tuple:
@@ -100,15 +99,8 @@ class LevelOperator:
             out *= UT[subsets[:, t]]
         return out.T
 
-    def block_matrix(self, j: int) -> np.ndarray:
-        """Dense (r_j x C(k_j, n)) product block, cached."""
-        if j not in self._cache:
-            self._cache[j] = self._block_columns(j)
-        return self._cache[j]
-
-    def materialize(self, cap: int | None = None) -> np.ndarray:
+    def materialize(self, cap: int = MATERIALIZE_CAP) -> np.ndarray:
         """Full dense operator; refuses beyond the entry cap."""
-        cap = self.cap if cap is None else cap
         if self.entries > cap:
             raise SensingError(
                 f"level operator has {self.entries} entries, over cap {cap}; "
@@ -117,32 +109,22 @@ class LevelOperator:
         return self.columns(np.arange(self.shape[1]))
 
     def matvec(self, c: np.ndarray) -> np.ndarray:
-        dtype = np.result_type(c.dtype, *(U.dtype for U in self.blocks))
-        out = np.zeros(self.total_rows, dtype=dtype)
-        coffs = self.col_offsets
-        for j, U in enumerate(self.blocks):
-            r0 = self.row_offsets[j]
-            seg = c[coffs[j] : coffs[j] + self.col_dims[j]]
-            if self.entries <= self.cap:
-                out[r0 : r0 + U.shape[0]] += self.block_matrix(j) @ seg
-            else:
-                nz = np.nonzero(seg)[0]
-                out[r0 : r0 + U.shape[0]] += self._block_columns(j, nz) @ seg[nz]
-        return out
+        """Apply to c, building only the columns of its nonzero entries."""
+        nz = np.flatnonzero(c)
+        return self.columns(nz) @ c[nz]
 
     def correlations(self, res: np.ndarray) -> np.ndarray:
         """Transpose-apply: one correlation per column, without full storage."""
         out = np.empty(self.shape[1], dtype=np.float64)
-        coffs = self.col_offsets
-        for j, U in enumerate(self.blocks):
-            r0 = self.row_offsets[j]
+        for j, (c0, r0, U) in enumerate(zip(self.col_offsets, self.row_offsets, self.blocks)):
             seg = res[r0 : r0 + U.shape[0]]
-            if self.entries <= self.cap:
-                out[coffs[j] : coffs[j] + self.col_dims[j]] = self.block_matrix(j).T @ seg
+            if self.n == 2:  # column (a, b) correlates to entry (a, b) of U^T diag(seg) U
+                sub = subset_table(U.shape[1], 2)
+                out[c0 : c0 + sub.shape[0]] = ((U.T * seg) @ U)[sub[:, 0], sub[:, 1]]
                 continue
             for start in range(0, self.col_dims[j], 4096):  # column chunks
                 piece = self._block_columns(j, slice(start, start + 4096))
-                out[coffs[j] + start : coffs[j] + start + piece.shape[1]] = piece.T @ seg
+                out[c0 + start : c0 + start + piece.shape[1]] = piece.T @ seg
         return out
 
     def columns(self, cols) -> np.ndarray:
@@ -174,7 +156,6 @@ class BlockSensingMatrix:
     scale: float
     seed: int | None
     allocation: str
-    _ops: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def r(self) -> int:
@@ -206,16 +187,9 @@ class BlockSensingMatrix:
         )
 
     def operator(self, n: int) -> LevelOperator:
-        op = self._ops.get(n)
-        if op is None:
-            op = LevelOperator(
-                blocks=self.blocks,
-                n=n,
-                row_offsets=self.row_offsets,
-                total_rows=self.r,
-            )
-            self._ops[n] = op
-        return op
+        return LevelOperator(
+            blocks=self.blocks, n=n, row_offsets=self.row_offsets, total_rows=self.r
+        )
 
 
 def build_sensing(
@@ -253,14 +227,12 @@ def verify_identity(g: MolecularGraph, B: BlockSensingMatrix, T: int):
     """Max |level embedding - operator @ counts| per level, n = 1..T.
 
     Uses the distinct-value walk set on both sides; with integer blocks the
-    residuals are exactly zero.
+    residuals are exactly zero. One walk enumeration yields both sides.
     """
-    stats = count_statistics(g, B.schema, T)
-    F = embed_vertices(g, B.embedding())
-    levels = walk_products_distinct(g, B.schema, F, T)
+    stats = count_statistics(g, B.schema, T, embed_vertices(g, B.embedding()))
     residuals = []
     for n in range(1, T + 1):
-        lhs = levels[n - 1]
+        lhs = stats.products[n - 1]
         rhs = B.operator(n).matvec(stats.level(n))
         residuals.append(float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0)
     return residuals

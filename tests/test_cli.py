@@ -138,6 +138,8 @@ class TestJsonlInput:
         "not-utf8": LINES[1][:12] + b"\xff" + LINES[1][13:],
         "missing-field": json.dumps({k: v for k, v in DOCS[1].items()
                                      if k != "num_vertices"}).encode(),
+        "huge-count": LINES[1].replace(b'"num_vertices": %d' % DOCS[1]["num_vertices"],
+                                       b'"num_vertices": 1e400'),
     }
 
     def _write(self, tmp_path, bad, name="in.jsonl"):
@@ -145,7 +147,7 @@ class TestJsonlInput:
         src.write_bytes(b"\n".join([self.LINES[0], self.BAD[bad], self.LINES[2]]) + b"\n")
         return src
 
-    @pytest.mark.parametrize("bad", ["truncated", "not-utf8", "missing-field"])
+    @pytest.mark.parametrize("bad", ["truncated", "not-utf8", "missing-field", "huge-count"])
     def test_featurize_skips_the_bad_line(self, tmp_path, capsys, bad):
         out = tmp_path / "out.jsonl"
         assert main(["featurize", str(self._write(tmp_path, bad)), "-o", str(out)]) == 0
@@ -163,15 +165,18 @@ class TestJsonlInput:
         assert "document 0: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad,code", [("truncated", 2), ("not-utf8", 2),
-                                          ("missing-field", 1)])
+                                          ("missing-field", 1), ("huge-count", 1)])
     def test_corpus_loaders_keep_exit_codes(self, tmp_path, capsys, bad, code):
         src = self._write(tmp_path, bad)
         assert main(["train-vertex", str(src), "-o", str(tmp_path / "w.nggm"),
                      "--r", "4", "--epochs", "1", "--hidden", "4"]) == code
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        # the message names the file and the document, whatever went wrong
+        assert err.startswith(f"error: {src}: document 1: ")
         if bad == "missing-field":
             assert "document 1: missing field 'num_vertices'" in err
+        if bad == "huge-count":
+            assert "document 1: cannot convert float infinity to integer" in err
 
 
 class TestReaderFuzz:

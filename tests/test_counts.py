@@ -12,7 +12,6 @@ from ngram_graph.counts import (
     subset_rank,
     subset_table,
     subsets_colex,
-    walk_products_distinct,
 )
 
 from . import synth
@@ -156,16 +155,16 @@ class TestBruteForceReference:
         W = rng.choice((-1, 1), size=(5, sch.total_width)).astype(np.int64)
         F = embed_vertices(g, ng.VertexEmbeddingMatrix(matrix=W, schema=sch, provenance={}))
         blocks, counts, levels = _brute_force_distinct(g, sch, F, T)
-        stats = count_statistics(g, sch, T)
+        stats = count_statistics(g, sch, T, F)
         assert stats.walk_counts == tuple(counts)
         for n in range(1, T + 1):
             for j in range(sch.num_attributes):
                 assert np.array_equal(stats.block(n, j), blocks[n - 1][j])
-        got = walk_products_distinct(g, sch, F, T)
-        assert all(np.array_equal(a, b) for a, b in zip(got, levels))
+        assert all(np.array_equal(a, b) for a, b in zip(stats.products, levels))
+        assert np.array_equal(count_statistics(g, sch, T).stacked(), stats.stacked())
 
         F = embed_vertices(g, random_embedding(sch, 6, dist="gaussian", seed=seed))
         _, _, levels = _brute_force_distinct(g, sch, F, T)
-        got = walk_products_distinct(g, sch, F, T)
+        got = count_statistics(g, sch, T, F).products
         for a, b in zip(got, levels):
             assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1e-300)

@@ -248,6 +248,8 @@ class TestJsonDocuments:
         ("num_vertices", [2], "int()"),
         ("label", {"y": 1}, "float()"),
         ("attributes", {"a": 1}, "int()"),
+        ("num_vertices", float("inf"), "cannot convert float infinity to integer"),
+        ("attributes", [[2**70, 0], [0, 0]], "too large"),
     ])
     def test_wrong_typed_document_is_a_document_error(self, rng, schema, field, value,
                                                       message):

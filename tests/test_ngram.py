@@ -219,7 +219,7 @@ class TestInt64Range:
             with pytest.raises(WalkOverflow):
                 oracle_embed(g, W, 8, dedup_reverse=dedup)
         with pytest.raises(WalkOverflow):
-            ng.counts.walk_products_distinct(g, sch, ng.embed_vertices(g, W), 8)
+            ng.count_statistics(g, sch, 8, ng.embed_vertices(g, W))
 
     def test_overflow_isolated_in_corpus(self):
         sch, g, W = self._triangle(1000)

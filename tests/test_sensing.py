@@ -92,8 +92,7 @@ class TestOperators:
             op.materialize(cap=100)
 
     def test_matrix_free_matches_dense(self):
-        from ngram_graph.sensing import LevelOperator
-
+        # two blocks at n = 2: correlations come from each block's Gram product
         sch = synth.small_schema(ks=(7, 6))
         B = build_sensing(sch, 11, seed=4, scale=1.0)
         op = B.operator(2)
@@ -102,33 +101,45 @@ class TestOperators:
         c = rng.integers(0, 3, size=op.shape[1]).astype(np.float64)
         res = rng.standard_normal(op.shape[0])
         assert np.allclose(op.matvec(c), dense @ c)
-        assert np.allclose(op.correlations(res), dense.T @ res)
+        assert np.allclose(op.correlations(res), dense.T @ res, rtol=0, atol=1e-12)
         for idx in (0, 5, op.shape[1] - 1):
             assert np.allclose(op.columns([idx])[:, 0], dense[:, idx])
         assert np.allclose(op.column_norms(), np.linalg.norm(dense, axis=0))
 
-        # same operator with a tiny cap exercises the chunked/per-column paths
-        tiny = LevelOperator(blocks=op.blocks, n=op.n,
-                             row_offsets=op.row_offsets,
-                             total_rows=op.total_rows, cap=8)
-        assert np.allclose(tiny.matvec(c), dense @ c)
-        assert np.allclose(tiny.correlations(res), dense.T @ res)
+    def test_triple_correlations_cross_column_chunks(self):
+        # C(31, 3) = 4495 columns: the chunked gather runs past one 4096 chunk
+        sch = synth.single_attribute_schema(31)
+        B = build_sensing(sch, 9, seed=5, scale=9 ** -0.5)
+        op = B.operator(3)
+        assert op.shape[1] == 4495
+        res = np.random.default_rng(2).standard_normal(op.shape[0])
+        dense = op.materialize()
+        assert np.allclose(op.correlations(res), dense.T @ res, rtol=0, atol=1e-12)
+
+    def test_integer_matvec_exact(self):
+        # integer blocks and counts stay int64 and match the dense product exactly
+        sch = synth.small_schema(ks=(9, 8))
+        B = build_sensing(sch, 12, seed=6, scale=3.0)
+        for n in (1, 2, 3):
+            op = B.operator(n)
+            c = np.zeros(op.shape[1], dtype=np.int64)
+            c[::3] = np.arange(1, c[::3].size + 1) * 10**6
+            got = op.matvec(c)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, op.materialize() @ c)
+            assert np.array_equal(op.matvec(np.zeros_like(c)), np.zeros(op.shape[0], np.int64))
 
     def test_omp_works_matrix_free(self):
         from ngram_graph.recovery import omp_recover
-        from ngram_graph.sensing import LevelOperator
 
         sch = synth.single_attribute_schema(16)
         B = build_sensing(sch, 60, seed=8, scale=60 ** -0.5)
-        base = B.operator(2)
-        tiny = LevelOperator(blocks=base.blocks, n=2,
-                             row_offsets=base.row_offsets,
-                             total_rows=base.total_rows, cap=4)
+        op = B.operator(2)
         rng = np.random.default_rng(1)
-        c = np.zeros(tiny.shape[1])
-        c[rng.choice(tiny.shape[1], 3, replace=False)] = [1.0, 3.0, 2.0]
-        f = tiny.matvec(c)
-        res = omp_recover(f, tiny, sparsity=3)
+        c = np.zeros(op.shape[1])
+        c[rng.choice(op.shape[1], 3, replace=False)] = [1.0, 3.0, 2.0]
+        f = op.matvec(c)
+        res = omp_recover(f, op, sparsity=3)
         assert np.allclose(res.c_hat, c, atol=1e-8)
 
 
