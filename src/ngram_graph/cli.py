@@ -105,6 +105,18 @@ def _config_defaults(ctx: click.Context, param, path) -> None:
     ctx.default_map = defaults
 
 
+class _IntList(click.ParamType):
+    """Comma-separated integers (``50,100``) as a tuple; empty items are skipped."""
+
+    name = "integers"
+
+    def convert(self, value, param, ctx):
+        try:
+            return tuple(int(x) for x in str(value).split(",") if x)
+        except ValueError:
+            self.fail(f"{value!r} is not a comma-separated list of integers", param, ctx)
+
+
 _config_option = click.option(
     "--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
     expose_value=False, callback=_config_defaults,
@@ -234,7 +246,7 @@ def featurize_cmd(input_path, out, schema_key):
 @click.option("--r", default=100, show_default=True)
 @click.option("--aggregator", default="sum", show_default=True,
               type=click.Choice(["sum", "mean"]))
-@click.option("--hidden", default="100", show_default=True,
+@click.option("--hidden", default="100", show_default=True, type=_IntList(),
               help="comma-separated hidden layer sizes")
 @click.option("--epochs", default=100, show_default=True)
 @click.option("--batch-size", default=256, show_default=True)
@@ -247,9 +259,8 @@ def train_vertex_cmd(graphs_path, out, schema_key, r, aggregator, hidden,
     seed = seed if seed is not None else _seed_default()
     schema = BUNDLED_SCHEMAS[schema_key]
     graphs = _load_graphs(graphs_path, schema)
-    hidden_sizes = tuple(int(h) for h in hidden.split(",") if h)
     cfg = CbowConfig(
-        r=r, aggregator=aggregator, hidden=hidden_sizes, epochs=epochs,
+        r=r, aggregator=aggregator, hidden=hidden, epochs=epochs,
         batch_size=batch_size, learning_rate=lr, seed=seed,
     )
     emb, report = train_on_graphs(graphs, schema, cfg,
@@ -265,7 +276,7 @@ def train_vertex_cmd(graphs_path, out, schema_key, r, aggregator, hidden,
     _write_sidecar(out, _manifest(
         "train-vertex",
         {"schema": schema_key, "r": cfg.r, "aggregator": cfg.aggregator,
-         "hidden": list(hidden_sizes), "epochs": cfg.epochs,
+         "hidden": list(hidden), "epochs": cfg.epochs,
          "batch_size": cfg.batch_size, "lr": cfg.learning_rate, "seed": seed},
         {"graphs": graphs_path},
     ))
@@ -509,8 +520,8 @@ def eval_cmd(graphs_path, schema_key, features_path, model_path, embedding_path,
 @click.option("--graphs", "graphs_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @_schema_option
-@click.option("--r-grid", default="50,100", show_default=True)
-@click.option("--t-grid", default="2,4,6", show_default=True)
+@click.option("--r-grid", default="50,100", show_default=True, type=_IntList())
+@click.option("--t-grid", default="2,4,6", show_default=True, type=_IntList())
 @_mode_option
 @_variant_option
 @click.option("--folds", default=5, show_default=True)
@@ -527,11 +538,9 @@ def sweep(graphs_path, schema_key, r_grid, t_grid, mode, variant, folds, task,
     schema = BUNDLED_SCHEMAS[schema_key]
     graphs = _load_graphs(graphs_path, schema)
     y = _labels_for(graphs)
-    rs = [int(x) for x in r_grid.split(",") if x]
-    ts = [int(x) for x in t_grid.split(",") if x]
     rows = []
-    for r in rs:
-        for T in ts:
+    for r in r_grid:
+        for T in t_grid:
             cfg = PipelineConfig(embedding=mode, r=r, T=T, variant=variant,
                                  task=task, metric=metric, lam=lam, seed=seed)
             report = kfold_cv(graphs, y, schema, cfg, folds=folds, seed=seed)
@@ -551,9 +560,9 @@ def sweep(graphs_path, schema_key, r_grid, t_grid, mode, variant, folds, task,
         Path(out).write_text(table, encoding="utf-8")
         _write_sidecar(out, _manifest(
             "sweep",
-            {"r_grid": rs, "t_grid": ts, "mode": mode, "variant": variant,
-             "folds": folds, "task": task, "metric": metric, "lam": lam,
-             "seed": seed},
+            {"r_grid": list(r_grid), "t_grid": list(t_grid), "mode": mode,
+             "variant": variant, "folds": folds, "task": task, "metric": metric,
+             "lam": lam, "seed": seed},
             {"graphs": graphs_path},
         ))
 

@@ -1,10 +1,13 @@
 """K-fold evaluation of embedding + linear-model pipelines.
 
-When the vertex embedding is trained, it is trained inside each training
-fold only; the trained matrix remembers which rows it saw and refuses to
-score rows it was trained on. Random embeddings are label-free, so the
-corpus is embedded once and every fold slices its rows. Features can be exported to CSV/binary with a manifest
-sufficient to reproduce them.
+Rows embed independently of their batch mates, so a corpus is embedded
+once per vertex embedding and every fold scores row slices of that one
+matrix. A random embedding is label-free and serves every fold. A trained
+embedding is trained inside each training fold only; it remembers which
+rows it saw, and a fold refuses to score rows it was trained on. The linear
+head's lambda, when not given, is picked per training fold by an inner
+``kfold_features`` over ``LAMBDA_GRID``. Features can be exported to
+CSV/binary with a manifest sufficient to reproduce them.
 """
 
 from __future__ import annotations
@@ -114,39 +117,27 @@ def fold_indices(n: int, folds: int, seed: int, labels=None, stratified: bool = 
 
 
 def _select_lambda(X, y, task, penalty, metric, seed) -> float:
-    """3-fold inner search over LAMBDA_GRID; falls back to 1e-3 when tiny."""
-    classes = np.unique(y)
-    if X.shape[0] < 6 or (task == "logistic" and classes.size < 2):
+    """The LAMBDA_GRID value with the best 3-fold ``kfold_features`` mean; the
+    first wins a tie. Falls back to 1e-3 when the data is too small or no
+    lambda scores."""
+    if X.shape[0] < 6 or (task == "logistic" and np.unique(y).size < 2):
         return 1e-3
-    best_lam, best_score = None, None
+    best_lam, best_score = 1e-3, None
     sign = 1.0 if _higher_is_better(metric) else -1.0
-    splits = fold_indices(X.shape[0], 3, seed, labels=y, stratified=task == "logistic")
     for lam in LAMBDA_GRID:
-        scores = []
-        for tr, te in splits:
-            try:
-                model = fit(X[tr], y[tr], task=task, lam=lam, penalty=penalty,
-                            max_iter=300)
-            except DegenerateLabels:
-                continue
-            val = compute_metric(metric, y[te], model.decision(X[te]))
-            if val is not None:
-                scores.append(val)
-        if not scores:
-            continue
-        mean = float(np.mean(scores))
-        if best_score is None or sign * mean > sign * best_score:
-            best_score, best_lam = mean, lam
-    return best_lam if best_lam is not None else 1e-3
+        score = kfold_features(X, y, task, metric, folds=3, seed=seed, lam=lam,
+                               penalty=penalty, stratified=task == "logistic").mean
+        if score is not None and (best_score is None or sign * score > sign * best_score):
+            best_score, best_lam = score, lam
+    return best_lam
 
 
-def _score_fold(X_tr, y_tr, X_te, y_te, task, metric, lam, penalty, seed,
-                max_iter=2000):
+def _score_fold(X_tr, y_tr, X_te, y_te, task, metric, lam, penalty, seed):
     """Fit on a training fold (lambda by inner CV when None); score its test fold."""
     if lam is None:
         lam = _select_lambda(X_tr, y_tr, task, penalty, metric, seed)
     try:
-        model = fit(X_tr, y_tr, task=task, lam=lam, penalty=penalty, max_iter=max_iter)
+        model = fit(X_tr, y_tr, task=task, lam=lam, penalty=penalty)
     except DegenerateLabels:
         return None
     return compute_metric(metric, y_te, model.decision(X_te))
@@ -162,14 +153,13 @@ def kfold_features(
     lam: float | None = None,
     penalty: str = "squared-l2",
     stratified: bool = False,
-    max_iter: int = 2000,
 ) -> EvalReport:
     """Cross-validate a linear model on a fixed feature matrix."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     splits = fold_indices(X.shape[0], folds, seed, labels=y, stratified=stratified)
-    values = [_score_fold(X[tr], y[tr], X[te], y[te], task, metric, lam, penalty, seed,
-                          max_iter) for tr, te in splits]
+    values = [_score_fold(X[tr], y[tr], X[te], y[te], task, metric, lam, penalty, seed)
+              for tr, te in splits]
     return EvalReport(metric=metric, fold_values=values, task=task)
 
 
@@ -208,9 +198,10 @@ def kfold_cv(
 ) -> EvalReport:
     """End-to-end cross-validation: embed, fit and score every fold.
 
-    A random embedding is the same in every fold and rows embed
-    independently, so the corpus is embedded once and ``kfold_features``
-    scores the folds on row slices of that one matrix.
+    Rows embed independently, so the corpus is embedded once per embedding
+    and folds score row slices: a random embedding is the same in every
+    fold, so ``kfold_features`` scores all folds on one matrix; a trained
+    embedding is trained per fold, and that fold's matrix is sliced.
     """
     cfg = cfg or PipelineConfig()
     y = np.asarray(labels, dtype=np.float64).ravel()
@@ -232,9 +223,8 @@ def kfold_cv(
     for fold, (tr, te) in enumerate(splits):
         emb = _fold_embedding(graphs, tr, schema, cfg, fold)
         _check_no_leakage(emb, te)
-        X_tr, _ = embed_corpus([graphs[i] for i in tr], emb, **embed)
-        X_te, _ = embed_corpus([graphs[i] for i in te], emb, **embed)
-        values.append(_score_fold(X_tr, y[tr], X_te, y[te], cfg.task, cfg.metric,
+        X, _ = embed_corpus(graphs, emb, **embed)
+        values.append(_score_fold(X[tr], y[tr], X[te], y[te], cfg.task, cfg.metric,
                                   cfg.lam, cfg.penalty, seed))
     return EvalReport(metric=cfg.metric, fold_values=values, task=cfg.task)
 

@@ -1,15 +1,17 @@
 """Vertex-attributed graph data model and canonical JSON interchange.
 
 Graphs are immutable after construction. The edge relation is undirected
-and binary: it is held as a canonical edge list (u < v, sorted, for
-serialization) and as one CSR adjacency (``indptr``/``indices``, each row
-in ascending order) that every neighbour lookup reads. :func:`stack_graphs`
-lays a corpus out as one block-diagonal CSR, the adjacency that the walk
-engine and the CBOW context sums multiply with.
+and binary and has one representation: a CSR adjacency (``indptr``/
+``indices``, each row in ascending order) built from the edge list. Every
+neighbour lookup reads it, and the canonical edge list (u < v, sorted, for
+serialization) is its upper triangle. :func:`stack_graphs` lays a corpus
+out as one block-diagonal CSR, the adjacency that the walk engine and the
+CBOW context sums multiply with.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -43,11 +45,10 @@ class MolecularGraph:
     """An attributed graph: m x S table of value indices plus edges.
 
     ``edges`` keeps pairs exactly as given (so validation can report
-    self-loops and duplicates); use :meth:`canonical_edges` for the
-    deduplicated u < v list. ``indptr``/``indices`` are the symmetric CSR
-    adjacency: the neighbours of i are ``indices[indptr[i]:indptr[i + 1]]``,
-    ascending. ``raw_adjacency`` is only set when the graph was built from a
-    dense matrix and is consulted by validation.
+    self-loops and duplicates). ``indptr``/``indices`` are the symmetric CSR
+    adjacency of its proper, deduplicated pairs: the neighbours of i are
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending. Every other view of the
+    edges (:meth:`canonical_edges`, :attr:`num_edges`) is read off the CSR.
     """
 
     num_vertices: int
@@ -56,10 +57,8 @@ class MolecularGraph:
     label: float | None = None
     graph_id: str | None = None
     schema_fingerprint: str | None = None
-    raw_adjacency: np.ndarray | None = None
     indptr: np.ndarray = field(init=False, repr=False, compare=False)
     indices: np.ndarray = field(init=False, repr=False, compare=False)
-    _canonical: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         attr = np.asarray(self.attr, dtype=np.int64)
@@ -84,31 +83,22 @@ class MolecularGraph:
         both = np.sort(np.concatenate([key, v * m + u]))  # both orientations
         indices = both % max(m, 1)
         indptr = np.searchsorted(both, np.arange(m + 1, dtype=np.int64) * m)
-        canonical = np.stack([u, v], axis=1)
-        for name, arr in (("_canonical", canonical), ("indptr", indptr), ("indices", indices)):
+        for name, arr in (("indptr", indptr), ("indices", indices)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_adjacency(cls, attr, adjacency, **kw) -> "MolecularGraph":
-        """Build from a dense 0/1 matrix; the raw matrix is kept for validation."""
-        adjacency = np.asarray(adjacency)
-        attr = np.asarray(attr, dtype=np.int64)
-        m = attr.shape[0]
-        edges = np.stack(np.nonzero(np.triu(adjacency, k=1)), axis=1)
-        return cls(num_vertices=m, attr=attr, edges=edges, raw_adjacency=adjacency, **kw)
 
     # -- basic structure -------------------------------------------------------
 
     @property
     def num_edges(self) -> int:
-        return int(self._canonical.shape[0])
+        return int(self.indices.size // 2)
 
     def canonical_edges(self) -> np.ndarray:
-        """Deduplicated in-range edges with u < v, sorted lexicographically."""
-        return self._canonical
+        """Deduplicated in-range edges with u < v, sorted lexicographically:
+        the CSR's upper triangle, read row by row."""
+        rows = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.degrees())
+        upper = self.indices > rows
+        return np.stack([rows[upper], self.indices[upper]], axis=1)
 
     def neighbors(self, i: int) -> np.ndarray:
         """Neighbours of vertex i in ascending order (a read-only CSR row)."""
@@ -123,23 +113,15 @@ class MolecularGraph:
         return np.diff(self.indptr)
 
     def replace(self, **kw) -> "MolecularGraph":
-        base = dict(
-            num_vertices=self.num_vertices,
-            attr=self.attr,
-            edges=self.edges,
-            label=self.label,
-            graph_id=self.graph_id,
-            schema_fingerprint=self.schema_fingerprint,
-            raw_adjacency=self.raw_adjacency,
-        )
-        base.update(kw)
-        return MolecularGraph(**base)
+        """A copy with the given fields changed; the CSR is rebuilt."""
+        return dataclasses.replace(self, **kw)
 
     def structurally_equal(self, other: "MolecularGraph") -> bool:
         return (
             self.num_vertices == other.num_vertices
             and np.array_equal(self.attr, other.attr)
-            and np.array_equal(self._canonical, other._canonical)
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
             and self.label == other.label
             and self.graph_id == other.graph_id
         )
@@ -199,17 +181,6 @@ def validate_graph(g: MolecularGraph, schema: AttributeSchema) -> ValidationRepo
         for (a, b), cnt in zip(pairs[counts > 1].tolist(), counts[counts > 1].tolist()):
             bad.append(f"duplicate edge ({a},{b}) listed {cnt} times")
 
-    if g.raw_adjacency is not None:
-        a = np.asarray(g.raw_adjacency)
-        if a.shape != (m, m):
-            bad.append(f"adjacency shape {a.shape} != ({m},{m})")
-        else:
-            if not np.array_equal(a, a.T):
-                bad.append("adjacency not symmetric")
-            bad.extend(f"self-loop@{i}" for i in np.flatnonzero(np.diag(a)))
-            if not np.isin(a, (0, 1)).all():
-                bad.append("adjacency entries outside {0,1}")
-
     return ValidationReport(tuple(bad))
 
 
@@ -230,11 +201,7 @@ def permute(g: MolecularGraph, pi) -> MolecularGraph:
         raise GraphError("pi is not a bijection on [0, m)")
     new_attr = np.empty_like(g.attr)
     new_attr[pi] = g.attr
-    raw = None
-    if g.raw_adjacency is not None:
-        inv = inverse_permutation(pi)
-        raw = g.raw_adjacency[np.ix_(inv, inv)]
-    return g.replace(attr=new_attr, edges=pi[g.edges], raw_adjacency=raw)
+    return g.replace(attr=new_attr, edges=pi[g.edges])
 
 
 def inverse_permutation(pi) -> np.ndarray:

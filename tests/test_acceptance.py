@@ -148,11 +148,9 @@ class TestAcceptance:
             return (X - mu) / sd
 
         auc_c = kfold_features(standardize(C), labels, task="logistic",
-                               metric="roc-auc", folds=5, seed=0, lam=1e-6,
-                               max_iter=800).mean
+                               metric="roc-auc", folds=5, seed=0, lam=1e-6).mean
         auc_f = kfold_features(standardize(F), labels, task="logistic",
-                               metric="roc-auc", folds=5, seed=0, lam=1e-6,
-                               max_iter=800).mean
+                               metric="roc-auc", folds=5, seed=0, lam=1e-6).mean
         gap = abs(auc_c - auc_f)
         ok = auc_c >= 0.85 and auc_f >= 0.85 and gap <= 0.05
         _report(6, ok, f"logistic on counts {auc_c:.4f} vs on embeddings "

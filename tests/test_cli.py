@@ -733,6 +733,27 @@ class TestConfig:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, name, option, value", [
+        ("sweep", "r_grid", "--r-grid", "abc"),
+        ("sweep", "t_grid", "--t-grid", "2,x"),
+        ("sweep", "r_grid", "--r-grid", "8,x"),
+        ("train-vertex", "hidden", "--hidden", "a,b"),
+    ])
+    def test_malformed_integer_list_exits_two(self, config_workspace, capsys, command,
+                                              name, option, value):
+        argv = _argv(config_workspace, command, without=name)
+        expected = f"error: Invalid value for '{option}': '{value}' is not a comma-separated"
+        assert main(argv + [option, value]) == 2
+        assert capsys.readouterr().err.startswith(expected)
+        assert _run_with_config(argv, {name: value}) == 2
+        assert capsys.readouterr().err.startswith(expected)
+
+    def test_integer_list_skips_empty_items(self, config_workspace):
+        argv = _argv(config_workspace, "sweep", without="r_grid", extra=["-o", "s.csv"])
+        assert _run_with_config(argv, {"r_grid": ",4,,"}) == 0
+        params = json.loads(Path("s.csv.manifest.json").read_text())["params"]
+        assert (params["r_grid"], params["t_grid"]) == ([4], [1])
+
     def test_unreadable_config_exits_two(self, config_workspace, capsys):
         Path("cfg.json").write_text("{not json")
         assert main(_argv(config_workspace, "fit") + ["--config", "cfg.json"]) == 2

@@ -3,9 +3,12 @@ import pytest
 
 import ngram_graph as ng
 from ngram_graph import PipelineConfig, export_features, kfold_cv, load_features
+from ngram_graph import crossval
 from ngram_graph.crossval import (
+    LAMBDA_GRID,
     LeakageError,
     _check_no_leakage,
+    _select_lambda,
     fold_indices,
     kfold_features,
     manifest_hash,
@@ -68,6 +71,32 @@ class TestKfoldFeatures:
         y = (X[:, 0] > 0).astype(float)
         report = kfold_features(X, y, folds=5, seed=0, lam=None)
         assert report.mean >= 0.9
+
+
+class TestSelectLambda:
+    @pytest.mark.parametrize("metric, scores, expected", [
+        ("roc-auc", [None, 0.7, 0.9, 0.9, 0.8, 0.9], 1e-2),
+        ("rmse", [0.3, 0.2, 0.2, None, 0.25, 0.2], 1e-3),
+        ("roc-auc", [None] * 6, 1e-3),
+    ])
+    def test_first_best_lambda_wins_a_tie(self, monkeypatch, metric, scores, expected):
+        by_lam = dict(zip(LAMBDA_GRID, scores))
+
+        def scripted(X, y, task, metric, folds, seed, lam, penalty, stratified):
+            assert (folds, stratified) == (3, task == "logistic")
+            return ng.EvalReport(metric, [by_lam[lam]])
+
+        monkeypatch.setattr(crossval, "kfold_features", scripted)
+        X, y = np.zeros((8, 2)), np.arange(8.0) % 2
+        assert _select_lambda(X, y, "logistic", "squared-l2", metric, seed=0) == expected
+
+    def test_single_class_inner_folds_fall_back(self):
+        # the one positive leaves its test fold's training rows single-class and
+        # the other two test folds without a positive: no lambda scores a fold
+        X = np.random.default_rng(3).standard_normal((9, 2))
+        y = np.zeros(9)
+        y[4] = 1.0
+        assert _select_lambda(X, y, "logistic", "squared-l2", "roc-auc", seed=0) == 1e-3
 
 
 class TestKfoldPipeline:

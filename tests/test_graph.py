@@ -30,13 +30,6 @@ class TestValidation:
         report = validate_graph(g, schema)
         assert any("out of range" in v for v in report.violations)
 
-    def test_asymmetric_dense_adjacency(self, schema):
-        a = np.zeros((3, 3), dtype=np.int64)
-        a[0, 1] = 1  # missing the mirror entry
-        g = MolecularGraph.from_adjacency(np.zeros((3, 2), dtype=np.int64), a)
-        report = validate_graph(g, schema)
-        assert any("not symmetric" in v for v in report.violations)
-
     def test_duplicate_edge_reported(self, schema):
         g = MolecularGraph(
             num_vertices=2, attr=[[0, 0], [0, 0]], edges=[[0, 1], [1, 0]]
@@ -100,6 +93,19 @@ class TestAdjacency:
             assert g.neighbors(u).tolist() == np.flatnonzero(a[u]).tolist()
             for v in range(m):
                 assert g.has_edge(u, v) == bool(a[u, v])
+        upper = np.argwhere(np.triu(a, 1))
+        assert np.array_equal(g.canonical_edges(), upper)
+        assert g.canonical_edges().shape == (g.num_edges, 2) == upper.shape
+
+    def test_replace_keeps_fields_and_rebuilds_csr(self, schema):
+        g = MolecularGraph(num_vertices=3, attr=[[0, 0]] * 3, edges=[[0, 1], [1, 2]],
+                           label=1.0, graph_id="g", schema_fingerprint=schema.fingerprint)
+        h = g.replace(edges=[[2, 0]])
+        assert (h.label, h.graph_id, h.schema_fingerprint) == (1.0, "g", schema.fingerprint)
+        assert np.array_equal(h.attr, g.attr)
+        assert h.indptr.tolist() == [0, 1, 1, 2] and h.indices.tolist() == [2, 0]
+        assert h.canonical_edges().tolist() == [[0, 2]] and h.num_edges == 1
+        assert g.indices.tolist() == [1, 0, 2, 1]  # the original is untouched
 
     def test_path_graph_memory_linear_in_vertices(self):
         # a 32k-vertex path; an m^2 adjacency layout would retain ~64 MiB
