@@ -511,6 +511,15 @@ def eval_cmd(graphs_path, schema_key, features_path, model_path, embedding_path,
         report = kfold_cv(graphs, y, schema, cfg, folds=folds, seed=seed,
                           stratified=stratified)
     click.echo(json.dumps(report.to_dict()))
+    _warn_unconverged(report)
+
+
+def _warn_unconverged(report, where: str = "") -> None:
+    """Name cross-validation fits, lambda-search fits included, that did not
+    converge; their scores are kept."""
+    if report.unconverged:
+        click.echo(f"warning: {report.unconverged} fits did not converge{where}",
+                   err=True)
 
 
 # -- sweep ----------------------------------------------------------------------------
@@ -546,6 +555,7 @@ def sweep(graphs_path, schema_key, r_grid, t_grid, mode, variant, folds, task,
             report = kfold_cv(graphs, y, schema, cfg, folds=folds, seed=seed)
             rows.append((r, T, report))
             click.echo(f"r={r} T={T} {report}", err=True)
+            _warn_unconverged(report, f" (r={r} T={T})")
     header = ["r", "T"] + [f"fold_{i}" for i in range(folds)] + ["mean", "std"]
     lines = [",".join(header)]
     for r, T, report in rows:

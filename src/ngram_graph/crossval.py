@@ -54,6 +54,7 @@ class EvalReport:
     metric: str
     fold_values: list
     task: str = "logistic"
+    unconverged: int = 0  # fits, lambda-search fits included, that did not converge
 
     @property
     def values(self) -> list:
@@ -104,8 +105,7 @@ def fold_indices(n: int, folds: int, seed: int, labels=None, stratified: bool = 
         for cls in np.unique(labels):
             members = np.nonzero(labels == cls)[0]
             members = members[rng.permutation(members.size)]
-            for i, idx in enumerate(members):
-                assign[idx] = (pos + i) % folds
+            assign[members] = (pos + np.arange(members.size)) % folds
             pos += members.size
     else:
         order = rng.permutation(n)
@@ -116,31 +116,42 @@ def fold_indices(n: int, folds: int, seed: int, labels=None, stratified: bool = 
     ]
 
 
-def _select_lambda(X, y, task, penalty, metric, seed) -> float:
-    """The LAMBDA_GRID value with the best 3-fold ``kfold_features`` mean; the
-    first wins a tie. Falls back to 1e-3 when the data is too small or no
-    lambda scores."""
+def _select_lambda(X, y, task, penalty, metric, seed) -> tuple[float, int]:
+    """The LAMBDA_GRID value with the best 3-fold ``kfold_features`` mean (the
+    first wins a tie) and the number of its inner fits that did not converge.
+    Falls back to 1e-3 when the data is too small or no lambda scores."""
     if X.shape[0] < 6 or (task == "logistic" and np.unique(y).size < 2):
-        return 1e-3
-    best_lam, best_score = 1e-3, None
+        return 1e-3, 0
+    best_lam, best_score, unconverged = 1e-3, None, 0
     sign = 1.0 if _higher_is_better(metric) else -1.0
     for lam in LAMBDA_GRID:
-        score = kfold_features(X, y, task, metric, folds=3, seed=seed, lam=lam,
-                               penalty=penalty, stratified=task == "logistic").mean
+        inner = kfold_features(X, y, task, metric, folds=3, seed=seed, lam=lam,
+                               penalty=penalty, stratified=task == "logistic")
+        unconverged += inner.unconverged
+        score = inner.mean
         if score is not None and (best_score is None or sign * score > sign * best_score):
             best_score, best_lam = score, lam
-    return best_lam
+    return best_lam, unconverged
 
 
 def _score_fold(X_tr, y_tr, X_te, y_te, task, metric, lam, penalty, seed):
-    """Fit on a training fold (lambda by inner CV when None); score its test fold."""
+    """Fit on a training fold (lambda by inner CV when None) and score its test
+    fold; returns the score and the number of fits that did not converge."""
+    unconverged = 0
     if lam is None:
-        lam = _select_lambda(X_tr, y_tr, task, penalty, metric, seed)
+        lam, unconverged = _select_lambda(X_tr, y_tr, task, penalty, metric, seed)
     try:
         model = fit(X_tr, y_tr, task=task, lam=lam, penalty=penalty)
     except DegenerateLabels:
-        return None
-    return compute_metric(metric, y_te, model.decision(X_te))
+        return None, unconverged
+    unconverged += not model.report.converged
+    return compute_metric(metric, y_te, model.decision(X_te)), unconverged
+
+
+def _report(metric, task, scored) -> EvalReport:
+    """One report from ``_score_fold`` results."""
+    return EvalReport(metric=metric, fold_values=[v for v, _ in scored], task=task,
+                      unconverged=sum(u for _, u in scored))
 
 
 def kfold_features(
@@ -158,9 +169,9 @@ def kfold_features(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     splits = fold_indices(X.shape[0], folds, seed, labels=y, stratified=stratified)
-    values = [_score_fold(X[tr], y[tr], X[te], y[te], task, metric, lam, penalty, seed)
-              for tr, te in splits]
-    return EvalReport(metric=metric, fold_values=values, task=task)
+    return _report(metric, task, [
+        _score_fold(X[tr], y[tr], X[te], y[te], task, metric, lam, penalty, seed)
+        for tr, te in splits])
 
 
 def _fold_embedding(graphs, train_idx, schema, cfg: PipelineConfig, fold: int):
@@ -218,15 +229,15 @@ def kfold_cv(
                               stratified=stratified)
     if cfg.embedding != "trained":
         raise ValueError(f"unknown embedding source {cfg.embedding!r}")
-    values = []
+    scored = []
     splits = fold_indices(len(graphs), folds, seed, labels=y, stratified=stratified)
     for fold, (tr, te) in enumerate(splits):
         emb = _fold_embedding(graphs, tr, schema, cfg, fold)
         _check_no_leakage(emb, te)
         X, _ = embed_corpus(graphs, emb, **embed)
-        values.append(_score_fold(X[tr], y[tr], X[te], y[te], cfg.task, cfg.metric,
+        scored.append(_score_fold(X[tr], y[tr], X[te], y[te], cfg.task, cfg.metric,
                                   cfg.lam, cfg.penalty, seed))
-    return EvalReport(metric=cfg.metric, fold_values=values, task=cfg.task)
+    return _report(cfg.metric, cfg.task, scored)
 
 
 # -- feature export ---------------------------------------------------------------

@@ -2,10 +2,15 @@
 
 Fitting is a deterministic damped Newton solve with Armijo backtracking
 on the penalized objective; the accepted step never increases the
-objective. The penalty is either the squared l2 norm (smooth, default)
-or the plain l2 norm, whose optimality test at w = 0 uses the
-minimum-norm subgradient, so an optimum at w = 0 reports convergence. The
-intercept is never penalized.
+objective. Each Newton step builds the penalized Hessian and solves it
+with one LU factorization (least squares when it is singular). The
+penalty is either the squared l2 norm (smooth, default) or the plain l2
+norm. A plain-l2 fit starts at (0, b0), the best intercept-only point;
+when the loss gradient's weight part is within lam there, that point is
+the exact optimum and the fit stops. Otherwise one backtracked step along
+the minimum-norm subgradient leaves w = 0 below every intercept-only
+objective, so no later iterate comes back to w = 0, where the penalty is
+not differentiable. The intercept is never penalized.
 """
 
 from __future__ import annotations
@@ -133,27 +138,48 @@ def _objective_and_grad(theta, X, y, task, lam, penalty):
 
 
 def _newton_direction(theta, grad, X1, task, lam, penalty):
-    """Newton direction -H^-1 g; X1 is X with an intercept column appended."""
+    """Newton direction -H^-1 g, from one LU solve; X1 is X with an intercept
+    column appended. Unsquared-l2 iterates never sit at w = 0 (see ``fit``)."""
+    if task == "logistic":
+        p = _sigmoid(X1 @ theta)
+        Xs = X1 * np.sqrt(p * (1.0 - p))[:, None]
+        H = Xs.T @ Xs
+    else:
+        H = X1.T @ X1
+    H /= X1.shape[0]
+    k = theta.size - 1
+    if penalty == "squared-l2":
+        H.ravel()[: k * (k + 2): k + 2] += 2.0 * lam  # the diagonal of H[:-1, :-1]
+    else:  # lam / ||w|| * (I - u u^T), u = w / ||w||; uu holds u u^T - I
+        w = theta[:-1]
+        wnorm = float(np.linalg.norm(w))
+        uu = np.outer(w / wnorm, w / wnorm)
+        uu.ravel()[:: k + 1] -= 1.0
+        H[:-1, :-1] -= lam / wnorm * uu
+    try:
+        d = -np.linalg.solve(H, grad)
+    except np.linalg.LinAlgError:  # singular Hessian: least-squares solution
+        d = -np.linalg.lstsq(H, grad, rcond=None)[0]
+    return d if float(grad @ d) < 0 else -grad
+
+
+def _leave_zero(theta, grad, X1, task, lam):
+    """Step off w = 0 for the plain l2 norm: the direction -s along the
+    minimum-norm subgradient s = (g_w (1 - lam / ||g_w||), 0), the true slope
+    -||s||^2 (``grad @ d`` leaves out the penalty's +lam ||d_w||) and the
+    Cauchy step length of the quadratic model. A slope of 0 means w = 0 is
+    optimal."""
+    gw = grad[:-1]
+    gnorm = float(np.linalg.norm(gw))
+    if gnorm <= lam:
+        return np.zeros_like(theta), 0.0, 0.0
+    d = np.r_[-gw * (1.0 - lam / gnorm), 0.0]
     D = 1.0
     if task == "logistic":
         p = _sigmoid(X1 @ theta)
         D = p * (1.0 - p)
-    H = (X1.T * D) @ X1 / X1.shape[0]
-    w = theta[:-1]
-    wnorm = float(np.linalg.norm(w))
-    if penalty == "squared-l2":
-        H[:-1, :-1] += 2.0 * lam * np.eye(w.size)
-    elif wnorm > 0:
-        u = w / wnorm
-        H[:-1, :-1] += lam / wnorm * (np.eye(w.size) - np.outer(u, u))
-    elif np.linalg.norm(grad[:-1]) <= lam:  # w = 0 is optimal: move the intercept alone
-        return np.r_[np.zeros(w.size), -grad[-1] / H[-1, -1]]
-    try:
-        L = np.linalg.cholesky(H)
-        d = -np.linalg.solve(L.T, np.linalg.solve(L, grad))
-    except np.linalg.LinAlgError:  # singular Hessian: least-squares solution
-        d = -np.linalg.lstsq(H, grad, rcond=None)[0]
-    return d if float(grad @ d) < 0 else -grad
+    slope = -float(d @ d)
+    return d, slope, -slope / float(np.mean(D * (X1 @ d) ** 2))
 
 
 def _grad_norm(theta, grad, lam, penalty) -> float:
@@ -193,14 +219,21 @@ def fit(
 
     X1 = np.hstack([X, np.ones((X.shape[0], 1))])
     theta = np.zeros(X.shape[1] + 1)
+    if penalty == "unsquared-l2":  # (0, b0) minimizes the objective over w = 0
+        ybar = float(y.mean())
+        theta[-1] = np.log(ybar / (1.0 - ybar)) if task == "logistic" else ybar
     obj, grad = _objective_and_grad(theta, X, y, task, lam, penalty)
     report = FitReport(objective_trace=[obj])
     for it in range(1, max_iter + 1):
         if _grad_norm(theta, grad, lam, penalty) <= grad_tol:
             break
-        d = _newton_direction(theta, grad, X1, task, lam, penalty)
-        slope = float(grad @ d)
-        step = 1.0
+        if penalty == "squared-l2" or theta[:-1].any():
+            d = _newton_direction(theta, grad, X1, task, lam, penalty)
+            slope, step = float(grad @ d), 1.0
+        else:
+            d, slope, step = _leave_zero(theta, grad, X1, task, lam)
+            if slope == 0.0:  # w = 0 is optimal
+                break
         report.iterations = it
         for _ in range(80):
             cand = theta + step * d

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ngram_graph as ng
-from ngram_graph import cli
+from ngram_graph import cli, crossval
 from ngram_graph.cli import main
 from ngram_graph import recovery
 from ngram_graph.graph import dumps_graph, write_jsonl
@@ -547,6 +547,41 @@ class TestFitEval:
         out = json.loads(capsys.readouterr().out)
         assert len(out["fold_values"]) == 4
 
+    def test_eval_and_sweep_warn_on_unconverged_fits(self, labeled_setup, tmp_path,
+                                                     rng, capsys, monkeypatch):
+        _, gp, feats = labeled_setup
+        full = tmp_path / "full.jsonl"
+        with open(full, "w") as fh:
+            write_jsonl(_labeled_full_corpus(rng, 24), ng.FULL_SCHEMA, fh)
+        runs = [["eval", "--graphs", str(gp), "--features", str(feats),
+                 "--folds", "4", "--lam", "1e-3", "--seed", "1"],
+                ["sweep", "--graphs", str(full), "--r-grid", "4", "--t-grid", "1,2",
+                 "--mode", "random-gaussian", "--folds", "3", "--lam", "1e-3",
+                 "--seed", "0"]]
+        clean = []
+        for args in runs:
+            assert main(args) == 0
+            out, err = capsys.readouterr()
+            assert "warning" not in err
+            clean.append(out)
+        real_fit = crossval.fit
+
+        def unconverged(*a, **kw):
+            model = real_fit(*a, **kw)
+            model.report.converged = False
+            return model
+
+        monkeypatch.setattr(crossval, "fit", unconverged)
+        expected = [["warning: 4 fits did not converge"],
+                    ["warning: 3 fits did not converge (r=4 T=1)",
+                     "warning: 3 fits did not converge (r=4 T=2)"]]
+        for args, out_before, want in zip(runs, clean, expected):
+            assert main(args) == 0
+            out, err = capsys.readouterr()
+            assert out == out_before  # the JSON and the CSV table do not change
+            assert [line for line in err.splitlines()
+                    if line.startswith("warning:")] == want
+
     def test_eval_cv_with_fixed_embedding_file(self, labeled_setup, tmp_path,
                                                capsys):
         sch, gp, _ = labeled_setup
@@ -779,12 +814,15 @@ _STARTUP_PROBE = """
 import json, sys
 import numpy as np
 import ngram_graph.cli
-from ngram_graph import recovery
+from ngram_graph import linear, recovery
 loaded = {m: m in sys.modules for m in ("scipy.stats", "scipy.optimize")}
+X = np.array([[0.0, 1.0], [1.0, 0.5], [2.0, 2.0], [3.0, 1.0]])
+model = linear.fit(X, np.array([0.0, 0.0, 1.0, 1.0]), lam=1e-2)
+loaded["scipy.linalg"] = "scipy.linalg" in sys.modules
 A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
 res = recovery.omp_recover(A @ np.array([0.0, 2.0, 3.0]), A, sparsity=2)
-print(json.dumps({"loaded": loaded, "c_hat": res.c_hat.tolist(),
-                  "converged": bool(res.converged)}))
+print(json.dumps({"loaded": loaded, "fit_converged": bool(model.report.converged),
+                  "c_hat": res.c_hat.tolist(), "converged": bool(res.converged)}))
 """
 
 
@@ -794,7 +832,10 @@ def test_cli_import_skips_scipy_stats_and_optimize():
     out = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout
     doc = json.loads(out)
-    assert doc["loaded"] == {"scipy.stats": False, "scipy.optimize": False}
+    # a linear fit is numpy-only: scipy.linalg would add ~8 MiB of resident memory
+    assert doc["loaded"] == {"scipy.stats": False, "scipy.optimize": False,
+                             "scipy.linalg": False}
+    assert doc["fit_converged"]
     # the first recovery solve loads scipy.optimize and still solves
     assert doc["converged"]
     assert np.allclose(doc["c_hat"], [0.0, 2.0, 3.0])

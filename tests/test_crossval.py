@@ -47,6 +47,29 @@ class TestFolds:
         with pytest.raises(ValueError):
             fold_indices(3, 5, seed=0)
 
+    def test_stratified_matches_round_robin_loop(self):
+        def loop_form(n, folds, seed, labels):
+            rng = np.random.default_rng(seed)
+            assign = np.empty(n, dtype=np.int64)
+            pos = 0
+            for cls in np.unique(labels):
+                members = np.nonzero(labels == cls)[0]
+                members = members[rng.permutation(members.size)]
+                for i, idx in enumerate(members):
+                    assign[idx] = (pos + i) % folds
+                pos += members.size
+            return [(np.nonzero(assign != f)[0], np.nonzero(assign == f)[0])
+                    for f in range(folds)]
+
+        rng = np.random.default_rng(11)
+        for trial in range(100):
+            folds = int(rng.integers(2, 8))
+            n = int(rng.integers(folds, 200))
+            labels = rng.integers(0, int(rng.integers(1, 4)), size=n).astype(float)
+            got = fold_indices(n, folds, trial, labels=labels, stratified=True)
+            for (tr, te), (tr0, te0) in zip(got, loop_form(n, folds, trial, labels)):
+                assert np.array_equal(tr, tr0) and np.array_equal(te, te0)
+
 
 class TestKfoldFeatures:
     def test_constant_labels_regression_zero_rmse(self):
@@ -64,6 +87,22 @@ class TestKfoldFeatures:
         report = kfold_features(X, y, task="logistic", metric="roc-auc",
                                 folds=5, seed=0, lam=1e-3)
         assert None in report.fold_values or report.mean is not None
+
+    def test_unconverged_fits_are_counted(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((30, 3))
+        y = (X[:, 0] > 0).astype(float)
+        fixed = kfold_features(X, y, folds=5, seed=0, lam=1e-3)
+        searched = kfold_features(X, y, folds=5, seed=0, lam=None)
+        assert fixed.unconverged == searched.unconverged == 0
+        real_fit = crossval.fit
+        monkeypatch.setattr(crossval, "fit",
+                            lambda *args, **kw: real_fit(*args, **kw, max_iter=0))
+        stalled = kfold_features(X, y, folds=5, seed=0, lam=1e-3)
+        assert stalled.unconverged == 5
+        # one outer fit per fold plus 3 inner folds for every lambda
+        assert (kfold_features(X, y, folds=5, seed=0, lam=None).unconverged
+                == 5 * (1 + 3 * len(LAMBDA_GRID)))
 
     def test_lambda_grid_selection_runs(self):
         rng = np.random.default_rng(2)
@@ -84,11 +123,13 @@ class TestSelectLambda:
 
         def scripted(X, y, task, metric, folds, seed, lam, penalty, stratified):
             assert (folds, stratified) == (3, task == "logistic")
-            return ng.EvalReport(metric, [by_lam[lam]])
+            return ng.EvalReport(metric, [by_lam[lam]], unconverged=1)
 
         monkeypatch.setattr(crossval, "kfold_features", scripted)
         X, y = np.zeros((8, 2)), np.arange(8.0) % 2
-        assert _select_lambda(X, y, "logistic", "squared-l2", metric, seed=0) == expected
+        # every inner search's unconverged fits are counted
+        assert (_select_lambda(X, y, "logistic", "squared-l2", metric, seed=0)
+                == (expected, len(LAMBDA_GRID)))
 
     def test_single_class_inner_folds_fall_back(self):
         # the one positive leaves its test fold's training rows single-class and
@@ -96,7 +137,7 @@ class TestSelectLambda:
         X = np.random.default_rng(3).standard_normal((9, 2))
         y = np.zeros(9)
         y[4] = 1.0
-        assert _select_lambda(X, y, "logistic", "squared-l2", "roc-auc", seed=0) == 1e-3
+        assert _select_lambda(X, y, "logistic", "squared-l2", "roc-auc", seed=0) == (1e-3, 0)
 
 
 class TestKfoldPipeline:

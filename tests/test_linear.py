@@ -112,6 +112,38 @@ class TestFit:
         assert abs(model.intercept - (np.log(y.mean() / (1 - y.mean()))
                                       if task == "logistic" else y.mean())) <= 1e-8
 
+    def test_squared_l2_least_squares_equals_closed_form_ridge(self):
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((50, 7))
+        y = X @ rng.standard_normal(7) + 0.3 * rng.standard_normal(50) + 1.5
+        lam = 0.05
+        X1 = np.hstack([X, np.ones((50, 1))])
+        penalty = 2.0 * lam * np.diag(np.r_[np.ones(7), 0.0])  # intercept unpenalized
+        theta = np.linalg.solve(X1.T @ X1 / 50 + penalty, X1.T @ y / 50)
+        model = fit(X, y, task="least-squares", lam=lam)
+        assert model.report.converged
+        assert np.abs(np.r_[model.weights, model.intercept] - theta).max() <= 1e-10
+
+    def test_unsquared_l2_leaves_zero_when_it_is_not_optimal(self):
+        # sweep problem 45 of seed 101: the loss gradient's weight part exceeds
+        # lam at (0, b0), yet Newton steps on the smooth loss alone used to creep
+        # to ||w|| ~ 1e-14 and stall at the intercept-only objective log 2
+        rng = np.random.default_rng(101)
+        for _ in range(46):
+            n, d = int(rng.integers(8, 100)), int(rng.integers(1, 80))
+            k = int(rng.integers(-2, 3))
+            lam = float(rng.choice([1e-4, 1e-2, 1]))
+            X = rng.standard_normal((n, d)) * 10.0 ** k
+            y = (rng.random(n) < 0.5).astype(float)
+            if y.min() == y.max():
+                y[0] = 1 - y[0]
+            rng.standard_normal(n)  # the least-squares labels of the sweep
+        assert (n, d, k, lam) == (70, 76, -1, 0.01)
+        model = fit(X, y, task="logistic", lam=lam, penalty="unsquared-l2")
+        assert model.report.converged
+        assert np.linalg.norm(model.weights) > 0.1
+        assert model.report.objective < 0.43  # log 2 = 0.693 at w = 0
+
     def test_singular_hessian_takes_lstsq(self, monkeypatch):
         # a duplicated column with no penalty makes the Hessian singular
         rng = np.random.default_rng(9)
