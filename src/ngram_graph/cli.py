@@ -5,8 +5,8 @@ sufficient to regenerate it bit-identically. Exit codes: 0 success,
 1 numeric or validation failure, 2 I/O, parse or usage failure.
 ``--config FILE.json`` holds a JSON object of option defaults keyed by
 parameter or option name (``t_steps``, ``T``, ``level-scale``); they are
-checked like flags, and flags on the command line win. ``recover
---config`` names the recovery grid instead.
+checked like flags, and flags on the command line win. ``recover`` reads
+its recovery grid from ``--grid FILE.json``.
 """
 
 from __future__ import annotations
@@ -358,15 +358,23 @@ def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
 
 
 @cli.command()
+@click.option("--grid", "grid_path", type=click.Path(exists=True), default=None,
+              help="JSON grid file; defaults to the bundled desk-scale grid")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="JSON grid config; defaults to the bundled desk-scale grid")
+              help="deprecated alias of --grid")
 @click.option("-o", "--out", default=None, type=click.Path(dir_okay=False))
 @click.option("--jobs", default=1, show_default=True, help="worker process cap")
 @click.option("--seed", default=None, type=int)
-def recover(config_path, out, jobs, seed):
+def recover(grid_path, config_path, out, jobs, seed):
     """Monte-Carlo sparse-recovery success rates over an (r, k, n, s) grid."""
     if config_path:
-        doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        # --config holds option defaults on every other command
+        if grid_path:
+            raise click.UsageError("give the grid file once, as --grid")
+        click.echo("warning: recover --config is deprecated; use --grid", err=True)
+        grid_path = config_path
+    if grid_path:
+        doc = json.loads(Path(grid_path).read_text(encoding="utf-8"))
     else:
         doc = json.loads(
             importlib.resources.files("ngram_graph")
@@ -381,7 +389,7 @@ def recover(config_path, out, jobs, seed):
     click.echo(summarize_cells(cells))
     if out:
         write_cells_csv(out, cells)
-        inputs = {"config": config_path} if config_path else {}
+        inputs = {"grid": grid_path} if grid_path else {}
         _write_sidecar(out, _manifest("recover", {**doc, "seed": seed}, inputs))
 
 

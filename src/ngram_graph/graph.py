@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .schema import AttributeSchema
 
@@ -104,27 +103,12 @@ class MolecularGraph:
         """Neighbours of vertex i in ascending order (a read-only CSR row)."""
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        k = int(np.searchsorted(row, v))
-        return k < row.size and int(row[k]) == v
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
     def replace(self, **kw) -> "MolecularGraph":
         """A copy with the given fields changed; the CSR is rebuilt."""
         return dataclasses.replace(self, **kw)
-
-    def structurally_equal(self, other: "MolecularGraph") -> bool:
-        return (
-            self.num_vertices == other.num_vertices
-            and np.array_equal(self.attr, other.attr)
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-            and self.label == other.label
-            and self.graph_id == other.graph_id
-        )
 
 
 def stack_graphs(graphs):
@@ -140,6 +124,9 @@ def stack_graphs(graphs):
 
 def ones_csr(indptr, indices, ncols):
     """A 0/1 sparse matrix with the given CSR pattern, for products ``A @ X``."""
+    # imported here, so commands that make no sparse product never load it
+    import scipy.sparse
+
     data = np.ones(indices.size, dtype=np.int64)
     return scipy.sparse.csr_array((data, indices, indptr), shape=(indptr.size - 1, ncols))
 
@@ -202,13 +189,6 @@ def permute(g: MolecularGraph, pi) -> MolecularGraph:
     new_attr = np.empty_like(g.attr)
     new_attr[pi] = g.attr
     return g.replace(attr=new_attr, edges=pi[g.edges])
-
-
-def inverse_permutation(pi) -> np.ndarray:
-    pi = np.asarray(pi, dtype=np.int64)
-    inv = np.empty_like(pi)
-    inv[pi] = np.arange(pi.shape[0])
-    return inv
 
 
 # -- JSON graph documents -----------------------------------------------------

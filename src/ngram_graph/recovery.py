@@ -5,6 +5,12 @@ refit each step, and iterative soft thresholding on the l1 relaxation with
 an annealed threshold and a final support refit. Counts are nonnegative
 integers, so an estimate within 0.5 of the truth in every coordinate rounds
 to an exact recovery.
+
+The refit is an in-module Lawson-Hanson active-set solve (Lawson & Hanson,
+*Solving Least Squares Problems*, 1974, ch. 23; the algorithm scipy's
+``nnls`` implements) on the normal equations of the support columns, so
+recovery needs numpy only. Greedy pursuit grows those normal equations by
+one row per step instead of rebuilding them.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,10 +36,6 @@ class RecoveryResult:
     method: str
     iterations: int
 
-    @property
-    def approximate(self) -> bool:
-        return not self.converged
-
 
 def _operator_interface(op):
     """Accept either a LevelOperator or a plain dense matrix."""
@@ -43,12 +46,66 @@ def _operator_interface(op):
     return A.shape, (lambda res: A.T @ res), norms, (lambda cols: A[:, cols])
 
 
-def _nnls(A: np.ndarray, f: np.ndarray) -> np.ndarray:
-    # Imported at the first solve: loading scipy.optimize costs more than
-    # most ngg commands take, and only recovery uses it.
-    from scipy.optimize import nnls
+_EPS = np.finfo(np.float64).eps
 
-    return nnls(A, f)[0]
+
+def _nnls_gram(G: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The x >= 0 minimizing ||A x - f|| from the normal equations G = A^T A,
+    b = A^T f, by the Lawson-Hanson active-set method.
+
+    An unconstrained solve whose coefficients all clear the tolerance is
+    already optimal (the KKT conditions hold with no active bound), which is
+    the common case when the support holds the true counts. Otherwise, or
+    when G is singular, the passive-set loop runs from x = 0.
+    """
+    n = b.shape[0]
+    if n == 0:
+        return np.zeros(0)
+    tol = 10 * n * _EPS * float(abs(G).max())
+    try:
+        x = np.linalg.solve(G, b)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if x.min() > tol:
+            return x
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    w = b.copy()  # the negative gradient A^T (f - A x)
+    for _ in range(3 * n):
+        free = ~passive & (w > tol)
+        if not free.any():
+            break
+        j = int(np.argmax(np.where(free, w, -np.inf)))
+        passive[j] = True
+        s = _passive_lstsq(G, b, passive)
+        if s[j] <= 0:  # round-off let in a column that gives no descent
+            passive[j] = False
+            w[j] = 0.0
+            continue
+        while np.any(s[passive] <= 0):
+            # step from x towards s until the first passive coefficient hits 0
+            P = np.flatnonzero(passive)
+            blocked = P[s[P] <= 0]
+            ratios = x[blocked] / (x[blocked] - s[blocked])
+            x += ratios.min() * (s - x)
+            x[blocked[np.argmin(ratios)]] = 0.0
+            passive &= x > 0
+            x[~passive] = 0.0
+            s = _passive_lstsq(G, b, passive)
+        x = s
+        w = b - G @ x
+    return x
+
+
+def _passive_lstsq(G, b, passive):
+    """Least squares on the passive coefficients, zero elsewhere: lstsq, not
+    solve, since a column that depends on the others may have entered."""
+    s = np.zeros(b.shape[0])
+    P = np.flatnonzero(passive)
+    if P.size:
+        s[P] = np.linalg.lstsq(G[np.ix_(P, P)], b[P], rcond=None)[0]
+    return s
 
 
 def omp_recover(
@@ -65,6 +122,11 @@ def omp_recover(
     safe = np.where(norms > 0, norms, 1.0)
     coef = np.zeros(0)
     fnorm = max(np.linalg.norm(f), 1.0)
+    budget = max(min(int(sparsity), ncols), 0)
+    # the support's columns, their Gram matrix and A^T f, one more each step
+    A_s = np.empty((rows, budget), order="F")
+    G = np.empty((budget, budget))
+    Atf = np.empty(budget)
     it = 0
     for it in range(1, int(sparsity) + 1):
         if np.linalg.norm(residual) <= tol * fnorm:
@@ -76,10 +138,15 @@ def omp_recover(
         pick = int(np.argmax(corr >= corr.max() * (1 - 1e-9)))
         if not np.isfinite(corr[pick]):
             break
+        k = len(support)
         support.append(pick)
-        A_s = take(support).astype(np.float64)
-        coef = _nnls(A_s, f)
-        residual = f - A_s @ coef
+        A_s[:, k] = take([pick])[:, 0]
+        col = A_s[:, k]
+        G[k, :k] = G[:k, k] = col @ A_s[:, :k]
+        G[k, k] = col @ col
+        Atf[k] = col @ f
+        coef = _nnls_gram(G[: k + 1, : k + 1], Atf[: k + 1])
+        residual = f - A_s[:, : k + 1] @ coef
     c_hat = np.zeros(ncols)
     for s, x in zip(support, coef):
         c_hat[s] = x
@@ -145,8 +212,8 @@ def ista_recover(
     support = np.nonzero(np.abs(x) > ISTA_SUPPORT_THRESHOLD)[0]
     c_hat = np.zeros(A.shape[1])
     if support.size:
-        coef = _nnls(A[:, support], f)
-        c_hat[support] = coef
+        A_S = A[:, support]
+        c_hat[support] = _nnls_gram(A_S.T @ A_S, A_S.T @ f)
     res_norm = float(np.linalg.norm(f - A @ c_hat))
     return RecoveryResult(
         c_hat=c_hat,
@@ -229,6 +296,7 @@ class RecoveryCell:
         return self.successes / self.trials if self.trials else 0.0
 
 
+@lru_cache(maxsize=64)
 def _single_attribute_schema(k: int) -> AttributeSchema:
     return AttributeSchema.from_pairs(
         [("value", tuple(f"v{i}" for i in range(k)))], name=f"synthetic-k{k}"

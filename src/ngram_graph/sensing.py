@@ -12,6 +12,7 @@ come from one k x k Gram product per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from math import comb
 
@@ -73,11 +74,11 @@ class LevelOperator:
     row_offsets: tuple
     total_rows: int
 
-    @property
+    @cached_property
     def col_dims(self) -> tuple:
         return tuple(comb(U.shape[1], self.n) for U in self.blocks)
 
-    @property
+    @cached_property
     def col_offsets(self) -> tuple:
         return tuple(accumulate(self.col_dims, initial=0))[:-1]
 

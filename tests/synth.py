@@ -72,6 +72,23 @@ def dense_adjacency(g):
     return a
 
 
+def has_edge(g, u, v) -> bool:
+    """Whether v is in the graph's CSR row of u."""
+    return bool(np.any(g.neighbors(u) == v))
+
+
+def structurally_equal(g, h) -> bool:
+    """Same vertex count, attributes, adjacency, label and id."""
+    return (
+        g.num_vertices == h.num_vertices
+        and np.array_equal(g.attr, h.attr)
+        and np.array_equal(g.indptr, h.indptr)
+        and np.array_equal(g.indices, h.indices)
+        and g.label == h.label
+        and g.graph_id == h.graph_id
+    )
+
+
 def random_corpus(rng, schema, n, **kw):
     return [random_graph(rng, schema, graph_id=f"g{i}", **kw) for i in range(n)]
 

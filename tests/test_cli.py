@@ -392,7 +392,7 @@ class TestRecover:
             "s_values": [0], "trials": 5, "method": "omp", "seed": 0,
         }))
         out = tmp_path / "cells.csv"
-        assert main(["recover", "--config", str(cfg), "-o", str(out)]) == 0
+        assert main(["recover", "--grid", str(cfg), "-o", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "r,k,n,s,trials,successes"
         assert lines[1] == "8,10,2,0,5,5"
@@ -404,7 +404,7 @@ class TestRecover:
             "s_values": [3], "trials": 10, "method": "omp",
         }))
         out = tmp_path / "cells.csv"
-        assert main(["recover", "--config", str(cfg), "-o", str(out),
+        assert main(["recover", "--grid", str(cfg), "-o", str(out),
                      "--seed", "1"]) == 0
         row = out.read_text().splitlines()[1].split(",")
         assert int(row[5]) >= 9  # calibrated regime succeeds
@@ -422,10 +422,26 @@ class TestRecover:
                             lambda *a, **kw: built.append(a) or 1 / 0)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        assert main(["recover", "--config", str(cfg)]) == 1
+        assert main(["recover", "--grid", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert built == []
+
+    def test_config_alias_matches_grid_and_warns(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r_values": [60], "k_values": [10], "s_values": [2],
+                                   "trials": 4}))
+        outputs = {}
+        for option in ("--grid", "--config"):
+            out = tmp_path / f"{option.strip('-')}.csv"
+            assert main(["recover", option, str(cfg), "-o", str(out)]) == 0
+            err = capsys.readouterr().err
+            assert ("deprecated" in err) == (option == "--config")
+            outputs[option] = (out.read_bytes(),
+                               Path(str(out) + ".manifest.json").read_bytes())
+        assert err == "warning: recover --config is deprecated; use --grid\n"
+        assert outputs["--grid"] == outputs["--config"]
+        assert main(["recover", "--grid", str(cfg), "--config", str(cfg)]) == 2
 
 
 class TestFitEval:
@@ -813,29 +829,53 @@ class TestConfig:
 _STARTUP_PROBE = """
 import json, sys
 import numpy as np
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
 import ngram_graph.cli
-from ngram_graph import linear, recovery
-loaded = {m: m in sys.modules for m in ("scipy.stats", "scipy.optimize")}
-X = np.array([[0.0, 1.0], [1.0, 0.5], [2.0, 2.0], [3.0, 1.0]])
-model = linear.fit(X, np.array([0.0, 0.0, 1.0, 1.0]), lam=1e-2)
-loaded["scipy.linalg"] = "scipy.linalg" in sys.modules
+from ngram_graph import recovery
+doc = {"import": scipy_modules(), "codes": []}
+runs = json.loads(sys.argv[1])
+for argv in runs["commands"]:
+    doc["codes"].append(ngram_graph.cli.main(argv))
+doc["commands"] = scipy_modules()
 A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
-res = recovery.omp_recover(A @ np.array([0.0, 2.0, 3.0]), A, sparsity=2)
-print(json.dumps({"loaded": loaded, "fit_converged": bool(model.report.converged),
-                  "c_hat": res.c_hat.tolist(), "converged": bool(res.converged)}))
+f = A @ np.array([0.0, 2.0, 3.0])
+doc["c_hat"] = [recovery.omp_recover(f, A, sparsity=2).c_hat.tolist(),
+                recovery.ista_recover(f, A).c_hat.tolist()]
+doc["recovery"] = scipy_modules()
+doc["codes"].append(ngram_graph.cli.main(runs["embed"]))
+doc["embed"] = scipy_modules()
+print(json.dumps(doc))
 """
 
 
-def test_cli_import_skips_scipy_stats_and_optimize():
+def test_cli_import_skips_scipy_stats_and_optimize(config_workspace, water_sdf):
+    """Start-up loads no scipy module; featurize, fit, eval on saved
+    features and every --help stay scipy-free, and recovery never loads
+    scipy.optimize. embed, whose walk products are sparse, loads
+    scipy.sparse at its first product."""
+    runs = {
+        "commands": [["--help"], ["featurize", "--help"], ["embed", "--help"],
+                     ["featurize", str(water_sdf), "-o", "w.jsonl"],
+                     _argv(config_workspace, "fit"),
+                     ["eval", "--graphs", "g.jsonl", "--features", "f.nggm",
+                      "--folds", "2", "--lam", "1e-3"],
+                     ["eval", "--graphs", "g.jsonl", "--features", "f.nggm",
+                      "--model", "model.json"]],
+        "embed": _argv(config_workspace, "embed"),
+    }
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    doc = json.loads(out)
+    out = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, json.dumps(runs)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    doc = json.loads(out.splitlines()[-1])
+    assert doc["codes"] == [0] * 8
+    assert doc["import"] == []
     # a linear fit is numpy-only: scipy.linalg would add ~8 MiB of resident memory
-    assert doc["loaded"] == {"scipy.stats": False, "scipy.optimize": False,
-                             "scipy.linalg": False}
-    assert doc["fit_converged"]
-    # the first recovery solve loads scipy.optimize and still solves
-    assert doc["converged"]
-    assert np.allclose(doc["c_hat"], [0.0, 2.0, 3.0])
+    assert doc["commands"] == []
+    assert doc["recovery"] == []
+    assert np.allclose(doc["c_hat"], [[0.0, 2.0, 3.0]] * 2)
+    assert "scipy.sparse" in doc["embed"]
+    assert "scipy.optimize" not in doc["embed"]

@@ -133,7 +133,7 @@ def _brute_force_distinct(g, schema, F, T):
     levels = [np.zeros(F.shape[0], dtype=F.dtype) for _ in range(T)]
     for n in range(1, T + 1):
         for seq in product(range(g.num_vertices), repeat=n):
-            if not all(g.has_edge(u, v) for u, v in zip(seq, seq[1:])):
+            if not all(synth.has_edge(g, u, v) for u, v in zip(seq, seq[1:])):
                 continue
             values = g.attr[list(seq)]
             if any(len(set(values[:, j].tolist())) < n for j in range(values.shape[1])):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ngram_graph as ng
 from ngram_graph import MolecularGraph, one_hot, permute, validate_graph
-from ngram_graph.graph import dumps_graph, inverse_permutation, ones_csr, read_json_graphs
+from ngram_graph.graph import dumps_graph, ones_csr, read_json_graphs
 
 from . import synth
 
@@ -50,7 +50,7 @@ class TestValidation:
         a = synth.dense_adjacency(g)
         for u in range(8):
             for v in range(8):
-                assert g.has_edge(u, v) == bool(a[u, v])
+                assert synth.has_edge(g, u, v) == bool(a[u, v])
 
     @pytest.mark.parametrize(
         "m, attr, edges, expected",
@@ -91,8 +91,6 @@ class TestAdjacency:
         assert np.array_equal(ones_csr(g.indptr, g.indices, m).toarray(), a)
         for u in range(m):
             assert g.neighbors(u).tolist() == np.flatnonzero(a[u]).tolist()
-            for v in range(m):
-                assert g.has_edge(u, v) == bool(a[u, v])
         upper = np.argwhere(np.triu(a, 1))
         assert np.array_equal(g.canonical_edges(), upper)
         assert g.canonical_edges().shape == (g.num_edges, 2) == upper.shape
@@ -161,7 +159,7 @@ class TestOneHot:
 class TestPermute:
     def test_identity(self, rng, schema):
         g = synth.random_graph(rng, schema, m=5)
-        assert permute(g, np.arange(5)).structurally_equal(g)
+        assert synth.structurally_equal(permute(g, np.arange(5)), g)
 
     def test_swap_on_single_edge(self, schema):
         g = MolecularGraph(num_vertices=2, attr=[[0, 0], [1, 1]], edges=[[0, 1]])
@@ -177,7 +175,7 @@ class TestPermute:
     def test_inverse_round_trip(self, rng, schema):
         g = synth.random_graph(rng, schema, m=6)
         pi = rng.permutation(6)
-        assert permute(permute(g, pi), inverse_permutation(pi)).structurally_equal(g)
+        assert synth.structurally_equal(permute(permute(g, pi), np.argsort(pi)), g)
 
     def test_non_bijection_faults(self, schema):
         g = MolecularGraph(num_vertices=3, attr=np.zeros((3, 2)), edges=[])
@@ -193,7 +191,7 @@ class TestPermute:
         pi, rho = r.permutation(6), r.permutation(6)
         left = permute(g, pi[rho])  # composition: apply rho, then pi
         right = permute(permute(g, rho), pi)
-        assert left.structurally_equal(right)
+        assert synth.structurally_equal(left, right)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -210,7 +208,7 @@ class TestJsonDocuments:
         g = synth.random_graph(rng, schema, m=5, label=1.5, graph_id="abc")
         text = dumps_graph(g, schema)
         back = read_json_graphs(text, schema)[0]
-        assert back.structurally_equal(g)
+        assert synth.structurally_equal(back, g)
 
     def test_self_loop_document_rejected(self, schema):
         doc = {

@@ -1,11 +1,18 @@
+import dataclasses
+import importlib.resources
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from ngram_graph import build_sensing, count_statistics, sparse_recover
+from ngram_graph import build_sensing, count_statistics, recovery, sparse_recover
 from ngram_graph.recovery import (
     RecoveryConfig,
+    _nnls_gram,
+    _operator_interface,
     ista_recover,
     omp_recover,
     recovery_experiment,
@@ -75,7 +82,7 @@ class TestSolvers:
         c = np.zeros(40)
         c[[1, 7, 9, 20, 33]] = [1, 2, 3, 1, 2]
         res = omp_recover(A @ c, A, sparsity=2)
-        assert res.approximate
+        assert not res.converged
 
     def test_exact_instance_assertable_per_run(self):
         # when the greedy run drives the residual to zero within the budget,
@@ -89,6 +96,114 @@ class TestSolvers:
         res = omp_recover(op.matvec(c), op, sparsity=4)
         assert res.converged
         assert np.allclose(res.c_hat, c, atol=1e-8)
+
+
+@st.composite
+def nnls_problems(draw):
+    """(A, f) with m <= 30 and n <= 8: small-integer entries at a drawn
+    scale, optionally rank-deficient, with a duplicate or a zero column, or
+    with A >= 0 and f <= 0 so that A^T f <= 0 and x = 0 is the answer."""
+    m, n = draw(st.integers(1, 30)), draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["full", "low-rank", "duplicate", "zero-column",
+                                 "negative"]))
+    ints = st.integers(-4, 4)
+    if kind == "low-rank":
+        k = draw(st.integers(0, max(n - 1, 0)))
+        A = (draw(hnp.arrays(np.int64, (m, k), elements=ints))
+             @ draw(hnp.arrays(np.int64, (k, n), elements=ints)))
+    else:
+        A = draw(hnp.arrays(np.int64, (m, n), elements=ints))
+    f = draw(hnp.arrays(np.int64, m, elements=ints)).astype(np.float64)
+    A = A * 10.0 ** draw(st.integers(-3, 3))
+    if kind == "duplicate" and n >= 2:
+        A[:, n - 1] = A[:, 0]
+    elif kind == "zero-column" and n >= 1:
+        A[:, draw(st.integers(0, n - 1))] = 0.0
+    elif kind == "negative":
+        A, f = np.abs(A), -np.abs(f) - 1.0
+    return A, f * 10.0 ** draw(st.integers(-3, 3)), kind
+
+
+class TestNnlsGram:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=nnls_problems())
+    def test_kkt_conditions_hold(self, problem):
+        A, f, kind = problem
+        G, b = A.T @ A, A.T @ f
+        x = _nnls_gram(G, b)
+        assert x.shape == (A.shape[1],) and np.all(x >= 0)
+        w = b - G @ x  # the negative gradient of ||A x - f||^2 / 2
+        scale = np.abs(G).max(initial=0.0) * np.abs(x).max(initial=0.0)
+        tol = 1e-10 * (scale + np.abs(b).max(initial=0.0))
+        assert np.all(w[x == 0] <= tol)
+        assert np.all(np.abs(w[x > 0]) <= tol)
+        if kind == "negative":
+            assert not x.any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=nnls_problems())
+    def test_objective_matches_scipy(self, problem):
+        from scipy.optimize import nnls
+
+        A, f, _ = problem
+        if A.shape[1] == 0:
+            return  # scipy's nnls aborts the process on a matrix with no columns
+        x = _nnls_gram(A.T @ A, A.T @ f)
+        ours = np.linalg.norm(A @ x - f) ** 2
+        theirs = np.linalg.norm(A @ nnls(A, f)[0] - f) ** 2
+        assert abs(ours - theirs) <= 1e-10 * max(f @ f, np.finfo(float).tiny)
+
+    def test_no_columns(self):
+        assert _nnls_gram(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+
+
+def _omp_scipy_reference(f, op, sparsity, tol=1e-9):
+    """Greedy pursuit as it was with scipy's NNLS: every step refits all
+    support columns, rebuilt from the operator."""
+    from scipy.optimize import nnls
+
+    (_, ncols), correlate, norms, take = _operator_interface(op)
+    residual, support, coef = f.copy(), [], np.zeros(0)
+    safe = np.where(norms > 0, norms, 1.0)
+    fnorm = max(np.linalg.norm(f), 1.0)
+    for _ in range(sparsity):
+        if np.linalg.norm(residual) <= tol * fnorm:
+            break
+        corr = np.abs(correlate(residual)) / safe
+        corr[support] = -np.inf
+        pick = int(np.argmax(corr >= corr.max() * (1 - 1e-9)))
+        if not np.isfinite(corr[pick]):
+            break
+        support.append(pick)
+        A_s = take(support).astype(np.float64)
+        coef = nnls(A_s, f)[0]
+        residual = f - A_s @ coef
+    c_hat = np.zeros(ncols)
+    c_hat[support] = coef
+    return c_hat
+
+
+def test_omp_matches_scipy_refit_on_the_grids(monkeypatch):
+    """Every OMP trial of the bundled grid and of the low-r grids finds the
+    same support as the scipy-refit pursuit, with counts within 1e-12."""
+    solve = recovery.sparse_recover
+    seen = []
+
+    def both(f, op, method, sparsity):
+        res = solve(f, op, method=method, sparsity=sparsity)
+        ref = _omp_scipy_reference(f, op, sparsity)
+        seen.append(res.support == tuple(np.flatnonzero(ref > 0))
+                    and np.max(np.abs(res.c_hat - ref)) <= 1e-12)
+        return res
+
+    monkeypatch.setattr(recovery, "sparse_recover", both)
+    bundled = RecoveryConfig.from_json(importlib.resources.files("ngram_graph")
+                                       .joinpath("data", "recovery_desk.json").read_text())
+    grids = [bundled, dataclasses.replace(bundled, r_values=(20, 30, 40)),
+             RecoveryConfig(r_values=(30,), k_values=(12,), n_values=(3,), seed=0)]
+    for cfg in grids:
+        recovery_experiment(cfg)
+    assert len(seen) == 800 and all(seen)
 
 
 class TestExperiment:
