@@ -132,16 +132,6 @@ class CbowNetwork:
             out.extend((A, b))
         return out
 
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.parameters()])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        pos = 0
-        for p in self.parameters():
-            n = p.size
-            p[...] = flat[pos : pos + n].reshape(p.shape)
-            pos += n
-
     # -- forward / backward ----------------------------------------------------
 
     def _inputs(self, contexts: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -1,12 +1,17 @@
 """Command-line pipeline: featurize, embed, check, recover, fit, evaluate.
 
-Every artifact gets a manifest (command, parameters, seed, input hashes)
-sufficient to regenerate it bit-identically. Exit codes: 0 success,
-1 numeric or validation failure, 2 I/O, parse or usage failure.
-``--config FILE.json`` holds a JSON object of option defaults keyed by
-parameter or option name (``t_steps``, ``T``, ``level-scale``); they are
-checked like flags, and flags on the command line win. ``recover`` reads
-its recovery grid from ``--grid FILE.json``.
+Every artifact gets a ``.manifest.json`` sidecar read off click's own
+parameter list: ``params`` holds each parameter that is not a path, under
+its click name and as a flag would carry it; ``inputs`` holds each existing
+input file with its SHA-256. Output paths and ``--jobs`` do not change the
+output bytes and are not recorded. ``--config FILE.json`` holds a JSON
+object of option defaults keyed by parameter or option name (``t_steps``,
+``T``, ``level-scale``); they are checked like flags, and flags on the
+command line win. So ``ngg CMD --config params.json INPUTS -o NEW``, with
+the manifest's ``params`` as ``params.json``, regenerates an artifact and
+its sidecar byte for byte. ``recover`` reads its recovery grid from
+``--grid FILE.json``. Exit codes: 0 success, 1 numeric or validation
+failure, 2 I/O, parse or usage failure.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 import numpy as np
 
 from .cbow import CbowConfig, TrainingDiverged, train_on_graphs
@@ -80,28 +86,33 @@ def _config_defaults(ctx: click.Context, param, path) -> None:
     """Eager ``--config`` callback: the JSON object becomes ``ctx.default_map``.
 
     Each value reaches click as the text a flag would carry, so it is
-    converted and checked like one; ``null`` keeps the built-in default.
+    converted and checked like one; ``null`` keeps the built-in default,
+    and a comma-list option also takes a JSON list of integers.
     """
     if path is None:
         return
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise click.UsageError(f"config {path} must hold a JSON object")
-    names = {}
+    params = {}
     for p in ctx.command.params:
         if p.expose_value:
             for key in (p.name, *p.opts):
-                names[key.lstrip("-").replace("-", "_")] = p.name
+                params[key.lstrip("-").replace("-", "_")] = p
     defaults = {}
     for key, value in doc.items():
-        name = names.get(key.replace("-", "_"))
-        if name is None:
+        param = params.get(key.replace("-", "_"))
+        if param is None:
             raise click.UsageError(f"unknown config key {key!r}")
-        if isinstance(value, (list, dict)):
+        if isinstance(value, list) and isinstance(param.type, _IntList):
+            if not all(type(v) is int for v in value):
+                raise click.UsageError(f"config key {key!r} must be a list of integers")
+            value = ",".join(map(str, value))
+        elif isinstance(value, (list, dict)):
             raise click.UsageError(f"config key {key!r} must be a string, number, "
                                    "boolean or null")
         if value is not None:
-            defaults[name] = value if isinstance(value, str) else json.dumps(value)
+            defaults[param.name] = value if isinstance(value, str) else json.dumps(value)
     ctx.default_map = defaults
 
 
@@ -133,22 +144,38 @@ _task_option = click.option("--task", default="logistic", show_default=True,
                             type=click.Choice(TASKS))
 _metric_option = click.option("--metric", default="roc-auc", show_default=True,
                               type=click.Choice(METRICS))
+_seed_option = click.option("--seed", default=_seed_default, type=int,
+                            help="[default: $NGG_SEED, then 0]")
+_jobs_option = click.option("--jobs", default=1, show_default=True,
+                            help="worker process cap")
 
 
-def _manifest(command: str, params: dict, inputs: dict) -> dict:
-    return {
-        "command": command,
-        "params": params,
-        "seed": params.get("seed"),
-        "inputs": {
-            name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()
-        },
-    }
+def _manifest(**resolved) -> dict:
+    """The current command's run record, read off click's context.
+
+    ``resolved`` overrides a parameter the command settled itself, so the
+    record replays to the same output.
+    """
+    ctx = click.get_current_context()
+    params, inputs = {}, {}
+    for p in ctx.command.params:
+        if not p.expose_value or p.name == "jobs":
+            continue
+        value = resolved.get(p.name, ctx.params[p.name])
+        if isinstance(p.type, click.Path):
+            if p.type.exists and value is not None:
+                inputs[p.name] = {"path": str(value), "sha256": _sha256(value)}
+        else:
+            params[p.name] = list(value) if isinstance(value, tuple) else value
+    return {"command": ctx.info_name, "params": params, "seed": params.get("seed"),
+            "inputs": inputs}
 
 
-def _write_sidecar(out_path, manifest: dict) -> None:
+def _write_sidecar(out_path, manifest: dict | None = None) -> None:
+    """``out_path.manifest.json``, by default the current command's record."""
     side = Path(str(out_path) + ".manifest.json")
-    side.write_text(json.dumps(manifest, sort_keys=True, indent=2), encoding="utf-8")
+    side.write_text(json.dumps(manifest or _manifest(), sort_keys=True, indent=2),
+                    encoding="utf-8")
 
 
 def _load_graphs(path, schema):
@@ -227,13 +254,7 @@ def featurize_cmd(input_path, out, schema_key):
         f"vertices min/mean/max={sizes.min()}/{sizes.mean():.1f}/{sizes.max()}",
         err=True,
     )
-    # featurize draws no randomness, but manifests always carry the
-    # materialized seed
-    _write_sidecar(out, _manifest(
-        "featurize",
-        {"schema": schema_key, "seed": _seed_default()},
-        {"input": input_path},
-    ))
+    _write_sidecar(out)
 
 
 # -- train-vertex ----------------------------------------------------------------
@@ -251,12 +272,11 @@ def featurize_cmd(input_path, out, schema_key):
 @click.option("--epochs", default=100, show_default=True)
 @click.option("--batch-size", default=256, show_default=True)
 @click.option("--lr", default=1e-3, show_default=True)
-@click.option("--seed", default=None, type=int)
+@_seed_option
 @_config_option
 def train_vertex_cmd(graphs_path, out, schema_key, r, aggregator, hidden,
                      epochs, batch_size, lr, seed):
     """Train the vertex embedding matrix on neighbor contexts."""
-    seed = seed if seed is not None else _seed_default()
     schema = BUNDLED_SCHEMAS[schema_key]
     graphs = _load_graphs(graphs_path, schema)
     cfg = CbowConfig(
@@ -273,13 +293,7 @@ def train_vertex_cmd(graphs_path, out, schema_key, r, aggregator, hidden,
             click.echo(f"  {name}: {acc:.4f}", err=True)
     if report.epoch_losses:
         click.echo(f"final epoch loss: {report.epoch_losses[-1]:.6f}", err=True)
-    _write_sidecar(out, _manifest(
-        "train-vertex",
-        {"schema": schema_key, "r": cfg.r, "aggregator": cfg.aggregator,
-         "hidden": list(hidden), "epochs": cfg.epochs,
-         "batch_size": cfg.batch_size, "lr": cfg.learning_rate, "seed": seed},
-        {"graphs": graphs_path},
-    ))
+    _write_sidecar(out)
 
 
 # -- embed -----------------------------------------------------------------------
@@ -297,30 +311,22 @@ def train_vertex_cmd(graphs_path, out, schema_key, r, aggregator, hidden,
 @click.option("--level-scale", default="none", show_default=True,
               type=click.Choice(LEVEL_SCALES))
 @click.option("--csv/--no-csv", "want_csv", default=True, show_default=True)
-@click.option("--jobs", default=1, show_default=True, help="worker process cap")
-@click.option("--seed", default=None, type=int)
+@_jobs_option
+@_seed_option
 @_config_option
 def embed(graphs_path, embedding_path, out, t_steps, variant, normalize,
           level_scale, want_csv, jobs, seed):
     """Embed a graph corpus into a feature matrix."""
-    seed = seed if seed is not None else _seed_default()
     emb = load_embedding(embedding_path)
     graphs = _load_graphs(graphs_path, emb.schema)
-    normalization = "unit-l2" if normalize else "none"
     matrix, manifest = embed_corpus(
         graphs, emb, t_steps, variant=variant, level_scale=level_scale,
-        normalization=normalization, seed=seed, jobs=jobs,
+        normalization="unit-l2" if normalize else "none", seed=seed, jobs=jobs,
     )
     if manifest["errors"]:
         for row, msg in manifest["errors"].items():
             click.echo(f"row {row}: {msg}", err=True)
-    run = _manifest(
-        "embed",
-        {"T": t_steps, "variant": variant, "normalization": normalization,
-         "level_scale": level_scale, "seed": seed},
-        {"graphs": graphs_path, "embedding": embedding_path},
-    )
-    manifest["run"] = run
+    manifest["run"] = _manifest()
     formats = ("bin", "csv") if want_csv else ("bin",)
     paths = export_features(matrix, manifest, out, formats=formats)
     click.echo(f"embedded {matrix.shape[0]} graphs -> {paths['bin']}", err=True)
@@ -360,19 +366,12 @@ def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
 @cli.command()
 @click.option("--grid", "grid_path", type=click.Path(exists=True), default=None,
               help="JSON grid file; defaults to the bundled desk-scale grid")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="deprecated alias of --grid")
 @click.option("-o", "--out", default=None, type=click.Path(dir_okay=False))
-@click.option("--jobs", default=1, show_default=True, help="worker process cap")
-@click.option("--seed", default=None, type=int)
-def recover(grid_path, config_path, out, jobs, seed):
+@_jobs_option
+@_seed_option
+@_config_option
+def recover(grid_path, out, jobs, seed):
     """Monte-Carlo sparse-recovery success rates over an (r, k, n, s) grid."""
-    if config_path:
-        # --config holds option defaults on every other command
-        if grid_path:
-            raise click.UsageError("give the grid file once, as --grid")
-        click.echo("warning: recover --config is deprecated; use --grid", err=True)
-        grid_path = config_path
     if grid_path:
         doc = json.loads(Path(grid_path).read_text(encoding="utf-8"))
     else:
@@ -382,15 +381,15 @@ def recover(grid_path, config_path, out, jobs, seed):
             .read_text(encoding="utf-8")
         )
     cfg = RecoveryConfig.from_dict(doc)
-    if seed is None:
-        seed = doc.get("seed", _seed_default())
-    cfg = dataclasses.replace(cfg, seed=seed)
+    # the grid's seed beats $NGG_SEED; a flag or a --config value beats the grid
+    if "seed" not in doc or (click.get_current_context().get_parameter_source("seed")
+                             is not ParameterSource.DEFAULT):
+        cfg = dataclasses.replace(cfg, seed=seed)
     cells = recovery_experiment(cfg, jobs=jobs)
     click.echo(summarize_cells(cells))
     if out:
         write_cells_csv(out, cells)
-        inputs = {"grid": grid_path} if grid_path else {}
-        _write_sidecar(out, _manifest("recover", {**doc, "seed": seed}, inputs))
+        _write_sidecar(out, {**_manifest(seed=cfg.seed), "grid": dataclasses.asdict(cfg)})
 
 
 # -- fit / eval ----------------------------------------------------------------------
@@ -410,6 +409,7 @@ def _write_predictions(path, ids, scores) -> None:
         fh.write("g_id,score\n")
         for gid, s in zip(ids, scores):
             fh.write(f"{gid},{repr(float(s))}\n")
+    _write_sidecar(path)
 
 
 @cli.command("fit")
@@ -439,6 +439,7 @@ def fit_cmd(features_path, graphs_path, schema_key, task, lam, penalty, out,
     model = fit_linear(X, y, task=task, lam=lam, penalty=penalty)
     model.manifest_hash = manifest_hash(manifest) if manifest else None
     Path(out).write_text(model.to_json(), encoding="utf-8")
+    _write_sidecar(out)
     click.echo(
         f"fit {task} model: objective={model.report.objective:.6f} "
         f"iters={model.report.iterations}",
@@ -472,13 +473,12 @@ def fit_cmd(features_path, graphs_path, schema_key, task, lam, penalty, out,
 @click.option("--lam", default=None, type=float)
 @click.option("--stratified/--no-stratified", default=False, show_default=True)
 @click.option("--predictions", default=None, type=click.Path(dir_okay=False))
-@click.option("--seed", default=None, type=int)
+@_seed_option
 @_config_option
 def eval_cmd(graphs_path, schema_key, features_path, model_path, embedding_path,
              mode, r, t_steps, variant, folds, task, metric, lam, stratified,
              predictions, seed):
     """Score a saved model, or run k-fold cross-validation."""
-    seed = seed if seed is not None else _seed_default()
     emb = load_embedding(embedding_path) if embedding_path else None
     manifest = None
     if features_path:
@@ -546,12 +546,11 @@ def _warn_unconverged(report, where: str = "") -> None:
 @_metric_option
 @click.option("--lam", default=None, type=float)
 @click.option("-o", "--out", default=None, type=click.Path(dir_okay=False))
-@click.option("--seed", default=None, type=int)
+@_seed_option
 @_config_option
 def sweep(graphs_path, schema_key, r_grid, t_grid, mode, variant, folds, task,
           metric, lam, out, seed):
     """Cross-validated metric over an (r, T) grid, one row per combination."""
-    seed = seed if seed is not None else _seed_default()
     schema = BUNDLED_SCHEMAS[schema_key]
     graphs = _load_graphs(graphs_path, schema)
     y = _labels_for(graphs)
@@ -576,13 +575,7 @@ def sweep(graphs_path, schema_key, r_grid, t_grid, mode, variant, folds, task,
     click.echo(table, nl=False)
     if out:
         Path(out).write_text(table, encoding="utf-8")
-        _write_sidecar(out, _manifest(
-            "sweep",
-            {"r_grid": list(r_grid), "t_grid": list(t_grid), "mode": mode,
-             "variant": variant, "folds": folds, "task": task, "metric": metric,
-             "lam": lam, "seed": seed},
-            {"graphs": graphs_path},
-        ))
+        _write_sidecar(out)
 
 
 def main(argv=None) -> int:

@@ -90,10 +90,15 @@ class LevelOperator:
     def entries(self) -> int:
         return self.shape[0] * self.shape[1]
 
+    @cached_property
+    def _transposed(self) -> tuple:
+        """U^T per block, contiguous, for the row gathers of ``_block_columns``."""
+        return tuple(np.ascontiguousarray(U.T) for U in self.blocks)
+
     def _block_columns(self, j: int, cols=slice(None)) -> np.ndarray:
         """Columns ``cols`` of block j, dense (r_j x len(cols)): row gathers
         on U^T, multiplied in subset order."""
-        UT = np.ascontiguousarray(self.blocks[j].T)
+        UT = self._transposed[j]
         subsets = subset_table(UT.shape[0], self.n)[cols]
         out = UT[subsets[:, 0]]
         for t in range(1, self.n):

@@ -126,13 +126,3 @@ def load_embedding(path) -> VertexEmbeddingMatrix:
     return VertexEmbeddingMatrix(
         matrix=matrix, schema=schema, provenance=meta.get("provenance", {})
     )
-
-
-def export_embedding_csv(path, emb: VertexEmbeddingMatrix) -> None:
-    """Human-readable dump: one row per embedding dimension, one column per slot."""
-    tokens = [
-        f"{name}={value}"
-        for name, values in emb.schema.attributes
-        for value in values
-    ]
-    matrixio.write_csv(path, emb.matrix, header=tokens)

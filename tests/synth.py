@@ -23,6 +23,19 @@ def single_attribute_schema(k, name="single"):
     )
 
 
+def get_flat(net):
+    """A CBOW network's parameters as one vector, for finite differences."""
+    return np.concatenate([p.ravel() for p in net.parameters()])
+
+
+def set_flat(net, flat):
+    """Write a ``get_flat`` vector back into the network's parameters."""
+    pos = 0
+    for p in net.parameters():
+        p[...] = flat[pos : pos + p.size].reshape(p.shape)
+        pos += p.size
+
+
 def random_graph(rng, schema, m=None, density=0.3, distinct_values=False,
                  connected=False, label=None, graph_id=None):
     """Random simple graph with attributes drawn under the schema."""

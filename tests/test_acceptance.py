@@ -172,19 +172,19 @@ class TestAcceptance:
         ctx, sz, tg = samples.contexts[:10], samples.sizes[:10], samples.targets[:10]
         _, grads = net.loss_and_grads(ctx, sz, tg)
         analytic = np.concatenate([g.ravel() for g in grads])
-        x0 = net.get_flat()
+        x0 = synth.get_flat(net)
         numeric = np.empty_like(x0)
         eps = 1e-6
         for i in range(x0.size):
             xp, xm = x0.copy(), x0.copy()
             xp[i] += eps
             xm[i] -= eps
-            net.set_flat(xp)
+            synth.set_flat(net, xp)
             lp, _ = net.loss_and_grads(ctx, sz, tg)
-            net.set_flat(xm)
+            synth.set_flat(net, xm)
             lm, _ = net.loss_and_grads(ctx, sz, tg)
             numeric[i] = (lp - lm) / (2 * eps)
-        net.set_flat(x0)
+        synth.set_flat(net, x0)
         rel = float(np.linalg.norm(analytic - numeric)
                     / max(np.linalg.norm(analytic), np.linalg.norm(numeric)))
         ok = acc >= 0.95 and rel <= 1e-4

@@ -159,21 +159,21 @@ class TestNetworkMath:
         _, grads = net.loss_and_grads(ctx, sz, tg)
         analytic = np.concatenate([g.ravel() for g in grads])
 
-        x0 = net.get_flat()
+        x0 = synth.get_flat(net)
         numeric = np.empty_like(x0)
         eps = 1e-6
         for i in range(x0.size):
             for sgn, slot in ((+1, 0), (-1, 1)):
                 x = x0.copy()
                 x[i] += sgn * eps
-                net.set_flat(x)
+                synth.set_flat(net, x)
                 val, _ = net.loss_and_grads(ctx, sz, tg)
                 if slot == 0:
                     up = val
                 else:
                     down = val
             numeric[i] = (up - down) / (2 * eps)
-        net.set_flat(x0)
+        synth.set_flat(net, x0)
         denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric))
         assert np.linalg.norm(analytic - numeric) / denom <= 1e-4
 

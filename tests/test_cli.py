@@ -427,21 +427,50 @@ class TestRecover:
         assert err.startswith("error: ") and message in err
         assert built == []
 
-    def test_config_alias_matches_grid_and_warns(self, tmp_path, capsys):
+    def test_config_sets_option_defaults(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"r_values": [60], "k_values": [10], "s_values": [2],
+                                    "trials": 4}))
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"r_values": [60], "k_values": [10], "s_values": [2],
-                                   "trials": 4}))
-        outputs = {}
-        for option in ("--grid", "--config"):
-            out = tmp_path / f"{option.strip('-')}.csv"
-            assert main(["recover", option, str(cfg), "-o", str(out)]) == 0
-            err = capsys.readouterr().err
-            assert ("deprecated" in err) == (option == "--config")
-            outputs[option] = (out.read_bytes(),
-                               Path(str(out) + ".manifest.json").read_bytes())
-        assert err == "warning: recover --config is deprecated; use --grid\n"
-        assert outputs["--grid"] == outputs["--config"]
-        assert main(["recover", "--grid", str(cfg), "--config", str(cfg)]) == 2
+        cfg.write_text(json.dumps({"seed": 3}))
+        outputs = []
+        for extra in (["--seed", "3"], ["--config", str(cfg)]):
+            out = tmp_path / f"{len(outputs)}.csv"
+            assert main(["recover", "--grid", str(grid), "-o", str(out)] + extra) == 0
+            outputs.append((out.read_bytes(),
+                            Path(str(out) + ".manifest.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][1])["params"] == {"seed": 3}
+        # a grid file is not a config file
+        assert main(["recover", "--config", str(grid)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid_seed,env,extra,want", [
+        (5, "7", ["--seed", "3"], 3),
+        (5, "7", ["--config", "cfg.json"], 4),
+        (5, "7", [], 5),
+        (None, "7", [], 7),
+        (None, None, [], 0),
+    ])
+    def test_seed_precedence(self, tmp_path, monkeypatch, grid_seed, env, extra, want):
+        """A flag or --config value, then the grid's seed, then $NGG_SEED, then 0."""
+        monkeypatch.chdir(tmp_path)
+        doc = {"r_values": [20], "k_values": [6], "s_values": [2], "trials": 3}
+        if grid_seed is not None:
+            doc["seed"] = grid_seed
+        Path("grid.json").write_text(json.dumps(doc))
+        Path("cfg.json").write_text(json.dumps({"seed": 4}))
+        if env is None:
+            monkeypatch.delenv("NGG_SEED", raising=False)
+        else:
+            monkeypatch.setenv("NGG_SEED", env)
+        assert main(["recover", "--grid", "grid.json", "-o", "a.csv"] + extra) == 0
+        run = json.loads(Path("a.csv.manifest.json").read_text())
+        assert run["params"]["seed"] == run["grid"]["seed"] == want
+        monkeypatch.delenv("NGG_SEED", raising=False)
+        assert main(["recover", "--grid", "grid.json", "-o", "b.csv",
+                     "--seed", str(want)]) == 0
+        assert Path("a.csv").read_bytes() == Path("b.csv").read_bytes()
 
 
 class TestFitEval:
@@ -634,6 +663,7 @@ class TestFitEval:
         assert main(["embed", str(graphs_path), "--embedding", str(emb_path),
                      "-o", str(b), "--T", "3", "--seed", "0", "--jobs", "2"]) == 0
         assert _sha(tmp_path / "seq.nggm") == _sha(tmp_path / "par.nggm")
+        assert _sha(tmp_path / "seq.manifest.json") == _sha(tmp_path / "par.manifest.json")
 
     def test_eval_cv_random_mode(self, tmp_path, rng, capsys):
         sch = ng.FULL_SCHEMA
@@ -683,6 +713,9 @@ def config_workspace(tmp_path, monkeypatch, rng, water_sdf):
         write_jsonl(graphs[:1], ng.FULL_SCHEMA, fh)
     save_embedding("w.nggm", ng.random_embedding(ng.FULL_SCHEMA, 4, seed=0))
     assert main(["embed", "g.jsonl", "--embedding", "w.nggm", "-o", "f", "--T", "2"]) == 0
+    # one trial, so --jobs starts no pool
+    Path("grid.json").write_text(json.dumps({"r_values": [8], "k_values": [4],
+                                             "s_values": [1], "trials": 1}))
     return {
         "featurize": [("input_path", [str(water_sdf)]), ("out", ["-o", "out.jsonl"])],
         "train-vertex": [("graphs_path", ["g.jsonl"]), ("out", ["-o", "tv.nggm"]),
@@ -698,6 +731,7 @@ def config_workspace(tmp_path, monkeypatch, rng, water_sdf):
         "sweep": [("graphs_path", ["--graphs", "g.jsonl"]), ("r_grid", ["--r-grid", "4"]),
                   ("t_grid", ["--t-grid", "1"]), ("folds", ["--folds", "2"]),
                   ("lam", ["--lam", "1e-3"])],
+        "recover": [("grid_path", ["--grid", "grid.json"])],
     }
 
 
@@ -714,7 +748,7 @@ def _run_with_config(command_argv, doc):
 def _config_keys():
     """(command, key, parameter name) for every key a config file may use."""
     out = []
-    for command in ("featurize", "train-vertex", "embed", "fit", "eval", "sweep"):
+    for command in ("featurize", "train-vertex", "embed", "fit", "eval", "sweep", "recover"):
         for param in cli.cli.commands[command].params:
             if param.expose_value:
                 for key in {param.name, *(o.lstrip("-") for o in param.opts)}:
@@ -740,14 +774,14 @@ class TestConfig:
     def test_normalize_no_is_false(self, config_workspace):
         assert _run_with_config(_argv(config_workspace, "embed"), {"normalize": "no"}) == 0
         run = json.loads(Path("e.manifest.json").read_text())["run"]
-        assert run["params"]["normalization"] == "none"
+        assert run["params"]["normalize"] is False
 
     def test_key_forms_and_defaults(self, config_workspace):
         doc = {"level-scale": "count", "t_steps": 3, "csv": False, "normalize": True}
         assert _run_with_config(_argv(config_workspace, "embed", without="t_steps"), doc) == 0
         params = json.loads(Path("e.manifest.json").read_text())["run"]["params"]
-        assert (params["level_scale"], params["T"]) == ("count", 3)
-        assert params["normalization"] == "unit-l2"
+        assert (params["level_scale"], params["t_steps"]) == ("count", 3)
+        assert params["normalize"] is True
         assert not Path("e.csv").exists()
 
     def test_flag_beats_config(self, config_workspace):
@@ -773,8 +807,9 @@ class TestConfig:
         ("embed", "t_steps", {"T": 2.5}, "'2.5' is not a valid integer"),
         ("embed", "embedding_path", {"embedding": "missing.nggm"}, "does not exist"),
         ("eval", "folds", {"folds": "two"}, "'two' is not a valid integer"),
-        ("train-vertex", "hidden", {"hidden": [8, 8]},
+        ("train-vertex", "epochs", {"epochs": [1, 1]},
          "must be a string, number, boolean or null"),
+        ("train-vertex", "hidden", {"hidden": [8, "8"]}, "must be a list of integers"),
     ])
     def test_malformed_config_exits_two(self, config_workspace, capsys, command, without,
                                         doc, message):
@@ -824,6 +859,55 @@ class TestConfig:
         command, key, name = target
         argv = _argv(config_workspace, command, without=name)
         assert _run_with_config(argv, {key: value}) in (0, 1, 2)
+
+
+# (command, input arguments, recorded flags, output arguments, sidecars); "{}"
+# stands for the output name, and the first sidecar holds the params to replay
+_REPLAYS = [
+    ("featurize", ["water.sdf"], ["--schema", "reduced"], ["-o", "{}.jsonl"],
+     ["{}.jsonl.manifest.json"]),
+    ("train-vertex", ["g.jsonl"], ["--r", "4", "--epochs", "1", "--hidden", "4,3",
+                                   "--aggregator", "mean", "--lr", "0.01", "--seed", "2"],
+     ["-o", "{}.nggm"], ["{}.nggm.manifest.json"]),
+    ("embed", ["g.jsonl", "--embedding", "w.nggm"],
+     ["--T", "3", "--normalize", "--level-scale", "count", "--variant", "path",
+      "--seed", "1"], ["-o", "{}"], ["{}.manifest.json"]),
+    ("fit", ["--features", "f.nggm", "--graphs", "g.jsonl"],
+     ["--task", "least-squares", "--lam", "0.01", "--penalty", "unsquared-l2"],
+     ["-o", "{}.json", "--predictions", "{}_p.csv"],
+     ["{}.json.manifest.json", "{}_p.csv.manifest.json"]),
+    ("eval", ["--graphs", "g.jsonl", "--features", "f.nggm", "--model", "model.json"],
+     ["--metric", "pr-auc"], ["--predictions", "{}.csv"], ["{}.csv.manifest.json"]),
+    ("sweep", ["--graphs", "g.jsonl"], ["--r-grid", "4,3", "--t-grid", "1,2", "--folds", "2",
+                                        "--lam", "1e-3", "--seed", "5"],
+     ["-o", "{}.csv"], ["{}.csv.manifest.json"]),
+    ("recover", ["--grid", "grid.json"], ["--seed", "2"], ["-o", "{}.csv"],
+     ["{}.csv.manifest.json"]),
+    ("recover", [], [], ["-o", "{}.csv"], ["{}.csv.manifest.json"]),  # bundled grid
+]
+
+
+@pytest.mark.parametrize("command,inputs,flags,outputs,sidecars", _REPLAYS,
+                         ids=[c[0] for c in _REPLAYS[:-2]] + ["recover-grid", "recover-bundled"])
+def test_manifest_replays_byte_identically(config_workspace, command, inputs, flags,
+                                          outputs, sidecars):
+    """The params of an artifact's manifest, given back as --config with the
+    same inputs, regenerate every output file byte for byte, sidecars too."""
+    assert main(_argv(config_workspace, "fit")) == 0  # the model eval reads
+
+    def run(name, extra):
+        return main([command] + inputs + [a.replace("{}", name) for a in outputs] + extra)
+
+    assert run("first", flags) == 0
+    assert all(Path(s.replace("{}", "first")).exists() for s in sidecars)
+    doc = json.loads(Path(sidecars[0].replace("{}", "first")).read_text())
+    Path("params.json").write_text(json.dumps(doc.get("run", doc)["params"]))
+    assert run("replay", ["--config", "params.json"]) == 0
+    first = sorted(p.name for p in Path().glob("first*"))
+    replay = [name.replace("first", "replay", 1) for name in first]
+    assert sorted(p.name for p in Path().glob("replay*")) == replay
+    for a, b in zip(first, replay):
+        assert Path(a).read_bytes() == Path(b).read_bytes(), a
 
 
 _STARTUP_PROBE = """

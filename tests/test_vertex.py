@@ -12,7 +12,6 @@ from ngram_graph import (
     random_embedding,
     save_embedding,
 )
-from ngram_graph.vertex import export_embedding_csv
 
 from . import synth
 
@@ -154,11 +153,3 @@ class TestSerialization:
         for g in corpus_b:
             F = embed_vertices(g, back)
             assert F.shape == (6, g.num_vertices)
-
-    def test_csv_export(self, tmp_path, schema):
-        emb = random_embedding(schema, 3, seed=0)
-        path = tmp_path / "w.csv"
-        export_embedding_csv(path, emb)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 4  # header + r rows
-        assert len(lines[0].split(",")) == schema.total_width
