@@ -25,7 +25,6 @@ import sys
 from pathlib import Path
 
 import click
-from click.core import ParameterSource
 import numpy as np
 
 from .cbow import CbowConfig, TrainingDiverged, train_on_graphs
@@ -75,7 +74,13 @@ _NUMERIC_ERRORS = (SchemaError, EmbeddingError, GraphTooLarge, TrainingDiverged,
 
 
 def _seed_default() -> int:
-    return int(os.environ.get("NGG_SEED", "0"))
+    """$NGG_SEED, or 0 when it is unset; a malformed value is a usage error."""
+    text = os.environ.get("NGG_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise click.UsageError(f"$NGG_SEED={text!r} is not an integer; "
+                               "fix it or pass --seed") from None
 
 
 def _sha256(path: Path) -> str:
@@ -368,7 +373,8 @@ def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
               help="JSON grid file; defaults to the bundled desk-scale grid")
 @click.option("-o", "--out", default=None, type=click.Path(dir_okay=False))
 @_jobs_option
-@_seed_option
+@click.option("--seed", default=None, type=int,
+              help="[default: the grid's seed, then $NGG_SEED, then 0]")
 @_config_option
 def recover(grid_path, out, jobs, seed):
     """Monte-Carlo sparse-recovery success rates over an (r, k, n, s) grid."""
@@ -381,10 +387,11 @@ def recover(grid_path, out, jobs, seed):
             .read_text(encoding="utf-8")
         )
     cfg = RecoveryConfig.from_dict(doc)
-    # the grid's seed beats $NGG_SEED; a flag or a --config value beats the grid
-    if "seed" not in doc or (click.get_current_context().get_parameter_source("seed")
-                             is not ParameterSource.DEFAULT):
+    # a flag or a --config value beats the grid's seed, which beats $NGG_SEED
+    if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
+    elif "seed" not in doc:
+        cfg = dataclasses.replace(cfg, seed=_seed_default())
     cells = recovery_experiment(cfg, jobs=jobs)
     click.echo(summarize_cells(cells))
     if out:
@@ -402,6 +409,20 @@ def _labels_for(graphs):
             raise ValueError(f"graph {g.graph_id!r} has no label")
         labels.append(g.label)
     return np.asarray(labels, dtype=np.float64)
+
+
+def _feature_hash(manifest: dict) -> str:
+    """``manifest_hash`` of a feature manifest without its input paths, so
+    features embedded from the same files hash alike however the paths were
+    typed; the inputs' SHA-256s stay in."""
+    run = manifest.get("run")
+    inputs = run.get("inputs") if isinstance(run, dict) else None
+    if isinstance(inputs, dict):
+        inputs = {name: {k: v for k, v in entry.items() if k != "path"}
+                  if isinstance(entry, dict) else entry
+                  for name, entry in inputs.items()}
+        manifest = {**manifest, "run": {**run, "inputs": inputs}}
+    return manifest_hash(manifest)
 
 
 def _write_predictions(path, ids, scores) -> None:
@@ -437,7 +458,7 @@ def fit_cmd(features_path, graphs_path, schema_key, task, lam, penalty, out,
         )
     y = _labels_for(graphs)
     model = fit_linear(X, y, task=task, lam=lam, penalty=penalty)
-    model.manifest_hash = manifest_hash(manifest) if manifest else None
+    model.manifest_hash = _feature_hash(manifest) if manifest else None
     Path(out).write_text(model.to_json(), encoding="utf-8")
     _write_sidecar(out)
     click.echo(

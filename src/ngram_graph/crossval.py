@@ -5,9 +5,13 @@ once per vertex embedding and every fold scores row slices of that one
 matrix. A random embedding is label-free and serves every fold. A trained
 embedding is trained inside each training fold only; it remembers which
 rows it saw, and a fold refuses to score rows it was trained on. The linear
-head's lambda, when not given, is picked per training fold by an inner
-``kfold_features`` over ``LAMBDA_GRID``. Features can be exported to
-CSV/binary with a manifest sufficient to reproduce them.
+head's lambda, when not given, is picked per training fold by 3 inner
+folds over ``LAMBDA_GRID``. Folds run outside and lambda inside: each
+inner training fold fits the whole grid with one ``linear.fit_path`` call,
+which does the work that does not depend on lambda (the checks, the start
+point and its Hessian, and the QR of a row-space fit) once per fold.
+Features can be exported to CSV/binary with a manifest sufficient to
+reproduce them.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from . import matrixio
 from .cbow import CbowConfig, train_on_graphs
-from .linear import DegenerateLabels, compute_metric, fit
+from .linear import DegenerateLabels, compute_metric, fit_path
 from .ngram import embed_corpus, feature_column_names
 from .schema import AttributeSchema
 from .vertex import VertexEmbeddingMatrix, random_embedding
@@ -116,22 +120,35 @@ def fold_indices(n: int, folds: int, seed: int, labels=None, stratified: bool = 
     ]
 
 
+def _score_path(X_tr, y_tr, X_te, y_te, task, metric, lams, penalty) -> list:
+    """Fit every lambda in ``lams`` on one training fold and score it on the
+    test fold: one (score, 1 if the fit did not converge else 0) per lambda.
+    Single-class training labels score None."""
+    try:
+        models = fit_path(X_tr, y_tr, lams, task=task, penalty=penalty)
+    except DegenerateLabels:
+        return [(None, 0)] * len(lams)
+    return [(compute_metric(metric, y_te, m.decision(X_te)), int(not m.report.converged))
+            for m in models]
+
+
 def _select_lambda(X, y, task, penalty, metric, seed) -> tuple[float, int]:
-    """The LAMBDA_GRID value with the best 3-fold ``kfold_features`` mean (the
-    first wins a tie) and the number of its inner fits that did not converge.
-    Falls back to 1e-3 when the data is too small or no lambda scores."""
+    """The LAMBDA_GRID value with the best mean over 3 inner folds (the first
+    wins a tie) and the number of inner fits that did not converge. Each inner
+    training fold fits the whole grid at once. Falls back to 1e-3 when the
+    data is too small or no lambda scores."""
     if X.shape[0] < 6 or (task == "logistic" and np.unique(y).size < 2):
         return 1e-3, 0
-    best_lam, best_score, unconverged = 1e-3, None, 0
+    splits = fold_indices(X.shape[0], 3, seed, labels=y, stratified=task == "logistic")
+    by_fold = [_score_path(X[tr], y[tr], X[te], y[te], task, metric, LAMBDA_GRID, penalty)
+               for tr, te in splits]
+    best_lam, best_score = 1e-3, None
     sign = 1.0 if _higher_is_better(metric) else -1.0
-    for lam in LAMBDA_GRID:
-        inner = kfold_features(X, y, task, metric, folds=3, seed=seed, lam=lam,
-                               penalty=penalty, stratified=task == "logistic")
-        unconverged += inner.unconverged
-        score = inner.mean
+    for lam, scored in zip(LAMBDA_GRID, zip(*by_fold)):
+        score = _report(metric, task, scored).mean
         if score is not None and (best_score is None or sign * score > sign * best_score):
             best_score, best_lam = score, lam
-    return best_lam, unconverged
+    return best_lam, sum(u for scored in by_fold for _, u in scored)
 
 
 def _score_fold(X_tr, y_tr, X_te, y_te, task, metric, lam, penalty, seed):
@@ -140,12 +157,8 @@ def _score_fold(X_tr, y_tr, X_te, y_te, task, metric, lam, penalty, seed):
     unconverged = 0
     if lam is None:
         lam, unconverged = _select_lambda(X_tr, y_tr, task, penalty, metric, seed)
-    try:
-        model = fit(X_tr, y_tr, task=task, lam=lam, penalty=penalty)
-    except DegenerateLabels:
-        return None, unconverged
-    unconverged += not model.report.converged
-    return compute_metric(metric, y_te, model.decision(X_te)), unconverged
+    value, stalled = _score_path(X_tr, y_tr, X_te, y_te, task, metric, (lam,), penalty)[0]
+    return value, unconverged + stalled
 
 
 def _report(metric, task, scored) -> EvalReport:

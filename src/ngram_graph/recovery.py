@@ -56,24 +56,27 @@ def _nnls_gram(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     An unconstrained solve whose coefficients all clear the tolerance is
     already optimal (the KKT conditions hold with no active bound), which is
     the common case when the support holds the true counts. Otherwise, or
-    when G is singular, the passive-set loop runs from x = 0.
+    when G is singular, the passive-set loop runs from x = 0. It lets a
+    column in while its gradient entry clears the round-off of b - G x, so
+    a b that is small next to G (a near-cancelling A^T f) still moves x.
     """
     n = b.shape[0]
     if n == 0:
         return np.zeros(0)
-    tol = 10 * n * _EPS * float(abs(G).max())
+    gmax = float(abs(G).max())
     try:
         x = np.linalg.solve(G, b)
     except np.linalg.LinAlgError:
         pass
     else:
-        if x.min() > tol:
+        if x.min() > 10 * n * _EPS * gmax:
             return x
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     w = b.copy()  # the negative gradient A^T (f - A x)
+    bmax = float(abs(b).max())
     for _ in range(3 * n):
-        free = ~passive & (w > tol)
+        free = ~passive & (w > 10 * n * _EPS * (gmax * x.max() + bmax))
         if not free.any():
             break
         j = int(np.argmax(np.where(free, w, -np.inf)))

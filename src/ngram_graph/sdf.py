@@ -81,6 +81,8 @@ def _parse_record(rec: _Record) -> MolRecord:
         num_bonds = _int_field(counts, 3, 6, "bond count")
     except ValueError as exc:
         raise ValueError(f"malformed counts line: {exc}") from exc
+    if num_atoms < 0 or num_bonds < 0:
+        raise ValueError(f"malformed counts line: negative count in {counts[:6]!r}")
     version = counts[33:39].strip()
     if version and version != "V2000":
         raise ValueError(f"unsupported CTfile version tag {version!r}")

@@ -262,6 +262,17 @@ class TestTrainVertex:
         emb = ng.load_embedding(out)
         assert emb.provenance["seed"] == 4242
 
+    def test_malformed_env_seed_exits_two(self, tmp_path, rng, monkeypatch, capsys):
+        corpus = self._corpus(tmp_path, rng)
+        monkeypatch.setenv("NGG_SEED", "abc")
+        args = ["train-vertex", str(corpus), "-o", str(tmp_path / "w.nggm"),
+                "--r", "4", "--epochs", "1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "$NGG_SEED" in err and "--seed" in err
+        # a flag means the environment is not read
+        assert main(args + ["--seed", "3"]) == 0
+
     def test_predictable_corpus_reports_high_accuracy(self, tmp_path, rng, capsys):
         sch = ng.FULL_SCHEMA
         graphs = synth.neighbor_predictable_corpus(rng, sch, n_graphs=100)
@@ -472,6 +483,20 @@ class TestRecover:
                      "--seed", str(want)]) == 0
         assert Path("a.csv").read_bytes() == Path("b.csv").read_bytes()
 
+    def test_malformed_env_seed_only_fails_when_read(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("NGG_SEED", "abc")
+        doc = {"r_values": [20], "k_values": [6], "s_values": [2], "trials": 3}
+        Path("seedless.json").write_text(json.dumps(doc))
+        Path("seeded.json").write_text(json.dumps({**doc, "seed": 5}))
+        assert main(["recover", "--grid", "seeded.json", "-o", "a.csv"]) == 0
+        assert json.loads(Path("a.csv.manifest.json").read_text())["params"]["seed"] == 5
+        assert main(["recover", "--grid", "seedless.json", "--seed", "5"]) == 0
+        capsys.readouterr()
+        assert main(["recover", "--grid", "seedless.json"]) == 2
+        err = capsys.readouterr().err
+        assert "$NGG_SEED" in err and "--seed" in err
+
 
 class TestFitEval:
     @pytest.fixture
@@ -510,6 +535,21 @@ class TestFitEval:
         assert doc["manifest_hash"]
         out = json.loads(capsys.readouterr().out)
         assert out["metric"] == "roc-auc" and out["value"] is not None
+
+    def test_fit_model_independent_of_path_spelling(self, labeled_setup, tmp_path,
+                                                     monkeypatch):
+        # the fixture embedded through absolute paths; embed again through
+        # relative ones and fit both
+        sch, gp, feats = labeled_setup
+        monkeypatch.chdir(tmp_path)
+        assert main(["embed", gp.name, "--embedding", "w.nggm", "-o", "rel",
+                     "--T", "2", "--normalize"]) == 0
+        inputs = [ng.load_features(p)[1]["run"]["inputs"] for p in (feats, "rel.nggm")]
+        assert inputs[0]["graphs_path"]["path"] != inputs[1]["graphs_path"]["path"]
+        for features, out in ((str(feats), "abs.json"), ("rel.nggm", "rel.json")):
+            assert main(["fit", "--features", features, "--graphs", gp.name,
+                         "-o", out]) == 0
+        assert Path("abs.json").read_bytes() == Path("rel.json").read_bytes()
 
     def test_fit_warns_when_not_converged(self, labeled_setup, tmp_path, capsys,
                                           monkeypatch):
@@ -609,14 +649,15 @@ class TestFitEval:
             out, err = capsys.readouterr()
             assert "warning" not in err
             clean.append(out)
-        real_fit = crossval.fit
+        real_fit_path = crossval.fit_path
 
         def unconverged(*a, **kw):
-            model = real_fit(*a, **kw)
-            model.report.converged = False
-            return model
+            models = real_fit_path(*a, **kw)
+            for model in models:
+                model.report.converged = False
+            return models
 
-        monkeypatch.setattr(crossval, "fit", unconverged)
+        monkeypatch.setattr(crossval, "fit_path", unconverged)
         expected = [["warning: 4 fits did not converge"],
                     ["warning: 3 fits did not converge (r=4 T=1)",
                      "warning: 3 fits did not converge (r=4 T=2)"]]

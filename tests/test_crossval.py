@@ -95,9 +95,9 @@ class TestKfoldFeatures:
         fixed = kfold_features(X, y, folds=5, seed=0, lam=1e-3)
         searched = kfold_features(X, y, folds=5, seed=0, lam=None)
         assert fixed.unconverged == searched.unconverged == 0
-        real_fit = crossval.fit
-        monkeypatch.setattr(crossval, "fit",
-                            lambda *args, **kw: real_fit(*args, **kw, max_iter=0))
+        real_fit_path = crossval.fit_path
+        monkeypatch.setattr(crossval, "fit_path",
+                            lambda *args, **kw: real_fit_path(*args, **kw, max_iter=0))
         stalled = kfold_features(X, y, folds=5, seed=0, lam=1e-3)
         assert stalled.unconverged == 5
         # one outer fit per fold plus 3 inner folds for every lambda
@@ -120,16 +120,20 @@ class TestSelectLambda:
     ])
     def test_first_best_lambda_wins_a_tie(self, monkeypatch, metric, scores, expected):
         by_lam = dict(zip(LAMBDA_GRID, scores))
+        X, y = np.arange(8.0).reshape(8, 1), np.arange(8.0) % 2  # X holds row ids
+        splits = fold_indices(8, 3, 0, labels=y, stratified=True)
+        seen = []
 
-        def scripted(X, y, task, metric, folds, seed, lam, penalty, stratified):
-            assert (folds, stratified) == (3, task == "logistic")
-            return ng.EvalReport(metric, [by_lam[lam]], unconverged=1)
+        def scripted(X_tr, y_tr, X_te, y_te, task, metric, lams, penalty):
+            assert lams == LAMBDA_GRID
+            seen.append(X_te[:, 0].tolist())
+            return [(by_lam[lam], 1) for lam in lams]
 
-        monkeypatch.setattr(crossval, "kfold_features", scripted)
-        X, y = np.zeros((8, 2)), np.arange(8.0) % 2
-        # every inner search's unconverged fits are counted
+        monkeypatch.setattr(crossval, "_score_path", scripted)
+        # the 3 stratified inner folds, and every inner fit's unconverged count
         assert (_select_lambda(X, y, "logistic", "squared-l2", metric, seed=0)
-                == (expected, len(LAMBDA_GRID)))
+                == (expected, 3 * len(LAMBDA_GRID)))
+        assert seen == [te.tolist() for _, te in splits]
 
     def test_single_class_inner_folds_fall_back(self):
         # the one positive leaves its test fold's training rows single-class and

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ngram_graph.crossval import LAMBDA_GRID
+from ngram_graph import linear
+from ngram_graph.crossval import LAMBDA_GRID, kfold_features
 from ngram_graph.linear import (
     PENALTIES,
     TASKS,
@@ -11,6 +12,7 @@ from ngram_graph.linear import (
     compute_metric,
     evaluate,
     fit,
+    fit_path,
     mae,
     pr_auc,
     rmse,
@@ -197,6 +199,118 @@ class TestFit:
         assert np.array_equal(back.weights, model.weights)
         assert back.intercept == model.intercept
         assert np.array_equal(back.decision(X), model.decision(X))
+
+
+def _problem(seed, n, d, task):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    if task == "logistic":
+        y = (X[:, 0] + rng.standard_normal(n) > 0).astype(float)
+    else:
+        y = X[:, :3].sum(axis=1) + rng.standard_normal(n)
+    return X, y
+
+
+def _same_model(a, b):
+    assert np.array_equal(a.weights, b.weights)
+    assert a.intercept == b.intercept
+    assert a.lam == b.lam
+    assert a.report == b.report
+
+
+class TestFitPath:
+    @pytest.mark.parametrize("n, d", [(60, 8), (20, 50)])  # primal, row space
+    @pytest.mark.parametrize("penalty", PENALTIES)
+    @pytest.mark.parametrize("task", TASKS)
+    def test_grid_equals_one_lambda_fits(self, task, penalty, n, d):
+        # one lambda must not see another's Hessian, gradient or start point
+        X, y = _problem(21, n, d, task)
+        path = fit_path(X, y, LAMBDA_GRID, task=task, penalty=penalty)
+        assert len(path) == len(LAMBDA_GRID)
+        for lam, model in zip(LAMBDA_GRID, path):
+            _same_model(model, fit(X, y, task=task, lam=lam, penalty=penalty))
+        for lam, model in zip(LAMBDA_GRID[::-1], fit_path(X, y, LAMBDA_GRID[::-1],
+                                                          task=task, penalty=penalty)):
+            _same_model(model, fit(X, y, task=task, lam=lam, penalty=penalty))
+
+    def test_singular_hessian_path_takes_lstsq(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((30, 3))
+        X = np.hstack([X, X[:, :1]])
+        y = X @ np.array([1.0, -2.0, 0.5, 1.0]) + 0.25
+        lams = (0.0, 1e-2, 0.0)
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        path = fit_path(X, y, lams, task="least-squares")
+        assert calls
+        for lam, model in zip(lams, path):
+            _same_model(model, fit(X, y, task="least-squares", lam=lam))
+        assert path[0].report.converged
+
+    def test_single_class_faults(self):
+        with pytest.raises(DegenerateLabels):
+            fit_path(np.ones((5, 2)), np.ones(5), LAMBDA_GRID)
+
+    @pytest.mark.parametrize("lam", [-1.0, float("inf"), float("nan")])
+    def test_bad_lambda_rejected(self, lam):
+        X, y = _problem(0, 10, 2, "logistic")
+        with pytest.raises(ValueError):
+            fit_path(X, y, (1e-3, lam))
+
+    @pytest.mark.parametrize("n, d, qrs", [(30, 80, 1), (80, 30, 0)])
+    def test_one_factorization_per_path(self, monkeypatch, n, d, qrs):
+        # least squares keeps the loss Hessian of its start for every step
+        # and every lambda; the row space takes one QR for the whole grid
+        counts = {"qr": 0, "hessian": 0}
+        qr, hessian = np.linalg.qr, linear._loss_hessian
+
+        def count(name, func):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return func(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "qr", count("qr", qr))
+        monkeypatch.setattr(linear, "_loss_hessian", count("hessian", hessian))
+        X, y = _problem(3, n, d, "least-squares")
+        path = fit_path(X, y, LAMBDA_GRID, task="least-squares")
+        assert all(m.report.converged for m in path)
+        assert counts == {"qr": qrs, "hessian": 1}
+
+    @pytest.mark.parametrize("penalty", PENALTIES)
+    @pytest.mark.parametrize("task", TASKS)
+    def test_row_space_matches_primal(self, monkeypatch, task, penalty):
+        X, y = _problem(5, 30, 90, task)
+        reduced = fit_path(X, y, LAMBDA_GRID, task=task, penalty=penalty)
+        monkeypatch.setattr(linear, "_row_space", lambda n, d: False)
+        primal = fit_path(X, y, LAMBDA_GRID, task=task, penalty=penalty)
+        for a, b in zip(reduced, primal):
+            assert a.report.iterations == b.report.iterations
+            assert a.report.converged and b.report.converged
+            scale = np.abs(b.weights).max(initial=0.0)
+            assert np.abs(a.weights - b.weights).max() <= 1e-9 * scale
+            assert abs(a.intercept - b.intercept) <= 1e-9 * max(abs(b.intercept), 1.0)
+            assert abs(a.report.objective - b.report.objective) <= 1e-13 * b.report.objective
+
+    @pytest.mark.parametrize("penalty", PENALTIES)
+    @pytest.mark.parametrize("seed, n, d", [(0, 40, 120), (1, 60, 150), (2, 30, 45),
+                                            (3, 90, 140), (4, 20, 100)])
+    def test_row_space_fold_values_equal_primal(self, monkeypatch, seed, n, d, penalty):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d))
+        y = (X[:, :4].sum(axis=1) + rng.standard_normal(n) > 0).astype(float)
+        kw = dict(folds=5, seed=seed, lam=None, penalty=penalty, stratified=True)
+        reduced = kfold_features(X, y, **kw)
+        monkeypatch.setattr(linear, "_row_space", lambda n, d: False)
+        primal = kfold_features(X, y, **kw)
+        assert reduced.fold_values == primal.fold_values
+        assert reduced.unconverged == primal.unconverged == 0
 
 
 class TestMetrics:

@@ -52,6 +52,14 @@ class TestErrors:
         assert errors[0].line == 1
         assert "counts line" in errors[0].message
 
+    def test_negative_count_rejected(self):
+        # a fuzzed " 3 -2" counts line once read past the atom block
+        lines = WATER.splitlines()
+        lines[3] = "  3 -2" + lines[3][6:]
+        records, errors = parse_sdf("\n".join(lines[:5]))
+        assert not records
+        assert "negative count" in errors[0].message
+
     def test_truncated_atom_block(self):
         truncated = "\n".join(WATER.splitlines()[:5])
         records, errors = parse_sdf(truncated)
