@@ -19,7 +19,7 @@ from .graph import (
     validate_graph,
 )
 from .sdf import MolRecord, parse_sdf
-from .featurize import FeaturizerConfig, featurize
+from .featurize import FeaturizerConfig, featurize, featurize_corpus
 from .vertex import (
     EmbeddingError,
     VertexEmbeddingMatrix,

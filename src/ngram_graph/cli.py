@@ -37,7 +37,7 @@ from .crossval import (
     load_features,
     manifest_hash,
 )
-from .featurize import FeaturizerConfig, featurize
+from .featurize import FeaturizerConfig, featurize_corpus
 from .graph import GraphError, read_json_graphs, write_jsonl
 from .linear import (METRICS, PENALTIES, TASKS, DegenerateLabels, LinearModel,
                      compute_metric, fit as fit_linear)
@@ -242,11 +242,10 @@ def featurize_cmd(input_path, out, schema_key):
         failed = len(parse_errors)
         for err in parse_errors:
             click.echo(str(err), err=True)
-        for rec in records:
-            g, warnings = featurize(rec, cfg)
-            for w in warnings:
+        graphs, warnings = featurize_corpus(records, cfg)
+        for rec, record_warnings in zip(records, warnings):
+            for w in record_warnings:
                 click.echo(f"{rec.name or 'record'}: {w}", err=True)
-            graphs.append(g)
 
     if not graphs:
         raise NoInputGraphs(f"no graphs parsed from {input_path}")

@@ -1,4 +1,10 @@
-"""Atom attribute computation: MolRecord -> MolecularGraph.
+"""Atom attribute computation: parsed records -> MolecularGraphs.
+
+:func:`featurize_corpus` concatenates the records' arrays (``symbols``,
+``charges`` and the 1-based ``bonds`` table) and computes every attribute
+for all atoms of the corpus at once: bincounts over the bond endpoints,
+one vocabulary lookup per distinct value and clips for the counts. It then
+slices one graph per record; :func:`featurize` is its one-record case.
 
 Explicit hydrogens are folded into their heavy atom's hydrogen count and
 dropped as vertices. Attribute rules are deliberately format-driven and
@@ -18,6 +24,7 @@ deterministic:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -47,109 +54,105 @@ class FeaturizerConfig:
         return BUNDLED_SCHEMAS[self.schema_key]
 
 
-def _bucket(schema: AttributeSchema, j: int, value) -> int:
-    return schema.index_of(j, value)
-
-
-def _unknown_index(schema: AttributeSchema, j: int) -> int:
-    values = schema.values_of(j)
-    if values[-1] != UNKNOWN:
-        raise SchemaError(f"attribute {schema.attribute_names[j]!r} has no Unknown slot")
-    return len(values) - 1
-
-
 def featurize(rec: MolRecord, cfg: FeaturizerConfig | None = None):
-    """Compute the vertex attribute table for a parsed record.
+    """Compute the vertex attribute table for one parsed record.
 
-    Returns ``(graph, warnings)``. Heavy atoms keep their record order;
-    vertex i is the i-th non-hydrogen atom.
+    Returns ``(graph, warnings)``: :func:`featurize_corpus` on one record.
+    """
+    graphs, warnings = featurize_corpus([rec], cfg)
+    return graphs[0], warnings[0]
+
+
+def featurize_corpus(records, cfg: FeaturizerConfig | None = None):
+    """Compute the vertex attribute tables of a corpus of parsed records.
+
+    Returns ``(graphs, warnings)``, one graph and one list of warnings per
+    record, in input order. Heavy atoms keep their record order; vertex i of
+    a graph is the i-th non-hydrogen atom of its record.
     """
     cfg = cfg or FeaturizerConfig()
     schema = cfg.schema
-    warnings: list[str] = []
+    if not records:
+        return [], []
+    sizes = [len(r.symbols) for r in records]
+    atom_base = np.concatenate([[0], np.cumsum(sizes)])
+    n = int(atom_base[-1])
+    symbols = list(chain.from_iterable(r.symbols for r in records))
+    charge = np.concatenate([r.charges for r in records])
+    bonds = np.concatenate([r.bonds for r in records])
+    bond_record = np.repeat(np.arange(len(records)), [len(r.bonds) for r in records])
+    u = bonds[:, 0] - 1 + atom_base[bond_record]  # corpus atom indices
+    v = bonds[:, 1] - 1 + atom_base[bond_record]
 
-    n = rec.num_atoms
-    total_bonds = [0] * n
-    explicit_h = [0] * n
-    aromatic = [False] * n
-    heavy_neighbors: list[list[int]] = [[] for _ in range(n)]
+    # element properties: one lookup per distinct symbol
+    elements = list(dict.fromkeys(symbols))
+    element_of = dict(zip(elements, range(len(elements))))
+    element = np.fromiter(map(element_of.__getitem__, symbols), dtype=np.int64, count=n)
+    hydrogen = np.array([s == "H" for s in elements], dtype=bool)[element]
+    valence = np.array([DEFAULT_VALENCE.get(s, 0) for s in elements], dtype=np.int64)[element]
+    known = np.array([s in DEFAULT_VALENCE for s in elements], dtype=bool)[element]
+    acceptor = np.array([s in ACCEPTOR_ELEMENTS for s in elements], dtype=bool)[element]
 
-    for b in rec.bonds:
-        u, v = b.u - 1, b.v - 1
-        total_bonds[u] += 1
-        total_bonds[v] += 1
-        if b.order == 4:
-            aromatic[u] = aromatic[v] = True
-        if rec.atoms[v].symbol == "H":
-            explicit_h[u] += 1
-        if rec.atoms[u].symbol == "H":
-            explicit_h[v] += 1
-        if rec.atoms[u].symbol != "H" and rec.atoms[v].symbol != "H":
-            heavy_neighbors[u].append(v)
-            heavy_neighbors[v].append(u)
+    def per_atom(ends):  # bonds of each atom among the selected ones
+        return np.bincount(u[ends], minlength=n) + np.bincount(v[ends], minlength=n)
 
-    heavy = [i for i in range(n) if rec.atoms[i].symbol != "H"]
-    new_index = {old: new for new, old in enumerate(heavy)}
-
-    rows = []
-    for old in heavy:
-        atom = rec.atoms[old]
-        degree = len(heavy_neighbors[old])
-        valence = DEFAULT_VALENCE.get(atom.symbol)
-        if valence is None:
-            num_h = None
-            implicit = None
-            warnings.append(
-                f"atom {old + 1} ({atom.symbol}): no valence entry, hydrogen count unknown"
-            )
-        else:
-            implicit = valence - total_bonds[old] - abs(atom.charge)
-            num_h = explicit_h[old] + implicit
-
-        acceptor = atom.symbol in ACCEPTOR_ELEMENTS
-        row = {
-            "symbol": atom.symbol,
-            "degree": degree,
-            "num_hydrogen": num_h,
-            "implicit_valence": implicit,
-            "charge": atom.charge,
-            "is_aromatic": aromatic[old],
-            "is_acceptor": acceptor,
-            "is_donor": acceptor and bool(num_h and num_h > 0),
-        }
-        rows.append(_encode_row(schema, row))
-
-    edges = []
-    for b in rec.bonds:
-        u, v = b.u - 1, b.v - 1
-        if u in new_index and v in new_index:
-            edges.append((new_index[u], new_index[v]))
-
-    attr = np.asarray(rows, dtype=np.int64).reshape(len(heavy), schema.num_attributes)
-    g = MolecularGraph(
-        num_vertices=len(heavy),
-        attr=attr,
-        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-        graph_id=rec.name or None,
-        schema_fingerprint=schema.fingerprint,
-    )
-    return g, warnings
-
-
-def _encode_row(schema: AttributeSchema, row: dict) -> list[int]:
-    out = []
+    heavy_bond = ~hydrogen[u] & ~hydrogen[v]
+    explicit_h = (np.bincount(u[hydrogen[v]], minlength=n)
+                  + np.bincount(v[hydrogen[u]], minlength=n))
+    implicit = valence - per_atom(slice(None)) - np.abs(charge)
+    num_h = explicit_h + implicit
+    tokens = {
+        "symbol": (elements, element),
+        "degree": np.unique(per_atom(heavy_bond), return_inverse=True),
+        "charge": np.unique(charge, return_inverse=True),
+    }
+    counts = {"num_hydrogen": num_h, "implicit_valence": implicit}
+    flags = {
+        "is_aromatic": per_atom(bonds[:, 2] == 4) > 0,
+        "is_acceptor": acceptor,
+        "is_donor": acceptor & known & (num_h > 0),
+    }
+    attr = np.empty((n, schema.num_attributes), dtype=np.int64)
     for j, name in enumerate(schema.attribute_names):
-        value = row[name]
-        if name in ("symbol", "degree"):
-            out.append(_bucket(schema, j, value))
-        elif name in ("num_hydrogen", "implicit_valence"):
-            if value is None:
-                out.append(_unknown_index(schema, j))
-            else:
-                top = len(schema.values_of(j)) - 2  # last numeric token before Unknown
-                out.append(min(max(value, 0), top))
-        elif name == "charge":
-            out.append(_bucket(schema, j, value))
-        else:  # yes/no flags
-            out.append(1 if value else 0)
-    return out
+        if name in tokens:  # one vocabulary lookup per distinct value
+            values, inverse = tokens[name]
+            attr[:, j] = np.array([schema.index_of(j, x) for x in values],
+                                  dtype=np.int64)[inverse]
+        elif name in counts:
+            top = len(schema.values_of(j)) - 2  # last numeric token before Unknown
+            attr[:, j] = np.where(known, np.clip(counts[name], 0, top),
+                                  schema.index_of(j, UNKNOWN))
+        else:
+            attr[:, j] = flags[name]
+
+    heavy = ~hydrogen
+    attr = attr[heavy]
+    before = np.concatenate([[0], np.cumsum(heavy)])  # heavy atoms before each atom
+    vertex_base = before[atom_base]  # and before each record
+    edges = (before[np.stack([u[heavy_bond], v[heavy_bond]], axis=1)]
+             - vertex_base[bond_record[heavy_bond], None])
+    vertex_base = vertex_base.tolist()
+    edge_base = np.concatenate(
+        [[0], np.cumsum(np.bincount(bond_record[heavy_bond], minlength=len(records)))]
+    ).tolist()
+
+    warnings = [[] for _ in records]
+    unknown = np.flatnonzero(heavy & ~known)
+    owner = np.searchsorted(atom_base, unknown, side="right") - 1
+    for k, i in zip(owner.tolist(), unknown.tolist()):
+        warnings[k].append(
+            f"atom {i - int(atom_base[k]) + 1} ({symbols[i]}): "
+            "no valence entry, hydrogen count unknown"
+        )
+
+    graphs = [
+        MolecularGraph(
+            num_vertices=vertex_base[k + 1] - vertex_base[k],
+            attr=attr[vertex_base[k] : vertex_base[k + 1]],
+            edges=edges[edge_base[k] : edge_base[k + 1]],
+            graph_id=rec.name or None,
+            schema_fingerprint=schema.fingerprint,
+        )
+        for k, rec in enumerate(records)
+    ]
+    return graphs, warnings

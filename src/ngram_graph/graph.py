@@ -215,6 +215,16 @@ def graph_to_doc(g: MolecularGraph, schema: AttributeSchema) -> dict:
     return doc
 
 
+def _integers(values, field: str) -> np.ndarray:
+    """The field as an integer array, by numpy's own conversion: a float,
+    string, bool-only or out-of-int64 value is refused instead of cast. An
+    integer list with a stray bool still converts, the bool as 0 or 1."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind != "i":
+        raise GraphError(f"{field} must be JSON integers")
+    return values
+
+
 def doc_to_graph(doc: dict, schema: AttributeSchema) -> MolecularGraph:
     if not isinstance(doc, dict):
         raise GraphError(f"expected a JSON object, got {type(doc).__name__}")
@@ -225,12 +235,16 @@ def doc_to_graph(doc: dict, schema: AttributeSchema) -> MolecularGraph:
     for key in ("num_vertices", "attributes"):
         if key not in doc:
             raise GraphError(f"missing field {key!r}")
-    m, S = int(doc["num_vertices"]), schema.num_attributes
+    m, S = doc["num_vertices"], schema.num_attributes
+    if type(m) is not int:
+        raise GraphError(f"num_vertices must be a JSON integer, got {type(m).__name__}")
     try:
-        attr = np.asarray(doc["attributes"], dtype=np.int64).reshape(m, S)
-    except ValueError as exc:  # ragged rows, wrong width or non-integer values
+        attr = _integers(doc["attributes"], "attributes").reshape(m, S)
+    except GraphError:
+        raise
+    except ValueError as exc:  # ragged rows or wrong width
         raise GraphError(f"attributes must be {m} rows of {S} value indices") from exc
-    edges = np.asarray(doc.get("edges", []), dtype=np.int64).reshape(-1, 2)
+    edges = _integers(doc.get("edges", []), "edges").reshape(-1, 2)
     label = doc.get("label")
     return MolecularGraph(
         num_vertices=m,

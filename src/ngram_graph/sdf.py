@@ -1,51 +1,42 @@
 """Minimal CTfile V2000 reader for MOL/SDF streams.
 
-Only the fields needed downstream are parsed: atom symbols, atom-block
-charge codes and the bond table. Fields are cut by column position, records
-are split on ``$$$$`` delimiter lines, and a malformed record yields a
-:class:`RecordError` carrying its line number while parsing continues with
-the next record.
+Only the fields needed downstream are parsed, and a record holds them as
+arrays: ``symbols`` (one str per atom), ``charges`` (int64, one per atom)
+and ``bonds`` (int64, one row of 1-based u, v and order per bond). Records
+are split on ``$$$$`` delimiter lines. Each field is cut by column position
+with one list comprehension over the atom or bond lines of the whole
+stream, and array masks check the fields of every record at once. A
+malformed record yields a :class:`RecordError` carrying its line number and
+naming its first bad line, while parsing continues with the next record.
+
+Charges come from the atom-block charge codes unless the record has
+``M  CHG`` property lines. As the CTfile specification says, those then
+supersede every atom-block charge of the record: the codes are still
+checked, but neither their charges nor the radical marker count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 # Atom-block charge codes (column 36-38). Code 4 is a radical marker, not a
 # charge; it maps to 0 and raises a warning on the record.
 CHARGE_CODES = {0: 0, 1: 3, 2: 2, 3: 1, 4: 0, 5: -1, 6: -2, 7: -3}
+_CODE_CHARGE = np.array([CHARGE_CODES[c] for c in range(8)], dtype=np.int64)
+# a field int() rejects; every column read holds at most 4 characters, so
+# no valid field comes near it
+_BAD = -(10**6)
 
 
-@dataclass(frozen=True)
-class Atom:
-    symbol: str
-    charge: int
-
-
-@dataclass(frozen=True)
-class Bond:
-    u: int  # 1-based atom index
-    v: int
-    order: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MolRecord:
     name: str
-    atoms: tuple[Atom, ...]
-    bonds: tuple[Bond, ...]
+    symbols: tuple[str, ...]
+    charges: np.ndarray  # int64 (n,)
+    bonds: np.ndarray  # int64 (nb, 3): 1-based u, v and order
     warnings: tuple[str, ...] = ()
-
-    @property
-    def num_atoms(self) -> int:
-        return len(self.atoms)
-
-    def degrees(self) -> list[int]:
-        d = [0] * len(self.atoms)
-        for b in self.bonds:
-            d[b.u - 1] += 1
-            d[b.v - 1] += 1
-        return d
 
 
 @dataclass(frozen=True)
@@ -57,12 +48,6 @@ class RecordError:
         return f"line {self.line}: {self.message}"
 
 
-@dataclass
-class _Record:
-    start_line: int
-    lines: list = field(default_factory=list)
-
-
 def _int_field(line: str, lo: int, hi: int, what: str) -> int:
     raw = line[lo:hi].strip()
     if not raw:
@@ -70,11 +55,24 @@ def _int_field(line: str, lo: int, hi: int, what: str) -> int:
     return int(raw)
 
 
-def _parse_record(rec: _Record) -> MolRecord:
-    lines = rec.lines
+def _ints(fields: list[str], empty: int) -> np.ndarray:
+    """``int()`` of each stripped field, ``empty`` for a blank one and
+    ``_BAD`` where ``int()`` fails: one conversion per distinct field. (The
+    strip is ``str.strip``: ``int()``'s own skips fewer characters.)"""
+    value = {}
+    for f in set(fields):
+        raw = f.strip()
+        try:
+            value[f] = int(raw) if raw else empty
+        except ValueError:
+            value[f] = _BAD
+    return np.fromiter(map(value.__getitem__, fields), dtype=np.int64, count=len(fields))
+
+
+def _counts(lines: list[str]) -> tuple[int, int]:
+    """Atom and bond count of a record from its counts line."""
     if len(lines) < 4:
         raise ValueError("record shorter than header + counts line")
-    name = lines[0].strip()
     counts = lines[3]
     try:
         num_atoms = _int_field(counts, 0, 3, "atom count")
@@ -86,48 +84,75 @@ def _parse_record(rec: _Record) -> MolRecord:
     version = counts[33:39].strip()
     if version and version != "V2000":
         raise ValueError(f"unsupported CTfile version tag {version!r}")
-
-    body = lines[4:]
-    if len(body) < num_atoms + num_bonds:
+    if len(lines) - 4 < num_atoms + num_bonds:
         raise ValueError(
             f"truncated record: expected {num_atoms} atom + {num_bonds} bond lines, "
-            f"found {len(body)}"
+            f"found {len(lines) - 4}"
         )
+    return num_atoms, num_bonds
 
-    warnings: list[str] = []
-    atoms = []
-    for i in range(num_atoms):
-        line = body[i]
-        symbol = line[30:34].strip()
-        if not symbol:
-            raise ValueError(f"atom {i + 1}: empty symbol field")
-        code_raw = line[36:39].strip()
-        code = int(code_raw) if code_raw else 0
-        if code not in CHARGE_CODES:
-            raise ValueError(f"atom {i + 1}: unknown charge code {code}")
-        if code == 4:
-            warnings.append(f"atom {i + 1}: radical charge code 4 treated as charge 0")
-        atoms.append(Atom(symbol=symbol, charge=CHARGE_CODES[code]))
 
-    bonds = []
-    seen = set()
-    for i in range(num_bonds):
-        line = body[num_atoms + i]
-        u = _int_field(line, 0, 3, "bond endpoint")
-        v = _int_field(line, 3, 6, "bond endpoint")
-        order_raw = line[6:9].strip()
-        order = int(order_raw) if order_raw else 1
-        if not (1 <= u <= num_atoms and 1 <= v <= num_atoms) or u == v:
-            raise ValueError(f"bond {i + 1}: endpoints ({u},{v}) out of range")
-        if not 1 <= order <= 4:
-            raise ValueError(f"bond {i + 1}: order {order} outside 1..4")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ValueError(f"bond {i + 1}: duplicate bond ({u},{v})")
-        seen.add(key)
-        bonds.append(Bond(u=u, v=v, order=order))
+def _first_bad_line(body: list[str], num_atoms: int, num_bonds: int) -> str:
+    """The message for the first bad line of a record the masks rejected:
+    atom lines before bond lines, each line's fields left to right."""
+    try:
+        for i, line in enumerate(body[:num_atoms], start=1):
+            if not line[30:34].strip():
+                return f"atom {i}: empty symbol field"
+            code_raw = line[36:39].strip()
+            code = int(code_raw) if code_raw else 0
+            if code not in CHARGE_CODES:
+                return f"atom {i}: unknown charge code {code}"
+        seen = set()
+        for i, line in enumerate(body[num_atoms : num_atoms + num_bonds], start=1):
+            u = _int_field(line, 0, 3, "bond endpoint")
+            v = _int_field(line, 3, 6, "bond endpoint")
+            order_raw = line[6:9].strip()
+            order = int(order_raw) if order_raw else 1
+            if not (1 <= u <= num_atoms and 1 <= v <= num_atoms) or u == v:
+                return f"bond {i}: endpoints ({u},{v}) out of range"
+            if not 1 <= order <= 4:
+                return f"bond {i}: order {order} outside 1..4"
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                return f"bond {i}: duplicate bond ({u},{v})"
+            seen.add(key)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("the masks rejected a record with no bad line")
 
-    return MolRecord(name=name, atoms=tuple(atoms), bonds=tuple(bonds), warnings=tuple(warnings))
+
+def _charge_lines(props: list[str], num_atoms: int, lineno: int) -> np.ndarray | None:
+    """The charges set by the ``M  CHG`` lines of a property block (whose
+    first line is stream line ``lineno``), or None when it has none.
+
+    A line holds a count (1-8) and that many atom/charge pairs of 4-column
+    fields; atoms it does not name are neutral, and a later pair wins.
+    """
+    charges = None
+    for offset, line in enumerate(props):
+        if line.startswith("M  END"):
+            break
+        if not line.startswith("M  CHG"):
+            continue
+        where = f"M  CHG line {lineno + offset}"
+        try:
+            count = _int_field(line, 6, 9, "count")
+            if not 1 <= count <= 8:
+                raise ValueError(f"count {count} outside 1..8")
+            pairs = [
+                (_int_field(line, p, p + 4, "atom"), _int_field(line, p + 4, p + 8, "charge"))
+                for p in range(9, 9 + 8 * count, 8)
+            ]
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        if charges is None:
+            charges = np.zeros(num_atoms, dtype=np.int64)
+        for atom, charge in pairs:
+            if not 1 <= atom <= num_atoms:
+                raise ValueError(f"{where}: atom {atom} out of range")
+            charges[atom - 1] = charge
+    return charges
 
 
 def parse_sdf(data) -> tuple[list[MolRecord], list[RecordError]]:
@@ -140,24 +165,72 @@ def parse_sdf(data) -> tuple[list[MolRecord], list[RecordError]]:
         data = data.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
+    lines = data.splitlines()
+    cuts = [i for i, line in enumerate(lines) if line.startswith("$$$$")]
 
-    records: list[MolRecord] = []
-    errors: list[RecordError] = []
-    current = _Record(start_line=1)
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        if line.startswith("$$$$"):
-            _finish(current, records, errors)
-            current = _Record(start_line=lineno + 1)
-        else:
-            current.lines.append(line)
-    _finish(current, records, errors)
+    problems = {}  # first line (0-based) of a bad record -> message
+    heads = []  # (first line, end, atoms, bonds) of the records whose counts read
+    for start, end in zip([0] + [i + 1 for i in cuts], cuts + [len(lines)]):
+        rec = lines[start:end]
+        if not any(line.strip() for line in rec):
+            continue
+        try:
+            heads.append((start, end, *_counts(rec)))
+        except ValueError as exc:
+            problems[start] = str(exc)
+
+    na = np.array([h[2] for h in heads], dtype=np.int64)
+    nb = np.array([h[3] for h in heads], dtype=np.int64)
+    atom_lines = [line for s, _, a, _ in heads for line in lines[s + 4 : s + 4 + a]]
+    bond_lines = [line for s, _, a, b in heads for line in lines[s + 4 + a : s + 4 + a + b]]
+    symbols = [line[30:34].strip() for line in atom_lines]
+    codes = _ints([line[36:39] for line in atom_lines], empty=0)
+    u = _ints([line[0:3] for line in bond_lines], empty=_BAD)
+    v = _ints([line[3:6] for line in bond_lines], empty=_BAD)
+    order = _ints([line[6:9] for line in bond_lines], empty=1)
+
+    # masks: a record is bad when any of its atoms or bonds is
+    bad_atom = ~np.fromiter(map(bool, symbols), dtype=bool, count=len(symbols))
+    bad_atom |= (codes < 0) | (codes > 7)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad_bond = (lo < 1) | (hi > np.repeat(na, nb)) | (lo == hi) | (order < 1) | (order > 4)
+    # a repeated pair, keyed by its corpus atom indices (bad bonds never match)
+    atom_base = np.concatenate([[0], np.cumsum(na)])
+    shift = np.repeat(atom_base[:-1], nb) - 1
+    key = (lo + shift) * (atom_base[-1] + 1) + hi + shift
+    key[bad_bond] = -1 - np.flatnonzero(bad_bond)
+    by_key = np.argsort(key, kind="stable")
+    bad_bond[by_key[1:][np.diff(key[by_key]) == 0]] = True
+    bad = np.zeros(len(heads), dtype=bool)
+    bad[np.repeat(np.arange(len(heads)), na)[bad_atom]] = True
+    bad[np.repeat(np.arange(len(heads)), nb)[bad_bond]] = True
+
+    charges = _CODE_CHARGE[np.clip(codes, 0, 7)]
+    bonds = np.stack([u, v, order], axis=1)
+    for arr in (charges, bonds):
+        arr.setflags(write=False)
+    records = []
+    bond_base = np.concatenate([[0], np.cumsum(nb)]).tolist()
+    for (s, e, a, b), a0, b0, is_bad in zip(heads, atom_base.tolist(), bond_base, bad.tolist()):
+        if is_bad:
+            problems[s] = _first_bad_line(lines[s + 4 : s + 4 + a + b], a, b)
+            continue
+        try:
+            chg = _charge_lines(lines[s + 4 + a + b : e], a, s + 5 + a + b)
+        except ValueError as exc:
+            problems[s] = str(exc)
+            continue
+        warnings = ()
+        if chg is None:
+            chg = charges[a0 : a0 + a]
+            warnings = tuple(f"atom {i + 1}: radical charge code 4 treated as charge 0"
+                             for i in np.flatnonzero(codes[a0 : a0 + a] == 4).tolist())
+        records.append(MolRecord(
+            name=lines[s].strip(),
+            symbols=tuple(symbols[a0 : a0 + a]),
+            charges=chg,
+            bonds=bonds[b0 : b0 + b],
+            warnings=warnings,
+        ))
+    errors = [RecordError(line=s + 1, message=problems[s]) for s in sorted(problems)]
     return records, errors
-
-
-def _finish(rec: _Record, records: list, errors: list) -> None:
-    if not any(line.strip() for line in rec.lines):
-        return
-    try:
-        records.append(_parse_record(rec))
-    except ValueError as exc:
-        errors.append(RecordError(line=rec.start_line, message=str(exc)))

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 
 from ngram_graph import AttributeSchema, MolecularGraph
+from ngram_graph.featurize import ACCEPTOR_ELEMENTS, DEFAULT_VALENCE
+from ngram_graph.schema import UNKNOWN
+from ngram_graph.sdf import CHARGE_CODES
 
 
 def small_schema(ks=(5, 4), name="test"):
@@ -218,8 +222,9 @@ def molecule_scale_corpus(rng, schema, n_graphs=1128, m_range=(20, 31)):
 # -- CTfile fixtures -----------------------------------------------------------
 
 
-def molblock(name, atoms, bonds, charge_codes=None):
-    """Assemble a V2000 record. atoms: symbols; bonds: (u, v, order) 1-based."""
+def molblock(name, atoms, bonds, charge_codes=None, props=()):
+    """Assemble a V2000 record. atoms: symbols; bonds: (u, v, order) 1-based;
+    props: property lines placed before ``M  END``."""
     charge_codes = charge_codes or [0] * len(atoms)
     lines = [name, "  synthetic", ""]
     lines.append(f"{len(atoms):>3}{len(bonds):>3}  0  0  0  0  0  0  0  0999 V2000")
@@ -230,12 +235,83 @@ def molblock(name, atoms, bonds, charge_codes=None):
         )
     for u, v, order in bonds:
         lines.append(f"{u:>3}{v:>3}{order:>3}  0")
+    lines.extend(props)
     lines.append("M  END")
     return "\n".join(lines)
 
 
+def charge_line(*pairs):
+    """An ``M  CHG`` property line setting (atom, charge) pairs, atoms 1-based."""
+    return f"M  CHG{len(pairs):>3}" + "".join(f" {a:>3} {c:>3}" for a, c in pairs)
+
+
 def sdf_stream(*blocks):
     return "\n$$$$\n".join(blocks) + "\n$$$$\n"
+
+
+# heavy elements of random_sdf; Si and Xe have no default valence
+SDF_ELEMENTS = ("C", "N", "O", "S", "Cl", "F", "Br", "I", "P", "Si", "Xe")
+
+
+def random_sdf(rng, n_records, max_heavy=8, defects=0.0):
+    """SDF text of random records: heavy-atom trees with a ring closure,
+    explicit hydrogens, bond orders 1-4, every atom-block charge code (the
+    radical marker included), elements without a valence entry and an
+    occasional nameless record. With probability ``defects`` a record gets
+    one defect that the reader must reject (see ``_break_record``)."""
+    blocks = []
+    for k in range(n_records):
+        m = int(rng.integers(1, max_heavy + 1))
+        atoms = [str(s) for s in rng.choice(SDF_ELEMENTS, size=m)]
+        bonds = {(int(rng.integers(0, i)), i): int(rng.integers(1, 5)) for i in range(1, m)}
+        if m > 2:
+            u, v = sorted(int(x) for x in rng.choice(m, size=2, replace=False))
+            bonds.setdefault((u, v), 1)
+        for i in range(m):
+            for _ in range(int(rng.integers(0, 3)) if rng.random() < 0.4 else 0):
+                atoms.append("H")
+                bonds[(i, len(atoms) - 1)] = 1
+        codes = [int(rng.integers(0, 8)) if rng.random() < 0.3 else 0 for _ in atoms]
+        name = "" if rng.random() < 0.1 else f"r{k}"
+        block = molblock(name, atoms, [(u + 1, v + 1, o) for (u, v), o in bonds.items()],
+                         codes)
+        if rng.random() < defects:
+            block = _break_record(rng, block.split("\n"), len(atoms), len(bonds))
+        blocks.append(block)
+    return sdf_stream(*blocks)
+
+
+def _break_record(rng, lines, na, nb):
+    """One molblock with one field overwritten so that the record is bad: a
+    blank symbol, a charge code or bond field that is out of range or not
+    an integer, a self-bond, a repeated bond, a bad counts line, or a
+    missing bond line."""
+    atom = 4 + int(rng.integers(0, na))
+    bond = 4 + na + int(rng.integers(0, nb)) if nb else None
+
+    def put(i, lo, text):
+        lines[i] = lines[i][:lo] + text + lines[i][lo + len(text):]
+
+    kind = int(rng.integers(0, 8)) if nb else int(rng.integers(0, 3))
+    if kind == 0:
+        put(atom, 31, "   ")
+    elif kind == 1:
+        put(atom, 36, str(rng.choice(["  8", " -1", "  x", "1.5"])))
+    elif kind == 2:
+        put(3, 0, str(rng.choice(["  x", " -1", "   "])))
+    elif kind == 3:
+        put(bond, 0, str(rng.choice(["   ", "  0", f"{na + 1:>3}", " x "])))
+    elif kind == 4:
+        put(bond, 6, str(rng.choice(["  0", "  5", "  9", "  a"])))
+    elif kind == 5:
+        put(bond, 3, lines[bond][:3])  # v = u
+    elif kind == 6:  # the first bond again, reversed, as one more bond line
+        first = lines[4 + na]
+        lines.insert(4 + na + nb, first[3:6] + first[:3] + first[6:])
+        put(3, 3, f"{nb + 1:>3}")
+    else:  # the last bond line and M  END cut off
+        del lines[4 + na + nb - 1 :]
+    return "\n".join(lines)
 
 
 WATER = molblock("water", ["O", "H", "H"], [(1, 2, 1), (1, 3, 1)])
@@ -286,3 +362,190 @@ def json_field_mutations(draw, docs: list):
     else:
         docs[i][key] = draw(JSON_VALUES)
     return "".join(json.dumps(d) + "\n" for d in docs).encode()
+
+
+# -- reference SDF reader and featurizer -----------------------------------------
+#
+# The per-atom reader and featurizer that the array versions in ``sdf`` and
+# ``featurize`` replaced, kept as the oracle of a differential test: one
+# object per atom and bond, one dict row per vertex. The reader does not
+# know ``M  CHG`` lines.
+
+
+@dataclass(frozen=True)
+class RefAtom:
+    symbol: str
+    charge: int
+
+
+@dataclass(frozen=True)
+class RefBond:
+    u: int  # 1-based atom index
+    v: int
+    order: int
+
+
+@dataclass(frozen=True)
+class RefRecord:
+    name: str
+    atoms: tuple
+    bonds: tuple
+    warnings: tuple = ()
+
+
+def _ref_int_field(line, lo, hi, what):
+    raw = line[lo:hi].strip()
+    if not raw:
+        raise ValueError(f"empty {what} field")
+    return int(raw)
+
+
+def _ref_parse_record(lines):
+    if len(lines) < 4:
+        raise ValueError("record shorter than header + counts line")
+    name = lines[0].strip()
+    counts = lines[3]
+    try:
+        num_atoms = _ref_int_field(counts, 0, 3, "atom count")
+        num_bonds = _ref_int_field(counts, 3, 6, "bond count")
+    except ValueError as exc:
+        raise ValueError(f"malformed counts line: {exc}") from exc
+    if num_atoms < 0 or num_bonds < 0:
+        raise ValueError(f"malformed counts line: negative count in {counts[:6]!r}")
+    version = counts[33:39].strip()
+    if version and version != "V2000":
+        raise ValueError(f"unsupported CTfile version tag {version!r}")
+    body = lines[4:]
+    if len(body) < num_atoms + num_bonds:
+        raise ValueError(
+            f"truncated record: expected {num_atoms} atom + {num_bonds} bond lines, "
+            f"found {len(body)}"
+        )
+    warnings, atoms = [], []
+    for i in range(num_atoms):
+        line = body[i]
+        symbol = line[30:34].strip()
+        if not symbol:
+            raise ValueError(f"atom {i + 1}: empty symbol field")
+        code_raw = line[36:39].strip()
+        code = int(code_raw) if code_raw else 0
+        if code not in CHARGE_CODES:
+            raise ValueError(f"atom {i + 1}: unknown charge code {code}")
+        if code == 4:
+            warnings.append(f"atom {i + 1}: radical charge code 4 treated as charge 0")
+        atoms.append(RefAtom(symbol=symbol, charge=CHARGE_CODES[code]))
+    bonds, seen = [], set()
+    for i in range(num_bonds):
+        line = body[num_atoms + i]
+        u = _ref_int_field(line, 0, 3, "bond endpoint")
+        v = _ref_int_field(line, 3, 6, "bond endpoint")
+        order_raw = line[6:9].strip()
+        order = int(order_raw) if order_raw else 1
+        if not (1 <= u <= num_atoms and 1 <= v <= num_atoms) or u == v:
+            raise ValueError(f"bond {i + 1}: endpoints ({u},{v}) out of range")
+        if not 1 <= order <= 4:
+            raise ValueError(f"bond {i + 1}: order {order} outside 1..4")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValueError(f"bond {i + 1}: duplicate bond ({u},{v})")
+        seen.add(key)
+        bonds.append(RefBond(u=u, v=v, order=order))
+    return RefRecord(name=name, atoms=tuple(atoms), bonds=tuple(bonds),
+                     warnings=tuple(warnings))
+
+
+def reference_parse_sdf(data):
+    """``(records, errors)`` with errors as ``(line, message)`` pairs."""
+    if isinstance(data, bytes):
+        data = data.decode("utf-8", errors="replace")
+    records, errors = [], []
+    chunks, start, lines = [], 1, []
+    for lineno, line in enumerate(data.splitlines(), start=1):
+        if line.startswith("$$$$"):
+            chunks.append((start, lines))
+            start, lines = lineno + 1, []
+        else:
+            lines.append(line)
+    chunks.append((start, lines))
+    for start, lines in chunks:
+        if not any(line.strip() for line in lines):
+            continue
+        try:
+            records.append(_ref_parse_record(lines))
+        except ValueError as exc:
+            errors.append((start, str(exc)))
+    return records, errors
+
+
+def _ref_encode_row(schema, row):
+    out = []
+    for j, name in enumerate(schema.attribute_names):
+        value = row[name]
+        if name in ("symbol", "degree", "charge"):
+            out.append(schema.index_of(j, value))
+        elif name in ("num_hydrogen", "implicit_valence"):
+            if value is None:
+                out.append(schema.index_of(j, UNKNOWN))
+            else:
+                top = len(schema.values_of(j)) - 2  # last numeric token before Unknown
+                out.append(min(max(value, 0), top))
+        else:  # yes/no flags
+            out.append(1 if value else 0)
+    return out
+
+
+def reference_featurize(rec, schema):
+    """``(graph, warnings)`` of one reference record under the schema."""
+    warnings = []
+    n = len(rec.atoms)
+    total_bonds, explicit_h = [0] * n, [0] * n
+    aromatic = [False] * n
+    heavy_neighbors = [[] for _ in range(n)]
+    for b in rec.bonds:
+        u, v = b.u - 1, b.v - 1
+        total_bonds[u] += 1
+        total_bonds[v] += 1
+        if b.order == 4:
+            aromatic[u] = aromatic[v] = True
+        if rec.atoms[v].symbol == "H":
+            explicit_h[u] += 1
+        if rec.atoms[u].symbol == "H":
+            explicit_h[v] += 1
+        if rec.atoms[u].symbol != "H" and rec.atoms[v].symbol != "H":
+            heavy_neighbors[u].append(v)
+            heavy_neighbors[v].append(u)
+    heavy = [i for i in range(n) if rec.atoms[i].symbol != "H"]
+    new_index = {old: new for new, old in enumerate(heavy)}
+    rows = []
+    for old in heavy:
+        atom = rec.atoms[old]
+        valence = DEFAULT_VALENCE.get(atom.symbol)
+        if valence is None:
+            num_h = implicit = None
+            warnings.append(
+                f"atom {old + 1} ({atom.symbol}): no valence entry, hydrogen count unknown"
+            )
+        else:
+            implicit = valence - total_bonds[old] - abs(atom.charge)
+            num_h = explicit_h[old] + implicit
+        acceptor = atom.symbol in ACCEPTOR_ELEMENTS
+        rows.append(_ref_encode_row(schema, {
+            "symbol": atom.symbol,
+            "degree": len(heavy_neighbors[old]),
+            "num_hydrogen": num_h,
+            "implicit_valence": implicit,
+            "charge": atom.charge,
+            "is_aromatic": aromatic[old],
+            "is_acceptor": acceptor,
+            "is_donor": acceptor and bool(num_h and num_h > 0),
+        }))
+    edges = [(new_index[b.u - 1], new_index[b.v - 1]) for b in rec.bonds
+             if b.u - 1 in new_index and b.v - 1 in new_index]
+    g = MolecularGraph(
+        num_vertices=len(heavy),
+        attr=np.asarray(rows, dtype=np.int64).reshape(len(heavy), schema.num_attributes),
+        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+        graph_id=rec.name or None,
+        schema_fingerprint=schema.fingerprint,
+    )
+    return g, warnings

@@ -176,7 +176,7 @@ class TestJsonlInput:
         if bad == "missing-field":
             assert "document 1: missing field 'num_vertices'" in err
         if bad == "huge-count":
-            assert "document 1: cannot convert float infinity to integer" in err
+            assert "document 1: num_vertices must be a JSON integer, got float" in err
 
 
 class TestReaderFuzz:

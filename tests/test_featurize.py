@@ -1,12 +1,17 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from ngram_graph import FULL_SCHEMA, REDUCED_SCHEMA, validate_graph
-from ngram_graph.featurize import FeaturizerConfig, featurize
+from ngram_graph.featurize import FeaturizerConfig, featurize, featurize_corpus
+from ngram_graph.graph import write_jsonl
 from ngram_graph.schema import SchemaError
 from ngram_graph.sdf import parse_sdf
 
-from .synth import ETHANOL, METHANE, WATER, molblock
+from . import synth
+from .synth import ETHANOL, METHANE, WATER, charge_line, molblock, sdf_stream
 
 
 def _attr_by_name(schema, g, vertex, name):
@@ -57,6 +62,14 @@ class TestAttributeRules:
     def test_charged_oxygen_loses_hydrogen(self):
         # O with charge -1 and one bond: 2 - 1 - |-1| = 0 implicit hydrogens
         block = molblock("alkoxide", ["C", "O"], [(1, 2, 1)], charge_codes=[0, 5])
+        g, _ = _featurize_text(block)
+        assert _attr_by_name(FULL_SCHEMA, g, 1, "charge") == "-1"
+        assert _attr_by_name(FULL_SCHEMA, g, 1, "num_hydrogen") == "0"
+        assert _attr_by_name(FULL_SCHEMA, g, 1, "is_donor") == "no"
+
+    def test_charge_line_charges_the_oxygen(self):
+        # the same alkoxide with its charge on an M  CHG line instead
+        block = molblock("alkoxide", ["C", "O"], [(1, 2, 1)], props=[charge_line((2, -1))])
         g, _ = _featurize_text(block)
         assert _attr_by_name(FULL_SCHEMA, g, 1, "charge") == "-1"
         assert _attr_by_name(FULL_SCHEMA, g, 1, "num_hydrogen") == "0"
@@ -120,36 +133,33 @@ class TestInvariants:
         # featurize(reorder(rec)) equals permute(featurize(rec)) under the
         # permutation induced on the surviving heavy atoms
         from ngram_graph import permute
-        from ngram_graph.sdf import Atom, Bond, MolRecord
+        from ngram_graph.sdf import MolRecord
 
         symbols = ["C", "N", "O", "S", "H"]
         for trial in range(25):
             n = int(rng.integers(2, 7))
-            atoms = tuple(
-                Atom(symbol=symbols[i], charge=0)
-                for i in rng.integers(0, len(symbols), n)
-            )
-            bonds = []
-            for u in range(1, n):
-                v = int(rng.integers(0, u))
-                bonds.append(Bond(u=u + 1, v=v + 1, order=int(rng.integers(1, 5))))
-            rec = MolRecord(name=f"t{trial}", atoms=atoms, bonds=tuple(bonds))
+            atoms = tuple(symbols[i] for i in rng.integers(0, len(symbols), n))
+            bonds = np.array(
+                [(u + 1, int(rng.integers(0, u)) + 1, int(rng.integers(1, 5)))
+                 for u in range(1, n)],
+                dtype=np.int64,
+            ).reshape(-1, 3)
+            rec = MolRecord(name=f"t{trial}", symbols=atoms,
+                            charges=np.zeros(n, dtype=np.int64), bonds=bonds)
 
             pi = rng.permutation(n)  # atom i moves to position pi[i]
             new_atoms = [None] * n
             for i, a in enumerate(atoms):
                 new_atoms[pi[i]] = a
-            new_bonds = tuple(
-                Bond(u=int(pi[b.u - 1]) + 1, v=int(pi[b.v - 1]) + 1, order=b.order)
-                for b in bonds
-            )
-            reordered = MolRecord(name=rec.name, atoms=tuple(new_atoms),
-                                  bonds=new_bonds)
+            new_bonds = bonds.copy()
+            new_bonds[:, :2] = pi[bonds[:, :2] - 1] + 1
+            reordered = MolRecord(name=rec.name, symbols=tuple(new_atoms),
+                                  charges=rec.charges, bonds=new_bonds)
 
             ga, _ = featurize(rec, FeaturizerConfig())
             gb, _ = featurize(reordered, FeaturizerConfig())
-            heavy_a = [i for i, a in enumerate(atoms) if a.symbol != "H"]
-            heavy_b = [i for i, a in enumerate(new_atoms) if a.symbol != "H"]
+            heavy_a = [i for i, a in enumerate(atoms) if a != "H"]
+            heavy_b = [i for i, a in enumerate(new_atoms) if a != "H"]
             pos_b = {old: new for new, old in enumerate(heavy_b)}
             induced = np.array([pos_b[pi[i]] for i in heavy_a], dtype=np.int64)
             gp = permute(ga, induced)
@@ -161,3 +171,67 @@ class TestInvariants:
         g, _ = _featurize_text(block)
         assert g.num_vertices == 0
         assert validate_graph(g, FULL_SCHEMA).ok
+
+
+def _array_outputs(data, schema_key):
+    cfg = FeaturizerConfig(schema_key=schema_key)
+    records, errors = parse_sdf(data)
+    graphs, warnings = featurize_corpus(records, cfg)
+    text = io.StringIO()
+    write_jsonl(graphs, cfg.schema, text)
+    return (text.getvalue(),
+            [(r.name, r.warnings, w) for r, w in zip(records, warnings)],
+            [(e.line, e.message) for e in errors])
+
+
+def _reference_outputs(data, schema_key):
+    schema = FeaturizerConfig(schema_key=schema_key).schema
+    records, errors = synth.reference_parse_sdf(data)
+    out = [synth.reference_featurize(r, schema) for r in records]
+    text = io.StringIO()
+    write_jsonl([g for g, _ in out], schema, text)
+    return (text.getvalue(),
+            [(r.name, r.warnings, w) for r, (_, w) in zip(records, out)],
+            errors)
+
+
+class TestDifferential:
+    """The array reader and corpus featurizer against the per-atom reference
+    in ``synth``: the same JSONL bytes, record and featurizer warnings, and
+    ``(line, message)`` errors. The reference does not read ``M  CHG``
+    lines, so neither do the streams here."""
+
+    SDF = sdf_stream(
+        WATER,
+        # every charge code, order-4 ring bonds, explicit H, elements
+        # without a valence entry (Si, Xe)
+        molblock("zoo", ["C", "N", "O", "S", "Si", "Xe", "Cl", "H"],
+                 [(1, 2, 4), (2, 3, 4), (3, 1, 4), (3, 4, 1), (4, 5, 2), (5, 6, 1),
+                  (6, 7, 1), (1, 8, 1)],
+                 charge_codes=[0, 1, 2, 3, 4, 5, 6, 7]),
+        ETHANOL,
+        molblock("", ["N", "H", "H", "H"], [(1, 2, 1), (1, 3, 1), (1, 4, 1)],
+                 charge_codes=[3, 0, 0, 0]),
+    ).encode()
+
+    @pytest.mark.parametrize("schema_key", ["full", "reduced"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=synth.byte_mutations(SDF))
+    def test_mutated_stream(self, schema_key, data):
+        assume(b"M  CHG" not in data)
+        assert _array_outputs(data, schema_key) == _reference_outputs(data, schema_key)
+
+    @pytest.mark.parametrize("schema_key", ["full", "reduced"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_corpus(self, seed, schema_key):
+        data = synth.random_sdf(np.random.default_rng(seed), 80)
+        outputs = _array_outputs(data, schema_key)
+        assert outputs == _reference_outputs(data, schema_key)
+        assert outputs[0].count("\n") == 80
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_corpus_with_defects(self, seed):
+        data = synth.random_sdf(np.random.default_rng(seed), 200, defects=0.3)
+        outputs = _array_outputs(data, "full")
+        assert outputs == _reference_outputs(data, "full")
+        assert 30 < len(outputs[2]) < 90

@@ -248,12 +248,12 @@ class TestJsonDocuments:
     @pytest.mark.parametrize("field,value,message", [
         (None, 5, "expected a JSON object, got int"),
         (None, None, "expected a JSON object, got NoneType"),
-        ("num_vertices", None, "int()"),
-        ("num_vertices", [2], "int()"),
+        ("num_vertices", None, "num_vertices must be a JSON integer, got NoneType"),
+        ("num_vertices", [2], "num_vertices must be a JSON integer, got list"),
         ("label", {"y": 1}, "float()"),
-        ("attributes", {"a": 1}, "int()"),
-        ("num_vertices", float("inf"), "cannot convert float infinity to integer"),
-        ("attributes", [[2**70, 0], [0, 0]], "too large"),
+        ("attributes", {"a": 1}, "attributes must be JSON integers"),
+        ("num_vertices", float("inf"), "num_vertices must be a JSON integer, got float"),
+        ("attributes", [[2**70, 0], [0, 0]], "attributes must be JSON integers"),
     ])
     def test_wrong_typed_document_is_a_document_error(self, rng, schema, field, value,
                                                       message):
@@ -269,6 +269,31 @@ class TestJsonDocuments:
         assert len(graphs) == 1 and errors[0][0] == 0 and message in errors[0][1]
         with pytest.raises(ng.GraphError, match="document 0"):
             read_json_graphs(text, schema)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("num_vertices", 2.7, "num_vertices must be a JSON integer, got float"),
+        ("num_vertices", "2", "num_vertices must be a JSON integer, got str"),
+        ("num_vertices", True, "num_vertices must be a JSON integer, got bool"),
+        ("attributes", [[0, 0], [1.9, 1]], "attributes must be JSON integers"),
+        ("attributes", [[True, False], [False, True]], "attributes must be JSON integers"),
+        ("edges", [[0, 1.5]], "edges must be JSON integers"),
+        ("edges", [["0", "1"]], "edges must be JSON integers"),
+    ], ids=["vertices-float", "vertices-string", "vertices-bool", "attributes-float",
+            "attributes-bool", "edges-float", "edges-string"])
+    def test_non_integer_value_is_refused_not_cast(self, schema, field, value, message):
+        good = {"schema_id": schema.schema_id, "id": "g", "num_vertices": 2,
+                "attributes": [[0, 0], [1, 1]], "edges": [[0, 1]]}
+        text = json.dumps(good) + "\n" + json.dumps({**good, field: value})
+        errors = []
+        assert len(read_json_graphs(text, schema, errors)) == 1
+        assert errors == [(1, message)]
+
+    def test_integer_list_with_a_stray_bool_converts(self, schema):
+        doc = {"schema_id": schema.schema_id, "id": "g", "num_vertices": 2,
+               "attributes": [[0, True], [1, 1]], "edges": [[False, 1]]}
+        (g,) = read_json_graphs(json.dumps(doc), schema)
+        assert g.attr.tolist() == [[0, 1], [1, 1]]
+        assert g.canonical_edges().tolist() == [[0, 1]]
 
     @pytest.mark.parametrize("field,value,message", [
         ("num_vertices", None, "missing field 'num_vertices'"),

@@ -1,6 +1,9 @@
+import numpy as np
+import pytest
+
 from ngram_graph.sdf import parse_sdf
 
-from .synth import ETHANOL, METHANE, WATER, molblock, sdf_stream
+from .synth import ETHANOL, METHANE, WATER, charge_line, molblock, sdf_stream
 
 
 class TestParsing:
@@ -9,25 +12,25 @@ class TestParsing:
         assert not errors
         (rec,) = records
         assert rec.name == "water"
-        assert [a.symbol for a in rec.atoms] == ["O", "H", "H"]
-        assert rec.degrees() == [2, 1, 1]
+        assert rec.symbols == ("O", "H", "H")
+        assert np.bincount(rec.bonds[:, :2].ravel() - 1).tolist() == [2, 1, 1]
 
     def test_charge_code_five_is_minus_one(self):
         block = molblock("anion", ["O"], [], charge_codes=[5])
         records, errors = parse_sdf(block)
         assert not errors
-        assert records[0].atoms[0].charge == -1
+        assert records[0].charges[0] == -1
 
     def test_all_charge_codes(self):
         block = molblock("zoo", ["C"] * 7, [], charge_codes=[0, 1, 2, 3, 5, 6, 7])
         records, _ = parse_sdf(block)
-        assert [a.charge for a in records[0].atoms] == [0, 3, 2, 1, -1, -2, -3]
+        assert records[0].charges.tolist() == [0, 3, 2, 1, -1, -2, -3]
 
     def test_radical_code_warns_and_zeroes(self):
         block = molblock("radical", ["C"], [], charge_codes=[4])
         records, errors = parse_sdf(block)
         assert not errors
-        assert records[0].atoms[0].charge == 0
+        assert records[0].charges[0] == 0
         assert any("radical" in w for w in records[0].warnings)
 
     def test_empty_stream(self):
@@ -93,3 +96,61 @@ class TestErrors:
         _, errors = parse_sdf(stream)
         water_lines = len(WATER.splitlines())
         assert errors[0].line == water_lines + 2  # after record and $$$$ line
+
+
+class TestChargeLines:
+    """``M  CHG`` property lines supersede every atom-block charge of their
+    record (CTfile V2000)."""
+
+    def test_charge_line_sets_charges(self):
+        block = molblock("alkoxide", ["C", "O"], [(1, 2, 1)], props=[charge_line((2, -1))])
+        records, errors = parse_sdf(block)
+        assert not errors
+        assert records[0].charges.tolist() == [0, -1]
+
+    def test_atom_block_charges_and_radical_marker_ignored(self):
+        block = molblock("mixed", ["N", "C", "O"], [(1, 2, 1), (2, 3, 1)],
+                         charge_codes=[3, 4, 5], props=[charge_line((1, 1))])
+        records, errors = parse_sdf(block)
+        assert not errors
+        assert records[0].charges.tolist() == [1, 0, 0]
+        assert records[0].warnings == ()
+
+    def test_several_lines_and_pairs(self):
+        props = [charge_line((1, 2), (3, -2)), charge_line(*[(2, 1)] * 7 + [(2, -3)])]
+        block = molblock("ions", ["N", "C", "O"], [(1, 2, 1), (2, 3, 1)], props=props)
+        records, errors = parse_sdf(block)
+        assert not errors
+        assert records[0].charges.tolist() == [2, -3, -2]  # a later pair wins
+
+    def test_line_after_m_end_is_data(self):
+        block = molblock("water", ["O", "H", "H"], [(1, 2, 1), (1, 3, 1)],
+                         charge_codes=[5, 0, 0])
+        records, errors = parse_sdf(block + "\n" + charge_line((1, 2)))
+        assert not errors
+        assert records[0].charges.tolist() == [-1, 0, 0]
+
+    @pytest.mark.parametrize("line,message", [
+        ("M  CHG  0", "M  CHG line 8: count 0 outside 1..8"),
+        ("M  CHG  9" + "   1   1" * 9, "M  CHG line 8: count 9 outside 1..8"),
+        ("M  CHG", "M  CHG line 8: empty count field"),
+        ("M  CHG  x   1   1", "M  CHG line 8: invalid literal for int() with base 10: 'x'"),
+        ("M  CHG  2   1   1", "M  CHG line 8: empty atom field"),
+        ("M  CHG  1   1  +a", "M  CHG line 8: invalid literal for int() with base 10: '+a'"),
+        ("M  CHG  1 1.5   1", "M  CHG line 8: invalid literal for int() with base 10: '1.5'"),
+        ("M  CHG  1   3  -1", "M  CHG line 8: atom 3 out of range"),
+        ("M  CHG  1   0  -1", "M  CHG line 8: atom 0 out of range"),
+    ], ids=["zero-count", "count-over-8", "no-count", "bad-count", "missing-pair",
+            "bad-charge", "bad-atom", "atom-past-end", "atom-zero"])
+    def test_malformed_line_is_a_record_error(self, line, message):
+        bad = molblock("bad", ["C", "O"], [(1, 2, 1)], props=[line])
+        records, errors = parse_sdf(sdf_stream(bad, WATER))
+        assert [r.name for r in records] == ["water"]
+        assert [(e.line, e.message) for e in errors] == [(1, message)]
+
+    def test_bad_line_in_second_record_is_numbered_in_the_stream(self):
+        bad = molblock("bad", ["C", "O"], [(1, 2, 1)], props=["M  CHG  1   7   1"])
+        _, errors = parse_sdf(sdf_stream(WATER, bad))
+        start = len(WATER.splitlines()) + 2
+        assert [(e.line, e.message) for e in errors] == [
+            (start, f"M  CHG line {start + 7}: atom 7 out of range")]
