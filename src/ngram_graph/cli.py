@@ -244,7 +244,7 @@ def featurize_cmd(input_path, out, schema_key):
             click.echo(str(err), err=True)
         graphs, warnings = featurize_corpus(records, cfg)
         for rec, record_warnings in zip(records, warnings):
-            for w in record_warnings:
+            for w in (*rec.warnings, *record_warnings):  # the reader's, then the featurizer's
                 click.echo(f"{rec.name or 'record'}: {w}", err=True)
 
     if not graphs:

@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import MolecularGraph
+from .graph import build_graphs
 from .schema import BUNDLED_SCHEMAS, UNKNOWN, AttributeSchema, SchemaError
 from .sdf import MolRecord
 
@@ -131,11 +131,6 @@ def featurize_corpus(records, cfg: FeaturizerConfig | None = None):
     vertex_base = before[atom_base]  # and before each record
     edges = (before[np.stack([u[heavy_bond], v[heavy_bond]], axis=1)]
              - vertex_base[bond_record[heavy_bond], None])
-    vertex_base = vertex_base.tolist()
-    edge_base = np.concatenate(
-        [[0], np.cumsum(np.bincount(bond_record[heavy_bond], minlength=len(records)))]
-    ).tolist()
-
     warnings = [[] for _ in records]
     unknown = np.flatnonzero(heavy & ~known)
     owner = np.searchsorted(atom_base, unknown, side="right") - 1
@@ -145,14 +140,8 @@ def featurize_corpus(records, cfg: FeaturizerConfig | None = None):
             "no valence entry, hydrogen count unknown"
         )
 
-    graphs = [
-        MolecularGraph(
-            num_vertices=vertex_base[k + 1] - vertex_base[k],
-            attr=attr[vertex_base[k] : vertex_base[k + 1]],
-            edges=edges[edge_base[k] : edge_base[k + 1]],
-            graph_id=rec.name or None,
-            schema_fingerprint=schema.fingerprint,
-        )
-        for k, rec in enumerate(records)
-    ]
+    graphs = build_graphs(np.diff(vertex_base), attr, edges,
+                          np.bincount(bond_record[heavy_bond], minlength=len(records)),
+                          ids=[rec.name or None for rec in records],
+                          fingerprint=schema.fingerprint)
     return graphs, warnings

@@ -7,6 +7,14 @@ neighbour lookup reads it, and the canonical edge list (u < v, sorted, for
 serialization) is its upper triangle. :func:`stack_graphs` lays a corpus
 out as one block-diagonal CSR, the adjacency that the walk engine and the
 CBOW context sums multiply with.
+
+A corpus is built in one pass (:func:`build_graphs`, which
+:func:`read_json_graphs` and ``featurize.featurize_corpus`` call): one CSR
+build for all its graphs, which are read-only views of the corpus's
+stacked arrays; ``MolecularGraph(...)`` is the one-graph case. The reader
+still decodes and converts each document on its own, so that a bad field
+is named, and then checks the whole corpus with one sweep of array masks;
+:func:`validate_graph` runs only on the graphs the sweep flags.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -68,21 +77,10 @@ class MolecularGraph:
                 f"attribute table has {attr.shape[0]} rows for {self.num_vertices} vertices"
             )
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        attr.setflags(write=False)
-        edges.setflags(write=False)
-        object.__setattr__(self, "attr", attr)
-        object.__setattr__(self, "edges", edges)
-
-        m = self.num_vertices
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        proper = (lo >= 0) & (hi < m) & (lo != hi)
-        key = np.unique(lo[proper] * m + hi[proper])  # u*m + v, u < v
-        u, v = np.divmod(key, max(m, 1))
-        both = np.sort(np.concatenate([key, v * m + u]))  # both orientations
-        indices = both % max(m, 1)
-        indptr = np.searchsorted(both, np.arange(m + 1, dtype=np.int64) * m)
-        for name, arr in (("indptr", indptr), ("indices", indices)):
+        indptr, indices, _ = _block_csr(np.array([self.num_vertices]), edges,
+                                        np.array([len(edges)]))
+        for name, arr in (("attr", attr), ("edges", edges), ("indptr", indptr),
+                          ("indices", indices)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -120,6 +118,73 @@ def stack_graphs(graphs):
     ends = np.concatenate([g.indptr[1:] for g in graphs])
     indptr = np.concatenate([[0], ends + np.repeat(np.cumsum(nnz) - nnz, np.diff(offsets))])
     return indptr, indices, np.concatenate([g.attr for g in graphs]), offsets
+
+
+def _block_csr(sizes, edges, edge_counts):
+    """The CSR adjacencies of a corpus, built at once: :func:`stack_graphs`
+    run backwards.
+
+    ``sizes`` holds each graph's vertex count, ``edges`` every graph's pairs
+    stacked, in the graph's own vertex numbers, and ``edge_counts`` how many
+    pairs each graph has. Self-loops, out-of-range and repeated pairs are
+    dropped. Returns ``(indptr, indices, nnz)`` in each graph's own numbering:
+    graph k's ``indptr`` is ``indptr[offsets[k] + k : offsets[k + 1] + k + 1]``
+    and its ``indices`` are ``indices[nnz[k] : nnz[k + 1]]``.
+    """
+    n = sizes.size
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    N, M = int(offsets[-1]), max(int(sizes.max(initial=0)), 1)
+    owner = np.repeat(np.arange(n), edge_counts)
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    proper = (lo >= 0) & (hi < sizes[owner]) & (lo != hi)
+    lo, hi, base = lo[proper], hi[proper], offsets[owner[proper]]
+    # corpus row * M + the graph's own column, in both orientations, sorted
+    key = np.sort(np.concatenate([(lo + base) * M + hi, (hi + base) * M + lo]))
+    row, col = np.divmod(key[np.diff(key, prepend=-1) != 0], M)  # each pair once
+    indptr = np.searchsorted(row, np.arange(N + 1))
+    # graph k's m_k + 1 row starts sit at offsets[k] + k, each from its own 0
+    vertex = np.arange(N + n) - np.repeat(np.arange(n), sizes + 1)
+    local = indptr[vertex] - np.repeat(indptr[offsets[:-1]], sizes + 1)
+    return local, col, indptr[offsets]
+
+
+def build_graphs(sizes, attr, edges, edge_counts, labels=None, ids=None,
+                 fingerprint=None) -> list[MolecularGraph]:
+    """Every graph of a corpus from its stacked tables, with one CSR build.
+
+    ``sizes`` and ``edge_counts`` hold each graph's vertex and pair count;
+    ``attr`` stacks the attribute tables and ``edges`` the pairs, each graph
+    in its own vertex numbers. The graphs are read-only views of these
+    arrays and of one block-diagonal CSR, not copies: ``MolecularGraph(...)``
+    is the one-graph case.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    edge_counts = np.asarray(edge_counts, dtype=np.int64)
+    attr = np.asarray(attr, dtype=np.int64)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    indptr, indices, nnz = _block_csr(sizes, edges, edge_counts)
+    for arr in (attr, edges, indptr, indices):
+        arr.setflags(write=False)
+    n = sizes.size
+    labels = [None] * n if labels is None else labels
+    ids = [None] * n if ids is None else ids
+    vs = [0, *accumulate(sizes.tolist())]
+    es = [0, *accumulate(edge_counts.tolist())]
+    zs = nnz.tolist()
+    new = object.__new__
+    graphs = []
+    for k in range(n):
+        g = new(MolecularGraph)
+        g.__dict__.update(  # the fields, set as __post_init__ would leave them
+            num_vertices=vs[k + 1] - vs[k], attr=attr[vs[k] : vs[k + 1]],
+            edges=edges[es[k] : es[k + 1]], label=labels[k], graph_id=ids[k],
+            schema_fingerprint=fingerprint, indptr=indptr[vs[k] + k : vs[k + 1] + k + 1],
+            indices=indices[zs[k] : zs[k + 1]],
+        )
+        graphs.append(g)
+    return graphs
 
 
 def ones_csr(indptr, indices, ncols):
@@ -171,6 +236,23 @@ def validate_graph(g: MolecularGraph, schema: AttributeSchema) -> ValidationRepo
     return ValidationReport(tuple(bad))
 
 
+def _invalid(graphs, sizes, attr, edges, edge_counts, schema) -> np.ndarray:
+    """Which graphs of a read corpus :func:`validate_graph` would fault, by
+    masks over its stacked tables: an attribute index out of range, a
+    self-loop, or more non-loop pairs than CSR edges, which a pair out of
+    range or listed twice leaves. Document conversion has already refused a
+    negative vertex count and a row of the wrong width."""
+    n = sizes.size
+    bad = np.zeros(n, dtype=bool)
+    out = ((attr < 0) | (attr >= np.asarray(schema.cardinalities))).any(axis=1)
+    bad[np.repeat(np.arange(n), sizes)[out]] = True
+    owner = np.repeat(np.arange(n), edge_counts)
+    loop = edges[:, 0] == edges[:, 1]
+    bad[owner[loop]] = True
+    csr_edges = np.fromiter((g.num_edges for g in graphs), dtype=np.int64, count=n)
+    return bad | (np.bincount(owner[~loop], minlength=n) > csr_edges)
+
+
 def one_hot(g: MolecularGraph, schema: AttributeSchema, i: int) -> np.ndarray:
     """Concatenated one-hot encoding of vertex i: one active index per block."""
     if not 0 <= i < g.num_vertices:
@@ -216,16 +298,18 @@ def graph_to_doc(g: MolecularGraph, schema: AttributeSchema) -> dict:
 
 
 def _integers(values, field: str) -> np.ndarray:
-    """The field as an integer array, by numpy's own conversion: a float,
+    """The field as an int64 array, by numpy's own conversion: a float,
     string, bool-only or out-of-int64 value is refused instead of cast. An
     integer list with a stray bool still converts, the bool as 0 or 1."""
     values = np.asarray(values)
     if values.size and values.dtype.kind != "i":
         raise GraphError(f"{field} must be JSON integers")
-    return values
+    return values.astype(np.int64, copy=False)
 
 
-def doc_to_graph(doc: dict, schema: AttributeSchema) -> MolecularGraph:
+def _doc_fields(doc, schema: AttributeSchema):
+    """One document's ``(num_vertices, attr, edges, label, graph_id)``,
+    checked and converted on its own; a problem raises."""
     if not isinstance(doc, dict):
         raise GraphError(f"expected a JSON object, got {type(doc).__name__}")
     if doc.get("schema_id") != schema.schema_id:
@@ -244,16 +328,11 @@ def doc_to_graph(doc: dict, schema: AttributeSchema) -> MolecularGraph:
         raise
     except ValueError as exc:  # ragged rows or wrong width
         raise GraphError(f"attributes must be {m} rows of {S} value indices") from exc
+    if attr.shape[0] != m:  # a negative count
+        raise GraphError(f"attribute table has {attr.shape[0]} rows for {m} vertices")
     edges = _integers(doc.get("edges", []), "edges").reshape(-1, 2)
     label = doc.get("label")
-    return MolecularGraph(
-        num_vertices=m,
-        attr=attr,
-        edges=edges,
-        label=None if label is None else float(label),
-        graph_id=doc.get("id"),
-        schema_fingerprint=schema.fingerprint,
-    )
+    return m, attr, edges, None if label is None else float(label), doc.get("id")
 
 
 def dumps_graph(g: MolecularGraph, schema: AttributeSchema) -> str:
@@ -268,19 +347,17 @@ def write_jsonl(graphs, schema: AttributeSchema, stream) -> None:
         stream.write("\n")
 
 
-def _documents(data, errors):
+def _documents(data):
     """``(pos, document)`` pairs: the elements of one JSON array, or one per
-    nonblank JSONL line, each line decoded and parsed on its own."""
+    nonblank JSONL line, each line decoded and parsed on its own. An
+    undecodable line gives its exception in place of the document."""
     array = data.lstrip()[:1] in ("[", b"[")
     chunks = [data] if array else [line for line in data.splitlines() if line.strip()]
     for pos, chunk in enumerate(chunks):
         try:
             doc = json.loads(chunk.decode("utf-8") if isinstance(chunk, bytes) else chunk)
         except ValueError as exc:  # UnicodeDecodeError, json.JSONDecodeError
-            if errors is None:
-                exc.document = pos  # lets a caller name the broken document
-                raise
-            errors.append((pos, str(exc)))
+            yield pos, exc
             continue
         yield from enumerate(doc) if array else [(pos, doc)]
 
@@ -293,22 +370,45 @@ def read_json_graphs(data, schema: AttributeSchema, errors: list | None = None):
     ``json.JSONDecodeError`` for an undecodable line, with the line's
     position in its ``document`` attribute; ``GraphError`` for an invalid
     document); with one, each is appended as ``(pos, message)``.
+
+    Documents decode and convert one at a time (:func:`_doc_fields`); the
+    corpus is then built in one pass (:func:`build_graphs`), its graphs
+    share its arrays as read-only views, and one array sweep finds the
+    invalid graphs, which alone go through :func:`validate_graph` for their
+    messages.
     """
     if hasattr(data, "read"):
         data = data.read()
-    graphs = []
-    for pos, doc in _documents(data, errors):
-        try:
-            g = doc_to_graph(doc, schema)
-        except (GraphError, TypeError, ValueError, OverflowError) as exc:
-            problem = str(exc)
+    fields, tables, failed = [], [], {}
+    for pos, doc in _documents(data):
+        if isinstance(doc, ValueError):
+            failed[pos] = doc
         else:
-            report = validate_graph(g, schema)
-            if report.ok:
-                graphs.append(g)
-                continue
-            problem = str(report)
-        if errors is None:
+            try:
+                m, attr, edges, label, graph_id = _doc_fields(doc, schema)
+            except (GraphError, TypeError, ValueError, OverflowError) as exc:
+                failed[pos] = str(exc)
+            else:
+                fields.append((pos, m, len(edges), label, graph_id))
+                tables.append((attr, edges))
+        if failed and errors is None:
+            break  # the first problem is this one or one the sweep finds before it
+
+    positions, sizes, counts, labels, ids = zip(*fields) if fields else [()] * 5
+    sizes = np.array(sizes, dtype=np.int64)
+    attr = np.concatenate([a for a, _ in tables]
+                          or [np.empty((0, schema.num_attributes), dtype=np.int64)])
+    edges = np.concatenate([e for _, e in tables] or [np.empty((0, 2), dtype=np.int64)])
+    graphs = build_graphs(sizes, attr, edges, counts, labels, ids, schema.fingerprint)
+    for k in np.flatnonzero(_invalid(graphs, sizes, attr, edges, counts, schema)).tolist():
+        failed[positions[k]] = str(validate_graph(graphs[k], schema))
+    for pos in sorted(failed):
+        problem = failed[pos]
+        if errors is not None:
+            errors.append((pos, str(problem)))
+        elif isinstance(problem, ValueError):
+            problem.document = pos  # lets a caller name the broken document
+            raise problem
+        else:
             raise GraphError(f"document {pos}: {problem}")
-        errors.append((pos, problem))
-    return graphs
+    return [g for pos, g in zip(positions, graphs) if pos not in failed]

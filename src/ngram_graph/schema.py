@@ -57,19 +57,19 @@ class AttributeSchema:
     def num_attributes(self) -> int:
         return len(self.attributes)
 
-    @property
+    @cached_property
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(len(values) for _, values in self.attributes)
 
-    @property
+    @cached_property
     def total_width(self) -> int:
         return sum(self.cardinalities)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         return tuple(accumulate(self.cardinalities, initial=0))[:-1]
 
-    @property
+    @cached_property
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.attributes)
 

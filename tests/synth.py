@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import strategies as st
 
-from ngram_graph import AttributeSchema, MolecularGraph
+from ngram_graph import AttributeSchema, GraphError, MolecularGraph, validate_graph
 from ngram_graph.featurize import ACCEPTOR_ELEMENTS, DEFAULT_VALENCE
 from ngram_graph.schema import UNKNOWN
 from ngram_graph.sdf import CHARGE_CODES
@@ -549,3 +549,213 @@ def reference_featurize(rec, schema):
         schema_fingerprint=schema.fingerprint,
     )
     return g, warnings
+
+
+def graph_fields(g):
+    """Every field of a graph as a comparable tuple; each array with its
+    dtype, shape and read-only flag."""
+    arrays = tuple((a.dtype.str, a.shape, a.flags.writeable, a.tobytes())
+                   for a in (g.attr, g.edges, g.indptr, g.indices))
+    return (g.num_vertices, *arrays, repr(g.label), g.graph_id, g.schema_fingerprint)
+
+
+# -- reference JSON graph reader -------------------------------------------------
+#
+# The per-document reader that ``graph.read_json_graphs`` replaced, kept as
+# the oracle of a differential test: each document converted on its own,
+# built as one ``MolecularGraph`` and checked by ``validate_graph``.
+
+
+def _ref_integers(values, field):
+    values = np.asarray(values)
+    if values.size and values.dtype.kind != "i":
+        raise GraphError(f"{field} must be JSON integers")
+    return values
+
+
+def reference_doc_to_graph(doc, schema):
+    if not isinstance(doc, dict):
+        raise GraphError(f"expected a JSON object, got {type(doc).__name__}")
+    if doc.get("schema_id") != schema.schema_id:
+        raise GraphError(
+            f"schema_id mismatch: document {doc.get('schema_id')!r} vs {schema.schema_id!r}"
+        )
+    for key in ("num_vertices", "attributes"):
+        if key not in doc:
+            raise GraphError(f"missing field {key!r}")
+    m, S = doc["num_vertices"], schema.num_attributes
+    if type(m) is not int:
+        raise GraphError(f"num_vertices must be a JSON integer, got {type(m).__name__}")
+    try:
+        attr = _ref_integers(doc["attributes"], "attributes").reshape(m, S)
+    except GraphError:
+        raise
+    except ValueError as exc:
+        raise GraphError(f"attributes must be {m} rows of {S} value indices") from exc
+    edges = _ref_integers(doc.get("edges", []), "edges").reshape(-1, 2)
+    label = doc.get("label")
+    return MolecularGraph(
+        num_vertices=m,
+        attr=attr,
+        edges=edges,
+        label=None if label is None else float(label),
+        graph_id=doc.get("id"),
+        schema_fingerprint=schema.fingerprint,
+    )
+
+
+def _ref_documents(data, errors):
+    array = data.lstrip()[:1] in ("[", b"[")
+    chunks = [data] if array else [line for line in data.splitlines() if line.strip()]
+    for pos, chunk in enumerate(chunks):
+        try:
+            doc = json.loads(chunk.decode("utf-8") if isinstance(chunk, bytes) else chunk)
+        except ValueError as exc:
+            if errors is None:
+                exc.document = pos
+                raise
+            errors.append((pos, str(exc)))
+            continue
+        yield from enumerate(doc) if array else [(pos, doc)]
+
+
+def reference_read_json_graphs(data, schema, errors=None):
+    graphs = []
+    for pos, doc in _ref_documents(data, errors):
+        try:
+            g = reference_doc_to_graph(doc, schema)
+        except (GraphError, TypeError, ValueError, OverflowError) as exc:
+            problem = str(exc)
+        else:
+            report = validate_graph(g, schema)
+            if report.ok:
+                graphs.append(g)
+                continue
+            problem = str(report)
+        if errors is None:
+            raise GraphError(f"document {pos}: {problem}")
+        errors.append((pos, problem))
+    return graphs
+
+
+# one defect each, applied by ``graph_document_corpora`` to a valid document
+DOCUMENT_DEFECTS = (
+    "attr-range", "edge-range", "self-loop", "duplicate", "negative-count",
+    "empty-count", "float-count", "bool-count", "string-count", "bool-only",
+    "stray-bool", "float-value", "integral-float", "string-value", "big-value",
+    "uint64-value", "flat-attributes", "flat-edges", "wide-edges", "ragged",
+    "wrong-width", "missing-field", "schema-id", "not-object", "int-label",
+    "string-label", "bad-label", "odd-id", "null-edges", "empty-attributes",
+    "falsy-tables",
+)
+
+
+@st.composite
+def graph_documents(draw, schema, max_m=6, defect_percent=50):
+    """One graph document under the schema: valid (possibly with no vertices
+    or no edges, a label and any id), or, with the given chance, with one of
+    ``DOCUMENT_DEFECTS``."""
+    ks = schema.cardinalities
+    m = draw(st.integers(0, max_m))
+    attr = [[draw(st.integers(0, k - 1)) for k in ks] for _ in range(m)]
+    vertex = st.integers(0, max(m - 1, 0))
+    edges = sorted({tuple(sorted(p)) for p in draw(st.lists(st.tuples(vertex, vertex),
+                                                            max_size=2 * m))
+                    if p[0] != p[1]})
+    doc = {"schema_id": schema.schema_id, "id": draw(st.none() | st.text(max_size=3)),
+           "num_vertices": m, "attributes": attr, "edges": [list(e) for e in edges]}
+    if draw(st.booleans()):
+        doc["label"] = draw(st.floats(allow_nan=False, allow_infinity=False, width=32))
+    defect = (draw(st.sampled_from(DOCUMENT_DEFECTS))
+              if draw(st.integers(0, 99)) < defect_percent else None)
+    values = [(row, j) for row in doc["attributes"] for j in range(len(row))]
+    cell = draw(st.sampled_from(values)) if values else None
+
+    def put(value):
+        if cell is not None:
+            cell[0][cell[1]] = value
+        else:
+            doc["edges"].append([0, value])
+
+    if defect == "attr-range" and cell is not None:
+        put(draw(st.sampled_from([-1, ks[cell[1]], 99])))
+    elif defect == "edge-range":
+        doc["edges"].append(draw(st.sampled_from([[0, m], [-1, 0], [m + 3, 1]])))
+    elif defect == "self-loop":
+        doc["edges"].append([m // 2, m // 2])
+    elif defect == "duplicate" and doc["edges"]:
+        doc["edges"].append(list(reversed(doc["edges"][0])))
+    elif defect == "negative-count":
+        doc["num_vertices"] = draw(st.sampled_from([-1, -2]))
+    elif defect == "float-count":
+        doc["num_vertices"] = draw(st.sampled_from([float(m), m + 0.5]))
+    elif defect == "bool-count":
+        doc["num_vertices"] = bool(m)
+    elif defect == "string-count":
+        doc["num_vertices"] = str(m)
+    elif defect == "bool-only":
+        doc["attributes"] = [[bool(x % 2) for x in row] for row in doc["attributes"]]
+        doc["edges"] = [[bool(u % 2), bool(v % 2)] for u, v in doc["edges"]]
+    elif defect == "stray-bool":
+        put(draw(st.booleans()))
+    elif defect == "float-value":
+        put(0.5)
+    elif defect == "integral-float":
+        put(1.0)
+    elif defect == "string-value":
+        put("1")
+    elif defect == "big-value":
+        put(draw(st.sampled_from([2**63, 2**70, -(2**63) - 1])))
+    elif defect == "uint64-value":
+        put(2**64 - 1)
+    elif defect == "flat-attributes":
+        doc["attributes"] = [x for row in doc["attributes"] for x in row]
+    elif defect == "flat-edges":
+        doc["edges"] = [x for pair in doc["edges"] for x in pair]
+    elif defect == "wide-edges":
+        doc["edges"] = [pair + [0] for pair in doc["edges"]]
+    elif defect == "empty-count":
+        doc["num_vertices"] = 0
+    elif defect == "ragged" and cell is not None:
+        cell[0].pop()
+    elif defect == "wrong-width":
+        doc["attributes"] = [row + [0] for row in doc["attributes"]]
+    elif defect == "missing-field":
+        del doc[draw(st.sampled_from(["num_vertices", "attributes", "edges", "schema_id"]))]
+    elif defect == "schema-id":
+        doc["schema_id"] = draw(st.sampled_from(["other:0", None, 3]))
+    elif defect == "not-object":
+        doc = draw(st.sampled_from([[1, 2], 5, "x", None, [doc]]))
+    elif defect == "int-label":
+        doc["label"] = draw(st.integers(-3, 3))
+    elif defect == "string-label":
+        doc["label"] = draw(st.sampled_from(["1.5", "nan", "x"]))
+    elif defect == "bad-label":
+        doc["label"] = draw(st.sampled_from([{"y": 1}, [1], True, 10**400]))
+    elif defect == "odd-id":
+        doc["id"] = draw(st.sampled_from([[1], 7, {"a": None}, True]))
+    elif defect == "null-edges":
+        doc["edges"] = None
+    elif defect == "empty-attributes":
+        doc["attributes"] = []
+    elif defect == "falsy-tables":
+        doc[draw(st.sampled_from(["attributes", "edges"]))] = draw(st.sampled_from([{}, "", 0]))
+    return doc
+
+
+@st.composite
+def graph_document_corpora(draw, schema, min_docs=0, max_docs=8, defect_percent=50):
+    """A JSONL stream (bytes or text) or one JSON array of graph documents,
+    with blank lines and, in JSONL, undecodable lines mixed in."""
+    docs = draw(st.lists(graph_documents(schema, defect_percent=defect_percent),
+                         min_size=min_docs, max_size=max_docs))
+    if draw(st.booleans()):
+        text = json.dumps(docs, separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])))
+        return text.encode() if draw(st.booleans()) else text
+    lines = [json.dumps(d, separators=(",", ":")).encode() for d in docs]
+    for _ in range(draw(st.integers(0, 2))):
+        broken = draw(st.sampled_from([b"{\"schema_id\":", b"\xff\xfe{}", b"   ", b"",
+                                       b"[1, 2", b"nul"]))
+        lines.insert(draw(st.integers(0, len(lines))), broken)
+    data = b"\n".join(lines)
+    return data if draw(st.booleans()) else data.decode("utf-8", errors="replace")

@@ -59,6 +59,20 @@ class TestFeaturize:
         assert len(out.read_text().splitlines()) == 1
         assert (tmp_path / "graphs.jsonl.manifest.json").exists()
 
+    def test_reader_warnings_precede_featurizer_warnings(self, tmp_path, capsys):
+        # atom 2 carries the radical code 4; Si has no valence entry
+        radical = molblock("rad", ["C", "C", "Si"], [(1, 2, 1), (2, 3, 1)], [0, 4, 0])
+        nameless = molblock("", ["O", "Si"], [(1, 2, 1)], [4, 0])
+        src = tmp_path / "radical.sdf"
+        src.write_text(sdf_stream(radical, nameless))
+        assert main(["featurize", str(src), "-o", str(tmp_path / "o.jsonl")]) == 0
+        assert capsys.readouterr().err.splitlines()[:4] == [
+            "rad: atom 2: radical charge code 4 treated as charge 0",
+            "rad: atom 3 (Si): no valence entry, hydrogen count unknown",
+            "record: atom 1: radical charge code 4 treated as charge 0",
+            "record: atom 2 (Si): no valence entry, hydrogen count unknown",
+        ]
+
     def test_empty_file_exits_two(self, tmp_path):
         empty = tmp_path / "empty.sdf"
         empty.write_text("")

@@ -181,7 +181,8 @@ def _array_outputs(data, schema_key):
     write_jsonl(graphs, cfg.schema, text)
     return (text.getvalue(),
             [(r.name, r.warnings, w) for r, w in zip(records, warnings)],
-            [(e.line, e.message) for e in errors])
+            [(e.line, e.message) for e in errors],
+            [synth.graph_fields(g) for g in graphs])
 
 
 def _reference_outputs(data, schema_key):
@@ -192,14 +193,17 @@ def _reference_outputs(data, schema_key):
     write_jsonl([g for g, _ in out], schema, text)
     return (text.getvalue(),
             [(r.name, r.warnings, w) for r, (_, w) in zip(records, out)],
-            errors)
+            errors,
+            [synth.graph_fields(g) for g, _ in out])  # per-record MolecularGraph(...)
 
 
 class TestDifferential:
     """The array reader and corpus featurizer against the per-atom reference
-    in ``synth``: the same JSONL bytes, record and featurizer warnings, and
-    ``(line, message)`` errors. The reference does not read ``M  CHG``
-    lines, so neither do the streams here."""
+    in ``synth``: the same JSONL bytes, record and featurizer warnings,
+    ``(line, message)`` errors, and graphs equal field by field to the
+    reference's per-record ``MolecularGraph(...)`` construction. The
+    reference does not read ``M  CHG`` lines, so neither do the streams
+    here."""
 
     SDF = sdf_stream(
         WATER,

@@ -348,3 +348,81 @@ class TestJsonLines:
         errors = []
         assert read_json_graphs(array[:-1], schema, errors) == []
         assert [pos for pos, _ in errors] == [0]
+
+
+_SCHEMA = synth.small_schema()
+# a canonical corpus with a labelled graph of no vertices and one of no edges
+_BASE = "".join(
+    dumps_graph(g, _SCHEMA) + "\n"
+    for g in [*synth.random_corpus(np.random.default_rng(3), _SCHEMA, 4, density=0.5),
+              MolecularGraph(num_vertices=0, attr=np.zeros((0, 2)), edges=[],
+                             label=2.5, schema_fingerprint=_SCHEMA.fingerprint),
+              MolecularGraph(num_vertices=2, attr=[[4, 3], [0, 0]], edges=[],
+                             graph_id="lone", schema_fingerprint=_SCHEMA.fingerprint)]
+).encode()
+
+
+class TestReaderDifferential:
+    """``read_json_graphs`` against the per-document reader in ``synth``:
+    with an ``errors`` list, the same graphs field by field and the same
+    ``(pos, message)`` entries in the same order; without one, the same
+    exception."""
+
+    @staticmethod
+    def _outcome(reader, data, schema, errors):
+        try:
+            graphs = reader(data, schema, errors)
+        except ValueError as exc:  # GraphError, UnicodeDecodeError, JSONDecodeError
+            return type(exc), str(exc), getattr(exc, "document", None)
+        return [synth.graph_fields(g) for g in graphs], errors
+
+    def _agree(self, data, schema=_SCHEMA):
+        for errors in ([], None):
+            new = self._outcome(read_json_graphs, data, schema,
+                                None if errors is None else [])
+            ref = self._outcome(synth.reference_read_json_graphs, data, schema,
+                                None if errors is None else [])
+            assert new == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=synth.graph_document_corpora(_SCHEMA))
+    def test_generated_corpora(self, data):
+        self._agree(data)
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=synth.graph_document_corpora(_SCHEMA, min_docs=65, max_docs=140,
+                                             defect_percent=2))
+    def test_long_corpora_with_few_defects(self, data):
+        self._agree(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=synth.byte_mutations(_BASE))
+    def test_mutated_bytes(self, data):
+        self._agree(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=synth.json_field_mutations([json.loads(line)
+                                            for line in _BASE.decode().splitlines()]))
+    def test_field_replaced(self, data):
+        self._agree(data)
+
+    def test_first_problem_raises_before_later_lines_decode(self):
+        # a line nested this deep makes json raise RecursionError, not a
+        # document error
+        data = json.dumps({"schema_id": "other:0"}) + "\n" + "[" * 100_000
+        for reader in (read_json_graphs, synth.reference_read_json_graphs):
+            with pytest.raises(ng.GraphError, match="^document 0: schema_id mismatch"):
+                reader(data, _SCHEMA)
+
+    @pytest.mark.parametrize("data", [b"", "", b"\n\n", "[]", b"[]", b"  \n"])
+    def test_empty_corpora(self, data):
+        self._agree(data)
+        assert read_json_graphs(data, _SCHEMA) == []
+
+    def test_corpus_graphs_are_read_only_views(self):
+        graphs = read_json_graphs(_BASE, _SCHEMA)
+        assert len(graphs) == 6
+        for name in ("attr", "edges", "indptr", "indices"):
+            arrays = [getattr(g, name) for g in graphs]
+            assert not any(a.flags.writeable for a in arrays)
+            assert len({id(a.base) for a in arrays}) == 1  # one corpus array

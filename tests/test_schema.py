@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from ngram_graph import FULL_SCHEMA, REDUCED_SCHEMA, AttributeSchema, SchemaError
@@ -65,3 +67,21 @@ class TestFingerprint:
         b = AttributeSchema.from_pairs([("a", ("x", "y"))], name="two")
         assert a.fingerprint == b.fingerprint
         assert a.schema_id != b.schema_id
+
+
+class TestCachedLayout:
+    @staticmethod
+    def _layout(sch):
+        return sch.cardinalities, sch.offsets, sch.total_width, sch.attribute_names
+
+    def test_values_equality_hash_and_pickle_unchanged(self):
+        pairs = [("a", ("x", "y")), ("b", ("p", "q", "r"))]
+        read, unread = AttributeSchema.from_pairs(pairs), AttributeSchema.from_pairs(pairs)
+        assert self._layout(read) == ((2, 3), (0, 2), 5, ("a", "b"))
+        assert read.cardinalities is read.cardinalities  # computed once
+        assert read == unread and hash(read) == hash(unread)
+        for sch in (read, unread):  # as a --jobs worker receives it
+            back = pickle.loads(pickle.dumps(sch))
+            assert back == read and hash(back) == hash(read)
+            assert self._layout(back) == self._layout(read)
+            assert back.fingerprint == read.fingerprint and back.index_of(1, "r") == 2
