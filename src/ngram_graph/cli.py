@@ -3,15 +3,16 @@
 Every artifact gets a ``.manifest.json`` sidecar read off click's own
 parameter list: ``params`` holds each parameter that is not a path, under
 its click name and as a flag would carry it; ``inputs`` holds each existing
-input file with its SHA-256. Output paths and ``--jobs`` do not change the
-output bytes and are not recorded. ``--config FILE.json`` holds a JSON
-object of option defaults keyed by parameter or option name (``t_steps``,
-``T``, ``level-scale``); they are checked like flags, and flags on the
-command line win. So ``ngg CMD --config params.json INPUTS -o NEW``, with
-the manifest's ``params`` as ``params.json``, regenerates an artifact and
-its sidecar byte for byte. ``recover`` reads its recovery grid from
-``--grid FILE.json``. Exit codes: 0 success, 1 numeric or validation
-failure, 2 I/O, parse or usage failure.
+input file with its SHA-256. Output paths and ``recover --jobs`` do not
+change the output bytes and are not recorded. ``--config FILE.json`` holds
+a JSON object of option defaults keyed by parameter or option name
+(``t_steps``, ``T``, ``level-scale``); they are checked like flags, and
+flags on the command line win. So
+``ngg CMD --config params.json INPUTS -o NEW``, with the manifest's
+``params`` as ``params.json``, regenerates an artifact and its sidecar
+byte for byte. ``recover`` reads its recovery grid from ``--grid FILE.json``.
+Exit codes: 0 success, 1 numeric or validation failure, 2 I/O, parse or
+usage failure.
 """
 
 from __future__ import annotations
@@ -151,8 +152,6 @@ _metric_option = click.option("--metric", default="roc-auc", show_default=True,
                               type=click.Choice(METRICS))
 _seed_option = click.option("--seed", default=_seed_default, type=int,
                             help="[default: $NGG_SEED, then 0]")
-_jobs_option = click.option("--jobs", default=1, show_default=True,
-                            help="worker process cap")
 
 
 def _manifest(**resolved) -> dict:
@@ -315,17 +314,16 @@ def train_vertex_cmd(graphs_path, out, schema_key, r, aggregator, hidden,
 @click.option("--level-scale", default="none", show_default=True,
               type=click.Choice(LEVEL_SCALES))
 @click.option("--csv/--no-csv", "want_csv", default=True, show_default=True)
-@_jobs_option
 @_seed_option
 @_config_option
 def embed(graphs_path, embedding_path, out, t_steps, variant, normalize,
-          level_scale, want_csv, jobs, seed):
+          level_scale, want_csv, seed):
     """Embed a graph corpus into a feature matrix."""
     emb = load_embedding(embedding_path)
     graphs = _load_graphs(graphs_path, emb.schema)
     matrix, manifest = embed_corpus(
         graphs, emb, t_steps, variant=variant, level_scale=level_scale,
-        normalization="unit-l2" if normalize else "none", seed=seed, jobs=jobs,
+        normalization="unit-l2" if normalize else "none", seed=seed,
     )
     if manifest["errors"]:
         for row, msg in manifest["errors"].items():
@@ -371,7 +369,8 @@ def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
 @click.option("--grid", "grid_path", type=click.Path(exists=True), default=None,
               help="JSON grid file; defaults to the bundled desk-scale grid")
 @click.option("-o", "--out", default=None, type=click.Path(dir_okay=False))
-@_jobs_option
+@click.option("--jobs", default=1, show_default=True,
+              help="worker process cap; pays only with OPENBLAS_NUM_THREADS=1")
 @click.option("--seed", default=None, type=int,
               help="[default: the grid's seed, then $NGG_SEED, then 0]")
 @_config_option

@@ -12,24 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .graph import MolecularGraph
-from .ngram import BATCH_ENTRIES, check_int64_walks, expand_walks, pack, walk_bound
+from .ngram import check_int64_walks, expand_walks, unit_cuts
 from .schema import AttributeSchema
-
-
-def subset_rank(subset) -> int:
-    """Colex rank of a sorted index subset: sum of C(s_t, t+1)."""
-    return sum(comb(int(s), t + 1) for t, s in enumerate(sorted(subset)))
-
-
-def subsets_colex(k: int, n: int):
-    """All n-subsets of range(k) in colex order."""
-    return sorted(combinations(range(k), n), key=lambda t: t[::-1])
 
 
 @lru_cache(maxsize=64)
@@ -84,18 +73,6 @@ def _binomials(k: int, T: int) -> np.ndarray:
     return table.reshape(k, T + 1)
 
 
-def _distinct_walks(g: MolecularGraph, T: int, width: int):
-    """The frontier over walks on which no attribute repeats a value (the
-    keys are the S attribute columns), from slices of start vertices sized
-    so that no frontier array passes BATCH_ENTRIES entries of ``width``."""
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    rows = max(1, BATCH_ENTRIES // width)
-    cuts = pack(walk_bound(g.indptr, g.indices, T, rows), rows)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        yield from expand_walks(g.indptr, g.indices, g.attr, np.arange(lo, hi), T)
-
-
 def count_statistics(g: MolecularGraph, schema: AttributeSchema, T: int,
                      F: np.ndarray | None = None) -> CountStatistics:
     """Count value subsets along walks of length 1..T, both directions.
@@ -106,6 +83,8 @@ def count_statistics(g: MolecularGraph, schema: AttributeSchema, T: int,
     same pass also sums the element-wise walk products of F over the
     surviving walks, level by level, into ``products``.
     """
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
     ks = schema.cardinalities
     blocks = [[np.zeros(comb(k, n), dtype=np.int64) for k in ks] for n in range(1, T + 1)]
     walk_counts = [0] * T
@@ -115,7 +94,11 @@ def count_statistics(g: MolecularGraph, schema: AttributeSchema, T: int,
         base = np.ascontiguousarray(F.T)
         products = [np.zeros(F.shape[0], dtype=F.dtype) for _ in range(T)]
         width = max(width, F.shape[0])
-    for n, parent, end, hist in _distinct_walks(g, T, width):
+    # walks on which no attribute column repeats, in units sized for ``width``
+    ub, _ = unit_cuts(g.indptr, g.indices, g.attr, np.array([0, g.num_vertices]), T, width)
+    walks = (level for lo, hi in zip(ub[:-1], ub[1:])
+             for level in expand_walks(g.indptr, g.indices, g.attr, np.arange(lo, hi), T))
+    for n, parent, end, hist in walks:
         walk_counts[n - 1] += hist.shape[0]
         for j, k in enumerate(ks):
             values = np.sort(hist[:, :, j], axis=1)

@@ -204,9 +204,6 @@ def validate_graph(g: MolecularGraph, schema: AttributeSchema) -> ValidationRepo
     """
     bad: list[str] = []
     m = g.num_vertices
-    if m < 0:
-        bad.append(f"negative vertex count {m}")
-
     if g.attr.shape[1] != schema.num_attributes:
         bad.append(
             f"attribute table width {g.attr.shape[1]} != schema S={schema.num_attributes}"
@@ -241,7 +238,7 @@ def _invalid(graphs, sizes, attr, edges, edge_counts, schema) -> np.ndarray:
     masks over its stacked tables: an attribute index out of range, a
     self-loop, or more non-loop pairs than CSR edges, which a pair out of
     range or listed twice leaves. Document conversion has already refused a
-    negative vertex count and a row of the wrong width."""
+    row of the wrong width."""
     n = sizes.size
     bad = np.zeros(n, dtype=bool)
     out = ((attr < 0) | (attr >= np.asarray(schema.cardinalities))).any(axis=1)

@@ -70,11 +70,10 @@ def read_matrix(path):
 
 
 def write_csv(path, matrix: np.ndarray, header: list[str], row_ids=None) -> None:
-    matrix = np.asarray(matrix)
+    """One line per row; ``repr`` of each value as a Python float. Rows go to
+    Python floats one at a time, never the whole matrix at once."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(matrix.shape[0]):
-            cells = [repr(float(x)) for x in matrix[i]]
-            if row_ids is not None:
-                cells = [str(row_ids[i])] + cells
-            fh.write(",".join(cells) + "\n")
+        for i, row in enumerate(np.asarray(matrix, dtype=np.float64)):
+            cells = ",".join(map(repr, row.tolist()))
+            fh.write((cells if row_ids is None else f"{row_ids[i]},{cells}") + "\n")

@@ -181,33 +181,56 @@ def _exclusion_keys(attr, variant):
     return np.arange(attr.shape[0], dtype=np.int64).reshape(-1, 1)
 
 
+def unit_cuts(indptr, indices, keys, offsets, T, width):
+    """Vertex boundaries and costs (frontier rows per level, at most) of the
+    units for :func:`expand_walks`: whole graphs, or slices of start vertices
+    that keep a frontier within ``BATCH_ENTRIES // width`` rows unless one
+    vertex alone passes it. A graph whose :func:`walk_bound` fits stays
+    whole. For the others a key-only dry run (history T x key columns wide,
+    sliced by the walk bound) counts each start vertex's largest level, and
+    those counts cut the graph."""
+    rows = max(1, BATCH_ENTRIES // width)
+    dry = max(1, BATCH_ENTRIES // (T * max(keys.shape[1], 1)))
+    cost = walk_bound(indptr, indices, T, max(rows, dry))  # this clip moves no cut below
+    cum = np.concatenate([[0], np.cumsum(cost)])
+    over = cum[offsets[1:]] - cum[offsets[:-1]] > rows
+    starts = np.flatnonzero(np.repeat(over, np.diff(offsets)))
+    cuts = pack(cost[starts], dry)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        seg, peak = np.arange(hi - lo), np.ones(hi - lo, dtype=np.int64)
+        for _, parent, _, _ in expand_walks(indptr, indices, keys, starts[lo:hi], T):
+            if parent is not None:
+                seg = seg[parent]
+                peak = np.maximum(peak, np.bincount(seg, minlength=hi - lo))
+        cost[starts[lo:hi]] = peak
+    cum = np.concatenate([[0], np.cumsum(cost)])
+    cuts = [offsets]
+    for gi in np.flatnonzero(cum[offsets[1:]] - cum[offsets[:-1]] > rows):
+        cuts.append(offsets[gi] + pack(cost[offsets[gi] : offsets[gi + 1]], rows))
+    ub = np.unique(np.concatenate(cuts))
+    return ub, np.diff(cum[ub])
+
+
 def _levels(graphs, emb, T, variant, counts=False):
     """Level sums (G, T, r) in the embedding's dtype and walk counts (G, T)
     (for ``walk`` only when ``counts`` is set). Units of work, whole graphs
-    or graph-local slices of start vertices where a graph's frontier bound
-    exceeds the budget, are packed into batches, summed on their own and
-    added per graph in unit order, so a row never depends on its batch."""
+    or the start-vertex slices of :func:`unit_cuts`, are packed into batches,
+    summed on their own and added per graph in unit order, so a row never
+    depends on its batch."""
     indptr, indices, attr, offsets = stack_graphs(graphs)
     G, r = len(graphs), emb.dim
+    width = r if variant == "walk" else max(r, T)
     if variant == "walk":
-        rows = max(1, BATCH_ENTRIES // r)
         ub = np.unique(offsets)  # unit boundaries
         cost = np.diff(ub)
     else:
-        rows = max(1, BATCH_ENTRIES // max(r, T))
-        bound = walk_bound(indptr, indices, T, rows)
-        cum = np.concatenate([[0], np.cumsum(bound)])
-        cuts = [offsets]
-        for gi in np.flatnonzero(cum[offsets[1:]] - cum[offsets[:-1]] > rows):
-            cuts.append(offsets[gi] + pack(bound[offsets[gi] : offsets[gi + 1]], rows))
-        ub = np.unique(np.concatenate(cuts))
-        cost = np.diff(cum[ub])
         keys = _exclusion_keys(attr, variant)
+        ub, cost = unit_cuts(indptr, indices, keys, offsets, T, width)
     unit_graph = np.searchsorted(offsets, ub[:-1], side="right") - 1
     U = np.zeros((ub.size - 1, T, r), dtype=emb.matrix.dtype)
     UC = np.zeros((ub.size - 1, T), dtype=np.int64)
 
-    batches = pack(cost, rows)
+    batches = pack(cost, max(1, BATCH_ENTRIES // width))
     for u0, u1 in zip(batches[:-1], batches[1:]):
         v0, v1 = offsets[unit_graph[u0]], offsets[unit_graph[u1 - 1] + 1]
         ptr, idx = indptr[v0 : v1 + 1] - indptr[v0], indices[indptr[v0] : indptr[v1]] - v0
@@ -312,23 +335,6 @@ def oracle_embed(
     return NGramEmbedding(levels=tuple(L[0]), variant=variant, normalization=normalization)
 
 
-def _embed_rows(graphs, emb, T, variant, level_scale, normalization):
-    """Feature rows (NaN where a graph failed) and the error map."""
-    good, errors = [], {}
-    for i, g in enumerate(graphs):
-        try:
-            _admit(g, emb, T, variant, level_scale)
-            good.append(i)
-        except (ValueError, RuntimeError) as exc:
-            errors[i] = str(exc)
-    rows = np.full((len(graphs), T * emb.dim), np.nan)
-    if good:
-        L, C = _levels([graphs[i] for i in good], emb, T, variant,
-                       counts=level_scale == "count")
-        rows[good] = _finalize(L, C, level_scale, normalization).reshape(len(good), -1)
-    return rows, errors
-
-
 def embed_corpus(
     graphs,
     emb: VertexEmbeddingMatrix,
@@ -337,7 +343,6 @@ def embed_corpus(
     level_scale: str = "none",
     normalization: str = "none",
     seed: int | None = None,
-    jobs: int = 1,
 ):
     """Embed a corpus into a (num_graphs x T*r) float64 matrix plus manifest.
 
@@ -346,27 +351,24 @@ def embed_corpus(
     error map instead of aborting the run. The rest go through the batched
     engine: the ``walk`` recurrence on a stacked adjacency, the frontier
     expander for ``path`` and ``vertex_path``. A row never depends on which
-    graphs share its batch, so with ``jobs > 1`` (a process pool, each
-    worker running the engine on one chunk of the corpus) the output is
-    identical to the sequential run.
+    graphs share its batch.
     """
     _check_options(T, variant, level_scale, normalization)
     r = emb.dim
     width = T * r
     ids = [str(i) if g.graph_id is None else g.graph_id for i, g in enumerate(graphs)]
-    options = (emb, T, variant, level_scale, normalization)
-    if jobs > 1 and len(graphs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk_size = max(1, (len(graphs) + jobs - 1) // jobs)
-        starts = range(0, len(graphs), chunk_size)
-        chunks = [graphs[i : i + chunk_size] for i in starts]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_embed_rows, chunks, *([o] * len(chunks) for o in options)))
-        rows = np.concatenate([part for part, _ in parts])
-        errors = {i + k: err for i, (_, errs) in zip(starts, parts) for k, err in errs.items()}
-    else:
-        rows, errors = _embed_rows(graphs, *options)
+    good, errors = [], {}
+    for i, g in enumerate(graphs):
+        try:
+            _admit(g, emb, T, variant, level_scale)
+            good.append(i)
+        except (ValueError, RuntimeError) as exc:
+            errors[i] = str(exc)
+    rows = np.full((len(graphs), width), np.nan)
+    if good:
+        L, C = _levels([graphs[i] for i in good], emb, T, variant,
+                       counts=level_scale == "count")
+        rows[good] = _finalize(L, C, level_scale, normalization).reshape(len(good), -1)
     manifest = {
         "kind": "feature-matrix",
         "num_graphs": len(graphs),

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
 import numpy as np
 from hypothesis import strategies as st
@@ -25,6 +27,17 @@ def single_attribute_schema(k, name="single"):
     return AttributeSchema.from_pairs(
         [("value", tuple(f"v{i}" for i in range(k)))], name=name
     )
+
+
+def subset_rank(subset) -> int:
+    """Colex rank of a sorted index subset: sum of C(s_t, t+1); the
+    reference for ``counts.subset_table``."""
+    return sum(comb(int(s), t + 1) for t, s in enumerate(sorted(subset)))
+
+
+def subsets_colex(k: int, n: int):
+    """All n-subsets of range(k) in colex order, by sorting."""
+    return sorted(combinations(range(k), n), key=lambda t: t[::-1])
 
 
 def get_flat(net):

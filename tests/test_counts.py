@@ -7,14 +7,10 @@ from hypothesis import strategies as st
 
 import ngram_graph as ng
 from ngram_graph import count_statistics, embed_vertices, one_hot, random_embedding
-from ngram_graph.counts import (
-    level_dimension,
-    subset_rank,
-    subset_table,
-    subsets_colex,
-)
+from ngram_graph.counts import level_dimension, subset_table
 
 from . import synth
+from .synth import subset_rank, subsets_colex
 
 
 class TestColexIndexing:

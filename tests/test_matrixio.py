@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ngram_graph.graph import read_json_graphs
-from ngram_graph.matrixio import MatrixFormatError, read_matrix, write_matrix
+from ngram_graph.matrixio import MatrixFormatError, read_matrix, write_csv, write_matrix
 
 from . import synth
 
@@ -56,6 +56,29 @@ class TestContainer:
         write_matrix(a, m, meta={"x": 1, "y": [2, 3]})
         write_matrix(b, m, meta={"y": [2, 3], "x": 1})  # key order irrelevant
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestCsv:
+    def test_pinned_bytes(self, tmp_path):
+        m = np.array([[np.nan, np.inf, -np.inf, -0.0],
+                      [1e-300, 3.0, -2.0, 0.1],
+                      [1e16, 2.5e-8, 123456789.0, 1 / 3]])
+        p = tmp_path / "m.csv"
+        write_csv(p, m, ["a", "b", "c", "d"], row_ids=["x", 7, "g 3"])
+        assert p.read_bytes() == (b"a,b,c,d\n"
+                                  b"x,nan,inf,-inf,-0.0\n"
+                                  b"7,1e-300,3.0,-2.0,0.1\n"
+                                  b"g 3,1e+16,2.5e-08,123456789.0,0.3333333333333333\n")
+        write_csv(p, np.array([[1, -2], [2**53 + 1, 0]], dtype=np.int64), ["a", "b"])
+        assert p.read_bytes() == b"a,b\n1.0,-2.0\n9007199254740992.0,0.0\n"
+
+    def test_matches_per_element_repr(self, tmp_path):
+        m = np.random.default_rng(3).standard_normal((6, 9)) * 10.0 ** np.arange(-4, 5)
+        p = tmp_path / "m.csv"
+        write_csv(p, m, [f"c{j}" for j in range(9)], row_ids=range(6))
+        lines = p.read_text(encoding="utf-8").splitlines()[1:]
+        assert lines == [",".join([str(i)] + [repr(float(x)) for x in row])
+                         for i, row in enumerate(m)]
 
 
 class TestJsonArrayForm:

@@ -299,18 +299,10 @@ class TestCorpus:
         assert manifest["seed"] == 42
         assert manifest["ids"] == [g.graph_id for g in graphs]
 
-    def test_parallel_embedding_matches_sequential(self, rng, schema):
-        graphs = synth.random_corpus(rng, schema, 30, density=0.4)
-        emb = random_embedding(schema, 6, seed=1)
-        seq, m1 = embed_corpus(graphs, emb, 3)
-        par, m2 = embed_corpus(graphs, emb, 3, jobs=3)
-        assert np.array_equal(seq, par)
-        assert m1["errors"] == m2["errors"]
-
 
 class TestBatchIndependence:
-    """Rows must not depend on batch composition, slicing or --jobs, and
-    bad graphs must stay isolated as NaN rows with their error strings."""
+    """Rows must not depend on batch composition or slicing, and bad graphs
+    must stay isolated as NaN rows with their error strings."""
 
     T = 4
 
@@ -372,11 +364,124 @@ class TestBatchIndependence:
                     ref = unsliced[(kind, variant, level_scale, norm)][i]
                     assert np.max(np.abs(X[i] - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1e-300)
 
-    def test_jobs_match_sequential(self, rng):
-        corpus, embs, _, _ = self._corpus(rng)
-        for variant in ng.ngram.VARIANTS:
-            for emb in embs.values():
-                seq, m1 = embed_corpus(corpus, emb, self.T, variant, "count", "unit-l2")
-                par, m2 = embed_corpus(corpus, emb, self.T, variant, "count", "unit-l2", jobs=3)
-                assert np.array_equal(seq, par, equal_nan=True)
-                assert m1["errors"] == m2["errors"]
+
+def _record_frontiers(monkeypatch):
+    """Wrap ``expand_walks`` wherever it is called, and ``unit_cuts`` to tell
+    its dry run apart; returns a list that fills with one (dry, number of
+    start vertices, frontier rows per level) entry per enumeration."""
+    calls, dry = [], []
+    expand, cuts = ng.ngram.expand_walks, ng.ngram.unit_cuts
+
+    def recording(indptr, indices, keys, starts, T):
+        sizes = []
+        calls.append((bool(dry), len(starts), sizes))
+        for level in expand(indptr, indices, keys, starts, T):
+            sizes.append(level[2].size)
+            yield level
+
+    def flagged(*args):
+        dry.append(True)
+        try:
+            return cuts(*args)
+        finally:
+            dry.pop()
+
+    for module in (ng.ngram, ng.counts):
+        monkeypatch.setattr(module, "expand_walks", recording)
+        monkeypatch.setattr(module, "unit_cuts", flagged)
+    return calls
+
+
+def _clique(schema, m, rng):
+    attr = np.stack([rng.integers(0, k, size=m) for k in schema.cardinalities], axis=1)
+    return MolecularGraph(num_vertices=m, attr=attr,
+                          edges=[[u, v] for u in range(m) for v in range(u + 1, m)],
+                          graph_id=f"K{m}", schema_fingerprint=schema.fingerprint)
+
+
+class TestUnitCuts:
+    """The exclusion variants cut a graph into start-vertex slices by the real
+    frontier, which a dry run of the enumerator counts."""
+
+    BUDGET = 1024
+
+    def _check(self, calls, width, dry_width):
+        """Frontier rows times width stay within the budget, except for a
+        single start vertex; returns how many single start vertices passed."""
+        alone = 0
+        for dry, starts, sizes in calls:
+            if max(sizes) * (dry_width if dry else width) > self.BUDGET:
+                assert starts == 1
+                alone += 1
+        return alone
+
+    def test_frontiers_stay_within_budget(self, rng, full_schema, monkeypatch):
+        # 64 frontier rows at r = 16: every molecule is sliced, and a start
+        # vertex of K7 spawns 360 five-vertex paths on its own. At T = 2 the
+        # walk bound is exact, so five K12s fill the dry run's own budget.
+        molecules = synth.molecule_scale_corpus(rng, full_schema, n_graphs=12)
+        molecules.insert(5, _clique(full_schema, 7, rng))
+        cliques = [_clique(full_schema, 12, rng) for _ in range(5)]
+        r, S = 16, full_schema.num_attributes
+        emb = random_embedding(full_schema, r, seed=0)
+        monkeypatch.setattr(ng.ngram, "BATCH_ENTRIES", self.BUDGET)
+        calls = _record_frontiers(monkeypatch)
+        alone = 0
+        for graphs, T in ((molecules, 5), (cliques, 2)):
+            for variant in ("path", "vertex_path"):
+                embed_corpus(graphs, emb, T, variant)
+                numeric = sum(not dry for dry, _, _ in calls)
+                assert 2 * len(graphs) < numeric < len(calls)  # sliced, after a dry run
+                alone += self._check(calls, max(r, T), T)
+                calls.clear()
+        assert alone  # the K7 start vertices
+        T = 5
+        for g in molecules:
+            ng.count_statistics(g, full_schema, T, ng.embed_vertices(g, emb))
+        assert any(dry for dry, _, _ in calls)
+        self._check(calls, max(T * S, r), T * S)
+
+    def test_unsliced_graph_keeps_its_unit(self, rng, full_schema):
+        graphs = synth.molecule_scale_corpus(rng, full_schema, n_graphs=5, m_range=(5, 7))
+        indptr, indices, attr, offsets = ng.graph.stack_graphs(graphs)
+        keys = ng.ngram._exclusion_keys(attr, "path")
+        ub, cost = ng.ngram.unit_cuts(indptr, indices, keys, offsets, 4, 32)
+        bound = ng.ngram.walk_bound(indptr, indices, 4, 1 << 20)
+        assert np.array_equal(ub, offsets)
+        assert np.array_equal(cost, np.add.reduceat(bound, offsets[:-1]))
+
+    def test_count_statistics_independent_of_slicing(self, rng, monkeypatch):
+        sch = synth.small_schema(ks=(8, 9))
+        g = synth.random_graph(rng, sch, m=12, density=0.5, connected=True)
+        F = {"int": ng.embed_vertices(g, _int_rademacher(rng, sch, 5)),
+             "float": ng.embed_vertices(g, random_embedding(sch, 6, dist="gaussian", seed=3))}
+        whole = {kind: ng.count_statistics(g, sch, 5, f) for kind, f in F.items()}
+        monkeypatch.setattr(ng.ngram, "BATCH_ENTRIES", 48)
+        calls = _record_frontiers(monkeypatch)
+        for kind, f in F.items():
+            sliced = ng.count_statistics(g, sch, 5, f)
+            assert sliced.walk_counts == whole[kind].walk_counts
+            assert np.array_equal(sliced.stacked(), whole[kind].stacked())
+            for a, b in zip(sliced.products, whole[kind].products):
+                if kind == "int":
+                    assert np.array_equal(a, b)
+                else:
+                    assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1e-300)
+        assert sum(not dry for dry, _, _ in calls) > 2  # the graph was sliced
+
+    def test_sliced_integer_rows_equal_oracle(self, rng, full_schema, monkeypatch):
+        graphs = synth.molecule_scale_corpus(rng, full_schema, n_graphs=4)
+        emb = _int_rademacher(rng, full_schema, 4)
+        T = 5
+        monkeypatch.setattr(ng.ngram, "BATCH_ENTRIES", 256)  # 64 frontier rows
+        indptr, indices, attr, offsets = ng.graph.stack_graphs(graphs)
+        for variant in ("path", "vertex_path"):
+            keys = ng.ngram._exclusion_keys(attr, variant)
+            ub, _ = ng.ngram.unit_cuts(indptr, indices, keys, offsets, T, 4)
+            assert ub.size - 1 > 2 * len(graphs)
+            X, manifest = embed_corpus(graphs, emb, T, variant)
+            assert not manifest["errors"]
+            for g, row in zip(graphs, X):
+                ref = oracle_embed(g, emb, T, variant=variant, cap=64).vector
+                assert ref.dtype == np.int64
+                assert np.array_equal(row, ref)

@@ -71,11 +71,9 @@ class TestOperators:
         op = B.operator(2)
         dense = op.materialize()
         # colex order: column for subset {x, y} sits at subset_rank((x, y))
-        from ngram_graph.counts import subset_rank
-
         for x in range(5):
             for y in range(x + 1, 5):
-                col = dense[:, subset_rank((x, y))]
+                col = dense[:, synth.subset_rank((x, y))]
                 assert np.array_equal(col, U[:, x] * U[:, y])
 
     def test_operator_shape(self):
