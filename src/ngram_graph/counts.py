@@ -88,14 +88,14 @@ def count_statistics(g: MolecularGraph, schema: AttributeSchema, T: int,
     ks = schema.cardinalities
     blocks = [[np.zeros(comb(k, n), dtype=np.int64) for k in ks] for n in range(1, T + 1)]
     walk_counts = [0] * T
-    width = max(T * len(ks), 1)
+    width = T * len(ks)
     if F is not None:
         check_int64_walks(g, T, F)
         base = np.ascontiguousarray(F.T)
         products = [np.zeros(F.shape[0], dtype=F.dtype) for _ in range(T)]
         width = max(width, F.shape[0])
     # walks on which no attribute column repeats, in units sized for ``width``
-    ub, _ = unit_cuts(g.indptr, g.indices, g.attr, np.array([0, g.num_vertices]), T, width)
+    ub, _ = unit_cuts(g.indptr, g.indices, np.array([0, g.num_vertices]), T, width)
     walks = (level for lo, hi in zip(ub[:-1], ub[1:])
              for level in expand_walks(g.indptr, g.indices, g.attr, np.arange(lo, hi), T))
     for n, parent, end, hist in walks:

@@ -130,14 +130,24 @@ def _pool(seg, n):
 
 
 def walk_bound(indptr, indices, T, cap):
-    """Per vertex, the number of T-vertex walks starting there, clipped to
-    ``[1, cap]``: an upper bound on every level of the frontier a start
-    vertex spawns, whatever the exclusion rule."""
-    A = ones_csr(indptr, indices, indptr.size - 1)
-    bound = np.ones(A.shape[0], dtype=np.int64)
+    """Per vertex, its largest count of non-backtracking walks at levels
+    1..T, clipped to ``[1, cap]``: a rule with a key column refuses the
+    vertex a walk just left, so this bounds each level of its frontier. Per
+    directed entry, ``e_1 = 1`` and ``e_k(u->v) = S_{k-1}(v) - e_{k-1}(v->u)``
+    (the Hashimoto recurrence), where ``S_k(u)``, the sum of u's entries,
+    counts the (k+1)-vertex walks from u. Clipping ``e_k`` at ``cap`` keeps
+    ``min(true, cap)``, as the subtraction removes exactly one term."""
+    m = indptr.size - 1
+    src = np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr))
+    rev = np.searchsorted(src * m + indices, indices * m + src)  # v->u of each u->v
+    e = np.ones(indices.size, dtype=np.int64)
+    bound = np.ones(m, dtype=np.int64)
     for _ in range(1, T):
-        bound = np.minimum(A @ bound, cap)  # clipping early leaves the clipped result exact
-    return np.maximum(bound, 1)
+        cum = np.concatenate([[0], np.cumsum(e)])
+        S = cum[indptr[1:]] - cum[indptr[:-1]]
+        bound = np.maximum(bound, np.minimum(S, cap))
+        e = np.minimum(S[indices] - e[rev], cap)
+    return bound
 
 
 def pack(costs, budget):
@@ -175,34 +185,26 @@ def expand_walks(indptr, indices, keys, starts, T):
 
 
 def _exclusion_keys(attr, variant):
-    """Key column for the exclusion variants: attribute-row id or vertex id."""
-    if variant == "path":
-        return np.unique(attr, axis=0, return_inverse=True)[1].astype(np.int64).reshape(-1, 1)
-    return np.arange(attr.shape[0], dtype=np.int64).reshape(-1, 1)
+    """Key column for the exclusion variants: vertex id, or for ``path`` the
+    attribute row's rank in lexicographic order (``np.unique``'s row ids)."""
+    if variant != "path":
+        return np.arange(attr.shape[0], dtype=np.int64).reshape(-1, 1)
+    order = np.lexsort(attr.T[::-1])  # the first column sorts first
+    new = np.ones(attr.shape[0], dtype=np.int64)
+    new[1:] = np.diff(attr[order], axis=0).any(axis=1)
+    keys = np.empty_like(new)
+    keys[order] = np.cumsum(new) - 1
+    return keys.reshape(-1, 1)
 
 
-def unit_cuts(indptr, indices, keys, offsets, T, width):
+def unit_cuts(indptr, indices, offsets, T, width):
     """Vertex boundaries and costs (frontier rows per level, at most) of the
     units for :func:`expand_walks`: whole graphs, or slices of start vertices
     that keep a frontier within ``BATCH_ENTRIES // width`` rows unless one
-    vertex alone passes it. A graph whose :func:`walk_bound` fits stays
-    whole. For the others a key-only dry run (history T x key columns wide,
-    sliced by the walk bound) counts each start vertex's largest level, and
-    those counts cut the graph."""
+    vertex alone passes it. A graph whose :func:`walk_bound` sum fits stays
+    whole; any other graph is packed by its per-vertex bound."""
     rows = max(1, BATCH_ENTRIES // width)
-    dry = max(1, BATCH_ENTRIES // (T * max(keys.shape[1], 1)))
-    cost = walk_bound(indptr, indices, T, max(rows, dry))  # this clip moves no cut below
-    cum = np.concatenate([[0], np.cumsum(cost)])
-    over = cum[offsets[1:]] - cum[offsets[:-1]] > rows
-    starts = np.flatnonzero(np.repeat(over, np.diff(offsets)))
-    cuts = pack(cost[starts], dry)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        seg, peak = np.arange(hi - lo), np.ones(hi - lo, dtype=np.int64)
-        for _, parent, _, _ in expand_walks(indptr, indices, keys, starts[lo:hi], T):
-            if parent is not None:
-                seg = seg[parent]
-                peak = np.maximum(peak, np.bincount(seg, minlength=hi - lo))
-        cost[starts[lo:hi]] = peak
+    cost = walk_bound(indptr, indices, T, rows)  # this clip moves no cut below
     cum = np.concatenate([[0], np.cumsum(cost)])
     cuts = [offsets]
     for gi in np.flatnonzero(cum[offsets[1:]] - cum[offsets[:-1]] > rows):
@@ -214,9 +216,9 @@ def unit_cuts(indptr, indices, keys, offsets, T, width):
 def _levels(graphs, emb, T, variant, counts=False):
     """Level sums (G, T, r) in the embedding's dtype and walk counts (G, T)
     (for ``walk`` only when ``counts`` is set). Units of work, whole graphs
-    or the start-vertex slices of :func:`unit_cuts`, are packed into batches,
-    summed on their own and added per graph in unit order, so a row never
-    depends on its batch."""
+    or the start-vertex slices of :func:`unit_cuts`, are packed into batches
+    by their walk bound, enumerated once, summed on their own and added per
+    graph in unit order, so a row never depends on its batch."""
     indptr, indices, attr, offsets = stack_graphs(graphs)
     G, r = len(graphs), emb.dim
     width = r if variant == "walk" else max(r, T)
@@ -225,7 +227,7 @@ def _levels(graphs, emb, T, variant, counts=False):
         cost = np.diff(ub)
     else:
         keys = _exclusion_keys(attr, variant)
-        ub, cost = unit_cuts(indptr, indices, keys, offsets, T, width)
+        ub, cost = unit_cuts(indptr, indices, offsets, T, width)
     unit_graph = np.searchsorted(offsets, ub[:-1], side="right") - 1
     U = np.zeros((ub.size - 1, T, r), dtype=emb.matrix.dtype)
     UC = np.zeros((ub.size - 1, T), dtype=np.int64)

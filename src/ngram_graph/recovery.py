@@ -241,7 +241,7 @@ def sparse_recover(f, op, method: str = "omp", sparsity: int | None = None, **kw
 # -- Monte-Carlo experiment ----------------------------------------------------
 
 
-_CHOICES = {"method": ("omp", "ista"), "allocation": ("proportional", "equal")}
+_CHOICES = {"method": ("omp", "ista")}
 
 
 @dataclass(frozen=True)
@@ -255,13 +255,12 @@ class RecoveryConfig:
     seed: int = 0
     entry_low: int = 1
     entry_high: int = 4
-    allocation: str = "proportional"
     max_iter: int = 2000  # thresholding-solver iteration cap
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RecoveryConfig":
         """Build from a JSON object; a ValueError names the first unknown key,
-        wrongly typed value or unknown ``method``/``allocation``."""
+        wrongly typed value or unknown ``method``."""
         if not isinstance(doc, dict):
             raise ValueError("recovery config must be a JSON object")
         unknown = set(doc) - set(cls.__dataclass_fields__)
@@ -307,17 +306,13 @@ def _single_attribute_schema(k: int) -> AttributeSchema:
 
 
 def run_trial(r: int, k: int, n: int, s: int, method: str, rng,
-              entry_low: int = 1, entry_high: int = 4,
-              allocation: str = "proportional", max_iter: int = 2000) -> bool:
+              entry_low: int = 1, entry_high: int = 4, max_iter: int = 2000) -> bool:
     """One draw: sample sensing + sparse integer counts, measure, recover."""
     schema = _single_attribute_schema(k)
     dim = level_dimension(schema, n)
     if s > dim:
         return False
-    sensing = build_sensing(
-        schema, r, seed=int(rng.integers(2**32)), scale=r**-0.5,
-        allocation=allocation,
-    )
+    sensing = build_sensing(schema, r, seed=int(rng.integers(2**32)), scale=r**-0.5)
     op = sensing.operator(n)
     c = np.zeros(dim)
     if s:
@@ -338,8 +333,7 @@ def _trial_worker(args):
     rng = np.random.default_rng([cfg.seed, r, k, n, s, t])
     return run_trial(
         r, k, n, s, cfg.method, rng,
-        entry_low=cfg.entry_low, entry_high=cfg.entry_high,
-        allocation=cfg.allocation, max_iter=cfg.max_iter,
+        entry_low=cfg.entry_low, entry_high=cfg.entry_high, max_iter=cfg.max_iter,
     )
 
 

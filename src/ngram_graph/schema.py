@@ -36,6 +36,9 @@ class AttributeSchema:
     _value_index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # walks are excluded by attribute keys: with none, a walk may step back
+        if not self.attributes:
+            raise SchemaError("a schema needs at least one attribute")
         names = [a for a, _ in self.attributes]
         if len(set(names)) != len(names):
             raise SchemaError("attribute names must be unique")

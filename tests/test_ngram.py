@@ -366,25 +366,26 @@ class TestBatchIndependence:
 
 
 def _record_frontiers(monkeypatch):
-    """Wrap ``expand_walks`` wherever it is called, and ``unit_cuts`` to tell
-    its dry run apart; returns a list that fills with one (dry, number of
-    start vertices, frontier rows per level) entry per enumeration."""
-    calls, dry = [], []
+    """Wrap ``expand_walks`` wherever it is called, and ``unit_cuts`` to catch
+    an enumeration made while sizing; returns a list that fills with one
+    (inside unit_cuts, number of start vertices, frontier rows per level)
+    entry per enumeration."""
+    calls, sizing = [], []
     expand, cuts = ng.ngram.expand_walks, ng.ngram.unit_cuts
 
     def recording(indptr, indices, keys, starts, T):
         sizes = []
-        calls.append((bool(dry), len(starts), sizes))
+        calls.append((bool(sizing), len(starts), sizes))
         for level in expand(indptr, indices, keys, starts, T):
             sizes.append(level[2].size)
             yield level
 
     def flagged(*args):
-        dry.append(True)
+        sizing.append(True)
         try:
             return cuts(*args)
         finally:
-            dry.pop()
+            sizing.pop()
 
     for module in (ng.ngram, ng.counts):
         monkeypatch.setattr(module, "expand_walks", recording)
@@ -399,18 +400,81 @@ def _clique(schema, m, rng):
                           graph_id=f"K{m}", schema_fingerprint=schema.fingerprint)
 
 
+def _non_backtracking_peaks(g, T):
+    """Per start vertex, the largest count at levels 1..T of the walks that
+    never step straight back, by depth-first enumeration."""
+    nbrs = [g.indices[g.indptr[v] : g.indptr[v + 1]].tolist() for v in range(g.num_vertices)]
+    peaks = []
+    for start in range(g.num_vertices):
+        counts = [0] * T
+        stack = [(start, -1, 1)]
+        while stack:
+            v, prev, n = stack.pop()
+            counts[n - 1] += 1
+            if n < T:
+                stack.extend((u, v, n + 1) for u in nbrs[v] if u != prev)
+        peaks.append(max(counts))
+    return np.array(peaks, dtype=np.int64)
+
+
+class TestWalkBound:
+    """The unit sizes rest on ``walk_bound`` and on the path keys."""
+
+    def test_equals_brute_force_non_backtracking_count(self, rng):
+        sch = synth.small_schema()
+        for _ in range(30):  # 300 graphs, stacked ten at a time
+            T = int(rng.integers(1, 6))
+            graphs = [synth.random_graph(rng, sch, m=int(rng.integers(1, 9)),
+                                         density=float(rng.uniform(0.1, 0.6)))
+                      for _ in range(10)]
+            indptr, indices, _, _ = ng.graph.stack_graphs(graphs)
+            peaks = np.concatenate([_non_backtracking_peaks(g, T) for g in graphs])
+            for cap in (1, 2, 3, 5, 1 << 40):
+                bound = ng.ngram.walk_bound(indptr, indices, T, cap)
+                assert np.array_equal(bound, np.clip(peaks, 1, cap))
+
+    def test_bounds_every_frontier(self, rng, full_schema):
+        graphs = synth.molecule_scale_corpus(rng, full_schema, n_graphs=4)
+        graphs += [_clique(full_schema, 6, rng),
+                   synth.random_graph(rng, full_schema, m=9, density=0.5)]
+        indptr, indices, attr, _ = ng.graph.stack_graphs(graphs)
+        starts = np.arange(attr.shape[0])
+        T = 6
+        bound = ng.ngram.walk_bound(indptr, indices, T, 1 << 40)
+        for keys in (ng.ngram._exclusion_keys(attr, "path"),
+                     ng.ngram._exclusion_keys(attr, "vertex_path"), attr):
+            seg, peak = starts, np.ones(starts.size, dtype=np.int64)
+            for _, parent, _, _ in ng.ngram.expand_walks(indptr, indices, keys, starts, T):
+                if parent is not None:
+                    seg = seg[parent]
+                    peak = np.maximum(peak, np.bincount(seg, minlength=starts.size))
+            assert (peak <= bound).all()
+            assert (peak < bound).any()
+
+    @pytest.mark.parametrize("shape", [(200, 8), (50, 3), (30, 1), (0, 4)])
+    def test_path_keys_rank_rows_like_unique(self, rng, shape):
+        for lo, hi in ((0, 3), (-4, 4), (0, 1 << 40)):
+            attr = rng.integers(lo, hi, size=shape)
+            keys = ng.ngram._exclusion_keys(attr, "path")
+            ref = np.unique(attr, axis=0, return_inverse=True)[1].reshape(-1)
+            assert keys.shape == (shape[0], 1) and keys.dtype == np.int64
+            assert np.array_equal(keys[:, 0], ref)
+
+
 class TestUnitCuts:
-    """The exclusion variants cut a graph into start-vertex slices by the real
-    frontier, which a dry run of the enumerator counts."""
+    """The exclusion variants cut a graph into start-vertex slices by the
+    non-backtracking walk bound, without enumerating any walk to size them."""
 
     BUDGET = 1024
 
-    def _check(self, calls, width, dry_width):
-        """Frontier rows times width stay within the budget, except for a
-        single start vertex; returns how many single start vertices passed."""
+    def _check(self, calls, width):
+        """No enumeration runs inside unit_cuts, and frontier rows times width
+        stay within the budget, except for a single start vertex; returns how
+        many single start vertices passed."""
         alone = 0
-        for dry, starts, sizes in calls:
-            if max(sizes) * (dry_width if dry else width) > self.BUDGET:
+        for sizing, starts, sizes in calls:
+            assert not sizing
+            if max(sizes) * width > self.BUDGET:
                 assert starts == 1
                 alone += 1
         return alone
@@ -418,7 +482,7 @@ class TestUnitCuts:
     def test_frontiers_stay_within_budget(self, rng, full_schema, monkeypatch):
         # 64 frontier rows at r = 16: every molecule is sliced, and a start
         # vertex of K7 spawns 360 five-vertex paths on its own. At T = 2 the
-        # walk bound is exact, so five K12s fill the dry run's own budget.
+        # bound is exact, and each K12 is cut into slices of 5 start vertices.
         molecules = synth.molecule_scale_corpus(rng, full_schema, n_graphs=12)
         molecules.insert(5, _clique(full_schema, 7, rng))
         cliques = [_clique(full_schema, 12, rng) for _ in range(5)]
@@ -430,22 +494,19 @@ class TestUnitCuts:
         for graphs, T in ((molecules, 5), (cliques, 2)):
             for variant in ("path", "vertex_path"):
                 embed_corpus(graphs, emb, T, variant)
-                numeric = sum(not dry for dry, _, _ in calls)
-                assert 2 * len(graphs) < numeric < len(calls)  # sliced, after a dry run
-                alone += self._check(calls, max(r, T), T)
+                assert 2 * len(graphs) < len(calls)  # sliced
+                alone += self._check(calls, max(r, T))
                 calls.clear()
         assert alone  # the K7 start vertices
         T = 5
         for g in molecules:
             ng.count_statistics(g, full_schema, T, ng.embed_vertices(g, emb))
-        assert any(dry for dry, _, _ in calls)
-        self._check(calls, max(T * S, r), T * S)
+        self._check(calls, max(T * S, r))
 
     def test_unsliced_graph_keeps_its_unit(self, rng, full_schema):
         graphs = synth.molecule_scale_corpus(rng, full_schema, n_graphs=5, m_range=(5, 7))
         indptr, indices, attr, offsets = ng.graph.stack_graphs(graphs)
-        keys = ng.ngram._exclusion_keys(attr, "path")
-        ub, cost = ng.ngram.unit_cuts(indptr, indices, keys, offsets, 4, 32)
+        ub, cost = ng.ngram.unit_cuts(indptr, indices, offsets, 4, 32)
         bound = ng.ngram.walk_bound(indptr, indices, 4, 1 << 20)
         assert np.array_equal(ub, offsets)
         assert np.array_equal(cost, np.add.reduceat(bound, offsets[:-1]))
@@ -467,7 +528,7 @@ class TestUnitCuts:
                     assert np.array_equal(a, b)
                 else:
                     assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1e-300)
-        assert sum(not dry for dry, _, _ in calls) > 2  # the graph was sliced
+        assert len(calls) > 2 and not any(sizing for sizing, _, _ in calls)  # sliced
 
     def test_sliced_integer_rows_equal_oracle(self, rng, full_schema, monkeypatch):
         graphs = synth.molecule_scale_corpus(rng, full_schema, n_graphs=4)
@@ -475,10 +536,9 @@ class TestUnitCuts:
         T = 5
         monkeypatch.setattr(ng.ngram, "BATCH_ENTRIES", 256)  # 64 frontier rows
         indptr, indices, attr, offsets = ng.graph.stack_graphs(graphs)
+        ub, _ = ng.ngram.unit_cuts(indptr, indices, offsets, T, 4)
+        assert ub.size - 1 > 2 * len(graphs)
         for variant in ("path", "vertex_path"):
-            keys = ng.ngram._exclusion_keys(attr, variant)
-            ub, _ = ng.ngram.unit_cuts(indptr, indices, keys, offsets, T, 4)
-            assert ub.size - 1 > 2 * len(graphs)
             X, manifest = embed_corpus(graphs, emb, T, variant)
             assert not manifest["errors"]
             for g, row in zip(graphs, X):

@@ -283,7 +283,6 @@ class TestExperiment:
         ({"r_values": 100}, "r_values"),
         ({"k_values": [40, "2"]}, "k_values"),
         ({"method": "lasso"}, "method"),
-        ({"allocation": None}, "allocation"),
     ])
     def test_wrong_typed_value_names_its_key(self, doc, key):
         with pytest.raises(ValueError, match=f"'{key}'"):

@@ -36,6 +36,12 @@ class TestInvariants:
         with pytest.raises(SchemaError):
             AttributeSchema.from_pairs([("a", ("x", "x"))])
 
+    def test_empty_attribute_list_rejected(self):
+        with pytest.raises(SchemaError, match="at least one attribute"):
+            AttributeSchema.from_pairs([])
+        with pytest.raises(SchemaError):
+            AttributeSchema.from_dict({"attributes": []})
+
     def test_single_value_attribute_rejected(self):
         with pytest.raises(SchemaError):
             AttributeSchema.from_pairs([("a", ("x",))])
