@@ -42,7 +42,7 @@ from .featurize import FeaturizerConfig, featurize_corpus
 from .graph import GraphError, read_json_graphs, write_jsonl
 from .linear import (METRICS, PENALTIES, TASKS, DegenerateLabels, LinearModel,
                      compute_metric, fit as fit_linear)
-from .matrixio import MatrixFormatError
+from .matrixio import MatrixFormatError, csv_field
 from .ngram import LEVEL_SCALES, VARIANTS, GraphTooLarge, embed_corpus, oracle_embed
 from .recovery import (
     RecoveryConfig,
@@ -314,16 +314,15 @@ def train_vertex_cmd(graphs_path, out, schema_key, r, aggregator, hidden,
 @click.option("--level-scale", default="none", show_default=True,
               type=click.Choice(LEVEL_SCALES))
 @click.option("--csv/--no-csv", "want_csv", default=True, show_default=True)
-@_seed_option
 @_config_option
 def embed(graphs_path, embedding_path, out, t_steps, variant, normalize,
-          level_scale, want_csv, seed):
+          level_scale, want_csv):
     """Embed a graph corpus into a feature matrix."""
     emb = load_embedding(embedding_path)
     graphs = _load_graphs(graphs_path, emb.schema)
     matrix, manifest = embed_corpus(
         graphs, emb, t_steps, variant=variant, level_scale=level_scale,
-        normalization="unit-l2" if normalize else "none", seed=seed,
+        normalization="unit-l2" if normalize else "none",
     )
     if manifest["errors"]:
         for row, msg in manifest["errors"].items():
@@ -427,7 +426,7 @@ def _write_predictions(path, ids, scores) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("g_id,score\n")
         for gid, s in zip(ids, scores):
-            fh.write(f"{gid},{repr(float(s))}\n")
+            fh.write(f"{csv_field(gid)},{repr(float(s))}\n")
     _write_sidecar(path)
 
 

@@ -2,16 +2,17 @@
 
 Rows embed independently of their batch mates, so a corpus is embedded
 once per vertex embedding and every fold scores row slices of that one
-matrix. A random embedding is label-free and serves every fold. A trained
-embedding is trained inside each training fold only; it remembers which
-rows it saw, and a fold refuses to score rows it was trained on. The linear
-head's lambda, when not given, is picked per training fold by 3 inner
-folds over ``LAMBDA_GRID``. Folds run outside and lambda inside: each
-inner training fold fits the whole grid with one ``linear.fit_path`` call,
-which does the work that does not depend on lambda (the checks, the start
-point and its Hessian, and the QR of a row-space fit) once per fold.
-Features can be exported to CSV/binary with a manifest sufficient to
-reproduce them.
+matrix, with no level scaling. A random embedding is label-free and serves
+every fold. A trained embedding is trained inside each training fold only,
+by the default ``CbowConfig`` at width r and seed ``cfg.seed + fold``; it
+remembers which rows it saw, and a fold refuses to score rows it was
+trained on. The linear head has the squared-l2 penalty; its lambda, when
+not given, is picked per training fold by 3 inner folds over
+``LAMBDA_GRID``. Folds run outside and lambda inside: each inner training
+fold fits the whole grid with one ``linear.fit_path`` call, which does the
+work that does not depend on lambda (the checks, the start point and its
+Hessian, and the QR of a row-space fit) once per fold. Features can be
+exported to CSV/binary with a manifest sufficient to reproduce them.
 """
 
 from __future__ import annotations
@@ -44,10 +45,7 @@ class PipelineConfig:
     T: int = 6
     variant: str = "walk"
     normalization: str = "unit-l2"
-    level_scale: str = "none"
-    cbow: CbowConfig | None = None
     task: str = "logistic"
-    penalty: str = "squared-l2"
     lam: float | None = None  # None selects from LAMBDA_GRID by inner CV
     metric: str = "roc-auc"
     seed: int = 0
@@ -120,19 +118,19 @@ def fold_indices(n: int, folds: int, seed: int, labels=None, stratified: bool = 
     ]
 
 
-def _score_path(X_tr, y_tr, X_te, y_te, task, metric, lams, penalty) -> list:
+def _score_path(X_tr, y_tr, X_te, y_te, task, metric, lams) -> list:
     """Fit every lambda in ``lams`` on one training fold and score it on the
     test fold: one (score, 1 if the fit did not converge else 0) per lambda.
     Single-class training labels score None."""
     try:
-        models = fit_path(X_tr, y_tr, lams, task=task, penalty=penalty)
+        models = fit_path(X_tr, y_tr, lams, task=task)
     except DegenerateLabels:
         return [(None, 0)] * len(lams)
     return [(compute_metric(metric, y_te, m.decision(X_te)), int(not m.report.converged))
             for m in models]
 
 
-def _select_lambda(X, y, task, penalty, metric, seed) -> tuple[float, int]:
+def _select_lambda(X, y, task, metric, seed) -> tuple[float, int]:
     """The LAMBDA_GRID value with the best mean over 3 inner folds (the first
     wins a tie) and the number of inner fits that did not converge. Each inner
     training fold fits the whole grid at once. Falls back to 1e-3 when the
@@ -140,7 +138,7 @@ def _select_lambda(X, y, task, penalty, metric, seed) -> tuple[float, int]:
     if X.shape[0] < 6 or (task == "logistic" and np.unique(y).size < 2):
         return 1e-3, 0
     splits = fold_indices(X.shape[0], 3, seed, labels=y, stratified=task == "logistic")
-    by_fold = [_score_path(X[tr], y[tr], X[te], y[te], task, metric, LAMBDA_GRID, penalty)
+    by_fold = [_score_path(X[tr], y[tr], X[te], y[te], task, metric, LAMBDA_GRID)
                for tr, te in splits]
     best_lam, best_score = 1e-3, None
     sign = 1.0 if _higher_is_better(metric) else -1.0
@@ -151,13 +149,13 @@ def _select_lambda(X, y, task, penalty, metric, seed) -> tuple[float, int]:
     return best_lam, sum(u for scored in by_fold for _, u in scored)
 
 
-def _score_fold(X_tr, y_tr, X_te, y_te, task, metric, lam, penalty, seed):
+def _score_fold(X_tr, y_tr, X_te, y_te, task, metric, lam, seed):
     """Fit on a training fold (lambda by inner CV when None) and score its test
     fold; returns the score and the number of fits that did not converge."""
     unconverged = 0
     if lam is None:
-        lam, unconverged = _select_lambda(X_tr, y_tr, task, penalty, metric, seed)
-    value, stalled = _score_path(X_tr, y_tr, X_te, y_te, task, metric, (lam,), penalty)[0]
+        lam, unconverged = _select_lambda(X_tr, y_tr, task, metric, seed)
+    value, stalled = _score_path(X_tr, y_tr, X_te, y_te, task, metric, (lam,))[0]
     return value, unconverged + stalled
 
 
@@ -175,7 +173,6 @@ def kfold_features(
     folds: int = 5,
     seed: int = 0,
     lam: float | None = None,
-    penalty: str = "squared-l2",
     stratified: bool = False,
 ) -> EvalReport:
     """Cross-validate a linear model on a fixed feature matrix."""
@@ -183,17 +180,16 @@ def kfold_features(
     y = np.asarray(y, dtype=np.float64).ravel()
     splits = fold_indices(X.shape[0], folds, seed, labels=y, stratified=stratified)
     return _report(metric, task, [
-        _score_fold(X[tr], y[tr], X[te], y[te], task, metric, lam, penalty, seed)
+        _score_fold(X[tr], y[tr], X[te], y[te], task, metric, lam, seed)
         for tr, te in splits])
 
 
 def _fold_embedding(graphs, train_idx, schema, cfg: PipelineConfig, fold: int):
     """CBOW-train a vertex embedding on one fold's training graphs only."""
-    cbow_cfg = cfg.cbow or CbowConfig(r=cfg.r, seed=cfg.seed + fold)
     emb, _ = train_on_graphs(
         [graphs[i] for i in train_idx],
         schema,
-        cbow_cfg,
+        CbowConfig(r=cfg.r, seed=cfg.seed + fold),
         dataset_id=f"cv-fold-{fold}",
     )
     prov = dict(emb.provenance)
@@ -231,15 +227,13 @@ def kfold_cv(
     y = np.asarray(labels, dtype=np.float64).ravel()
     if y.size != len(graphs):
         raise ValueError("labels must align with graphs")
-    embed = dict(T=cfg.T, variant=cfg.variant, level_scale=cfg.level_scale,
-                 normalization=cfg.normalization)
+    embed = dict(T=cfg.T, variant=cfg.variant, normalization=cfg.normalization)
     if cfg.embedding in ("random-gaussian", "random-rademacher"):
         dist = cfg.embedding.split("-", 1)[1]
         emb = random_embedding(schema, cfg.r, dist=dist, seed=cfg.seed)
         X, _ = embed_corpus(graphs, emb, **embed)
         return kfold_features(X, y, task=cfg.task, metric=cfg.metric, folds=folds,
-                              seed=seed, lam=cfg.lam, penalty=cfg.penalty,
-                              stratified=stratified)
+                              seed=seed, lam=cfg.lam, stratified=stratified)
     if cfg.embedding != "trained":
         raise ValueError(f"unknown embedding source {cfg.embedding!r}")
     scored = []
@@ -249,7 +243,7 @@ def kfold_cv(
         _check_no_leakage(emb, te)
         X, _ = embed_corpus(graphs, emb, **embed)
         scored.append(_score_fold(X[tr], y[tr], X[te], y[te], cfg.task, cfg.metric,
-                                  cfg.lam, cfg.penalty, seed))
+                                  cfg.lam, seed))
     return _report(cfg.metric, cfg.task, scored)
 
 

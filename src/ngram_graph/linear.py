@@ -10,7 +10,9 @@ when the loss gradient's weight part is within lam there, that point is
 the exact optimum and the fit stops. Otherwise one backtracked step along
 the minimum-norm subgradient leaves w = 0 below every intercept-only
 objective, so no later iterate comes back to w = 0, where the penalty is
-not differentiable. The intercept is never penalized.
+not differentiable. The intercept is never penalized. A fit has converged
+when the norm of its minimum-norm subgradient is at most ``GRAD_TOL``, one
+absolute tolerance for every fit; ``max_iter`` caps the Newton steps.
 
 ``fit_path`` fits a whole lambda grid on one matrix and does what does not
 depend on lambda once: the checks, the start point and the loss Hessian
@@ -28,6 +30,7 @@ import numpy as np
 
 TASKS = ("logistic", "least-squares")
 PENALTIES = ("squared-l2", "unsquared-l2")
+GRAD_TOL = 1e-8
 
 
 class DegenerateLabels(ValueError):
@@ -224,7 +227,6 @@ def fit_path(
     task: str = "logistic",
     penalty: str = "squared-l2",
     max_iter: int = 2000,
-    grad_tol: float = 1e-8,
 ) -> list[LinearModel]:
     """One model per lambda in ``lams``, each exactly as ``fit`` gives it alone.
 
@@ -237,7 +239,7 @@ def fit_path(
     on w only through ||w|| and the loss only through X w, so the optimum
     lies in the row space of X. One reduced QR, X^T = Q R, turns the fit
     into one over Z = R^T with n columns, and w = Q a. As Q has orthonormal
-    columns, the gradient norms, and so ``grad_tol``, mean the same in both
+    columns, the gradient norms, and so ``GRAD_TOL``, mean the same in both
     spaces.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -274,8 +276,7 @@ def fit_path(
           if task == "least-squares" or penalty == "squared-l2" else None)
     models = []
     for lam in lams:
-        theta, report = _newton(X, X1, y, task, lam, penalty, start, H0,
-                                max_iter, grad_tol)
+        theta, report = _newton(X, X1, y, task, lam, penalty, start, H0, max_iter)
         models.append(LinearModel(
             weights=theta[:-1].copy() if Q is None else Q @ theta[:-1],
             intercept=float(theta[-1]),
@@ -287,13 +288,13 @@ def fit_path(
     return models
 
 
-def _newton(X, X1, y, task, lam, penalty, start, H0, max_iter, grad_tol):
+def _newton(X, X1, y, task, lam, penalty, start, H0, max_iter):
     """Newton steps with backtracking from ``start`` = (theta, objective,
     gradient), with H0 the loss Hessian there; returns theta and its report."""
     theta, obj, grad = start
     report = FitReport(objective_trace=[obj])
     for it in range(1, max_iter + 1):
-        if _grad_norm(theta, grad, lam, penalty) <= grad_tol:
+        if _grad_norm(theta, grad, lam, penalty) <= GRAD_TOL:
             break
         if penalty == "squared-l2" or theta[:-1].any():
             # least squares has one Hessian; logistic shares the start's
@@ -318,7 +319,7 @@ def _newton(X, X1, y, task, lam, penalty, start, H0, max_iter, grad_tol):
         report.objective_trace.append(obj)
     report.objective = obj
     report.grad_norm = _grad_norm(theta, grad, lam, penalty)
-    report.converged = report.grad_norm <= grad_tol
+    report.converged = report.grad_norm <= GRAD_TOL
     return theta, report
 
 
@@ -329,11 +330,10 @@ def fit(
     lam: float = 1e-3,
     penalty: str = "squared-l2",
     max_iter: int = 2000,
-    grad_tol: float = 1e-8,
 ) -> LinearModel:
     """Minimize mean loss + penalty by Newton steps with backtracking from
     zero: the one-lambda case of ``fit_path``."""
-    return fit_path(X, y, (lam,), task, penalty, max_iter, grad_tol)[0]
+    return fit_path(X, y, (lam,), task, penalty, max_iter)[0]
 
 
 # -- metrics --------------------------------------------------------------------

@@ -69,11 +69,23 @@ def read_matrix(path):
     return matrix, meta
 
 
+def csv_field(text) -> str:
+    """``text`` as ``csv.QUOTE_MINIMAL`` writes it: in double quotes, with
+    quotes doubled, only when it holds a comma, a quote or a line break."""
+    text = str(text)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(path, matrix: np.ndarray, header: list[str], row_ids=None) -> None:
-    """One line per row; ``repr`` of each value as a Python float. Rows go to
-    Python floats one at a time, never the whole matrix at once."""
+    """One line per row; ``repr`` of each value as a Python float, after the
+    row id (:func:`csv_field`) when ``row_ids`` is given. Rows go to Python
+    floats one at a time, never the whole matrix at once."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for i, row in enumerate(np.asarray(matrix, dtype=np.float64)):
             cells = ",".join(map(repr, row.tolist()))
-            fh.write((cells if row_ids is None else f"{row_ids[i]},{cells}") + "\n")
+            if row_ids is not None:
+                cells = f"{csv_field(row_ids[i])},{cells}"
+            fh.write(cells + "\n")

@@ -217,8 +217,9 @@ def _levels(graphs, emb, T, variant, counts=False):
     """Level sums (G, T, r) in the embedding's dtype and walk counts (G, T)
     (for ``walk`` only when ``counts`` is set). Units of work, whole graphs
     or the start-vertex slices of :func:`unit_cuts`, are packed into batches
-    by their walk bound, enumerated once, summed on their own and added per
-    graph in unit order, so a row never depends on its batch."""
+    by their walk bound, enumerated once and summed on their own; each unit
+    sum is added into its graph's row in unit order (``np.add.at`` applies
+    repeated indices in order), so a row never depends on its batch."""
     indptr, indices, attr, offsets = stack_graphs(graphs)
     G, r = len(graphs), emb.dim
     width = r if variant == "walk" else max(r, T)
@@ -229,25 +230,26 @@ def _levels(graphs, emb, T, variant, counts=False):
         keys = _exclusion_keys(attr, variant)
         ub, cost = unit_cuts(indptr, indices, offsets, T, width)
     unit_graph = np.searchsorted(offsets, ub[:-1], side="right") - 1
-    U = np.zeros((ub.size - 1, T, r), dtype=emb.matrix.dtype)
-    UC = np.zeros((ub.size - 1, T), dtype=np.int64)
+    L = np.zeros((G, T, r), dtype=emb.matrix.dtype)
+    C = np.zeros((G, T), dtype=np.int64)
 
     batches = pack(cost, max(1, BATCH_ENTRIES // width))
     for u0, u1 in zip(batches[:-1], batches[1:]):
-        v0, v1 = offsets[unit_graph[u0]], offsets[unit_graph[u1 - 1] + 1]
+        to = unit_graph[u0:u1]
+        v0, v1 = offsets[to[0]], offsets[to[-1] + 1]
         ptr, idx = indptr[v0 : v1 + 1] - indptr[v0], indices[indptr[v0] : indptr[v1]] - v0
         base = vertex_rows(attr[v0:v1], emb)
         seg = np.repeat(np.arange(u1 - u0), np.diff(ub[u0 : u1 + 1]))
         if variant == "walk":  # walk counts: the same recurrence on all-ones rows
             A, P = ones_csr(ptr, idx, v1 - v0), _pool(seg, u1 - u0)
             ones = np.ones((v1 - v0, 1), dtype=np.int64)
-            for X1, out in [(base, U), (ones, UC[:, :, None])][: 1 + counts]:
+            for X1, out in [(base, L), (ones, C[:, :, None])][: 1 + counts]:
                 X = X1
-                out[u0:u1, 0] = P @ X
+                np.add.at(out[:, 0], to, P @ X)
                 for n in range(1, T):
                     X = A @ X
                     X *= X1
-                    out[u0:u1, n] = P @ X
+                    np.add.at(out[:, n], to, P @ X)
             continue
         starts = np.arange(ub[u0], ub[u1]) - v0
         for n, parent, end, _ in expand_walks(ptr, idx, keys[v0:v1], starts, T):
@@ -257,13 +259,9 @@ def _levels(graphs, emb, T, variant, counts=False):
                 prod = prod[parent]
                 prod *= base[end]
                 seg = seg[parent]
-            U[u0:u1, n - 1] = _pool(seg, u1 - u0) @ prod
-            UC[u0:u1, n - 1] = np.bincount(seg, minlength=u1 - u0)
-
-    if np.array_equal(unit_graph, np.arange(G)):
-        return U, UC
-    Q = _pool(unit_graph, G)  # units -> graphs, added in unit order
-    return (Q @ U.reshape(-1, T * r)).reshape(G, T, r), Q @ UC
+            np.add.at(L[:, n - 1], to, _pool(seg, u1 - u0) @ prod)
+            np.add.at(C[:, n - 1], to, np.bincount(seg, minlength=u1 - u0))
+    return L, C
 
 
 def graph_embed(
@@ -293,16 +291,12 @@ def oracle_embed(
     T: int,
     variant: str = "walk",
     cap: int = 12,
-    dedup_reverse: bool = False,
     level_scale: str = "none",
     normalization: str = "none",
 ) -> NGramEmbedding:
-    """Brute-force depth-first walk enumeration; exponential, so refuses
-    m > cap. It shares no code with the engine's walk sums.
-
-    With ``dedup_reverse`` each direction pair is enumerated once and
-    counted twice (palindromic sequences once), which must agree with the
-    plain sum because element-wise products are order-free.
+    """Brute-force depth-first walk enumeration, every walk once from its
+    start vertex; exponential, so refuses m > cap. It shares no code with
+    the engine's walk sums and is the reference they are tested against.
     """
     _check_options(T, variant, level_scale, normalization)
     if g.num_vertices > cap:
@@ -320,13 +314,8 @@ def oracle_embed(
         while stack:
             seq, prod = stack.pop()
             n = len(seq)
-            weight = 1
-            if dedup_reverse:
-                rev = seq[::-1]
-                weight = 0 if seq > rev else 1 if seq == rev else 2
-            if weight:
-                levels[n - 1] += weight * prod
-                counts[n - 1] += weight
+            levels[n - 1] += prod
+            counts[n - 1] += 1
             if n == T:
                 continue
             seen = set() if tags is None else {tags[w] for w in seq}
@@ -344,7 +333,6 @@ def embed_corpus(
     variant: str = "walk",
     level_scale: str = "none",
     normalization: str = "none",
-    seed: int | None = None,
 ):
     """Embed a corpus into a (num_graphs x T*r) float64 matrix plus manifest.
 
@@ -383,7 +371,6 @@ def embed_corpus(
         "w_provenance": emb.provenance,
         "schema_fingerprint": emb.schema.fingerprint,
         "schema": emb.schema.to_dict(),
-        "seed": seed,
         "ids": ids,
         "errors": {str(k): v for k, v in sorted(errors.items())},
     }

@@ -47,6 +47,7 @@ def _operator_interface(op):
 
 
 _EPS = np.finfo(np.float64).eps
+RESIDUAL_TOL = 1e-9  # converged: ||f - A c|| <= RESIDUAL_TOL * max(||f||, 1)
 
 
 def _nnls_gram(G: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,13 +112,9 @@ def _passive_lstsq(G, b, passive):
     return s
 
 
-def omp_recover(
-    f: np.ndarray,
-    op,
-    sparsity: int,
-    tol: float = 1e-9,
-) -> RecoveryResult:
-    """Greedy pursuit: pick the best-correlated column, NNLS-refit, repeat."""
+def omp_recover(f: np.ndarray, op, sparsity: int) -> RecoveryResult:
+    """Greedy pursuit: pick the best-correlated column, NNLS-refit, repeat
+    until the residual converges (``RESIDUAL_TOL``) or the budget is spent."""
     (rows, ncols), correlate, norms, take = _operator_interface(op)
     f = np.asarray(f, dtype=np.float64)
     residual = f.copy()
@@ -132,7 +129,7 @@ def omp_recover(
     Atf = np.empty(budget)
     it = 0
     for it in range(1, int(sparsity) + 1):
-        if np.linalg.norm(residual) <= tol * fnorm:
+        if np.linalg.norm(residual) <= RESIDUAL_TOL * fnorm:
             break
         corr = np.abs(correlate(residual)) / safe
         corr[support] = -np.inf
@@ -158,7 +155,7 @@ def omp_recover(
         c_hat=c_hat,
         residual_norm=res_norm,
         support=tuple(int(s) for s in np.nonzero(c_hat > 0)[0]),
-        converged=res_norm <= tol * fnorm or res_norm <= 1e-9,
+        converged=res_norm <= RESIDUAL_TOL * fnorm,
         method="omp",
         iterations=it,
     )
@@ -173,12 +170,7 @@ def _soft(x, t):
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-def ista_recover(
-    f: np.ndarray,
-    op,
-    tol: float = 1e-9,
-    max_iter: int = 2000,
-) -> RecoveryResult:
+def ista_recover(f: np.ndarray, op, max_iter: int = 2000) -> RecoveryResult:
     """Soft thresholding on the l1 program with annealed threshold.
 
     The operator must be materializable; huge levels should use the greedy
@@ -210,7 +202,7 @@ def ista_recover(
             grad = A.T @ (A @ x - f)
             x = _soft(x - step * grad, step * mu)
         mu *= ISTA_ANNEAL
-        if np.linalg.norm(f - A @ x) <= tol * fnorm:
+        if np.linalg.norm(f - A @ x) <= RESIDUAL_TOL * fnorm:
             break
     support = np.nonzero(np.abs(x) > ISTA_SUPPORT_THRESHOLD)[0]
     c_hat = np.zeros(A.shape[1])
@@ -222,7 +214,7 @@ def ista_recover(
         c_hat=c_hat,
         residual_norm=res_norm,
         support=tuple(int(s) for s in np.nonzero(c_hat > 0)[0]),
-        converged=res_norm <= tol * fnorm or res_norm <= 1e-9,
+        converged=res_norm <= RESIDUAL_TOL * fnorm,
         method="ista",
         iterations=it,
     )

@@ -79,7 +79,7 @@ class AttributeSchema:
     def values_of(self, j: int) -> tuple[str, ...]:
         return self.attributes[j][1]
 
-    def index_of(self, j: int, token: str, allow_unknown: bool = True) -> int:
+    def index_of(self, j: int, token: str) -> int:
         """Map a value token to its index within attribute j.
 
         Tokens absent from the vocabulary fall back to the designated
@@ -90,7 +90,7 @@ class AttributeSchema:
         idx = self._value_index[name].get(str(token))
         if idx is not None:
             return idx
-        if allow_unknown and values[-1] == UNKNOWN:
+        if values[-1] == UNKNOWN:
             return len(values) - 1
         raise SchemaError(f"value {token!r} not in attribute {name!r} and no Unknown slot")
 

@@ -1,12 +1,13 @@
 """Block-diagonal sensing construction and the walk-count identity.
 
-With one Rademacher block U^j per attribute, arranged block-diagonally into
-W, the level-n embedding of the distinct-value walk set equals a linear
-image of the co-occurrence counts: each count coordinate's sensing column
-is the element-wise product of the n base columns named by its subset. The
-level operators apply those n-way column products without storing them:
-they build only the columns an application needs, and pair correlations
-come from one k x k Gram product per block.
+With one Rademacher block U^j per attribute, its rows in proportion to the
+attribute's cardinality, arranged block-diagonally into W, the level-n
+embedding of the distinct-value walk set equals a linear image of the
+co-occurrence counts: each count coordinate's sensing column is the
+element-wise product of the n base columns named by its subset. The level
+operators apply those n-way column products without storing them: they
+build only the columns an application needs, and pair correlations come
+from one k x k Gram product per block.
 """
 
 from __future__ import annotations
@@ -30,18 +31,14 @@ class SensingError(ValueError):
     pass
 
 
-def allocate_rows(schema: AttributeSchema, r: int, allocation: str = "proportional"):
-    """Split r rows across attribute blocks; every block gets at least one."""
+def allocate_rows(schema: AttributeSchema, r: int):
+    """Split r rows across attribute blocks in proportion to their
+    cardinalities; every block gets at least one."""
     S = schema.num_attributes
     if r < S:
         raise SensingError(f"need r >= S, got r={r} < S={S}")
     ks = schema.cardinalities
-    if allocation == "proportional":
-        base = [max(1, (r * k) // sum(ks)) for k in ks]
-    elif allocation == "equal":
-        base = [r // S] * S
-    else:
-        raise SensingError(f"unknown allocation {allocation!r}")
+    base = [max(1, (r * k) // sum(ks)) for k in ks]
     # trim if the max(1, .) bumps overshot, then hand leftovers to largest blocks
     order = sorted(range(S), key=lambda j: (-ks[j], j))
     i = 0
@@ -161,7 +158,6 @@ class BlockSensingMatrix:
     blocks: tuple          # U^j, each (r_j, k_j)
     scale: float
     seed: int | None
-    allocation: str
 
     @property
     def r(self) -> int:
@@ -186,7 +182,6 @@ class BlockSensingMatrix:
             "kind": "random-rademacher-blockdiag",
             "seed": self.seed,
             "scale": self.scale,
-            "allocation": self.allocation,
         }
         return VertexEmbeddingMatrix(
             matrix=self.assembled(), schema=self.schema, provenance=prov
@@ -202,15 +197,15 @@ def build_sensing(
     schema: AttributeSchema,
     r: int,
     seed: int | None = 0,
-    allocation: str = "proportional",
     scale: float = 1.0,
 ) -> BlockSensingMatrix:
-    """Sample per-attribute Rademacher blocks with rows split by allocation.
+    """Sample per-attribute Rademacher blocks, rows split by
+    :func:`allocate_rows`.
 
     Integer scale keeps the blocks in int64 so downstream identities are
     exact; fractional scales produce float64 blocks.
     """
-    rows = allocate_rows(schema, r, allocation)
+    rows = allocate_rows(schema, r)
     rng = np.random.default_rng(seed)
     integer = float(scale).is_integer()
     blocks = []
@@ -225,7 +220,6 @@ def build_sensing(
         blocks=tuple(blocks),
         scale=float(scale),
         seed=seed,
-        allocation=allocation,
     )
 
 

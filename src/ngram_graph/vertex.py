@@ -50,15 +50,13 @@ def random_embedding(
     r: int,
     dist: str = "rademacher",
     seed: int | None = 0,
-    scale: float | None = None,
 ) -> VertexEmbeddingMatrix:
-    """I.i.d. random W: rademacher = uniform {-c, +c}, gaussian = N(0, c^2).
-
-    The default scale is c = r^(-1/2), which keeps column norms near one.
+    """I.i.d. random W: rademacher = uniform {-c, +c}, gaussian = N(0, c^2),
+    with c = r^(-1/2), which keeps column norms near one.
     """
     if r < 1:
         raise EmbeddingError(f"embedding dimension must be >= 1, got {r}")
-    c = r ** -0.5 if scale is None else float(scale)
+    c = r ** -0.5
     rng = np.random.default_rng(seed)
     K = schema.total_width
     if dist == "rademacher":

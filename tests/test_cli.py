@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -337,7 +338,7 @@ class TestEmbed:
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             assert main(["embed", str(graphs_path), "--embedding", str(emb_path),
-                         "-o", str(out), "--T", "4", "--seed", "1"]) == 0
+                         "-o", str(out), "--T", "4"]) == 0
         assert _sha(tmp_path / "a.nggm") == _sha(tmp_path / "b.nggm")
         assert _sha(tmp_path / "a.csv") == _sha(tmp_path / "b.csv")
 
@@ -603,16 +604,53 @@ class TestFitEval:
         assert doc["fit_report"]["converged"]
         assert not any(doc["weights"])
 
-    def test_fit_takes_no_seed(self, labeled_setup, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["fit", "embed"])
+    def test_takes_no_seed(self, labeled_setup, tmp_path, monkeypatch, capsys, command):
+        # neither command draws a random number, so neither has a seed to take
         sch, gp, feats = labeled_setup
-        args = ["fit", "--features", str(feats), "--graphs", str(gp),
-                "-o", str(tmp_path / "model.json")]
+        args = {"fit": ["fit", "--features", str(feats), "--graphs", str(gp),
+                        "-o", str(tmp_path / "model.json")],
+                "embed": ["embed", str(gp), "--embedding", str(tmp_path / "w.nggm"),
+                          "-o", str(tmp_path / "f")]}[command]
         assert main(args + ["--seed", "3"]) == 2
         assert "--seed" in capsys.readouterr().err
-        cfg = tmp_path / "fit.json"
+        cfg = tmp_path / "seed.json"
         cfg.write_text(json.dumps({"seed": 3}))
         assert main(args + ["--config", str(cfg)]) == 2
         assert "unknown config key 'seed'" in capsys.readouterr().err
+        monkeypatch.setenv("NGG_SEED", "abc")  # never read
+        assert main(args) == 0
+        if command == "embed":
+            manifest = json.loads((tmp_path / "f.manifest.json").read_text())
+            assert "seed" not in manifest and "seed" not in manifest["run"]["params"]
+
+    def test_ids_that_need_quotes_read_back_through_csv(self, tmp_path):
+        names = ["1,2-dichloroethane", 'the "odd" one', "plain"]
+        sdf = tmp_path / "named.sdf"
+        sdf.write_text(sdf_stream(*(molblock(n, ["C", "C", "O"], [(1, 2, 1), (2, 3, 1)])
+                                    for n in names)))
+        gp, lp = tmp_path / "g.jsonl", tmp_path / "labeled.jsonl"
+        assert main(["featurize", str(sdf), "-o", str(gp)]) == 0
+        docs = [json.loads(line) for line in gp.read_text().splitlines()]
+        lp.write_text("".join(json.dumps({**d, "label": float(i % 2)}) + "\n"
+                              for i, d in enumerate(docs)))
+        wp, fp = tmp_path / "w.nggm", tmp_path / "f"
+        save_embedding(wp, ng.random_embedding(ng.FULL_SCHEMA, 4, seed=0))
+        assert main(["embed", str(gp), "--embedding", str(wp), "-o", str(fp),
+                     "--T", "2"]) == 0
+        preds = tmp_path / "p.csv"
+        assert main(["fit", "--features", str(fp) + ".nggm", "--graphs", str(lp),
+                     "-o", str(tmp_path / "m.json"), "--predictions", str(preds)]) == 0
+        X, _ = crossval.load_features(str(fp) + ".nggm")
+        with open(str(fp) + ".csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["g_id"] + ng.ngram.feature_column_names(2, 4)
+        assert [row[0] for row in rows[1:]] == names
+        assert np.array_equal(np.array([row[1:] for row in rows[1:]], dtype=float), X)
+        with open(preds, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["g_id", "score"] and [row[0] for row in rows[1:]] == names
+        assert all(len(row) == 2 for row in rows)
 
     def test_sweep_grid_table(self, tmp_path, rng, capsys):
         sch = ng.FULL_SCHEMA
@@ -921,8 +959,8 @@ _REPLAYS = [
                                    "--aggregator", "mean", "--lr", "0.01", "--seed", "2"],
      ["-o", "{}.nggm"], ["{}.nggm.manifest.json"]),
     ("embed", ["g.jsonl", "--embedding", "w.nggm"],
-     ["--T", "3", "--normalize", "--level-scale", "count", "--variant", "path",
-      "--seed", "1"], ["-o", "{}"], ["{}.manifest.json"]),
+     ["--T", "3", "--normalize", "--level-scale", "count", "--variant", "path"],
+     ["-o", "{}"], ["{}.manifest.json"]),
     ("fit", ["--features", "f.nggm", "--graphs", "g.jsonl"],
      ["--task", "least-squares", "--lam", "0.01", "--penalty", "unsquared-l2"],
      ["-o", "{}.json", "--predictions", "{}_p.csv"],

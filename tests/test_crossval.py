@@ -124,14 +124,14 @@ class TestSelectLambda:
         splits = fold_indices(8, 3, 0, labels=y, stratified=True)
         seen = []
 
-        def scripted(X_tr, y_tr, X_te, y_te, task, metric, lams, penalty):
+        def scripted(X_tr, y_tr, X_te, y_te, task, metric, lams):
             assert lams == LAMBDA_GRID
             seen.append(X_te[:, 0].tolist())
             return [(by_lam[lam], 1) for lam in lams]
 
         monkeypatch.setattr(crossval, "_score_path", scripted)
         # the 3 stratified inner folds, and every inner fit's unconverged count
-        assert (_select_lambda(X, y, "logistic", "squared-l2", metric, seed=0)
+        assert (_select_lambda(X, y, "logistic", metric, seed=0)
                 == (expected, 3 * len(LAMBDA_GRID)))
         assert seen == [te.tolist() for _, te in splits]
 
@@ -141,7 +141,7 @@ class TestSelectLambda:
         X = np.random.default_rng(3).standard_normal((9, 2))
         y = np.zeros(9)
         y[4] = 1.0
-        assert _select_lambda(X, y, "logistic", "squared-l2", "roc-auc", seed=0) == (1e-3, 0)
+        assert _select_lambda(X, y, "logistic", "roc-auc", seed=0) == (1e-3, 0)
 
 
 class TestKfoldPipeline:
@@ -174,9 +174,7 @@ class TestKfoldPipeline:
         sch = synth.small_schema(ks=(5, 4))
         graphs = synth.random_corpus(rng, sch, 25, density=0.5, connected=True)
         labels = (rng.random(25) > 0.5).astype(float)
-        cbow = ng.CbowConfig(r=6, epochs=1, hidden=(8,), seed=0)
-        cfg = PipelineConfig(embedding="trained", r=6, T=2, cbow=cbow,
-                             lam=1e-3, seed=2)
+        cfg = PipelineConfig(embedding="trained", r=6, T=2, lam=1e-3, seed=2)
         report = kfold_cv(graphs, labels, sch, cfg, folds=5, seed=0)
         assert len(report.fold_values) == 5
 
@@ -208,10 +206,9 @@ class TestExport:
     def test_manifest_survives_round_trip(self, rng, schema, tmp_path):
         graphs = synth.random_corpus(rng, schema, 5)
         emb = ng.random_embedding(schema, 4, seed=3)
-        X, manifest = ng.embed_corpus(graphs, emb, 2, seed=77)
+        X, manifest = ng.embed_corpus(graphs, emb, 2)
         paths = export_features(X, manifest, tmp_path / "f")
         _, m2 = load_features(paths["bin"])
-        assert m2["seed"] == 77
         assert m2["w_provenance"] == emb.provenance
         assert manifest_hash(m2) == manifest_hash(manifest)
 

@@ -1,7 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from ngram_graph import linear
+from ngram_graph import crossval, linear
 from ngram_graph.crossval import LAMBDA_GRID, kfold_features
 from ngram_graph.linear import (
     PENALTIES,
@@ -305,7 +307,9 @@ class TestFitPath:
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n, d))
         y = (X[:, :4].sum(axis=1) + rng.standard_normal(n) > 0).astype(float)
-        kw = dict(folds=5, seed=seed, lam=None, penalty=penalty, stratified=True)
+        # kfold_features always fits squared-l2; bind the penalty under test
+        monkeypatch.setattr(crossval, "fit_path", partial(linear.fit_path, penalty=penalty))
+        kw = dict(folds=5, seed=seed, lam=None, stratified=True)
         reduced = kfold_features(X, y, **kw)
         monkeypatch.setattr(linear, "_row_space", lambda n, d: False)
         primal = kfold_features(X, y, **kw)

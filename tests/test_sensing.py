@@ -17,24 +17,15 @@ class TestAllocation:
         sch = synth.single_attribute_schema(6)
         assert allocate_rows(sch, 10) == (10,)
 
-    def test_equal_allocation_example(self):
-        sch = synth.small_schema(ks=(3, 3))
-        assert allocate_rows(sch, 10, "equal") == (5, 5)
-
-    def test_equal_allocation_remainder_to_largest(self):
-        sch = synth.small_schema(ks=(3, 7))
-        rows = allocate_rows(sch, 11, "equal")
-        assert sum(rows) == 11 and rows[1] > rows[0]
-
     def test_proportional_follows_cardinality(self):
         sch = synth.small_schema(ks=(10, 2))
-        rows = allocate_rows(sch, 12, "proportional")
+        rows = allocate_rows(sch, 12)
         assert sum(rows) == 12
         assert rows[0] == 10 and rows[1] == 2
 
     def test_every_block_gets_a_row(self):
         sch = synth.small_schema(ks=(50, 2))
-        rows = allocate_rows(sch, 5, "proportional")
+        rows = allocate_rows(sch, 5)
         assert min(rows) >= 1 and sum(rows) == 5
 
     def test_r_below_attribute_count_faults(self):
@@ -145,8 +136,7 @@ class TestIdentity:
     def test_hand_expanded_path_example(self, path_xyz):
         sch, g = path_xyz
         U = np.array([[1, 1, -1], [1, -1, 1]], dtype=np.int64)
-        B = BlockSensingMatrix(schema=sch, blocks=(U,), scale=1.0, seed=None,
-                               allocation="manual")
+        B = BlockSensingMatrix(schema=sch, blocks=(U,), scale=1.0, seed=None)
         stats = count_statistics(g, sch, 2)
         f2 = B.operator(2).matvec(stats.level(2))
         assert f2.tolist() == [0, -4]
@@ -168,7 +158,7 @@ class TestIdentity:
         assert res == [0.0, 0.0, 0.0]
 
     def test_exact_zero_residual_random_graphs(self, rng):
-        for trial in range(40):
+        for _ in range(40):
             S = int(rng.integers(1, 4))
             m = int(rng.integers(3, 8))
             ks = [int(rng.integers(m, m + 4)) for _ in range(S)]
@@ -176,10 +166,7 @@ class TestIdentity:
                 [(f"a{j}", [f"v{j}_{i}" for i in range(ks[j])]) for j in range(S)]
             )
             g = synth.random_graph(rng, sch, m=m, density=0.45, distinct_values=True)
-            B = build_sensing(
-                sch, r=4 * S, seed=int(rng.integers(1 << 31)),
-                allocation="proportional" if trial % 2 else "equal", scale=1.0,
-            )
+            B = build_sensing(sch, r=4 * S, seed=int(rng.integers(1 << 31)), scale=1.0)
             assert verify_identity(g, B, 3) == [0.0, 0.0, 0.0]
 
     def test_float_scale_residual_small(self, rng):

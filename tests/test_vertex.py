@@ -28,21 +28,25 @@ class TestRandomEmbedding:
         assert not np.array_equal(a.matrix, b.matrix)
 
     def test_rademacher_unit_scale_entries(self, schema):
-        emb = random_embedding(schema, 8, dist="rademacher", seed=0, scale=1.0)
-        assert set(np.unique(emb.matrix)) == {-1.0, 1.0}
+        # +-c with c = r^-1/2, so every column of W has unit norm
+        emb = random_embedding(schema, 8, dist="rademacher", seed=0)
+        assert set(np.unique(emb.matrix)) == {-(8 ** -0.5), 8 ** -0.5}
+        assert np.allclose(np.linalg.norm(emb.matrix, axis=0), 1.0)
 
     def test_default_scale_is_inverse_sqrt_r(self, schema):
         emb = random_embedding(schema, 25, dist="rademacher", seed=0)
         assert np.allclose(np.abs(emb.matrix), 0.2)
 
     def test_entry_mean_within_three_sigma(self):
-        # ~1e4 iid entries with variance c^2: the empirical mean should sit
-        # inside a 3 sigma / sqrt(N) band around zero
+        # ~1e4 iid entries with variance c^2 = 1/r: the empirical mean should
+        # sit inside a 3 c / sqrt(N) band around zero, and the empirical
+        # variance within 3 c^2 sqrt(2 / N) of c^2
         schema = synth.single_attribute_schema(100)
-        emb = random_embedding(schema, 100, dist="gaussian", seed=5, scale=1.0)
-        n = emb.matrix.size
+        emb = random_embedding(schema, 100, dist="gaussian", seed=5)
+        n, var = emb.matrix.size, 1 / 100
         assert n == 10_000
-        assert abs(emb.matrix.mean()) <= 3.0 / np.sqrt(n)
+        assert abs(emb.matrix.mean()) <= 3.0 * var ** 0.5 / np.sqrt(n)
+        assert abs(emb.matrix.var() - var) <= 3.0 * var * np.sqrt(2 / n)
 
     def test_bad_dimension_rejected(self, schema):
         with pytest.raises(EmbeddingError):
