@@ -35,6 +35,7 @@ from .crossval import (
     export_features,
     kfold_cv,
     kfold_features,
+    kfold_sweep,
     load_features,
     manifest_hash,
 )
@@ -171,8 +172,7 @@ def _manifest(**resolved) -> dict:
                 inputs[p.name] = {"path": str(value), "sha256": _sha256(value)}
         else:
             params[p.name] = list(value) if isinstance(value, tuple) else value
-    return {"command": ctx.info_name, "params": params, "seed": params.get("seed"),
-            "inputs": inputs}
+    return {"command": ctx.info_name, "params": params, "inputs": inputs}
 
 
 def _write_sidecar(out_path, manifest: dict | None = None) -> None:
@@ -497,6 +497,10 @@ def eval_cmd(graphs_path, schema_key, features_path, model_path, embedding_path,
              mode, r, t_steps, variant, folds, task, metric, lam, stratified,
              predictions, seed):
     """Score a saved model, or run k-fold cross-validation."""
+    if model_path and not features_path:
+        raise click.UsageError("--model needs --features")
+    if predictions and not model_path:
+        raise click.UsageError("--predictions needs --model")
     emb = load_embedding(embedding_path) if embedding_path else None
     manifest = None
     if features_path:
@@ -510,8 +514,6 @@ def eval_cmd(graphs_path, schema_key, features_path, model_path, embedding_path,
         )
 
     if model_path:
-        if not features_path:
-            raise click.UsageError("--model needs --features")
         model = LinearModel.from_json(Path(model_path).read_text(encoding="utf-8"))
         scores = model.decision(X)
         value = compute_metric(metric, y, scores)
@@ -569,26 +571,26 @@ def _warn_unconverged(report, where: str = "") -> None:
 def sweep(graphs_path, schema_key, r_grid, t_grid, mode, variant, folds, task,
           metric, lam, out, seed):
     """Cross-validated metric over an (r, T) grid, one row per combination."""
+    for hint, grid in (("'--r-grid'", r_grid), ("'--t-grid'", t_grid)):
+        if not grid:
+            raise click.BadParameter("needs at least one value", param_hint=hint)
     schema = BUNDLED_SCHEMAS[schema_key]
     graphs = _load_graphs(graphs_path, schema)
     y = _labels_for(graphs)
-    rows = []
-    for r in r_grid:
-        for T in t_grid:
-            cfg = PipelineConfig(embedding=mode, r=r, T=T, variant=variant,
-                                 task=task, metric=metric, lam=lam, seed=seed)
-            report = kfold_cv(graphs, y, schema, cfg, folds=folds, seed=seed)
-            rows.append((r, T, report))
-            click.echo(f"r={r} T={T} {report}", err=True)
-            _warn_unconverged(report, f" (r={r} T={T})")
     header = ["r", "T"] + [f"fold_{i}" for i in range(folds)] + ["mean", "std"]
     lines = [",".join(header)]
-    for r, T, report in rows:
-        cells = [str(r), str(T)]
-        cells += ["" if v is None else repr(float(v)) for v in report.fold_values]
-        cells += ["" if report.mean is None else repr(report.mean),
-                  "" if report.std is None else repr(report.std)]
-        lines.append(",".join(cells))
+    for r in r_grid:
+        cfg = PipelineConfig(embedding=mode, r=r, variant=variant, task=task,
+                             metric=metric, lam=lam, seed=seed)
+        reports = kfold_sweep(graphs, y, schema, cfg, t_grid, folds=folds, seed=seed)
+        for T, report in zip(t_grid, reports):
+            click.echo(f"r={r} T={T} {report}", err=True)
+            _warn_unconverged(report, f" (r={r} T={T})")
+            cells = [str(r), str(T)]
+            cells += ["" if v is None else repr(float(v)) for v in report.fold_values]
+            cells += ["" if report.mean is None else repr(report.mean),
+                      "" if report.std is None else repr(report.std)]
+            lines.append(",".join(cells))
     table = "\n".join(lines) + "\n"
     click.echo(table, nl=False)
     if out:

@@ -1,19 +1,21 @@
 """K-fold evaluation of embedding + linear-model pipelines.
 
-Rows embed independently of their batch mates, so a corpus is embedded
-once per vertex embedding and every fold scores row slices of that one
-matrix, with no level scaling. A random embedding is label-free and serves
-every fold. A trained embedding is trained inside each training fold only,
-by the default ``CbowConfig`` at width r and seed ``cfg.seed + fold``; it
-remembers which rows it saw, and a fold refuses to score rows it was
-trained on. The linear head has the squared-l2 penalty; its lambda, when
-not given, is picked per training fold by 3 inner folds over
-``LAMBDA_GRID``. Folds run outside and lambda inside: each inner training
-fold fits the whole grid with one ``linear.fit_path`` call, which does the
-work that does not depend on lambda (the checks, the start point and its
-Hessian, and the QR of a row-space fit) once per fold. Features can be
-exported to CSV/binary with a manifest sufficient to reproduce them.
-"""
+``kfold_sweep`` runs one fold loop over a grid of walk lengths T, and
+``kfold_cv`` is its one-T case. A fold's vertex embedding does not depend
+on T, so it is made once per call: a random embedding is label-free and
+serves every fold; a trained one is trained inside each training fold
+only, by the default ``CbowConfig`` at width r and seed ``cfg.seed +
+fold``, remembers which rows it saw, and a fold refuses to score rows it
+was trained on. Rows embed independently of their batch mates, so each T
+embeds the corpus once per distinct embedding and every fold scores row
+slices of that matrix, with no level scaling. The linear head has the
+squared-l2 penalty; its lambda, when not given, is picked per training
+fold by 3 inner folds over ``LAMBDA_GRID``. Folds run outside and lambda
+inside: each inner training fold fits the whole grid with one
+``linear.fit_path`` call, which does the work that does not depend on
+lambda (the checks, the start point and its Hessian, and the QR of a
+row-space fit) once per fold. Features can be exported to CSV/binary with
+a manifest sufficient to reproduce them."""
 
 from __future__ import annotations
 
@@ -207,44 +209,44 @@ def _check_no_leakage(emb: VertexEmbeddingMatrix, test_idx) -> None:
             )
 
 
-def kfold_cv(
-    graphs,
-    labels,
-    schema: AttributeSchema,
-    cfg: PipelineConfig | None = None,
-    folds: int = 5,
-    seed: int = 0,
-    stratified: bool = False,
-) -> EvalReport:
-    """End-to-end cross-validation: embed, fit and score every fold.
-
-    Rows embed independently, so the corpus is embedded once per embedding
-    and folds score row slices: a random embedding is the same in every
-    fold, so ``kfold_features`` scores all folds on one matrix; a trained
-    embedding is trained per fold, and that fold's matrix is sliced.
-    """
-    cfg = cfg or PipelineConfig()
+def kfold_sweep(graphs, labels, schema: AttributeSchema, cfg: PipelineConfig, t_grid,
+                folds: int = 5, seed: int = 0, stratified: bool = False) -> list[EvalReport]:
+    """End-to-end cross-validation at every walk length in ``t_grid``, one
+    report per T in order (``cfg.T`` is not read): each fold's embedding is
+    made once, and each T embeds the corpus once per distinct embedding."""
     y = np.asarray(labels, dtype=np.float64).ravel()
     if y.size != len(graphs):
         raise ValueError("labels must align with graphs")
-    embed = dict(T=cfg.T, variant=cfg.variant, normalization=cfg.normalization)
+    splits = fold_indices(len(graphs), folds, seed, labels=y, stratified=stratified)
     if cfg.embedding in ("random-gaussian", "random-rademacher"):
         dist = cfg.embedding.split("-", 1)[1]
-        emb = random_embedding(schema, cfg.r, dist=dist, seed=cfg.seed)
-        X, _ = embed_corpus(graphs, emb, **embed)
-        return kfold_features(X, y, task=cfg.task, metric=cfg.metric, folds=folds,
-                              seed=seed, lam=cfg.lam, stratified=stratified)
-    if cfg.embedding != "trained":
+        embs = [random_embedding(schema, cfg.r, dist=dist, seed=cfg.seed)] * folds
+    elif cfg.embedding == "trained":
+        embs = [_fold_embedding(graphs, tr, schema, cfg, fold)
+                for fold, (tr, _) in enumerate(splits)]
+    else:
         raise ValueError(f"unknown embedding source {cfg.embedding!r}")
-    scored = []
-    splits = fold_indices(len(graphs), folds, seed, labels=y, stratified=stratified)
-    for fold, (tr, te) in enumerate(splits):
-        emb = _fold_embedding(graphs, tr, schema, cfg, fold)
-        _check_no_leakage(emb, te)
-        X, _ = embed_corpus(graphs, emb, **embed)
-        scored.append(_score_fold(X[tr], y[tr], X[te], y[te], cfg.task, cfg.metric,
-                                  cfg.lam, seed))
-    return _report(cfg.metric, cfg.task, scored)
+    reports = []
+    for T in t_grid:
+        scored, embedded = [], None
+        for emb, (tr, te) in zip(embs, splits):
+            _check_no_leakage(emb, te)
+            if emb is not embedded:
+                X, _ = embed_corpus(graphs, emb, T=T, variant=cfg.variant,
+                                    normalization=cfg.normalization)
+                embedded = emb
+            scored.append(_score_fold(X[tr], y[tr], X[te], y[te], cfg.task, cfg.metric,
+                                      cfg.lam, seed))
+        reports.append(_report(cfg.metric, cfg.task, scored))
+    return reports
+
+
+def kfold_cv(graphs, labels, schema: AttributeSchema, cfg: PipelineConfig | None = None,
+             folds: int = 5, seed: int = 0, stratified: bool = False) -> EvalReport:
+    """End-to-end cross-validation at ``cfg.T``: ``kfold_sweep`` at one T."""
+    cfg = cfg or PipelineConfig()
+    return kfold_sweep(graphs, labels, schema, cfg, (cfg.T,), folds=folds, seed=seed,
+                       stratified=stratified)[0]
 
 
 # -- feature export ---------------------------------------------------------------

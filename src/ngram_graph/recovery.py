@@ -234,6 +234,9 @@ def sparse_recover(f, op, method: str = "omp", sparsity: int | None = None, **kw
 
 
 _CHOICES = {"method": ("omp", "ista")}
+# the least value of each integer key, and of every item of a list key
+_LEAST = {"r_values": 1, "k_values": 2, "n_values": 1, "s_values": 0, "trials": 1,
+          "entry_low": 1, "max_iter": 1}
 
 
 @dataclass(frozen=True)
@@ -252,7 +255,8 @@ class RecoveryConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "RecoveryConfig":
         """Build from a JSON object; a ValueError names the first unknown key,
-        wrongly typed value or unknown ``method``."""
+        wrongly typed value, unknown ``method``, empty list or value out of
+        range (``_LEAST``, and ``entry_low <= entry_high``)."""
         if not isinstance(doc, dict):
             raise ValueError("recovery config must be a JSON object")
         unknown = set(doc) - set(cls.__dataclass_fields__)
@@ -269,7 +273,17 @@ class RecoveryConfig:
                 want, ok = f"one of {_CHOICES[key]}", value in _CHOICES[key]
             if not ok:
                 raise ValueError(f"recovery config {key!r} must be {want}")
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+        cfg = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+        for key, least in _LEAST.items():
+            values = getattr(cfg, key)
+            values = values if isinstance(values, tuple) else (values,)
+            if not values:
+                raise ValueError(f"recovery config {key!r} must not be empty")
+            if min(values) < least:
+                raise ValueError(f"recovery config {key!r} must be at least {least}")
+        if cfg.entry_high < cfg.entry_low:
+            raise ValueError("recovery config 'entry_high' must be at least 'entry_low'")
+        return cfg
 
     @classmethod
     def from_json(cls, text: str) -> "RecoveryConfig":

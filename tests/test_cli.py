@@ -273,7 +273,8 @@ class TestTrainVertex:
         assert main(["train-vertex", str(corpus), "-o", str(out),
                      "--r", "4", "--epochs", "1"]) == 0
         manifest = json.loads((tmp_path / "w.nggm.manifest.json").read_text())
-        assert manifest["seed"] == 4242
+        assert manifest["params"]["seed"] == 4242
+        assert "seed" not in manifest  # the run record holds it once, in params
         emb = ng.load_embedding(out)
         assert emb.provenance["seed"] == 4242
 
@@ -440,6 +441,16 @@ class TestRecover:
         ({"r_values": 100}, "'r_values' must be a list of integers"),
         ({"method": "lasso"}, "'method' must be one of"),
         ([8], "must be a JSON object"),
+        ({"trials": -5}, "'trials' must be at least 1"),
+        ({"trials": 0}, "'trials' must be at least 1"),
+        ({"r_values": []}, "'r_values' must not be empty"),
+        ({"r_values": [100, 0]}, "'r_values' must be at least 1"),
+        ({"k_values": [1]}, "'k_values' must be at least 2"),
+        ({"n_values": [0], "s_values": [0]}, "'n_values' must be at least 1"),
+        ({"s_values": [2, -1]}, "'s_values' must be at least 0"),
+        ({"entry_low": 0}, "'entry_low' must be at least 1"),
+        ({"entry_low": 5, "entry_high": 4}, "'entry_high' must be at least 'entry_low'"),
+        ({"method": "ista", "max_iter": -1}, "'max_iter' must be at least 1"),
     ])
     def test_malformed_grid_exits_one_before_any_trial(self, tmp_path, capsys,
                                                        monkeypatch, doc, message):
@@ -675,6 +686,49 @@ class TestFitEval:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("r,T,fold_0")
         assert len(lines) == 1 + 6  # header + 2x3 grid rows
+
+    def test_trained_sweep_trains_each_fold_once(self, tmp_path, rng, monkeypatch):
+        # a fold's CBOW embedding does not depend on T, so a sweep trains it
+        # once per r and every cell still equals its own kfold_cv, which
+        # trains the fold afresh
+        gp = tmp_path / "g.jsonl"
+        with open(gp, "w") as fh:
+            write_jsonl(_labeled_full_corpus(rng, 24), ng.FULL_SCHEMA, fh)
+        trained = []
+        real_train = crossval.train_on_graphs
+
+        def counted(*a, **kw):
+            trained.append(kw["dataset_id"])
+            return real_train(*a, **kw)
+
+        monkeypatch.setattr(crossval, "train_on_graphs", counted)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--graphs", str(gp), "--mode", "trained", "--r-grid", "4,3",
+                     "--t-grid", "1,3,2", "--folds", "3", "--lam", "1e-3", "--seed", "5",
+                     "-o", str(out)]) == 0
+        assert trained == ["cv-fold-0", "cv-fold-1", "cv-fold-2"] * 2
+        graphs = ng.read_json_graphs(gp.read_bytes(), ng.FULL_SCHEMA)
+        y = np.array([g.label for g in graphs])
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 6
+        for line, (r, T) in zip(lines[1:], [(r, T) for r in (4, 3) for T in (1, 3, 2)]):
+            cfg = crossval.PipelineConfig(embedding="trained", r=r, T=T, lam=1e-3, seed=5)
+            report = crossval.kfold_cv(graphs, y, ng.FULL_SCHEMA, cfg, folds=3, seed=5)
+            cells = [str(r), str(T)] + ["" if v is None else repr(float(v))
+                                        for v in report.fold_values]
+            cells += ["" if report.mean is None else repr(report.mean),
+                      "" if report.std is None else repr(report.std)]
+            assert line == ",".join(cells)
+
+    def test_eval_predictions_needs_model(self, labeled_setup, tmp_path, capsys):
+        _, gp, feats = labeled_setup
+        preds = tmp_path / "p.csv"
+        for extra in ([], ["--features", str(feats)]):
+            assert main(["eval", "--graphs", str(gp), "--r", "4", "--T", "2",
+                         "--folds", "3", "--lam", "1e-3", "--predictions", str(preds)]
+                        + extra) == 2
+            assert "--predictions needs --model" in capsys.readouterr().err
+            assert not preds.exists()
 
     def test_eval_cv_on_feature_file(self, labeled_setup, tmp_path, capsys):
         _, gp, feats = labeled_setup
@@ -913,11 +967,15 @@ class TestConfig:
         ("sweep", "t_grid", "--t-grid", "2,x"),
         ("sweep", "r_grid", "--r-grid", "8,x"),
         ("train-vertex", "hidden", "--hidden", "a,b"),
+        ("sweep", "r_grid", "--r-grid", ""),
+        ("sweep", "t_grid", "--t-grid", ","),
     ])
     def test_malformed_integer_list_exits_two(self, config_workspace, capsys, command,
                                               name, option, value):
         argv = _argv(config_workspace, command, without=name)
-        expected = f"error: Invalid value for '{option}': '{value}' is not a comma-separated"
+        reason = (f"'{value}' is not a comma-separated" if value.strip(",")
+                  else "needs at least one value")  # an empty grid
+        expected = f"error: Invalid value for '{option}': {reason}"
         assert main(argv + [option, value]) == 2
         assert capsys.readouterr().err.startswith(expected)
         assert _run_with_config(argv, {name: value}) == 2
@@ -990,6 +1048,7 @@ def test_manifest_replays_byte_identically(config_workspace, command, inputs, fl
     assert run("first", flags) == 0
     assert all(Path(s.replace("{}", "first")).exists() for s in sidecars)
     doc = json.loads(Path(sidecars[0].replace("{}", "first")).read_text())
+    assert "seed" not in doc.get("run", doc)  # a seed is recorded once, in params
     Path("params.json").write_text(json.dumps(doc.get("run", doc)["params"]))
     assert run("replay", ["--config", "params.json"]) == 0
     first = sorted(p.name for p in Path().glob("first*"))

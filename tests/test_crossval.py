@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,24 @@ class TestKfoldPipeline:
         cfg = PipelineConfig(embedding="trained", r=6, T=2, lam=1e-3, seed=2)
         report = kfold_cv(graphs, labels, sch, cfg, folds=5, seed=0)
         assert len(report.fold_values) == 5
+
+    @pytest.mark.parametrize("embedding", ["random-rademacher", "trained"])
+    def test_sweep_reports_equal_one_kfold_cv_per_T(self, rng, embedding):
+        # a sweep makes each fold's embedding once for every T; a kfold_cv
+        # call per T makes them afresh and scores the same bits
+        sch = synth.small_schema(ks=(5, 4))
+        graphs = synth.random_corpus(rng, sch, 25, density=0.5, connected=True)
+        labels = (rng.random(25) > 0.5).astype(float)
+        cfg = PipelineConfig(embedding=embedding, r=6, variant="path", lam=1e-3, seed=2)
+        t_grid = (3, 1, 2)
+        reports = crossval.kfold_sweep(graphs, labels, sch, cfg, t_grid, folds=3, seed=1,
+                                       stratified=True)
+        assert len(reports) == len(t_grid)
+        for T, report in zip(t_grid, reports):
+            single = kfold_cv(graphs, labels, sch, dataclasses.replace(cfg, T=T),
+                              folds=3, seed=1, stratified=True)
+            assert report.fold_values == single.fold_values
+            assert report.unconverged == single.unconverged
 
     def test_leakage_guard_raises(self, rng, schema):
         emb = ng.random_embedding(schema, 4, seed=0)
