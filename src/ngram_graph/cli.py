@@ -3,14 +3,14 @@
 Every artifact gets a ``.manifest.json`` sidecar read off click's own
 parameter list: ``params`` holds each parameter that is not a path, under
 its click name and as a flag would carry it; ``inputs`` holds each existing
-input file with its SHA-256. Output paths and ``recover --jobs`` do not
-change the output bytes and are not recorded. ``--config FILE.json`` holds
-a JSON object of option defaults keyed by parameter or option name
-(``t_steps``, ``T``, ``level-scale``); they are checked like flags, and
-flags on the command line win. So
-``ngg CMD --config params.json INPUTS -o NEW``, with the manifest's
-``params`` as ``params.json``, regenerates an artifact and its sidecar
-byte for byte. ``recover`` reads its recovery grid from ``--grid FILE.json``.
+input file with its SHA-256. Output paths do not change the output bytes
+and are not recorded. ``--config FILE.json`` holds a JSON object of option
+defaults keyed by parameter or option name (``t_steps``, ``T``,
+``level-scale``); they are checked like flags, and flags on the command
+line win. So ``ngg CMD --config params.json INPUTS -o NEW``, with the
+manifest's ``params`` as ``params.json``, regenerates an artifact and its
+sidecar byte for byte. ``recover`` reads its recovery grid from
+``--grid FILE.json`` and runs its trials in one process.
 Exit codes: 0 success, 1 numeric or validation failure, 2 I/O, parse or
 usage failure.
 """
@@ -164,7 +164,7 @@ def _manifest(**resolved) -> dict:
     ctx = click.get_current_context()
     params, inputs = {}, {}
     for p in ctx.command.params:
-        if not p.expose_value or p.name == "jobs":
+        if not p.expose_value:
             continue
         value = resolved.get(p.name, ctx.params[p.name])
         if isinstance(p.type, click.Path):
@@ -368,12 +368,10 @@ def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
 @click.option("--grid", "grid_path", type=click.Path(exists=True), default=None,
               help="JSON grid file; defaults to the bundled desk-scale grid")
 @click.option("-o", "--out", default=None, type=click.Path(dir_okay=False))
-@click.option("--jobs", default=1, show_default=True,
-              help="worker process cap; pays only with OPENBLAS_NUM_THREADS=1")
 @click.option("--seed", default=None, type=int,
               help="[default: the grid's seed, then $NGG_SEED, then 0]")
 @_config_option
-def recover(grid_path, out, jobs, seed):
+def recover(grid_path, out, seed):
     """Monte-Carlo sparse-recovery success rates over an (r, k, n, s) grid."""
     if grid_path:
         doc = json.loads(Path(grid_path).read_text(encoding="utf-8"))
@@ -389,7 +387,7 @@ def recover(grid_path, out, jobs, seed):
         cfg = dataclasses.replace(cfg, seed=seed)
     elif "seed" not in doc:
         cfg = dataclasses.replace(cfg, seed=_seed_default())
-    cells = recovery_experiment(cfg, jobs=jobs)
+    cells = recovery_experiment(cfg)
     click.echo(summarize_cells(cells))
     if out:
         write_cells_csv(out, cells)
@@ -501,6 +499,15 @@ def eval_cmd(graphs_path, schema_key, features_path, model_path, embedding_path,
         raise click.UsageError("--model needs --features")
     if predictions and not model_path:
         raise click.UsageError("--predictions needs --model")
+    if features_path or embedding_path:
+        # a feature file fixes the whole embedding, an embedding file its kind
+        # and width; an option they leave unread must keep its default
+        given = "--features" if features_path else "--embedding"
+        unread = ("mode", "r", "t_steps", "variant") if features_path else ("mode", "r")
+        ctx = click.get_current_context()
+        for p in ctx.command.params:
+            if p.name in unread and ctx.params[p.name] != p.default:
+                raise click.UsageError(f"{p.opts[-1]} has no effect with {given}")
     emb = load_embedding(embedding_path) if embedding_path else None
     manifest = None
     if features_path:
@@ -574,6 +581,9 @@ def sweep(graphs_path, schema_key, r_grid, t_grid, mode, variant, folds, task,
     for hint, grid in (("'--r-grid'", r_grid), ("'--t-grid'", t_grid)):
         if not grid:
             raise click.BadParameter("needs at least one value", param_hint=hint)
+        repeated = next((v for i, v in enumerate(grid) if v in grid[:i]), None)
+        if repeated is not None:
+            raise click.BadParameter(f"repeats {repeated}", param_hint=hint)
     schema = BUNDLED_SCHEMAS[schema_key]
     graphs = _load_graphs(graphs_path, schema)
     y = _labels_for(graphs)

@@ -16,6 +16,7 @@ one row per step instead of rebuilding them.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -334,46 +335,23 @@ def run_trial(r: int, k: int, n: int, s: int, method: str, rng,
     return found_support == true_support and float(np.max(np.abs(result.c_hat - c))) < 0.5
 
 
-def _trial_worker(args):
-    cfg, r, k, n, s, t = args
-    rng = np.random.default_rng([cfg.seed, r, k, n, s, t])
-    return run_trial(
-        r, k, n, s, cfg.method, rng,
-        entry_low=cfg.entry_low, entry_high=cfg.entry_high, max_iter=cfg.max_iter,
-    )
+def recovery_experiment(cfg: RecoveryConfig):
+    """Success-rate grid over (r, k, n, s), one process.
 
-
-def recovery_experiment(cfg: RecoveryConfig, jobs: int = 1):
-    """Success-rate grid over (r, k, n, s).
-
-    Every trial owns a seed derived from its cell coordinates, so results do
-    not depend on scheduling; with ``jobs > 1`` trials run in a process pool.
+    Every trial draws from ``default_rng([seed, r, k, n, s, t])``, so a
+    cell's count does not depend on the rest of the grid.
     """
-    combos = [
-        (r, k, n, s)
-        for r in cfg.r_values
-        for k in cfg.k_values
-        for n in cfg.n_values
-        for s in cfg.s_values
-    ]
-    work = [
-        (cfg, r, k, n, s, t)
-        for (r, k, n, s) in combos
-        for t in range(cfg.trials)
-    ]
-    if jobs > 1 and len(work) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_trial_worker, work, chunksize=8))
-    else:
-        outcomes = [_trial_worker(w) for w in work]
     cells: list[RecoveryCell] = []
-    for i, (r, k, n, s) in enumerate(combos):
-        wins = sum(outcomes[i * cfg.trials : (i + 1) * cfg.trials])
-        cells.append(
-            RecoveryCell(r=r, k=k, n=n, s=s, trials=cfg.trials, successes=int(wins))
+    for r, k, n, s in itertools.product(cfg.r_values, cfg.k_values, cfg.n_values,
+                                        cfg.s_values):
+        wins = sum(
+            run_trial(r, k, n, s, cfg.method,
+                      np.random.default_rng([cfg.seed, r, k, n, s, t]),
+                      entry_low=cfg.entry_low, entry_high=cfg.entry_high,
+                      max_iter=cfg.max_iter)
+            for t in range(cfg.trials)
         )
+        cells.append(RecoveryCell(r=r, k=k, n=n, s=s, trials=cfg.trials, successes=wins))
     return cells
 
 

@@ -808,6 +808,38 @@ class TestFitEval:
                      "-o", str(tmp_path / "par"), "--jobs", "2"]) == 2
         assert not (tmp_path / "par.nggm").exists()
 
+    def test_recover_has_no_jobs_flag(self, tmp_path, capsys):
+        # trials run in one process; a pool option is a usage error
+        assert main(["recover", "-o", str(tmp_path / "r.csv"), "--jobs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: No such option") and "--jobs" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("given, option, value", [
+        ("--features", "--mode", "trained"),
+        ("--features", "--r", "999"),
+        ("--features", "--T", "9"),
+        ("--features", "--variant", "path"),
+        ("--embedding", "--mode", "trained"),
+        ("--embedding", "--r", "999"),
+    ])
+    def test_eval_rejects_options_its_input_fixes(self, labeled_setup, tmp_path, capsys,
+                                                  given, option, value):
+        _, gp, feats = labeled_setup
+        path = feats if given == "--features" else tmp_path / "w.nggm"
+        argv = ["eval", "--graphs", str(gp), given, str(path), "--folds", "3",
+                "--lam", "1e-3"]
+        assert main(argv + [option, value]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {option} has no effect with {given}")
+        assert out == ""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option.lstrip("-"): value}))
+        assert main(argv + ["--config", str(cfg)]) == 2
+        # the default, spelled out, is read the same as no flag at all
+        default = {"--mode": "random-gaussian", "--r": "100", "--T": "6", "--variant": "walk"}
+        assert main(argv + [option, default[option]]) == 0
+
     def test_eval_cv_random_mode(self, tmp_path, rng, capsys):
         sch = ng.FULL_SCHEMA
         graphs = []
@@ -856,7 +888,7 @@ def config_workspace(tmp_path, monkeypatch, rng, water_sdf):
         write_jsonl(graphs[:1], ng.FULL_SCHEMA, fh)
     save_embedding("w.nggm", ng.random_embedding(ng.FULL_SCHEMA, 4, seed=0))
     assert main(["embed", "g.jsonl", "--embedding", "w.nggm", "-o", "f", "--T", "2"]) == 0
-    # one trial, so --jobs starts no pool
+    # one trial keeps the recover runs short
     Path("grid.json").write_text(json.dumps({"r_values": [8], "k_values": [4],
                                              "s_values": [1], "trials": 1}))
     return {
@@ -980,6 +1012,20 @@ class TestConfig:
         assert capsys.readouterr().err.startswith(expected)
         assert _run_with_config(argv, {name: value}) == 2
         assert capsys.readouterr().err.startswith(expected)
+
+    @pytest.mark.parametrize("name, option, value, repeated", [
+        ("r_grid", "--r-grid", "4,4", "4"),
+        ("t_grid", "--t-grid", "2,1,2", "2"),
+    ])
+    def test_sweep_repeated_grid_value_exits_two(self, config_workspace, capsys, name,
+                                                 option, value, repeated):
+        argv = _argv(config_workspace, "sweep", without=name, extra=["-o", "s.csv"])
+        expected = f"error: Invalid value for '{option}': repeats {repeated}"
+        assert main(argv + [option, value]) == 2
+        assert capsys.readouterr().err.startswith(expected)
+        assert _run_with_config(argv, {name: value}) == 2
+        assert capsys.readouterr().err.startswith(expected)
+        assert not Path("s.csv").exists()
 
     def test_integer_list_skips_empty_items(self, config_workspace):
         argv = _argv(config_workspace, "sweep", without="r_grid", extra=["-o", "s.csv"])

@@ -250,12 +250,18 @@ class TestExperiment:
         rng2 = np.random.default_rng([0, 64, 20, 2, 4, 0])
         assert run_trial(64, 20, 2, 4, "omp", rng1) == run_trial(64, 20, 2, 4, "omp", rng2)
 
-    def test_parallel_trials_match_sequential(self):
-        cfg = RecoveryConfig(r_values=(16, 64), k_values=(12,), n_values=(2,),
-                             s_values=(2,), trials=8, seed=5)
-        seq = recovery_experiment(cfg, jobs=1)
-        par = recovery_experiment(cfg, jobs=3)
-        assert [(c.r, c.successes) for c in seq] == [(c.r, c.successes) for c in par]
+    def test_cell_counts_do_not_depend_on_the_rest_of_the_grid(self):
+        # every trial seeds from its own cell coordinates, so a cell run
+        # alone counts what it counts inside a larger grid
+        cfg = RecoveryConfig(r_values=(8, 64), k_values=(12,), n_values=(2,),
+                             s_values=(2, 3), trials=8, seed=5)
+        cells = recovery_experiment(cfg)
+        # the r = 8 cells sit in the transition, where a shifted draw would show
+        assert [(c.r, c.s, c.successes) for c in cells] == [
+            (8, 2, 5), (8, 3, 2), (64, 2, 8), (64, 3, 8)]
+        for cell in cells:
+            one = dataclasses.replace(cfg, r_values=(cell.r,), s_values=(cell.s,))
+            assert recovery_experiment(one) == [cell]
 
     def test_csv_columns(self, tmp_path):
         cfg = RecoveryConfig(r_values=(8,), k_values=(10,), n_values=(2,),

@@ -86,7 +86,7 @@ class TestCachedLayout:
         assert self._layout(read) == ((2, 3), (0, 2), 5, ("a", "b"))
         assert read.cardinalities is read.cardinalities  # computed once
         assert read == unread and hash(read) == hash(unread)
-        for sch in (read, unread):  # as a --jobs worker receives it
+        for sch in (read, unread):  # a pickled copy acts like the original
             back = pickle.loads(pickle.dumps(sch))
             assert back == read and hash(back) == hash(read)
             assert self._layout(back) == self._layout(read)
