@@ -10,7 +10,10 @@ defaults keyed by parameter or option name (``t_steps``, ``T``,
 line win. So ``ngg CMD --config params.json INPUTS -o NEW``, with the
 manifest's ``params`` as ``params.json``, regenerates an artifact and its
 sidecar byte for byte. ``recover`` reads its recovery grid from
-``--grid FILE.json`` and runs its trials in one process.
+``--grid FILE.json`` and runs its trials in one process. ``eval`` reads a
+feature file written by ``embed``: with ``--model`` it scores that model on
+the file, otherwise it cross-validates on it. Cross-validation that makes
+the embedding inside each fold is ``sweep``; a one-cell grid is one run.
 Exit codes: 0 success, 1 numeric or validation failure, 2 I/O, parse or
 usage failure.
 """
@@ -32,8 +35,8 @@ from .cbow import CbowConfig, TrainingDiverged, train_on_graphs
 from .crossval import (
     LeakageError,
     PipelineConfig,
+    check_no_failed_rows,
     export_features,
-    kfold_cv,
     kfold_features,
     kfold_sweep,
     load_features,
@@ -51,7 +54,7 @@ from .recovery import (
     summarize_cells,
     write_cells_csv,
 )
-from .schema import BUNDLED_SCHEMAS, SchemaError
+from .schema import BUNDLED_SCHEMAS, AttributeSchema, SchemaError
 from .sdf import parse_sdf
 from .vertex import EmbeddingError, load_embedding, save_embedding
 
@@ -144,9 +147,6 @@ _schema_option = click.option("--schema", "schema_key", default="full", show_def
                               type=click.Choice(sorted(BUNDLED_SCHEMAS)))
 _variant_option = click.option("--variant", default="walk", show_default=True,
                                type=click.Choice(VARIANTS))
-_mode_option = click.option("--mode", default="random-gaussian", show_default=True,
-                            type=click.Choice(["random-gaussian", "random-rademacher",
-                                               "trained"]))
 _task_option = click.option("--task", default="logistic", show_default=True,
                             type=click.Choice(TASKS))
 _metric_option = click.option("--metric", default="roc-auc", show_default=True,
@@ -192,17 +192,6 @@ def _load_graphs(path, schema):
         raise GraphError(f"{path}: document {exc.document}: {exc}") from exc
     except GraphError as exc:
         raise ValidationFailure(f"{path}: {exc}") from exc
-
-
-def _resolve_schema(schema_key, manifest=None, embedding=None):
-    """Prefer the schema travelling with an artifact over the bundled choice."""
-    if embedding is not None:
-        return embedding.schema
-    if manifest and "schema" in manifest:
-        from .schema import AttributeSchema
-
-        return AttributeSchema.from_dict(manifest["schema"])
-    return BUNDLED_SCHEMAS[schema_key]
 
 
 @click.group()
@@ -330,7 +319,9 @@ def embed(graphs_path, embedding_path, out, t_steps, variant, normalize,
     manifest["run"] = _manifest()
     formats = ("bin", "csv") if want_csv else ("bin",)
     paths = export_features(matrix, manifest, out, formats=formats)
-    click.echo(f"embedded {matrix.shape[0]} graphs -> {paths['bin']}", err=True)
+    failed = len(manifest["errors"])
+    click.echo(f"embedded {len(graphs) - failed} of {len(graphs)} graphs ({failed} failed) "
+               f"-> {paths['bin']}", err=True)
 
 
 # -- oracle-check ------------------------------------------------------------------
@@ -420,12 +411,31 @@ def _feature_hash(manifest: dict) -> str:
     return manifest_hash(manifest)
 
 
-def _write_predictions(path, ids, scores) -> None:
+def _write_predictions(path, manifest, graphs, scores) -> None:
+    ids = manifest.get("ids") or [g.graph_id or str(i) for i, g in enumerate(graphs)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("g_id,score\n")
         for gid, s in zip(ids, scores):
             fh.write(f"{csv_field(gid)},{repr(float(s))}\n")
     _write_sidecar(path)
+
+
+def _labeled_features(features_path, graphs_path, schema_key):
+    """The feature file's matrix and manifest, its graphs and their labels.
+
+    A graph the embed run recorded as failed exits 1 here, before any fit.
+    The schema travelling with the features beats the bundled choice.
+    """
+    X, manifest = load_features(features_path)
+    check_no_failed_rows(manifest)
+    schema = (AttributeSchema.from_dict(manifest["schema"]) if "schema" in manifest
+              else BUNDLED_SCHEMAS[schema_key])
+    graphs = _load_graphs(graphs_path, schema)
+    if len(graphs) != X.shape[0]:
+        raise ValueError(
+            f"feature rows ({X.shape[0]}) do not match graphs ({len(graphs)})"
+        )
+    return X, manifest, graphs, _labels_for(graphs)
 
 
 @cli.command("fit")
@@ -444,14 +454,7 @@ def _write_predictions(path, ids, scores) -> None:
 def fit_cmd(features_path, graphs_path, schema_key, task, lam, penalty, out,
             predictions):
     """Fit the linear head on an exported feature matrix."""
-    X, manifest = load_features(features_path)
-    schema = _resolve_schema(schema_key, manifest=manifest)
-    graphs = _load_graphs(graphs_path, schema)
-    if len(graphs) != X.shape[0]:
-        raise ValueError(
-            f"feature rows ({X.shape[0]}) do not match graphs ({len(graphs)})"
-        )
-    y = _labels_for(graphs)
+    X, manifest, graphs, y = _labeled_features(features_path, graphs_path, schema_key)
     model = fit_linear(X, y, task=task, lam=lam, penalty=penalty)
     model.manifest_hash = _feature_hash(manifest) if manifest else None
     Path(out).write_text(model.to_json(), encoding="utf-8")
@@ -465,24 +468,17 @@ def fit_cmd(features_path, graphs_path, schema_key, task, lam, penalty, out,
         click.echo(f"warning: fit did not converge (iters={model.report.iterations}, "
                    f"grad_norm={model.report.grad_norm:.3g})", err=True)
     if predictions:
-        ids = manifest.get("ids") or [g.graph_id or str(i) for i, g in enumerate(graphs)]
-        _write_predictions(predictions, ids, model.decision(X))
+        _write_predictions(predictions, manifest, graphs, model.decision(X))
 
 
 @cli.command("eval")
 @click.option("--graphs", "graphs_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @_schema_option
-@click.option("--features", "features_path", default=None,
+@click.option("--features", "features_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", "model_path", default=None,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--embedding", "embedding_path", default=None,
-              type=click.Path(exists=True, dir_okay=False))
-@_mode_option
-@click.option("--r", default=100, show_default=True)
-@click.option("--t", "--T", "t_steps", default=6, show_default=True)
-@_variant_option
 @click.option("--folds", default=5, show_default=True)
 @_task_option
 @_metric_option
@@ -491,34 +487,21 @@ def fit_cmd(features_path, graphs_path, schema_key, task, lam, penalty, out,
 @click.option("--predictions", default=None, type=click.Path(dir_okay=False))
 @_seed_option
 @_config_option
-def eval_cmd(graphs_path, schema_key, features_path, model_path, embedding_path,
-             mode, r, t_steps, variant, folds, task, metric, lam, stratified,
-             predictions, seed):
-    """Score a saved model, or run k-fold cross-validation."""
-    if model_path and not features_path:
-        raise click.UsageError("--model needs --features")
+def eval_cmd(graphs_path, schema_key, features_path, model_path, folds, task, metric,
+             lam, stratified, predictions, seed):
+    """Score a saved model on a feature file, or cross-validate on the file."""
     if predictions and not model_path:
         raise click.UsageError("--predictions needs --model")
-    if features_path or embedding_path:
-        # a feature file fixes the whole embedding, an embedding file its kind
-        # and width; an option they leave unread must keep its default
-        given = "--features" if features_path else "--embedding"
-        unread = ("mode", "r", "t_steps", "variant") if features_path else ("mode", "r")
+    if model_path:
+        # the saved model fixes what the cross-validation options would choose;
+        # each must keep its default (a --config value arrives converted)
         ctx = click.get_current_context()
         for p in ctx.command.params:
-            if p.name in unread and ctx.params[p.name] != p.default:
-                raise click.UsageError(f"{p.opts[-1]} has no effect with {given}")
-    emb = load_embedding(embedding_path) if embedding_path else None
-    manifest = None
-    if features_path:
-        X, manifest = load_features(features_path)
-    schema = _resolve_schema(schema_key, manifest=manifest, embedding=emb)
-    graphs = _load_graphs(graphs_path, schema)
-    y = _labels_for(graphs)
-    if features_path and X.shape[0] != len(graphs):
-        raise ValueError(
-            f"feature rows ({X.shape[0]}) do not match graphs ({len(graphs)})"
-        )
+            if p.name in ("folds", "task", "lam", "stratified", "seed"):
+                default = p.default() if callable(p.default) else p.default
+                if ctx.params[p.name] != default:
+                    raise click.UsageError(f"{p.opts[-1]} has no effect with --model")
+    X, manifest, graphs, y = _labeled_features(features_path, graphs_path, schema_key)
 
     if model_path:
         model = LinearModel.from_json(Path(model_path).read_text(encoding="utf-8"))
@@ -527,24 +510,11 @@ def eval_cmd(graphs_path, schema_key, features_path, model_path, embedding_path,
         click.echo(json.dumps({"metric": metric,
                                "value": None if value is None else float(value)}))
         if predictions:
-            ids = manifest.get("ids") or [g.graph_id or str(i)
-                                          for i, g in enumerate(graphs)]
-            _write_predictions(predictions, ids, scores)
+            _write_predictions(predictions, manifest, graphs, scores)
         return
 
-    if features_path:
-        report = kfold_features(X, y, task=task, metric=metric, folds=folds,
-                                seed=seed, lam=lam, stratified=stratified)
-    elif emb is not None:
-        X, _ = embed_corpus(graphs, emb, t_steps, variant=variant,
-                            normalization="unit-l2")
-        report = kfold_features(X, y, task=task, metric=metric, folds=folds,
-                                seed=seed, lam=lam, stratified=stratified)
-    else:
-        cfg = PipelineConfig(embedding=mode, r=r, T=t_steps, variant=variant,
-                             task=task, metric=metric, lam=lam, seed=seed)
-        report = kfold_cv(graphs, y, schema, cfg, folds=folds, seed=seed,
-                          stratified=stratified)
+    report = kfold_features(X, y, task=task, metric=metric, folds=folds, seed=seed,
+                            lam=lam, stratified=stratified)
     click.echo(json.dumps(report.to_dict()))
     _warn_unconverged(report)
 
@@ -566,17 +536,19 @@ def _warn_unconverged(report, where: str = "") -> None:
 @_schema_option
 @click.option("--r-grid", default="50,100", show_default=True, type=_IntList())
 @click.option("--t-grid", default="2,4,6", show_default=True, type=_IntList())
-@_mode_option
+@click.option("--mode", default="random-gaussian", show_default=True,
+              type=click.Choice(["random-gaussian", "random-rademacher", "trained"]))
 @_variant_option
 @click.option("--folds", default=5, show_default=True)
 @_task_option
 @_metric_option
 @click.option("--lam", default=None, type=float)
+@click.option("--stratified/--no-stratified", default=False, show_default=True)
 @click.option("-o", "--out", default=None, type=click.Path(dir_okay=False))
 @_seed_option
 @_config_option
 def sweep(graphs_path, schema_key, r_grid, t_grid, mode, variant, folds, task,
-          metric, lam, out, seed):
+          metric, lam, stratified, out, seed):
     """Cross-validated metric over an (r, T) grid, one row per combination."""
     for hint, grid in (("'--r-grid'", r_grid), ("'--t-grid'", t_grid)):
         if not grid:
@@ -592,7 +564,8 @@ def sweep(graphs_path, schema_key, r_grid, t_grid, mode, variant, folds, task,
     for r in r_grid:
         cfg = PipelineConfig(embedding=mode, r=r, variant=variant, task=task,
                              metric=metric, lam=lam, seed=seed)
-        reports = kfold_sweep(graphs, y, schema, cfg, t_grid, folds=folds, seed=seed)
+        reports = kfold_sweep(graphs, y, schema, cfg, t_grid, folds=folds, seed=seed,
+                              stratified=stratified)
         for T, report in zip(t_grid, reports):
             click.echo(f"r={r} T={T} {report}", err=True)
             _warn_unconverged(report, f" (r={r} T={T})")

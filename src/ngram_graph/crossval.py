@@ -186,6 +186,17 @@ def kfold_features(
         for tr, te in splits])
 
 
+def check_no_failed_rows(manifest: dict) -> None:
+    """Raise ValueError when a feature manifest records graphs that failed to
+    embed, naming the failed count and the first one's id and reason."""
+    errors = manifest.get("errors")
+    if errors:
+        row = min(errors, key=int)
+        raise ValueError(f"{len(errors)} of {manifest['num_graphs']} graphs failed to "
+                         f"embed; the first, {manifest['ids'][int(row)]!r} (row {row}): "
+                         f"{errors[row]}")
+
+
 def _fold_embedding(graphs, train_idx, schema, cfg: PipelineConfig, fold: int):
     """CBOW-train a vertex embedding on one fold's training graphs only."""
     emb, _ = train_on_graphs(
@@ -213,7 +224,8 @@ def kfold_sweep(graphs, labels, schema: AttributeSchema, cfg: PipelineConfig, t_
                 folds: int = 5, seed: int = 0, stratified: bool = False) -> list[EvalReport]:
     """End-to-end cross-validation at every walk length in ``t_grid``, one
     report per T in order (``cfg.T`` is not read): each fold's embedding is
-    made once, and each T embeds the corpus once per distinct embedding."""
+    made once, and each T embeds the corpus once per distinct embedding. A
+    graph that fails to embed raises ValueError naming it."""
     y = np.asarray(labels, dtype=np.float64).ravel()
     if y.size != len(graphs):
         raise ValueError("labels must align with graphs")
@@ -232,8 +244,9 @@ def kfold_sweep(graphs, labels, schema: AttributeSchema, cfg: PipelineConfig, t_
         for emb, (tr, te) in zip(embs, splits):
             _check_no_leakage(emb, te)
             if emb is not embedded:
-                X, _ = embed_corpus(graphs, emb, T=T, variant=cfg.variant,
-                                    normalization=cfg.normalization)
+                X, manifest = embed_corpus(graphs, emb, T=T, variant=cfg.variant,
+                                           normalization=cfg.normalization)
+                check_no_failed_rows(manifest)
                 embedded = emb
             scored.append(_score_fold(X[tr], y[tr], X[te], y[te], cfg.task, cfg.metric,
                                       cfg.lam, seed))

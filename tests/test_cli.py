@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from ngram_graph import cli, crossval
 from ngram_graph.cli import main
 from ngram_graph import recovery
 from ngram_graph.graph import dumps_graph, write_jsonl
-from ngram_graph.vertex import save_embedding
+from ngram_graph.vertex import load_embedding, save_embedding
 
 from . import synth
 from .synth import ETHANOL, WATER, molblock, sdf_stream
@@ -720,15 +721,73 @@ class TestFitEval:
                       "" if report.std is None else repr(report.std)]
             assert line == ",".join(cells)
 
+    @pytest.mark.parametrize("mode", ["random-rademacher", "trained"])
+    def test_retired_eval_modes_have_exact_replacements(self, tmp_path, rng, capsys, mode):
+        # embed --normalize then eval --features scores the rows that eval
+        # --embedding embedded itself, and a one-cell sweep --stratified is
+        # the end-to-end eval run it replaces
+        gp, wp, out = tmp_path / "g.jsonl", tmp_path / "w.nggm", tmp_path / "s.csv"
+        with open(gp, "w") as fh:
+            write_jsonl(_labeled_full_corpus(rng, 30), ng.FULL_SCHEMA, fh)
+        graphs = ng.read_json_graphs(gp.read_bytes(), ng.FULL_SCHEMA)
+        y = np.array([g.label for g in graphs])
+        save_embedding(wp, ng.random_embedding(ng.FULL_SCHEMA, 6, seed=3))
+        assert main(["embed", str(gp), "--embedding", str(wp), "-o", str(tmp_path / "f"),
+                     "--T", "3", "--variant", "path", "--normalize"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--graphs", str(gp), "--features", str(tmp_path / "f.nggm"),
+                     "--folds", "3", "--stratified", "--seed", "2"]) == 0
+        X, _ = ng.embed_corpus(graphs, load_embedding(wp), 3, variant="path",
+                               normalization="unit-l2")
+        report = crossval.kfold_features(X, y, folds=3, seed=2, stratified=True)
+        assert capsys.readouterr().out == json.dumps(report.to_dict()) + "\n"
+
+        assert main(["sweep", "--graphs", str(gp), "--mode", mode, "--r-grid", "5",
+                     "--t-grid", "2", "--variant", "path", "--folds", "3", "--stratified",
+                     "--seed", "4", "-o", str(out)]) == 0
+        cfg = crossval.PipelineConfig(embedding=mode, r=5, T=2, variant="path", seed=4)
+        report = crossval.kfold_cv(graphs, y, ng.FULL_SCHEMA, cfg, folds=3, seed=4,
+                                   stratified=True)
+        assert out.read_text().splitlines()[1].split(",") == (
+            ["5", "2"] + [repr(float(v)) for v in report.fold_values]
+            + [repr(report.mean), repr(report.std)])
+
+    def test_failed_rows_are_counted_and_named(self, tmp_path, capsys):
+        # level-6 walk sums over a 10^6 int64 entry could wrap, so embed
+        # refuses every graph with a vertex of value 0; it counts them and
+        # exits 0, and fit and eval name the first one before any fit
+        sch = synth.single_attribute_schema(2)
+        gp, wp, fp = tmp_path / "g.jsonl", tmp_path / "w.nggm", tmp_path / "f"
+        values = [(1, 1), (0, 0), (1, 1), (0, 1), (1, 1), (1, 1)]
+        with open(gp, "w") as fh:
+            write_jsonl([ng.MolecularGraph(num_vertices=2, attr=[[a], [b]], edges=[[0, 1]],
+                                           label=float(i % 2), graph_id=f"m{i}",
+                                           schema_fingerprint=sch.fingerprint)
+                         for i, (a, b) in enumerate(values)], sch, fh)
+        save_embedding(wp, ng.VertexEmbeddingMatrix(
+            matrix=np.array([[10**6, 1]], dtype=np.int64), schema=sch,
+            provenance={"kind": "int"}))
+        assert main(["embed", str(gp), "--embedding", str(wp), "-o", str(fp),
+                     "--T", "6"]) == 0
+        reason = "int64 walk sums may overflow at T=6 (m=2, max|F|=1000000, max degree=1)"
+        assert capsys.readouterr().err.splitlines() == [
+            f"row 1: {reason}", f"row 3: {reason}",
+            f"embedded 4 of 6 graphs (2 failed) -> {fp}.nggm"]
+        named = f"error: 2 of 6 graphs failed to embed; the first, 'm1' (row 1): {reason}\n"
+        feats = ["--features", str(fp) + ".nggm", "--graphs", str(gp)]
+        model = tmp_path / "model.json"
+        for argv in (["fit", "-o", str(model)], ["eval", "--folds", "2"]):
+            assert main(argv + feats) == 1
+            assert capsys.readouterr() == ("", named)
+        assert not model.exists()
+
     def test_eval_predictions_needs_model(self, labeled_setup, tmp_path, capsys):
         _, gp, feats = labeled_setup
         preds = tmp_path / "p.csv"
-        for extra in ([], ["--features", str(feats)]):
-            assert main(["eval", "--graphs", str(gp), "--r", "4", "--T", "2",
-                         "--folds", "3", "--lam", "1e-3", "--predictions", str(preds)]
-                        + extra) == 2
-            assert "--predictions needs --model" in capsys.readouterr().err
-            assert not preds.exists()
+        assert main(["eval", "--graphs", str(gp), "--features", str(feats), "--folds", "3",
+                     "--lam", "1e-3", "--predictions", str(preds)]) == 2
+        assert "--predictions needs --model" in capsys.readouterr().err
+        assert not preds.exists()
 
     def test_eval_cv_on_feature_file(self, labeled_setup, tmp_path, capsys):
         _, gp, feats = labeled_setup
@@ -774,17 +833,6 @@ class TestFitEval:
             assert [line for line in err.splitlines()
                     if line.startswith("warning:")] == want
 
-    def test_eval_cv_with_fixed_embedding_file(self, labeled_setup, tmp_path,
-                                               capsys):
-        sch, gp, _ = labeled_setup
-        wp = tmp_path / "w2.nggm"
-        save_embedding(wp, ng.random_embedding(sch, 6, seed=5))
-        code = main(["eval", "--graphs", str(gp), "--embedding", str(wp),
-                     "--T", "2", "--folds", "3", "--lam", "1e-3", "--seed", "0"])
-        assert code == 0
-        out = json.loads(capsys.readouterr().out)
-        assert len(out["fold_values"]) == 3
-
     def test_eval_feature_row_mismatch_exits_one(self, labeled_setup, tmp_path):
         _, gp, feats = labeled_setup
         X, manifest = ng.load_features(feats)
@@ -825,42 +873,67 @@ class TestFitEval:
     ])
     def test_eval_rejects_options_its_input_fixes(self, labeled_setup, tmp_path, capsys,
                                                   given, option, value):
+        # eval reads a feature file, which fixes the embedding: an option that
+        # would choose one, and --embedding itself, is no option of eval's, by
+        # flag or by --config, even at its old default
         _, gp, feats = labeled_setup
-        path = feats if given == "--features" else tmp_path / "w.nggm"
-        argv = ["eval", "--graphs", str(gp), given, str(path), "--folds", "3",
+        argv = ["eval", "--graphs", str(gp), "--features", str(feats), "--folds", "3",
                 "--lam", "1e-3"]
-        assert main(argv + [option, value]) == 2
-        out, err = capsys.readouterr()
-        assert err.startswith(f"error: {option} has no effect with {given}")
-        assert out == ""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({option.lstrip("-"): value}))
-        assert main(argv + ["--config", str(cfg)]) == 2
-        # the default, spelled out, is read the same as no flag at all
         default = {"--mode": "random-gaussian", "--r": "100", "--T": "6", "--variant": "walk"}
-        assert main(argv + [option, default[option]]) == 0
+        runs = [(option, value), (option, default[option])]
+        if given == "--embedding":
+            runs.append((given, str(tmp_path / "w.nggm")))
+        cfg = tmp_path / "cfg.json"
+        for flag, arg in runs:
+            assert main(argv + [flag, arg]) == 2
+            out, err = capsys.readouterr()
+            assert err.startswith("error: No such option") and flag in err
+            assert out == ""
+            cfg.write_text(json.dumps({flag[2:]: arg}))
+            assert main(argv + ["--config", str(cfg)]) == 2
+            assert capsys.readouterr().err == f"error: unknown config key '{flag[2:]}'\n"
+        assert main(["eval", "--help"]) == 0
+        listed = set(re.findall(r"--\w+", capsys.readouterr().out))
+        assert option not in listed and "--embedding" not in listed
 
-    def test_eval_cv_random_mode(self, tmp_path, rng, capsys):
-        sch = ng.FULL_SCHEMA
-        graphs = []
-        for i in range(30):
-            m = int(rng.integers(3, 7))
-            attr = np.stack([rng.integers(0, k, size=m) for k in sch.cardinalities],
-                            axis=1)
-            edges = np.array([[j, j + 1] for j in range(m - 1)])
-            graphs.append(ng.MolecularGraph(
-                num_vertices=m, attr=attr, edges=edges, label=float(i % 2),
-                graph_id=f"g{i}", schema_fingerprint=sch.fingerprint))
-        gp = tmp_path / "g.jsonl"
-        with open(gp, "w") as fh:
-            write_jsonl(graphs, sch, fh)
-        code = main(["eval", "--graphs", str(gp), "--mode", "random-gaussian",
-                     "--r", "8", "--T", "2", "--folds", "3", "--lam", "1e-3",
-                     "--seed", "0"])
-        assert code == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["metric"] == "roc-auc"
-        assert len(out["fold_values"]) == 3
+    @pytest.mark.parametrize("option, value, default", [
+        ("--folds", "9", "5"),
+        ("--task", "least-squares", "logistic"),
+        ("--lam", "5", None),
+        ("--stratified", True, False),
+        ("--seed", "4", "3"),  # the default is $NGG_SEED
+    ])
+    def test_eval_model_rejects_cross_validation_options(self, labeled_setup, tmp_path,
+                                                         capsys, monkeypatch, option,
+                                                         value, default):
+        # a saved model fixes what the cross-validation options would choose
+        monkeypatch.setenv("NGG_SEED", "3")
+        _, gp, feats = labeled_setup
+        model = tmp_path / "model.json"
+        assert main(["fit", "--features", str(feats), "--graphs", str(gp),
+                     "-o", str(model)]) == 0
+        argv = ["eval", "--graphs", str(gp), "--features", str(feats), "--model", str(model)]
+        capsys.readouterr()
+
+        def flag(v):
+            if isinstance(v, bool):
+                return [option if v else "--no-" + option[2:]]
+            return [] if v is None else [option, v]
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option[2:]: value}))
+        for extra in (flag(value), ["--config", str(cfg)]):
+            assert main(argv + extra) == 2
+            out, err = capsys.readouterr()
+            assert err == f"error: {option} has no effect with --model\n"
+            assert out == ""
+        # the default, spelled out by flag or by config, is no flag at all
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        cfg.write_text(json.dumps({option[2:]: default}))
+        for extra in (flag(default), ["--config", str(cfg)]):
+            assert main(argv + extra) == 0
+            assert capsys.readouterr().out == plain
 
 
 def _labeled_full_corpus(rng, n_graphs):
@@ -900,8 +973,8 @@ def config_workspace(tmp_path, monkeypatch, rng, water_sdf):
                   ("out", ["-o", "e"]), ("t_steps", ["--T", "2"])],
         "fit": [("features_path", ["--features", "f.nggm"]), ("graphs_path", ["--graphs", "g.jsonl"]),
                 ("out", ["-o", "model.json"])],
-        "eval": [("graphs_path", ["--graphs", "g.jsonl"]), ("r", ["--r", "4"]),
-                 ("t_steps", ["--T", "2"]), ("folds", ["--folds", "2"]),
+        "eval": [("graphs_path", ["--graphs", "g.jsonl"]),
+                 ("features_path", ["--features", "f.nggm"]), ("folds", ["--folds", "2"]),
                  ("lam", ["--lam", "1e-3"])],
         "sweep": [("graphs_path", ["--graphs", "g.jsonl"]), ("r_grid", ["--r-grid", "4"]),
                   ("t_grid", ["--t-grid", "1"]), ("folds", ["--folds", "2"]),
@@ -1118,6 +1191,9 @@ runs = json.loads(sys.argv[1])
 for argv in runs["commands"]:
     doc["codes"].append(ngram_graph.cli.main(argv))
 doc["commands"] = scipy_modules()
+for argv in runs["eval"]:
+    doc["codes"].append(ngram_graph.cli.main(argv))
+doc["eval"] = scipy_modules()
 A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
 f = A @ np.array([0.0, 2.0, 3.0])
 doc["c_hat"] = [recovery.omp_recover(f, A, sparsity=2).c_hat.tolist(),
@@ -1130,18 +1206,19 @@ print(json.dumps(doc))
 
 
 def test_cli_import_skips_scipy_stats_and_optimize(config_workspace, water_sdf):
-    """Start-up loads no scipy module; featurize, fit, eval on saved
-    features and every --help stay scipy-free, and recovery never loads
-    scipy.optimize. embed, whose walk products are sparse, loads
-    scipy.sparse at its first product."""
+    """Start-up loads no scipy module; featurize, fit, every eval run and
+    every --help stay scipy-free, and recovery never loads scipy.optimize.
+    embed, whose walk products are sparse, loads scipy.sparse at its first
+    product."""
+    eval_features = ["eval", "--graphs", "g.jsonl", "--features", "f.nggm"]
     runs = {
         "commands": [["--help"], ["featurize", "--help"], ["embed", "--help"],
                      ["featurize", str(water_sdf), "-o", "w.jsonl"],
-                     _argv(config_workspace, "fit"),
-                     ["eval", "--graphs", "g.jsonl", "--features", "f.nggm",
-                      "--folds", "2", "--lam", "1e-3"],
-                     ["eval", "--graphs", "g.jsonl", "--features", "f.nggm",
-                      "--model", "model.json"]],
+                     _argv(config_workspace, "fit")],
+        "eval": [["eval", "--help"], _argv(config_workspace, "eval"),
+                 eval_features + ["--folds", "3", "--stratified", "--task", "least-squares",
+                                  "--metric", "rmse"],
+                 eval_features + ["--model", "model.json", "--predictions", "p.csv"]],
         "embed": _argv(config_workspace, "embed"),
     }
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -1149,10 +1226,11 @@ def test_cli_import_skips_scipy_stats_and_optimize(config_workspace, water_sdf):
     out = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, json.dumps(runs)],
                          env=env, capture_output=True, text=True, check=True).stdout
     doc = json.loads(out.splitlines()[-1])
-    assert doc["codes"] == [0] * 8
+    assert doc["codes"] == [0] * 10
     assert doc["import"] == []
     # a linear fit is numpy-only: scipy.linalg would add ~8 MiB of resident memory
     assert doc["commands"] == []
+    assert doc["eval"] == []
     assert doc["recovery"] == []
     assert np.allclose(doc["c_hat"], [[0.0, 2.0, 3.0]] * 2)
     assert "scipy.sparse" in doc["embed"]

@@ -198,6 +198,22 @@ class TestKfoldPipeline:
             assert report.fold_values == single.fold_values
             assert report.unconverged == single.unconverged
 
+    @pytest.mark.parametrize("call", ["kfold_sweep", "kfold_cv"])
+    def test_graph_that_fails_to_embed_is_named(self, rng, call):
+        sch = synth.small_schema(ks=(5, 4))
+        graphs = synth.random_corpus(rng, sch, 12, density=0.5, connected=True)
+        graphs[7] = graphs[7].replace(schema_fingerprint="foreign")
+        labels = np.arange(12) % 2.0
+        cfg = PipelineConfig(r=4, T=2, lam=1e-3)
+        with pytest.raises(ValueError) as info:
+            if call == "kfold_sweep":
+                crossval.kfold_sweep(graphs, labels, sch, cfg, (2,), folds=3)
+            else:
+                kfold_cv(graphs, labels, sch, cfg, folds=3)
+        assert str(info.value) == (
+            "1 of 12 graphs failed to embed; the first, 'g7' (row 7): schema "
+            f"fingerprint mismatch: graph foreign vs embedding {sch.fingerprint}")
+
     def test_leakage_guard_raises(self, rng, schema):
         emb = ng.random_embedding(schema, 4, seed=0)
         tainted = VertexEmbeddingMatrix(
