@@ -13,8 +13,6 @@ from .graph import (
     GraphError,
     MolecularGraph,
     ValidationReport,
-    one_hot,
-    permute,
     read_json_graphs,
     validate_graph,
 )

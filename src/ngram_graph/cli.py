@@ -46,7 +46,7 @@ from .featurize import FeaturizerConfig, featurize_corpus
 from .graph import GraphError, read_json_graphs, write_jsonl
 from .linear import (METRICS, PENALTIES, TASKS, DegenerateLabels, LinearModel,
                      compute_metric, fit as fit_linear)
-from .matrixio import MatrixFormatError, csv_field
+from .matrixio import MatrixFormatError, write_csv
 from .ngram import LEVEL_SCALES, VARIANTS, GraphTooLarge, embed_corpus, oracle_embed
 from .recovery import (
     RecoveryConfig,
@@ -413,10 +413,7 @@ def _feature_hash(manifest: dict) -> str:
 
 def _write_predictions(path, manifest, graphs, scores) -> None:
     ids = manifest.get("ids") or [g.graph_id or str(i) for i, g in enumerate(graphs)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("g_id,score\n")
-        for gid, s in zip(ids, scores):
-            fh.write(f"{csv_field(gid)},{repr(float(s))}\n")
+    write_csv(path, scores[:, None], ["g_id", "score"], row_ids=ids)
     _write_sidecar(path)
 
 
@@ -485,7 +482,8 @@ def fit_cmd(features_path, graphs_path, schema_key, task, lam, penalty, out,
 @click.option("--lam", default=None, type=float)
 @click.option("--stratified/--no-stratified", default=False, show_default=True)
 @click.option("--predictions", default=None, type=click.Path(dir_okay=False))
-@_seed_option
+@click.option("--seed", default=None, type=int,
+              help="[default: $NGG_SEED, then 0; read by cross-validation only]")
 @_config_option
 def eval_cmd(graphs_path, schema_key, features_path, model_path, folds, task, metric,
              lam, stratified, predictions, seed):
@@ -498,8 +496,7 @@ def eval_cmd(graphs_path, schema_key, features_path, model_path, folds, task, me
         ctx = click.get_current_context()
         for p in ctx.command.params:
             if p.name in ("folds", "task", "lam", "stratified", "seed"):
-                default = p.default() if callable(p.default) else p.default
-                if ctx.params[p.name] != default:
+                if ctx.params[p.name] != p.default:
                     raise click.UsageError(f"{p.opts[-1]} has no effect with --model")
     X, manifest, graphs, y = _labeled_features(features_path, graphs_path, schema_key)
 
@@ -513,6 +510,7 @@ def eval_cmd(graphs_path, schema_key, features_path, model_path, folds, task, me
             _write_predictions(predictions, manifest, graphs, scores)
         return
 
+    seed = _seed_default() if seed is None else seed
     report = kfold_features(X, y, task=task, metric=metric, folds=folds, seed=seed,
                             lam=lam, stratified=stratified)
     click.echo(json.dumps(report.to_dict()))

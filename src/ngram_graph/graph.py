@@ -250,26 +250,6 @@ def _invalid(graphs, sizes, attr, edges, edge_counts, schema) -> np.ndarray:
     return bad | (np.bincount(owner[~loop], minlength=n) > csr_edges)
 
 
-def one_hot(g: MolecularGraph, schema: AttributeSchema, i: int) -> np.ndarray:
-    """Concatenated one-hot encoding of vertex i: one active index per block."""
-    if not 0 <= i < g.num_vertices:
-        raise GraphError(f"vertex index {i} out of range for m={g.num_vertices}")
-    h = np.zeros(schema.total_width, dtype=np.int64)
-    h[np.asarray(schema.offsets, dtype=np.int64) + g.attr[i]] = 1
-    return h
-
-
-def permute(g: MolecularGraph, pi) -> MolecularGraph:
-    """Relabel vertices by permutation pi: new index pi[i] holds old vertex i."""
-    pi = np.asarray(pi, dtype=np.int64)
-    m = g.num_vertices
-    if pi.shape != (m,) or not np.array_equal(np.sort(pi), np.arange(m)):
-        raise GraphError("pi is not a bijection on [0, m)")
-    new_attr = np.empty_like(g.attr)
-    new_attr[pi] = g.attr
-    return g.replace(attr=new_attr, edges=pi[g.edges])
-
-
 # -- JSON graph documents -----------------------------------------------------
 #
 # {"schema_id": ..., "id": ..., "num_vertices": m,

@@ -79,13 +79,30 @@ def csv_field(text) -> str:
 
 
 def write_csv(path, matrix: np.ndarray, header: list[str], row_ids=None) -> None:
-    """One line per row; ``repr`` of each value as a Python float, after the
-    row id (:func:`csv_field`) when ``row_ids`` is given. Rows go to Python
-    floats one at a time, never the whole matrix at once."""
+    """One line per row; each value is Python's ``repr`` of the float, after
+    the row id (:func:`csv_field`) when ``row_ids`` is given.
+
+    orjson formats a row in one call with the same shortest digits as
+    ``repr``; it spells only exponents and non-finite values differently
+    (``1e16``, ``1e-5``, ``null``), so a value that is not finite, or nonzero
+    outside [1e-4, 1e16), is re-formatted with ``repr``. Rows are formatted
+    and masked one at a time, never the whole matrix at once.
+    """
+    import orjson  # loaded at the first CSV write, not at start-up
+
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for i, row in enumerate(np.asarray(matrix, dtype=np.float64)):
-            cells = ",".join(map(repr, row.tolist()))
+        for i, row in enumerate(np.asarray(matrix)):
+            # orjson refuses a strided row; an integer row becomes floats here
+            row = np.ascontiguousarray(row, dtype=np.float64)
+            cells = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+            size = np.abs(row)
+            odd = np.flatnonzero(~(size < 1e16) | ((size < 1e-4) & (size > 0)))
+            if odd.size:
+                parts = cells.split(",")
+                for j in odd.tolist():
+                    parts[j] = repr(float(row[j]))
+                cells = ",".join(parts)
             if row_ids is not None:
                 cells = f"{csv_field(row_ids[i])},{cells}"
             fh.write(cells + "\n")

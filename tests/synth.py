@@ -119,6 +119,26 @@ def structurally_equal(g, h) -> bool:
     )
 
 
+def one_hot(g, schema, i) -> np.ndarray:
+    """Concatenated one-hot encoding of vertex i: one active index per block."""
+    if not 0 <= i < g.num_vertices:
+        raise GraphError(f"vertex index {i} out of range for m={g.num_vertices}")
+    h = np.zeros(schema.total_width, dtype=np.int64)
+    h[np.asarray(schema.offsets, dtype=np.int64) + g.attr[i]] = 1
+    return h
+
+
+def permute(g, pi):
+    """Relabel vertices by permutation pi: new index pi[i] holds old vertex i."""
+    pi = np.asarray(pi, dtype=np.int64)
+    m = g.num_vertices
+    if pi.shape != (m,) or not np.array_equal(np.sort(pi), np.arange(m)):
+        raise GraphError("pi is not a bijection on [0, m)")
+    new_attr = np.empty_like(g.attr)
+    new_attr[pi] = g.attr
+    return g.replace(attr=new_attr, edges=pi[g.edges])
+
+
 def random_corpus(rng, schema, n, **kw):
     return [random_graph(rng, schema, graph_id=f"g{i}", **kw) for i in range(n)]
 

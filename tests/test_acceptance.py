@@ -86,7 +86,7 @@ class TestAcceptance:
             denom = max(np.linalg.norm(base), 1e-30)
             for _ in range(10):
                 pi = rng.permutation(g.num_vertices)
-                other = graph_embed(ng.permute(g, pi), emb, 5).vector
+                other = graph_embed(synth.permute(g, pi), emb, 5).vector
                 worst = max(worst, float(np.linalg.norm(other - base)) / denom)
         ok = worst <= 1e-9
         _report(3, ok, f"100 graphs x 10 permutations: max relative deviation "

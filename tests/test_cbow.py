@@ -31,7 +31,7 @@ class TestExtractContexts:
         ctx, tgt, size = [], [], []
         for g in graphs:  # the per-graph reference, concatenated in order
             a = synth.dense_adjacency(g)
-            hot = np.array([ng.one_hot(g, sch, i) for i in range(g.num_vertices)])
+            hot = np.array([synth.one_hot(g, sch, i) for i in range(g.num_vertices)])
             kept = np.flatnonzero(a.sum(axis=1))
             ctx.extend((a @ hot.reshape(-1, sch.total_width))[kept].astype(np.float64))
             tgt.extend(g.attr[kept])

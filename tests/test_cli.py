@@ -901,7 +901,7 @@ class TestFitEval:
         ("--task", "least-squares", "logistic"),
         ("--lam", "5", None),
         ("--stratified", True, False),
-        ("--seed", "4", "3"),  # the default is $NGG_SEED
+        ("--seed", "4", None),  # $NGG_SEED is read only by cross-validation
     ])
     def test_eval_model_rejects_cross_validation_options(self, labeled_setup, tmp_path,
                                                          capsys, monkeypatch, option,
@@ -934,6 +934,23 @@ class TestFitEval:
         for extra in (flag(default), ["--config", str(cfg)]):
             assert main(argv + extra) == 0
             assert capsys.readouterr().out == plain
+
+    def test_eval_reads_env_seed_only_to_cross_validate(self, labeled_setup, tmp_path,
+                                                         monkeypatch, capsys):
+        _, gp, feats = labeled_setup
+        model = tmp_path / "model.json"
+        assert main(["fit", "--features", str(feats), "--graphs", str(gp),
+                     "-o", str(model)]) == 0
+        monkeypatch.setenv("NGG_SEED", "abc")
+        argv = ["eval", "--graphs", str(gp), "--features", str(feats)]
+        capsys.readouterr()
+        assert main(argv + ["--model", str(model)]) == 0  # scoring reads no seed
+        assert main(argv + ["--model", str(model), "--seed", "3"]) == 2
+        assert capsys.readouterr().err == "error: --seed has no effect with --model\n"
+        assert main(argv + ["--folds", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "$NGG_SEED" in err and "--seed" in err
+        assert main(argv + ["--folds", "2", "--seed", "3"]) == 0
 
 
 def _labeled_full_corpus(rng, n_graphs):
@@ -1184,9 +1201,12 @@ import numpy as np
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+def lazy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "orjson"))
+
 import ngram_graph.cli
 from ngram_graph import recovery
-doc = {"import": scipy_modules(), "codes": []}
+doc = {"import": lazy_modules(), "codes": []}
 runs = json.loads(sys.argv[1])
 for argv in runs["commands"]:
     doc["codes"].append(ngram_graph.cli.main(argv))
@@ -1206,10 +1226,10 @@ print(json.dumps(doc))
 
 
 def test_cli_import_skips_scipy_stats_and_optimize(config_workspace, water_sdf):
-    """Start-up loads no scipy module; featurize, fit, every eval run and
-    every --help stay scipy-free, and recovery never loads scipy.optimize.
-    embed, whose walk products are sparse, loads scipy.sparse at its first
-    product."""
+    """Start-up loads no scipy module, and no orjson before the first CSV
+    write; featurize, fit, every eval run and every --help stay scipy-free,
+    and recovery never loads scipy.optimize. embed, whose walk products are
+    sparse, loads scipy.sparse at its first product."""
     eval_features = ["eval", "--graphs", "g.jsonl", "--features", "f.nggm"]
     runs = {
         "commands": [["--help"], ["featurize", "--help"], ["embed", "--help"],

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ngram_graph as ng
-from ngram_graph import count_statistics, embed_vertices, one_hot, random_embedding
+from ngram_graph import count_statistics, embed_vertices, random_embedding
 from ngram_graph.counts import level_dimension, subset_table
 
 from . import synth
-from .synth import subset_rank, subsets_colex
+from .synth import one_hot, subset_rank, subsets_colex
 
 
 class TestColexIndexing:
@@ -107,7 +107,7 @@ class TestCountStatistics:
         g = synth.random_graph(r, sch, m=5, density=0.5, distinct_values=True)
         pi = r.permutation(5)
         a = count_statistics(g, sch, 3)
-        b = count_statistics(ng.permute(g, pi), sch, 3)
+        b = count_statistics(synth.permute(g, pi), sch, 3)
         assert np.array_equal(a.stacked(), b.stacked())
         assert a.walk_counts == b.walk_counts
 

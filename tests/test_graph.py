@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ngram_graph as ng
-from ngram_graph import MolecularGraph, one_hot, permute, validate_graph
+from ngram_graph import MolecularGraph, validate_graph
 from ngram_graph.graph import dumps_graph, ones_csr, read_json_graphs
 
 from . import synth
+from .synth import one_hot, permute
 
 
 class TestValidation:

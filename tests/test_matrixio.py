@@ -73,12 +73,25 @@ class TestCsv:
         assert p.read_bytes() == b"a,b\n1.0,-2.0\n9007199254740992.0,0.0\n"
 
     def test_matches_per_element_repr(self, tmp_path):
-        m = np.random.default_rng(3).standard_normal((6, 9)) * 10.0 ** np.arange(-4, 5)
+        rng = np.random.default_rng(3)
+        scaled = rng.standard_normal((6, 9)) * 10.0 ** np.arange(-4, 5)
+        # random bit patterns, NaN payloads and infinities included
+        bits = rng.integers(0, 2**64, size=(6, 9), dtype=np.uint64).view(np.float64)
+        bits[0, :3] = [np.nan, np.inf, -np.inf]
+        # where orjson's spelling leaves repr's: below 1e-4 and from 1e16 up
+        small = rng.uniform(1e-5, 1e-4, (6, 9)) * rng.choice([-1.0, 1.0], (6, 9))
+        large = 10.0 ** rng.uniform(16, 308, (6, 9)) * rng.choice([-1.0, 1.0], (6, 9))
+        top = np.finfo(np.float64).max
+        small[0, :2], large[0, :4] = [5e-324, -5e-324], [1e16, -1e16, top, -top]
+        m = np.hstack([scaled, bits, small, large, np.zeros((6, 1))])
+        m[1, -1] = -0.0
         p = tmp_path / "m.csv"
-        write_csv(p, m, [f"c{j}" for j in range(9)], row_ids=range(6))
-        lines = p.read_text(encoding="utf-8").splitlines()[1:]
-        assert lines == [",".join([str(i)] + [repr(float(x)) for x in row])
-                         for i, row in enumerate(m)]
+        for matrix in (m, np.asfortranarray(m), m.T):  # strided rows are copied
+            write_csv(p, matrix, [f"c{j}" for j in range(matrix.shape[1])],
+                      row_ids=range(len(matrix)))
+            lines = p.read_text(encoding="utf-8").splitlines()[1:]
+            assert lines == [",".join([str(i)] + [repr(float(x)) for x in row])
+                             for i, row in enumerate(matrix)]
 
 
 class TestJsonArrayForm:

@@ -53,7 +53,7 @@ class TestHandDerivedValues:
         g = synth.random_graph(rng, schema, m=1, density=0.0)
         emb = random_embedding(schema, 6, seed=0)
         e = graph_embed(g, emb, 4)
-        assert np.allclose(e.level(1), emb.matrix @ ng.one_hot(g, schema, 0))
+        assert np.allclose(e.level(1), emb.matrix @ synth.one_hot(g, schema, 0))
         for n in (2, 3, 4):
             assert np.all(e.level(n) == 0)
 
@@ -140,7 +140,7 @@ class TestProperties:
             base = graph_embed(g, emb, 5).vector
             for _ in range(4):
                 pi = rng.permutation(g.num_vertices)
-                other = graph_embed(ng.permute(g, pi), emb, 5).vector
+                other = graph_embed(synth.permute(g, pi), emb, 5).vector
                 denom = max(np.linalg.norm(base), 1e-30)
                 assert np.linalg.norm(other - base) <= 1e-9 * denom
 

@@ -8,12 +8,12 @@ from ngram_graph import (
     VertexEmbeddingMatrix,
     embed_vertices,
     load_embedding,
-    one_hot,
     random_embedding,
     save_embedding,
 )
 
 from . import synth
+from .synth import one_hot
 
 
 class TestRandomEmbedding:
@@ -98,7 +98,7 @@ class TestEmbedVertices:
         emb = random_embedding(schema, 5, dist="gaussian", seed=1)
         pi = rng.permutation(6)
         F = embed_vertices(g, emb)
-        Fp = embed_vertices(ng.permute(g, pi), emb)
+        Fp = embed_vertices(synth.permute(g, pi), emb)
         assert np.allclose(Fp[:, pi], F)
 
 
