@@ -150,29 +150,34 @@ class CbowNetwork:
         return acts, S_in
 
     def loss_and_grads(self, contexts, sizes, targets):
-        """Mean per-sample loss (summed over attribute blocks) and gradients."""
+        """Mean per-sample loss (summed over attribute blocks) and gradients.
+
+        The blocks' softmax runs in one pass over the K logits. Only the two
+        reductions whose order reaches the bits stay per block, as
+        contiguous arrays: each block's row sums and each block's loss sum,
+        added into the loss block by block.
+        """
         B = contexts.shape[0]
         acts, S_in = self.forward(contexts, sizes)
         logits = acts[-1]
 
-        dlogits = np.zeros_like(logits)
+        offsets, widths = self.schema.offsets, self.schema.cardinalities
+        starts = np.asarray(offsets)
+        p = logits - np.repeat(np.maximum.reduceat(logits, starts, axis=1), widths, axis=1)
+        np.exp(p, out=p)
+        sums = [np.ascontiguousarray(p[:, off : off + k]).sum(axis=1)
+                for off, k in zip(offsets, widths)]
+        p /= np.repeat(np.stack(sums, axis=1), widths, axis=1)
+        rows, cols = np.arange(B), starts[:, None] + targets.T  # (S, B) target columns
         loss = 0.0
-        for j, off in enumerate(self.schema.offsets):
-            k = self.schema.cardinalities[j]
-            block = logits[:, off : off + k]
-            block = block - block.max(axis=1, keepdims=True)
-            expz = np.exp(block)
-            p = expz / expz.sum(axis=1, keepdims=True)
-            rows = np.arange(B)
-            tj = targets[:, j]
-            loss -= np.log(np.maximum(p[rows, tj], 1e-300)).sum()
-            grad = p.copy()
-            grad[rows, tj] -= 1.0
-            dlogits[:, off : off + k] = grad / B
+        for block in np.log(np.maximum(p[rows, cols], 1e-300)):
+            loss -= block.sum()
+        p[rows, cols] -= 1.0
+        p /= B  # the logits' gradient
         loss /= B
 
         grads = []
-        delta = dlogits
+        delta = p
         for li in range(len(self.layers) - 1, -1, -1):
             A, _ = self.layers[li]
             a_prev = acts[li]

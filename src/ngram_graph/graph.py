@@ -14,13 +14,16 @@ build for all its graphs, which are read-only views of the corpus's
 stacked arrays; ``MolecularGraph(...)`` is the one-graph case. The reader
 still decodes and converts each document on its own, so that a bad field
 is named, and then checks the whole corpus with one sweep of array masks;
-:func:`validate_graph` runs only on the graphs the sweep flags.
+:func:`validate_graph` runs only on the graphs the sweep flags. Documents
+are parsed and written by orjson wherever its result is the standard
+library's, byte for byte, and by ``json`` elsewhere.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -318,21 +321,106 @@ def dumps_graph(g: MolecularGraph, schema: AttributeSchema) -> str:
     return json.dumps(ordered, separators=(",", ":"))
 
 
+def _plain(text) -> bool:
+    """Whether orjson spells the string as ``json.dumps`` does: printable
+    ASCII, which json does not escape beyond quotes and backslashes."""
+    return type(text) is str and text.isascii() and text.isprintable()
+
+
 def write_jsonl(graphs, schema: AttributeSchema, stream) -> None:
+    """Each graph as its :func:`dumps_graph` line.
+
+    One ``orjson.dumps`` call writes a graph, its tables straight from the
+    arrays, when orjson spells the id and the label as json does: an id that
+    is ``None`` or printable ASCII, and a label that is ``None`` or a float
+    that is 0 or of magnitude in [1e-4, 1e16) (orjson writes ``1e16`` and
+    ``0.00001`` where ``repr`` writes ``1e+16`` and ``1e-05``). Any other
+    graph goes through :func:`dumps_graph`.
+    """
+    import orjson  # loaded at the first graph-document write, not at start-up
+
+    options = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    plain_schema = _plain(schema.schema_id)
     for g in graphs:
-        stream.write(dumps_graph(g, schema))
-        stream.write("\n")
+        label = g.label
+        plain_label = label is None or type(label) is float and (
+            label == 0 or 1e-4 <= abs(label) < 1e16)
+        if plain_schema and plain_label and (g.graph_id is None or _plain(g.graph_id)):
+            doc = {"schema_id": schema.schema_id, "id": g.graph_id,
+                   "num_vertices": g.num_vertices,
+                   "attributes": np.ascontiguousarray(g.attr),  # orjson refuses a strided table
+                   "edges": g.canonical_edges()}
+            if label is not None:
+                doc["label"] = label
+            stream.write(orjson.dumps(doc, option=options).decode())
+        else:
+            stream.write(dumps_graph(g, schema) + "\n")
+
+
+# what bytes.strip() removes and where bytes.splitlines() breaks, applied to
+# a str too, so that it has the lines and blank lines of its UTF-8 bytes
+_SPACE = " \t\n\r\x0b\x0c"
+_LINE_BREAK = re.compile("\r\n|\r|\n")
+# orjson reads an integer outside [-2**63, 2**64), 19 digits or more, as a
+# float; and orjson 3.8 nests without a limit, so a document deep enough
+# overflows the C stack where json raises RecursionError. A line with a run
+# of 19 digits, or nested deeper than _MAX_DEPTH, goes to json.
+_MAX_DEPTH = 256
+_DIGITS_AND_OPENERS = bytes.maketrans(b"123456789{", b"000000000[")
+_NOT_BRACKETS = bytes(set(range(256)) - set(b"[]{}"))
+_BRACKET_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")  # +1 and -1 as int8
+_JSON_STRING = re.compile(rb'"(?:[^"\\]|\\.)*"', re.DOTALL)
+
+
+def _depth(text: bytes) -> int:
+    """The deepest bracket nesting of JSON text, its strings left out:
+    exact for valid JSON, which is all that orjson builds objects from."""
+    brackets = _JSON_STRING.sub(b"", text).translate(_BRACKET_STEPS, _NOT_BRACKETS)
+    return int(np.cumsum(np.frombuffer(brackets, dtype=np.int8)).max(initial=0))
+
+
+def _orjson_reads_as_json(text: bytes) -> bool:
+    """Whether orjson may parse the text: no run of 19 digits, and nested
+    at most _MAX_DEPTH deep."""
+    marked = text.translate(_DIGITS_AND_OPENERS)
+    return b"0" * 19 not in marked and (marked.count(b"[") <= _MAX_DEPTH
+                                         or _depth(text) <= _MAX_DEPTH)
+
+
+def _loads(chunk):
+    """One JSONL line or JSON array, parsed as ``json.loads`` parses it.
+
+    orjson parses it when :func:`_orjson_reads_as_json`; json parses it
+    when orjson refuses it (``NaN``, ``1e400``, lone surrogates, invalid
+    UTF-8), which also gives json's own exception and message."""
+    import orjson  # loaded at the first graph-document read, not at start-up
+
+    text = chunk if isinstance(chunk, bytes) else chunk.encode("utf-8", "surrogatepass")
+    if _orjson_reads_as_json(text):
+        try:
+            return orjson.loads(chunk)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(chunk.decode("utf-8") if isinstance(chunk, bytes) else chunk)
 
 
 def _documents(data):
     """``(pos, document)`` pairs: the elements of one JSON array, or one per
     nonblank JSONL line, each line decoded and parsed on its own. An
-    undecodable line gives its exception in place of the document."""
-    array = data.lstrip()[:1] in ("[", b"[")
-    chunks = [data] if array else [line for line in data.splitlines() if line.strip()]
+    undecodable line gives its exception in place of the document.
+
+    Lines break at ``\\n``, ``\\r`` and ``\\r\\n`` only, in ``str`` as in
+    ``bytes``: JSON allows a raw U+2028 inside a string."""
+    space = _SPACE if isinstance(data, str) else _SPACE.encode()
+    array = data.lstrip(space)[:1] in ("[", b"[")
+    if array:
+        chunks = [data]
+    else:
+        lines = _LINE_BREAK.split(data) if isinstance(data, str) else data.splitlines()
+        chunks = [line for line in lines if line.strip(space)]
     for pos, chunk in enumerate(chunks):
         try:
-            doc = json.loads(chunk.decode("utf-8") if isinstance(chunk, bytes) else chunk)
+            doc = _loads(chunk)
         except ValueError as exc:  # UnicodeDecodeError, json.JSONDecodeError
             yield pos, exc
             continue

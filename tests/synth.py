@@ -638,8 +638,13 @@ def reference_doc_to_graph(doc, schema):
 
 
 def _ref_documents(data, errors):
-    array = data.lstrip()[:1] in ("[", b"[")
-    chunks = [data] if array else [line for line in data.splitlines() if line.strip()]
+    # a str breaks into lines, and has blank ones, where its UTF-8 bytes do
+    raw = data if isinstance(data, bytes) else data.encode("utf-8", "surrogatepass")
+    array = raw.lstrip()[:1] == b"["
+    lines = [line for line in raw.splitlines() if line.strip()]
+    if isinstance(data, str):
+        lines = [line.decode("utf-8", "surrogatepass") for line in lines]
+    chunks = [data] if array else lines
     for pos, chunk in enumerate(chunks):
         try:
             doc = json.loads(chunk.decode("utf-8") if isinstance(chunk, bytes) else chunk)
@@ -679,8 +684,13 @@ DOCUMENT_DEFECTS = (
     "uint64-value", "flat-attributes", "flat-edges", "wide-edges", "ragged",
     "wrong-width", "missing-field", "schema-id", "not-object", "int-label",
     "string-label", "bad-label", "odd-id", "null-edges", "empty-attributes",
-    "falsy-tables",
+    "falsy-tables", "big-count", "big-id", "big-schema-id",
 )
+# integers just outside int64 and uint64, which orjson would read as floats
+BIG_INTEGERS = (2**64, 2**70, -(2**63) - 1)
+BIG_FIELDS = {"big-count": "num_vertices", "big-id": "id", "big-schema-id": "schema_id"}
+# characters that str.splitlines() breaks at and bytes.splitlines() does not
+UNICODE_BREAKS = "\u2028\u2029\x85\x1c\x1d\x1e\x0b\x0c"
 
 
 @st.composite
@@ -695,7 +705,8 @@ def graph_documents(draw, schema, max_m=6, defect_percent=50):
     edges = sorted({tuple(sorted(p)) for p in draw(st.lists(st.tuples(vertex, vertex),
                                                             max_size=2 * m))
                     if p[0] != p[1]})
-    doc = {"schema_id": schema.schema_id, "id": draw(st.none() | st.text(max_size=3)),
+    ids = st.text(st.characters() | st.sampled_from(UNICODE_BREAKS), max_size=3)
+    doc = {"schema_id": schema.schema_id, "id": draw(st.none() | ids),
            "num_vertices": m, "attributes": attr, "edges": [list(e) for e in edges]}
     if draw(st.booleans()):
         doc["label"] = draw(st.floats(allow_nan=False, allow_infinity=False, width=32))
@@ -773,22 +784,34 @@ def graph_documents(draw, schema, max_m=6, defect_percent=50):
         doc["attributes"] = []
     elif defect == "falsy-tables":
         doc[draw(st.sampled_from(["attributes", "edges"]))] = draw(st.sampled_from([{}, "", 0]))
+    elif defect in BIG_FIELDS:
+        doc[BIG_FIELDS[defect]] = draw(st.sampled_from(BIG_INTEGERS))
     return doc
 
 
 @st.composite
 def graph_document_corpora(draw, schema, min_docs=0, max_docs=8, defect_percent=50):
     """A JSONL stream (bytes or text) or one JSON array of graph documents,
-    with blank lines and, in JSONL, undecodable lines mixed in."""
+    their non-ASCII text raw or escaped. JSONL mixes in blank and
+    undecodable lines, and valid documents whose label is a ``NaN``,
+    ``Infinity`` or ``1e400`` literal, which only json reads."""
     docs = draw(st.lists(graph_documents(schema, defect_percent=defect_percent),
                          min_size=min_docs, max_size=max_docs))
+    ascii = draw(st.booleans())
     if draw(st.booleans()):
-        text = json.dumps(docs, separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])))
+        text = json.dumps(docs, separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])),
+                          ensure_ascii=ascii)
         return text.encode() if draw(st.booleans()) else text
-    lines = [json.dumps(d, separators=(",", ":")).encode() for d in docs]
+    lines = [json.dumps(d, separators=(",", ":"), ensure_ascii=ascii).encode() for d in docs]
     for _ in range(draw(st.integers(0, 2))):
         broken = draw(st.sampled_from([b"{\"schema_id\":", b"\xff\xfe{}", b"   ", b"",
-                                       b"[1, 2", b"nul"]))
+                                       b"[1, 2", b"nul", b"[1,\x1c2]", b"{\xe2\x80\xa8}"]))
         lines.insert(draw(st.integers(0, len(lines))), broken)
+    for _ in range(draw(st.integers(0, 2))):
+        doc = {k: v for k, v in draw(graph_documents(schema, defect_percent=0)).items()
+               if k != "label"}
+        literal = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400"]))
+        line = json.dumps(doc, separators=(",", ":"), ensure_ascii=ascii)[:-1]
+        lines.insert(draw(st.integers(0, len(lines))), f'{line},"label":{literal}}}'.encode())
     data = b"\n".join(lines)
     return data if draw(st.booleans()) else data.decode("utf-8", errors="replace")

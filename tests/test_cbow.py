@@ -1,3 +1,6 @@
+from itertools import accumulate
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,52 @@ def _line_graph(schema, attrs, edges):
         num_vertices=len(attrs), attr=attrs, edges=edges,
         schema_fingerprint=schema.fingerprint,
     )
+
+
+def reference_loss_and_grads(net, contexts, sizes, targets):
+    """``CbowNetwork.loss_and_grads`` as it was before its softmax ran in one
+    pass: a loop over the attribute blocks, each with its own max, exp, sum
+    and gather."""
+    B = contexts.shape[0]
+    acts, S_in = net.forward(contexts, sizes)
+    logits = acts[-1]
+
+    dlogits = np.zeros_like(logits)
+    loss = 0.0
+    for j, off in enumerate(net.schema.offsets):
+        k = net.schema.cardinalities[j]
+        block = logits[:, off : off + k]
+        block = block - block.max(axis=1, keepdims=True)
+        expz = np.exp(block)
+        p = expz / expz.sum(axis=1, keepdims=True)
+        rows = np.arange(B)
+        tj = targets[:, j]
+        loss -= np.log(np.maximum(p[rows, tj], 1e-300)).sum()
+        grad = p.copy()
+        grad[rows, tj] -= 1.0
+        dlogits[:, off : off + k] = grad / B
+    loss /= B
+
+    grads = []
+    delta = dlogits
+    for li in range(len(net.layers) - 1, -1, -1):
+        A, _ = net.layers[li]
+        a_prev = acts[li]
+        gA = delta.T @ a_prev
+        gb = delta.sum(axis=0)
+        grads.append((li, gA, gb))
+        delta = delta @ A
+        if li > 0:
+            delta = delta * (a_prev > 0)
+    gW = delta.T @ S_in
+    grad_list = [gW]
+    for li, gA, gb in sorted(grads):
+        grad_list.extend((gA, gb))
+    return loss, grad_list
+
+
+def _bits(loss, grads):
+    return np.float64(loss).tobytes(), [g.tobytes() for g in grads]
 
 
 # a 0-vertex graph and an edgeless one, mixed into the corpora below
@@ -148,6 +197,44 @@ class TestTraining:
 
 
 class TestNetworkMath:
+    @pytest.mark.parametrize("ks", [ng.FULL_SCHEMA.cardinalities, (3, 1, 12)],
+                             ids=["full", "one-value-attribute"])
+    @pytest.mark.parametrize("B", [1, 2, 256, 300])
+    @pytest.mark.parametrize("spread", [1.0, 700.0])
+    def test_loss_and_grads_equal_per_block_reference(self, ks, B, spread):
+        """Bit for bit, also where a target's probability underflows to the
+        1e-300 clamp (logits up to +-700). AttributeSchema refuses a
+        one-value attribute, so that layout is a stand-in with the fields
+        the network reads."""
+        sch = SimpleNamespace(cardinalities=ks, offsets=tuple(accumulate(ks, initial=0))[:-1],
+                              total_width=sum(ks), num_attributes=len(ks))
+        rng = np.random.default_rng([B, int(spread), len(ks)])
+        net = CbowNetwork(sch, CbowConfig(r=6, hidden=(9,), seed=0), rng)
+        net.layers[-1][1][:] = rng.uniform(-spread, spread, sch.total_width)
+        contexts = rng.poisson(1.0, (B, sch.total_width)).astype(np.float64)
+        sizes = contexts.sum(axis=1) + 1.0
+        targets = np.stack([rng.integers(0, k, B) for k in ks], axis=1)
+        got = net.loss_and_grads(contexts, sizes, targets)
+        ref = reference_loss_and_grads(net, contexts, sizes, targets)
+        assert _bits(*got) == _bits(*ref)
+        if spread == 700.0 and B > 2:  # some target's probability is under the clamp
+            logits = net.forward(contexts, sizes)[0][-1]
+            starts = np.asarray(sch.offsets)
+            gaps = (np.maximum.reduceat(logits, starts, axis=1)
+                    - logits[np.arange(B)[:, None], starts + targets])
+            assert gaps.max() > -np.log(1e-300)
+
+    def test_training_writes_the_reference_weights(self, rng, monkeypatch):
+        sch = synth.small_schema(ks=(6, 5))
+        samples = extract_contexts(synth.neighbor_predictable_corpus(rng, sch, n_graphs=60),
+                                   sch)
+        cfg = CbowConfig(r=8, hidden=(12,), epochs=30, batch_size=64, seed=5)
+        emb, report = train_cbow(samples, sch, cfg)
+        monkeypatch.setattr(CbowNetwork, "loss_and_grads", reference_loss_and_grads)
+        ref_emb, ref_report = train_cbow(samples, sch, cfg)
+        assert emb.matrix.tobytes() == ref_emb.matrix.tobytes()
+        assert report.epoch_losses == ref_report.epoch_losses
+
     def test_gradients_match_finite_differences(self, rng):
         sch = synth.small_schema(ks=(3, 2))
         graphs = synth.random_corpus(rng, sch, 5, density=0.6, connected=True)

@@ -1226,10 +1226,11 @@ print(json.dumps(doc))
 
 
 def test_cli_import_skips_scipy_stats_and_optimize(config_workspace, water_sdf):
-    """Start-up loads no scipy module, and no orjson before the first CSV
-    write; featurize, fit, every eval run and every --help stay scipy-free,
-    and recovery never loads scipy.optimize. embed, whose walk products are
-    sparse, loads scipy.sparse at its first product."""
+    """Start-up loads no scipy module, and no orjson before a graph document
+    is first read or written or a CSV first written; featurize, fit, every
+    eval run and every --help stay scipy-free, and recovery never loads
+    scipy.optimize. embed, whose walk products are sparse, loads
+    scipy.sparse at its first product."""
     eval_features = ["eval", "--graphs", "g.jsonl", "--features", "f.nggm"]
     runs = {
         "commands": [["--help"], ["featurize", "--help"], ["embed", "--help"],

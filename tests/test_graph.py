@@ -1,3 +1,4 @@
+import io
 import json
 import tracemalloc
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import ngram_graph as ng
 from ngram_graph import MolecularGraph, validate_graph
-from ngram_graph.graph import dumps_graph, ones_csr, read_json_graphs
+from ngram_graph.graph import dumps_graph, ones_csr, read_json_graphs, write_jsonl
 
 from . import synth
 from .synth import one_hot, permute
@@ -401,6 +402,43 @@ class TestReaderDifferential:
     def test_mutated_bytes(self, data):
         self._agree(data)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=synth.graph_document_corpora(_SCHEMA))
+    def test_str_reads_as_its_utf8_bytes(self, data):
+        """Lines break at \\n, \\r and \\r\\n in a str too, not at U+2028,
+        U+0085 or \\x1c: the same graphs, errors and exception."""
+        text = data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
+        for errors in ([], None):
+            outcomes = [self._outcome(read_json_graphs, form, _SCHEMA,
+                                      None if errors is None else [])
+                        for form in (text, text.encode())]
+            assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("depth", [300, 5000])
+    def test_deep_nesting_reads_as_json_reads_it(self, depth):
+        """Past the interpreter's recursion limit json raises RecursionError,
+        and orjson must not see such a line: orjson 3.8 nests without a
+        limit. Closing brackets inside a string must not hide the depth."""
+        nested = "[" * depth + "]" * depth
+        line = '{"x":"' + "]" * 2 * depth + '","id":' + nested + "}"
+        for data in (_BASE + line.encode(), "[" + line + "]"):
+            outcomes = []
+            for reader in (read_json_graphs, synth.reference_read_json_graphs):
+                try:
+                    outcomes.append(self._outcome(reader, data, _SCHEMA, []))
+                except RecursionError:
+                    outcomes.append(RecursionError)
+            assert outcomes[0] == outcomes[1]
+            assert (outcomes[0] is RecursionError) == (depth > 1000)
+
+    def test_raw_line_separator_inside_a_string(self):
+        doc = json.loads(_BASE.splitlines()[5])
+        line = json.dumps({**doc, "id": "a\u2028b"}, ensure_ascii=False)
+        for form in (line, line.encode()):
+            errors = []
+            (g,) = read_json_graphs(form, _SCHEMA, errors)
+            assert g.graph_id == "a\u2028b" and errors == []
+
     @settings(max_examples=300, deadline=None)
     @given(data=synth.json_field_mutations([json.loads(line)
                                             for line in _BASE.decode().splitlines()]))
@@ -427,3 +465,30 @@ class TestReaderDifferential:
             arrays = [getattr(g, name) for g in graphs]
             assert not any(a.flags.writeable for a in arrays)
             assert len({id(a.base) for a in arrays}) == 1  # one corpus array
+
+
+# json escapes DEL and every character outside ASCII; orjson writes both raw
+_ID_CHARACTERS = st.characters() | st.sampled_from('\x7f\x01\n"\\/\u00e9\u2028')
+_LABELS = (st.none() | st.floats() | st.integers()
+           | st.sampled_from([1e16, -1e16, 9999999999999998.0, 1e-4, 1e-5, -0.0, 5e-324]))
+
+
+@st.composite
+def _graphs_to_write(draw):
+    """Graphs with any id and label, some with no vertices or no edges, some
+    with an F-ordered attribute table."""
+    g = draw(synth.messy_graphs(_SCHEMA, max_m=6)
+             | st.just(MolecularGraph(num_vertices=0, attr=np.zeros((0, 2)), edges=[])))
+    attr = np.asfortranarray(g.attr) if draw(st.booleans()) else g.attr
+    return g.replace(attr=attr, label=draw(_LABELS),
+                     graph_id=draw(st.none() | st.text(_ID_CHARACTERS) | st.integers()))
+
+
+class TestWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs=st.lists(_graphs_to_write(), max_size=6),
+           schema=st.sampled_from([_SCHEMA, synth.small_schema(name="caf\u00e9")]))
+    def test_lines_are_dumps_graph(self, graphs, schema):
+        stream = io.StringIO()
+        write_jsonl(graphs, schema, stream)
+        assert stream.getvalue() == "".join(dumps_graph(g, schema) + "\n" for g in graphs)
