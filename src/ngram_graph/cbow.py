@@ -153,9 +153,9 @@ class CbowNetwork:
         """Mean per-sample loss (summed over attribute blocks) and gradients.
 
         The blocks' softmax runs in one pass over the K logits. Only the two
-        reductions whose order reaches the bits stay per block, as
-        contiguous arrays: each block's row sums and each block's loss sum,
-        added into the loss block by block.
+        reductions whose order reaches the bits stay per block: each block's
+        row sums and each block's loss sum, added into the loss block by
+        block.
         """
         B = contexts.shape[0]
         acts, S_in = self.forward(contexts, sizes)
@@ -165,8 +165,7 @@ class CbowNetwork:
         starts = np.asarray(offsets)
         p = logits - np.repeat(np.maximum.reduceat(logits, starts, axis=1), widths, axis=1)
         np.exp(p, out=p)
-        sums = [np.ascontiguousarray(p[:, off : off + k]).sum(axis=1)
-                for off, k in zip(offsets, widths)]
+        sums = [p[:, off : off + k].sum(axis=1) for off, k in zip(offsets, widths)]
         p /= np.repeat(np.stack(sums, axis=1), widths, axis=1)
         rows, cols = np.arange(B), starts[:, None] + targets.T  # (S, B) target columns
         loss = 0.0

@@ -15,8 +15,9 @@ stacked arrays; ``MolecularGraph(...)`` is the one-graph case. The reader
 still decodes and converts each document on its own, so that a bad field
 is named, and then checks the whole corpus with one sweep of array masks;
 :func:`validate_graph` runs only on the graphs the sweep flags. Documents
-are parsed and written by orjson wherever its result is the standard
-library's, byte for byte, and by ``json`` elsewhere.
+are parsed by orjson wherever its result is the standard library's, and by
+``json`` elsewhere; a written line has its tables spelled by orjson and its
+other fields by ``json``.
 """
 
 from __future__ import annotations
@@ -321,46 +322,25 @@ def dumps_graph(g: MolecularGraph, schema: AttributeSchema) -> str:
     return json.dumps(ordered, separators=(",", ":"))
 
 
-def _plain(text) -> bool:
-    """Whether orjson spells the string as ``json.dumps`` does: printable
-    ASCII, which json does not escape beyond quotes and backslashes."""
-    return type(text) is str and text.isascii() and text.isprintable()
-
-
 def write_jsonl(graphs, schema: AttributeSchema, stream) -> None:
     """Each graph as its :func:`dumps_graph` line.
 
-    One ``orjson.dumps`` call writes a graph, its tables straight from the
-    arrays, when orjson spells the id and the label as json does: an id that
-    is ``None`` or printable ASCII, and a label that is ``None`` or a float
-    that is 0 or of magnitude in [1e-4, 1e16) (orjson writes ``1e16`` and
-    ``0.00001`` where ``repr`` writes ``1e+16`` and ``1e-05``). Any other
-    graph goes through :func:`dumps_graph`.
+    json spells the scalar fields, where orjson would spell some strings and
+    floats differently; orjson spells the two integer tables, as json does,
+    straight from the arrays.
     """
     import orjson  # loaded at the first graph-document write, not at start-up
 
-    options = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
-    plain_schema = _plain(schema.schema_id)
+    head = '{"schema_id":' + json.dumps(schema.schema_id) + ',"id":'
     for g in graphs:
-        label = g.label
-        plain_label = label is None or type(label) is float and (
-            label == 0 or 1e-4 <= abs(label) < 1e16)
-        if plain_schema and plain_label and (g.graph_id is None or _plain(g.graph_id)):
-            doc = {"schema_id": schema.schema_id, "id": g.graph_id,
-                   "num_vertices": g.num_vertices,
-                   "attributes": np.ascontiguousarray(g.attr),  # orjson refuses a strided table
-                   "edges": g.canonical_edges()}
-            if label is not None:
-                doc["label"] = label
-            stream.write(orjson.dumps(doc, option=options).decode())
-        else:
-            stream.write(dumps_graph(g, schema) + "\n")
+        tables = orjson.dumps({"attributes": np.ascontiguousarray(g.attr),  # orjson refuses
+                               "edges": g.canonical_edges()},           # a strided table
+                              option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        label = "" if g.label is None else ',"label":' + json.dumps(g.label)
+        stream.write(f'{head}{json.dumps(g.graph_id)},"num_vertices":'
+                     f'{json.dumps(g.num_vertices)},{tables[1:-1]}{label}}}\n')
 
 
-# what bytes.strip() removes and where bytes.splitlines() breaks, applied to
-# a str too, so that it has the lines and blank lines of its UTF-8 bytes
-_SPACE = " \t\n\r\x0b\x0c"
-_LINE_BREAK = re.compile("\r\n|\r|\n")
 # orjson reads an integer outside [-2**63, 2**64), 19 digits or more, as a
 # float; and orjson 3.8 nests without a limit, so a document deep enough
 # overflows the C stack where json raises RecursionError. A line with a run
@@ -409,15 +389,18 @@ def _documents(data):
     nonblank JSONL line, each line decoded and parsed on its own. An
     undecodable line gives its exception in place of the document.
 
-    Lines break at ``\\n``, ``\\r`` and ``\\r\\n`` only, in ``str`` as in
-    ``bytes``: JSON allows a raw U+2028 inside a string."""
-    space = _SPACE if isinstance(data, str) else _SPACE.encode()
-    array = data.lstrip(space)[:1] in ("[", b"[")
+    A ``str`` has the lines, and blank lines, of its UTF-8 bytes: it breaks
+    at ``\\n``, ``\\r`` and ``\\r\\n`` only, as JSON allows a raw U+2028
+    inside a string."""
+    text = isinstance(data, str)
+    raw = data.encode("utf-8", "surrogatepass") if text else data
+    array = raw.lstrip()[:1] == b"["
     if array:
         chunks = [data]
     else:
-        lines = _LINE_BREAK.split(data) if isinstance(data, str) else data.splitlines()
-        chunks = [line for line in lines if line.strip(space)]
+        chunks = [line for line in raw.splitlines() if line.strip()]
+        if text:
+            chunks = [line.decode("utf-8", "surrogatepass") for line in chunks]
     for pos, chunk in enumerate(chunks):
         try:
             doc = _loads(chunk)
