@@ -17,7 +17,7 @@ from .graph import (
     validate_graph,
 )
 from .sdf import MolRecord, parse_sdf
-from .featurize import FeaturizerConfig, featurize, featurize_corpus
+from .featurize import FeaturizerConfig, featurize_corpus
 from .vertex import (
     EmbeddingError,
     VertexEmbeddingMatrix,
@@ -38,7 +38,7 @@ from .ngram import (
 from .counts import CountStatistics, count_statistics
 from .sensing import BlockSensingMatrix, build_sensing, verify_identity
 from .recovery import RecoveryConfig, recovery_experiment, sparse_recover
-from .linear import LinearModel, evaluate, fit, mae, pr_auc, rmse, roc_auc
+from .linear import LinearModel, fit, mae, pr_auc, rmse, roc_auc
 from .crossval import (
     EvalReport,
     PipelineConfig,

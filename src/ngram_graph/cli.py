@@ -14,6 +14,9 @@ sidecar byte for byte. ``recover`` reads its recovery grid from
 feature file written by ``embed``: with ``--model`` it scores that model on
 the file, otherwise it cross-validates on it. Cross-validation that makes
 the embedding inside each fold is ``sweep``; a one-cell grid is one run.
+Only ``featurize`` takes ``--schema``; ``train-vertex`` and ``sweep`` use the
+bundled schema the corpus's first document names, and the other commands
+the schema their embedding or feature file carries.
 Exit codes: 0 success, 1 numeric or validation failure, 2 I/O, parse or
 usage failure.
 """
@@ -43,9 +46,9 @@ from .crossval import (
     manifest_hash,
 )
 from .featurize import FeaturizerConfig, featurize_corpus
-from .graph import GraphError, read_json_graphs, write_jsonl
+from .graph import GraphError, bundled_schema, read_json_graphs, write_jsonl
 from .linear import (METRICS, PENALTIES, TASKS, DegenerateLabels, LinearModel,
-                     compute_metric, fit as fit_linear)
+                     ModelFormatError, compute_metric, fit as fit_linear)
 from .matrixio import MatrixFormatError, write_csv
 from .ngram import LEVEL_SCALES, VARIANTS, GraphTooLarge, embed_corpus, oracle_embed
 from .recovery import (
@@ -72,7 +75,7 @@ class NoInputGraphs(OSError):
 
 
 _PARSE_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError, MatrixFormatError,
-                 GraphError, click.UsageError)
+                 ModelFormatError, GraphError, click.UsageError)
 _NUMERIC_ERRORS = (SchemaError, EmbeddingError, GraphTooLarge, TrainingDiverged,
                    DegenerateLabels, LeakageError, CheckFailed, ValueError,
                    ArithmeticError)
@@ -143,8 +146,6 @@ _config_option = click.option(
     expose_value=False, callback=_config_defaults,
     help="JSON object of option defaults; command-line flags win",
 )
-_schema_option = click.option("--schema", "schema_key", default="full", show_default=True,
-                              type=click.Choice(sorted(BUNDLED_SCHEMAS)))
 _variant_option = click.option("--variant", default="walk", show_default=True,
                                type=click.Choice(VARIANTS))
 _task_option = click.option("--task", default="logistic", show_default=True,
@@ -182,12 +183,15 @@ def _write_sidecar(out_path, manifest: dict | None = None) -> None:
                     encoding="utf-8")
 
 
-def _load_graphs(path, schema):
-    """The corpus at path; an undecodable line raises as a parse error (exit
-    2), an invalid document as a validation failure (exit 1). Either message
-    names the file and the document's position."""
+def _load_graphs(path, schema=None):
+    """The corpus at path and its schema: the one given, else the bundled one
+    its first document names. An undecodable line raises as a parse error
+    (exit 2), any other fault as a validation failure (exit 1); each message
+    names the file, and the document's position where there is one."""
+    data = Path(path).read_bytes()
     try:
-        return read_json_graphs(Path(path).read_bytes(), schema)
+        schema = schema or bundled_schema(data)
+        return read_json_graphs(data, schema), schema
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise GraphError(f"{path}: document {exc.document}: {exc}") from exc
     except GraphError as exc:
@@ -205,7 +209,8 @@ def cli():
 @cli.command("featurize")
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
-@_schema_option
+@click.option("--schema", "schema_key", default="full", show_default=True,
+              type=click.Choice(sorted(BUNDLED_SCHEMAS)))
 @_config_option
 def featurize_cmd(input_path, out, schema_key):
     """Parse .sdf/.mol or .json/.jsonl into a validated graph corpus."""
@@ -255,7 +260,6 @@ def featurize_cmd(input_path, out, schema_key):
 @cli.command("train-vertex")
 @click.argument("graphs_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
-@_schema_option
 @click.option("--r", default=100, show_default=True)
 @click.option("--aggregator", default="sum", show_default=True,
               type=click.Choice(["sum", "mean"]))
@@ -266,11 +270,9 @@ def featurize_cmd(input_path, out, schema_key):
 @click.option("--lr", default=1e-3, show_default=True)
 @_seed_option
 @_config_option
-def train_vertex_cmd(graphs_path, out, schema_key, r, aggregator, hidden,
-                     epochs, batch_size, lr, seed):
+def train_vertex_cmd(graphs_path, out, r, aggregator, hidden, epochs, batch_size, lr, seed):
     """Train the vertex embedding matrix on neighbor contexts."""
-    schema = BUNDLED_SCHEMAS[schema_key]
-    graphs = _load_graphs(graphs_path, schema)
+    graphs, schema = _load_graphs(graphs_path)
     cfg = CbowConfig(
         r=r, aggregator=aggregator, hidden=hidden, epochs=epochs,
         batch_size=batch_size, learning_rate=lr, seed=seed,
@@ -308,7 +310,7 @@ def embed(graphs_path, embedding_path, out, t_steps, variant, normalize,
           level_scale, want_csv):
     """Embed a graph corpus into a feature matrix."""
     emb = load_embedding(embedding_path)
-    graphs = _load_graphs(graphs_path, emb.schema)
+    graphs, _ = _load_graphs(graphs_path, emb.schema)
     matrix, manifest = embed_corpus(
         graphs, emb, t_steps, variant=variant, level_scale=level_scale,
         normalization="unit-l2" if normalize else "none",
@@ -337,7 +339,7 @@ def embed(graphs_path, embedding_path, out, t_steps, variant, normalize,
 def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
     """Compare the recurrence against brute-force walk enumeration."""
     emb = load_embedding(embedding_path)
-    graphs = _load_graphs(graphs_path, emb.schema)
+    graphs, _ = _load_graphs(graphs_path, emb.schema)
     X, manifest = embed_corpus(graphs, emb, t_steps)
     if manifest["errors"]:
         raise CheckFailed("; ".join(f"row {row}: {msg}"
@@ -411,28 +413,24 @@ def _feature_hash(manifest: dict) -> str:
     return manifest_hash(manifest)
 
 
-def _write_predictions(path, manifest, graphs, scores) -> None:
-    ids = manifest.get("ids") or [g.graph_id or str(i) for i, g in enumerate(graphs)]
-    write_csv(path, scores[:, None], ["g_id", "score"], row_ids=ids)
+def _write_predictions(path, manifest, scores) -> None:
+    write_csv(path, scores[:, None], ["g_id", "score"], row_ids=manifest["ids"])
     _write_sidecar(path)
 
 
-def _labeled_features(features_path, graphs_path, schema_key):
-    """The feature file's matrix and manifest, its graphs and their labels.
+def _labeled_features(features_path, graphs_path):
+    """The feature file's matrix and manifest, and its graphs' labels.
 
+    The graphs are read under the schema that the feature manifest carries.
     A graph the embed run recorded as failed exits 1 here, before any fit.
-    The schema travelling with the features beats the bundled choice.
     """
     X, manifest = load_features(features_path)
     check_no_failed_rows(manifest)
-    schema = (AttributeSchema.from_dict(manifest["schema"]) if "schema" in manifest
-              else BUNDLED_SCHEMAS[schema_key])
-    graphs = _load_graphs(graphs_path, schema)
-    if len(graphs) != X.shape[0]:
-        raise ValueError(
-            f"feature rows ({X.shape[0]}) do not match graphs ({len(graphs)})"
-        )
-    return X, manifest, graphs, _labels_for(graphs)
+    graphs, _ = _load_graphs(graphs_path, AttributeSchema.from_dict(manifest["schema"]))
+    if not len(graphs) == X.shape[0] == len(manifest["ids"]):
+        raise ValueError(f"feature rows ({X.shape[0]}) and their ids "
+                         f"({len(manifest['ids'])}) do not match graphs ({len(graphs)})")
+    return X, manifest, _labels_for(graphs)
 
 
 @cli.command("fit")
@@ -440,7 +438,6 @@ def _labeled_features(features_path, graphs_path, schema_key):
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--graphs", "graphs_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@_schema_option
 @_task_option
 @click.option("--lam", default=1e-3, show_default=True)
 @click.option("--penalty", default="squared-l2", show_default=True,
@@ -448,12 +445,11 @@ def _labeled_features(features_path, graphs_path, schema_key):
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--predictions", default=None, type=click.Path(dir_okay=False))
 @_config_option
-def fit_cmd(features_path, graphs_path, schema_key, task, lam, penalty, out,
-            predictions):
+def fit_cmd(features_path, graphs_path, task, lam, penalty, out, predictions):
     """Fit the linear head on an exported feature matrix."""
-    X, manifest, graphs, y = _labeled_features(features_path, graphs_path, schema_key)
+    X, manifest, y = _labeled_features(features_path, graphs_path)
     model = fit_linear(X, y, task=task, lam=lam, penalty=penalty)
-    model.manifest_hash = _feature_hash(manifest) if manifest else None
+    model.manifest_hash = _feature_hash(manifest)
     Path(out).write_text(model.to_json(), encoding="utf-8")
     _write_sidecar(out)
     click.echo(
@@ -465,13 +461,12 @@ def fit_cmd(features_path, graphs_path, schema_key, task, lam, penalty, out,
         click.echo(f"warning: fit did not converge (iters={model.report.iterations}, "
                    f"grad_norm={model.report.grad_norm:.3g})", err=True)
     if predictions:
-        _write_predictions(predictions, manifest, graphs, model.decision(X))
+        _write_predictions(predictions, manifest, model.decision(X))
 
 
 @cli.command("eval")
 @click.option("--graphs", "graphs_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@_schema_option
 @click.option("--features", "features_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", "model_path", default=None,
@@ -485,8 +480,8 @@ def fit_cmd(features_path, graphs_path, schema_key, task, lam, penalty, out,
 @click.option("--seed", default=None, type=int,
               help="[default: $NGG_SEED, then 0; read by cross-validation only]")
 @_config_option
-def eval_cmd(graphs_path, schema_key, features_path, model_path, folds, task, metric,
-             lam, stratified, predictions, seed):
+def eval_cmd(graphs_path, features_path, model_path, folds, task, metric, lam,
+             stratified, predictions, seed):
     """Score a saved model on a feature file, or cross-validate on the file."""
     if predictions and not model_path:
         raise click.UsageError("--predictions needs --model")
@@ -498,16 +493,22 @@ def eval_cmd(graphs_path, schema_key, features_path, model_path, folds, task, me
             if p.name in ("folds", "task", "lam", "stratified", "seed"):
                 if ctx.params[p.name] != p.default:
                     raise click.UsageError(f"{p.opts[-1]} has no effect with --model")
-    X, manifest, graphs, y = _labeled_features(features_path, graphs_path, schema_key)
+    X, manifest, y = _labeled_features(features_path, graphs_path)
 
     if model_path:
-        model = LinearModel.from_json(Path(model_path).read_text(encoding="utf-8"))
+        try:
+            model = LinearModel.from_json(Path(model_path).read_text(encoding="utf-8"))
+        except (ModelFormatError, json.JSONDecodeError) as exc:
+            raise ModelFormatError(f"{model_path}: {exc}") from None
+        if model.weights.size != X.shape[1]:
+            raise ValueError(f"{model_path} has {model.weights.size} weights for "
+                             f"{X.shape[1]} feature columns in {features_path}")
         scores = model.decision(X)
         value = compute_metric(metric, y, scores)
         click.echo(json.dumps({"metric": metric,
                                "value": None if value is None else float(value)}))
         if predictions:
-            _write_predictions(predictions, manifest, graphs, scores)
+            _write_predictions(predictions, manifest, scores)
         return
 
     seed = _seed_default() if seed is None else seed
@@ -531,7 +532,6 @@ def _warn_unconverged(report, where: str = "") -> None:
 @cli.command()
 @click.option("--graphs", "graphs_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@_schema_option
 @click.option("--r-grid", default="50,100", show_default=True, type=_IntList())
 @click.option("--t-grid", default="2,4,6", show_default=True, type=_IntList())
 @click.option("--mode", default="random-gaussian", show_default=True,
@@ -545,8 +545,8 @@ def _warn_unconverged(report, where: str = "") -> None:
 @click.option("-o", "--out", default=None, type=click.Path(dir_okay=False))
 @_seed_option
 @_config_option
-def sweep(graphs_path, schema_key, r_grid, t_grid, mode, variant, folds, task,
-          metric, lam, stratified, out, seed):
+def sweep(graphs_path, r_grid, t_grid, mode, variant, folds, task, metric, lam,
+          stratified, out, seed):
     """Cross-validated metric over an (r, T) grid, one row per combination."""
     for hint, grid in (("'--r-grid'", r_grid), ("'--t-grid'", t_grid)):
         if not grid:
@@ -554,8 +554,7 @@ def sweep(graphs_path, schema_key, r_grid, t_grid, mode, variant, folds, task,
         repeated = next((v for i, v in enumerate(grid) if v in grid[:i]), None)
         if repeated is not None:
             raise click.BadParameter(f"repeats {repeated}", param_hint=hint)
-    schema = BUNDLED_SCHEMAS[schema_key]
-    graphs = _load_graphs(graphs_path, schema)
+    graphs, schema = _load_graphs(graphs_path)
     y = _labels_for(graphs)
     header = ["r", "T"] + [f"fold_{i}" for i in range(folds)] + ["mean", "std"]
     lines = [",".join(header)]

@@ -50,16 +50,6 @@ class CountStatistics:
         """Concatenated c_(n) across attributes (colex within each block)."""
         return np.concatenate(self.blocks[n - 1])
 
-    def block(self, n: int, j: int) -> np.ndarray:
-        return self.blocks[n - 1][j]
-
-    def stacked(self) -> np.ndarray:
-        """c_(1); ...; c_(T) concatenated into one vector."""
-        return np.concatenate([self.level(n) for n in range(1, self.T + 1)])
-
-    def sparsity(self, n: int) -> int:
-        return int(np.count_nonzero(self.level(n)))
-
 
 def level_dimension(schema: AttributeSchema, n: int) -> int:
     return sum(comb(k, n) for k in schema.cardinalities)

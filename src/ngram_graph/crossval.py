@@ -8,10 +8,10 @@ only, by the default ``CbowConfig`` at width r and seed ``cfg.seed +
 fold``, remembers which rows it saw, and a fold refuses to score rows it
 was trained on. Rows embed independently of their batch mates, so each T
 embeds the corpus once per distinct embedding and every fold scores row
-slices of that matrix, with no level scaling. The linear head has the
-squared-l2 penalty; its lambda, when not given, is picked per training
-fold by 3 inner folds over ``LAMBDA_GRID``. Folds run outside and lambda
-inside: each inner training fold fits the whole grid with one
+slices of that matrix, unit-l2 normalized and not level scaled. The linear
+head has the squared-l2 penalty; its lambda, when not given, is picked per
+training fold by 3 inner folds over ``LAMBDA_GRID``. Folds run outside and
+lambda inside: each inner training fold fits the whole grid with one
 ``linear.fit_path`` call, which does the work that does not depend on
 lambda (the checks, the start point and its Hessian, and the QR of a
 row-space fit) once per fold. Features can be exported to CSV/binary with
@@ -46,7 +46,6 @@ class PipelineConfig:
     r: int = 100
     T: int = 6
     variant: str = "walk"
-    normalization: str = "unit-l2"
     task: str = "logistic"
     lam: float | None = None  # None selects from LAMBDA_GRID by inner CV
     metric: str = "roc-auc"
@@ -192,7 +191,7 @@ def check_no_failed_rows(manifest: dict) -> None:
     errors = manifest.get("errors")
     if errors:
         row = min(errors, key=int)
-        raise ValueError(f"{len(errors)} of {manifest['num_graphs']} graphs failed to "
+        raise ValueError(f"{len(errors)} of {len(manifest['ids'])} graphs failed to "
                          f"embed; the first, {manifest['ids'][int(row)]!r} (row {row}): "
                          f"{errors[row]}")
 
@@ -245,7 +244,7 @@ def kfold_sweep(graphs, labels, schema: AttributeSchema, cfg: PipelineConfig, t_
             _check_no_leakage(emb, te)
             if emb is not embedded:
                 X, manifest = embed_corpus(graphs, emb, T=T, variant=cfg.variant,
-                                           normalization=cfg.normalization)
+                                           normalization="unit-l2")
                 check_no_failed_rows(manifest)
                 embedded = emb
             scored.append(_score_fold(X[tr], y[tr], X[te], y[te], cfg.task, cfg.metric,
@@ -292,6 +291,13 @@ def export_features(matrix, manifest: dict, base_path, formats=("bin", "csv")) -
 
 
 def load_features(path):
-    """Read a binary feature file back into (matrix, manifest)."""
+    """Read a binary feature file back into (matrix, manifest); MatrixFormatError
+    unless the manifest holds a schema, row ids and an error map by row."""
     matrix, meta = matrixio.read_matrix(path)
-    return matrix, meta.get("manifest", {})
+    m = meta.get("manifest")
+    if not (matrix.ndim == 2 and isinstance(m, dict) and isinstance(m.get("schema"), dict)
+            and isinstance(m.get("ids"), list) and isinstance(m.get("errors"), dict)
+            and set(m["errors"]) <= set(map(str, range(len(m["ids"]))))):
+        raise matrixio.MatrixFormatError(f"{path}: not a feature file (its manifest needs "
+                                         "a schema, row ids and an error map by row)")
+    return matrix, m

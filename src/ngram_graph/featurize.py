@@ -4,7 +4,7 @@
 ``charges`` and the 1-based ``bonds`` table) and computes every attribute
 for all atoms of the corpus at once: bincounts over the bond endpoints,
 one vocabulary lookup per distinct value and clips for the counts. It then
-slices one graph per record; :func:`featurize` is its one-record case.
+slices one graph per record.
 
 Explicit hydrogens are folded into their heavy atom's hydrogen count and
 dropped as vertices. Attribute rules are deliberately format-driven and
@@ -30,7 +30,6 @@ import numpy as np
 
 from .graph import build_graphs
 from .schema import BUNDLED_SCHEMAS, UNKNOWN, AttributeSchema, SchemaError
-from .sdf import MolRecord
 
 DEFAULT_VALENCE = {
     "H": 1, "C": 4, "N": 3, "O": 2, "F": 1,
@@ -52,15 +51,6 @@ class FeaturizerConfig:
     @property
     def schema(self) -> AttributeSchema:
         return BUNDLED_SCHEMAS[self.schema_key]
-
-
-def featurize(rec: MolRecord, cfg: FeaturizerConfig | None = None):
-    """Compute the vertex attribute table for one parsed record.
-
-    Returns ``(graph, warnings)``: :func:`featurize_corpus` on one record.
-    """
-    graphs, warnings = featurize_corpus([rec], cfg)
-    return graphs[0], warnings[0]
 
 
 def featurize_corpus(records, cfg: FeaturizerConfig | None = None):

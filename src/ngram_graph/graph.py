@@ -30,7 +30,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .schema import AttributeSchema
+from .schema import BUNDLED_SCHEMAS, AttributeSchema
 
 
 class GraphError(ValueError):
@@ -262,22 +262,6 @@ def _invalid(graphs, sizes, attr, edges, edge_counts, schema) -> np.ndarray:
 # Canonical form: exactly this field order, edges listed once with u < v in
 # lexicographic order, label omitted when absent, compact separators.
 
-_DOC_FIELDS = ("schema_id", "id", "num_vertices", "attributes", "edges", "label")
-
-
-def graph_to_doc(g: MolecularGraph, schema: AttributeSchema) -> dict:
-    doc = {
-        "schema_id": schema.schema_id,
-        "id": g.graph_id,
-        "num_vertices": g.num_vertices,
-        "attributes": g.attr.tolist(),
-        "edges": g.canonical_edges().tolist(),
-    }
-    if g.label is not None:
-        doc["label"] = g.label
-    return doc
-
-
 def _integers(values, field: str) -> np.ndarray:
     """The field as an int64 array, by numpy's own conversion: a float,
     string, bool-only or out-of-int64 value is refused instead of cast. An
@@ -316,14 +300,9 @@ def _doc_fields(doc, schema: AttributeSchema):
     return m, attr, edges, None if label is None else float(label), doc.get("id")
 
 
-def dumps_graph(g: MolecularGraph, schema: AttributeSchema) -> str:
-    doc = graph_to_doc(g, schema)
-    ordered = {k: doc[k] for k in _DOC_FIELDS if k in doc}
-    return json.dumps(ordered, separators=(",", ":"))
-
-
 def write_jsonl(graphs, schema: AttributeSchema, stream) -> None:
-    """Each graph as its :func:`dumps_graph` line.
+    """Each graph as one canonical line, as ``json.dumps`` with compact
+    separators would write its document.
 
     json spells the scalar fields, where orjson would spell some strings and
     floats differently; orjson spells the two integer tables, as json does,
@@ -410,8 +389,28 @@ def _documents(data):
         yield from enumerate(doc) if array else [(pos, doc)]
 
 
+def bundled_schema(data) -> AttributeSchema:
+    """The bundled schema whose ``schema_id`` the first document of a corpus
+    names. An undecodable first line raises its decode error, with its
+    ``document`` position; an empty corpus, or a first document that names
+    no bundled schema, raises GraphError."""
+    for pos, doc in _documents(data):
+        if isinstance(doc, ValueError):
+            doc.document = pos
+            raise doc
+        named = doc.get("schema_id") if isinstance(doc, dict) else None
+        for schema in BUNDLED_SCHEMAS.values():
+            if named == schema.schema_id:
+                return schema
+        bundled = ", ".join(s.schema_id for s in BUNDLED_SCHEMAS.values())
+        raise GraphError(f"document {pos}: schema_id {named!r} is not a bundled schema "
+                         f"({bundled})")
+    raise GraphError("no graph documents")
+
+
 def read_json_graphs(data, schema: AttributeSchema, errors: list | None = None):
-    """Parse a JSONL stream (or one JSON array) of graph documents.
+    """Parse JSONL text (``bytes`` or ``str``), or one JSON array, of graph
+    documents.
 
     Returns the graphs that pass validation against the schema. Without an
     ``errors`` list the first problem raises (``UnicodeDecodeError`` or
@@ -425,8 +424,6 @@ def read_json_graphs(data, schema: AttributeSchema, errors: list | None = None):
     invalid graphs, which alone go through :func:`validate_graph` for their
     messages.
     """
-    if hasattr(data, "read"):
-        data = data.read()
     fields, tables, failed = [], [], {}
     for pos, doc in _documents(data):
         if isinstance(doc, ValueError):

@@ -37,6 +37,10 @@ class DegenerateLabels(ValueError):
     pass
 
 
+class ModelFormatError(ValueError):
+    """A saved model document that is not a model."""
+
+
 @dataclass
 class FitReport:
     iterations: int = 0
@@ -59,12 +63,6 @@ class LinearModel:
     def decision(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights + self.intercept
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        z = self.decision(X)
-        if self.task == "logistic":
-            return _sigmoid(z)
-        return z
-
     def to_dict(self) -> dict:
         return {
             "weights": self.weights.tolist(),
@@ -86,6 +84,21 @@ class LinearModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LinearModel":
+        """The model a :meth:`to_dict` document holds; ModelFormatError names
+        the first field that is missing or wrong."""
+        if not isinstance(doc, dict):
+            raise ModelFormatError("a model must be a JSON object")
+        weights = doc.get("weights")
+        if not (isinstance(weights, list) and all(type(v) in (int, float) for v in weights)):
+            raise ModelFormatError("model 'weights' must be a list of numbers")
+        for key in ("intercept", "lambda"):
+            if type(doc.get(key)) not in (int, float):
+                raise ModelFormatError(f"model {key!r} must be a number")
+        for key, choices in (("task", TASKS), ("penalty", PENALTIES)):
+            if doc.get(key) not in choices:
+                raise ModelFormatError(f"model {key!r} must be one of {choices}")
+        if not isinstance(doc.get("fit_report", {}), dict):
+            raise ModelFormatError("model 'fit_report' must be a JSON object")
         rep = FitReport(**{k: doc.get("fit_report", {}).get(k, v) for k, v in
                            dict(iterations=0, objective=float("nan"),
                                 grad_norm=float("nan"), converged=False).items()})
@@ -403,8 +416,3 @@ def compute_metric(name: str, y_true, scores) -> float | None:
     if name == "pr-auc":
         return pr_auc(y_true, scores)
     raise ValueError(f"unknown metric {name!r}; choose from {METRICS}")
-
-
-def evaluate(model: LinearModel, X, y, metric: str) -> float | None:
-    scores = model.decision(np.asarray(X, dtype=np.float64))
-    return compute_metric(metric, y, scores)

@@ -9,6 +9,7 @@ file is self-describing and round-trips bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -44,7 +45,8 @@ def write_matrix(path, matrix: np.ndarray, meta: dict | None = None) -> None:
 
 
 def read_matrix(path):
-    """Return ``(matrix, meta)``; raises MatrixFormatError on corruption."""
+    """Return ``(matrix, meta)``; MatrixFormatError names what is corrupt:
+    the magic, the header, its shape or dtype, or the payload's length."""
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC) + 4 or data[: len(MAGIC)] != MAGIC:
         raise MatrixFormatError(f"{path}: not a matrix file (bad magic)")
@@ -56,17 +58,21 @@ def read_matrix(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MatrixFormatError(f"{path}: corrupt header ({exc})") from exc
     off += hlen
-    shape = tuple(meta.get("shape", ()))
-    dtype = meta.get("dtype", "float64")
-    if dtype not in _DTYPES:
+    if not isinstance(meta, dict):
+        raise MatrixFormatError(f"{path}: header is not a JSON object")
+    shape, dtype = meta.get("shape"), meta.get("dtype")
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise MatrixFormatError(f"{path}: shape {shape!r} is not a list of "
+                                "non-negative integers")
+    if dtype not in tuple(_DTYPES):
         raise MatrixFormatError(f"{path}: unsupported dtype {dtype!r}")
-    count = int(np.prod(shape)) if shape else 0
+    count = math.prod(shape)
     itemsize = np.dtype(_DTYPES[dtype]).itemsize
-    if len(data) - off < count * itemsize:
-        raise MatrixFormatError(f"{path}: truncated payload")
+    if len(data) - off != count * itemsize:
+        raise MatrixFormatError(f"{path}: payload has {len(data) - off} bytes where shape "
+                                f"{shape} of {dtype} needs {count * itemsize}")
     flat = np.frombuffer(data, dtype=_DTYPES[dtype], count=count, offset=off)
-    matrix = flat.reshape(shape).copy()
-    return matrix, meta
+    return flat.reshape(shape).copy(), meta
 
 
 def csv_field(text) -> str:

@@ -23,7 +23,7 @@ from .graph import MolecularGraph, ones_csr, stack_graphs
 from .vertex import VertexEmbeddingMatrix, check_schema, embed_vertices, vertex_rows
 
 VARIANTS = ("walk", "path", "vertex_path")
-NORMALIZATIONS = ("none", "unit-l2", "unit-l2-level")
+NORMALIZATIONS = ("none", "unit-l2")
 LEVEL_SCALES = ("none", "factorial", "count")
 
 # Entries (float64-sized) per stacked or frontier array, which sets the batch
@@ -41,16 +41,10 @@ class WalkOverflow(ValueError):
 
 @dataclass(frozen=True)
 class NGramEmbedding:
-    levels: tuple          # T arrays of shape (r,)
-    variant: str = "walk"
-    normalization: str = "none"
+    levels: tuple  # T arrays of shape (r,)
 
     @property
-    def T(self) -> int:
-        return len(self.levels)
-
-    @property
-    def r(self) -> int:
+    def r(self) -> int:  # perfbench's traced walk counter reads it
         return int(self.levels[0].shape[0])
 
     def level(self, n: int) -> np.ndarray:
@@ -109,11 +103,9 @@ def _finalize(L, C, level_scale, normalization):
         L = L / np.array([float(math.factorial(n)) for n in range(1, T + 1)])[:, None]
     elif level_scale == "count":
         L = np.where(C[:, :, None] > 0, L / np.maximum(C, 1)[:, :, None], L)
-    if normalization != "none":
+    if normalization == "unit-l2":
         sq = (L * L).sum(axis=2).astype(np.float64)
-        if normalization == "unit-l2":
-            sq = np.cumsum(sq, axis=1)[:, -1:]  # summed in level order
-        norm = np.sqrt(sq)
+        norm = np.sqrt(np.cumsum(sq, axis=1)[:, -1:])  # summed in level order
         L = np.where(norm[:, :, None] > 0, L / np.where(norm > 0, norm, 1.0)[:, :, None],
                      L.astype(np.float64))
     return L
@@ -282,7 +274,7 @@ def graph_embed(
     _admit(g, emb, T, variant, level_scale)
     L, C = _levels([g], emb, T, variant, counts=level_scale == "count")
     L = _finalize(L, C, level_scale, normalization)
-    return NGramEmbedding(levels=tuple(L[0]), variant=variant, normalization=normalization)
+    return NGramEmbedding(levels=tuple(L[0]))
 
 
 def oracle_embed(
@@ -323,7 +315,7 @@ def oracle_embed(
                 if tags is None or tags[u] not in seen:
                     stack.append((seq + (u,), prod * base[u]))
     L = _finalize(levels[None], counts[None], level_scale, normalization)
-    return NGramEmbedding(levels=tuple(L[0]), variant=variant, normalization=normalization)
+    return NGramEmbedding(levels=tuple(L[0]))
 
 
 def embed_corpus(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -285,10 +284,6 @@ class RecoveryConfig:
         if cfg.entry_high < cfg.entry_low:
             raise ValueError("recovery config 'entry_high' must be at least 'entry_low'")
         return cfg
-
-    @classmethod
-    def from_json(cls, text: str) -> "RecoveryConfig":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass

@@ -102,7 +102,13 @@ class AttributeSchema:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AttributeSchema":
-        pairs = [(a["name"], a["values"]) for a in doc["attributes"]]
+        attrs = doc.get("attributes") if isinstance(doc, dict) else None
+        if not (isinstance(attrs, list) and all(isinstance(a, dict) and "name" in a
+                                                and isinstance(a.get("values"), list)
+                                                for a in attrs)):
+            raise SchemaError("a schema must be an object whose attributes are objects "
+                              "with a name and a list of values")
+        pairs = [(a["name"], a["values"]) for a in attrs]
         return cls.from_pairs(pairs, name=doc.get("name", "custom"))
 
     @cached_property

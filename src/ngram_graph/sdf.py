@@ -156,13 +156,11 @@ def _charge_lines(props: list[str], num_atoms: int, lineno: int) -> np.ndarray |
 
 
 def parse_sdf(data) -> tuple[list[MolRecord], list[RecordError]]:
-    """Split a MOL/SDF stream on ``$$$$`` and parse each record.
+    """Split MOL/SDF text (``bytes`` or ``str``) on ``$$$$`` and parse each record.
 
     Returns ``(records, errors)`` with input order preserved on both.
     A trailing record without the delimiter (plain .mol file) is accepted.
     """
-    if hasattr(data, "read"):
-        data = data.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     lines = data.splitlines()

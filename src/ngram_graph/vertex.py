@@ -14,7 +14,7 @@ import numpy as np
 
 from . import matrixio
 from .graph import MolecularGraph, validate_graph
-from .schema import AttributeSchema
+from .schema import AttributeSchema, SchemaError
 
 
 class EmbeddingError(ValueError):
@@ -118,7 +118,10 @@ def load_embedding(path) -> VertexEmbeddingMatrix:
         raise EmbeddingError(f"{path}: not a vertex embedding file")
     if "schema" not in meta or "schema_fingerprint" not in meta:
         raise EmbeddingError(f"{path}: schema fingerprint missing from header")
-    schema = AttributeSchema.from_dict(meta["schema"])
+    try:
+        schema = AttributeSchema.from_dict(meta["schema"])
+    except SchemaError as exc:
+        raise EmbeddingError(f"{path}: {exc}") from None
     if schema.fingerprint != meta["schema_fingerprint"]:
         raise EmbeddingError(f"{path}: schema fingerprint does not match stored schema")
     return VertexEmbeddingMatrix(

@@ -191,7 +191,8 @@ def count_label_corpus(rng, schema, n_graphs=2000, walk_depth=2, noise=0.10,
             )
         )
     counts = np.stack(
-        [count_statistics(g, schema, walk_depth).stacked() for g in graphs]
+        [np.concatenate([c for level in count_statistics(g, schema, walk_depth).blocks
+                         for c in level]) for g in graphs]
     ).astype(np.float64)
     theta = rng.standard_normal(counts.shape[1])
     score = counts @ theta
@@ -676,6 +677,33 @@ def reference_read_json_graphs(data, schema, errors=None):
     return graphs
 
 
+# -- reference JSON graph writer ---------------------------------------------------
+#
+# A graph as its document, and that document as ``json.dumps`` writes it:
+# the reference that ``graph.write_jsonl``'s lines are compared against.
+
+_DOC_FIELDS = ("schema_id", "id", "num_vertices", "attributes", "edges", "label")
+
+
+def graph_to_doc(g, schema) -> dict:
+    doc = {
+        "schema_id": schema.schema_id,
+        "id": g.graph_id,
+        "num_vertices": g.num_vertices,
+        "attributes": g.attr.tolist(),
+        "edges": g.canonical_edges().tolist(),
+    }
+    if g.label is not None:
+        doc["label"] = g.label
+    return doc
+
+
+def dumps_graph(g, schema) -> str:
+    doc = graph_to_doc(g, schema)
+    ordered = {k: doc[k] for k in _DOC_FIELDS if k in doc}
+    return json.dumps(ordered, separators=(",", ":"))
+
+
 # one defect each, applied by ``graph_document_corpora`` to a valid document
 DOCUMENT_DEFECTS = (
     "attr-range", "edge-range", "self-loop", "duplicate", "negative-count",
@@ -789,6 +817,12 @@ def graph_documents(draw, schema, max_m=6, defect_percent=50):
     return doc
 
 
+def _utf8(text: str) -> bytes:
+    """UTF-8 bytes of text; a lone surrogate (an ``st.characters()`` id) is
+    encoded as is, which makes its line undecodable."""
+    return text.encode("utf-8", "surrogatepass")
+
+
 @st.composite
 def graph_document_corpora(draw, schema, min_docs=0, max_docs=8, defect_percent=50):
     """A JSONL stream (bytes or text) or one JSON array of graph documents,
@@ -801,8 +835,8 @@ def graph_document_corpora(draw, schema, min_docs=0, max_docs=8, defect_percent=
     if draw(st.booleans()):
         text = json.dumps(docs, separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])),
                           ensure_ascii=ascii)
-        return text.encode() if draw(st.booleans()) else text
-    lines = [json.dumps(d, separators=(",", ":"), ensure_ascii=ascii).encode() for d in docs]
+        return _utf8(text) if draw(st.booleans()) else text
+    lines = [_utf8(json.dumps(d, separators=(",", ":"), ensure_ascii=ascii)) for d in docs]
     for _ in range(draw(st.integers(0, 2))):
         broken = draw(st.sampled_from([b"{\"schema_id\":", b"\xff\xfe{}", b"   ", b"",
                                        b"[1, 2", b"nul", b"[1,\x1c2]", b"{\xe2\x80\xa8}"]))
@@ -812,6 +846,6 @@ def graph_document_corpora(draw, schema, min_docs=0, max_docs=8, defect_percent=
                if k != "label"}
         literal = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400"]))
         line = json.dumps(doc, separators=(",", ":"), ensure_ascii=ascii)[:-1]
-        lines.insert(draw(st.integers(0, len(lines))), f'{line},"label":{literal}}}'.encode())
+        lines.insert(draw(st.integers(0, len(lines))), _utf8(f'{line},"label":{literal}}}'))
     data = b"\n".join(lines)
     return data if draw(st.booleans()) else data.decode("utf-8", errors="replace")

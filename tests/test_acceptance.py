@@ -207,8 +207,7 @@ class TestAcceptance:
                                                            planted_level=4)
         fold_values = {}
         for T in (1, 4):
-            cfg = PipelineConfig(embedding="random-gaussian", r=32, T=T,
-                                 variant="path", normalization="unit-l2-level",
+            cfg = PipelineConfig(embedding="random-gaussian", r=32, T=T, variant="path",
                                  lam=1e-6, metric="roc-auc", seed=3)
             rep = kfold_cv(graphs, labels, schema, cfg, folds=5, seed=0)
             fold_values[T] = rep.fold_values

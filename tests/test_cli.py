@@ -16,11 +16,13 @@ import ngram_graph as ng
 from ngram_graph import cli, crossval
 from ngram_graph.cli import main
 from ngram_graph import recovery
-from ngram_graph.graph import dumps_graph, write_jsonl
+from ngram_graph.graph import write_jsonl
+from ngram_graph.matrixio import MAGIC, read_matrix
+from ngram_graph.schema import BUNDLED_SCHEMAS
 from ngram_graph.vertex import load_embedding, save_embedding
 
 from . import synth
-from .synth import ETHANOL, WATER, molblock, sdf_stream
+from .synth import ETHANOL, WATER, dumps_graph, molblock, sdf_stream
 
 
 def _sha(path):
@@ -358,8 +360,6 @@ class TestOracleCheck:
         assert "max relative residual" in capsys.readouterr().out
 
     def test_validation_error_exits_one(self, tmp_path, rng):
-        from ngram_graph.graph import dumps_graph
-
         sch = synth.small_schema()
         g = synth.random_graph(rng, sch, m=4, density=0.5)
         gp = tmp_path / "bad.jsonl"
@@ -544,8 +544,7 @@ class TestFitEval:
 
     def test_fit_eval_round_trip_identical_predictions(self, labeled_setup,
                                                        tmp_path, capsys):
-        # the feature manifest carries the corpus schema, so neither command
-        # needs the bundled --schema flag
+        # both commands read the graphs under the schema the feature manifest carries
         sch, gp, feats = labeled_setup
         model = tmp_path / "model.json"
         p1 = tmp_path / "fit_preds.csv"
@@ -694,7 +693,7 @@ class TestFitEval:
         # trains the fold afresh
         gp = tmp_path / "g.jsonl"
         with open(gp, "w") as fh:
-            write_jsonl(_labeled_full_corpus(rng, 24), ng.FULL_SCHEMA, fh)
+            write_jsonl(_labeled_corpus(rng, 24), ng.FULL_SCHEMA, fh)
         trained = []
         real_train = crossval.train_on_graphs
 
@@ -728,7 +727,7 @@ class TestFitEval:
         # the end-to-end eval run it replaces
         gp, wp, out = tmp_path / "g.jsonl", tmp_path / "w.nggm", tmp_path / "s.csv"
         with open(gp, "w") as fh:
-            write_jsonl(_labeled_full_corpus(rng, 30), ng.FULL_SCHEMA, fh)
+            write_jsonl(_labeled_corpus(rng, 30), ng.FULL_SCHEMA, fh)
         graphs = ng.read_json_graphs(gp.read_bytes(), ng.FULL_SCHEMA)
         y = np.array([g.label for g in graphs])
         save_embedding(wp, ng.random_embedding(ng.FULL_SCHEMA, 6, seed=3))
@@ -802,7 +801,7 @@ class TestFitEval:
         _, gp, feats = labeled_setup
         full = tmp_path / "full.jsonl"
         with open(full, "w") as fh:
-            write_jsonl(_labeled_full_corpus(rng, 24), ng.FULL_SCHEMA, fh)
+            write_jsonl(_labeled_corpus(rng, 24), ng.FULL_SCHEMA, fh)
         runs = [["eval", "--graphs", str(gp), "--features", str(feats),
                  "--folds", "4", "--lam", "1e-3", "--seed", "1"],
                 ["sweep", "--graphs", str(full), "--r-grid", "4", "--t-grid", "1,2",
@@ -953,8 +952,7 @@ class TestFitEval:
         assert main(argv + ["--folds", "2", "--seed", "3"]) == 0
 
 
-def _labeled_full_corpus(rng, n_graphs):
-    sch = ng.FULL_SCHEMA
+def _labeled_corpus(rng, n_graphs, sch=ng.FULL_SCHEMA):
     graphs = []
     for i in range(n_graphs):
         m = int(rng.integers(3, 6))
@@ -971,7 +969,7 @@ def config_workspace(tmp_path, monkeypatch, rng, water_sdf):
     """Inputs for every config-taking command; relative outputs land in
     tmp_path. Returns each command's argv as (parameter name, tokens)."""
     monkeypatch.chdir(tmp_path)
-    graphs = _labeled_full_corpus(rng, 12)
+    graphs = _labeled_corpus(rng, 12)
     with open("g.jsonl", "w") as fh:
         write_jsonl(graphs, ng.FULL_SCHEMA, fh)
     with open("one.jsonl", "w") as fh:
@@ -1142,6 +1140,171 @@ class TestConfig:
         command, key, name = target
         argv = _argv(config_workspace, command, without=name)
         assert _run_with_config(argv, {key: value}) in (0, 1, 2)
+
+
+class TestSchemaFromCorpus:
+    """``train-vertex`` and ``sweep`` read the bundled schema that the
+    corpus's first document names; only ``featurize`` takes ``--schema``."""
+
+    @staticmethod
+    def _corpus(tmp_path, rng, key, n_graphs):
+        schema = BUNDLED_SCHEMAS[key]
+        gp = tmp_path / "g.jsonl"
+        with open(gp, "w") as fh:
+            write_jsonl(_labeled_corpus(rng, n_graphs, schema), schema, fh)
+        return schema, gp, ng.read_json_graphs(gp.read_bytes(), schema)
+
+    @pytest.mark.parametrize("key", ["full", "reduced"])
+    def test_train_vertex_equals_the_library_call(self, tmp_path, rng, capsys, key):
+        schema, gp, graphs = self._corpus(tmp_path, rng, key, 12)
+        assert main(["train-vertex", str(gp), "-o", str(tmp_path / "w.nggm"), "--r", "4",
+                     "--hidden", "4", "--epochs", "2", "--seed", "3"]) == 0
+        out, err = capsys.readouterr()
+        cfg = ng.CbowConfig(r=4, aggregator="sum", hidden=(4,), epochs=2, batch_size=256,
+                            learning_rate=1e-3, seed=3)
+        emb, report = ng.train_on_graphs(graphs, schema, cfg, dataset_id="g.jsonl")
+        save_embedding(tmp_path / "ref.nggm", emb)
+        assert (tmp_path / "w.nggm").read_bytes() == (tmp_path / "ref.nggm").read_bytes()
+        lines = [f"held-out mean attribute accuracy: {report.mean_accuracy:.4f}"]
+        lines += [f"  {name}: {acc:.4f}" for name, acc in report.holdout_accuracy.items()]
+        lines += [f"final epoch loss: {report.epoch_losses[-1]:.6f}"]
+        assert (out, err) == ("", "".join(line + "\n" for line in lines))
+
+    @pytest.mark.parametrize("key", ["full", "reduced"])
+    def test_sweep_equals_the_library_call(self, tmp_path, rng, capsys, key):
+        schema, gp, graphs = self._corpus(tmp_path, rng, key, 24)
+        out_path = tmp_path / "s.csv"
+        assert main(["sweep", "--graphs", str(gp), "--r-grid", "4", "--t-grid", "1,2",
+                     "--folds", "3", "--lam", "1e-3", "--seed", "5", "-o", str(out_path)]) == 0
+        out, err = capsys.readouterr()
+        y = np.array([g.label for g in graphs])
+        cfg = crossval.PipelineConfig(r=4, lam=1e-3, seed=5)
+        reports = crossval.kfold_sweep(graphs, y, schema, cfg, (1, 2), folds=3, seed=5)
+        rows, log = ["r,T,fold_0,fold_1,fold_2,mean,std"], ""
+        for T, report in zip((1, 2), reports):
+            rows.append(",".join(["4", str(T)] + [repr(float(v)) for v in report.fold_values]
+                                 + [repr(report.mean), repr(report.std)]))
+            log += f"r=4 T={T} {report}\n"
+            if report.unconverged:
+                log += f"warning: {report.unconverged} fits did not converge (r=4 T={T})\n"
+        table = "\n".join(rows) + "\n"
+        assert (out, err, out_path.read_text()) == (table, log, table)
+
+    @pytest.mark.parametrize("command", ["train-vertex", "fit", "eval", "sweep"])
+    def test_schema_option_exits_two(self, config_workspace, capsys, command):
+        argv = _argv(config_workspace, command)
+        assert main(argv + ["--schema", "full"]) == 2
+        err = capsys.readouterr().err
+        assert "No such option" in err and "--schema" in err
+        assert _run_with_config(argv, {"schema": "full"}) == 2
+        assert "unknown config key 'schema'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["train-vertex", "c.jsonl", "-o", "w.nggm"],
+                                      ["sweep", "--graphs", "c.jsonl"]])
+    @pytest.mark.parametrize("text, code, message", [
+        ("", 1, "c.jsonl: no graph documents"),
+        ("\n \n", 1, "c.jsonl: no graph documents"),
+        ("[]", 1, "c.jsonl: no graph documents"),
+        ('{"schema_id": "mol\n', 2, "c.jsonl: document 0: Unterminated string"),
+        ('{"schema_id": "custom:0"}\n', 1, "document 0: schema_id 'custom:0' is not a bundled"),
+        ('{"id": "g0"}\n', 1, "document 0: schema_id None is not a bundled"),
+        ('[5]', 1, "document 0: schema_id None is not a bundled"),
+    ])
+    def test_corpus_without_a_bundled_schema(self, tmp_path, monkeypatch, capsys, argv,
+                                             text, code, message):
+        monkeypatch.chdir(tmp_path)
+        Path("c.jsonl").write_text(text)
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        if "bundled" in message:
+            assert ng.FULL_SCHEMA.schema_id in err and ng.REDUCED_SCHEMA.schema_id in err
+
+    def test_later_document_of_another_schema_exits_one(self, tmp_path, rng, capsys):
+        gp = tmp_path / "g.jsonl"
+        with open(gp, "w") as fh:
+            for schema in (ng.FULL_SCHEMA, ng.REDUCED_SCHEMA):
+                write_jsonl(_labeled_corpus(rng, 2, schema), schema, fh)
+        assert main(["train-vertex", str(gp), "-o", str(tmp_path / "w.nggm")]) == 1
+        assert "document 2: schema_id mismatch" in capsys.readouterr().err
+
+
+def _matrix_file(path, header, payload=b""):
+    blob = json.dumps(header).encode()
+    path.write_bytes(MAGIC + len(blob).to_bytes(4, "little") + blob + payload)
+
+
+class TestMalformedFiles:
+    """A malformed matrix header, embedding schema, feature manifest or
+    model file maps to its exit code and names the file, never a traceback."""
+
+    EMBED = ["embed", "one.jsonl", "--embedding", "bad.nggm", "-o", "e"]
+    EVAL = ["eval", "--graphs", "g.jsonl", "--features", "bad.nggm", "--folds", "2"]
+
+    @pytest.mark.parametrize("reader, edit, extra, code, message", [
+        ("w", lambda h: [h], b"", 2, "header is not a JSON object"),
+        ("w", lambda h: {**h, "shape": "ab"}, b"", 2, "shape 'ab' is not a list"),
+        ("w", lambda h: {**h, "shape": None}, b"", 2, "shape None is not a list"),
+        ("w", lambda h: {**h, "shape": [1.5]}, b"", 2, "shape [1.5] is not a list"),
+        ("w", lambda h: {**h, "shape": [-1, 2]}, b"", 2, "shape [-1, 2] is not a list"),
+        ("w", lambda h: {**h, "shape": [True, 42]}, b"", 2, "is not a list"),
+        ("w", lambda h: {**h, "dtype": ["float64"]}, b"", 2, "unsupported dtype"),
+        ("w", lambda h: h, b"\0" * 8, 2, "payload has 1352 bytes where shape [4, 42]"),
+        ("w", lambda h: {**h, "shape": [4, 43]}, b"", 2, "needs 1376"),
+        ("w", lambda h: {**h, "schema": 5}, b"", 1, "bad.nggm: a schema must be an object"),
+        ("w", lambda h: {**h, "schema": {"name": "x"}}, b"", 1, "a schema must be"),
+        ("w", lambda h: {**h, "schema": {**h["schema"], "attributes": [
+            {**a, "values": "abc"} for a in h["schema"]["attributes"]]}}, b"", 1,
+         "a schema must be"),
+        ("f", lambda h: {**h, "manifest": [h["manifest"]]}, b"", 2, "not a feature file"),
+        ("f", lambda h: {**h, "manifest": {**h["manifest"], "errors": ["x"]}}, b"", 2,
+         "not a feature file"),
+        ("f", lambda h: {**h, "manifest": {**h["manifest"], "errors": {"12": "x"}}}, b"", 2,
+         "not a feature file"),
+        ("f", lambda h: {**h, "manifest": {k: v for k, v in h["manifest"].items()
+                                           if k != "schema"}}, b"", 2, "not a feature file"),
+        ("f", lambda h: {k: v for k, v in h.items() if k != "manifest"}, b"", 2,
+         "not a feature file"),
+    ])
+    def test_matrix_files(self, config_workspace, capsys, reader, edit, extra, code, message):
+        matrix, header = read_matrix(f"{reader}.nggm")
+        _matrix_file(Path("bad.nggm"), edit(header), matrix.tobytes() + extra)
+        assert main(self.EMBED if reader == "w" else self.EVAL) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad.nggm: ") and message in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: {}, "'weights' must be a list of numbers"),
+        (lambda m: [], "a model must be a JSON object"),
+        (lambda m: {**m, "weights": [m["weights"]]}, "'weights' must be a list of numbers"),
+        (lambda m: {**m, "weights": [True] * len(m["weights"])}, "'weights' must be"),
+        (lambda m: {**m, "intercept": None}, "'intercept' must be a number"),
+        (lambda m: {**m, "lambda": "0.1"}, "'lambda' must be a number"),
+        (lambda m: {**m, "task": "x"}, "'task' must be one of"),
+        (lambda m: {**m, "penalty": ["squared-l2"]}, "'penalty' must be one of"),
+        (lambda m: {**m, "fit_report": 3}, "'fit_report' must be a JSON object"),
+        (lambda m: "{", "Expecting property name"),
+    ])
+    def test_model_files(self, config_workspace, capsys, edit, message):
+        assert main(_argv(config_workspace, "fit")) == 0
+        doc = edit(json.loads(Path("model.json").read_text()))
+        Path("bad.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        capsys.readouterr()
+        argv = ["eval", "--graphs", "g.jsonl", "--features", "f.nggm", "--model", "bad.json"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad.json: ") and message in err
+
+    def test_model_of_another_width_exits_one(self, config_workspace, capsys):
+        assert main(_argv(config_workspace, "fit")) == 0
+        doc = json.loads(Path("model.json").read_text())
+        doc["weights"] = doc["weights"][:-1]
+        Path("bad.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--graphs", "g.jsonl", "--features", "f.nggm",
+                     "--model", "bad.json"]) == 1
+        assert capsys.readouterr().err == ("error: bad.json has 7 weights for 8 feature "
+                                           "columns in f.nggm\n")
 
 
 # (command, input arguments, recorded flags, output arguments, sidecars); "{}"

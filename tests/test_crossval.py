@@ -167,8 +167,7 @@ class TestKfoldPipeline:
                              variant="path", seed=4)
         report = kfold_cv(graphs, labels, sch, cfg, folds=4, seed=2, stratified=True)
         emb = ng.random_embedding(sch, 8, dist="rademacher", seed=4)
-        X, _ = ng.embed_corpus(graphs, emb, 3, variant="path",
-                               normalization=cfg.normalization)
+        X, _ = ng.embed_corpus(graphs, emb, 3, variant="path", normalization="unit-l2")
         direct = kfold_features(X, labels, folds=4, seed=2, stratified=True)
         assert report.fold_values == direct.fold_values
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from ngram_graph import FULL_SCHEMA, REDUCED_SCHEMA, validate_graph
-from ngram_graph.featurize import FeaturizerConfig, featurize, featurize_corpus
+from ngram_graph.featurize import FeaturizerConfig, featurize_corpus
 from ngram_graph.graph import write_jsonl
 from ngram_graph.schema import SchemaError
 from ngram_graph.sdf import parse_sdf
@@ -22,7 +22,8 @@ def _attr_by_name(schema, g, vertex, name):
 def _featurize_text(block, cfg=None):
     records, errors = parse_sdf(block)
     assert not errors, errors
-    return featurize(records[0], cfg or FeaturizerConfig())
+    (g,), (warnings,) = featurize_corpus(records[:1], cfg)
+    return g, warnings
 
 
 class TestHydrogenCollapse:
@@ -117,7 +118,7 @@ class TestInvariants:
             records, errors = parse_sdf(block)
             if errors:
                 continue
-            g, _ = featurize(records[0], FeaturizerConfig())
+            (g,), _ = featurize_corpus(records[:1])
             assert validate_graph(g, FULL_SCHEMA).ok
 
     def test_permutation_equivariance(self):
@@ -155,8 +156,8 @@ class TestInvariants:
             reordered = MolRecord(name=rec.name, symbols=tuple(new_atoms),
                                   charges=rec.charges, bonds=new_bonds)
 
-            ga, _ = featurize(rec, FeaturizerConfig())
-            gb, _ = featurize(reordered, FeaturizerConfig())
+            (ga,), _ = featurize_corpus([rec])
+            (gb,), _ = featurize_corpus([reordered])
             heavy_a = [i for i, a in enumerate(atoms) if a != "H"]
             heavy_b = [i for i, a in enumerate(new_atoms) if a != "H"]
             pos_b = {old: new for new, old in enumerate(heavy_b)}

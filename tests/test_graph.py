@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import ngram_graph as ng
 from ngram_graph import MolecularGraph, validate_graph
-from ngram_graph.graph import dumps_graph, ones_csr, read_json_graphs, write_jsonl
+from ngram_graph.graph import ones_csr, read_json_graphs, write_jsonl
 
 from . import synth
-from .synth import one_hot, permute
+from .synth import dumps_graph, one_hot, permute
 
 
 class TestValidation:

@@ -12,7 +12,6 @@ from ngram_graph.linear import (
     LinearModel,
     _objective_and_grad,
     compute_metric,
-    evaluate,
     fit,
     fit_path,
     mae,
@@ -30,14 +29,14 @@ class TestFit:
         model = fit(X, y, task="logistic", lam=1e6, penalty="squared-l2")
         assert np.linalg.norm(model.weights) <= 1e-4
         # every prediction collapses to the intercept
-        p = model.predict(X)
+        p = model.decision(X)
         assert np.allclose(p, p[0])
 
     def test_separable_two_points(self):
         X = np.array([[1.0], [-1.0]])
         y = np.array([1.0, 0.0])
         model = fit(X, y, task="logistic", lam=1e-6)
-        pred = (model.predict(X) > 0.5).astype(float)
+        pred = (model.decision(X) > 0).astype(float)
         assert np.array_equal(pred, y)
 
     def test_least_squares_recovers_line(self):
@@ -391,4 +390,4 @@ class TestMetrics:
         X = np.array([[1.0], [-1.0]])
         y = np.array([1.0, 0.0])
         model = fit(X, y, lam=1e-6)
-        assert evaluate(model, X, y, "roc-auc") == 1.0
+        assert compute_metric("roc-auc", y, model.decision(X)) == 1.0

@@ -97,10 +97,9 @@ class TestCsv:
 class TestJsonArrayForm:
     def test_array_document_accepted(self):
         schema = synth.small_schema()
-        from ngram_graph.graph import graph_to_doc
 
         rng = np.random.default_rng(1)
         graphs = synth.random_corpus(rng, schema, 3)
-        payload = json.dumps([graph_to_doc(g, schema) for g in graphs])
+        payload = json.dumps([synth.graph_to_doc(g, schema) for g in graphs])
         back = read_json_graphs(payload, schema)
         assert len(back) == 3

@@ -204,8 +204,9 @@ def test_omp_matches_scipy_refit_on_the_grids(monkeypatch):
         return res
 
     monkeypatch.setattr(recovery, "sparse_recover", both)
-    bundled = RecoveryConfig.from_json(importlib.resources.files("ngram_graph")
-                                       .joinpath("data", "recovery_desk.json").read_text())
+    bundled = RecoveryConfig.from_dict(json.loads(
+        importlib.resources.files("ngram_graph").joinpath("data", "recovery_desk.json")
+        .read_text()))
     grids = [bundled, dataclasses.replace(bundled, r_values=(20, 30, 40)),
              RecoveryConfig(r_values=(30,), k_values=(12,), n_values=(3,), seed=0)]
     for cfg in grids:
@@ -276,7 +277,7 @@ class TestExperiment:
     def test_config_round_trip(self):
         cfg = RecoveryConfig(r_values=(8, 16), trials=7)
         doc = {"r_values": [8, 16], "trials": 7}
-        assert RecoveryConfig.from_json(json.dumps(doc)) == cfg
+        assert RecoveryConfig.from_dict(json.loads(json.dumps(doc))) == cfg
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ValueError):
