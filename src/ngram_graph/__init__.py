@@ -17,7 +17,7 @@ from .graph import (
     validate_graph,
 )
 from .sdf import MolRecord, parse_sdf
-from .featurize import FeaturizerConfig, featurize_corpus
+from .featurize import featurize_corpus
 from .vertex import (
     EmbeddingError,
     VertexEmbeddingMatrix,

@@ -55,6 +55,12 @@ class CbowConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.r < 1:
+            raise ValueError("r must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be >= 1")
         if not self.hidden:
             raise ValueError("hidden layer list must be nonempty")
         if any(h < 1 for h in self.hidden):

@@ -14,9 +14,10 @@ sidecar byte for byte. ``recover`` reads its recovery grid from
 feature file written by ``embed``: with ``--model`` it scores that model on
 the file, otherwise it cross-validates on it. Cross-validation that makes
 the embedding inside each fold is ``sweep``; a one-cell grid is one run.
-Only ``featurize`` takes ``--schema``; ``train-vertex`` and ``sweep`` use the
-bundled schema the corpus's first document names, and the other commands
-the schema their embedding or feature file carries.
+A graph corpus is read under the bundled schema its first document names.
+Only ``featurize`` takes ``--schema``: the schema of SDF input, or the one
+that JSON input must name. The other commands take the schema their
+embedding or feature file carries.
 Exit codes: 0 success, 1 numeric or validation failure, 2 I/O, parse or
 usage failure.
 """
@@ -45,8 +46,8 @@ from .crossval import (
     load_features,
     manifest_hash,
 )
-from .featurize import FeaturizerConfig, featurize_corpus
-from .graph import GraphError, bundled_schema, read_json_graphs, write_jsonl
+from .featurize import featurize_corpus
+from .graph import GraphError, _read_corpus, write_jsonl
 from .linear import (METRICS, PENALTIES, TASKS, DegenerateLabels, LinearModel,
                      ModelFormatError, compute_metric, fit as fit_linear)
 from .matrixio import MatrixFormatError, write_csv
@@ -188,10 +189,8 @@ def _load_graphs(path, schema=None):
     its first document names. An undecodable line raises as a parse error
     (exit 2), any other fault as a validation failure (exit 1); each message
     names the file, and the document's position where there is one."""
-    data = Path(path).read_bytes()
     try:
-        schema = schema or bundled_schema(data)
-        return read_json_graphs(data, schema), schema
+        return _read_corpus(Path(path).read_bytes(), schema)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise GraphError(f"{path}: document {exc.document}: {exc}") from exc
     except GraphError as exc:
@@ -209,13 +208,14 @@ def cli():
 @cli.command("featurize")
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--schema", "schema_key", default="full", show_default=True,
-              type=click.Choice(sorted(BUNDLED_SCHEMAS)))
+@click.option("--schema", "schema_key", default=None,
+              type=click.Choice(sorted(BUNDLED_SCHEMAS)),
+              help="[default: full for SDF input; for JSON input, the schema "
+                   "its documents name]")
 @_config_option
 def featurize_cmd(input_path, out, schema_key):
     """Parse .sdf/.mol or .json/.jsonl into a validated graph corpus."""
-    cfg = FeaturizerConfig(schema_key=schema_key)
-    schema = cfg.schema
+    schema = BUNDLED_SCHEMAS.get(schema_key)
     suffix = Path(input_path).suffix.lower()
     if suffix in (".smi", ".smiles"):
         raise click.UsageError(
@@ -226,16 +226,17 @@ def featurize_cmd(input_path, out, schema_key):
     graphs = []
     if suffix in (".json", ".jsonl"):
         errors = []
-        graphs = read_json_graphs(Path(input_path).read_bytes(), schema, errors)
+        graphs, schema = _read_corpus(Path(input_path).read_bytes(), schema, errors)
         failed = len(errors)
         for pos, msg in errors:
             click.echo(f"document {pos}: {msg}", err=True)
     else:
+        schema = schema or BUNDLED_SCHEMAS["full"]
         records, parse_errors = parse_sdf(Path(input_path).read_bytes())
         failed = len(parse_errors)
         for err in parse_errors:
             click.echo(str(err), err=True)
-        graphs, warnings = featurize_corpus(records, cfg)
+        graphs, warnings = featurize_corpus(records, schema)
         for rec, record_warnings in zip(records, warnings):
             for w in (*rec.warnings, *record_warnings):  # the reader's, then the featurizer's
                 click.echo(f"{rec.name or 'record'}: {w}", err=True)
@@ -251,7 +252,8 @@ def featurize_cmd(input_path, out, schema_key):
         f"vertices min/mean/max={sizes.min()}/{sizes.mean():.1f}/{sizes.max()}",
         err=True,
     )
-    _write_sidecar(out)
+    key = next(k for k, s in BUNDLED_SCHEMAS.items() if s is schema)
+    _write_sidecar(out, _manifest(schema_key=key))
 
 
 # -- train-vertex ----------------------------------------------------------------

@@ -23,13 +23,12 @@ deterministic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .graph import build_graphs
-from .schema import BUNDLED_SCHEMAS, UNKNOWN, AttributeSchema, SchemaError
+from .schema import FULL_SCHEMA, UNKNOWN, AttributeSchema
 
 DEFAULT_VALENCE = {
     "H": 1, "C": 4, "N": 3, "O": 2, "F": 1,
@@ -40,28 +39,14 @@ DEFAULT_VALENCE = {
 ACCEPTOR_ELEMENTS = frozenset({"N", "O"})
 
 
-@dataclass(frozen=True)
-class FeaturizerConfig:
-    schema_key: str = "full"  # "full" (8 attributes) or "reduced" (5 attributes)
-
-    def __post_init__(self):
-        if self.schema_key not in BUNDLED_SCHEMAS:
-            raise SchemaError(f"unknown schema selection {self.schema_key!r}")
-
-    @property
-    def schema(self) -> AttributeSchema:
-        return BUNDLED_SCHEMAS[self.schema_key]
-
-
-def featurize_corpus(records, cfg: FeaturizerConfig | None = None):
-    """Compute the vertex attribute tables of a corpus of parsed records.
+def featurize_corpus(records, schema: AttributeSchema = FULL_SCHEMA):
+    """Compute the vertex attribute tables of a corpus of parsed records
+    under a bundled schema.
 
     Returns ``(graphs, warnings)``, one graph and one list of warnings per
     record, in input order. Heavy atoms keep their record order; vertex i of
     a graph is the i-th non-hydrogen atom of its record.
     """
-    cfg = cfg or FeaturizerConfig()
-    schema = cfg.schema
     if not records:
         return [], []
     sizes = [len(r.symbols) for r in records]

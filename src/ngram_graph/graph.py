@@ -389,34 +389,29 @@ def _documents(data):
         yield from enumerate(doc) if array else [(pos, doc)]
 
 
-def bundled_schema(data) -> AttributeSchema:
-    """The bundled schema whose ``schema_id`` the first document of a corpus
-    names. An undecodable first line raises its decode error, with its
-    ``document`` position; an empty corpus, or a first document that names
-    no bundled schema, raises GraphError."""
-    for pos, doc in _documents(data):
-        if isinstance(doc, ValueError):
-            doc.document = pos
-            raise doc
-        named = doc.get("schema_id") if isinstance(doc, dict) else None
-        for schema in BUNDLED_SCHEMAS.values():
-            if named == schema.schema_id:
-                return schema
-        bundled = ", ".join(s.schema_id for s in BUNDLED_SCHEMAS.values())
-        raise GraphError(f"document {pos}: schema_id {named!r} is not a bundled schema "
-                         f"({bundled})")
-    raise GraphError("no graph documents")
-
-
-def read_json_graphs(data, schema: AttributeSchema, errors: list | None = None):
+def read_json_graphs(data, schema: AttributeSchema | None = None,
+                     errors: list | None = None):
     """Parse JSONL text (``bytes`` or ``str``), or one JSON array, of graph
     documents.
 
-    Returns the graphs that pass validation against the schema. Without an
-    ``errors`` list the first problem raises (``UnicodeDecodeError`` or
-    ``json.JSONDecodeError`` for an undecodable line, with the line's
-    position in its ``document`` attribute; ``GraphError`` for an invalid
-    document); with one, each is appended as ``(pos, message)``.
+    Returns the graphs that pass validation against the schema, or, without
+    one, against the bundled schema that the first document naming one
+    names. Without an ``errors`` list the first problem raises
+    (``UnicodeDecodeError`` or ``json.JSONDecodeError`` for an undecodable
+    line, with the line's position in its ``document`` attribute;
+    ``GraphError`` for an invalid document, and for an empty corpus read
+    without a schema); with one, each is appended as ``(pos, message)``.
+    """
+    return _read_corpus(data, schema, errors)[0]
+
+
+def _read_corpus(data, schema, errors=None):
+    """:func:`read_json_graphs`'s graphs and the schema they were read under,
+    ``None`` when no document named a bundled one.
+
+    A document before the first that names a bundled schema fails with its
+    decode error or as naming none; a later document that names another
+    schema fails as a mismatch.
 
     Documents decode and convert one at a time (:func:`_doc_fields`); the
     corpus is then built in one pass (:func:`build_graphs`), its graphs
@@ -426,8 +421,14 @@ def read_json_graphs(data, schema: AttributeSchema, errors: list | None = None):
     """
     fields, tables, failed = [], [], {}
     for pos, doc in _documents(data):
+        if schema is None and not isinstance(doc, ValueError):
+            named = doc.get("schema_id") if isinstance(doc, dict) else None
+            schema = next((s for s in BUNDLED_SCHEMAS.values() if s.schema_id == named), None)
         if isinstance(doc, ValueError):
             failed[pos] = doc
+        elif schema is None:
+            bundled = ", ".join(s.schema_id for s in BUNDLED_SCHEMAS.values())
+            failed[pos] = f"schema_id {named!r} is not a bundled schema ({bundled})"
         else:
             try:
                 m, attr, edges, label, graph_id = _doc_fields(doc, schema)
@@ -439,14 +440,15 @@ def read_json_graphs(data, schema: AttributeSchema, errors: list | None = None):
         if failed and errors is None:
             break  # the first problem is this one or one the sweep finds before it
 
-    positions, sizes, counts, labels, ids = zip(*fields) if fields else [()] * 5
-    sizes = np.array(sizes, dtype=np.int64)
-    attr = np.concatenate([a for a, _ in tables]
-                          or [np.empty((0, schema.num_attributes), dtype=np.int64)])
-    edges = np.concatenate([e for _, e in tables] or [np.empty((0, 2), dtype=np.int64)])
-    graphs = build_graphs(sizes, attr, edges, counts, labels, ids, schema.fingerprint)
-    for k in np.flatnonzero(_invalid(graphs, sizes, attr, edges, counts, schema)).tolist():
-        failed[positions[k]] = str(validate_graph(graphs[k], schema))
+    positions, graphs = (), []
+    if fields:
+        positions, sizes, counts, labels, ids = zip(*fields)
+        sizes = np.array(sizes, dtype=np.int64)
+        attr = np.concatenate([a for a, _ in tables])
+        edges = np.concatenate([e for _, e in tables])
+        graphs = build_graphs(sizes, attr, edges, counts, labels, ids, schema.fingerprint)
+        for k in np.flatnonzero(_invalid(graphs, sizes, attr, edges, counts, schema)).tolist():
+            failed[positions[k]] = str(validate_graph(graphs[k], schema))
     for pos in sorted(failed):
         problem = failed[pos]
         if errors is not None:
@@ -456,4 +458,6 @@ def read_json_graphs(data, schema: AttributeSchema, errors: list | None = None):
             raise problem
         else:
             raise GraphError(f"document {pos}: {problem}")
-    return [g for pos, g in zip(positions, graphs) if pos not in failed]
+    if schema is None and errors is None:
+        raise GraphError("no graph documents")
+    return [g for pos, g in zip(positions, graphs) if pos not in failed], schema

@@ -32,7 +32,7 @@ BATCH_ENTRIES = 1 << 17
 
 
 class GraphTooLarge(ValueError):
-    """Enumeration refused; use graph_embed for large graphs."""
+    """Enumeration refused; use embed_corpus for large graphs."""
 
 
 class WalkOverflow(ValueError):
@@ -293,7 +293,7 @@ def oracle_embed(
     _check_options(T, variant, level_scale, normalization)
     if g.num_vertices > cap:
         raise GraphTooLarge(f"m={g.num_vertices} exceeds enumeration cap {cap}; "
-                            "use graph_embed")
+                            "use embed_corpus")
     F = embed_vertices(g, emb)
     check_int64_walks(g, T, F)
     base = F.T

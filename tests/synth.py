@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ngram_graph import AttributeSchema, GraphError, MolecularGraph, validate_graph
 from ngram_graph.featurize import ACCEPTOR_ELEMENTS, DEFAULT_VALENCE
-from ngram_graph.schema import UNKNOWN
+from ngram_graph.schema import BUNDLED_SCHEMAS, UNKNOWN
 from ngram_graph.sdf import CHARGE_CODES
 
 
@@ -659,9 +659,18 @@ def _ref_documents(data, errors):
 
 
 def reference_read_json_graphs(data, schema, errors=None):
+    """Without a schema, the first document that names a bundled one fixes
+    it; a document before that one names none."""
     graphs = []
     for pos, doc in _ref_documents(data, errors):
+        named = doc.get("schema_id") if isinstance(doc, dict) else None
+        for bundled in BUNDLED_SCHEMAS.values():
+            if schema is None and named == bundled.schema_id:
+                schema = bundled
         try:
+            if schema is None:
+                ids = ", ".join(s.schema_id for s in BUNDLED_SCHEMAS.values())
+                raise GraphError(f"schema_id {named!r} is not a bundled schema ({ids})")
             g = reference_doc_to_graph(doc, schema)
         except (GraphError, TypeError, ValueError, OverflowError) as exc:
             problem = str(exc)
@@ -674,6 +683,8 @@ def reference_read_json_graphs(data, schema, errors=None):
         if errors is None:
             raise GraphError(f"document {pos}: {problem}")
         errors.append((pos, problem))
+    if schema is None and errors is None:
+        raise GraphError("no graph documents")
     return graphs
 
 
@@ -824,12 +835,15 @@ def _utf8(text: str) -> bytes:
 
 
 @st.composite
-def graph_document_corpora(draw, schema, min_docs=0, max_docs=8, defect_percent=50):
+def graph_document_corpora(draw, *schemas, min_docs=0, max_docs=8, defect_percent=50):
     """A JSONL stream (bytes or text) or one JSON array of graph documents,
-    their non-ASCII text raw or escaped. JSONL mixes in blank and
-    undecodable lines, and valid documents whose label is a ``NaN``,
-    ``Infinity`` or ``1e400`` literal, which only json reads."""
-    docs = draw(st.lists(graph_documents(schema, defect_percent=defect_percent),
+    each under one of the schemas, their non-ASCII text raw or escaped.
+    JSONL mixes in blank and undecodable lines, and valid documents whose
+    label is a ``NaN``, ``Infinity`` or ``1e400`` literal, which only json
+    reads."""
+    schema = st.sampled_from(schemas)
+    docs = draw(st.lists(schema.flatmap(lambda s: graph_documents(s, defect_percent=
+                                                                   defect_percent)),
                          min_size=min_docs, max_size=max_docs))
     ascii = draw(st.booleans())
     if draw(st.booleans()):
@@ -842,7 +856,7 @@ def graph_document_corpora(draw, schema, min_docs=0, max_docs=8, defect_percent=
                                        b"[1, 2", b"nul", b"[1,\x1c2]", b"{\xe2\x80\xa8}"]))
         lines.insert(draw(st.integers(0, len(lines))), broken)
     for _ in range(draw(st.integers(0, 2))):
-        doc = {k: v for k, v in draw(graph_documents(schema, defect_percent=0)).items()
+        doc = {k: v for k, v in draw(graph_documents(draw(schema), defect_percent=0)).items()
                if k != "label"}
         literal = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400"]))
         line = json.dumps(doc, separators=(",", ":"), ensure_ascii=ascii)[:-1]

@@ -162,6 +162,15 @@ class TestTraining:
         b, _ = train_cbow(samples, sch, cfg)
         assert np.array_equal(a.matrix, b.matrix)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("r", 0, "r must be >= 1"),
+        ("batch_size", 0, "batch size must be >= 1"),
+        ("epochs", -1, "epochs must be >= 0"),
+    ])
+    def test_untrainable_config_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            CbowConfig(**{field: value})
+
     def test_empty_samples_rejected(self, schema):
         with pytest.raises(ValueError):
             train_cbow([], schema, CbowConfig(r=4, epochs=1))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import ngram_graph as ng
 from ngram_graph import cli, crossval
 from ngram_graph.cli import main
-from ngram_graph import recovery
+from ngram_graph import graph as graph_module, recovery
 from ngram_graph.graph import write_jsonl
 from ngram_graph.matrixio import MAGIC, read_matrix
 from ngram_graph.schema import BUNDLED_SCHEMAS
@@ -291,6 +291,24 @@ class TestTrainVertex:
         assert "$NGG_SEED" in err and "--seed" in err
         # a flag means the environment is not read
         assert main(args + ["--seed", "3"]) == 0
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train-vertex", ["--r", "0"], "r must be >= 1"),
+        ("train-vertex", ["--batch-size", "0"], "batch size must be >= 1"),
+        ("train-vertex", ["--epochs", "-1"], "epochs must be >= 0"),
+        ("sweep", ["--mode", "trained", "--r-grid", "0"], "r must be >= 1"),
+    ])
+    def test_untrainable_config_exits_one(self, tmp_path, rng, capsys, command, flags,
+                                          message):
+        corpus = tmp_path / "corpus.jsonl"
+        with open(corpus, "w") as fh:
+            write_jsonl(_labeled_corpus(rng, 12), ng.FULL_SCHEMA, fh)
+        out = tmp_path / "out"
+        argv = ([command, str(corpus)] if command == "train-vertex"
+                else [command, "--graphs", str(corpus)])
+        assert main(argv + ["-o", str(out)] + flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_predictable_corpus_reports_high_accuracy(self, tmp_path, rng, capsys):
         sch = ng.FULL_SCHEMA
@@ -1143,8 +1161,9 @@ class TestConfig:
 
 
 class TestSchemaFromCorpus:
-    """``train-vertex`` and ``sweep`` read the bundled schema that the
-    corpus's first document names; only ``featurize`` takes ``--schema``."""
+    """Every command that reads a graph corpus reads it under the bundled
+    schema its first document names; only ``featurize`` takes ``--schema``,
+    which JSON input must then name."""
 
     @staticmethod
     def _corpus(tmp_path, rng, key, n_graphs):
@@ -1189,6 +1208,48 @@ class TestSchemaFromCorpus:
                 log += f"warning: {report.unconverged} fits did not converge (r=4 T={T})\n"
         table = "\n".join(rows) + "\n"
         assert (out, err, out_path.read_text()) == (table, log, table)
+
+    @pytest.mark.parametrize("key", ["full", "reduced"])
+    def test_featurize_keeps_the_corpus_schema(self, tmp_path, rng, capsys, key):
+        _, gp, _ = self._corpus(tmp_path, rng, key, 5)
+        out = tmp_path / "out.jsonl"
+        assert main(["featurize", str(gp), "-o", str(out)]) == 0
+        assert out.read_bytes() == gp.read_bytes()
+        sidecar = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
+        assert sidecar["params"]["schema_key"] == key
+        other = "full" if key == "reduced" else "reduced"
+        assert main(["featurize", str(gp), "-o", str(out), "--schema", other]) == 2
+        err = capsys.readouterr().err
+        assert err.count("schema_id mismatch") == 5 and "no graphs parsed" in err
+
+    @pytest.mark.parametrize("key", ["full", "reduced"])
+    @pytest.mark.parametrize("bad, message", [
+        ('{"schema_id": "mol\n', "document 0: Unterminated string"),
+        ('{"schema_id": "custom:0"}\n', "document 0: schema_id 'custom:0' is not a bundled"),
+    ])
+    def test_featurize_salvages_a_bad_first_line(self, tmp_path, rng, capsys, key, bad,
+                                                 message):
+        _, gp, _ = self._corpus(tmp_path, rng, key, 4)
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(bad.encode() + gp.read_bytes())
+        out = tmp_path / "out.jsonl"
+        assert main(["featurize", str(src), "-o", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert message in err and "parsed=4 failed=1" in err
+        assert out.read_bytes() == gp.read_bytes()
+
+    @pytest.mark.parametrize("array", [False, True])
+    def test_corpus_is_parsed_once(self, tmp_path, rng, monkeypatch, array):
+        schema, gp, _ = self._corpus(tmp_path, rng, "reduced", 6)
+        if array:
+            gp.write_bytes(b"[" + b",".join(gp.read_bytes().splitlines()) + b"]")
+        calls = []
+        loads = graph_module._loads
+        monkeypatch.setattr(graph_module, "_loads",
+                            lambda chunk: calls.append(chunk) or loads(chunk))
+        graphs, read_schema = cli._load_graphs(gp)
+        assert read_schema is schema and len(graphs) == 6
+        assert len(calls) == (1 if array else 6)
 
     @pytest.mark.parametrize("command", ["train-vertex", "fit", "eval", "sweep"])
     def test_schema_option_exits_two(self, config_workspace, capsys, command):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 
 from ngram_graph import FULL_SCHEMA, REDUCED_SCHEMA, validate_graph
-from ngram_graph.featurize import FeaturizerConfig, featurize_corpus
+from ngram_graph.featurize import featurize_corpus
 from ngram_graph.graph import write_jsonl
-from ngram_graph.schema import SchemaError
+from ngram_graph.cli import main
+from ngram_graph.schema import BUNDLED_SCHEMAS
 from ngram_graph.sdf import parse_sdf
 
 from . import synth
@@ -19,10 +20,10 @@ def _attr_by_name(schema, g, vertex, name):
     return schema.values_of(j)[g.attr[vertex, j]]
 
 
-def _featurize_text(block, cfg=None):
+def _featurize_text(block, schema=FULL_SCHEMA):
     records, errors = parse_sdf(block)
     assert not errors, errors
-    (g,), (warnings,) = featurize_corpus(records[:1], cfg)
+    (g,), (warnings,) = featurize_corpus(records[:1], schema)
     return g, warnings
 
 
@@ -95,13 +96,16 @@ class TestAttributeRules:
         assert _attr_by_name(FULL_SCHEMA, g, 0, "charge") == "Unknown"
 
     def test_reduced_schema_has_five_attributes(self):
-        g, _ = _featurize_text(WATER, FeaturizerConfig(schema_key="reduced"))
+        g, _ = _featurize_text(WATER, REDUCED_SCHEMA)
         assert g.attr.shape == (1, 5)
         assert validate_graph(g, REDUCED_SCHEMA).ok
 
-    def test_unknown_schema_key_rejected(self):
-        with pytest.raises(SchemaError):
-            FeaturizerConfig(schema_key="bogus")
+    def test_unknown_schema_key_rejected(self, tmp_path, capsys):
+        src = tmp_path / "water.sdf"
+        src.write_text(WATER)
+        assert main(["featurize", str(src), "-o", str(tmp_path / "w.jsonl"),
+                     "--schema", "bogus"]) == 2
+        assert "'bogus' is not one of 'full', 'reduced'" in capsys.readouterr().err
 
 
 class TestInvariants:
@@ -174,11 +178,11 @@ class TestInvariants:
 
 
 def _array_outputs(data, schema_key):
-    cfg = FeaturizerConfig(schema_key=schema_key)
+    schema = BUNDLED_SCHEMAS[schema_key]
     records, errors = parse_sdf(data)
-    graphs, warnings = featurize_corpus(records, cfg)
+    graphs, warnings = featurize_corpus(records, schema)
     text = io.StringIO()
-    write_jsonl(graphs, cfg.schema, text)
+    write_jsonl(graphs, schema, text)
     return (text.getvalue(),
             [(r.name, r.warnings, w) for r, w in zip(records, warnings)],
             [(e.line, e.message) for e in errors],
@@ -186,7 +190,7 @@ def _array_outputs(data, schema_key):
 
 
 def _reference_outputs(data, schema_key):
-    schema = FeaturizerConfig(schema_key=schema_key).schema
+    schema = BUNDLED_SCHEMAS[schema_key]
     records, errors = synth.reference_parse_sdf(data)
     out = [synth.reference_featurize(r, schema) for r in records]
     text = io.StringIO()

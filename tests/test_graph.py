@@ -398,6 +398,12 @@ class TestReaderDifferential:
         self._agree(data)
 
     @settings(max_examples=300, deadline=None)
+    @given(data=synth.graph_document_corpora(_SCHEMA, ng.FULL_SCHEMA, ng.REDUCED_SCHEMA))
+    def test_corpora_read_without_a_schema(self, data):
+        """The bundled schema that the first document naming one names."""
+        self._agree(data, None)
+
+    @settings(max_examples=300, deadline=None)
     @given(data=synth.byte_mutations(_BASE))
     def test_mutated_bytes(self, data):
         self._agree(data)
@@ -449,14 +455,20 @@ class TestReaderDifferential:
         # a line nested this deep makes json raise RecursionError, not a
         # document error
         data = json.dumps({"schema_id": "other:0"}) + "\n" + "[" * 100_000
-        for reader in (read_json_graphs, synth.reference_read_json_graphs):
-            with pytest.raises(ng.GraphError, match="^document 0: schema_id mismatch"):
-                reader(data, _SCHEMA)
+        for schema, message in ((_SCHEMA, "schema_id mismatch"),
+                                (None, "schema_id 'other:0' is not a bundled schema")):
+            for reader in (read_json_graphs, synth.reference_read_json_graphs):
+                with pytest.raises(ng.GraphError, match=f"^document 0: {message}"):
+                    reader(data, schema)
 
     @pytest.mark.parametrize("data", [b"", "", b"\n\n", "[]", b"[]", b"  \n"])
     def test_empty_corpora(self, data):
-        self._agree(data)
+        for schema in (_SCHEMA, None):
+            self._agree(data, schema)
         assert read_json_graphs(data, _SCHEMA) == []
+        assert read_json_graphs(data, None, []) == []
+        with pytest.raises(ng.GraphError, match="^no graph documents$"):
+            read_json_graphs(data)
 
     def test_corpus_graphs_are_read_only_views(self):
         graphs = read_json_graphs(_BASE, _SCHEMA)

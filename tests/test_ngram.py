@@ -118,7 +118,7 @@ class TestOracleEquivalence:
     def test_enumeration_cap_enforced(self, rng, schema):
         g = synth.random_graph(rng, schema, m=13, density=0.2)
         emb = random_embedding(schema, 4, seed=0)
-        with pytest.raises(GraphTooLarge, match="graph_embed"):
+        with pytest.raises(GraphTooLarge, match="use embed_corpus"):
             oracle_embed(g, emb, 3, cap=12)
 
     def test_vertex_path_excludes_revisits_only(self):
