@@ -2,9 +2,10 @@
 
 Two solvers: greedy correlation pursuit with a nonnegative least-squares
 refit each step, and iterative soft thresholding on the l1 relaxation with
-an annealed threshold and a final support refit. Counts are nonnegative
-integers, so an estimate within 0.5 of the truth in every coordinate rounds
-to an exact recovery.
+an annealed threshold, which stops once its support holds and the
+nonnegative refit of that support fits the measurements. Counts are
+nonnegative integers, so an estimate within 0.5 of the truth in every
+coordinate rounds to an exact recovery.
 
 The refit is an in-module Lawson-Hanson active-set solve (Lawson & Hanson,
 *Solving Least Squares Problems*, 1974, ch. 23; the algorithm scipy's
@@ -171,12 +172,20 @@ def _soft(x, t):
 
 
 def ista_recover(f: np.ndarray, op, max_iter: int = 2000) -> RecoveryResult:
-    """Soft thresholding on the l1 program with annealed threshold.
+    """Soft thresholding on the l1 program, its threshold halved in each of
+    ``ISTA_PHASES`` phases of ``max_iter // ISTA_PHASES`` iterations.
 
-    The operator must be materializable; huge levels should use the greedy
-    solver instead. After the threshold schedule, the detected support is
-    refit by nonnegative least squares.
+    At the end of a phase the support is the set of coordinates above
+    ``ISTA_SUPPORT_THRESHOLD``. Once it equals the previous phase's support
+    (an empty one included), it is refit by nonnegative least squares, and
+    the run stops if that refit fits f to ``RESIDUAL_TOL``. Otherwise the
+    last phase's support is refit. ``iterations`` counts the iterations
+    run. The operator must be materializable; huge levels should use the
+    greedy solver instead.
     """
+    if max_iter < ISTA_PHASES:
+        raise ValueError(f"ista max_iter {max_iter} is below one iteration per phase "
+                         f"({ISTA_PHASES})")
     if isinstance(op, LevelOperator):
         A = op.materialize().astype(np.float64)
     else:
@@ -195,21 +204,25 @@ def ista_recover(f: np.ndarray, op, max_iter: int = 2000) -> RecoveryResult:
     mu = 0.9 * float(np.max(np.abs(A.T @ f))) if f.any() else 0.0
     fnorm = max(np.linalg.norm(f), 1.0)
     it = 0
-    per_phase = max(1, max_iter // ISTA_PHASES)
-    for _ in range(ISTA_PHASES):
+    per_phase = max_iter // ISTA_PHASES
+    previous = None
+    for phase in range(1, ISTA_PHASES + 1):
         for _ in range(per_phase):
             it += 1
             grad = A.T @ (A @ x - f)
             x = _soft(x - step * grad, step * mu)
         mu *= ISTA_ANNEAL
-        if np.linalg.norm(f - A @ x) <= RESIDUAL_TOL * fnorm:
-            break
-    support = np.nonzero(np.abs(x) > ISTA_SUPPORT_THRESHOLD)[0]
-    c_hat = np.zeros(A.shape[1])
-    if support.size:
-        A_S = A[:, support]
-        c_hat[support] = _nnls_gram(A_S.T @ A_S, A_S.T @ f)
-    res_norm = float(np.linalg.norm(f - A @ c_hat))
+        support = np.flatnonzero(np.abs(x) > ISTA_SUPPORT_THRESHOLD)
+        if phase == ISTA_PHASES or (previous is not None
+                                    and np.array_equal(support, previous)):
+            c_hat = np.zeros(A.shape[1])
+            if support.size:
+                A_S = A[:, support]
+                c_hat[support] = _nnls_gram(A_S.T @ A_S, A_S.T @ f)
+            res_norm = float(np.linalg.norm(f - A @ c_hat))
+            if res_norm <= RESIDUAL_TOL * fnorm:
+                break
+        previous = support
     return RecoveryResult(
         c_hat=c_hat,
         residual_norm=res_norm,
@@ -236,7 +249,7 @@ def sparse_recover(f, op, method: str = "omp", sparsity: int | None = None, **kw
 _CHOICES = {"method": ("omp", "ista")}
 # the least value of each integer key, and of every item of a list key
 _LEAST = {"r_values": 1, "k_values": 2, "n_values": 1, "s_values": 0, "trials": 1,
-          "entry_low": 1, "max_iter": 1}
+          "entry_low": 1, "max_iter": ISTA_PHASES}
 
 
 @dataclass(frozen=True)

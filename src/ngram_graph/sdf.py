@@ -3,9 +3,12 @@
 Only the fields needed downstream are parsed, and a record holds them as
 arrays: ``symbols`` (one str per atom), ``charges`` (int64, one per atom)
 and ``bonds`` (int64, one row of 1-based u, v and order per bond). Records
-are split on ``$$$$`` delimiter lines. Each field is cut by column position
-with one list comprehension over the atom or bond lines of the whole
-stream, and array masks check the fields of every record at once. A
+are split on ``$$$$`` delimiter lines. A record whose lines after its first
+``M  END`` hold another ``M  END`` line is two records merged by a damaged
+delimiter: it is a :class:`RecordError`, and parsing resumes after its first
+``M  END``. Each field is cut by column position with one list
+comprehension over the atom or bond lines of the whole stream, and array
+masks check the fields of every record at once. A
 malformed record yields a :class:`RecordError` carrying its line number and
 naming its first bad line, while parsing continues with the next record.
 
@@ -168,14 +171,24 @@ def parse_sdf(data) -> tuple[list[MolRecord], list[RecordError]]:
 
     problems = {}  # first line (0-based) of a bad record -> message
     heads = []  # (first line, end, atoms, bonds) of the records whose counts read
-    for start, end in zip([0] + [i + 1 for i in cuts], cuts + [len(lines)]):
+    spans = list(zip([0] + [i + 1 for i in cuts], cuts + [len(lines)]))[::-1]
+    while spans:
+        start, end = spans.pop()
         rec = lines[start:end]
         if not any(line.strip() for line in rec):
             continue
         try:
-            heads.append((start, end, *_counts(rec)))
+            a, b = _counts(rec)
         except ValueError as exc:
             problems[start] = str(exc)
+            continue
+        ends = [i for i in range(start + 4 + a + b, end) if lines[i].startswith("M  END")]
+        if len(ends) > 1:
+            problems[start] = (f"second M  END at line {ends[1] + 1}: "
+                               "a damaged $$$$ line merged two records")
+            spans.append((ends[0] + 1, end))
+            continue
+        heads.append((start, end, a, b))
 
     na = np.array([h[2] for h in heads], dtype=np.int64)
     nb = np.array([h[3] for h in heads], dtype=np.int64)

@@ -434,7 +434,17 @@ def _ref_int_field(line, lo, hi, what):
     return int(raw)
 
 
-def _ref_parse_record(lines):
+class _RefMergedRecords(ValueError):
+    """A record's lines after its first ``M  END`` hold another: ``rest`` is
+    the offset of the line after that first ``M  END``."""
+
+    def __init__(self, message, rest):
+        super().__init__(message)
+        self.rest = rest
+
+
+def _ref_parse_record(lines, start):
+    """The record of ``lines``, the first of which is stream line ``start``."""
     if len(lines) < 4:
         raise ValueError("record shorter than header + counts line")
     name = lines[0].strip()
@@ -455,6 +465,11 @@ def _ref_parse_record(lines):
             f"truncated record: expected {num_atoms} atom + {num_bonds} bond lines, "
             f"found {len(body)}"
         )
+    ends = [i for i in range(4 + num_atoms + num_bonds, len(lines))
+            if lines[i].startswith("M  END")]
+    if len(ends) > 1:
+        raise _RefMergedRecords(f"second M  END at line {start + ends[1]}: "
+                                "a damaged $$$$ line merged two records", ends[0] + 1)
     warnings, atoms = [], []
     for i in range(num_atoms):
         line = body[i]
@@ -501,13 +516,20 @@ def reference_parse_sdf(data):
         else:
             lines.append(line)
     chunks.append((start, lines))
-    for start, lines in chunks:
+
+    def parse(start, lines):
         if not any(line.strip() for line in lines):
-            continue
+            return
         try:
-            records.append(_ref_parse_record(lines))
+            records.append(_ref_parse_record(lines, start))
+        except _RefMergedRecords as exc:
+            errors.append((start, str(exc)))
+            parse(start + exc.rest, lines[exc.rest:])
         except ValueError as exc:
             errors.append((start, str(exc)))
+
+    for start, lines in chunks:
+        parse(start, lines)
     return records, errors
 
 

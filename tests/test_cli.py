@@ -469,7 +469,7 @@ class TestRecover:
         ({"s_values": [2, -1]}, "'s_values' must be at least 0"),
         ({"entry_low": 0}, "'entry_low' must be at least 1"),
         ({"entry_low": 5, "entry_high": 4}, "'entry_high' must be at least 'entry_low'"),
-        ({"method": "ista", "max_iter": -1}, "'max_iter' must be at least 1"),
+        ({"method": "ista", "max_iter": -1}, "'max_iter' must be at least 12"),
     ])
     def test_malformed_grid_exits_one_before_any_trial(self, tmp_path, capsys,
                                                        monkeypatch, doc, message):

@@ -13,6 +13,7 @@ from ngram_graph.recovery import (
     RecoveryConfig,
     _nnls_gram,
     _operator_interface,
+    _soft,
     ista_recover,
     omp_recover,
     recovery_experiment,
@@ -66,6 +67,19 @@ class TestSolvers:
         b = ista_recover(f, op)
         assert np.allclose(a.c_hat, c, atol=1e-6)
         assert np.allclose(b.c_hat, c, atol=1e-6)
+        # the support settles and refits exactly before the schedule ends
+        assert b.converged and b.iterations < 2000 // 12 * 12
+
+    def test_ista_stops_on_zero_after_two_phases(self):
+        res = ista_recover(np.zeros(4), np.eye(4)[:, :3], max_iter=120)
+        assert res.converged and not res.c_hat.any() and res.iterations == 20
+
+    def test_ista_max_iter_below_one_per_phase_rejected(self):
+        with pytest.raises(ValueError, match="max_iter 5 "):
+            ista_recover(np.ones(3), np.eye(3), max_iter=5)
+        with pytest.raises(ValueError, match="'max_iter' must be at least 12"):
+            RecoveryConfig.from_dict({"method": "ista", "max_iter": 11})
+        assert ista_recover(np.ones(3), np.eye(3), max_iter=12).iterations <= 12
 
     def test_omp_without_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -190,6 +204,50 @@ def _omp_scipy_reference(f, op, sparsity, tol=1e-9):
     return c_hat
 
 
+def _ista_full_schedule_reference(f, A, max_iter=2000):
+    """Soft thresholding as it was before the early stop: every phase runs
+    unless the iterate itself fits f, then the last support is refit."""
+    step = 1.0 / (np.linalg.norm(A, 2) ** 2 or 1.0)
+    x = np.zeros(A.shape[1])
+    mu = 0.9 * float(np.max(np.abs(A.T @ f))) if f.any() else 0.0
+    fnorm = max(np.linalg.norm(f), 1.0)
+    for _ in range(recovery.ISTA_PHASES):
+        for _ in range(max_iter // recovery.ISTA_PHASES):
+            x = _soft(x - step * (A.T @ (A @ x - f)), step * mu)
+        mu *= recovery.ISTA_ANNEAL
+        if np.linalg.norm(f - A @ x) <= recovery.RESIDUAL_TOL * fnorm:
+            break
+    support = np.flatnonzero(np.abs(x) > recovery.ISTA_SUPPORT_THRESHOLD)
+    c_hat, A_S = np.zeros(A.shape[1]), A[:, support]
+    if support.size:
+        c_hat[support] = _nnls_gram(A_S.T @ A_S, A_S.T @ f)
+    return c_hat
+
+
+def test_ista_early_stop_matches_the_full_schedule(monkeypatch):
+    """Every ISTA trial of count-lab's grid and of the low-r cells of a
+    48-cell grid, where a wrong support can fit f exactly, finds the same
+    support as the full annealing schedule, with counts within 1e-12."""
+    solve = recovery.sparse_recover
+    seen = []
+
+    def both(f, op, method, max_iter):
+        res = solve(f, op, method=method, max_iter=max_iter)
+        ref = _ista_full_schedule_reference(f, op.materialize().astype(np.float64), max_iter)
+        seen.append(res.support == tuple(np.flatnonzero(ref > 0))
+                    and np.max(np.abs(res.c_hat - ref), initial=0.0) <= 1e-12)
+        return res
+
+    monkeypatch.setattr(recovery, "sparse_recover", both)
+    count_lab = RecoveryConfig(r_values=(60, 120), k_values=(16,), n_values=(2,),
+                               s_values=(3,), trials=3, method="ista", seed=7)
+    low_r = RecoveryConfig(r_values=(20,), k_values=(12, 16), n_values=(2, 3),
+                           s_values=(1, 3, 6), trials=10, method="ista", seed=3)
+    for cfg in (count_lab, low_r):
+        recovery_experiment(cfg)
+    assert len(seen) == 126 and all(seen)
+
+
 def test_omp_matches_scipy_refit_on_the_grids(monkeypatch):
     """Every OMP trial of the bundled grid and of the low-r grids finds the
     same support as the scipy-refit pursuit, with counts within 1e-12."""
@@ -245,6 +303,12 @@ class TestExperiment:
         triples = RecoveryConfig(r_values=(30,), k_values=(12,), n_values=(3,),
                                  s_values=(5,), trials=100, seed=0)
         assert [c.successes for c in recovery_experiment(triples)] == [88]
+        # at r = 20 the +-1 product columns repeat, so a support that has not
+        # settled yet can fit f exactly: ISTA stops only on a support that
+        # holds across two phases
+        ista = RecoveryConfig(r_values=(20,), k_values=(16,), n_values=(3,),
+                              s_values=(3,), trials=10, method="ista", seed=3)
+        assert [c.successes for c in recovery_experiment(ista)] == [4]
 
     def test_trial_determinism(self):
         rng1 = np.random.default_rng([0, 64, 20, 2, 4, 0])

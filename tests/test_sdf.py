@@ -90,6 +90,17 @@ class TestErrors:
         _, errors = parse_sdf(bad)
         assert errors and "order" in errors[0].message
 
+    @pytest.mark.parametrize("old,new", [("\n$$$$\n", "\nB$$$\n"),
+                                         ("M  END\n$$$$\n", "M  END5$$$$\n")],
+                             ids=["letter-in-delimiter", "delimiter-joined-to-m-end"])
+    def test_damaged_delimiter_does_not_merge_two_records(self, old, new):
+        stream = sdf_stream(WATER, METHANE).replace(old, new, 1)
+        records, errors = parse_sdf(stream)
+        assert len(records) + len(errors) == 2
+        second_end = stream.splitlines().index("M  END", len(WATER.splitlines())) + 1
+        assert (errors[0].line, errors[0].message) == (
+            1, f"second M  END at line {second_end}: a damaged $$$$ line merged two records")
+
     def test_second_record_error_line_number(self):
         truncated = "\n".join(WATER.splitlines()[:5])
         stream = sdf_stream(WATER, truncated)
