@@ -12,7 +12,6 @@ from .schema import AttributeSchema, FULL_SCHEMA, REDUCED_SCHEMA, SchemaError
 from .graph import (
     GraphError,
     MolecularGraph,
-    ValidationReport,
     read_json_graphs,
     validate_graph,
 )

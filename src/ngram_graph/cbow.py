@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,18 +72,7 @@ class CbowConfig:
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
     def config_hash(self) -> str:
-        payload = json.dumps(
-            {
-                "r": self.r,
-                "aggregator": self.aggregator,
-                "hidden": list(self.hidden),
-                "epochs": self.epochs,
-                "batch_size": self.batch_size,
-                "learning_rate": self.learning_rate,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        ).encode()
+        payload = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
@@ -92,8 +81,6 @@ class TrainingReport:
     epoch_losses: list = field(default_factory=list)
     holdout_accuracy: dict = field(default_factory=dict)  # attribute name -> accuracy
     mean_accuracy: float | None = None
-    num_samples: int = 0
-    num_holdout: int = 0
 
 
 def extract_contexts(graphs, schema: AttributeSchema) -> Contexts:
@@ -236,7 +223,7 @@ def train_cbow(
     if train.size == 0:
         train, hold = order, order[:0]
 
-    report = TrainingReport(num_samples=int(train.size), num_holdout=int(hold.size))
+    report = TrainingReport()
 
     # Adam state
     params = net.parameters()

@@ -47,7 +47,7 @@ from .crossval import (
     manifest_hash,
 )
 from .featurize import featurize_corpus
-from .graph import GraphError, _read_corpus, write_jsonl
+from .graph import GraphError, read_json_graphs, write_jsonl
 from .linear import (METRICS, PENALTIES, TASKS, DegenerateLabels, LinearModel,
                      ModelFormatError, compute_metric, fit as fit_linear)
 from .matrixio import MatrixFormatError, write_csv
@@ -75,8 +75,8 @@ class NoInputGraphs(OSError):
     """Input produced zero usable graphs."""
 
 
-_PARSE_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError, MatrixFormatError,
-                 ModelFormatError, GraphError, click.UsageError)
+_PARSE_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError,
+                 MatrixFormatError, ModelFormatError, GraphError, click.UsageError)
 _NUMERIC_ERRORS = (SchemaError, EmbeddingError, GraphTooLarge, TrainingDiverged,
                    DegenerateLabels, LeakageError, CheckFailed, ValueError,
                    ArithmeticError)
@@ -184,17 +184,21 @@ def _write_sidecar(out_path, manifest: dict | None = None) -> None:
                     encoding="utf-8")
 
 
-def _load_graphs(path, schema=None):
+def _load_graphs(path, schema=None, errors=None):
     """The corpus at path and its schema: the one given, else the bundled one
-    its first document names. An undecodable line raises as a parse error
-    (exit 2), any other fault as a validation failure (exit 1); each message
-    names the file, and the document's position where there is one."""
+    whose fingerprint its graphs carry. Faults go to ``errors`` if given;
+    else an undecodable line raises as a parse error (exit 2), any other as
+    a validation failure (exit 1), naming the file and the document."""
     try:
-        return _read_corpus(Path(path).read_bytes(), schema)
+        graphs = read_json_graphs(Path(path).read_bytes(), schema, errors)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise GraphError(f"{path}: document {exc.document}: {exc}") from exc
     except GraphError as exc:
         raise ValidationFailure(f"{path}: {exc}") from exc
+    if schema is None and graphs:
+        schema = next(s for s in BUNDLED_SCHEMAS.values()
+                      if s.fingerprint == graphs[0].schema_fingerprint)
+    return graphs, schema
 
 
 @click.group()
@@ -226,7 +230,7 @@ def featurize_cmd(input_path, out, schema_key):
     graphs = []
     if suffix in (".json", ".jsonl"):
         errors = []
-        graphs, schema = _read_corpus(Path(input_path).read_bytes(), schema, errors)
+        graphs, schema = _load_graphs(input_path, schema, errors)
         failed = len(errors)
         for pos, msg in errors:
             click.echo(f"document {pos}: {msg}", err=True)

@@ -11,10 +11,12 @@ CBOW context sums multiply with.
 A corpus is built in one pass (:func:`build_graphs`, which
 :func:`read_json_graphs` and ``featurize.featurize_corpus`` call): one CSR
 build for all its graphs, which are read-only views of the corpus's
-stacked arrays; ``MolecularGraph(...)`` is the one-graph case. The reader
-still decodes and converts each document on its own, so that a bad field
-is named, and then checks the whole corpus with one sweep of array masks;
-:func:`validate_graph` runs only on the graphs the sweep flags. Documents
+stacked arrays; ``MolecularGraph(...)`` is the one-graph case. The one
+corpus reader, :func:`read_json_graphs`, settles the schema and which
+documents are valid. It decodes and converts each document on its own, so
+that a bad field is named, and then checks the whole corpus with one sweep
+of array masks; :func:`validate_graph`, which returns a graph's violation
+messages as a tuple, runs only on the graphs the sweep flags. Documents
 are parsed by orjson wherever its result is the standard library's, and by
 ``json`` elsewhere; a written line has its tables spelled by orjson and its
 other fields by ``json``.
@@ -35,21 +37,6 @@ from .schema import BUNDLED_SCHEMAS, AttributeSchema
 
 class GraphError(ValueError):
     """Raised for malformed graph construction or interchange documents."""
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def __str__(self) -> str:
-        return "ok" if self.ok else "; ".join(self.violations)
 
 
 @dataclass(frozen=True)
@@ -200,11 +187,11 @@ def ones_csr(indptr, indices, ncols):
     return scipy.sparse.csr_array((data, indices, indptr), shape=(indptr.size - 1, ncols))
 
 
-def validate_graph(g: MolecularGraph, schema: AttributeSchema) -> ValidationReport:
+def validate_graph(g: MolecularGraph, schema: AttributeSchema) -> tuple[str, ...]:
     """Check every graph invariant under the schema.
 
-    Violations are returned as data, one entry per problem; an empty report
-    means the graph is valid.
+    Violations are returned as data, one message per problem; an empty
+    tuple means the graph is valid.
     """
     bad: list[str] = []
     m = g.num_vertices
@@ -234,7 +221,7 @@ def validate_graph(g: MolecularGraph, schema: AttributeSchema) -> ValidationRepo
         for (a, b), cnt in zip(pairs[counts > 1].tolist(), counts[counts > 1].tolist()):
             bad.append(f"duplicate edge ({a},{b}) listed {cnt} times")
 
-    return ValidationReport(tuple(bad))
+    return tuple(bad)
 
 
 def _invalid(graphs, sizes, attr, edges, edge_counts, schema) -> np.ndarray:
@@ -390,28 +377,20 @@ def _documents(data):
 
 
 def read_json_graphs(data, schema: AttributeSchema | None = None,
-                     errors: list | None = None):
+                     errors: list | None = None) -> list[MolecularGraph]:
     """Parse JSONL text (``bytes`` or ``str``), or one JSON array, of graph
     documents.
 
     Returns the graphs that pass validation against the schema, or, without
     one, against the bundled schema that the first document naming one
-    names. Without an ``errors`` list the first problem raises
+    names; each graph carries the fingerprint of the schema it was read
+    under. A document before that first one fails with its decode error or
+    as naming none; a later document that names another schema fails as a
+    mismatch. Without an ``errors`` list the first problem raises
     (``UnicodeDecodeError`` or ``json.JSONDecodeError`` for an undecodable
     line, with the line's position in its ``document`` attribute;
     ``GraphError`` for an invalid document, and for an empty corpus read
     without a schema); with one, each is appended as ``(pos, message)``.
-    """
-    return _read_corpus(data, schema, errors)[0]
-
-
-def _read_corpus(data, schema, errors=None):
-    """:func:`read_json_graphs`'s graphs and the schema they were read under,
-    ``None`` when no document named a bundled one.
-
-    A document before the first that names a bundled schema fails with its
-    decode error or as naming none; a later document that names another
-    schema fails as a mismatch.
 
     Documents decode and convert one at a time (:func:`_doc_fields`); the
     corpus is then built in one pass (:func:`build_graphs`), its graphs
@@ -448,7 +427,7 @@ def _read_corpus(data, schema, errors=None):
         edges = np.concatenate([e for _, e in tables])
         graphs = build_graphs(sizes, attr, edges, counts, labels, ids, schema.fingerprint)
         for k in np.flatnonzero(_invalid(graphs, sizes, attr, edges, counts, schema)).tolist():
-            failed[positions[k]] = str(validate_graph(graphs[k], schema))
+            failed[positions[k]] = "; ".join(validate_graph(graphs[k], schema))
     for pos in sorted(failed):
         problem = failed[pos]
         if errors is not None:
@@ -460,4 +439,4 @@ def _read_corpus(data, schema, errors=None):
             raise GraphError(f"document {pos}: {problem}")
     if schema is None and errors is None:
         raise GraphError("no graph documents")
-    return [g for pos, g in zip(positions, graphs) if pos not in failed], schema
+    return [g for pos, g in zip(positions, graphs) if pos not in failed]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .counts import level_dimension
 from .schema import AttributeSchema
-from .sensing import LevelOperator, build_sensing
+from .sensing import MATERIALIZE_CAP, LevelOperator, build_sensing
 
 
 @dataclass
@@ -347,8 +347,15 @@ def recovery_experiment(cfg: RecoveryConfig):
     """Success-rate grid over (r, k, n, s), one process.
 
     Every trial draws from ``default_rng([seed, r, k, n, s, t])``, so a
-    cell's count does not depend on the rest of the grid.
+    cell's count does not depend on the rest of the grid. An ISTA cell over
+    ``MATERIALIZE_CAP`` raises a ``ValueError`` before any trial runs.
     """
+    if cfg.method == "ista":
+        for r, k, n in itertools.product(cfg.r_values, cfg.k_values, cfg.n_values):
+            entries = r * level_dimension(_single_attribute_schema(k), n)
+            if entries > MATERIALIZE_CAP:
+                raise ValueError(f"ista cell r={r} k={k} n={n} needs a level operator of "
+                                 f"{entries} entries, over cap {MATERIALIZE_CAP}")
     cells: list[RecoveryCell] = []
     for r, k, n, s in itertools.product(cfg.r_values, cfg.k_values, cfg.n_values,
                                         cfg.s_values):

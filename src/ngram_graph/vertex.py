@@ -78,9 +78,10 @@ def check_schema(g: MolecularGraph, emb: VertexEmbeddingMatrix) -> None:
                 f"{g.schema_fingerprint} vs embedding {emb.schema.fingerprint}"
             )
     else:
-        report = validate_graph(g, emb.schema)
-        if not report.ok:
-            raise EmbeddingError(f"graph invalid under embedding schema: {report}")
+        violations = validate_graph(g, emb.schema)
+        if violations:
+            raise EmbeddingError("graph invalid under embedding schema: "
+                                 + "; ".join(violations))
 
 
 def vertex_rows(attr: np.ndarray, emb: VertexEmbeddingMatrix) -> np.ndarray:

@@ -697,11 +697,11 @@ def reference_read_json_graphs(data, schema, errors=None):
         except (GraphError, TypeError, ValueError, OverflowError) as exc:
             problem = str(exc)
         else:
-            report = validate_graph(g, schema)
-            if report.ok:
+            violations = validate_graph(g, schema)
+            if not violations:
                 graphs.append(g)
                 continue
-            problem = str(report)
+            problem = "; ".join(violations)
         if errors is None:
             raise GraphError(f"document {pos}: {problem}")
         errors.append((pos, problem))

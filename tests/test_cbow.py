@@ -204,6 +204,12 @@ class TestTraining:
         assert emb.provenance["dataset_id"] == "unit"
         assert emb.provenance["config_hash"] == cfg.config_hash()
 
+    def test_config_hash_pinned(self):
+        # every trained .nggm carries this hash in its provenance
+        assert CbowConfig().config_hash() == "47c6bfff0c760969"
+        cfg = CbowConfig(r=7, aggregator="mean", hidden=(3, 4), learning_rate=0.5, seed=3)
+        assert cfg.config_hash() == "028388624af59db3"
+
 
 class TestNetworkMath:
     @pytest.mark.parametrize("ks", [ng.FULL_SCHEMA.cardinalities, (3, 1, 12)],

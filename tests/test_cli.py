@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import ngram_graph as ng
@@ -197,9 +197,17 @@ class TestJsonlInput:
             assert "document 1: num_vertices must be a JSON integer, got float" in err
 
 
+    @pytest.mark.parametrize("command", [["featurize"], ["train-vertex"]])
+    def test_json_nested_past_the_recursion_limit_exits_two(self, tmp_path, capsys, command):
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(self.LINES[0] + b"\n" + b"[" * 100_000 + b"]" * 100_000 + b"\n")
+        assert main(command + [str(src), "-o", str(tmp_path / "out")]) == 2
+        assert "maximum recursion depth exceeded" in capsys.readouterr().err
+
+
 class TestReaderFuzz:
-    """Byte-mutated SDF and JSONL input: ``ngg featurize`` ends with a
-    documented exit code, never an uncaught exception."""
+    """Byte-mutated input of every kind a command reads: ``main`` ends with
+    a documented exit code; any other exception escapes and fails a test."""
 
     SDF = sdf_stream(WATER, ETHANOL, molblock("ion", ["N", "O", "C"],
                                               [(1, 2, 2), (2, 3, 1)], [3, 5, 0])).encode()
@@ -225,13 +233,93 @@ class TestReaderFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=synth.byte_mutations(JSONL))
     def test_mutated_jsonl(self, tmp_path, capsys, data):
-        assert self._featurize(tmp_path, "in.jsonl", data) in (0, 1, 2)
+        code = self._featurize(tmp_path, "in.jsonl", data)
+        assert code in (0, 1, 2)
+        if code == 0 and data.lstrip()[:1] != b"[":
+            # every nonblank line is either a graph written or a failure counted
+            summary = capsys.readouterr().err.splitlines()[-1]
+            parsed, failed = map(int, re.match(r"parsed=(\d+) failed=(\d+) ", summary).groups())
+            assert parsed + failed == sum(1 for line in data.splitlines() if line.strip())
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=synth.json_field_mutations(DOCS))
     def test_jsonl_field_replaced(self, tmp_path, capsys, data):
         assert self._featurize(tmp_path, "in.jsonl", data) in (0, 1, 2)
+
+    # case: (file mutated, command line); {src} is the mutated file, {base}
+    # holds the other inputs and {out} names the outputs
+    MUTATED = {
+        "train-vertex-jsonl": ("g.jsonl", ["train-vertex", "{src}", "-o", "{out}.nggm",
+                                           "--r", "4", "--hidden", "4", "--epochs", "1"]),
+        "embed-jsonl": ("g.jsonl", ["embed", "{src}", "--embedding", "{base}/w.nggm",
+                                    "-o", "{out}", "--T", "2"]),
+        "featurize-array": ("g.json", ["featurize", "{src}", "-o", "{out}.jsonl"]),
+        "train-vertex-config": ("cfg.json", ["train-vertex", "{base}/g.jsonl",
+                                             "--config", "{src}", "-o", "{out}.nggm"]),
+        "embed-embedding": ("w.nggm", ["embed", "{base}/g.jsonl", "--embedding", "{src}",
+                                       "-o", "{out}", "--T", "2"]),
+        "eval-features": ("f.nggm", ["eval", "--graphs", "{base}/g.jsonl", "--features",
+                                     "{src}", "--folds", "2", "--lam", "1e-3"]),
+        "eval-model": ("model.json", ["eval", "--graphs", "{base}/g.jsonl", "--features",
+                                      "{base}/f.nggm", "--model", "{src}"]),
+    }
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        """Valid inputs of every kind a command reads, built once: a labeled
+        corpus as JSONL and as one JSON array, a train-vertex config, an
+        embedding, the corpus's feature file and a model fit on it."""
+        base = tmp_path_factory.mktemp("fuzz")
+        with open(base / "g.jsonl", "w") as fh:
+            write_jsonl(_labeled_corpus(np.random.default_rng(0), 8), ng.FULL_SCHEMA, fh)
+        lines = (base / "g.jsonl").read_bytes().splitlines()
+        (base / "g.json").write_bytes(b"[" + b",".join(lines) + b"]")
+        (base / "cfg.json").write_text(json.dumps({"r": 4, "hidden": [4], "epochs": 1}))
+        save_embedding(base / "w.nggm", ng.random_embedding(ng.FULL_SCHEMA, 4, seed=0))
+        assert main(["embed", str(base / "g.jsonl"), "--embedding", str(base / "w.nggm"),
+                     "-o", str(base / "f"), "--T", "2", "--no-csv"]) == 0
+        assert main(["fit", "--features", str(base / "f.nggm"), "--graphs",
+                     str(base / "g.jsonl"), "-o", str(base / "model.json")]) == 0
+        return base
+
+    @pytest.mark.parametrize("case", sorted(MUTATED))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_input_of_every_kind(self, base, tmp_path, capsys, case, data):
+        name, argv = self.MUTATED[case]
+        mutated = data.draw(synth.byte_mutations((base / name).read_bytes()))
+        if name == "cfg.json":
+            # a run of digits could ask for a huge r, hidden layer or epoch count
+            assume(not re.search(rb"[0-9]{3}", mutated))
+        src = tmp_path / name
+        src.write_bytes(mutated)
+        argv = [a.format(src=src, base=base, out=tmp_path / "out") for a in argv]
+        assert main(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["featurize", "g.jsonl", "-o", "out.jsonl"],
+    ["train-vertex", "g.jsonl", "-o", "w2.nggm", "--r", "4", "--hidden", "4",
+     "--epochs", "1"],
+    ["embed", "g.jsonl", "--embedding", "w.nggm", "-o", "e", "--T", "2"],
+    ["oracle-check", "one.jsonl", "--embedding", "w.nggm", "--T", "2"],
+    ["fit", "--features", "f.nggm", "--graphs", "g.jsonl", "-o", "model.json"],
+    ["eval", "--graphs", "g.jsonl", "--features", "f.nggm", "--folds", "2", "--lam", "1e-3"],
+    ["sweep", "--graphs", "g.jsonl", "--r-grid", "4", "--t-grid", "1", "--folds", "2",
+     "--lam", "1e-3"],
+], ids=lambda argv: argv[0])
+def test_every_command_reads_its_corpus_through_read_json_graphs(config_workspace,
+                                                                 monkeypatch, argv):
+    """The one reader is the name that the benchmark's tracer wraps, so its
+    graph, vertex and edge counters see every corpus a command reads."""
+    calls = []
+    read = cli.read_json_graphs
+    monkeypatch.setattr(cli, "read_json_graphs",
+                        lambda *a, **kw: calls.append(a) or read(*a, **kw))
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 class TestTrainVertex:
@@ -470,6 +558,10 @@ class TestRecover:
         ({"entry_low": 0}, "'entry_low' must be at least 1"),
         ({"entry_low": 5, "entry_high": 4}, "'entry_high' must be at least 'entry_low'"),
         ({"method": "ista", "max_iter": -1}, "'max_iter' must be at least 12"),
+        ({"r_values": [8, 800], "k_values": [40], "n_values": [4], "s_values": [2],
+          "trials": 1, "method": "ista"},
+         "ista cell r=800 k=40 n=4 needs a level operator of 73112000 entries, "
+         "over cap 10000000"),
     ])
     def test_malformed_grid_exits_one_before_any_trial(self, tmp_path, capsys,
                                                        monkeypatch, doc, message):

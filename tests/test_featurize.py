@@ -98,7 +98,7 @@ class TestAttributeRules:
     def test_reduced_schema_has_five_attributes(self):
         g, _ = _featurize_text(WATER, REDUCED_SCHEMA)
         assert g.attr.shape == (1, 5)
-        assert validate_graph(g, REDUCED_SCHEMA).ok
+        assert validate_graph(g, REDUCED_SCHEMA) == ()
 
     def test_unknown_schema_key_rejected(self, tmp_path, capsys):
         src = tmp_path / "water.sdf"
@@ -123,7 +123,7 @@ class TestInvariants:
             if errors:
                 continue
             (g,), _ = featurize_corpus(records[:1])
-            assert validate_graph(g, FULL_SCHEMA).ok
+            assert validate_graph(g, FULL_SCHEMA) == ()
 
     def test_permutation_equivariance(self):
         # reordering record atoms reorders vertices but preserves structure
@@ -174,7 +174,7 @@ class TestInvariants:
         block = molblock("h2", ["H", "H"], [(1, 2, 1)])
         g, _ = _featurize_text(block)
         assert g.num_vertices == 0
-        assert validate_graph(g, FULL_SCHEMA).ok
+        assert validate_graph(g, FULL_SCHEMA) == ()
 
 
 def _array_outputs(data, schema_key):
