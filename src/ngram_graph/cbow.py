@@ -2,11 +2,11 @@
 
 Each non-isolated vertex yields one sample: predict its attributes from the
 aggregate of its neighbors' embeddings. A corpus's samples are the arrays
-of one :class:`Contexts`, from one product of its stacked adjacency with
-its one-hot rows. The predictor is W followed by a small rectifier MLP
-whose K outputs are split into per-attribute blocks, each scored with
-softmax cross-entropy. Training is mini-batch Adam on all parameters
-(W included), in float64, fully deterministic given the seed.
+of one :class:`Contexts`, from one count of the (vertex, neighbor one-hot
+slot) pairs of its stacked adjacency. The predictor is W followed by a
+small rectifier MLP whose K outputs are split into per-attribute blocks,
+each scored with softmax cross-entropy. Training is mini-batch Adam on all
+parameters (W included), in float64, fully deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graph import ones_csr, stack_graphs
+from .graph import stack_graphs
 from .schema import AttributeSchema
 from .vertex import VertexEmbeddingMatrix
 
@@ -91,12 +91,14 @@ def extract_contexts(graphs, schema: AttributeSchema) -> Contexts:
         return Contexts(np.zeros((0, schema.num_attributes), dtype=np.int64),
                         np.zeros((0, K)), np.zeros(0))
     indptr, indices, attr, _ = stack_graphs(graphs)
-    n = attr.shape[0]
-    hot = np.zeros((n, K))  # one-hot table, row per vertex
-    hot[np.arange(n)[:, None], np.asarray(schema.offsets, dtype=np.int64) + attr] = 1.0
     degs = np.diff(indptr)
     keep = np.flatnonzero(degs)
-    return Contexts(targets=attr[keep], contexts=ones_csr(indptr, indices, n)[keep] @ hot,
+    # each adjacency entry adds one to its sample's row at each one-hot slot
+    # of the neighbor; the counts are small integers, exact in float64
+    rows = np.repeat(np.arange(keep.size), degs[keep])
+    slots = np.asarray(schema.offsets, dtype=np.int64) + attr[indices]
+    counts = np.bincount((rows[:, None] * K + slots).ravel(), minlength=keep.size * K)
+    return Contexts(targets=attr[keep], contexts=counts.reshape(-1, K).astype(np.float64),
                     sizes=degs[keep].astype(np.float64))
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import importlib.resources
 import json
 import os
 import sys
@@ -35,31 +34,14 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .cbow import CbowConfig, TrainingDiverged, train_on_graphs
-from .crossval import (
-    LeakageError,
-    PipelineConfig,
-    check_no_failed_rows,
-    export_features,
-    kfold_features,
-    kfold_sweep,
-    load_features,
-    manifest_hash,
-)
-from .featurize import featurize_corpus
+# Start-up loads what the option declarations and the exit codes need;
+# each command imports the rest of its engine where it runs.
 from .graph import GraphError, read_json_graphs, write_jsonl
 from .linear import (METRICS, PENALTIES, TASKS, DegenerateLabels, LinearModel,
                      ModelFormatError, compute_metric, fit as fit_linear)
 from .matrixio import MatrixFormatError, write_csv
 from .ngram import LEVEL_SCALES, VARIANTS, GraphTooLarge, embed_corpus, oracle_embed
-from .recovery import (
-    RecoveryConfig,
-    recovery_experiment,
-    summarize_cells,
-    write_cells_csv,
-)
 from .schema import BUNDLED_SCHEMAS, AttributeSchema, SchemaError
-from .sdf import parse_sdf
 from .vertex import EmbeddingError, load_embedding, save_embedding
 
 
@@ -77,9 +59,18 @@ class NoInputGraphs(OSError):
 
 _PARSE_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError,
                  MatrixFormatError, ModelFormatError, GraphError, click.UsageError)
-_NUMERIC_ERRORS = (SchemaError, EmbeddingError, GraphTooLarge, TrainingDiverged,
-                   DegenerateLabels, LeakageError, CheckFailed, ValueError,
-                   ArithmeticError)
+_NUMERIC_ERRORS = (SchemaError, EmbeddingError, GraphTooLarge, DegenerateLabels,
+                   CheckFailed, ValueError, ArithmeticError)
+# numeric errors of modules that only some commands load: (module, class)
+_DEFERRED_NUMERIC_ERRORS = (("cbow", "TrainingDiverged"), ("crossval", "LeakageError"))
+
+
+def _loaded_numeric_errors() -> tuple:
+    """The classes of ``_DEFERRED_NUMERIC_ERRORS`` whose module is loaded; a
+    module that is not loaded has raised nothing."""
+    loaded = (getattr(sys.modules.get(f"{__package__}.{module}"), cls, None)
+              for module, cls in _DEFERRED_NUMERIC_ERRORS)
+    return tuple(c for c in loaded if c is not None)
 
 
 def _seed_default() -> int:
@@ -219,6 +210,9 @@ def cli():
 @_config_option
 def featurize_cmd(input_path, out, schema_key):
     """Parse .sdf/.mol or .json/.jsonl into a validated graph corpus."""
+    from .featurize import featurize_corpus
+    from .sdf import parse_sdf
+
     schema = BUNDLED_SCHEMAS.get(schema_key)
     suffix = Path(input_path).suffix.lower()
     if suffix in (".smi", ".smiles"):
@@ -278,6 +272,8 @@ def featurize_cmd(input_path, out, schema_key):
 @_config_option
 def train_vertex_cmd(graphs_path, out, r, aggregator, hidden, epochs, batch_size, lr, seed):
     """Train the vertex embedding matrix on neighbor contexts."""
+    from .cbow import CbowConfig, train_on_graphs
+
     graphs, schema = _load_graphs(graphs_path)
     cfg = CbowConfig(
         r=r, aggregator=aggregator, hidden=hidden, epochs=epochs,
@@ -315,6 +311,8 @@ def train_vertex_cmd(graphs_path, out, r, aggregator, hidden, epochs, batch_size
 def embed(graphs_path, embedding_path, out, t_steps, variant, normalize,
           level_scale, want_csv):
     """Embed a graph corpus into a feature matrix."""
+    from .crossval import export_features
+
     emb = load_embedding(embedding_path)
     graphs, _ = _load_graphs(graphs_path, emb.schema)
     matrix, manifest = embed_corpus(
@@ -372,9 +370,13 @@ def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
 @_config_option
 def recover(grid_path, out, seed):
     """Monte-Carlo sparse-recovery success rates over an (r, k, n, s) grid."""
+    from .recovery import RecoveryConfig, recovery_experiment, summarize_cells, write_cells_csv
+
     if grid_path:
         doc = json.loads(Path(grid_path).read_text(encoding="utf-8"))
     else:
+        import importlib.resources
+
         doc = json.loads(
             importlib.resources.files("ngram_graph")
             .joinpath("data", "recovery_desk.json")
@@ -409,6 +411,8 @@ def _feature_hash(manifest: dict) -> str:
     """``manifest_hash`` of a feature manifest without its input paths, so
     features embedded from the same files hash alike however the paths were
     typed; the inputs' SHA-256s stay in."""
+    from .crossval import manifest_hash
+
     run = manifest.get("run")
     inputs = run.get("inputs") if isinstance(run, dict) else None
     if isinstance(inputs, dict):
@@ -430,6 +434,8 @@ def _labeled_features(features_path, graphs_path):
     The graphs are read under the schema that the feature manifest carries.
     A graph the embed run recorded as failed exits 1 here, before any fit.
     """
+    from .crossval import check_no_failed_rows, load_features
+
     X, manifest = load_features(features_path)
     check_no_failed_rows(manifest)
     graphs, _ = _load_graphs(graphs_path, AttributeSchema.from_dict(manifest["schema"]))
@@ -517,6 +523,8 @@ def eval_cmd(graphs_path, features_path, model_path, folds, task, metric, lam,
             _write_predictions(predictions, manifest, scores)
         return
 
+    from .crossval import kfold_features
+
     seed = _seed_default() if seed is None else seed
     report = kfold_features(X, y, task=task, metric=metric, folds=folds, seed=seed,
                             lam=lam, stratified=stratified)
@@ -554,6 +562,8 @@ def _warn_unconverged(report, where: str = "") -> None:
 def sweep(graphs_path, r_grid, t_grid, mode, variant, folds, task, metric, lam,
           stratified, out, seed):
     """Cross-validated metric over an (r, T) grid, one row per combination."""
+    from .crossval import PipelineConfig, kfold_sweep
+
     for hint, grid in (("'--r-grid'", r_grid), ("'--t-grid'", t_grid)):
         if not grid:
             raise click.BadParameter("needs at least one value", param_hint=hint)
@@ -596,7 +606,9 @@ def main(argv=None) -> int:
     except _PARSE_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
-    except _NUMERIC_ERRORS as exc:
+    # an except clause's tuple is built when an exception reaches it, after
+    # the command has imported what it runs
+    except _NUMERIC_ERRORS + _loaded_numeric_errors() as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
 

@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from . import matrixio
-from .cbow import CbowConfig, train_on_graphs
 from .linear import DegenerateLabels, compute_metric, fit_path
 from .ngram import embed_corpus, feature_column_names
 from .schema import AttributeSchema
@@ -198,6 +197,8 @@ def check_no_failed_rows(manifest: dict) -> None:
 
 def _fold_embedding(graphs, train_idx, schema, cfg: PipelineConfig, fold: int):
     """CBOW-train a vertex embedding on one fold's training graphs only."""
+    from .cbow import CbowConfig, train_on_graphs  # only trained embeddings load it
+
     emb, _ = train_on_graphs(
         [graphs[i] for i in train_idx],
         schema,

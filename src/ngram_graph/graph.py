@@ -5,8 +5,8 @@ and binary and has one representation: a CSR adjacency (``indptr``/
 ``indices``, each row in ascending order) built from the edge list. Every
 neighbour lookup reads it, and the canonical edge list (u < v, sorted, for
 serialization) is its upper triangle. :func:`stack_graphs` lays a corpus
-out as one block-diagonal CSR, the adjacency that the walk engine and the
-CBOW context sums multiply with.
+out as one block-diagonal CSR, the adjacency that the walk engine
+multiplies with and the CBOW context counts read.
 
 A corpus is built in one pass (:func:`build_graphs`, which
 :func:`read_json_graphs` and ``featurize.featurize_corpus`` call): one CSR

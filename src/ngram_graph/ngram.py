@@ -108,6 +108,7 @@ def _finalize(L, C, level_scale, normalization):
         norm = np.sqrt(np.cumsum(sq, axis=1)[:, -1:])  # summed in level order
         L = np.where(norm[:, :, None] > 0, L / np.where(norm > 0, norm, 1.0)[:, :, None],
                      L.astype(np.float64))
+        L[~np.isfinite(norm[:, 0])] = np.nan  # an overflowed norm would scale its row to 0
     return L
 
 
@@ -332,7 +333,8 @@ def embed_corpus(
     range); one that fails gets a NaN row and an entry in the manifest's
     error map instead of aborting the run. The rest go through the batched
     engine: the ``walk`` recurrence on a stacked adjacency, the frontier
-    expander for ``path`` and ``vertex_path``. A row never depends on which
+    expander for ``path`` and ``vertex_path``; a float row that overflows
+    to a non-finite entry fails the same way. A row never depends on which
     graphs share its batch.
     """
     _check_options(T, variant, level_scale, normalization)
@@ -348,9 +350,15 @@ def embed_corpus(
             errors[i] = str(exc)
     rows = np.full((len(graphs), width), np.nan)
     if good:
-        L, C = _levels([graphs[i] for i in good], emb, T, variant,
-                       counts=level_scale == "count")
-        rows[good] = _finalize(L, C, level_scale, normalization).reshape(len(good), -1)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported per row below
+            L, C = _levels([graphs[i] for i in good], emb, T, variant,
+                           counts=level_scale == "count")
+            X = _finalize(L, C, level_scale, normalization).reshape(len(good), -1)
+        rows[good] = X
+        overflowed = np.asarray(good)[~np.isfinite(X).all(axis=1)]
+        rows[overflowed] = np.nan
+        errors.update(dict.fromkeys(overflowed.tolist(),
+                                    f"float64 walk features overflow at T={T}"))
     manifest = {
         "kind": "feature-matrix",
         "num_graphs": len(graphs),

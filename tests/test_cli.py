@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import ngram_graph as ng
-from ngram_graph import cli, crossval
+from ngram_graph import cbow, cli, crossval
 from ngram_graph.cli import main
 from ngram_graph import graph as graph_module, recovery
 from ngram_graph.graph import write_jsonl
@@ -396,6 +396,18 @@ class TestTrainVertex:
                 else [command, "--graphs", str(corpus)])
         assert main(argv + ["-o", str(out)] + flags) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_divergence_exits_one(self, tmp_path, rng, capsys):
+        # a step size at overflow scale makes the loss non-finite
+        corpus = self._corpus(tmp_path, rng)
+        out = tmp_path / "w.nggm"
+        with np.errstate(all="ignore"):
+            code = main(["train-vertex", str(corpus), "-o", str(out), "--r", "4",
+                         "--hidden", "4", "--epochs", "3", "--lr", "1e200"])
+        assert code == 1
+        assert re.fullmatch(r"error: non-finite loss at epoch \d+",
+                            capsys.readouterr().err.splitlines()[-1])
         assert not out.exists()
 
     def test_predictable_corpus_reports_high_accuracy(self, tmp_path, rng, capsys):
@@ -805,13 +817,13 @@ class TestFitEval:
         with open(gp, "w") as fh:
             write_jsonl(_labeled_corpus(rng, 24), ng.FULL_SCHEMA, fh)
         trained = []
-        real_train = crossval.train_on_graphs
+        real_train = cbow.train_on_graphs
 
         def counted(*a, **kw):
             trained.append(kw["dataset_id"])
             return real_train(*a, **kw)
 
-        monkeypatch.setattr(crossval, "train_on_graphs", counted)
+        monkeypatch.setattr(cbow, "train_on_graphs", counted)
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--graphs", str(gp), "--mode", "trained", "--r-grid", "4,3",
                      "--t-grid", "1,3,2", "--folds", "3", "--lam", "1e-3", "--seed", "5",
@@ -889,6 +901,74 @@ class TestFitEval:
             assert main(argv + feats) == 1
             assert capsys.readouterr() == ("", named)
         assert not model.exists()
+
+    def test_float_overflow_rows_are_counted_and_named(self, tmp_path, rng, capsys,
+                                                       monkeypatch):
+        # with a 1e120 entry a level-3 walk over two value-0 vertices sums to
+        # 1e360, past float64; with --normalize so does the squared norm of a
+        # graph with one value-0 vertex (1e480). Each such row is NaN and
+        # named, the others keep the bytes they have without those graphs, and
+        # fit, eval and sweep refuse the file before any fit
+        sch = synth.single_attribute_schema(2)
+        gp, wp, model = tmp_path / "g.jsonl", tmp_path / "w.nggm", tmp_path / "model.json"
+        values = [(1, 1), (0, 0), (0, 1), (1, 1), (0, 0), (1, 0)]
+        graphs = [ng.MolecularGraph(num_vertices=2, attr=[[a], [b]], edges=[[0, 1]],
+                                    label=float(i % 2), graph_id=f"m{i}",
+                                    schema_fingerprint=sch.fingerprint)
+                  for i, (a, b) in enumerate(values)]
+        with open(gp, "w") as fh:
+            write_jsonl(graphs, sch, fh)
+        emb = ng.VertexEmbeddingMatrix(matrix=np.array([[1e120, 1.0]]), schema=sch,
+                                       provenance={"kind": "scaled"})
+        save_embedding(wp, emb)
+        reason = "float64 walk features overflow at T=3"
+        for flags, failed in (([], [1, 4]), (["--normalize"], [1, 2, 4, 5])):
+            fp = tmp_path / f"f{len(flags)}"
+            with np.errstate(all="raise"):  # the engine checks rows, numpy need not warn
+                assert main(["embed", str(gp), "--embedding", str(wp), "-o", str(fp),
+                             "--T", "3", *flags]) == 0
+            assert capsys.readouterr().err.splitlines() == [
+                *(f"row {i}: {reason}" for i in failed),
+                f"embedded {6 - len(failed)} of 6 graphs ({len(failed)} failed) "
+                f"-> {fp}.nggm"]
+            X, _ = read_matrix(f"{fp}.nggm")
+            assert np.isnan(X[failed]).all()
+            kept = [i for i in range(6) if i not in failed]
+            alone, manifest = ng.embed_corpus([graphs[i] for i in kept], emb, 3,
+                                              normalization="unit-l2" if flags else "none")
+            assert manifest["errors"] == {}
+            assert X[kept].tobytes() == alone.tobytes()
+            named = (f"error: {len(failed)} of 6 graphs failed to embed; the first, "
+                     f"'m1' (row 1): {reason}\n")
+            feats = ["--features", f"{fp}.nggm", "--graphs", str(gp)]
+            for argv in (["fit", "-o", str(model)], ["eval", "--folds", "2"]):
+                assert main(argv + feats) == 1
+                assert capsys.readouterr() == ("", named)
+            assert not model.exists()
+        # sweep makes its own embedding, so the random one is scaled here
+        with open(gp, "w") as fh:
+            write_jsonl(_labeled_corpus(rng, 6), ng.FULL_SCHEMA, fh)
+        real = crossval.random_embedding
+
+        def scaled(*a, **kw):
+            emb = real(*a, **kw)
+            return ng.VertexEmbeddingMatrix(matrix=emb.matrix * 1e120, schema=emb.schema,
+                                            provenance=emb.provenance)
+
+        monkeypatch.setattr(crossval, "random_embedding", scaled)
+        assert main(["sweep", "--graphs", str(gp), "--r-grid", "2", "--t-grid", "3",
+                     "--folds", "2", "--lam", "1e-3"]) == 1
+        assert capsys.readouterr() == ("", "error: 6 of 6 graphs failed to embed; the "
+                                           f"first, 'g0' (row 0): {reason}\n")
+
+    def test_leakage_exits_one(self, config_workspace, monkeypatch, capsys):
+        def leaked(*a, **kw):
+            raise crossval.LeakageError("embedding was trained on test rows [0]")
+
+        monkeypatch.setattr(crossval, "kfold_sweep", leaked)
+        capsys.readouterr()
+        assert main(_argv(config_workspace, "sweep")) == 1
+        assert capsys.readouterr() == ("", "error: embedding was trained on test rows [0]\n")
 
     def test_eval_predictions_needs_model(self, labeled_setup, tmp_path, capsys):
         _, gp, feats = labeled_setup
@@ -1543,15 +1623,15 @@ print(json.dumps(doc))
 
 def test_cli_import_skips_scipy_stats_and_optimize(config_workspace, water_sdf):
     """Start-up loads no scipy module, and no orjson before a graph document
-    is first read or written or a CSV first written; featurize, fit, every
-    eval run and every --help stay scipy-free, and recovery never loads
-    scipy.optimize. embed, whose walk products are sparse, loads
+    is first read or written or a CSV first written; featurize, train-vertex,
+    fit, every eval run and every --help stay scipy-free, and recovery never
+    loads scipy.optimize. embed, whose walk products are sparse, loads
     scipy.sparse at its first product."""
     eval_features = ["eval", "--graphs", "g.jsonl", "--features", "f.nggm"]
     runs = {
         "commands": [["--help"], ["featurize", "--help"], ["embed", "--help"],
                      ["featurize", str(water_sdf), "-o", "w.jsonl"],
-                     _argv(config_workspace, "fit")],
+                     _argv(config_workspace, "train-vertex"), _argv(config_workspace, "fit")],
         "eval": [["eval", "--help"], _argv(config_workspace, "eval"),
                  eval_features + ["--folds", "3", "--stratified", "--task", "least-squares",
                                   "--metric", "rmse"],
@@ -1563,7 +1643,7 @@ def test_cli_import_skips_scipy_stats_and_optimize(config_workspace, water_sdf):
     out = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, json.dumps(runs)],
                          env=env, capture_output=True, text=True, check=True).stdout
     doc = json.loads(out.splitlines()[-1])
-    assert doc["codes"] == [0] * 10
+    assert doc["codes"] == [0] * 11
     assert doc["import"] == []
     # a linear fit is numpy-only: scipy.linalg would add ~8 MiB of resident memory
     assert doc["commands"] == []
@@ -1572,3 +1652,68 @@ def test_cli_import_skips_scipy_stats_and_optimize(config_workspace, water_sdf):
     assert np.allclose(doc["c_hat"], [[0.0, 2.0, 3.0]] * 2)
     assert "scipy.sparse" in doc["embed"]
     assert "scipy.optimize" not in doc["embed"]
+
+
+ENGINE_MODULES = ("cbow", "crossval", "featurize", "sdf", "counts", "sensing", "recovery")
+
+_ENGINE_PROBE = """
+import json, sys
+import numpy as np
+import ngram_graph.cli
+
+def engine_modules():
+    return sorted(m for m in sys.modules if m.startswith("ngram_graph.")
+                  and m.split(".")[1] in %r)
+
+doc = {"import": engine_modules()}
+# TrainingDiverged exits 1 though cbow was first loaded by the command
+with np.errstate(all="ignore"):
+    doc["code"] = ngram_graph.cli.main(sys.argv[1:])
+doc["train-vertex"] = engine_modules()
+print(json.dumps(doc))
+""" % (ENGINE_MODULES,)
+
+
+def test_cli_import_loads_no_engine_module(config_workspace):
+    """Start-up loads the modules the option declarations and the exit codes
+    need; a command loads its engine where it runs."""
+    argv = _argv(config_workspace, "train-vertex", extra=["--epochs", "3", "--lr", "1e200"])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _ENGINE_PROBE, *argv], env=env,
+                          capture_output=True, text=True)
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["import"] == []
+    assert doc["code"] == 1
+    assert re.search(r"^error: non-finite loss at epoch \d+$", proc.stderr, re.M)
+    assert doc["train-vertex"] == ["ngram_graph.cbow"]
+
+
+_PACKAGE_PROBE = """
+import json, sys
+import ngram_graph as ng
+
+doc = {"import": sorted(m for m in sys.modules if m.startswith("ngram_graph."))}
+doc["submodule"] = ng.crossval.__name__
+namespace = {}
+exec("from ngram_graph import *", namespace)
+doc["star"] = sorted(k for k in namespace if not k.startswith("__"))
+print(json.dumps(doc))
+"""
+
+
+def test_package_names_resolve_on_first_access():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _PACKAGE_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    doc = json.loads(out.splitlines()[-1])
+    assert doc["import"] == []
+    assert doc["submodule"] == "ngram_graph.crossval"
+    assert doc["star"] == sorted(ng.__all__)
+    assert set(ng.__all__) <= set(dir(ng))
+    assert all(getattr(ng, name) is not None for name in ng.__all__)
+    assert ng.parse_sdf is sys.modules["ngram_graph.sdf"].parse_sdf
+    assert ng.FULL_SCHEMA is BUNDLED_SCHEMAS["full"]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ng.no_such_name
