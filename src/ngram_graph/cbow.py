@@ -24,7 +24,7 @@ from .vertex import VertexEmbeddingMatrix
 HOLDOUT_FRACTION = 0.1
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(FloatingPointError):
     def __init__(self, epoch: int):
         super().__init__(f"non-finite loss at epoch {epoch}")
         self.epoch = epoch
@@ -219,11 +219,9 @@ def train_cbow(
     net = CbowNetwork(schema, cfg, rng)
     contexts, sizes, targets = samples.contexts, samples.sizes, samples.targets
 
-    n_hold = int(round(HOLDOUT_FRACTION * n)) if n > 1 else 0
+    n_hold = round(HOLDOUT_FRACTION * n)  # below n for every n >= 1
     order = rng.permutation(n)
     hold, train = order[:n_hold], order[n_hold:]
-    if train.size == 0:
-        train, hold = order, order[:0]
 
     report = TrainingReport()
 
@@ -234,34 +232,33 @@ def train_cbow(
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
-    for epoch in range(cfg.epochs):
-        epoch_loss = 0.0
-        seen = 0
-        for idx in _batches(train.size, cfg.batch_size, rng):
-            batch = train[idx]
-            loss, grads = net.loss_and_grads(contexts[batch], sizes[batch], targets[batch])
-            if not np.isfinite(loss):
-                raise TrainingDiverged(epoch)
-            step += 1
-            for p, g, ms, vs in zip(params, grads, m_state, v_state):
-                ms *= beta1
-                ms += (1 - beta1) * g
-                vs *= beta2
-                vs += (1 - beta2) * g * g
-                mhat = ms / (1 - beta1 ** step)
-                vhat = vs / (1 - beta2 ** step)
-                p -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
-            epoch_loss += loss * batch.size
-            seen += batch.size
-        report.epoch_losses.append(epoch_loss / max(seen, 1))
+    # a step that overflows shows as a non-finite loss, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            epoch_loss = 0.0
+            for idx in _batches(train.size, cfg.batch_size, rng):
+                batch = train[idx]
+                loss, grads = net.loss_and_grads(contexts[batch], sizes[batch], targets[batch])
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(epoch)
+                step += 1
+                for p, g, ms, vs in zip(params, grads, m_state, v_state):
+                    ms *= beta1
+                    ms += (1 - beta1) * g
+                    vs *= beta2
+                    vs += (1 - beta2) * g * g
+                    mhat = ms / (1 - beta1 ** step)
+                    vhat = vs / (1 - beta2 ** step)
+                    p -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
+                epoch_loss += loss * batch.size
+            report.epoch_losses.append(epoch_loss / train.size)
 
-    eval_idx = hold if hold.size else train
-    if eval_idx.size:
-        pred = net.predict_blocks(contexts[eval_idx], sizes[eval_idx])
-        correct = pred == targets[eval_idx]
-        for j, name in enumerate(schema.attribute_names):
-            report.holdout_accuracy[name] = float(correct[:, j].mean())
-        report.mean_accuracy = float(np.mean(list(report.holdout_accuracy.values())))
+    eval_idx = hold if hold.size else train  # n = 1 holds nothing out
+    pred = net.predict_blocks(contexts[eval_idx], sizes[eval_idx])
+    correct = pred == targets[eval_idx]
+    for j, name in enumerate(schema.attribute_names):
+        report.holdout_accuracy[name] = float(correct[:, j].mean())
+    report.mean_accuracy = float(np.mean(list(report.holdout_accuracy.values())))
 
     prov = {
         "kind": "trained",

@@ -18,8 +18,8 @@ A graph corpus is read under the bundled schema its first document names.
 Only ``featurize`` takes ``--schema``: the schema of SDF input, or the one
 that JSON input must name. The other commands take the schema their
 embedding or feature file carries.
-Exit codes: 0 success, 1 numeric or validation failure, 2 I/O, parse or
-usage failure.
+Exit codes: 0 success; 2 on an I/O, decode, format or usage error; 1 on
+any other ``ValueError`` or ``ArithmeticError``.
 """
 
 from __future__ import annotations
@@ -34,43 +34,22 @@ from pathlib import Path
 import click
 import numpy as np
 
-# Start-up loads what the option declarations and the exit codes need;
-# each command imports the rest of its engine where it runs.
+# Start-up loads what the option declarations need; each command imports
+# the rest of its engine where it runs.
 from .graph import GraphError, read_json_graphs, write_jsonl
-from .linear import (METRICS, PENALTIES, TASKS, DegenerateLabels, LinearModel,
-                     ModelFormatError, compute_metric, fit as fit_linear)
+from .linear import (METRICS, PENALTIES, TASKS, LinearModel, ModelFormatError,
+                     compute_metric, fit as fit_linear)
 from .matrixio import MatrixFormatError, write_csv
-from .ngram import LEVEL_SCALES, VARIANTS, GraphTooLarge, embed_corpus, oracle_embed
-from .schema import BUNDLED_SCHEMAS, AttributeSchema, SchemaError
-from .vertex import EmbeddingError, load_embedding, save_embedding
+from .ngram import LEVEL_SCALES, VARIANTS, embed_corpus, oracle_embed
+from .schema import BUNDLED_SCHEMAS, AttributeSchema
+from .vertex import load_embedding, save_embedding
 
-
-class CheckFailed(RuntimeError):
-    """A verification command found a mismatch."""
-
-
-class ValidationFailure(ValueError):
-    """Input graphs failed invariant validation."""
-
-
-class NoInputGraphs(OSError):
-    """Input produced zero usable graphs."""
-
-
+# An exception's class picks its exit code: these exit 2, then any other
+# ValueError or ArithmeticError (the engine's own errors derive from them)
+# exits 1.
 _PARSE_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError,
                  MatrixFormatError, ModelFormatError, GraphError, click.UsageError)
-_NUMERIC_ERRORS = (SchemaError, EmbeddingError, GraphTooLarge, DegenerateLabels,
-                   CheckFailed, ValueError, ArithmeticError)
-# numeric errors of modules that only some commands load: (module, class)
-_DEFERRED_NUMERIC_ERRORS = (("cbow", "TrainingDiverged"), ("crossval", "LeakageError"))
-
-
-def _loaded_numeric_errors() -> tuple:
-    """The classes of ``_DEFERRED_NUMERIC_ERRORS`` whose module is loaded; a
-    module that is not loaded has raised nothing."""
-    loaded = (getattr(sys.modules.get(f"{__package__}.{module}"), cls, None)
-              for module, cls in _DEFERRED_NUMERIC_ERRORS)
-    return tuple(c for c in loaded if c is not None)
+_NUMERIC_ERRORS = (ValueError, ArithmeticError)
 
 
 def _seed_default() -> int:
@@ -179,13 +158,13 @@ def _load_graphs(path, schema=None, errors=None):
     """The corpus at path and its schema: the one given, else the bundled one
     whose fingerprint its graphs carry. Faults go to ``errors`` if given;
     else an undecodable line raises as a parse error (exit 2), any other as
-    a validation failure (exit 1), naming the file and the document."""
+    a ValueError (exit 1), naming the file and the document."""
     try:
         graphs = read_json_graphs(Path(path).read_bytes(), schema, errors)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise GraphError(f"{path}: document {exc.document}: {exc}") from exc
     except GraphError as exc:
-        raise ValidationFailure(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     if schema is None and graphs:
         schema = next(s for s in BUNDLED_SCHEMAS.values()
                       if s.fingerprint == graphs[0].schema_fingerprint)
@@ -240,7 +219,7 @@ def featurize_cmd(input_path, out, schema_key):
                 click.echo(f"{rec.name or 'record'}: {w}", err=True)
 
     if not graphs:
-        raise NoInputGraphs(f"no graphs parsed from {input_path}")
+        raise GraphError(f"no graphs parsed from {input_path}")
 
     with open(out, "w", encoding="utf-8") as fh:
         write_jsonl(graphs, schema, fh)
@@ -346,8 +325,8 @@ def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
     graphs, _ = _load_graphs(graphs_path, emb.schema)
     X, manifest = embed_corpus(graphs, emb, t_steps)
     if manifest["errors"]:
-        raise CheckFailed("; ".join(f"row {row}: {msg}"
-                                    for row, msg in manifest["errors"].items()))
+        raise ValueError("; ".join(f"row {row}: {msg}"
+                                   for row, msg in manifest["errors"].items()))
     worst = 0.0
     for g, fast in zip(graphs, X):
         slow = oracle_embed(g, emb, t_steps, cap=cap).vector
@@ -355,7 +334,7 @@ def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
         worst = max(worst, float(np.max(np.abs(fast - slow))) / scale)
     click.echo(f"max relative residual over {len(graphs)} graphs: {worst:.3e}")
     if worst > tol:
-        raise CheckFailed(f"residual {worst:.3e} exceeds tolerance {tol:.1e}")
+        raise ValueError(f"residual {worst:.3e} exceeds tolerance {tol:.1e}")
 
 
 # -- recover ------------------------------------------------------------------------
@@ -606,9 +585,7 @@ def main(argv=None) -> int:
     except _PARSE_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
-    # an except clause's tuple is built when an exception reaches it, after
-    # the command has imported what it runs
-    except _NUMERIC_ERRORS + _loaded_numeric_errors() as exc:
+    except _NUMERIC_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
 

@@ -35,7 +35,7 @@ from .vertex import VertexEmbeddingMatrix, random_embedding
 LAMBDA_GRID = tuple(10.0 ** e for e in range(-4, 2))  # 1e-4 .. 1e1
 
 
-class LeakageError(RuntimeError):
+class LeakageError(ValueError):
     """A fold tried to score rows its embedding was trained on."""
 
 

@@ -47,7 +47,6 @@ class FitReport:
     objective: float = float("nan")
     grad_norm: float = float("nan")
     converged: bool = False
-    objective_trace: list = field(default_factory=list, repr=False)
 
 
 @dataclass
@@ -305,7 +304,7 @@ def _newton(X, X1, y, task, lam, penalty, start, H0, max_iter):
     """Newton steps with backtracking from ``start`` = (theta, objective,
     gradient), with H0 the loss Hessian there; returns theta and its report."""
     theta, obj, grad = start
-    report = FitReport(objective_trace=[obj])
+    report = FitReport()
     for it in range(1, max_iter + 1):
         if _grad_norm(theta, grad, lam, penalty) <= GRAD_TOL:
             break
@@ -329,7 +328,6 @@ def _newton(X, X1, y, task, lam, penalty, start, H0, max_iter):
         else:  # step underflow: no descent direction left at this precision
             break
         theta, obj, grad = cand, cand_obj, cand_grad
-        report.objective_trace.append(obj)
     report.objective = obj
     report.grad_norm = _grad_norm(theta, grad, lam, penalty)
     report.converged = report.grad_norm <= GRAD_TOL

@@ -285,13 +285,12 @@ def oracle_embed(
     variant: str = "walk",
     cap: int = 12,
     level_scale: str = "none",
-    normalization: str = "none",
 ) -> NGramEmbedding:
     """Brute-force depth-first walk enumeration, every walk once from its
     start vertex; exponential, so refuses m > cap. It shares no code with
     the engine's walk sums and is the reference they are tested against.
     """
-    _check_options(T, variant, level_scale, normalization)
+    _check_options(T, variant, level_scale, "none")
     if g.num_vertices > cap:
         raise GraphTooLarge(f"m={g.num_vertices} exceeds enumeration cap {cap}; "
                             "use embed_corpus")
@@ -315,7 +314,7 @@ def oracle_embed(
             for u in nbrs[ptr[seq[-1]] : ptr[seq[-1] + 1]]:
                 if tags is None or tags[u] not in seen:
                     stack.append((seq + (u,), prod * base[u]))
-    L = _finalize(levels[None], counts[None], level_scale, normalization)
+    L = _finalize(levels[None], counts[None], level_scale, "none")
     return NGramEmbedding(levels=tuple(L[0]))
 
 

@@ -51,6 +51,20 @@ _EPS = np.finfo(np.float64).eps
 RESIDUAL_TOL = 1e-9  # converged: ||f - A c|| <= RESIDUAL_TOL * max(||f||, 1)
 
 
+def _result(f, residual, c_hat, method: str, iterations: int) -> RecoveryResult:
+    """Either solver's result; ``converged`` means the residual f - A c_hat
+    is within ``RESIDUAL_TOL`` of max(||f||, 1)."""
+    res_norm = float(np.linalg.norm(residual))
+    return RecoveryResult(
+        c_hat=c_hat,
+        residual_norm=res_norm,
+        support=tuple(int(s) for s in np.flatnonzero(c_hat > 0)),
+        converged=bool(res_norm <= RESIDUAL_TOL * max(np.linalg.norm(f), 1.0)),
+        method=method,
+        iterations=iterations,
+    )
+
+
 def _nnls_gram(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The x >= 0 minimizing ||A x - f|| from the normal equations G = A^T A,
     b = A^T f, by the Lawson-Hanson active-set method.
@@ -115,7 +129,8 @@ def _passive_lstsq(G, b, passive):
 
 def omp_recover(f: np.ndarray, op, sparsity: int) -> RecoveryResult:
     """Greedy pursuit: pick the best-correlated column, NNLS-refit, repeat
-    until the residual converges (``RESIDUAL_TOL``) or the budget is spent."""
+    until the residual converges (``RESIDUAL_TOL``) or the budget of
+    min(sparsity, columns) picks is spent."""
     (rows, ncols), correlate, norms, take = _operator_interface(op)
     f = np.asarray(f, dtype=np.float64)
     residual = f.copy()
@@ -129,7 +144,7 @@ def omp_recover(f: np.ndarray, op, sparsity: int) -> RecoveryResult:
     G = np.empty((budget, budget))
     Atf = np.empty(budget)
     it = 0
-    for it in range(1, int(sparsity) + 1):
+    for it in range(1, budget + 1):
         if np.linalg.norm(residual) <= RESIDUAL_TOL * fnorm:
             break
         corr = np.abs(correlate(residual)) / safe
@@ -151,15 +166,7 @@ def omp_recover(f: np.ndarray, op, sparsity: int) -> RecoveryResult:
     c_hat = np.zeros(ncols)
     for s, x in zip(support, coef):
         c_hat[s] = x
-    res_norm = float(np.linalg.norm(residual))
-    return RecoveryResult(
-        c_hat=c_hat,
-        residual_norm=res_norm,
-        support=tuple(int(s) for s in np.nonzero(c_hat > 0)[0]),
-        converged=res_norm <= RESIDUAL_TOL * fnorm,
-        method="omp",
-        iterations=it,
-    )
+    return _result(f, residual, c_hat, "omp", it)
 
 
 ISTA_PHASES = 12  # of the annealed threshold schedule, sharing max_iter
@@ -192,10 +199,7 @@ def ista_recover(f: np.ndarray, op, max_iter: int = 2000) -> RecoveryResult:
         A = np.asarray(op, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     if A.shape[1] == 0:
-        return RecoveryResult(
-            c_hat=np.zeros(0), residual_norm=float(np.linalg.norm(f)),
-            support=(), converged=True, method="ista", iterations=0,
-        )
+        return _result(f, f, np.zeros(0), "ista", 0)
     L = np.linalg.norm(A, 2) ** 2
     if L == 0:
         L = 1.0
@@ -219,27 +223,24 @@ def ista_recover(f: np.ndarray, op, max_iter: int = 2000) -> RecoveryResult:
             if support.size:
                 A_S = A[:, support]
                 c_hat[support] = _nnls_gram(A_S.T @ A_S, A_S.T @ f)
-            res_norm = float(np.linalg.norm(f - A @ c_hat))
-            if res_norm <= RESIDUAL_TOL * fnorm:
+            residual = f - A @ c_hat
+            if np.linalg.norm(residual) <= RESIDUAL_TOL * fnorm:
                 break
         previous = support
-    return RecoveryResult(
-        c_hat=c_hat,
-        residual_norm=res_norm,
-        support=tuple(int(s) for s in np.nonzero(c_hat > 0)[0]),
-        converged=res_norm <= RESIDUAL_TOL * fnorm,
-        method="ista",
-        iterations=it,
-    )
+    return _result(f, residual, c_hat, "ista", it)
 
 
-def sparse_recover(f, op, method: str = "omp", sparsity: int | None = None, **kw):
+def sparse_recover(f, op, method: str = "omp", *, sparsity: int | None = None,
+                   max_iter: int = 2000) -> RecoveryResult:
+    """Recover c from f = A c: greedy pursuit with a budget of ``sparsity``
+    picks, or soft thresholding in ``max_iter`` iterations; each method
+    ignores the other's parameter."""
     if method == "omp":
         if sparsity is None:
             raise ValueError("omp needs a sparsity budget")
-        return omp_recover(f, op, sparsity, **kw)
+        return omp_recover(f, op, sparsity)
     if method == "ista":
-        return ista_recover(f, op, **kw)
+        return ista_recover(f, op, max_iter)
     raise ValueError(f"unknown recovery method {method!r}")
 
 
@@ -334,10 +335,7 @@ def run_trial(r: int, k: int, n: int, s: int, method: str, rng,
         support = rng.choice(dim, size=s, replace=False)
         c[support] = rng.integers(entry_low, entry_high + 1, size=s)
     f = op.matvec(c)
-    if method == "omp":
-        result = sparse_recover(f, op, method="omp", sparsity=s)
-    else:
-        result = sparse_recover(f, op, method=method, max_iter=max_iter)
+    result = sparse_recover(f, op, method=method, sparsity=s, max_iter=max_iter)
     true_support = set(np.nonzero(c)[0])
     found_support = set(np.nonzero(np.abs(result.c_hat) > 0.25)[0])
     return found_support == true_support and float(np.max(np.abs(result.c_hat - c))) < 0.5

@@ -166,6 +166,12 @@ class TestTraining:
         ("r", 0, "r must be >= 1"),
         ("batch_size", 0, "batch size must be >= 1"),
         ("epochs", -1, "epochs must be >= 0"),
+        ("hidden", (), "hidden layer list must be nonempty"),
+        ("hidden", (8, 0), "hidden sizes must be positive"),
+        ("hidden", (-4,), "hidden sizes must be positive"),
+        ("learning_rate", 0.0, "learning rate must be > 0"),
+        ("learning_rate", -1e-3, "learning rate must be > 0"),
+        ("aggregator", "max", "unknown aggregator 'max'"),
     ])
     def test_untrainable_config_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):

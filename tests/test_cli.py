@@ -410,6 +410,18 @@ class TestTrainVertex:
                             capsys.readouterr().err.splitlines()[-1])
         assert not out.exists()
 
+    def test_divergence_prints_only_the_error(self, tmp_path, rng):
+        # numpy's overflow warnings stay quiet; the error line reports the divergence
+        corpus = self._corpus(tmp_path, rng)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ngram_graph.cli", "train-vertex", str(corpus),
+             "-o", str(tmp_path / "w.nggm"), "--r", "8", "--hidden", "8", "--epochs", "2",
+             "--lr", "1e200"], env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert re.fullmatch(r"error: non-finite loss at epoch \d+\n", proc.stderr)
+        assert not (tmp_path / "w.nggm").exists()
+
     def test_predictable_corpus_reports_high_accuracy(self, tmp_path, rng, capsys):
         sch = ng.FULL_SCHEMA
         graphs = synth.neighbor_predictable_corpus(rng, sch, n_graphs=100)
@@ -476,6 +488,26 @@ class TestOracleCheck:
         save_embedding(wp, ng.random_embedding(sch, 4, seed=0))
         assert main(["oracle-check", str(gp), "--embedding", str(wp), "--T", "3"]) == 0
         assert "max relative residual" in capsys.readouterr().out
+
+    def test_residual_over_tolerance_exits_one(self, tmp_path, rng, monkeypatch, capsys):
+        sch = synth.small_schema()
+        gp = tmp_path / "g.jsonl"
+        with open(gp, "w") as fh:
+            write_jsonl(synth.random_corpus(rng, sch, 4, density=0.4), sch, fh)
+        wp = tmp_path / "w.nggm"
+        save_embedding(wp, ng.random_embedding(sch, 4, seed=0))
+        real = cli.oracle_embed
+
+        def off(*a, **kw):  # an enumerator that disagrees with the engine by 1e-3
+            e = real(*a, **kw)
+            return ng.NGramEmbedding(levels=tuple(level + 1e-3 for level in e.levels))
+
+        monkeypatch.setattr(cli, "oracle_embed", off)
+        assert main(["oracle-check", str(gp), "--embedding", str(wp), "--T", "3"]) == 1
+        out, err = capsys.readouterr()
+        worst = float(out.split(": ")[1])
+        assert 1e-4 < worst <= 1e-3
+        assert err == f"error: residual {worst:.3e} exceeds tolerance 1.0e-10\n"
 
     def test_validation_error_exits_one(self, tmp_path, rng):
         sch = synth.small_schema()
@@ -969,6 +1001,26 @@ class TestFitEval:
         capsys.readouterr()
         assert main(_argv(config_workspace, "sweep")) == 1
         assert capsys.readouterr() == ("", "error: embedding was trained on test rows [0]\n")
+
+    def test_unlabeled_graph_exits_one_and_is_named(self, labeled_setup, tmp_path, rng,
+                                                    capsys):
+        sch, gp, feats = labeled_setup
+        graphs = graph_module.read_json_graphs(gp.read_bytes(), sch)
+        full = _labeled_corpus(rng, 6)
+        runs = [(graphs, sch, ["fit", "--features", str(feats), "-o", str(tmp_path / "m")]),
+                (graphs, sch, ["eval", "--features", str(feats), "--folds", "3"]),
+                (full, ng.FULL_SCHEMA, ["sweep", "--r-grid", "4", "--t-grid", "2",
+                                        "--folds", "3", "-o", str(tmp_path / "s")])]
+        capsys.readouterr()
+        for corpus, corpus_schema, argv in runs:
+            corpus = [*corpus[:3], corpus[3].replace(label=None), *corpus[4:]]
+            unlabeled = tmp_path / "unlabeled.jsonl"
+            with open(unlabeled, "w") as fh:
+                write_jsonl(corpus, corpus_schema, fh)
+            assert main(argv + ["--graphs", str(unlabeled)]) == 1, argv
+            assert capsys.readouterr() == (
+                "", f"error: graph {corpus[3].graph_id!r} has no label\n"), argv
+        assert not (tmp_path / "m").exists() and not (tmp_path / "s").exists()
 
     def test_eval_predictions_needs_model(self, labeled_setup, tmp_path, capsys):
         _, gp, feats = labeled_setup
@@ -1652,6 +1704,56 @@ def test_cli_import_skips_scipy_stats_and_optimize(config_workspace, water_sdf):
     assert np.allclose(doc["c_hat"], [[0.0, 2.0, 3.0]] * 2)
     assert "scipy.sparse" in doc["embed"]
     assert "scipy.optimize" not in doc["embed"]
+
+
+# the exit code of every exception class the package defines, by module.class
+EXIT_CODES = {
+    "graph.GraphError": 2,
+    "matrixio.MatrixFormatError": 2,
+    "linear.ModelFormatError": 2,
+    "linear.DegenerateLabels": 1,
+    "schema.SchemaError": 1,
+    "vertex.EmbeddingError": 1,
+    "ngram.GraphTooLarge": 1,
+    "ngram.WalkOverflow": 1,
+    "sensing.SensingError": 1,
+    "cbow.TrainingDiverged": 1,
+    "crossval.LeakageError": 1,
+}
+
+
+def _package_exceptions() -> dict:
+    import importlib
+    import pkgutil
+
+    found = {}
+    for info in pkgutil.iter_modules(ng.__path__):
+        module = importlib.import_module(f"ngram_graph.{info.name}")
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                found[f"{info.name}.{name}"] = obj
+    return found
+
+
+def test_every_package_exception_exits_with_its_code(xyz_setup, tmp_path, monkeypatch,
+                                                     capsys):
+    """Each exception class picks its exit code through its bases; a class
+    that is not in the table fails here until its code is written down."""
+    _, graphs_path, emb_path = xyz_setup
+    classes = _package_exceptions()
+    assert sorted(classes) == sorted(EXIT_CODES)
+    for name, cls in sorted(classes.items()):
+        exc = cls("raised through main")
+
+        def raise_it(path, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "load_embedding", raise_it)
+        code = main(["embed", str(graphs_path), "--embedding", str(emb_path),
+                     "-o", str(tmp_path / "f")])
+        assert (name, code) == (name, EXIT_CODES[name])
+        assert capsys.readouterr() == ("", f"error: {exc}\n")
 
 
 ENGINE_MODULES = ("cbow", "crossval", "featurize", "sdf", "counts", "sensing", "recovery")

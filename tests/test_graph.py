@@ -31,6 +31,10 @@ class TestValidation:
         g = MolecularGraph(num_vertices=3, attr=attr, edges=[])
         assert any("out of range" in v for v in validate_graph(g, schema))
 
+    def test_attribute_width_reported(self, schema):
+        g = MolecularGraph(num_vertices=2, attr=[[0, 0, 0], [0, 0, 0]], edges=[[0, 1]])
+        assert validate_graph(g, schema) == ("attribute table width 3 != schema S=2",)
+
     def test_duplicate_edge_reported(self, schema):
         g = MolecularGraph(
             num_vertices=2, attr=[[0, 0], [0, 0]], edges=[[0, 1], [1, 0]]

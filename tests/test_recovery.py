@@ -89,6 +89,17 @@ class TestSolvers:
         with pytest.raises(ValueError):
             sparse_recover(np.zeros(3), np.eye(3), method="amp")
 
+    @pytest.mark.parametrize("method", ["omp", "ista"])
+    def test_zero_column_operator(self, method):
+        # no column to pick: converged only when there is nothing to explain
+        A = np.zeros((4, 0))
+        for f, converged in ((np.zeros(4), True), (np.ones(4), False)):
+            res = sparse_recover(f, A, method=method, sparsity=3, max_iter=120)
+            assert res.c_hat.shape == (0,) and res.support == ()
+            assert res.residual_norm == np.linalg.norm(f)
+            assert res.converged is converged
+            assert res.iterations == 0
+
     def test_nonconvergence_flagged_approximate(self):
         # budget smaller than the true sparsity leaves residual behind
         rng = np.random.default_rng(0)
@@ -231,8 +242,8 @@ def test_ista_early_stop_matches_the_full_schedule(monkeypatch):
     solve = recovery.sparse_recover
     seen = []
 
-    def both(f, op, method, max_iter):
-        res = solve(f, op, method=method, max_iter=max_iter)
+    def both(f, op, method, sparsity, max_iter):
+        res = solve(f, op, method=method, sparsity=sparsity, max_iter=max_iter)
         ref = _ista_full_schedule_reference(f, op.materialize().astype(np.float64), max_iter)
         seen.append(res.support == tuple(np.flatnonzero(ref > 0))
                     and np.max(np.abs(res.c_hat - ref), initial=0.0) <= 1e-12)
@@ -254,8 +265,8 @@ def test_omp_matches_scipy_refit_on_the_grids(monkeypatch):
     solve = recovery.sparse_recover
     seen = []
 
-    def both(f, op, method, sparsity):
-        res = solve(f, op, method=method, sparsity=sparsity)
+    def both(f, op, method, sparsity, max_iter):
+        res = solve(f, op, method=method, sparsity=sparsity, max_iter=max_iter)
         ref = _omp_scipy_reference(f, op, sparsity)
         seen.append(res.support == tuple(np.flatnonzero(ref > 0))
                     and np.max(np.abs(res.c_hat - ref)) <= 1e-12)

@@ -28,6 +28,12 @@ class TestAllocation:
         rows = allocate_rows(sch, 5)
         assert min(rows) >= 1 and sum(rows) == 5
 
+    def test_floor_overshoot_is_trimmed_from_the_largest_block(self):
+        # 3 * 100 // 104 = 2 rows for the big block, and the one-row floor of
+        # the others makes 4 > r; the trim takes the extra row back
+        sch = synth.small_schema(ks=(100, 2, 2))
+        assert allocate_rows(sch, 3) == (1, 1, 1)
+
     def test_r_below_attribute_count_faults(self):
         sch = synth.small_schema(ks=(3, 3))
         with pytest.raises(SensingError):

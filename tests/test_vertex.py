@@ -57,6 +57,33 @@ class TestRandomEmbedding:
             random_embedding(schema, 4, dist="cauchy")
 
 
+class TestMatrixRefusals:
+    @pytest.mark.parametrize("matrix, message", [
+        (np.zeros(9), "embedding matrix must be 2-d"),
+        (np.zeros((2, 8)), "matrix has 8 columns, schema K=9"),
+        (np.array([[0.0] * 8 + [np.nan]]), "non-finite entries"),
+        (np.array([[np.inf] + [0.0] * 8]), "non-finite entries"),
+    ], ids=["1-d", "width", "nan", "inf"])
+    def test_matrix_refused(self, schema, matrix, message):
+        with pytest.raises(EmbeddingError, match=message):
+            VertexEmbeddingMatrix(matrix=matrix, schema=schema, provenance={})
+
+    @pytest.mark.parametrize("fingerprint, message", [
+        (None, "schema fingerprint missing from header"),
+        ("0" * 16, "schema fingerprint does not match stored schema"),
+    ], ids=["missing", "mismatch"])
+    def test_load_refuses_fingerprint(self, tmp_path, schema, fingerprint, message):
+        from ngram_graph import matrixio
+
+        meta = {"kind": "vertex-embedding", "schema": schema.to_dict()}
+        if fingerprint is not None:
+            meta["schema_fingerprint"] = fingerprint
+        path = tmp_path / "w.nggm"
+        matrixio.write_matrix(path, np.zeros((2, schema.total_width)), meta)
+        with pytest.raises(EmbeddingError, match=f"{path}: {message}"):
+            load_embedding(path)
+
+
 class TestEmbedVertices:
     def test_single_attribute_selects_column(self):
         sch = synth.single_attribute_schema(4)
