@@ -75,7 +75,10 @@ def _config_defaults(ctx: click.Context, param, path) -> None:
     """
     if path is None:
         return
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise click.UsageError(f"config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise click.UsageError(f"config {path} must hold a JSON object")
     params = {}
@@ -312,13 +315,21 @@ def embed(graphs_path, embedding_path, out, t_steps, variant, normalize,
 # -- oracle-check ------------------------------------------------------------------
 
 
+def _tolerance(ctx, param, value):
+    """A residual tolerance is a number >= 0; a negative one fails every
+    corpus and NaN passes every one."""
+    if not value >= 0:
+        raise click.BadParameter(f"{value} is not a number >= 0", ctx, param)
+    return value
+
+
 @cli.command("oracle-check")
 @click.argument("graphs_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--embedding", "embedding_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--t", "--T", "t_steps", default=4, show_default=True)
 @click.option("--cap", default=12, show_default=True)
-@click.option("--tol", default=1e-10, show_default=True)
+@click.option("--tol", default=1e-10, show_default=True, callback=_tolerance)
 def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
     """Compare the recurrence against brute-force walk enumeration."""
     emb = load_embedding(embedding_path)

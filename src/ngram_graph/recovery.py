@@ -132,6 +132,7 @@ def omp_recover(f: np.ndarray, op, sparsity: int) -> RecoveryResult:
     until the residual converges (``RESIDUAL_TOL``) or the budget of
     min(sparsity, columns) picks is spent."""
     (rows, ncols), correlate, norms, take = _operator_interface(op)
+    column = op.column if isinstance(op, LevelOperator) else take  # take(c) is A[:, c]
     f = np.asarray(f, dtype=np.float64)
     residual = f.copy()
     support: list[int] = []
@@ -156,7 +157,7 @@ def omp_recover(f: np.ndarray, op, sparsity: int) -> RecoveryResult:
             break
         k = len(support)
         support.append(pick)
-        A_s[:, k] = take([pick])[:, 0]
+        A_s[:, k] = column(pick)
         col = A_s[:, k]
         G[k, :k] = G[:k, k] = col @ A_s[:, :k]
         G[k, k] = col @ col

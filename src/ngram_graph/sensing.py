@@ -12,6 +12,7 @@ from one k x k Gram product per block.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -62,8 +63,10 @@ class LevelOperator:
     named by the colex subset S. No block is stored: ``matvec`` builds only
     the columns of the nonzero coefficients, and ``correlations`` reads pairs
     (n = 2) off one k_j x k_j product U^T diag(res) U per block and gathers
-    higher levels in column chunks. ``materialize`` builds the dense operator
-    for the solvers that need it, up to an entry cap.
+    higher levels in column chunks. ``column`` builds one column straight
+    into its block's row span, for greedy pursuit's one pick per step.
+    ``materialize`` builds the dense operator for the solvers that need it,
+    up to an entry cap.
     """
 
     blocks: tuple            # base blocks U^j, each (r_j, k_j)
@@ -141,6 +144,20 @@ class LevelOperator:
             out[r0 : r0 + U.shape[0], mine] = self._block_columns(j, cols[mine] - c0)
         return out
 
+    def column(self, c: int) -> np.ndarray:
+        """Column c alone, equal to ``columns([c])[:, 0]``: its block found
+        by bisection on the column offsets, the rows of U^T its subset names
+        multiplied in subset order into the block's row span."""
+        j = bisect_right(self.col_offsets, c) - 1  # past any block of no columns
+        UT, r0 = self._transposed[j], self.row_offsets[j]
+        subset = subset_table(UT.shape[0], self.n)[c - self.col_offsets[j]]
+        col = UT[subset[0]]
+        for t in subset[1:]:
+            col = col * UT[t]
+        out = np.zeros(self.total_rows, dtype=np.result_type(*(U.dtype for U in self.blocks)))
+        out[r0 : r0 + UT.shape[1]] = col
+        return out
+
     def column_norms(self) -> np.ndarray:
         """Exact per-column norms (constant within a block for +-c entries)."""
         out = np.empty(self.shape[1], dtype=np.float64)
@@ -207,14 +224,14 @@ def build_sensing(
     """
     rows = allocate_rows(schema, r)
     rng = np.random.default_rng(seed)
-    integer = float(scale).is_integer()
-    blocks = []
-    for r_j, k_j in zip(rows, schema.cardinalities):
-        signs = rng.choice((-1, 1), size=(r_j, k_j))
-        if integer:
-            blocks.append((int(scale) * signs).astype(np.int64))
-        else:
-            blocks.append(scale * signs.astype(np.float64))
+    # choice draws its indices from the population size alone, so drawing
+    # from the scaled signs gives the stream and the entries of scale * +-1
+    if float(scale).is_integer():
+        signs = int(scale) * np.array((-1, 1), dtype=np.int64)
+    else:
+        signs = scale * np.array((-1.0, 1.0))
+    blocks = [rng.choice(signs, size=(r_j, k_j))
+              for r_j, k_j in zip(rows, schema.cardinalities)]
     return BlockSensingMatrix(
         schema=schema,
         blocks=tuple(blocks),

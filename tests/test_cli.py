@@ -509,6 +509,41 @@ class TestOracleCheck:
         assert 1e-4 < worst <= 1e-3
         assert err == f"error: residual {worst:.3e} exceeds tolerance 1.0e-10\n"
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_tolerance_no_residual_can_meet_exits_two(self, tmp_path, rng, capsys, tol):
+        # a negative tolerance fails every corpus and NaN passes every one
+        sch = synth.small_schema()
+        gp = tmp_path / "g.jsonl"
+        with open(gp, "w") as fh:
+            write_jsonl(synth.random_corpus(rng, sch, 4, density=0.4), sch, fh)
+        wp = tmp_path / "w.nggm"
+        save_embedding(wp, ng.random_embedding(sch, 4, seed=0))
+        assert main(["oracle-check", str(gp), "--embedding", str(wp), "--tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: Invalid value for '--tol': ")
+
+    def test_zero_tolerance_passes_exact_and_fails_any_residual(self, tmp_path, rng,
+                                                               monkeypatch, capsys):
+        sch = synth.small_schema()
+        gp = tmp_path / "g.jsonl"
+        with open(gp, "w") as fh:
+            write_jsonl(synth.random_corpus(rng, sch, 4, density=0.4), sch, fh)
+        wp = tmp_path / "w.nggm"
+        save_embedding(wp, ng.random_embedding(sch, 4, seed=0))
+        argv = ["oracle-check", str(gp), "--embedding", str(wp), "--T", "3", "--tol", "0"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith(": 0.000e+00\n")
+        real = cli.oracle_embed
+
+        def off(*a, **kw):  # an enumerator that disagrees with the engine by 1e-12
+            e = real(*a, **kw)
+            return ng.NGramEmbedding(levels=tuple(level + 1e-12 for level in e.levels))
+
+        monkeypatch.setattr(cli, "oracle_embed", off)
+        assert main(argv) == 1
+        assert "exceeds tolerance 0.0e+00" in capsys.readouterr().err
+
     def test_validation_error_exits_one(self, tmp_path, rng):
         sch = synth.small_schema()
         g = synth.random_graph(rng, sch, m=4, density=0.5)
@@ -1367,6 +1402,16 @@ class TestConfig:
         Path("cfg.json").write_text("{not json")
         assert main(_argv(config_workspace, "fit") + ["--config", "cfg.json"]) == 2
         assert main(_argv(config_workspace, "fit") + ["--config", "."]) == 2
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"r": ', "Expecting value: line 1 column 7 (char 6)"),
+        (b"\xff\xfe{", "'utf-8' codec can't decode byte 0xff in position 0"),
+    ])
+    def test_undecodable_config_is_named(self, config_workspace, capsys, content, message):
+        Path("cfg.json").write_bytes(content)
+        assert main(_argv(config_workspace, "fit") + ["--config", "cfg.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config cfg.json: {message}")
 
     def test_every_subcommand_help(self, capsys):
         for command in cli.cli.commands:

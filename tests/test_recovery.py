@@ -100,6 +100,21 @@ class TestSolvers:
             assert res.converged is converged
             assert res.iterations == 0
 
+    @pytest.mark.parametrize("n, scale", [(2, 1.0), (2, 30 ** -0.5), (3, 30 ** -0.5)])
+    def test_omp_dense_matches_operator(self, n, scale):
+        # the same picks build the same support columns, so every bit agrees
+        op = build_sensing(synth.single_attribute_schema(10), 30, seed=n, scale=scale).operator(n)
+        A = op.materialize()
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            c = np.zeros(op.shape[1])
+            c[rng.choice(op.shape[1], 4, replace=False)] = rng.integers(1, 5, size=4)
+            f = op.matvec(c)
+            got, want = omp_recover(f, A, 4), omp_recover(f, op, 4)
+            assert got.c_hat.tobytes() == want.c_hat.tobytes()
+            assert (got.residual_norm, got.iterations, got.support) == (
+                want.residual_norm, want.iterations, want.support)
+
     def test_nonconvergence_flagged_approximate(self):
         # budget smaller than the true sparsity leaves residual behind
         rng = np.random.default_rng(0)

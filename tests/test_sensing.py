@@ -5,6 +5,7 @@ import ngram_graph as ng
 from ngram_graph import build_sensing, count_statistics, verify_identity
 from ngram_graph.sensing import (
     BlockSensingMatrix,
+    LevelOperator,
     SensingError,
     allocate_rows,
 )
@@ -124,6 +125,28 @@ class TestOperators:
             assert np.array_equal(got, op.materialize() @ c)
             assert np.array_equal(op.matvec(np.zeros_like(c)), np.zeros(op.shape[0], np.int64))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("ks, dtypes", [
+        ((7,), (np.int64,)),
+        ((7,), (np.float64,)),
+        ((5, 4), (np.int64, np.int64)),
+        ((5, 4), (np.float64, np.float64)),
+        ((2, 6), (np.int64, np.float64)),  # at n = 3 the first block has no columns
+    ])
+    def test_column_equals_columns(self, n, ks, dtypes):
+        # general entries, so a product taken in another order would show
+        rng = np.random.default_rng(n)
+        rows = (3, 4)[: len(ks)]
+        blocks = tuple(rng.integers(-5, 6, size=(r, k)) if dt == np.int64
+                       else rng.standard_normal((r, k))
+                       for r, k, dt in zip(rows, ks, dtypes))
+        op = LevelOperator(blocks=blocks, n=n, row_offsets=(0, 3)[: len(ks)],
+                           total_rows=sum(rows))
+        for c in range(op.shape[1]):
+            got, want = op.column(c), op.columns([c])[:, 0]
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_omp_works_matrix_free(self):
         from ngram_graph.recovery import omp_recover
 
@@ -136,6 +159,32 @@ class TestOperators:
         f = op.matvec(c)
         res = omp_recover(f, op, sparsity=3)
         assert np.allclose(res.c_hat, c, atol=1e-8)
+
+
+def _reference_blocks(schema, r, seed, scale):
+    """``build_sensing``'s blocks drawn as a +-1 array and then scaled: int64
+    for an integer scale, float64 otherwise."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for r_j, k_j in zip(allocate_rows(schema, r), schema.cardinalities):
+        signs = rng.choice((-1, 1), size=(r_j, k_j))
+        if float(scale).is_integer():
+            blocks.append((int(scale) * signs).astype(np.int64))
+        else:
+            blocks.append(scale * signs.astype(np.float64))
+    return blocks
+
+
+@pytest.mark.parametrize("scale", [1, 1.0, 3, -2.0, 0.25, -0.5, 50 ** -0.5])
+@pytest.mark.parametrize("ks", [(40,), (4, 3), (9, 8, 2)])
+def test_blocks_equal_the_scaled_sign_draw(scale, ks):
+    sch = synth.small_schema(ks=ks)
+    for seed in range(4):
+        for r in (len(ks), 50):
+            got = build_sensing(sch, r, seed=seed, scale=scale).blocks
+            want = _reference_blocks(sch, r, seed, scale)
+            assert [(U.dtype, U.shape, U.tobytes()) for U in got] == [
+                (U.dtype, U.shape, U.tobytes()) for U in want]
 
 
 class TestIdentity:
