@@ -66,6 +66,15 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _read_json(what: str, path):
+    """A JSON file's document; one that does not decode as UTF-8 or parse
+    is a usage error that names the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise click.UsageError(f"{what} {path}: {exc}") from exc
+
+
 def _config_defaults(ctx: click.Context, param, path) -> None:
     """Eager ``--config`` callback: the JSON object becomes ``ctx.default_map``.
 
@@ -75,10 +84,7 @@ def _config_defaults(ctx: click.Context, param, path) -> None:
     """
     if path is None:
         return
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"config {path}: {exc}") from exc
+    doc = _read_json("config", path)
     if not isinstance(doc, dict):
         raise click.UsageError(f"config {path} must hold a JSON object")
     params = {}
@@ -352,7 +358,8 @@ def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
 
 
 @cli.command()
-@click.option("--grid", "grid_path", type=click.Path(exists=True), default=None,
+@click.option("--grid", "grid_path", type=click.Path(exists=True, dir_okay=False),
+              default=None,
               help="JSON grid file; defaults to the bundled desk-scale grid")
 @click.option("-o", "--out", default=None, type=click.Path(dir_okay=False))
 @click.option("--seed", default=None, type=int,
@@ -363,7 +370,7 @@ def recover(grid_path, out, seed):
     from .recovery import RecoveryConfig, recovery_experiment, summarize_cells, write_cells_csv
 
     if grid_path:
-        doc = json.loads(Path(grid_path).read_text(encoding="utf-8"))
+        doc = _read_json("grid", grid_path)
     else:
         import importlib.resources
 

@@ -20,15 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import MolecularGraph, ones_csr, stack_graphs
-from .vertex import VertexEmbeddingMatrix, check_schema, embed_vertices, vertex_rows
+from .vertex import (BATCH_ENTRIES, VertexEmbeddingMatrix, check_schema, embed_vertices,
+                     vertex_rows)
 
 VARIANTS = ("walk", "path", "vertex_path")
 NORMALIZATIONS = ("none", "unit-l2")
 LEVEL_SCALES = ("none", "factorial", "count")
-
-# Entries (float64-sized) per stacked or frontier array, which sets the batch
-# size: 1 MiB arrays stay in cache and keep the engine's peak memory small.
-BATCH_ENTRIES = 1 << 17
 
 
 class GraphTooLarge(ValueError):
@@ -143,14 +140,17 @@ def walk_bound(indptr, indices, T, cap):
     return bound
 
 
-def pack(costs, budget):
+def pack(costs, budget, breaks=()):
     """Boundaries cutting ``costs`` into consecutive runs whose total stays
-    within ``budget``; an item over the budget runs alone."""
+    within ``budget``; an item over the budget runs alone, and no run
+    crosses a boundary in ``breaks``."""
     cum = np.concatenate([[0], np.cumsum(costs)])
+    stops = np.unique(np.append(breaks, len(costs)))
     cuts = [0]
     while cuts[-1] < len(costs):
         lo = cuts[-1]
-        cuts.append(max(int(np.searchsorted(cum, cum[lo] + budget, side="right")) - 1, lo + 1))
+        fit = int(np.searchsorted(cum, cum[lo] + budget, side="right")) - 1
+        cuts.append(min(max(fit, lo + 1), int(stops[np.searchsorted(stops, lo, side="right")])))
     return np.array(cuts, dtype=np.int64)
 
 
@@ -212,7 +212,9 @@ def _levels(graphs, emb, T, variant, counts=False):
     or the start-vertex slices of :func:`unit_cuts`, are packed into batches
     by their walk bound, enumerated once and summed on their own; each unit
     sum is added into its graph's row in unit order (``np.add.at`` applies
-    repeated indices in order), so a row never depends on its batch."""
+    repeated indices in order), so a row never depends on its batch. A
+    sliced graph's units batch apart from other graphs', so its batches
+    share one vertex span, whose rows and CSR slices are built once."""
     indptr, indices, attr, offsets = stack_graphs(graphs)
     G, r = len(graphs), emb.dim
     width = r if variant == "walk" else max(r, T)
@@ -226,12 +228,18 @@ def _levels(graphs, emb, T, variant, counts=False):
     L = np.zeros((G, T, r), dtype=emb.matrix.dtype)
     C = np.zeros((G, T), dtype=np.int64)
 
-    batches = pack(cost, max(1, BATCH_ENTRIES // width))
+    first = np.searchsorted(unit_graph, np.arange(G + 1))  # each graph's first unit
+    sliced = np.flatnonzero(np.diff(first) > 1)
+    batches = pack(cost, max(1, BATCH_ENTRIES // width),
+                   np.concatenate([first[sliced], first[sliced + 1]]))
+    span = None
     for u0, u1 in zip(batches[:-1], batches[1:]):
         to = unit_graph[u0:u1]
         v0, v1 = offsets[to[0]], offsets[to[-1] + 1]
-        ptr, idx = indptr[v0 : v1 + 1] - indptr[v0], indices[indptr[v0] : indptr[v1]] - v0
-        base = vertex_rows(attr[v0:v1], emb)
+        if span != (v0, v1):
+            span = (v0, v1)
+            ptr, idx = indptr[v0 : v1 + 1] - indptr[v0], indices[indptr[v0] : indptr[v1]] - v0
+            base = vertex_rows(attr[v0:v1], emb)
         seg = np.repeat(np.arange(u1 - u0), np.diff(ub[u0 : u1 + 1]))
         if variant == "walk":  # walk counts: the same recurrence on all-ones rows
             A, P = ones_csr(ptr, idx, v1 - v0), _pool(seg, u1 - u0)

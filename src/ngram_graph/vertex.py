@@ -16,6 +16,11 @@ from . import matrixio
 from .graph import MolecularGraph, validate_graph
 from .schema import AttributeSchema, SchemaError
 
+# Entries (float64-sized) per engine array: a vertex-row block, or a stacked
+# or frontier array of the walk engine, whose batch size it sets. 1 MiB
+# arrays stay in cache and keep the engine's peak memory small.
+BATCH_ENTRIES = 1 << 17
+
 
 class EmbeddingError(ValueError):
     """Raised on schema mismatches or corrupt embedding files."""
@@ -86,12 +91,19 @@ def check_schema(g: MolecularGraph, emb: VertexEmbeddingMatrix) -> None:
 
 def vertex_rows(attr: np.ndarray, emb: VertexEmbeddingMatrix) -> np.ndarray:
     """Vertex embeddings as rows (m x r, row i = W h_i) of an unchecked
-    attribute table: one row gather per attribute for any number of graphs."""
+    attribute table, for any number of graphs. Rows are built in blocks of
+    ``BATCH_ENTRIES // (2 r)``, so that a block and its gathered rows stay
+    in cache together; each row is 0 + W^T[a_1] + ... + W^T[a_S] in schema
+    order, whatever the block size. The walk engine builds one table per
+    batch span, which the batches of a sliced graph share."""
     WT = np.ascontiguousarray(emb.matrix.T)
     idx = attr + np.asarray(emb.schema.offsets, dtype=np.int64)
     F = np.zeros((attr.shape[0], WT.shape[1]), dtype=WT.dtype)
-    for j in range(emb.schema.num_attributes):
-        F += WT[idx[:, j]]
+    step = max(1, BATCH_ENTRIES // (2 * WT.shape[1]))
+    for b in range(0, attr.shape[0], step):
+        block = F[b : b + step]
+        for j in range(emb.schema.num_attributes):
+            block += WT[idx[b : b + step, j]]
     return F
 
 

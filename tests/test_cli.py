@@ -654,6 +654,20 @@ class TestRecover:
         assert err.startswith("error: ") and message in err
         assert built == []
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"r_values": ', "Expecting value: line 1 column 14 (char 13)"),
+        (b"\xff\xfe{", "'utf-8' codec can't decode byte 0xff in position 0"),
+    ], ids=["json", "utf-8"])
+    def test_undecodable_grid_is_named(self, tmp_path, capsys, content, message):
+        grid = tmp_path / "grid.json"
+        grid.write_bytes(content)
+        assert main(["recover", "--grid", str(grid)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: grid {grid}: {message}")
+
+    def test_grid_directory_exits_two(self, tmp_path, capsys):
+        assert main(["recover", "--grid", str(tmp_path)]) == 2
+        assert "is a directory" in capsys.readouterr().err
+
     def test_config_sets_option_defaults(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"r_values": [60], "k_values": [10], "s_values": [2],

@@ -525,6 +525,40 @@ class TestUnitCuts:
                     assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1e-300)
         assert len(calls) > 2 and not any(sizing for sizing, _, _ in calls)  # sliced
 
+    def test_pack_runs_stop_at_breaks(self):
+        pack = ng.ngram.pack
+        assert pack([1, 1, 1, 1, 1], 3).tolist() == [0, 3, 5]
+        assert pack([1, 1, 1, 1, 1], 3, [1, 4]).tolist() == [0, 1, 4, 5]
+        assert pack([5, 1, 1], 3, [0, 3]).tolist() == [0, 1, 3]
+        assert pack([], 3, [0]).tolist() == [0]
+
+    def test_sliced_graph_rows_built_once(self, rng, full_schema, monkeypatch):
+        # a 60-vertex graph between two single edges; at r = 4 and T = 5, 256
+        # entries are 51 frontier rows, so only the large graph is sliced,
+        # and its end slices leave room for an edge in their batch
+        edge = [MolecularGraph(num_vertices=2, attr=[[0] * full_schema.num_attributes] * 2,
+                               edges=[[0, 1]], schema_fingerprint=full_schema.fingerprint)
+                for _ in range(2)]
+        large = synth.molecule_scale_corpus(rng, full_schema, n_graphs=1, m_range=(60, 61))
+        graphs = [edge[0], large[0], edge[1]]
+        emb = random_embedding(full_schema, 4, dist="gaussian", seed=2)
+        T = 5
+        monkeypatch.setattr(ng.ngram, "BATCH_ENTRIES", 256)
+        indptr, indices, _, offsets = ng.graph.stack_graphs(graphs)
+        ub, _ = ng.ngram.unit_cuts(indptr, indices, offsets, T, 5)
+        units = np.bincount(np.searchsorted(offsets, ub[:-1], side="right") - 1)
+        assert units[0] == units[2] == 1 and units[1] >= 3
+        built, rows_of = [], ng.ngram.vertex_rows
+        monkeypatch.setattr(ng.ngram, "vertex_rows",
+                            lambda attr, e: built.append(len(attr)) or rows_of(attr, e))
+        for variant in ng.ngram.VARIANTS:
+            alone = [embed_corpus([g], emb, T, variant)[0][0] for g in graphs]
+            built.clear()
+            X, manifest = embed_corpus(graphs, emb, T, variant)
+            assert sum(built) <= offsets[-1]
+            assert not manifest["errors"]
+            assert all(np.array_equal(x, a) for x, a in zip(X, alone))
+
     def test_sliced_integer_rows_equal_oracle(self, rng, full_schema, monkeypatch):
         graphs = synth.molecule_scale_corpus(rng, full_schema, n_graphs=4)
         emb = _int_rademacher(rng, full_schema, 4)

@@ -129,6 +129,41 @@ class TestEmbedVertices:
         assert np.allclose(Fp[:, pi], F)
 
 
+class TestRowBlocks:
+    """``vertex_rows`` builds its table in blocks of BATCH_ENTRIES // (2 r)
+    rows; a row is the same sum in the same order whatever its block."""
+
+    @staticmethod
+    def _reference(attr, emb):
+        F = np.zeros((attr.shape[0], emb.dim), dtype=emb.matrix.dtype)
+        for j, offset in enumerate(emb.schema.offsets):
+            F = F + emb.matrix.T[offset + attr[:, j]]
+        return F
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("m", [0, 1, 5, 23])
+    def test_blocks_equal_reference(self, rng, monkeypatch, dtype, m):
+        sch = synth.small_schema(ks=(5, 4, 3))
+        r = 3  # blocks of 32 // 6 = 5 rows: 23 rows end in a block of 3
+        if dtype is np.float64:
+            # magnitudes far apart, so another summation order rounds
+            # differently; value 0 of every attribute is a -0.0 column, so
+            # a row of zeros sums to 0.0 only from a 0.0 start
+            W = rng.standard_normal((r, sch.total_width)) * 10.0 ** rng.integers(
+                -8, 9, size=(r, sch.total_width))
+            W[:, list(sch.offsets)] = -0.0
+        else:
+            W = rng.integers(-(1 << 40), 1 << 40, size=(r, sch.total_width))
+        emb = VertexEmbeddingMatrix(matrix=W, schema=sch, provenance={})
+        attr = np.stack([rng.integers(0, k, size=m) for k in sch.cardinalities], axis=1)
+        attr[::4] = 0
+        monkeypatch.setattr(ng.vertex, "BATCH_ENTRIES", 32)
+        F = ng.vertex.vertex_rows(attr, emb)
+        ref = self._reference(attr, emb)
+        assert F.dtype == ref.dtype == dtype and F.shape == (m, r)
+        assert F.tobytes() == ref.tobytes()
+
+
 class TestSerialization:
     def test_save_load_bitwise(self, tmp_path, schema):
         emb = random_embedding(schema, 12, dist="gaussian", seed=9)
