@@ -25,7 +25,7 @@ _EXPORTS = {
     "featurize": ("featurize_corpus",),
     "vertex": ("EmbeddingError", "VertexEmbeddingMatrix", "embed_vertices",
                "load_embedding", "random_embedding", "save_embedding"),
-    "cbow": ("CbowConfig", "Contexts", "extract_contexts", "train_cbow", "train_on_graphs"),
+    "cbow": ("CbowConfig", "Contexts", "extract_contexts", "train_cbow"),
     "ngram": ("GraphTooLarge", "NGramEmbedding", "WalkOverflow", "embed_corpus",
               "graph_embed", "oracle_embed"),
     "counts": ("CountStatistics", "count_statistics"),

@@ -65,8 +65,8 @@ class CbowConfig:
             raise ValueError("hidden layer list must be nonempty")
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden sizes must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be > 0")
+        if not 0 < self.learning_rate < float("inf"):  # NaN fails too
+            raise ValueError("learning rate must be > 0 and finite")
         if self.aggregator not in ("sum", "mean"):
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
@@ -269,14 +269,3 @@ def train_cbow(
     }
     emb = VertexEmbeddingMatrix(matrix=net.W.copy(), schema=schema, provenance=prov)
     return emb, report
-
-
-def train_on_graphs(
-    graphs,
-    schema: AttributeSchema,
-    cfg: CbowConfig | None = None,
-    dataset_id: str = "unnamed",
-):
-    """Convenience wrapper: extract contexts then train. Labels are never read."""
-    samples = extract_contexts(graphs, schema)
-    return train_cbow(samples, schema, cfg, dataset_id=dataset_id)

@@ -52,13 +52,16 @@ _PARSE_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionErr
 _NUMERIC_ERRORS = (ValueError, ArithmeticError)
 
 
+_SEED = click.IntRange(min=0)
+
+
 def _seed_default() -> int:
-    """$NGG_SEED, or 0 when it is unset; a malformed value is a usage error."""
+    """$NGG_SEED, or 0 when it is unset; any value but an integer >= 0 is a usage error."""
     text = os.environ.get("NGG_SEED", "0")
     try:
-        return int(text)
-    except ValueError:
-        raise click.UsageError(f"$NGG_SEED={text!r} is not an integer; "
+        return _SEED.convert(text, None, None)
+    except click.BadParameter:
+        raise click.UsageError(f"$NGG_SEED={text!r} is not an integer >= 0; "
                                "fix it or pass --seed") from None
 
 
@@ -132,7 +135,7 @@ _task_option = click.option("--task", default="logistic", show_default=True,
                             type=click.Choice(TASKS))
 _metric_option = click.option("--metric", default="roc-auc", show_default=True,
                               type=click.Choice(METRICS))
-_seed_option = click.option("--seed", default=_seed_default, type=int,
+_seed_option = click.option("--seed", default=_seed_default, type=_SEED,
                             help="[default: $NGG_SEED, then 0]")
 
 
@@ -260,15 +263,15 @@ def featurize_cmd(input_path, out, schema_key):
 @_config_option
 def train_vertex_cmd(graphs_path, out, r, aggregator, hidden, epochs, batch_size, lr, seed):
     """Train the vertex embedding matrix on neighbor contexts."""
-    from .cbow import CbowConfig, train_on_graphs
+    from .cbow import CbowConfig, extract_contexts, train_cbow
 
     graphs, schema = _load_graphs(graphs_path)
     cfg = CbowConfig(
         r=r, aggregator=aggregator, hidden=hidden, epochs=epochs,
         batch_size=batch_size, learning_rate=lr, seed=seed,
     )
-    emb, report = train_on_graphs(graphs, schema, cfg,
-                                  dataset_id=Path(graphs_path).name)
+    emb, report = train_cbow(extract_contexts(graphs, schema), schema, cfg,
+                             dataset_id=Path(graphs_path).name)
     save_embedding(out, emb)
     if report.mean_accuracy is not None:
         click.echo(f"held-out mean attribute accuracy: {report.mean_accuracy:.4f}",
@@ -362,7 +365,7 @@ def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
               default=None,
               help="JSON grid file; defaults to the bundled desk-scale grid")
 @click.option("-o", "--out", default=None, type=click.Path(dir_okay=False))
-@click.option("--seed", default=None, type=int,
+@click.option("--seed", default=None, type=_SEED,
               help="[default: the grid's seed, then $NGG_SEED, then 0]")
 @_config_option
 def recover(grid_path, out, seed):
@@ -420,11 +423,6 @@ def _feature_hash(manifest: dict) -> str:
     return manifest_hash(manifest)
 
 
-def _write_predictions(path, manifest, scores) -> None:
-    write_csv(path, scores[:, None], ["g_id", "score"], row_ids=manifest["ids"])
-    _write_sidecar(path)
-
-
 def _labeled_features(features_path, graphs_path):
     """The feature file's matrix and manifest, and its graphs' labels.
 
@@ -452,9 +450,8 @@ def _labeled_features(features_path, graphs_path):
 @click.option("--penalty", default="squared-l2", show_default=True,
               type=click.Choice(PENALTIES))
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--predictions", default=None, type=click.Path(dir_okay=False))
 @_config_option
-def fit_cmd(features_path, graphs_path, task, lam, penalty, out, predictions):
+def fit_cmd(features_path, graphs_path, task, lam, penalty, out):
     """Fit the linear head on an exported feature matrix."""
     X, manifest, y = _labeled_features(features_path, graphs_path)
     model = fit_linear(X, y, task=task, lam=lam, penalty=penalty)
@@ -469,8 +466,6 @@ def fit_cmd(features_path, graphs_path, task, lam, penalty, out, predictions):
     if not model.report.converged:
         click.echo(f"warning: fit did not converge (iters={model.report.iterations}, "
                    f"grad_norm={model.report.grad_norm:.3g})", err=True)
-    if predictions:
-        _write_predictions(predictions, manifest, model.decision(X))
 
 
 @cli.command("eval")
@@ -486,7 +481,7 @@ def fit_cmd(features_path, graphs_path, task, lam, penalty, out, predictions):
 @click.option("--lam", default=None, type=float)
 @click.option("--stratified/--no-stratified", default=False, show_default=True)
 @click.option("--predictions", default=None, type=click.Path(dir_okay=False))
-@click.option("--seed", default=None, type=int,
+@click.option("--seed", default=None, type=_SEED,
               help="[default: $NGG_SEED, then 0; read by cross-validation only]")
 @_config_option
 def eval_cmd(graphs_path, features_path, model_path, folds, task, metric, lam,
@@ -517,7 +512,9 @@ def eval_cmd(graphs_path, features_path, model_path, folds, task, metric, lam,
         click.echo(json.dumps({"metric": metric,
                                "value": None if value is None else float(value)}))
         if predictions:
-            _write_predictions(predictions, manifest, scores)
+            write_csv(predictions, scores[:, None], ["g_id", "score"],
+                      row_ids=manifest["ids"])
+            _write_sidecar(predictions)
         return
 
     from .crossval import kfold_features

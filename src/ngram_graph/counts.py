@@ -69,9 +69,9 @@ def count_statistics(g: MolecularGraph, schema: AttributeSchema, T: int,
 
     A walk survives only if every attribute takes pairwise-distinct values
     along it; each surviving walk increments one coordinate per attribute,
-    the colex rank of its value set. Given vertex features F (r x m), the
-    same pass also sums the element-wise walk products of F over the
-    surviving walks, level by level, into ``products``.
+    the colex rank of its value set. Given vertex features F (m x r, row i
+    = W h_i), the same pass also sums the element-wise walk products of F
+    over the surviving walks, level by level, into ``products``.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -81,9 +81,8 @@ def count_statistics(g: MolecularGraph, schema: AttributeSchema, T: int,
     width = T * len(ks)
     if F is not None:
         check_int64_walks(g, T, F)
-        base = np.ascontiguousarray(F.T)
-        products = [np.zeros(F.shape[0], dtype=F.dtype) for _ in range(T)]
-        width = max(width, F.shape[0])
+        products = [np.zeros(F.shape[1], dtype=F.dtype) for _ in range(T)]
+        width = max(width, F.shape[1])
     # walks on which no attribute column repeats, in units sized for ``width``
     ub, _ = unit_cuts(g.indptr, g.indices, np.array([0, g.num_vertices]), T, width)
     walks = (level for lo, hi in zip(ub[:-1], ub[1:])
@@ -95,7 +94,7 @@ def count_statistics(g: MolecularGraph, schema: AttributeSchema, T: int,
             ranks = _binomials(k, T)[values, np.arange(1, n + 1)].sum(axis=1)
             blocks[n - 1][j] += np.bincount(ranks, minlength=blocks[n - 1][j].size)
         if F is not None:
-            prod = base[end] if parent is None else prod[parent] * base[end]
+            prod = F[end] if parent is None else prod[parent] * F[end]
             products[n - 1] += prod.sum(axis=0)
     return CountStatistics(schema=schema, T=T, blocks=tuple(tuple(lv) for lv in blocks),
                            walk_counts=tuple(walk_counts),

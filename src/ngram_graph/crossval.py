@@ -197,14 +197,11 @@ def check_no_failed_rows(manifest: dict) -> None:
 
 def _fold_embedding(graphs, train_idx, schema, cfg: PipelineConfig, fold: int):
     """CBOW-train a vertex embedding on one fold's training graphs only."""
-    from .cbow import CbowConfig, train_on_graphs  # only trained embeddings load it
+    from .cbow import CbowConfig, extract_contexts, train_cbow  # trained embeddings only
 
-    emb, _ = train_on_graphs(
-        [graphs[i] for i in train_idx],
-        schema,
-        CbowConfig(r=cfg.r, seed=cfg.seed + fold),
-        dataset_id=f"cv-fold-{fold}",
-    )
+    samples = extract_contexts([graphs[i] for i in train_idx], schema)
+    emb, _ = train_cbow(samples, schema, CbowConfig(r=cfg.r, seed=cfg.seed + fold),
+                        dataset_id=f"cv-fold-{fold}")
     prov = dict(emb.provenance)
     prov["train_rows"] = sorted(int(i) for i in train_idx)
     return VertexEmbeddingMatrix(matrix=emb.matrix, schema=schema, provenance=prov)

@@ -12,7 +12,7 @@ the minimum-norm subgradient leaves w = 0 below every intercept-only
 objective, so no later iterate comes back to w = 0, where the penalty is
 not differentiable. The intercept is never penalized. A fit has converged
 when the norm of its minimum-norm subgradient is at most ``GRAD_TOL``, one
-absolute tolerance for every fit; ``max_iter`` caps the Newton steps.
+absolute tolerance for every fit; ``MAX_ITER`` caps the Newton steps.
 
 ``fit_path`` fits a whole lambda grid on one matrix and does what does not
 depend on lambda once: the checks, the start point and the loss Hessian
@@ -31,6 +31,7 @@ import numpy as np
 TASKS = ("logistic", "least-squares")
 PENALTIES = ("squared-l2", "unsquared-l2")
 GRAD_TOL = 1e-8
+MAX_ITER = 2000
 
 
 class DegenerateLabels(ValueError):
@@ -238,9 +239,9 @@ def fit_path(
     lams,
     task: str = "logistic",
     penalty: str = "squared-l2",
-    max_iter: int = 2000,
 ) -> list[LinearModel]:
-    """One model per lambda in ``lams``, each exactly as ``fit`` gives it alone.
+    """One model per lambda in ``lams``, each exactly as ``fit`` gives it alone,
+    in at most ``MAX_ITER`` Newton steps per lambda.
 
     The lambda-independent work is done once: the input checks, the
     intercept column, the start point with its objective and gradient (the
@@ -288,7 +289,7 @@ def fit_path(
           if task == "least-squares" or penalty == "squared-l2" else None)
     models = []
     for lam in lams:
-        theta, report = _newton(X, X1, y, task, lam, penalty, start, H0, max_iter)
+        theta, report = _newton(X, X1, y, task, lam, penalty, start, H0)
         models.append(LinearModel(
             weights=theta[:-1].copy() if Q is None else Q @ theta[:-1],
             intercept=float(theta[-1]),
@@ -300,12 +301,12 @@ def fit_path(
     return models
 
 
-def _newton(X, X1, y, task, lam, penalty, start, H0, max_iter):
+def _newton(X, X1, y, task, lam, penalty, start, H0):
     """Newton steps with backtracking from ``start`` = (theta, objective,
     gradient), with H0 the loss Hessian there; returns theta and its report."""
     theta, obj, grad = start
     report = FitReport()
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if _grad_norm(theta, grad, lam, penalty) <= GRAD_TOL:
             break
         if penalty == "squared-l2" or theta[:-1].any():
@@ -340,11 +341,10 @@ def fit(
     task: str = "logistic",
     lam: float = 1e-3,
     penalty: str = "squared-l2",
-    max_iter: int = 2000,
 ) -> LinearModel:
     """Minimize mean loss + penalty by Newton steps with backtracking from
     zero: the one-lambda case of ``fit_path``."""
-    return fit_path(X, y, (lam,), task, penalty, max_iter)[0]
+    return fit_path(X, y, (lam,), task, penalty)[0]
 
 
 # -- metrics --------------------------------------------------------------------

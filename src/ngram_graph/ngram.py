@@ -270,19 +270,16 @@ def graph_embed(
     emb: VertexEmbeddingMatrix,
     T: int,
     variant: str = "walk",
-    level_scale: str = "none",
-    normalization: str = "none",
 ) -> NGramEmbedding:
-    """Embed one graph up to walk length T: the corpus engine on one graph.
-
-    Integer embedding matrices propagate exactly (no rounding) as long as
-    ``level_scale`` and ``normalization`` stay off; :class:`WalkOverflow`
-    is raised when the sums could leave the int64 range.
+    """The raw level sums of one graph up to walk length T, in the
+    embedding's dtype: the corpus engine on one graph, unscaled and
+    unnormalized (:func:`embed_corpus` does both). Integer embedding
+    matrices propagate exactly; :class:`WalkOverflow` is raised when the
+    sums could leave the int64 range.
     """
-    _check_options(T, variant, level_scale, normalization)
-    _admit(g, emb, T, variant, level_scale)
-    L, C = _levels([g], emb, T, variant, counts=level_scale == "count")
-    L = _finalize(L, C, level_scale, normalization)
+    _check_options(T, variant, "none", "none")
+    _admit(g, emb, T, variant, "none")
+    L, _ = _levels([g], emb, T, variant)
     return NGramEmbedding(levels=tuple(L[0]))
 
 
@@ -302,12 +299,11 @@ def oracle_embed(
     if g.num_vertices > cap:
         raise GraphTooLarge(f"m={g.num_vertices} exceeds enumeration cap {cap}; "
                             "use embed_corpus")
-    F = embed_vertices(g, emb)
-    check_int64_walks(g, T, F)
-    base = F.T
+    base = embed_vertices(g, emb)
+    check_int64_walks(g, T, base)
     ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
     tags = None if variant == "walk" else _exclusion_keys(g.attr, variant)[:, 0].tolist()
-    levels = np.zeros((T, F.shape[0]), dtype=F.dtype)
+    levels = np.zeros((T, base.shape[1]), dtype=base.dtype)
     counts = np.zeros(T, dtype=np.int64)
     for start in range(g.num_vertices):
         stack = [((start,), base[start])]

@@ -251,7 +251,7 @@ def sparse_recover(f, op, method: str = "omp", *, sparsity: int | None = None,
 _CHOICES = {"method": ("omp", "ista")}
 # the least value of each integer key, and of every item of a list key
 _LEAST = {"r_values": 1, "k_values": 2, "n_values": 1, "s_values": 0, "trials": 1,
-          "entry_low": 1, "max_iter": ISTA_PHASES}
+          "seed": 0, "entry_low": 1, "max_iter": ISTA_PHASES}
 
 
 @dataclass(frozen=True)
@@ -322,9 +322,9 @@ def _single_attribute_schema(k: int) -> AttributeSchema:
     )
 
 
-def run_trial(r: int, k: int, n: int, s: int, method: str, rng,
-              entry_low: int = 1, entry_high: int = 4, max_iter: int = 2000) -> bool:
-    """One draw: sample sensing + sparse integer counts, measure, recover."""
+def run_trial(r: int, k: int, n: int, s: int, cfg: RecoveryConfig, rng) -> bool:
+    """One draw of cell (r, k, n, s) under ``cfg``: sample sensing + sparse
+    integer counts, measure, recover."""
     schema = _single_attribute_schema(k)
     dim = level_dimension(schema, n)
     if s > dim:
@@ -334,9 +334,9 @@ def run_trial(r: int, k: int, n: int, s: int, method: str, rng,
     c = np.zeros(dim)
     if s:
         support = rng.choice(dim, size=s, replace=False)
-        c[support] = rng.integers(entry_low, entry_high + 1, size=s)
+        c[support] = rng.integers(cfg.entry_low, cfg.entry_high + 1, size=s)
     f = op.matvec(c)
-    result = sparse_recover(f, op, method=method, sparsity=s, max_iter=max_iter)
+    result = sparse_recover(f, op, method=cfg.method, sparsity=s, max_iter=cfg.max_iter)
     true_support = set(np.nonzero(c)[0])
     found_support = set(np.nonzero(np.abs(result.c_hat) > 0.25)[0])
     return found_support == true_support and float(np.max(np.abs(result.c_hat - c))) < 0.5
@@ -358,13 +358,8 @@ def recovery_experiment(cfg: RecoveryConfig):
     cells: list[RecoveryCell] = []
     for r, k, n, s in itertools.product(cfg.r_values, cfg.k_values, cfg.n_values,
                                         cfg.s_values):
-        wins = sum(
-            run_trial(r, k, n, s, cfg.method,
-                      np.random.default_rng([cfg.seed, r, k, n, s, t]),
-                      entry_low=cfg.entry_low, entry_high=cfg.entry_high,
-                      max_iter=cfg.max_iter)
-            for t in range(cfg.trials)
-        )
+        wins = sum(run_trial(r, k, n, s, cfg, np.random.default_rng([cfg.seed, r, k, n, s, t]))
+                   for t in range(cfg.trials))
         cells.append(RecoveryCell(r=r, k=k, n=n, s=s, trials=cfg.trials, successes=wins))
     return cells
 

@@ -66,7 +66,7 @@ class LevelOperator:
     higher levels in column chunks. ``column`` builds one column straight
     into its block's row span, for greedy pursuit's one pick per step.
     ``materialize`` builds the dense operator for the solvers that need it,
-    up to an entry cap.
+    up to ``MATERIALIZE_CAP`` entries.
     """
 
     blocks: tuple            # base blocks U^j, each (r_j, k_j)
@@ -105,11 +105,11 @@ class LevelOperator:
             out *= UT[subsets[:, t]]
         return out.T
 
-    def materialize(self, cap: int = MATERIALIZE_CAP) -> np.ndarray:
-        """Full dense operator; refuses beyond the entry cap."""
-        if self.entries > cap:
+    def materialize(self) -> np.ndarray:
+        """Full dense operator; refuses beyond ``MATERIALIZE_CAP`` entries."""
+        if self.entries > MATERIALIZE_CAP:
             raise SensingError(
-                f"level operator has {self.entries} entries, over cap {cap}; "
+                f"level operator has {self.entries} entries, over cap {MATERIALIZE_CAP}; "
                 "use the matrix-free interface"
             )
         return self.columns(np.arange(self.shape[1]))

@@ -171,6 +171,9 @@ class TestTraining:
         ("hidden", (-4,), "hidden sizes must be positive"),
         ("learning_rate", 0.0, "learning rate must be > 0"),
         ("learning_rate", -1e-3, "learning rate must be > 0"),
+        ("learning_rate", float("nan"), "learning rate must be > 0"),
+        ("learning_rate", float("inf"), "learning rate must be > 0"),
+        ("learning_rate", float("-inf"), "learning rate must be > 0"),
         ("aggregator", "max", "unknown aggregator 'max'"),
     ])
     def test_untrainable_config_rejected(self, field, value, message):
@@ -205,7 +208,7 @@ class TestTraining:
         sch = synth.small_schema()
         graphs = synth.random_corpus(rng, sch, 8, density=0.6, connected=True)
         cfg = CbowConfig(r=5, epochs=1, seed=3)
-        emb, _ = ng.train_on_graphs(graphs, sch, cfg, dataset_id="unit")
+        emb, _ = train_cbow(extract_contexts(graphs, sch), sch, cfg, dataset_id="unit")
         assert emb.provenance["kind"] == "trained"
         assert emb.provenance["dataset_id"] == "unit"
         assert emb.provenance["config_hash"] == cfg.config_hash()

@@ -17,8 +17,9 @@ from ngram_graph import cbow, cli, crossval
 from ngram_graph.cli import main
 from ngram_graph import graph as graph_module, recovery
 from ngram_graph.graph import write_jsonl
-from ngram_graph.matrixio import MAGIC, read_matrix
+from ngram_graph.matrixio import MAGIC, read_matrix, write_csv
 from ngram_graph.schema import BUNDLED_SCHEMAS
+from ngram_graph.sdf import parse_sdf
 from ngram_graph.vertex import load_embedding, save_embedding
 
 from . import synth
@@ -229,6 +230,26 @@ class TestReaderFuzz:
     def test_mutated_sdf(self, tmp_path, capsys, data):
         assert self._featurize(tmp_path, "in.sdf", data) in (0, 1, 2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=synth.byte_mutations(SDF))
+    def test_mutated_sdf_accounts_for_every_record(self, data):
+        # each nonblank chunk between $$$$ lines is a record or an error;
+        # only a chunk split at a second M  END line gives more than one
+        lines = data.decode("utf-8", errors="replace").splitlines()
+        chunks = [[]]
+        for line in lines:
+            if line.startswith("$$$$"):
+                chunks.append([])
+            else:
+                chunks[-1].append(line)
+        nonblank = sum(any(line.strip() for line in chunk) for chunk in chunks)
+        ends = sum(line.startswith("M  END") for line in lines)
+        records, errors = parse_sdf(data)
+        assert nonblank <= len(records) + len(errors) <= nonblank + ends
+        at = [e.line for e in errors]
+        assert all(a < b for a, b in zip(at, at[1:]))
+        assert all(1 <= n <= len(lines) for n in at)
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=synth.byte_mutations(JSONL))
@@ -385,6 +406,7 @@ class TestTrainVertex:
         ("train-vertex", ["--batch-size", "0"], "batch size must be >= 1"),
         ("train-vertex", ["--epochs", "-1"], "epochs must be >= 0"),
         ("sweep", ["--mode", "trained", "--r-grid", "0"], "r must be >= 1"),
+        ("train-vertex", ["--lr", "nan"], "learning rate must be > 0 and finite"),
     ])
     def test_untrainable_config_exits_one(self, tmp_path, rng, capsys, command, flags,
                                           message):
@@ -641,6 +663,7 @@ class TestRecover:
           "trials": 1, "method": "ista"},
          "ista cell r=800 k=40 n=4 needs a level operator of 73112000 entries, "
          "over cap 10000000"),
+        ({"seed": -1}, "'seed' must be at least 0"),
     ])
     def test_malformed_grid_exits_one_before_any_trial(self, tmp_path, capsys,
                                                        monkeypatch, doc, message):
@@ -747,17 +770,20 @@ class TestFitEval:
 
     def test_fit_eval_round_trip_identical_predictions(self, labeled_setup,
                                                        tmp_path, capsys):
-        # both commands read the graphs under the schema the feature manifest carries
+        # both commands read the graphs under the schema the feature manifest
+        # carries; eval's predictions are the saved model's scores on the file
         sch, gp, feats = labeled_setup
         model = tmp_path / "model.json"
-        p1 = tmp_path / "fit_preds.csv"
+        p1 = tmp_path / "ref_preds.csv"
         p2 = tmp_path / "eval_preds.csv"
         assert main(["fit", "--features", str(feats), "--graphs", str(gp),
-                     "--task", "logistic", "--lam", "1e-3",
-                     "-o", str(model), "--predictions", str(p1)]) == 0
+                     "--task", "logistic", "--lam", "1e-3", "-o", str(model)]) == 0
         assert main(["eval", "--graphs", str(gp), "--features", str(feats),
                      "--model", str(model), "--metric", "roc-auc",
                      "--predictions", str(p2)]) == 0
+        X, manifest = crossval.load_features(feats)
+        scores = ng.LinearModel.from_json(model.read_text()).decision(X)
+        write_csv(p1, scores[:, None], ["g_id", "score"], row_ids=manifest["ids"])
         assert p1.read_bytes() == p2.read_bytes()
         doc = json.loads(model.read_text())
         assert doc["task"] == "logistic"
@@ -854,7 +880,9 @@ class TestFitEval:
                      "--T", "2"]) == 0
         preds = tmp_path / "p.csv"
         assert main(["fit", "--features", str(fp) + ".nggm", "--graphs", str(lp),
-                     "-o", str(tmp_path / "m.json"), "--predictions", str(preds)]) == 0
+                     "-o", str(tmp_path / "m.json")]) == 0
+        assert main(["eval", "--features", str(fp) + ".nggm", "--graphs", str(lp),
+                     "--model", str(tmp_path / "m.json"), "--predictions", str(preds)]) == 0
         X, _ = crossval.load_features(str(fp) + ".nggm")
         with open(str(fp) + ".csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -898,13 +926,13 @@ class TestFitEval:
         with open(gp, "w") as fh:
             write_jsonl(_labeled_corpus(rng, 24), ng.FULL_SCHEMA, fh)
         trained = []
-        real_train = cbow.train_on_graphs
+        real_train = cbow.train_cbow
 
         def counted(*a, **kw):
             trained.append(kw["dataset_id"])
             return real_train(*a, **kw)
 
-        monkeypatch.setattr(cbow, "train_on_graphs", counted)
+        monkeypatch.setattr(cbow, "train_cbow", counted)
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--graphs", str(gp), "--mode", "trained", "--r-grid", "4,3",
                      "--t-grid", "1,3,2", "--folds", "3", "--lam", "1e-3", "--seed", "5",
@@ -1294,6 +1322,23 @@ def _argv(workspace, command, without=None, extra=()):
                         for tok in toks] + list(extra)
 
 
+_SEEDED = ("train-vertex", "sweep", "eval", "recover")
+
+
+@pytest.mark.parametrize("command", _SEEDED)
+def test_negative_seed_flag_exits_two(config_workspace, capsys, command):
+    assert main(_argv(config_workspace, command, extra=["--seed", "-1"])) == 2
+    assert "Invalid value for '--seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", _SEEDED)
+def test_negative_env_seed_exits_two(config_workspace, monkeypatch, capsys, command):
+    monkeypatch.setenv("NGG_SEED", "-3")
+    assert main(_argv(config_workspace, command)) == 2
+    assert capsys.readouterr().err == ("error: $NGG_SEED='-3' is not an integer >= 0; "
+                                       "fix it or pass --seed\n")
+
+
 def _run_with_config(command_argv, doc):
     Path("cfg.json").write_text(json.dumps(doc))
     return main(command_argv + ["--config", "cfg.json"])
@@ -1464,7 +1509,8 @@ class TestSchemaFromCorpus:
         out, err = capsys.readouterr()
         cfg = ng.CbowConfig(r=4, aggregator="sum", hidden=(4,), epochs=2, batch_size=256,
                             learning_rate=1e-3, seed=3)
-        emb, report = ng.train_on_graphs(graphs, schema, cfg, dataset_id="g.jsonl")
+        emb, report = ng.train_cbow(ng.extract_contexts(graphs, schema), schema, cfg,
+                                    dataset_id="g.jsonl")
         save_embedding(tmp_path / "ref.nggm", emb)
         assert (tmp_path / "w.nggm").read_bytes() == (tmp_path / "ref.nggm").read_bytes()
         lines = [f"held-out mean attribute accuracy: {report.mean_accuracy:.4f}"]
@@ -1664,8 +1710,7 @@ _REPLAYS = [
      ["-o", "{}"], ["{}.manifest.json"]),
     ("fit", ["--features", "f.nggm", "--graphs", "g.jsonl"],
      ["--task", "least-squares", "--lam", "0.01", "--penalty", "unsquared-l2"],
-     ["-o", "{}.json", "--predictions", "{}_p.csv"],
-     ["{}.json.manifest.json", "{}_p.csv.manifest.json"]),
+     ["-o", "{}.json"], ["{}.json.manifest.json"]),
     ("eval", ["--graphs", "g.jsonl", "--features", "f.nggm", "--model", "model.json"],
      ["--metric", "pr-auc"], ["--predictions", "{}.csv"], ["{}.csv.manifest.json"]),
     ("sweep", ["--graphs", "g.jsonl"], ["--r-grid", "4,3", "--t-grid", "1,2", "--folds", "2",

@@ -119,7 +119,7 @@ def _brute_force_distinct(g, schema, F, T):
     blocks = [[np.zeros(comb(k, n), dtype=np.int64) for k in schema.cardinalities]
               for n in range(1, T + 1)]
     counts = [0] * T
-    levels = [np.zeros(F.shape[0], dtype=F.dtype) for _ in range(T)]
+    levels = [np.zeros(F.shape[1], dtype=F.dtype) for _ in range(T)]
     for n in range(1, T + 1):
         for seq in product(range(g.num_vertices), repeat=n):
             if not all(synth.has_edge(g, u, v) for u, v in zip(seq, seq[1:])):
@@ -130,7 +130,7 @@ def _brute_force_distinct(g, schema, F, T):
             counts[n - 1] += 1
             for j in range(values.shape[1]):
                 blocks[n - 1][j][subset_rank(values[:, j])] += 1
-            levels[n - 1] = levels[n - 1] + F[:, list(seq)].prod(axis=1)
+            levels[n - 1] = levels[n - 1] + F[list(seq)].prod(axis=0)
     return blocks, counts, levels
 
 

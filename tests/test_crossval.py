@@ -5,7 +5,7 @@ import pytest
 
 import ngram_graph as ng
 from ngram_graph import PipelineConfig, export_features, kfold_cv, load_features
-from ngram_graph import crossval
+from ngram_graph import crossval, linear
 from ngram_graph.crossval import (
     LAMBDA_GRID,
     LeakageError,
@@ -97,9 +97,7 @@ class TestKfoldFeatures:
         fixed = kfold_features(X, y, folds=5, seed=0, lam=1e-3)
         searched = kfold_features(X, y, folds=5, seed=0, lam=None)
         assert fixed.unconverged == searched.unconverged == 0
-        real_fit_path = crossval.fit_path
-        monkeypatch.setattr(crossval, "fit_path",
-                            lambda *args, **kw: real_fit_path(*args, **kw, max_iter=0))
+        monkeypatch.setattr(linear, "MAX_ITER", 0)
         stalled = kfold_features(X, y, folds=5, seed=0, lam=1e-3)
         assert stalled.unconverged == 5
         # one outer fit per fold plus 3 inner folds for every lambda

@@ -82,14 +82,17 @@ class TestFit:
 
     @pytest.mark.parametrize("penalty", PENALTIES)
     @pytest.mark.parametrize("task", TASKS)
-    def test_objective_nonincreasing(self, task, penalty):
+    def test_objective_nonincreasing(self, task, penalty, monkeypatch):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((40, 6))
         y = (rng.random(40) > 0.5).astype(float)
-        # a fit capped at k Newton steps stops where the full fit was after k
-        steps = fit(X, y, task=task, lam=1e-3, penalty=penalty, max_iter=200).report.iterations
-        trace = [fit(X, y, task=task, lam=1e-3, penalty=penalty, max_iter=k).report.objective
-                 for k in range(steps + 1)]
+
+        def capped(k):  # a fit capped at k Newton steps stops where the full fit was after k
+            monkeypatch.setattr(linear, "MAX_ITER", k)
+            return fit(X, y, task=task, lam=1e-3, penalty=penalty).report
+
+        steps = capped(200).iterations
+        trace = [capped(k).objective for k in range(steps + 1)]
         assert len(trace) >= 2
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 

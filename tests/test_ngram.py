@@ -98,7 +98,7 @@ class TestOracleEquivalence:
             emb = random_embedding(schema, 5, dist="gaussian", seed=int(rng.integers(1 << 30)))
             for variant in ng.ngram.VARIANTS:
                 for level_scale in ng.ngram.LEVEL_SCALES:
-                    fast = graph_embed(g, emb, 4, variant, level_scale).vector
+                    fast = embed_corpus([g], emb, 4, variant, level_scale)[0][0]
                     slow = oracle_embed(g, emb, 4, variant, level_scale=level_scale).vector
                     scale = max(np.max(np.abs(slow)), 1e-30)
                     assert np.max(np.abs(fast - slow)) / scale <= 1e-10
@@ -160,16 +160,16 @@ class TestProperties:
         sch, g = path_xyz
         W = VertexEmbeddingMatrix(matrix=np.array([[1.0, 2.0, 3.0]]), schema=sch,
                                   provenance={})
-        e = graph_embed(g, W, 3, level_scale="factorial")
-        assert np.allclose([lv[0] for lv in e.levels], [6.0, 8.0, 8.0])
+        X, _ = embed_corpus([g], W, 3, level_scale="factorial")
+        assert np.allclose(X[0], [6.0, 8.0, 8.0])
 
     def test_level_scale_count(self, path_xyz):
         sch, g = path_xyz
         W = VertexEmbeddingMatrix(matrix=np.array([[1.0, 2.0, 3.0]]), schema=sch,
                                   provenance={})
-        e = graph_embed(g, W, 3, level_scale="count")
+        X, _ = embed_corpus([g], W, 3, level_scale="count")
         # walk counts per level: 3, 4, 6
-        assert np.allclose([lv[0] for lv in e.levels], [2.0, 4.0, 8.0])
+        assert np.allclose(X[0], [2.0, 4.0, 8.0])
 
     def test_level_scale_count_builds_adjacency_once(self, path_xyz, monkeypatch):
         sch, g = path_xyz
@@ -179,7 +179,7 @@ class TestProperties:
         stack = ng.ngram.stack_graphs
         monkeypatch.setattr(ng.ngram, "stack_graphs",
                             lambda graphs: calls.append(1) or stack(graphs))
-        graph_embed(g, W, 3, level_scale="count")
+        embed_corpus([g], W, 3, level_scale="count")
         assert len(calls) == 1
 
     def test_runtime_roughly_linear_in_T(self, rng, schema):
@@ -240,8 +240,9 @@ class TestInt64Range:
                            schema_fingerprint=sch.fingerprint)
         emb = VertexEmbeddingMatrix(matrix=np.array([[0.5, 1.0]]), schema=sch, provenance={})
         assert np.isfinite(graph_embed(g, emb, 33).vector).all()
-        with pytest.raises(WalkOverflow):
-            graph_embed(g, emb, 33, level_scale="count")
+        X, manifest = embed_corpus([g], emb, 33, level_scale="count")
+        assert np.isnan(X).all()
+        assert manifest["errors"]["0"].startswith("int64 walk sums may overflow at T=33")
 
 
 class TestNormalization:
@@ -256,8 +257,8 @@ class TestNormalization:
         g = MolecularGraph(num_vertices=0, attr=np.zeros((0, 2)), edges=[],
                            schema_fingerprint=schema.fingerprint)
         emb = random_embedding(schema, 4, seed=0)
-        e = graph_embed(g, emb, 2, normalization="unit-l2")
-        assert np.all(e.vector == 0.0)
+        X, manifest = embed_corpus([g], emb, 2, normalization="unit-l2")
+        assert np.all(X == 0.0) and not manifest["errors"]
 
 
 class TestCorpus:

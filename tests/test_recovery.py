@@ -339,7 +339,8 @@ class TestExperiment:
     def test_trial_determinism(self):
         rng1 = np.random.default_rng([0, 64, 20, 2, 4, 0])
         rng2 = np.random.default_rng([0, 64, 20, 2, 4, 0])
-        assert run_trial(64, 20, 2, 4, "omp", rng1) == run_trial(64, 20, 2, 4, "omp", rng2)
+        cfg = RecoveryConfig()
+        assert run_trial(64, 20, 2, 4, cfg, rng1) == run_trial(64, 20, 2, 4, cfg, rng2)
 
     def test_cell_counts_do_not_depend_on_the_rest_of_the_grid(self):
         # every trial seeds from its own cell coordinates, so a cell run

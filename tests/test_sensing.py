@@ -80,12 +80,13 @@ class TestOperators:
         op = B.operator(2)
         assert op.shape == (9, 10 + 6)
 
-    def test_materialize_cap(self):
+    def test_materialize_cap(self, monkeypatch):
         sch = synth.single_attribute_schema(30)
         B = build_sensing(sch, 50, seed=0)
         op = B.operator(3)
+        monkeypatch.setattr(ng.sensing, "MATERIALIZE_CAP", 100)
         with pytest.raises(SensingError):
-            op.materialize(cap=100)
+            op.materialize()
 
     def test_matrix_free_matches_dense(self):
         # two blocks at n = 2: correlations come from each block's Gram product

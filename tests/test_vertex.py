@@ -91,14 +91,14 @@ class TestEmbedVertices:
         emb = VertexEmbeddingMatrix(matrix=W, schema=sch, provenance={})
         g = MolecularGraph(num_vertices=1, attr=[[2]], edges=[],
                            schema_fingerprint=sch.fingerprint)
-        assert np.array_equal(embed_vertices(g, emb)[:, 0], W[:, 2])
+        assert np.array_equal(embed_vertices(g, emb)[0], W[:, 2])
 
     def test_sum_of_selected_columns(self):
         sch = synth.small_schema(ks=(2, 2))
         emb = VertexEmbeddingMatrix(matrix=np.eye(4), schema=sch, provenance={})
         g = MolecularGraph(num_vertices=1, attr=[[1, 0]], edges=[],
                            schema_fingerprint=sch.fingerprint)
-        f = embed_vertices(g, emb)[:, 0]
+        f = embed_vertices(g, emb)[0]
         expected = np.zeros(4)
         expected[1] = expected[2] = 1.0  # e_1 + e_2
         assert np.array_equal(f, expected)
@@ -107,7 +107,7 @@ class TestEmbedVertices:
         g = synth.random_graph(rng, schema, m=7)
         emb = random_embedding(schema, 9, dist="gaussian", seed=3)
         H = np.stack([one_hot(g, schema, i) for i in range(7)], axis=1)
-        assert np.allclose(embed_vertices(g, emb), emb.matrix @ H)
+        assert np.allclose(embed_vertices(g, emb), (emb.matrix @ H).T)
 
     def test_fingerprint_mismatch_faults(self, rng, schema):
         # same widths, different vocabulary: accidental transfer must fault
@@ -126,7 +126,7 @@ class TestEmbedVertices:
         pi = rng.permutation(6)
         F = embed_vertices(g, emb)
         Fp = embed_vertices(synth.permute(g, pi), emb)
-        assert np.allclose(Fp[:, pi], F)
+        assert np.allclose(Fp[pi], F)
 
 
 class TestRowBlocks:
@@ -207,15 +207,16 @@ class TestSerialization:
     def test_transfer_between_corpora(self, tmp_path, rng, schema):
         # embeddings trained against corpus A apply to corpus B iff the
         # schema matches
-        from ngram_graph import CbowConfig, train_on_graphs
+        from ngram_graph import CbowConfig, extract_contexts, train_cbow
 
         corpus_a = synth.random_corpus(rng, schema, 12, density=0.5, connected=True)
         corpus_b = synth.random_corpus(rng, schema, 6, density=0.5, connected=True)
         cfg = CbowConfig(r=6, epochs=2, batch_size=64, hidden=(8,), seed=0)
-        emb, _ = train_on_graphs(corpus_a, schema, cfg, dataset_id="corpus-a")
+        emb, _ = train_cbow(extract_contexts(corpus_a, schema), schema, cfg,
+                            dataset_id="corpus-a")
         path = tmp_path / "w.nggm"
         save_embedding(path, emb)
         back = load_embedding(path)
         for g in corpus_b:
             F = embed_vertices(g, back)
-            assert F.shape == (6, g.num_vertices)
+            assert F.shape == (g.num_vertices, 6)
