@@ -13,6 +13,9 @@ objective, so no later iterate comes back to w = 0, where the penalty is
 not differentiable. The intercept is never penalized. A fit has converged
 when the norm of its minimum-norm subgradient is at most ``GRAD_TOL``, one
 absolute tolerance for every fit; ``MAX_ITER`` caps the Newton steps.
+Each logistic evaluation takes one exponential, exp(-|z|), for both the
+loss and the sigmoid, and a path computes every logistic Hessian's
+weighted rows in one workspace, allocated once per ``fit_path`` call.
 
 ``fit_path`` fits a whole lambda grid on one matrix and does what does not
 depend on lambda once: the checks, the start point and the loss Hessian
@@ -24,6 +27,8 @@ one QR for the grid. ``fit`` is its one-lambda case.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,9 +96,16 @@ class LinearModel:
         weights = doc.get("weights")
         if not (isinstance(weights, list) and all(type(v) in (int, float) for v in weights)):
             raise ModelFormatError("model 'weights' must be a list of numbers")
+        # NaN, the infinities and integers past float64's range are not finite
+        if not all(abs(v) <= sys.float_info.max for v in weights):
+            raise ModelFormatError("model 'weights' must be finite")
         for key in ("intercept", "lambda"):
             if type(doc.get(key)) not in (int, float):
                 raise ModelFormatError(f"model {key!r} must be a number")
+        if not abs(doc["intercept"]) <= sys.float_info.max:
+            raise ModelFormatError("model 'intercept' must be finite")
+        if not 0 <= doc["lambda"] <= sys.float_info.max:
+            raise ModelFormatError("model 'lambda' must be finite and >= 0")
         for key, choices in (("task", TASKS), ("penalty", PENALTIES)):
             if doc.get(key) not in choices:
                 raise ModelFormatError(f"model {key!r} must be one of {choices}")
@@ -117,19 +129,12 @@ class LinearModel:
         return cls.from_dict(json.loads(text))
 
 
-def _sigmoid(z):
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _log1pexp(z):
-    # log(1 + e^z), stable on both tails
-    out = np.where(z > 0, z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-    return out
+def _sigmoid(z, e=None):
+    """1 / (1 + e) for z >= 0 and e / (1 + e) below, e = exp(-|z|) (passed in or
+    computed); -|z| is taken as min(z, -z), which keeps a NaN's sign."""
+    if e is None:
+        e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _objective_and_grad(theta, X, y, task, lam, penalty):
@@ -137,34 +142,36 @@ def _objective_and_grad(theta, X, y, task, lam, penalty):
     z = X @ w + b
     n = X.shape[0]
     if task == "logistic":
-        sign = 2.0 * y - 1.0
-        loss = float(np.mean(_log1pexp(-sign * z)))
-        resid = _sigmoid(z) - y
+        # log(1 + e^x) = max(x, 0) + log1p(e^-|x|), x = (1 - 2y) z, and |x| = |z|
+        e = np.exp(np.minimum(z, -z))
+        x = (1.0 - 2.0 * y) * z
+        loss = float(np.add.reduce(np.where(x > 0, x, 0.0) + np.log1p(e)) / n)
+        resid = _sigmoid(z, e) - y
     else:
-        diff = z - y
-        loss = float(0.5 * np.mean(diff * diff))
-        resid = diff
-    gw = X.T @ resid / n
-    gb = float(resid.mean())
+        resid = z - y
+        loss = float(0.5 * (np.add.reduce(resid * resid) / n))
+    grad = np.empty(theta.size)
+    np.matmul(X.T, resid, out=grad[:-1])
+    grad[:-1] /= n
+    grad[-1] = np.add.reduce(resid) / n
 
-    wnorm = float(np.linalg.norm(w))
+    wnorm = math.sqrt(w @ w)
     if penalty == "squared-l2":
         loss += lam * wnorm ** 2
-        gw = gw + 2.0 * lam * w
+        grad[:-1] += 2.0 * lam * w
     else:
         loss += lam * wnorm
         if wnorm > 0:
-            gw = gw + lam * w / wnorm
-    grad = np.concatenate([gw, [gb]])
+            grad[:-1] += lam * w / wnorm
     return loss, grad
 
 
-def _loss_hessian(theta, X1, task):
-    """Hessian of the mean loss at theta; X1 is X with an intercept column
-    appended. For least squares it is the same at every theta."""
+def _loss_hessian(theta, X1, task, work):
+    """Hessian of the mean loss at theta, with X1 = [X, 1] and ``work`` a buffer
+    of its shape. Least squares has the same one at every theta."""
     if task == "logistic":
         p = _sigmoid(X1 @ theta)
-        Xs = X1 * np.sqrt(p * (1.0 - p))[:, None]
+        Xs = np.multiply(X1, np.sqrt(p * (1.0 - p))[:, None], out=work)
         H = Xs.T @ Xs
     else:
         H = X1.T @ X1
@@ -174,15 +181,14 @@ def _loss_hessian(theta, X1, task):
 
 def _newton_direction(theta, grad, H, lam, penalty):
     """Newton direction -H^-1 g, from one LU solve, with H the loss Hessian at
-    theta (copied, not changed). Unsquared-l2 iterates never sit at w = 0
-    (see ``fit_path``)."""
-    H = H.copy()
+    theta, which it adds the penalty to in place. Unsquared-l2 iterates never
+    sit at w = 0 (see ``fit_path``)."""
     k = theta.size - 1
     if penalty == "squared-l2":
         H.ravel()[: k * (k + 2): k + 2] += 2.0 * lam  # the diagonal of H[:-1, :-1]
     else:  # lam / ||w|| * (I - u u^T), u = w / ||w||; uu holds u u^T - I
         w = theta[:-1]
-        wnorm = float(np.linalg.norm(w))
+        wnorm = math.sqrt(w @ w)
         uu = np.outer(w / wnorm, w / wnorm)
         uu.ravel()[:: k + 1] -= 1.0
         H[:-1, :-1] -= lam / wnorm * uu
@@ -200,7 +206,7 @@ def _leave_zero(theta, grad, X1, task, lam):
     Cauchy step length of the quadratic model. A slope of 0 means w = 0 is
     optimal."""
     gw = grad[:-1]
-    gnorm = float(np.linalg.norm(gw))
+    gnorm = math.sqrt(gw @ gw)
     if gnorm <= lam:
         return np.zeros_like(theta), 0.0, 0.0
     d = np.r_[-gw * (1.0 - lam / gnorm), 0.0]
@@ -209,15 +215,15 @@ def _leave_zero(theta, grad, X1, task, lam):
         p = _sigmoid(X1 @ theta)
         D = p * (1.0 - p)
     slope = -float(d @ d)
-    return d, slope, -slope / float(np.mean(D * (X1 @ d) ** 2))
+    return d, slope, -slope / float(np.add.reduce(D * (X1 @ d) ** 2) / X1.shape[0])
 
 
 def _grad_norm(theta, grad, lam, penalty) -> float:
     """Norm of the minimum-norm subgradient; for the plain l2 norm at w = 0
     the loss gradient's weight part shrinks by lam (to zero inside the ball)."""
     if penalty == "squared-l2" or theta[:-1].any():
-        return float(np.linalg.norm(grad))
-    return float(np.hypot(max(float(np.linalg.norm(grad[:-1])) - lam, 0.0), grad[-1]))
+        return math.sqrt(grad @ grad)
+    return float(np.hypot(max(math.sqrt(grad[:-1] @ grad[:-1]) - lam, 0.0), grad[-1]))
 
 
 def _row_space(n: int, d: int) -> bool:
@@ -283,13 +289,15 @@ def fit_path(
         ybar = float(y.mean())
         theta0[-1] = np.log(ybar / (1.0 - ybar)) if task == "logistic" else ybar
     start = theta0, *_objective_and_grad(theta0, X, y, task, 0.0, penalty)
+    # the weighted rows of every logistic Hessian, in X1's memory order
+    work = np.empty_like(X1) if task == "logistic" else None
     # an unsquared-l2 logistic fit leaves its start along the subgradient,
     # with no Hessian
-    H0 = (_loss_hessian(theta0, X1, task)
+    H0 = (_loss_hessian(theta0, X1, task, work)
           if task == "least-squares" or penalty == "squared-l2" else None)
     models = []
     for lam in lams:
-        theta, report = _newton(X, X1, y, task, lam, penalty, start, H0)
+        theta, report = _newton(X, X1, y, task, lam, penalty, start, H0, work)
         models.append(LinearModel(
             weights=theta[:-1].copy() if Q is None else Q @ theta[:-1],
             intercept=float(theta[-1]),
@@ -301,7 +309,7 @@ def fit_path(
     return models
 
 
-def _newton(X, X1, y, task, lam, penalty, start, H0):
+def _newton(X, X1, y, task, lam, penalty, start, H0, work):
     """Newton steps with backtracking from ``start`` = (theta, objective,
     gradient), with H0 the loss Hessian there; returns theta and its report."""
     theta, obj, grad = start
@@ -310,9 +318,9 @@ def _newton(X, X1, y, task, lam, penalty, start, H0):
         if _grad_norm(theta, grad, lam, penalty) <= GRAD_TOL:
             break
         if penalty == "squared-l2" or theta[:-1].any():
-            # least squares has one Hessian; logistic shares the start's
-            H = (H0 if task == "least-squares" or theta is start[0]
-                 else _loss_hessian(theta, X1, task))
+            # least squares has one Hessian, logistic shares the start's: copy it
+            H = (H0.copy() if task == "least-squares" or theta is start[0]
+                 else _loss_hessian(theta, X1, task, work))
             d = _newton_direction(theta, grad, H, lam, penalty)
             slope, step = float(grad @ d), 1.0
         else:

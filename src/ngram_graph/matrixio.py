@@ -91,8 +91,10 @@ def write_csv(path, matrix: np.ndarray, header: list[str], row_ids=None) -> None
     orjson formats a row in one call with the same shortest digits as
     ``repr``; it spells only exponents and non-finite values differently
     (``1e16``, ``1e-5``, ``null``), so a value that is not finite, or nonzero
-    outside [1e-4, 1e16), is re-formatted with ``repr``. Rows are formatted
-    and masked one at a time, never the whole matrix at once.
+    outside [1e-4, 1e16), is re-formatted with ``repr``: it is set to NaN
+    before the call, so orjson writes ``null`` in its place, and each
+    ``null`` is replaced. Rows are formatted and masked one at a time, never
+    the whole matrix at once.
     """
     import orjson  # loaded at the first CSV write, not at start-up
 
@@ -101,14 +103,14 @@ def write_csv(path, matrix: np.ndarray, header: list[str], row_ids=None) -> None
         for i, row in enumerate(np.asarray(matrix)):
             # orjson refuses a strided row; an integer row becomes floats here
             row = np.ascontiguousarray(row, dtype=np.float64)
-            cells = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
             size = np.abs(row)
-            odd = np.flatnonzero(~(size < 1e16) | ((size < 1e-4) & (size > 0)))
-            if odd.size:
-                parts = cells.split(",")
-                for j in odd.tolist():
-                    parts[j] = repr(float(row[j]))
-                cells = ",".join(parts)
+            odd = ~(size < 1e16) | ((size < 1e-4) & (size > 0))
+            cells = orjson.dumps(np.where(odd, np.nan, row),
+                                 option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+            if odd.any():
+                gaps = cells.split("null")
+                cells = "".join(gap + repr(v) for gap, v in zip(gaps, row[odd].tolist()))
+                cells += gaps[-1]
             if row_ids is not None:
                 cells = f"{csv_field(row_ids[i])},{cells}"
             fh.write(cells + "\n")

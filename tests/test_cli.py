@@ -1670,6 +1670,10 @@ class TestMalformedFiles:
         (lambda m: {**m, "weights": [True] * len(m["weights"])}, "'weights' must be"),
         (lambda m: {**m, "intercept": None}, "'intercept' must be a number"),
         (lambda m: {**m, "lambda": "0.1"}, "'lambda' must be a number"),
+        (lambda m: {**m, "weights": [float("nan")] + m["weights"][1:]},
+         "'weights' must be finite"),
+        (lambda m: {**m, "intercept": float("inf")}, "'intercept' must be finite"),
+        (lambda m: {**m, "lambda": -5}, "'lambda' must be finite and >= 0"),
         (lambda m: {**m, "task": "x"}, "'task' must be one of"),
         (lambda m: {**m, "penalty": ["squared-l2"]}, "'penalty' must be one of"),
         (lambda m: {**m, "fit_report": 3}, "'fit_report' must be a JSON object"),

@@ -10,7 +10,9 @@ from ngram_graph.linear import (
     TASKS,
     DegenerateLabels,
     LinearModel,
+    ModelFormatError,
     _objective_and_grad,
+    _sigmoid,
     compute_metric,
     fit,
     fit_path,
@@ -196,6 +198,22 @@ class TestFit:
         b = fit(X, y, lam=1e-3)
         assert np.array_equal(a.weights, b.weights)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("weights", [0.5, float("nan")], "'weights' must be finite"),
+        ("weights", [float("-inf"), 0.5], "'weights' must be finite"),
+        ("weights", [10 ** 400, 0.5], "'weights' must be finite"),
+        ("intercept", float("inf"), "'intercept' must be finite"),
+        ("intercept", float("nan"), "'intercept' must be finite"),
+        ("lambda", -5, "'lambda' must be finite and >= 0"),
+        ("lambda", float("nan"), "'lambda' must be finite and >= 0"),
+        ("lambda", float("inf"), "'lambda' must be finite and >= 0"),
+    ])
+    def test_non_finite_model_refused(self, field, value, message):
+        doc = LinearModel(np.array([0.5, -1.0]), 0.25, "logistic", 1e-3, "squared-l2").to_dict()
+        LinearModel.from_dict(doc)
+        with pytest.raises(ModelFormatError, match=message):
+            LinearModel.from_dict({**doc, field: value})
+
     def test_model_json_round_trip(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((30, 4))
@@ -205,6 +223,94 @@ class TestFit:
         assert np.array_equal(back.weights, model.weights)
         assert back.intercept == model.intercept
         assert np.array_equal(back.decision(X), model.decision(X))
+
+
+# Reference evaluation: a masked two-branch sigmoid and a separate
+# log(1 + e^z), each with its own exponential. The solver's one-exponential
+# evaluation must equal it bit for bit.
+def _sigmoid_two_branch(z):
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _log1pexp(z):
+    return np.where(z > 0, z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def _objective_and_grad_two_branch(theta, X, y, task, lam, penalty):
+    w, b = theta[:-1], theta[-1]
+    z = X @ w + b
+    n = X.shape[0]
+    if task == "logistic":
+        sign = 2.0 * y - 1.0
+        loss = float(np.mean(_log1pexp(-sign * z)))
+        resid = _sigmoid_two_branch(z) - y
+    else:
+        diff = z - y
+        loss = float(0.5 * np.mean(diff * diff))
+        resid = diff
+    gw = X.T @ resid / n
+    gb = float(resid.mean())
+    wnorm = float(np.linalg.norm(w))
+    if penalty == "squared-l2":
+        loss += lam * wnorm ** 2
+        gw = gw + 2.0 * lam * w
+    else:
+        loss += lam * wnorm
+        if wnorm > 0:
+            gw = gw + lam * w / wnorm
+    return loss, np.concatenate([gw, [gb]])
+
+
+_EDGE_Z = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 1e-300, -1e-300, 40.0, -40.0]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestOneExponential:
+    """The one-exponential sigmoid, loss and gradient against the two-branch
+    reference, bit for bit."""
+
+    def test_sigmoid_equals_two_branch(self):
+        rng = np.random.default_rng(11)
+        for z in (np.array(_EDGE_Z), -np.array(_EDGE_Z),
+                  rng.standard_normal(5000) * 10.0 ** rng.uniform(-3, 3, 5000)):
+            assert np.array_equal(_bits(_sigmoid(z)), _bits(_sigmoid_two_branch(z)))
+
+    @pytest.mark.parametrize("penalty", PENALTIES)
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    @pytest.mark.parametrize("z", _EDGE_Z + [-np.nan])
+    def test_edge_values_equal_two_branch(self, z, label, penalty):
+        # theta = (1, -0.0) gives X @ w + b = z exactly, -0.0 included
+        args = (np.array([1.0, -0.0]), np.array([[z]]), np.array([label]), "logistic",
+                0.1, penalty)
+        with np.errstate(invalid="ignore"):  # inf * 0 in X.T @ resid
+            loss, grad = _objective_and_grad(*args)
+            ref_loss, ref_grad = _objective_and_grad_two_branch(*args)
+        assert np.array_equal(_bits(grad), _bits(ref_grad))
+        # a NaN loss may differ in its sign bit only: the reference's -|x|
+        # sets it, and a NaN's sign carries no value
+        assert _bits(loss) == _bits(ref_loss) or (np.isnan(loss) and np.isnan(ref_loss))
+
+    @pytest.mark.parametrize("penalty", PENALTIES)
+    @pytest.mark.parametrize("task", TASKS)
+    def test_random_problems_equal_two_branch(self, task, penalty):
+        rng = np.random.default_rng(12)
+        for n, d, scale in [(1, 1, 1.0), (50, 7, 1.0), (40, 90, 30.0), (300, 20, 1e-3)]:
+            X, y = _problem(int(rng.integers(100)), n, d, task)
+            X *= scale
+            for theta in (np.zeros(d + 1), rng.standard_normal(d + 1) * 3.0):
+                args = (theta, X, y, task, 1e-2, penalty)
+                loss, grad = _objective_and_grad(*args)
+                ref_loss, ref_grad = _objective_and_grad_two_branch(*args)
+                assert _bits(loss) == _bits(ref_loss)
+                assert np.array_equal(_bits(grad), _bits(ref_grad))
 
 
 def _problem(seed, n, d, task):
@@ -262,6 +368,25 @@ class TestFitPath:
     def test_single_class_faults(self):
         with pytest.raises(DegenerateLabels):
             fit_path(np.ones((5, 2)), np.ones(5), LAMBDA_GRID)
+
+    @pytest.mark.parametrize("penalty", PENALTIES)
+    @pytest.mark.parametrize("task", TASKS)
+    def test_paths_share_no_state(self, task, penalty):
+        # A, then B, then A again give the models fresh fits give, and no fit
+        # writes to the caller's arrays
+        def problem(seed, n, d):
+            X, y = _problem(seed, n, d, task)
+            X.setflags(write=False)
+            y.setflags(write=False)
+            return X, y
+
+        def path(X, y):
+            return [m.to_json() for m in fit_path(X, y, LAMBDA_GRID, task=task,
+                                                  penalty=penalty)]
+
+        a, b = problem(31, 60, 8), problem(32, 20, 50)
+        fresh = path(*a), path(*b)
+        assert (path(*a), path(*b), path(*a)) == (fresh[0], fresh[1], fresh[0])
 
     @pytest.mark.parametrize("lam", [-1.0, float("inf"), float("nan")])
     def test_bad_lambda_rejected(self, lam):
