@@ -7,6 +7,9 @@ slot) pairs of its stacked adjacency. The predictor is W followed by a
 small rectifier MLP whose K outputs are split into per-attribute blocks,
 each scored with softmax cross-entropy. Training is mini-batch Adam on all
 parameters (W included), in float64, fully deterministic given the seed.
+The Adam update writes its temporaries into two scratch buffers per
+parameter, allocated once per training, and computes each moment and step
+in the order of the textbook expressions, so the weights keep their bits.
 """
 
 from __future__ import annotations
@@ -138,35 +141,42 @@ class CbowNetwork:
         S_in = self._inputs(contexts, sizes)
         acts = [S_in @ self.W.T]  # (B, r)
         for li, (A, b) in enumerate(self.layers):
-            z = acts[-1] @ A.T + b
+            z = acts[-1] @ A.T
+            z += b
             if li < len(self.layers) - 1:
-                z = np.maximum(z, 0.0)
+                np.maximum(z, 0.0, out=z)
             acts.append(z)
         return acts, S_in
 
     def loss_and_grads(self, contexts, sizes, targets):
         """Mean per-sample loss (summed over attribute blocks) and gradients.
 
-        The blocks' softmax runs in one pass over the K logits. Only the two
-        reductions whose order reaches the bits stay per block: each block's
-        row sums and each block's loss sum, added into the loss block by
-        block.
+        The blocks' softmax runs in one pass over the K logits, in place,
+        with each block's max and sum spread over its columns by one
+        column-to-block index. Only the two reductions whose order reaches
+        the bits stay per block: each block's row sums and each block's loss
+        sum, added into the loss block by block.
         """
         B = contexts.shape[0]
         acts, S_in = self.forward(contexts, sizes)
-        logits = acts[-1]
+        p = acts[-1]  # the logits, which the backward pass does not read
 
         offsets, widths = self.schema.offsets, self.schema.cardinalities
         starts = np.asarray(offsets)
-        p = logits - np.repeat(np.maximum.reduceat(logits, starts, axis=1), widths, axis=1)
+        block = np.repeat(np.arange(starts.size), widths)  # each column's block
+        p -= np.maximum.reduceat(p, starts, axis=1)[:, block]
         np.exp(p, out=p)
         sums = [p[:, off : off + k].sum(axis=1) for off, k in zip(offsets, widths)]
-        p /= np.repeat(np.stack(sums, axis=1), widths, axis=1)
-        rows, cols = np.arange(B), starts[:, None] + targets.T  # (S, B) target columns
+        p /= np.stack(sums, axis=1)[:, block]
+        # the targets' (S, B) positions in p, a fresh C-ordered product whose
+        # ravel is a view
+        flat = (starts[:, None] + targets.T) + np.arange(0, B * p.shape[1], p.shape[1])
+        picked = p.ravel()[flat]
         loss = 0.0
-        for block in np.log(np.maximum(p[rows, cols], 1e-300)):
-            loss -= block.sum()
-        p[rows, cols] -= 1.0
+        for row in np.log(np.maximum(picked, 1e-300)):
+            loss -= row.sum()
+        picked -= 1.0
+        p.ravel()[flat] = picked
         p /= B  # the logits' gradient
         loss /= B
 
@@ -180,7 +190,7 @@ class CbowNetwork:
             grads.append((li, gA, gb))
             delta = delta @ A
             if li > 0:
-                delta = delta * (a_prev > 0)
+                delta *= a_prev > 0
         gW = delta.T @ S_in
         grad_list = [gW]
         for li, gA, gb in sorted(grads):
@@ -225,10 +235,11 @@ def train_cbow(
 
     report = TrainingReport()
 
-    # Adam state
+    # Adam state, and two scratch buffers per parameter for its update
     params = net.parameters()
     m_state = [np.zeros_like(p) for p in params]
     v_state = [np.zeros_like(p) for p in params]
+    scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
@@ -242,14 +253,23 @@ def train_cbow(
                 if not np.isfinite(loss):
                     raise TrainingDiverged(epoch)
                 step += 1
-                for p, g, ms, vs in zip(params, grads, m_state, v_state):
+                c1, c2 = 1 - beta1 ** step, 1 - beta2 ** step
+                for p, g, ms, vs, (s, t) in zip(params, grads, m_state, v_state, scratch):
+                    # ms = beta1 ms + (1-beta1) g, vs = beta2 vs + ((1-beta2) g) g and
+                    # p -= (lr mhat) / (sqrt(vhat) + eps), each in that order
                     ms *= beta1
-                    ms += (1 - beta1) * g
+                    ms += np.multiply(g, 1 - beta1, out=s)
                     vs *= beta2
-                    vs += (1 - beta2) * g * g
-                    mhat = ms / (1 - beta1 ** step)
-                    vhat = vs / (1 - beta2 ** step)
-                    p -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
+                    np.multiply(g, 1 - beta2, out=s)
+                    s *= g
+                    vs += s
+                    np.divide(vs, c2, out=s)
+                    np.sqrt(s, out=s)
+                    s += eps
+                    np.divide(ms, c1, out=t)
+                    t *= cfg.learning_rate
+                    t /= s
+                    p -= t
                 epoch_loss += loss * batch.size
             report.epoch_losses.append(epoch_loss / train.size)
 

@@ -166,6 +166,14 @@ def _write_sidecar(out_path, manifest: dict | None = None) -> None:
                     encoding="utf-8")
 
 
+def _echo_lines(lines) -> None:
+    """The lines on stderr in one write, each ending in a newline; no lines
+    write nothing."""
+    lines = list(lines)
+    if lines:
+        click.echo("\n".join(lines), err=True)
+
+
 def _load_graphs(path, schema=None, errors=None):
     """The corpus at path and its schema: the one given, else the bundled one
     whose fingerprint its graphs carry. Faults go to ``errors`` if given;
@@ -217,18 +225,16 @@ def featurize_cmd(input_path, out, schema_key):
         errors = []
         graphs, schema = _load_graphs(input_path, schema, errors)
         failed = len(errors)
-        for pos, msg in errors:
-            click.echo(f"document {pos}: {msg}", err=True)
+        _echo_lines(f"document {pos}: {msg}" for pos, msg in errors)
     else:
         schema = schema or BUNDLED_SCHEMAS["full"]
         records, parse_errors = parse_sdf(Path(input_path).read_bytes())
         failed = len(parse_errors)
-        for err in parse_errors:
-            click.echo(str(err), err=True)
+        _echo_lines(map(str, parse_errors))
         graphs, warnings = featurize_corpus(records, schema)
-        for rec, record_warnings in zip(records, warnings):
-            for w in (*rec.warnings, *record_warnings):  # the reader's, then the featurizer's
-                click.echo(f"{rec.name or 'record'}: {w}", err=True)
+        _echo_lines(f"{rec.name or 'record'}: {w}"
+                    for rec, record_warnings in zip(records, warnings)
+                    for w in (*rec.warnings, *record_warnings))  # reader's, then featurizer's
 
     if not graphs:
         raise GraphError(f"no graphs parsed from {input_path}")
@@ -310,9 +316,7 @@ def embed(graphs_path, embedding_path, out, t_steps, variant, normalize,
         graphs, emb, t_steps, variant=variant, level_scale=level_scale,
         normalization="unit-l2" if normalize else "none",
     )
-    if manifest["errors"]:
-        for row, msg in manifest["errors"].items():
-            click.echo(f"row {row}: {msg}", err=True)
+    _echo_lines(f"row {row}: {msg}" for row, msg in manifest["errors"].items())
     manifest["run"] = _manifest()
     formats = ("bin", "csv") if want_csv else ("bin",)
     paths = export_features(matrix, manifest, out, formats=formats)

@@ -293,14 +293,29 @@ def write_jsonl(graphs, schema: AttributeSchema, stream) -> None:
 
     json spells the scalar fields, where orjson would spell some strings and
     floats differently; orjson spells the two integer tables, as json does,
-    straight from the arrays.
+    straight from the arrays. Both tables are row slices of the corpus's
+    :func:`stack_graphs` layout: its attribute table, and its canonical
+    edges, read at once off the upper triangle of its block-diagonal CSR
+    (each graph's :meth:`~MolecularGraph.canonical_edges`).
     """
     import orjson  # loaded at the first graph-document write, not at start-up
 
+    graphs = list(graphs)
+    if not graphs:
+        return
+    indptr, indices, attr, offsets = stack_graphs(graphs)
+    # orjson refuses a strided table, and one F-ordered table stacks as itself
+    attr = np.ascontiguousarray(attr)
+    rows = np.repeat(np.arange(offsets[-1]), np.diff(indptr))
+    upper = indices > rows
+    local = np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
+    edges = local[np.stack([rows[upper], indices[upper]], axis=1)]
+    vs = offsets.tolist()
+    es = np.concatenate([[0], np.cumsum(upper)])[indptr[offsets]].tolist()
     head = '{"schema_id":' + json.dumps(schema.schema_id) + ',"id":'
-    for g in graphs:
-        tables = orjson.dumps({"attributes": np.ascontiguousarray(g.attr),  # orjson refuses
-                               "edges": g.canonical_edges()},           # a strided table
+    for k, g in enumerate(graphs):
+        tables = orjson.dumps({"attributes": attr[vs[k] : vs[k + 1]],
+                               "edges": edges[es[k] : es[k + 1]]},
                               option=orjson.OPT_SERIALIZE_NUMPY).decode()
         label = "" if g.label is None else ',"label":' + json.dumps(g.label)
         stream.write(f'{head}{json.dumps(g.graph_id)},"num_vertices":'

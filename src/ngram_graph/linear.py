@@ -55,6 +55,14 @@ class FitReport:
     converged: bool = False
 
 
+# each fit_report field's JSON types and what its error asks for; NaN is a
+# number, which to_dict writes for a model that no fit made
+_REPORT_FIELDS = {"iterations": ((int,), "an integer >= 0"),
+                  "objective": ((int, float), "a number"),
+                  "grad_norm": ((int, float), "a number"),
+                  "converged": ((bool,), "true or false")}
+
+
 @dataclass
 class LinearModel:
     weights: np.ndarray
@@ -109,11 +117,16 @@ class LinearModel:
         for key, choices in (("task", TASKS), ("penalty", PENALTIES)):
             if doc.get(key) not in choices:
                 raise ModelFormatError(f"model {key!r} must be one of {choices}")
-        if not isinstance(doc.get("fit_report", {}), dict):
+        report = doc.get("fit_report", {})
+        if not isinstance(report, dict):
             raise ModelFormatError("model 'fit_report' must be a JSON object")
-        rep = FitReport(**{k: doc.get("fit_report", {}).get(k, v) for k, v in
-                           dict(iterations=0, objective=float("nan"),
-                                grad_norm=float("nan"), converged=False).items()})
+        for key, value in report.items():
+            if key not in _REPORT_FIELDS:
+                raise ModelFormatError(f"model 'fit_report' has an unknown field {key!r}")
+            types, wanted = _REPORT_FIELDS[key]
+            if type(value) not in types or key == "iterations" and value < 0:
+                raise ModelFormatError(f"model 'fit_report' field {key!r} must be {wanted}")
+        rep = FitReport(**report)
         return cls(
             weights=np.asarray(doc["weights"], dtype=np.float64),
             intercept=float(doc["intercept"]),

@@ -211,10 +211,13 @@ def _levels(graphs, emb, T, variant, counts=False):
     (for ``walk`` only when ``counts`` is set). Units of work, whole graphs
     or the start-vertex slices of :func:`unit_cuts`, are packed into batches
     by their walk bound, enumerated once and summed on their own; each unit
-    sum is added into its graph's row in unit order (``np.add.at`` applies
-    repeated indices in order), so a row never depends on its batch. A
-    sliced graph's units batch apart from other graphs', so its batches
-    share one vertex span, whose rows and CSR slices are built once."""
+    sum is added into its graph's row in unit order, so a row never depends
+    on its batch. A ``walk`` batch holds each graph once, as one unit, so
+    its sums are added by plain fancy indexing; ``np.add.at``, which applies
+    repeated indices in order, remains only in the exclusion variants,
+    where a sliced graph's units repeat it. A sliced graph's units batch
+    apart from other graphs', so its batches share one vertex span, whose
+    rows and CSR slices are built once."""
     indptr, indices, attr, offsets = stack_graphs(graphs)
     G, r = len(graphs), emb.dim
     width = r if variant == "walk" else max(r, T)
@@ -246,11 +249,11 @@ def _levels(graphs, emb, T, variant, counts=False):
             ones = np.ones((v1 - v0, 1), dtype=np.int64)
             for X1, out in [(base, L), (ones, C[:, :, None])][: 1 + counts]:
                 X = X1
-                np.add.at(out[:, 0], to, P @ X)
+                out[to, 0] += P @ X
                 for n in range(1, T):
                     X = A @ X
                     X *= X1
-                    np.add.at(out[:, n], to, P @ X)
+                    out[to, n] += P @ X
             continue
         starts = np.arange(ub[u0], ub[u1]) - v0
         for n, parent, end, _ in expand_walks(ptr, idx, keys[v0:v1], starts, T):

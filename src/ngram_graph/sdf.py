@@ -222,7 +222,11 @@ def parse_sdf(data) -> tuple[list[MolRecord], list[RecordError]]:
         arr.setflags(write=False)
     records = []
     bond_base = np.concatenate([[0], np.cumsum(nb)]).tolist()
-    for (s, e, a, b), a0, b0, is_bad in zip(heads, atom_base.tolist(), bond_base, bad.tolist()):
+    radicals = np.flatnonzero(codes == 4)  # corpus atom indices, sliced per record
+    rad_base = np.searchsorted(radicals, atom_base).tolist()
+    radicals = radicals.tolist()
+    for (s, e, a, b), a0, b0, r0, r1, is_bad in zip(heads, atom_base.tolist(), bond_base,
+                                                    rad_base, rad_base[1:], bad.tolist()):
         if is_bad:
             problems[s] = _first_bad_line(lines[s + 4 : s + 4 + a + b], a, b)
             continue
@@ -234,8 +238,8 @@ def parse_sdf(data) -> tuple[list[MolRecord], list[RecordError]]:
         warnings = ()
         if chg is None:
             chg = charges[a0 : a0 + a]
-            warnings = tuple(f"atom {i + 1}: radical charge code 4 treated as charge 0"
-                             for i in np.flatnonzero(codes[a0 : a0 + a] == 4).tolist())
+            warnings = tuple(f"atom {i - a0 + 1}: radical charge code 4 treated as charge 0"
+                             for i in radicals[r0:r1])
         records.append(MolRecord(
             name=lines[s].strip(),
             symbols=tuple(symbols[a0 : a0 + a]),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ngram_graph as ng
-from ngram_graph import CbowConfig, extract_contexts, train_cbow
+from ngram_graph import CbowConfig, cbow, extract_contexts, train_cbow
 from ngram_graph.cbow import CbowNetwork, TrainingDiverged
 
 from . import synth
@@ -60,6 +60,54 @@ def reference_loss_and_grads(net, contexts, sizes, targets):
     for li, gA, gb in sorted(grads):
         grad_list.extend((gA, gb))
     return loss, grad_list
+
+
+class _ReferenceNetwork(CbowNetwork):
+    """The network with its forward pass as it was before the bias and the
+    rectifier ran in place."""
+
+    def forward(self, contexts, sizes):
+        S_in = self._inputs(contexts, sizes)
+        acts = [S_in @ self.W.T]
+        for li, (A, b) in enumerate(self.layers):
+            z = acts[-1] @ A.T + b
+            if li < len(self.layers) - 1:
+                z = np.maximum(z, 0.0)
+            acts.append(z)
+        return acts, S_in
+
+
+def reference_training(samples, schema, cfg):
+    """``train_cbow``'s W and epoch losses from the reference network,
+    ``reference_loss_and_grads`` and Adam's expressions written out with
+    fresh temporaries, drawing from the seed in train_cbow's order."""
+    rng = np.random.default_rng(cfg.seed)
+    net = _ReferenceNetwork(schema, cfg, rng)
+    n = len(samples)
+    train = rng.permutation(n)[round(cbow.HOLDOUT_FRACTION * n):]
+    params = net.parameters()
+    m_state = [np.zeros_like(p) for p in params]
+    v_state = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step, losses = 0, []
+    for _ in range(cfg.epochs):
+        order, epoch_loss = rng.permutation(train.size), 0.0
+        for start in range(0, train.size, cfg.batch_size):
+            batch = train[order[start : start + cfg.batch_size]]
+            loss, grads = reference_loss_and_grads(net, samples.contexts[batch],
+                                                   samples.sizes[batch], samples.targets[batch])
+            step += 1
+            for p, g, ms, vs in zip(params, grads, m_state, v_state):
+                ms *= beta1
+                ms += (1 - beta1) * g
+                vs *= beta2
+                vs += (1 - beta2) * g * g
+                mhat = ms / (1 - beta1 ** step)
+                vhat = vs / (1 - beta2 ** step)
+                p -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
+            epoch_loss += loss * batch.size
+        losses.append(epoch_loss / train.size)
+    return net.W, losses
 
 
 def _bits(loss, grads):
@@ -258,6 +306,23 @@ class TestNetworkMath:
         ref_emb, ref_report = train_cbow(samples, sch, cfg)
         assert emb.matrix.tobytes() == ref_emb.matrix.tobytes()
         assert report.epoch_losses == ref_report.epoch_losses
+
+    @pytest.mark.parametrize("aggregator", ["sum", "mean"])
+    @pytest.mark.parametrize("hidden", [(12,), (10, 7)])
+    def test_training_equals_the_reference_loop(self, aggregator, hidden):
+        """Bit for bit: W and every epoch loss, over 3 epochs whose last
+        batch is short."""
+        sch = synth.small_schema(ks=(6, 5))
+        rng = np.random.default_rng([len(hidden), len(aggregator)])
+        samples = extract_contexts(synth.neighbor_predictable_corpus(rng, sch, n_graphs=40),
+                                   sch)
+        cfg = CbowConfig(r=8, aggregator=aggregator, hidden=hidden, epochs=3, batch_size=37,
+                         learning_rate=3e-3, seed=2)
+        assert (len(samples) - round(cbow.HOLDOUT_FRACTION * len(samples))) % 37
+        emb, report = train_cbow(samples, sch, cfg)
+        W, losses = reference_training(samples, sch, cfg)
+        assert emb.matrix.tobytes() == W.tobytes()
+        assert report.epoch_losses == losses
 
     def test_gradients_match_finite_differences(self, rng):
         sch = synth.small_schema(ks=(3, 2))

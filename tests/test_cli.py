@@ -23,7 +23,7 @@ from ngram_graph.sdf import parse_sdf
 from ngram_graph.vertex import load_embedding, save_embedding
 
 from . import synth
-from .synth import ETHANOL, WATER, dumps_graph, molblock, sdf_stream
+from .synth import ETHANOL, WATER, charge_line, dumps_graph, molblock, sdf_stream
 
 
 def _sha(path):
@@ -77,6 +77,66 @@ class TestFeaturize:
             "record: atom 1: radical charge code 4 treated as charge 0",
             "record: atom 2 (Si): no valence entry, hydrogen count unknown",
         ]
+
+    # parse errors, then each record's reader and featurizer warnings, then
+    # the summary line: a bad counts line and a bad bond; radicals in two
+    # records; an M  CHG record whose radical marker is superseded
+    STDERR_SDF = sdf_stream(
+        molblock("rad", ["C", "C", "Si"], [(1, 2, 1), (2, 3, 1)], [4, 0, 4]),
+        "junk\n\n\nnot a counts line",
+        WATER,
+        molblock("", ["O", "Xe", "C"], [(1, 2, 1), (2, 3, 1)], [0, 4, 0]),
+        molblock("bad bond", ["C", "C"], [(1, 2, 5)]),
+        molblock("ion", ["N", "Si"], [(1, 2, 1)], [4, 0], props=[charge_line((1, 1))]),
+    )
+    STDERR_PARSE = ("line 12: malformed counts line: invalid literal for int() with base 10: "
+                    "'not'\n"
+                    "line 39: bond 1: order 5 outside 1..4\n")
+
+    @pytest.mark.parametrize("name, sdf, expected", [
+        ("mixed", STDERR_SDF, STDERR_PARSE + (
+            "rad: atom 1: radical charge code 4 treated as charge 0\n"
+            "rad: atom 3: radical charge code 4 treated as charge 0\n"
+            "rad: atom 3 (Si): no valence entry, hydrogen count unknown\n"
+            "record: atom 2: radical charge code 4 treated as charge 0\n"
+            "record: atom 2 (Xe): no valence entry, hydrogen count unknown\n"
+            "ion: atom 2 (Si): no valence entry, hydrogen count unknown\n"
+            "parsed=4 failed=2 vertices min/mean/max=1/2.2/3\n")),
+        ("clean", sdf_stream(WATER, ETHANOL),
+         "parsed=2 failed=0 vertices min/mean/max=1/2.0/3\n"),
+    ], ids=["mixed", "clean"])
+    def test_stderr_bytes(self, tmp_path, capsys, name, sdf, expected):
+        src = tmp_path / f"{name}.sdf"
+        src.write_text(sdf)
+        assert main(["featurize", str(src), "-o", str(tmp_path / "o.jsonl")]) == 0
+        assert capsys.readouterr().err == expected
+
+    def test_json_stderr_bytes(self, tmp_path, capsys):
+        src = tmp_path / "in.sdf"
+        src.write_text(self.STDERR_SDF)
+        assert main(["featurize", str(src), "-o", str(tmp_path / "o.jsonl")]) == 0
+        lines = (tmp_path / "o.jsonl").read_text().splitlines()
+        src = tmp_path / "in.jsonl"
+        src.write_text("\n".join(["{", lines[0], '{"schema_id": 3}', *lines[1:]]) + "\n")
+        capsys.readouterr()
+        assert main(["featurize", str(src), "-o", str(tmp_path / "o2.jsonl")]) == 0
+        assert capsys.readouterr().err == (
+            "document 0: Expecting property name enclosed in double quotes: line 1 column 2 "
+            "(char 1)\n"
+            "document 2: schema_id mismatch: document 3 vs 'molecule-full:2a39e41170369e89'\n"
+            "parsed=4 failed=2 vertices min/mean/max=1/2.2/3\n")
+
+    def test_parse_errors_precede_a_featurizer_failure(self, tmp_path, capsys, monkeypatch):
+        from ngram_graph import featurize
+
+        def fail(records, schema):
+            raise ValueError("featurizer failed")
+
+        monkeypatch.setattr(featurize, "featurize_corpus", fail)
+        src = tmp_path / "in.sdf"
+        src.write_text(self.STDERR_SDF)
+        assert main(["featurize", str(src), "-o", str(tmp_path / "o.jsonl")]) == 1
+        assert capsys.readouterr().err == self.STDERR_PARSE + "error: featurizer failed\n"
 
     def test_empty_file_exits_two(self, tmp_path):
         empty = tmp_path / "empty.sdf"
@@ -1678,6 +1738,13 @@ class TestMalformedFiles:
         (lambda m: {**m, "penalty": ["squared-l2"]}, "'penalty' must be one of"),
         (lambda m: {**m, "fit_report": 3}, "'fit_report' must be a JSON object"),
         (lambda m: "{", "Expecting property name"),
+        (lambda m: {**m, "fit_report": {"iterations": "many", "converged": "yes",
+                                        "bogus": 1}},
+         "'fit_report' field 'iterations' must be an integer >= 0"),
+        (lambda m: {**m, "fit_report": {**m["fit_report"], "converged": "yes"}},
+         "'fit_report' field 'converged' must be true or false"),
+        (lambda m: {**m, "fit_report": {**m["fit_report"], "bogus": 1}},
+         "'fit_report' has an unknown field 'bogus'"),
     ])
     def test_model_files(self, config_workspace, capsys, edit, message):
         assert main(_argv(config_workspace, "fit")) == 0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ngram_graph as ng
 from ngram_graph import MolecularGraph, validate_graph
-from ngram_graph.graph import ones_csr, read_json_graphs, write_jsonl
+from ngram_graph.graph import build_graphs, ones_csr, read_json_graphs, write_jsonl
 
 from . import synth
 from .synth import dumps_graph, one_hot, permute
@@ -506,3 +506,33 @@ class TestWriter:
         stream = io.StringIO()
         write_jsonl(graphs, schema, stream)
         assert stream.getvalue() == "".join(dumps_graph(g, schema) + "\n" for g in graphs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=st.lists(_graphs_to_write(), max_size=6),
+           alone=st.lists(_graphs_to_write(), max_size=3), data=st.data())
+    def test_corpus_views_mixed_with_lone_graphs(self, corpus, alone, data):
+        """Graphs that are views of one build_graphs corpus, and of one
+        read_json_graphs corpus, shuffled in with stand-alone graphs."""
+        built = build_graphs([g.num_vertices for g in corpus],
+                             np.concatenate([g.attr for g in corpus] or [np.zeros((0, 2))]),
+                             np.concatenate([g.edges for g in corpus] or [np.zeros((0, 2))]),
+                             [len(g.edges) for g in corpus], [g.label for g in corpus],
+                             [g.graph_id for g in corpus])
+        read = read_json_graphs("".join(dumps_graph(g, _SCHEMA) + "\n" for g in corpus),
+                                _SCHEMA, [])
+        graphs = data.draw(st.permutations(built + read + alone))
+        stream = io.StringIO()
+        write_jsonl(graphs, _SCHEMA, stream)
+        assert stream.getvalue() == "".join(dumps_graph(g, _SCHEMA) + "\n" for g in graphs)
+
+    def test_no_graphs_write_nothing(self):
+        stream = io.StringIO()
+        write_jsonl([], _SCHEMA, stream)
+        write_jsonl(iter(()), _SCHEMA, stream)
+        assert stream.getvalue() == ""
+
+    def test_generator_input(self):
+        graphs = read_json_graphs(_BASE, _SCHEMA)
+        stream = io.StringIO()
+        write_jsonl((g for g in graphs), _SCHEMA, stream)
+        assert stream.getvalue().encode() == _BASE

@@ -9,6 +9,7 @@ from ngram_graph.linear import (
     PENALTIES,
     TASKS,
     DegenerateLabels,
+    FitReport,
     LinearModel,
     ModelFormatError,
     _objective_and_grad,
@@ -213,6 +214,46 @@ class TestFit:
         LinearModel.from_dict(doc)
         with pytest.raises(ModelFormatError, match=message):
             LinearModel.from_dict({**doc, field: value})
+
+    @pytest.mark.parametrize("report, message", [
+        ({"iterations": "many"}, "field 'iterations' must be an integer >= 0"),
+        ({"iterations": -1}, "field 'iterations' must be an integer >= 0"),
+        ({"iterations": 3.0}, "field 'iterations' must be an integer >= 0"),
+        ({"iterations": True}, "field 'iterations' must be an integer >= 0"),
+        ({"objective": "0.5"}, "field 'objective' must be a number"),
+        ({"objective": None}, "field 'objective' must be a number"),
+        ({"grad_norm": False}, "field 'grad_norm' must be a number"),
+        ({"grad_norm": [1e-9]}, "field 'grad_norm' must be a number"),
+        ({"converged": "yes"}, "field 'converged' must be true or false"),
+        ({"converged": 1}, "field 'converged' must be true or false"),
+        ({"bogus": 1}, "unknown field 'bogus'"),
+        ({"iterations": "many", "converged": "yes", "bogus": 1},
+         "field 'iterations' must be"),
+    ])
+    def test_malformed_fit_report_refused(self, report, message):
+        doc = LinearModel(np.array([0.5, -1.0]), 0.25, "logistic", 1e-3, "squared-l2").to_dict()
+        with pytest.raises(ModelFormatError, match=message):
+            LinearModel.from_dict({**doc, "fit_report": {**doc["fit_report"], **report}})
+
+    @pytest.mark.parametrize("report, expected", [
+        ({}, FitReport()),
+        ({"iterations": 0, "objective": 1, "grad_norm": 0, "converged": True},
+         FitReport(0, 1, 0, True)),
+        ({"iterations": 7, "converged": False}, FitReport(iterations=7)),
+    ])
+    def test_fit_report_fields(self, report, expected):
+        doc = LinearModel(np.array([0.5]), 0.0, "least-squares", 0.0, "unsquared-l2").to_dict()
+        rep = LinearModel.from_dict({**doc, "fit_report": report}).report
+        assert repr(rep) == repr(expected)  # NaN defaults compare by their spelling
+
+    def test_nan_fit_report_reads_back(self):
+        # a model no fit made writes NaN objective and gradient norm
+        model = LinearModel(np.array([0.5, -1.0]), 0.25, "logistic", 1e-3, "squared-l2")
+        text = model.to_json()
+        assert "NaN" in text
+        back = LinearModel.from_json(text)
+        assert repr(back.report) == repr(model.report)
+        assert back.to_json() == text
 
     def test_model_json_round_trip(self):
         rng = np.random.default_rng(5)

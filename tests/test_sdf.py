@@ -33,6 +33,31 @@ class TestParsing:
         assert records[0].charges[0] == 0
         assert any("radical" in w for w in records[0].warnings)
 
+    def test_radical_warnings_per_record(self):
+        """Radicals in the second and third records, several each, a bad
+        record between them, and an ``M  CHG`` record whose radical markers
+        are superseded: each record warns of its own radicals, numbered
+        within it, as it would alone."""
+        specs = [  # name, charge codes, M  CHG pairs
+            ("plain", [0, 1, 0], ()),
+            ("two", [4, 0, 4, 4], ()),
+            ("three", [0, 4, 5, 0, 4], ()),
+            ("ion", [4, 4, 0], ((2, 1),)),
+            ("last", [0, 0, 4], ()),
+        ]
+        blocks = [molblock(name, ["C"] * len(codes), [(1, 2, 1)], codes,
+                           props=[charge_line(*chg)] if chg else [])
+                  for name, codes, chg in specs]
+        blocks.insert(2, molblock("bad", ["C", "C"], [(1, 2, 5)], [4, 4]))
+        records, errors = parse_sdf(sdf_stream(*blocks))
+        assert [e.message for e in errors] == ["bond 1: order 5 outside 1..4"]
+        assert [r.name for r in records] == [name for name, _, _ in specs]
+        for rec, (_, codes, chg) in zip(records, specs):
+            expected = () if chg else tuple(
+                f"atom {i + 1}: radical charge code 4 treated as charge 0"
+                for i, code in enumerate(codes) if code == 4)
+            assert rec.warnings == expected
+
     def test_empty_stream(self):
         records, errors = parse_sdf("")
         assert records == [] and errors == []
