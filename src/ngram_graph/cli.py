@@ -347,6 +347,10 @@ def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
     """Compare the recurrence against brute-force walk enumeration."""
     emb = load_embedding(embedding_path)
     graphs, _ = _load_graphs(graphs_path, emb.schema)
+    for i, g in enumerate(graphs):
+        if g.num_vertices > cap:
+            raise ValueError(f"graph {g.graph_id or i!r} has {g.num_vertices} vertices, "
+                             f"over --cap {cap}")
     X, manifest = embed_corpus(graphs, emb, t_steps)
     if manifest["errors"]:
         raise ValueError("; ".join(f"row {row}: {msg}"
@@ -407,6 +411,8 @@ def _labels_for(graphs):
     for g in graphs:
         if g.label is None:
             raise ValueError(f"graph {g.graph_id!r} has no label")
+        if not np.isfinite(g.label):
+            raise ValueError(f"graph {g.graph_id!r} has label {g.label!r}, which is not finite")
         labels.append(g.label)
     return np.asarray(labels, dtype=np.float64)
 

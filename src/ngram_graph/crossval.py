@@ -280,7 +280,7 @@ def export_features(matrix, manifest: dict, base_path, formats=("bin", "csv")) -
         p = base.with_suffix(".csv")
         T, r = int(manifest["T"]), int(manifest["r"])
         header = ["g_id"] + feature_column_names(T, r)
-        matrixio.write_csv(p, matrix, header=header, row_ids=manifest.get("ids"))
+        matrixio.write_csv(p, matrix, header=header, row_ids=manifest["ids"])
         paths["csv"] = p
     mp = base.parent / (base.name + ".manifest.json")
     mp.write_text(json.dumps(manifest, sort_keys=True, indent=2), encoding="utf-8")

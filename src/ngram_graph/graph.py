@@ -47,7 +47,8 @@ class MolecularGraph:
     self-loops and duplicates). ``indptr``/``indices`` are the symmetric CSR
     adjacency of its proper, deduplicated pairs: the neighbours of i are
     ``indices[indptr[i]:indptr[i + 1]]``, ascending. Every other view of the
-    edges (:meth:`canonical_edges`, :attr:`num_edges`) is read off the CSR.
+    edges (:attr:`num_edges`, :meth:`degrees`, the canonical edge list that
+    :func:`write_jsonl` writes) is read off the CSR.
     """
 
     num_vertices: int
@@ -80,17 +81,6 @@ class MolecularGraph:
     @property
     def num_edges(self) -> int:
         return int(self.indices.size // 2)
-
-    def canonical_edges(self) -> np.ndarray:
-        """Deduplicated in-range edges with u < v, sorted lexicographically:
-        the CSR's upper triangle, read row by row."""
-        rows = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.degrees())
-        upper = self.indices > rows
-        return np.stack([rows[upper], self.indices[upper]], axis=1)
-
-    def neighbors(self, i: int) -> np.ndarray:
-        """Neighbours of vertex i in ascending order (a read-only CSR row)."""
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -295,8 +285,8 @@ def write_jsonl(graphs, schema: AttributeSchema, stream) -> None:
     floats differently; orjson spells the two integer tables, as json does,
     straight from the arrays. Both tables are row slices of the corpus's
     :func:`stack_graphs` layout: its attribute table, and its canonical
-    edges, read at once off the upper triangle of its block-diagonal CSR
-    (each graph's :meth:`~MolecularGraph.canonical_edges`).
+    edges (each proper pair once, u < v, sorted), read at once off the
+    upper triangle of its block-diagonal CSR.
     """
     import orjson  # loaded at the first graph-document write, not at start-up
 

@@ -285,6 +285,8 @@ def fit_path(
         raise ValueError("lambda must be finite and >= 0")
     if not np.isfinite(X).all():
         raise ValueError("feature matrix contains non-finite rows")
+    if not np.isfinite(y).all():
+        raise ValueError("labels contain non-finite values")
     if task == "logistic":
         classes = np.unique(y)
         if not np.isin(classes, (0.0, 1.0)).all():

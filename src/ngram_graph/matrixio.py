@@ -84,9 +84,9 @@ def csv_field(text) -> str:
     return text
 
 
-def write_csv(path, matrix: np.ndarray, header: list[str], row_ids=None) -> None:
-    """One line per row; each value is Python's ``repr`` of the float, after
-    the row id (:func:`csv_field`) when ``row_ids`` is given.
+def write_csv(path, matrix: np.ndarray, header: list[str], row_ids) -> None:
+    """One line per row: its id (:func:`csv_field`), then each value as
+    Python's ``repr`` of the float.
 
     orjson formats a row in one call with the same shortest digits as
     ``repr``; it spells only exponents and non-finite values differently
@@ -111,6 +111,4 @@ def write_csv(path, matrix: np.ndarray, header: list[str], row_ids=None) -> None
                 gaps = cells.split("null")
                 cells = "".join(gap + repr(v) for gap, v in zip(gaps, row[odd].tolist()))
                 cells += gaps[-1]
-            if row_ids is not None:
-                cells = f"{csv_field(row_ids[i])},{cells}"
-            fh.write(cells + "\n")
+            fh.write(f"{csv_field(row_ids[i])},{cells}\n")

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import MolecularGraph, ones_csr, stack_graphs
-from .vertex import (BATCH_ENTRIES, VertexEmbeddingMatrix, check_schema, embed_vertices,
-                     vertex_rows)
+from .vertex import BATCH_ENTRIES, VertexEmbeddingMatrix, check_schema, vertex_rows
 
 VARIANTS = ("walk", "path", "vertex_path")
 NORMALIZATIONS = ("none", "unit-l2")
@@ -29,7 +28,8 @@ LEVEL_SCALES = ("none", "factorial", "count")
 
 
 class GraphTooLarge(ValueError):
-    """Enumeration refused; use embed_corpus for large graphs."""
+    """A graph over :func:`oracle_embed`'s enumeration cap (``ngg
+    oracle-check --cap``); :func:`embed_corpus` takes graphs of any size."""
 
 
 class WalkOverflow(ValueError):
@@ -292,37 +292,39 @@ def oracle_embed(
     T: int,
     variant: str = "walk",
     cap: int = 12,
-    level_scale: str = "none",
 ) -> NGramEmbedding:
-    """Brute-force depth-first walk enumeration, every walk once from its
-    start vertex; exponential, so refuses m > cap. It shares no code with
-    the engine's walk sums and is the reference they are tested against.
+    """The raw level sums of one graph by brute-force depth-first walk
+    enumeration, every walk once from its start vertex; exponential, so it
+    refuses m > cap. The reference the engine is tested against, it shares
+    no code with it: it sums its own vertex rows in schema order, and
+    ``path`` tags a vertex by its attribute row, ``vertex_path`` by its id.
     """
-    _check_options(T, variant, level_scale, "none")
+    _check_options(T, variant, "none", "none")
     if g.num_vertices > cap:
         raise GraphTooLarge(f"m={g.num_vertices} exceeds enumeration cap {cap}; "
                             "use embed_corpus")
-    base = embed_vertices(g, emb)
+    check_schema(g, emb)
+    base = np.zeros((g.num_vertices, emb.dim), dtype=emb.matrix.dtype)
+    for j, offset in enumerate(emb.schema.offsets):
+        base += emb.matrix.T[g.attr[:, j] + offset]
     check_int64_walks(g, T, base)
     ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
-    tags = None if variant == "walk" else _exclusion_keys(g.attr, variant)[:, 0].tolist()
+    tags = {"walk": None, "path": list(map(tuple, g.attr.tolist())),
+            "vertex_path": range(g.num_vertices)}[variant]
     levels = np.zeros((T, base.shape[1]), dtype=base.dtype)
-    counts = np.zeros(T, dtype=np.int64)
     for start in range(g.num_vertices):
         stack = [((start,), base[start])]
         while stack:
             seq, prod = stack.pop()
             n = len(seq)
             levels[n - 1] += prod
-            counts[n - 1] += 1
             if n == T:
                 continue
             seen = set() if tags is None else {tags[w] for w in seq}
             for u in nbrs[ptr[seq[-1]] : ptr[seq[-1] + 1]]:
                 if tags is None or tags[u] not in seen:
                     stack.append((seq + (u,), prod * base[u]))
-    L = _finalize(levels[None], counts[None], level_scale, "none")
-    return NGramEmbedding(levels=tuple(L[0]))
+    return NGramEmbedding(levels=tuple(levels))
 
 
 def embed_corpus(

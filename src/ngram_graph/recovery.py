@@ -38,15 +38,6 @@ class RecoveryResult:
     iterations: int
 
 
-def _operator_interface(op):
-    """Accept either a LevelOperator or a plain dense matrix."""
-    if isinstance(op, LevelOperator):
-        return op.shape, op.correlations, op.column_norms(), op.columns
-    A = np.asarray(op, dtype=np.float64)
-    norms = np.linalg.norm(A, axis=0)
-    return A.shape, (lambda res: A.T @ res), norms, (lambda cols: A[:, cols])
-
-
 _EPS = np.finfo(np.float64).eps
 RESIDUAL_TOL = 1e-9  # converged: ||f - A c|| <= RESIDUAL_TOL * max(||f||, 1)
 
@@ -127,15 +118,15 @@ def _passive_lstsq(G, b, passive):
     return s
 
 
-def omp_recover(f: np.ndarray, op, sparsity: int) -> RecoveryResult:
+def omp_recover(f: np.ndarray, op: LevelOperator, sparsity: int) -> RecoveryResult:
     """Greedy pursuit: pick the best-correlated column, NNLS-refit, repeat
     until the residual converges (``RESIDUAL_TOL``) or the budget of
     min(sparsity, columns) picks is spent."""
-    (rows, ncols), correlate, norms, take = _operator_interface(op)
-    column = op.column if isinstance(op, LevelOperator) else take  # take(c) is A[:, c]
+    rows, ncols = op.shape
     f = np.asarray(f, dtype=np.float64)
     residual = f.copy()
     support: list[int] = []
+    norms = op.column_norms()
     safe = np.where(norms > 0, norms, 1.0)
     coef = np.zeros(0)
     fnorm = max(np.linalg.norm(f), 1.0)
@@ -148,7 +139,7 @@ def omp_recover(f: np.ndarray, op, sparsity: int) -> RecoveryResult:
     for it in range(1, budget + 1):
         if np.linalg.norm(residual) <= RESIDUAL_TOL * fnorm:
             break
-        corr = np.abs(correlate(residual)) / safe
+        corr = np.abs(op.correlations(residual)) / safe
         corr[support] = -np.inf
         # Rademacher columns make exact ties common; take the lowest index
         # among them, not whichever one summation round-off favours
@@ -157,7 +148,7 @@ def omp_recover(f: np.ndarray, op, sparsity: int) -> RecoveryResult:
             break
         k = len(support)
         support.append(pick)
-        A_s[:, k] = column(pick)
+        A_s[:, k] = op.column(pick)
         col = A_s[:, k]
         G[k, :k] = G[:k, k] = col @ A_s[:, :k]
         G[k, k] = col @ col
@@ -179,7 +170,7 @@ def _soft(x, t):
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-def ista_recover(f: np.ndarray, op, max_iter: int = 2000) -> RecoveryResult:
+def ista_recover(f: np.ndarray, op: LevelOperator, max_iter: int = 2000) -> RecoveryResult:
     """Soft thresholding on the l1 program, its threshold halved in each of
     ``ISTA_PHASES`` phases of ``max_iter // ISTA_PHASES`` iterations.
 
@@ -194,10 +185,7 @@ def ista_recover(f: np.ndarray, op, max_iter: int = 2000) -> RecoveryResult:
     if max_iter < ISTA_PHASES:
         raise ValueError(f"ista max_iter {max_iter} is below one iteration per phase "
                          f"({ISTA_PHASES})")
-    if isinstance(op, LevelOperator):
-        A = op.materialize().astype(np.float64)
-    else:
-        A = np.asarray(op, dtype=np.float64)
+    A = op.materialize().astype(np.float64)
     f = np.asarray(f, dtype=np.float64)
     if A.shape[1] == 0:
         return _result(f, f, np.zeros(0), "ista", 0)
@@ -231,8 +219,8 @@ def ista_recover(f: np.ndarray, op, max_iter: int = 2000) -> RecoveryResult:
     return _result(f, residual, c_hat, "ista", it)
 
 
-def sparse_recover(f, op, method: str = "omp", *, sparsity: int | None = None,
-                   max_iter: int = 2000) -> RecoveryResult:
+def sparse_recover(f, op: LevelOperator, method: str = "omp", *,
+                   sparsity: int | None = None, max_iter: int = 2000) -> RecoveryResult:
     """Recover c from f = A c: greedy pursuit with a budget of ``sparsity``
     picks, or soft thresholding in ``max_iter`` iterations; each method
     ignores the other's parameter."""

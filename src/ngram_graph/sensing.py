@@ -65,14 +65,18 @@ class LevelOperator:
     (n = 2) off one k_j x k_j product U^T diag(res) U per block and gathers
     higher levels in column chunks. ``column`` builds one column straight
     into its block's row span, for greedy pursuit's one pick per step.
-    ``materialize`` builds the dense operator for the solvers that need it,
-    up to ``MATERIALIZE_CAP`` entries.
+    ``materialize`` builds the dense operator for soft thresholding,
+    up to ``MATERIALIZE_CAP`` entries. Row and column layouts are read off
+    the blocks: block j's rows follow block j - 1's.
     """
 
     blocks: tuple            # base blocks U^j, each (r_j, k_j)
     n: int
-    row_offsets: tuple
-    total_rows: int
+
+    @cached_property
+    def row_offsets(self) -> tuple:
+        """Each block's first row, then the operator's row count."""
+        return tuple(accumulate((U.shape[0] for U in self.blocks), initial=0))
 
     @cached_property
     def col_dims(self) -> tuple:
@@ -84,11 +88,7 @@ class LevelOperator:
 
     @property
     def shape(self) -> tuple:
-        return (self.total_rows, sum(self.col_dims))
-
-    @property
-    def entries(self) -> int:
-        return self.shape[0] * self.shape[1]
+        return (self.row_offsets[-1], sum(self.col_dims))
 
     @cached_property
     def _transposed(self) -> tuple:
@@ -107,9 +107,10 @@ class LevelOperator:
 
     def materialize(self) -> np.ndarray:
         """Full dense operator; refuses beyond ``MATERIALIZE_CAP`` entries."""
-        if self.entries > MATERIALIZE_CAP:
+        entries = self.shape[0] * self.shape[1]
+        if entries > MATERIALIZE_CAP:
             raise SensingError(
-                f"level operator has {self.entries} entries, over cap {MATERIALIZE_CAP}; "
+                f"level operator has {entries} entries, over cap {MATERIALIZE_CAP}; "
                 "use the matrix-free interface"
             )
         return self.columns(np.arange(self.shape[1]))
@@ -134,11 +135,11 @@ class LevelOperator:
         return out
 
     def columns(self, cols) -> np.ndarray:
-        """The operator's columns ``cols`` as a dense (total_rows x len(cols))
+        """The operator's columns ``cols`` as a dense (rows x len(cols))
         array in the blocks' dtype."""
         cols = np.asarray(cols, dtype=np.int64)
         dtype = np.result_type(*(U.dtype for U in self.blocks))
-        out = np.zeros((self.total_rows, cols.size), dtype=dtype)
+        out = np.zeros((self.shape[0], cols.size), dtype=dtype)
         for j, (c0, r0, U) in enumerate(zip(self.col_offsets, self.row_offsets, self.blocks)):
             mine = (cols >= c0) & (cols < c0 + self.col_dims[j])
             out[r0 : r0 + U.shape[0], mine] = self._block_columns(j, cols[mine] - c0)
@@ -154,7 +155,7 @@ class LevelOperator:
         col = UT[subset[0]]
         for t in subset[1:]:
             col = col * UT[t]
-        out = np.zeros(self.total_rows, dtype=np.result_type(*(U.dtype for U in self.blocks)))
+        out = np.zeros(self.shape[0], dtype=np.result_type(*(U.dtype for U in self.blocks)))
         out[r0 : r0 + UT.shape[1]] = col
         return out
 
@@ -176,38 +177,15 @@ class BlockSensingMatrix:
     scale: float
     seed: int | None
 
-    @property
-    def r(self) -> int:
-        return sum(U.shape[0] for U in self.blocks)
-
-    @property
-    def row_offsets(self) -> tuple:
-        return tuple(accumulate((U.shape[0] for U in self.blocks), initial=0))[:-1]
-
-    def assembled(self) -> np.ndarray:
-        """The block-diagonal r x K vertex embedding matrix."""
-        dtype = np.result_type(*(U.dtype for U in self.blocks))
-        W = np.zeros((self.r, self.schema.total_width), dtype=dtype)
-        roffs = self.row_offsets
-        coffs = self.schema.offsets
-        for j, U in enumerate(self.blocks):
-            W[roffs[j] : roffs[j] + U.shape[0], coffs[j] : coffs[j] + U.shape[1]] = U
-        return W
-
     def embedding(self) -> VertexEmbeddingMatrix:
-        prov = {
-            "kind": "random-rademacher-blockdiag",
-            "seed": self.seed,
-            "scale": self.scale,
-        }
-        return VertexEmbeddingMatrix(
-            matrix=self.assembled(), schema=self.schema, provenance=prov
-        )
+        """The block-diagonal r x K vertex embedding matrix, which is the
+        level-1 operator: block j's columns are attribute j's slots."""
+        W = self.operator(1).columns(np.arange(self.schema.total_width))
+        prov = {"kind": "random-rademacher-blockdiag", "seed": self.seed, "scale": self.scale}
+        return VertexEmbeddingMatrix(matrix=W, schema=self.schema, provenance=prov)
 
     def operator(self, n: int) -> LevelOperator:
-        return LevelOperator(
-            blocks=self.blocks, n=n, row_offsets=self.row_offsets, total_rows=self.r
-        )
+        return LevelOperator(blocks=self.blocks, n=n)
 
 
 def build_sensing(

@@ -104,7 +104,17 @@ def dense_adjacency(g):
 
 def has_edge(g, u, v) -> bool:
     """Whether v is in the graph's CSR row of u."""
-    return bool(np.any(g.neighbors(u) == v))
+    return bool(np.any(g.indices[g.indptr[u] : g.indptr[u + 1]] == v))
+
+
+def canonical_edges(g) -> np.ndarray:
+    """The graph's proper pairs, each once as (u, v) with u < v, sorted, from
+    the raw edge list: a reference that shares no code with the CSR that
+    ``graph.write_jsonl`` reads them off."""
+    m = g.num_vertices
+    pairs = {(min(u, v), max(u, v)) for u, v in g.edges.tolist()
+             if u != v and 0 <= min(u, v) and max(u, v) < m}
+    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
 
 
 def structurally_equal(g, h) -> bool:
@@ -724,7 +734,7 @@ def graph_to_doc(g, schema) -> dict:
         "id": g.graph_id,
         "num_vertices": g.num_vertices,
         "attributes": g.attr.tolist(),
-        "edges": g.canonical_edges().tolist(),
+        "edges": canonical_edges(g).tolist(),
     }
     if g.label is not None:
         doc["label"] = g.label

@@ -637,16 +637,34 @@ class TestOracleCheck:
         save_embedding(wp, ng.random_embedding(sch, 4, seed=0))
         assert main(["oracle-check", str(gp), "--embedding", str(wp)]) == 1
 
-    def test_oversize_graph_refused_with_cap_message(self, tmp_path, rng, capsys):
+    def test_oversize_graph_refused_with_cap_message(self, tmp_path, rng, monkeypatch,
+                                                     capsys):
+        # the graph over --cap is named before anything is embedded; a graph
+        # without an id is named by its position
         sch = synth.small_schema()
-        graphs = [synth.random_graph(rng, sch, m=20, density=0.2)]
+        graphs = [synth.random_graph(rng, sch, m=m, density=0.2) for m in (5, 20, 9, 13)]
+        graphs[1] = graphs[1].replace(graph_id="big")
         gp = tmp_path / "g.jsonl"
         with open(gp, "w") as fh:
             write_jsonl(graphs, sch, fh)
         wp = tmp_path / "w.nggm"
         save_embedding(wp, ng.random_embedding(sch, 4, seed=0))
+        calls = []
+        real = cli.embed_corpus
+        monkeypatch.setattr(cli, "embed_corpus", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        capsys.readouterr()
         assert main(["oracle-check", str(gp), "--embedding", str(wp)]) == 1
-        assert "cap" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "error: graph 'big' has 20 vertices, over --cap 12\n")
+        assert main(["oracle-check", str(gp), "--embedding", str(wp), "--cap", "19"]) == 1
+        assert capsys.readouterr().err == "error: graph 'big' has 20 vertices, over --cap 19\n"
+        assert calls == []
+        graphs[1] = graphs[1].replace(num_vertices=12, attr=graphs[1].attr[:12], edges=[])
+        with open(gp, "w") as fh:
+            write_jsonl(graphs, sch, fh)
+        assert main(["oracle-check", str(gp), "--embedding", str(wp)]) == 1
+        assert capsys.readouterr().err == "error: graph 3 has 13 vertices, over --cap 12\n"
+        assert main(["oracle-check", str(gp), "--embedding", str(wp), "--cap", "13"]) == 0
+        assert calls == [1]
 
     def test_int64_overflow_refused_with_its_message(self, tmp_path, capsys):
         # the triangle's level-8 walk sum, 384 * 1000^8, is outside int64
@@ -1158,6 +1176,37 @@ class TestFitEval:
             assert capsys.readouterr() == (
                 "", f"error: graph {corpus[3].graph_id!r} has no label\n"), argv
         assert not (tmp_path / "m").exists() and not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("label", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_label_exits_one_and_is_named(self, labeled_setup, tmp_path, rng,
+                                                     capsys, label):
+        # the reader takes a label that json reads; a fit or a score refuses it
+        sch, gp, feats = labeled_setup
+        model = tmp_path / "model.json"
+        assert main(["fit", "--features", str(feats), "--graphs", str(gp), "-o", str(model)]) == 0
+        graphs = graph_module.read_json_graphs(gp.read_bytes(), sch)
+        least_squares = ["--task", "least-squares", "--metric", "rmse", "--lam", "1e-3"]
+        runs = [(graphs, sch, ["fit", "--features", str(feats), "--task", "least-squares",
+                               "-o", str(tmp_path / "m")]),
+                (graphs, sch, ["eval", "--features", str(feats), "--folds", "3",
+                               *least_squares]),
+                (graphs, sch, ["eval", "--features", str(feats), "--model", str(model),
+                               "--predictions", str(tmp_path / "p.csv")]),
+                (_labeled_corpus(rng, 6), ng.FULL_SCHEMA,
+                 ["sweep", "--r-grid", "4", "--t-grid", "2", "--folds", "3", *least_squares,
+                  "-o", str(tmp_path / "s")])]
+        capsys.readouterr()
+        for corpus, corpus_schema, argv in runs:
+            corpus = [*corpus[:2], corpus[2].replace(label=label), *corpus[3:]]
+            bad = tmp_path / "bad.jsonl"
+            with open(bad, "w") as fh:
+                write_jsonl(corpus, corpus_schema, fh)
+            read = graph_module.read_json_graphs(bad.read_bytes(), corpus_schema)
+            assert repr(read[2].label) == repr(label)
+            assert main(argv + ["--graphs", str(bad)]) == 1, argv
+            assert capsys.readouterr() == ("", f"error: graph {corpus[2].graph_id!r} has "
+                                               f"label {label!r}, which is not finite\n"), argv
+        assert not any((tmp_path / name).exists() for name in ("m", "p.csv", "s"))
 
     def test_eval_predictions_needs_model(self, labeled_setup, tmp_path, capsys):
         _, gp, feats = labeled_setup
@@ -1837,10 +1886,11 @@ doc["commands"] = scipy_modules()
 for argv in runs["eval"]:
     doc["codes"].append(ngram_graph.cli.main(argv))
 doc["eval"] = scipy_modules()
-A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
-f = A @ np.array([0.0, 2.0, 3.0])
-doc["c_hat"] = [recovery.omp_recover(f, A, sparsity=2).c_hat.tolist(),
-                recovery.ista_recover(f, A).c_hat.tolist()]
+op = recovery.build_sensing(recovery._single_attribute_schema(3), 8, seed=1,
+                            scale=8 ** -0.5).operator(2)
+f = op.matvec(np.array([0.0, 2.0, 3.0]))
+doc["c_hat"] = [recovery.omp_recover(f, op, sparsity=2).c_hat.tolist(),
+                recovery.ista_recover(f, op).c_hat.tolist()]
 doc["recovery"] = scipy_modules()
 doc["codes"].append(ngram_graph.cli.main(runs["embed"]))
 doc["embed"] = scipy_modules()

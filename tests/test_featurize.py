@@ -168,7 +168,7 @@ class TestInvariants:
             induced = np.array([pos_b[pi[i]] for i in heavy_a], dtype=np.int64)
             gp = synth.permute(ga, induced)
             assert np.array_equal(gp.attr, gb.attr)
-            assert np.array_equal(gp.canonical_edges(), gb.canonical_edges())
+            assert np.array_equal(synth.canonical_edges(gp), synth.canonical_edges(gb))
 
     def test_all_hydrogen_record_gives_empty_graph(self):
         block = molblock("h2", ["H", "H"], [(1, 2, 1)])

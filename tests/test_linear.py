@@ -386,6 +386,15 @@ class TestFitPath:
                                                           task=task, penalty=penalty)):
             _same_model(model, fit(X, y, task=task, lam=lam, penalty=penalty))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("task", TASKS)
+    def test_non_finite_labels_refused(self, task, bad):
+        # as non-finite features are: a NaN label would fit NaN weights
+        X, y = _problem(3, 12, 4, task)
+        y[5] = bad
+        with pytest.raises(ValueError, match="^labels contain non-finite values$"):
+            fit_path(X, y, LAMBDA_GRID, task=task)
+
     def test_singular_hessian_path_takes_lstsq(self, monkeypatch):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((30, 3))

@@ -69,8 +69,9 @@ class TestCsv:
                                   b"x,nan,inf,-inf,-0.0\n"
                                   b"7,1e-300,3.0,-2.0,0.1\n"
                                   b"g 3,1e+16,2.5e-08,123456789.0,0.3333333333333333\n")
-        write_csv(p, np.array([[1, -2], [2**53 + 1, 0]], dtype=np.int64), ["a", "b"])
-        assert p.read_bytes() == b"a,b\n1.0,-2.0\n9007199254740992.0,0.0\n"
+        write_csv(p, np.array([[1, -2], [2**53 + 1, 0]], dtype=np.int64), ["id", "a", "b"],
+                  row_ids=["p", "q"])
+        assert p.read_bytes() == b"id,a,b\np,1.0,-2.0\nq,9007199254740992.0,0.0\n"
 
     def test_matches_per_element_repr(self, tmp_path):
         rng = np.random.default_rng(3)

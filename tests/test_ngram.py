@@ -92,16 +92,44 @@ class TestOracleEquivalence:
             assert np.max(np.abs(fast - slow)) / scale <= 1e-10
 
     def test_level_scales_match_enumeration_every_variant(self, rng, schema):
-        # "count" divides by the walk counts, which the engine keeps per unit
+        # "factorial" divides level n by n!; "count" divides it by the walk
+        # count, which the engine keeps per unit and the oracle sums on an
+        # integer embedding whose vertex rows are all 1
+        ones = np.zeros((1, schema.total_width), dtype=np.int64)
+        ones[0, : schema.cardinalities[0]] = 1  # every value of the first attribute
+        counter = VertexEmbeddingMatrix(matrix=ones, schema=schema, provenance={})
+        factorial = np.array([[1.0], [2.0], [6.0], [24.0]])
         for _ in range(10):
             g = synth.random_graph(rng, schema, density=0.4)
             emb = random_embedding(schema, 5, dist="gaussian", seed=int(rng.integers(1 << 30)))
             for variant in ng.ngram.VARIANTS:
-                for level_scale in ng.ngram.LEVEL_SCALES:
+                raw = np.array(oracle_embed(g, emb, 4, variant).levels)
+                counts = np.array(oracle_embed(g, counter, 4, variant).levels)
+                assert counts.dtype == np.int64 and counts[0, 0] == g.num_vertices
+                slow = {"none": raw, "factorial": raw / factorial,
+                        "count": np.where(counts > 0, raw / np.maximum(counts, 1), raw)}
+                assert set(slow) == set(ng.ngram.LEVEL_SCALES)
+                for level_scale, want in slow.items():
                     fast = embed_corpus([g], emb, 4, variant, level_scale)[0][0]
-                    slow = oracle_embed(g, emb, 4, variant, level_scale=level_scale).vector
-                    scale = max(np.max(np.abs(slow)), 1e-30)
-                    assert np.max(np.abs(fast - slow)) / scale <= 1e-10
+                    scale = max(np.max(np.abs(want)), 1e-30)
+                    assert np.max(np.abs(fast - want.ravel())) / scale <= 1e-10
+
+    def test_oracle_exclusion_rule_is_its_own(self, schema, monkeypatch):
+        # the oracle tags vertices itself, so a wrong engine key would show:
+        # with every vertex keyed alike, the engine drops the walks over the
+        # edge and the oracle keeps them
+        g = MolecularGraph(num_vertices=2, attr=[[0, 0], [1, 1]], edges=[[0, 1]],
+                           schema_fingerprint=schema.fingerprint)
+        emb = random_embedding(schema, 4, seed=0)
+        for variant in ("path", "vertex_path"):
+            assert np.allclose(embed_corpus([g], emb, 2, variant)[0][0],
+                               oracle_embed(g, emb, 2, variant).vector)
+        monkeypatch.setattr(ng.ngram, "_exclusion_keys",
+                            lambda attr, variant: np.zeros((len(attr), 1), dtype=np.int64))
+        for variant in ("path", "vertex_path"):
+            fast = embed_corpus([g], emb, 2, variant)[0][0]
+            slow = oracle_embed(g, emb, 2, variant).vector
+            assert not fast[4:].any() and slow[4:].any()
 
     @settings(max_examples=100, deadline=None)
     @given(g=synth.messy_graphs(synth.small_schema()), seed=st.integers(0, 2**31))

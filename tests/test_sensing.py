@@ -57,10 +57,12 @@ class TestOperators:
     def test_assembled_is_block_diagonal(self):
         sch = synth.small_schema(ks=(4, 3))
         B = build_sensing(sch, 6, seed=1)
-        W = B.assembled()
+        W = B.embedding().matrix
         r0 = B.blocks[0].shape[0]
         assert np.all(W[:r0, 4:] == 0)
         assert np.all(W[r0:, :4] == 0)
+        assert np.array_equal(W[:r0, :4], B.blocks[0]) and np.array_equal(W[r0:, 4:], B.blocks[1])
+        assert W.shape == (6, 7) and W.dtype == np.int64
 
     def test_pair_column_is_hadamard_of_base_columns(self):
         sch = synth.single_attribute_schema(5)
@@ -141,8 +143,8 @@ class TestOperators:
         blocks = tuple(rng.integers(-5, 6, size=(r, k)) if dt == np.int64
                        else rng.standard_normal((r, k))
                        for r, k, dt in zip(rows, ks, dtypes))
-        op = LevelOperator(blocks=blocks, n=n, row_offsets=(0, 3)[: len(ks)],
-                           total_rows=sum(rows))
+        op = LevelOperator(blocks=blocks, n=n)
+        assert op.row_offsets == (0, 3, 7)[: len(ks) + 1]
         for c in range(op.shape[1]):
             got, want = op.column(c), op.columns([c])[:, 0]
             assert got.dtype == want.dtype
