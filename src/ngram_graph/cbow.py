@@ -7,6 +7,12 @@ slot) pairs of its stacked adjacency. The predictor is W followed by a
 small rectifier MLP whose K outputs are split into per-attribute blocks,
 each scored with softmax cross-entropy. Training is mini-batch Adam on all
 parameters (W included), in float64, fully deterministic given the seed.
+W meets a batch only through A_1 W and delta_1^T S_in, both (h, K): the
+first layer applies A_1 W to the batch's (B, K) inputs S_in, and the
+gradients of A_1 and W are P W^T and A_1^T P for P = delta_1^T S_in, where
+delta_1 is the loss gradient at the first layer's output. So no (B, r)
+batch embedding is formed, and a batch costs about 2BhK + 3hrK
+multiply-adds in the first layer instead of 3Bhr + 2BrK.
 The Adam update writes its temporaries into two scratch buffers per
 parameter, allocated once per training, and computes each moment and step
 in the order of the textbook expressions, so the weights keep their bits.
@@ -138,15 +144,16 @@ class CbowNetwork:
         return contexts
 
     def forward(self, contexts: np.ndarray, sizes: np.ndarray):
-        S_in = self._inputs(contexts, sizes)
-        acts = [S_in @ self.W.T]  # (B, r)
+        """The network's input S_in (B, K), each hidden layer's rectified
+        output and the logits."""
+        acts = [self._inputs(contexts, sizes)]
         for li, (A, b) in enumerate(self.layers):
-            z = acts[-1] @ A.T
+            z = acts[-1] @ (A @ self.W if li == 0 else A).T
             z += b
             if li < len(self.layers) - 1:
                 np.maximum(z, 0.0, out=z)
             acts.append(z)
-        return acts, S_in
+        return acts
 
     def loss_and_grads(self, contexts, sizes, targets):
         """Mean per-sample loss (summed over attribute blocks) and gradients.
@@ -158,7 +165,7 @@ class CbowNetwork:
         sum, added into the loss block by block.
         """
         B = contexts.shape[0]
-        acts, S_in = self.forward(contexts, sizes)
+        acts = self.forward(contexts, sizes)
         p = acts[-1]  # the logits, which the backward pass does not read
 
         offsets, widths = self.schema.offsets, self.schema.cardinalities
@@ -182,25 +189,23 @@ class CbowNetwork:
 
         grads = []
         delta = p
-        for li in range(len(self.layers) - 1, -1, -1):
+        for li in range(len(self.layers) - 1, 0, -1):
             A, _ = self.layers[li]
             a_prev = acts[li]
-            gA = delta.T @ a_prev
-            gb = delta.sum(axis=0)
-            grads.append((li, gA, gb))
+            grads.append((delta.T @ a_prev, delta.sum(axis=0)))
             delta = delta @ A
-            if li > 0:
-                delta *= a_prev > 0
-        gW = delta.T @ S_in
-        grad_list = [gW]
-        for li, gA, gb in sorted(grads):
+            delta *= a_prev > 0
+        # the first layer's and W's gradients share P = delta_1^T S_in (h, K)
+        P = delta.T @ acts[0]
+        grads.append((P @ self.W.T, delta.sum(axis=0)))
+        grad_list = [self.layers[0][0].T @ P]
+        for gA, gb in reversed(grads):
             grad_list.extend((gA, gb))
         return loss, grad_list
 
     def predict_blocks(self, contexts, sizes) -> np.ndarray:
         """Argmax value index per attribute block, shape (B, S)."""
-        acts, _ = self.forward(contexts, sizes)
-        logits = acts[-1]
+        logits = self.forward(contexts, sizes)[-1]
         out = np.empty((contexts.shape[0], self.schema.num_attributes), dtype=np.int64)
         for j, off in enumerate(self.schema.offsets):
             k = self.schema.cardinalities[j]

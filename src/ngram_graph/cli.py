@@ -407,12 +407,15 @@ def recover(grid_path, out, seed):
 
 
 def _labels_for(graphs):
+    """The corpus's labels; a graph without one, or with a NaN or infinite
+    one, exits 1, named by its id, else by its 0-based position."""
     labels = []
-    for g in graphs:
+    for i, g in enumerate(graphs):
+        name = i if g.graph_id is None else g.graph_id
         if g.label is None:
-            raise ValueError(f"graph {g.graph_id!r} has no label")
+            raise ValueError(f"graph {name!r} has no label")
         if not np.isfinite(g.label):
-            raise ValueError(f"graph {g.graph_id!r} has label {g.label!r}, which is not finite")
+            raise ValueError(f"graph {name!r} has label {g.label!r}, which is not finite")
         labels.append(g.label)
     return np.asarray(labels, dtype=np.float64)
 

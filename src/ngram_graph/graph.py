@@ -24,7 +24,6 @@ other fields by ``json``.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from dataclasses import dataclass, field
@@ -84,10 +83,6 @@ class MolecularGraph:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def replace(self, **kw) -> "MolecularGraph":
-        """A copy with the given fields changed; the CSR is rebuilt."""
-        return dataclasses.replace(self, **kw)
 
 
 def stack_graphs(graphs):

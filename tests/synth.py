@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 
@@ -146,7 +146,7 @@ def permute(g, pi):
         raise GraphError("pi is not a bijection on [0, m)")
     new_attr = np.empty_like(g.attr)
     new_attr[pi] = g.attr
-    return g.replace(attr=new_attr, edges=pi[g.edges])
+    return replace(g, attr=new_attr, edges=pi[g.edges])
 
 
 def random_corpus(rng, schema, n, **kw):

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -20,14 +21,10 @@ def _line_graph(schema, attrs, edges):
     )
 
 
-def reference_loss_and_grads(net, contexts, sizes, targets):
-    """``CbowNetwork.loss_and_grads`` as it was before its softmax ran in one
-    pass: a loop over the attribute blocks, each with its own max, exp, sum
-    and gather."""
-    B = contexts.shape[0]
-    acts, S_in = net.forward(contexts, sizes)
-    logits = acts[-1]
-
+def _per_block_logit_grads(net, logits, targets):
+    """The mean loss and the logits' gradient by a loop over the attribute
+    blocks, each with its own max, exp, sum and gather."""
+    B = logits.shape[0]
     dlogits = np.zeros_like(logits)
     loss = 0.0
     for j, off in enumerate(net.schema.offsets):
@@ -42,21 +39,47 @@ def reference_loss_and_grads(net, contexts, sizes, targets):
         grad = p.copy()
         grad[rows, tj] -= 1.0
         dlogits[:, off : off + k] = grad / B
-    loss /= B
+    return loss / B, dlogits
 
+
+def reference_loss_and_grads(net, contexts, sizes, targets):
+    """``CbowNetwork.loss_and_grads`` as it was before its softmax ran in one
+    pass, with fresh temporaries: the per-block loop above, then the backward
+    pass whose first layer meets W only through P = delta_1^T S_in."""
+    acts = net.forward(contexts, sizes)
+    loss, delta = _per_block_logit_grads(net, acts[-1], targets)
     grads = []
-    delta = dlogits
-    for li in range(len(net.layers) - 1, -1, -1):
+    for li in range(len(net.layers) - 1, 0, -1):
         A, _ = net.layers[li]
         a_prev = acts[li]
-        gA = delta.T @ a_prev
-        gb = delta.sum(axis=0)
-        grads.append((li, gA, gb))
+        grads.append((li, delta.T @ a_prev, delta.sum(axis=0)))
+        delta = (delta @ A) * (a_prev > 0)
+    P = delta.T @ acts[0]
+    grads.append((0, P @ net.W.T, delta.sum(axis=0)))
+    grad_list = [net.layers[0][0].T @ P]
+    for li, gA, gb in sorted(grads):
+        grad_list.extend((gA, gb))
+    return loss, grad_list
+
+
+def textbook_loss_and_grads(net, contexts, sizes, targets):
+    """Loss and gradients by the textbook chain: the batch embedding
+    S_in W^T (B, r) goes through the whole MLP, and W's gradient is the
+    back-propagated delta at that embedding times S_in."""
+    S_in = net._inputs(contexts, sizes)
+    acts = [S_in @ net.W.T]
+    for li, (A, b) in enumerate(net.layers):
+        z = acts[-1] @ A.T + b
+        acts.append(np.maximum(z, 0.0) if li < len(net.layers) - 1 else z)
+    loss, delta = _per_block_logit_grads(net, acts[-1], targets)
+    grads = []
+    for li in range(len(net.layers) - 1, -1, -1):
+        A, _ = net.layers[li]
+        grads.append((li, delta.T @ acts[li], delta.sum(axis=0)))
         delta = delta @ A
         if li > 0:
-            delta = delta * (a_prev > 0)
-    gW = delta.T @ S_in
-    grad_list = [gW]
+            delta = delta * (acts[li] > 0)
+    grad_list = [delta.T @ S_in]
     for li, gA, gb in sorted(grads):
         grad_list.extend((gA, gb))
     return loss, grad_list
@@ -67,14 +90,14 @@ class _ReferenceNetwork(CbowNetwork):
     rectifier ran in place."""
 
     def forward(self, contexts, sizes):
-        S_in = self._inputs(contexts, sizes)
-        acts = [S_in @ self.W.T]
+        acts = [self._inputs(contexts, sizes)]
         for li, (A, b) in enumerate(self.layers):
-            z = acts[-1] @ A.T + b
+            M = A @ self.W if li == 0 else A
+            z = acts[-1] @ M.T + b
             if li < len(self.layers) - 1:
                 z = np.maximum(z, 0.0)
             acts.append(z)
-        return acts, S_in
+        return acts
 
 
 def reference_training(samples, schema, cfg):
@@ -246,7 +269,7 @@ class TestTraining:
         # identical training output with and without labels on the graphs
         sch = synth.small_schema()
         graphs = synth.random_corpus(rng, sch, 10, density=0.5, connected=True)
-        labeled = [g.replace(label=float(i)) for i, g in enumerate(graphs)]
+        labeled = [dataclasses.replace(g, label=float(i)) for i, g in enumerate(graphs)]
         cfg = CbowConfig(r=5, epochs=2, seed=3)
         a, _ = train_cbow(extract_contexts(graphs, sch), sch, cfg)
         b, _ = train_cbow(extract_contexts(labeled, sch), sch, cfg)
@@ -290,11 +313,37 @@ class TestNetworkMath:
         ref = reference_loss_and_grads(net, contexts, sizes, targets)
         assert _bits(*got) == _bits(*ref)
         if spread == 700.0 and B > 2:  # some target's probability is under the clamp
-            logits = net.forward(contexts, sizes)[0][-1]
+            logits = net.forward(contexts, sizes)[-1]
             starts = np.asarray(sch.offsets)
             gaps = (np.maximum.reduceat(logits, starts, axis=1)
                     - logits[np.arange(B)[:, None], starts + targets])
             assert gaps.max() > -np.log(1e-300)
+
+    @pytest.mark.parametrize("ks", [ng.FULL_SCHEMA.cardinalities, (3, 1, 12)],
+                             ids=["full", "one-value-attribute"])
+    @pytest.mark.parametrize("B", [1, 2, 256, 300])
+    @pytest.mark.parametrize("spread", [1.0, 700.0])
+    @pytest.mark.parametrize("aggregator", ["sum", "mean"])
+    @pytest.mark.parametrize("hidden", [(9,), (10, 7)])
+    def test_loss_and_grads_equal_textbook_chain(self, ks, B, spread, aggregator, hidden):
+        """The first layer's K-side form is exact algebra: loss and every
+        gradient agree with the chain through (S_in W^T) A_1^T to 1e-12
+        relative, each gradient by its norm."""
+        sch = SimpleNamespace(cardinalities=ks, offsets=tuple(accumulate(ks, initial=0))[:-1],
+                              total_width=sum(ks), num_attributes=len(ks))
+        rng = np.random.default_rng([B, int(spread), len(ks), len(hidden)])
+        cfg = CbowConfig(r=6, aggregator=aggregator, hidden=hidden, seed=0)
+        net = CbowNetwork(sch, cfg, rng)
+        net.layers[-1][1][:] = rng.uniform(-spread, spread, sch.total_width)
+        contexts = rng.poisson(1.0, (B, sch.total_width)).astype(np.float64)
+        sizes = contexts.sum(axis=1) + 1.0
+        targets = np.stack([rng.integers(0, k, B) for k in ks], axis=1)
+        loss, grads = net.loss_and_grads(contexts, sizes, targets)
+        ref_loss, ref_grads = textbook_loss_and_grads(net, contexts, sizes, targets)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert [g.shape for g in grads] == [g.shape for g in ref_grads]
+        for g, ref in zip(grads, ref_grads):
+            assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_training_writes_the_reference_weights(self, rng, monkeypatch):
         sch = synth.small_schema(ks=(6, 5))
@@ -359,8 +408,11 @@ class TestNetworkMath:
         net = CbowNetwork(sch, cfg, np.random.default_rng(1))
         ctx = np.zeros((1, 4))
         ctx[0, 2] = 1.0  # single neighbor with value index 2
-        acts, _ = net.forward(ctx, np.array([1.0]))
-        assert np.allclose(acts[0][0], net.W[:, 2])
+        assert net._inputs(ctx, np.array([1.0])).tolist() == [[0.0, 0.0, 1.0, 0.0]]
+        A1, b1 = net.layers[0]
+        b1[:] = 10.0  # keeps every first-layer unit on, so its output is z_1
+        z1 = net.forward(ctx, np.array([1.0]))[1][0]
+        assert np.allclose(z1, A1 @ net.W[:, 2] + b1, rtol=1e-14, atol=0)
 
     def test_sum_aggregator_scales_with_context(self):
         sch = synth.single_attribute_schema(4)
@@ -368,5 +420,8 @@ class TestNetworkMath:
         net = CbowNetwork(sch, cfg, np.random.default_rng(1))
         ctx = np.zeros((1, 4))
         ctx[0, 2] = 3.0
-        acts, _ = net.forward(ctx, np.array([3.0]))
-        assert np.allclose(acts[0][0], 3.0 * net.W[:, 2])
+        assert net._inputs(ctx, np.array([3.0])).tolist() == [[0.0, 0.0, 3.0, 0.0]]
+        A1, b1 = net.layers[0]
+        b1[:] = 10.0  # keeps every first-layer unit on, so its output is z_1
+        z1 = net.forward(ctx, np.array([3.0]))[1][0]
+        assert np.allclose(z1, A1 @ (3.0 * net.W[:, 2]) + b1, rtol=1e-14, atol=0)

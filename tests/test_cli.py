@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -643,7 +644,7 @@ class TestOracleCheck:
         # without an id is named by its position
         sch = synth.small_schema()
         graphs = [synth.random_graph(rng, sch, m=m, density=0.2) for m in (5, 20, 9, 13)]
-        graphs[1] = graphs[1].replace(graph_id="big")
+        graphs[1] = dataclasses.replace(graphs[1], graph_id="big")
         gp = tmp_path / "g.jsonl"
         with open(gp, "w") as fh:
             write_jsonl(graphs, sch, fh)
@@ -658,7 +659,8 @@ class TestOracleCheck:
         assert main(["oracle-check", str(gp), "--embedding", str(wp), "--cap", "19"]) == 1
         assert capsys.readouterr().err == "error: graph 'big' has 20 vertices, over --cap 19\n"
         assert calls == []
-        graphs[1] = graphs[1].replace(num_vertices=12, attr=graphs[1].attr[:12], edges=[])
+        graphs[1] = dataclasses.replace(graphs[1], num_vertices=12, attr=graphs[1].attr[:12],
+                                        edges=[])
         with open(gp, "w") as fh:
             write_jsonl(graphs, sch, fh)
         assert main(["oracle-check", str(gp), "--embedding", str(wp)]) == 1
@@ -835,7 +837,7 @@ class TestFitEval:
         sch = synth.single_attribute_schema(8)
         graphs, labels, _ = synth.count_label_corpus(rng, sch, n_graphs=40,
                                                      m_range=(4, 7))
-        graphs = [g.replace(label=float(y)) for g, y in zip(graphs, labels)]
+        graphs = [dataclasses.replace(g, label=float(y)) for g, y in zip(graphs, labels)]
         gp = tmp_path / "g.jsonl"
         with open(gp, "w") as fh:
             write_jsonl(graphs, sch, fh)
@@ -1162,19 +1164,23 @@ class TestFitEval:
         sch, gp, feats = labeled_setup
         graphs = graph_module.read_json_graphs(gp.read_bytes(), sch)
         full = _labeled_corpus(rng, 6)
-        runs = [(graphs, sch, ["fit", "--features", str(feats), "-o", str(tmp_path / "m")]),
-                (graphs, sch, ["eval", "--features", str(feats), "--folds", "3"]),
-                (full, ng.FULL_SCHEMA, ["sweep", "--r-grid", "4", "--t-grid", "2",
-                                        "--folds", "3", "-o", str(tmp_path / "s")])]
+        runs = [(graphs, sch, "'c3'",
+                 ["fit", "--features", str(feats), "-o", str(tmp_path / "m")]),
+                (graphs, sch, "'c3'", ["eval", "--features", str(feats), "--folds", "3"]),
+                (full, ng.FULL_SCHEMA, "'g3'", ["sweep", "--r-grid", "4", "--t-grid", "2",
+                                                "--folds", "3", "-o", str(tmp_path / "s")])]
         capsys.readouterr()
-        for corpus, corpus_schema, argv in runs:
-            corpus = [*corpus[:3], corpus[3].replace(label=None), *corpus[4:]]
-            unlabeled = tmp_path / "unlabeled.jsonl"
-            with open(unlabeled, "w") as fh:
-                write_jsonl(corpus, corpus_schema, fh)
-            assert main(argv + ["--graphs", str(unlabeled)]) == 1, argv
-            assert capsys.readouterr() == (
-                "", f"error: graph {corpus[3].graph_id!r} has no label\n"), argv
+        for corpus, corpus_schema, named, argv in runs:
+            corpus = [*corpus[:3], dataclasses.replace(corpus[3], label=None), *corpus[4:]]
+            # a graph is named by its id, else by its 0-based position
+            for name, docs in ((named, corpus),
+                               ("3", [dataclasses.replace(g, graph_id=None) for g in corpus])):
+                unlabeled = tmp_path / "unlabeled.jsonl"
+                with open(unlabeled, "w") as fh:
+                    write_jsonl(docs, corpus_schema, fh)
+                assert main(argv + ["--graphs", str(unlabeled)]) == 1, argv
+                assert capsys.readouterr() == (
+                    "", f"error: graph {name} has no label\n"), argv
         assert not (tmp_path / "m").exists() and not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("label", [float("nan"), float("inf"), -float("inf")])
@@ -1186,26 +1192,28 @@ class TestFitEval:
         assert main(["fit", "--features", str(feats), "--graphs", str(gp), "-o", str(model)]) == 0
         graphs = graph_module.read_json_graphs(gp.read_bytes(), sch)
         least_squares = ["--task", "least-squares", "--metric", "rmse", "--lam", "1e-3"]
-        runs = [(graphs, sch, ["fit", "--features", str(feats), "--task", "least-squares",
-                               "-o", str(tmp_path / "m")]),
-                (graphs, sch, ["eval", "--features", str(feats), "--folds", "3",
-                               *least_squares]),
-                (graphs, sch, ["eval", "--features", str(feats), "--model", str(model),
-                               "--predictions", str(tmp_path / "p.csv")]),
-                (_labeled_corpus(rng, 6), ng.FULL_SCHEMA,
+        runs = [(graphs, sch, "'c2'", ["fit", "--features", str(feats),
+                                       "--task", "least-squares", "-o", str(tmp_path / "m")]),
+                (graphs, sch, "'c2'", ["eval", "--features", str(feats), "--folds", "3",
+                                       *least_squares]),
+                (graphs, sch, "'c2'", ["eval", "--features", str(feats), "--model", str(model),
+                                       "--predictions", str(tmp_path / "p.csv")]),
+                (_labeled_corpus(rng, 6), ng.FULL_SCHEMA, "'g2'",
                  ["sweep", "--r-grid", "4", "--t-grid", "2", "--folds", "3", *least_squares,
                   "-o", str(tmp_path / "s")])]
         capsys.readouterr()
-        for corpus, corpus_schema, argv in runs:
-            corpus = [*corpus[:2], corpus[2].replace(label=label), *corpus[3:]]
-            bad = tmp_path / "bad.jsonl"
-            with open(bad, "w") as fh:
-                write_jsonl(corpus, corpus_schema, fh)
-            read = graph_module.read_json_graphs(bad.read_bytes(), corpus_schema)
-            assert repr(read[2].label) == repr(label)
-            assert main(argv + ["--graphs", str(bad)]) == 1, argv
-            assert capsys.readouterr() == ("", f"error: graph {corpus[2].graph_id!r} has "
-                                               f"label {label!r}, which is not finite\n"), argv
+        for corpus, corpus_schema, named, argv in runs:
+            corpus = [*corpus[:2], dataclasses.replace(corpus[2], label=label), *corpus[3:]]
+            for name, docs in ((named, corpus),
+                               ("2", [dataclasses.replace(g, graph_id=None) for g in corpus])):
+                bad = tmp_path / "bad.jsonl"
+                with open(bad, "w") as fh:
+                    write_jsonl(docs, corpus_schema, fh)
+                read = graph_module.read_json_graphs(bad.read_bytes(), corpus_schema)
+                assert repr(read[2].label) == repr(label)
+                assert main(argv + ["--graphs", str(bad)]) == 1, argv
+                assert capsys.readouterr() == ("", f"error: graph {name} has label "
+                                                   f"{label!r}, which is not finite\n"), argv
         assert not any((tmp_path / name).exists() for name in ("m", "p.csv", "s"))
 
     def test_eval_predictions_needs_model(self, labeled_setup, tmp_path, capsys):

@@ -199,7 +199,7 @@ class TestKfoldPipeline:
     def test_graph_that_fails_to_embed_is_named(self, rng, call):
         sch = synth.small_schema(ks=(5, 4))
         graphs = synth.random_corpus(rng, sch, 12, density=0.5, connected=True)
-        graphs[7] = graphs[7].replace(schema_fingerprint="foreign")
+        graphs[7] = dataclasses.replace(graphs[7], schema_fingerprint="foreign")
         labels = np.arange(12) % 2.0
         cfg = PipelineConfig(r=4, T=2, lam=1e-3)
         with pytest.raises(ValueError) as info:

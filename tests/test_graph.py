@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -103,7 +104,7 @@ class TestAdjacency:
     def test_replace_keeps_fields_and_rebuilds_csr(self, schema):
         g = MolecularGraph(num_vertices=3, attr=[[0, 0]] * 3, edges=[[0, 1], [1, 2]],
                            label=1.0, graph_id="g", schema_fingerprint=schema.fingerprint)
-        h = g.replace(edges=[[2, 0]])
+        h = dataclasses.replace(g, edges=[[2, 0]])
         assert (h.label, h.graph_id, h.schema_fingerprint) == (1.0, "g", schema.fingerprint)
         assert np.array_equal(h.attr, g.attr)
         assert h.indptr.tolist() == [0, 1, 1, 2] and h.indices.tolist() == [2, 0]
@@ -495,8 +496,8 @@ def _graphs_to_write(draw):
     g = draw(synth.messy_graphs(_SCHEMA, max_m=6)
              | st.just(MolecularGraph(num_vertices=0, attr=np.zeros((0, 2)), edges=[])))
     attr = np.asfortranarray(g.attr) if draw(st.booleans()) else g.attr
-    return g.replace(attr=attr, label=draw(_LABELS),
-                     graph_id=draw(st.none() | st.text(_ID_CHARACTERS) | st.integers()))
+    return dataclasses.replace(g, attr=attr, label=draw(_LABELS),
+                               graph_id=draw(st.none() | st.text(_ID_CHARACTERS) | st.integers()))
 
 
 class TestWriter:

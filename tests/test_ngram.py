@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -254,7 +255,7 @@ class TestInt64Range:
 
     def test_overflow_isolated_in_corpus(self):
         sch, g, W = self._triangle(1000)
-        lone = g.replace(edges=[], graph_id="edgeless")
+        lone = dataclasses.replace(g, edges=[], graph_id="edgeless")
         X, manifest = embed_corpus([lone, g], W, 8)
         assert list(manifest["errors"]) == ["1"]
         assert "overflow" in manifest["errors"]["1"]
@@ -334,10 +335,10 @@ class TestBatchIndependence:
         sch = synth.small_schema()
         other = synth.small_schema(name="other", ks=(5, 5))
         # attr0 value 4 is left to the "over" graph
-        graphs = [g.replace(attr=np.minimum(g.attr, [3, 3]))
+        graphs = [dataclasses.replace(g, attr=np.minimum(g.attr, [3, 3]))
                   for g in synth.random_corpus(rng, sch, 6, density=0.4)]
         big = synth.random_graph(rng, sch, m=12, density=0.4, connected=True, graph_id="big")
-        big = big.replace(attr=np.minimum(big.attr, [3, 3]))
+        big = dataclasses.replace(big, attr=np.minimum(big.attr, [3, 3]))
         over = MolecularGraph(num_vertices=3, attr=[[4, 0]] * 3,
                               edges=[[0, 1], [0, 2], [1, 2]], graph_id="over",
                               schema_fingerprint=sch.fingerprint)
