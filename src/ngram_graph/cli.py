@@ -177,14 +177,17 @@ def _echo_lines(lines) -> None:
 def _load_graphs(path, schema=None, errors=None):
     """The corpus at path and its schema: the one given, else the bundled one
     whose fingerprint its graphs carry. Faults go to ``errors`` if given;
-    else an undecodable line raises as a parse error (exit 2), any other as
-    a ValueError (exit 1), naming the file and the document."""
+    else an undecodable line raises as a parse error (exit 2), any other,
+    or a corpus with no graph documents, as a ValueError (exit 1), naming
+    the file and the document."""
     try:
         graphs = read_json_graphs(Path(path).read_bytes(), schema, errors)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise GraphError(f"{path}: document {exc.document}: {exc}") from exc
     except GraphError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    if not graphs and errors is None:
+        raise ValueError(f"{path}: no graph documents")
     if schema is None and graphs:
         schema = next(s for s in BUNDLED_SCHEMAS.values()
                       if s.fingerprint == graphs[0].schema_fingerprint)
@@ -349,7 +352,8 @@ def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
     graphs, _ = _load_graphs(graphs_path, emb.schema)
     for i, g in enumerate(graphs):
         if g.num_vertices > cap:
-            raise ValueError(f"graph {g.graph_id or i!r} has {g.num_vertices} vertices, "
+            name = i if g.graph_id is None else g.graph_id
+            raise ValueError(f"graph {name!r} has {g.num_vertices} vertices, "
                              f"over --cap {cap}")
     X, manifest = embed_corpus(graphs, emb, t_steps)
     if manifest["errors"]:

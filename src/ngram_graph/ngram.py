@@ -207,8 +207,8 @@ def unit_cuts(indptr, indices, offsets, T, width):
 
 
 def _levels(graphs, emb, T, variant, counts=False):
-    """Level sums (G, T, r) in the embedding's dtype and walk counts (G, T)
-    (for ``walk`` only when ``counts`` is set). Units of work, whole graphs
+    """Level sums (G, T, r) in the embedding's dtype and walk counts (G, T),
+    zero unless ``counts`` is set. Units of work, whole graphs
     or the start-vertex slices of :func:`unit_cuts`, are packed into batches
     by their walk bound, enumerated once and summed on their own; each unit
     sum is added into its graph's row in unit order, so a row never depends
@@ -264,7 +264,8 @@ def _levels(graphs, emb, T, variant, counts=False):
                 prod *= base[end]
                 seg = seg[parent]
             np.add.at(L[:, n - 1], to, _pool(seg, u1 - u0) @ prod)
-            np.add.at(C[:, n - 1], to, np.bincount(seg, minlength=u1 - u0))
+            if counts:
+                np.add.at(C[:, n - 1], to, np.bincount(seg, minlength=u1 - u0))
     return L, C
 
 

@@ -26,6 +26,9 @@ from ngram_graph.vertex import load_embedding, save_embedding
 from . import synth
 from .synth import ETHANOL, WATER, charge_line, dumps_graph, molblock, sdf_stream
 
+# a subprocess imports the package this run imports
+_PACKAGE_ENV = dict(os.environ, PYTHONPATH=str(Path(ng.__file__).parents[1]))
+
 
 def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -496,11 +499,10 @@ class TestTrainVertex:
     def test_divergence_prints_only_the_error(self, tmp_path, rng):
         # numpy's overflow warnings stay quiet; the error line reports the divergence
         corpus = self._corpus(tmp_path, rng)
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "ngram_graph.cli", "train-vertex", str(corpus),
              "-o", str(tmp_path / "w.nggm"), "--r", "8", "--hidden", "8", "--epochs", "2",
-             "--lr", "1e200"], env=env, capture_output=True, text=True)
+             "--lr", "1e200"], env=_PACKAGE_ENV, capture_output=True, text=True)
         assert proc.returncode == 1
         assert re.fullmatch(r"error: non-finite loss at epoch \d+\n", proc.stderr)
         assert not (tmp_path / "w.nggm").exists()
@@ -641,7 +643,7 @@ class TestOracleCheck:
     def test_oversize_graph_refused_with_cap_message(self, tmp_path, rng, monkeypatch,
                                                      capsys):
         # the graph over --cap is named before anything is embedded; a graph
-        # without an id is named by its position
+        # without an id is named by its position, one with the id "" by its id
         sch = synth.small_schema()
         graphs = [synth.random_graph(rng, sch, m=m, density=0.2) for m in (5, 20, 9, 13)]
         graphs[1] = dataclasses.replace(graphs[1], graph_id="big")
@@ -665,6 +667,11 @@ class TestOracleCheck:
             write_jsonl(graphs, sch, fh)
         assert main(["oracle-check", str(gp), "--embedding", str(wp)]) == 1
         assert capsys.readouterr().err == "error: graph 3 has 13 vertices, over --cap 12\n"
+        graphs[3] = dataclasses.replace(graphs[3], graph_id="")
+        with open(gp, "w") as fh:
+            write_jsonl(graphs, sch, fh)
+        assert main(["oracle-check", str(gp), "--embedding", str(wp)]) == 1
+        assert capsys.readouterr().err == "error: graph '' has 13 vertices, over --cap 12\n"
         assert main(["oracle-check", str(gp), "--embedding", str(wp), "--cap", "13"]) == 0
         assert calls == [1]
 
@@ -1634,6 +1641,11 @@ class TestSchemaFromCorpus:
         lines += [f"  {name}: {acc:.4f}" for name, acc in report.holdout_accuracy.items()]
         lines += [f"final epoch loss: {report.epoch_losses[-1]:.6f}"]
         assert (out, err) == ("", "".join(line + "\n" for line in lines))
+        # embed reads the corpus under the trained embedding's schema
+        assert main(["embed", str(gp), "--embedding", str(tmp_path / "w.nggm"),
+                     "-o", str(tmp_path / "f"), "--no-csv"]) == 0
+        assert np.array_equal(read_matrix(tmp_path / "f.nggm")[0],
+                              ng.embed_corpus(graphs, emb, 6)[0])
 
     @pytest.mark.parametrize("key", ["full", "reduced"])
     def test_sweep_equals_the_library_call(self, tmp_path, rng, capsys, key):
@@ -1667,6 +1679,28 @@ class TestSchemaFromCorpus:
         assert main(["featurize", str(gp), "-o", str(out), "--schema", other]) == 2
         err = capsys.readouterr().err
         assert err.count("schema_id mismatch") == 5 and "no graphs parsed" in err
+
+    # explicit hydrogens, an M  CHG line, the radical charge code 4, an element
+    # without a valence entry (Si) and a non-ASCII title, which the writer
+    # escapes and the reader decodes
+    SDF = sdf_stream(
+        WATER,
+        molblock("acetate", ["C", "C", "O", "O"], [(1, 2, 1), (2, 3, 2), (2, 4, 1)],
+                 props=[charge_line((4, -1))]),
+        molblock("cyclopropyl", ["C", "C", "C", "Si"],
+                 [(1, 2, 1), (2, 3, 1), (1, 3, 1), (1, 4, 1)], [0, 4, 0, 0]),
+        molblock("café", ["C", "O"], [(1, 2, 2)]),
+    )
+
+    @pytest.mark.parametrize("key", ["full", "reduced"])
+    def test_featurized_sdf_is_a_fixed_point(self, tmp_path, capsys, key):
+        src, a, b = tmp_path / "mols.sdf", tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        src.write_text(self.SDF, encoding="utf-8")
+        assert main(["featurize", str(src), "-o", str(a), "--schema", key]) == 0
+        assert "parsed=4 failed=0" in capsys.readouterr().err
+        assert b'"caf\\u00e9"' in a.read_bytes()
+        assert main(["featurize", str(a), "-o", str(b)]) == 0
+        assert b.read_bytes() == a.read_bytes()
 
     @pytest.mark.parametrize("key", ["full", "reduced"])
     @pytest.mark.parametrize("bad, message", [
@@ -1726,6 +1760,22 @@ class TestSchemaFromCorpus:
         assert message in err and "Traceback" not in err
         if "bundled" in message:
             assert ng.FULL_SCHEMA.schema_id in err and ng.REDUCED_SCHEMA.schema_id in err
+
+    @pytest.mark.parametrize("command", ["embed", "oracle-check", "fit", "eval"])
+    @pytest.mark.parametrize("text", ["", "\n \n", "[]"])
+    def test_empty_corpus_under_a_given_schema_exits_one(self, config_workspace, capsys,
+                                                         command, text):
+        # these read the corpus under their embedding's or feature file's schema
+        Path("c.jsonl").write_text(text)
+        argv = {
+            "embed": ["embed", "c.jsonl", "--embedding", "w.nggm", "-o", "out"],
+            "oracle-check": ["oracle-check", "c.jsonl", "--embedding", "w.nggm"],
+            "fit": ["fit", "--features", "f.nggm", "--graphs", "c.jsonl", "-o", "out"],
+            "eval": ["eval", "--graphs", "c.jsonl", "--features", "f.nggm", "--folds", "2"],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: c.jsonl: no graph documents\n")
+        assert not list(Path().glob("out*"))
 
     def test_later_document_of_another_schema_exits_one(self, tmp_path, rng, capsys):
         gp = tmp_path / "g.jsonl"
@@ -1923,10 +1973,8 @@ def test_cli_import_skips_scipy_stats_and_optimize(config_workspace, water_sdf):
                  eval_features + ["--model", "model.json", "--predictions", "p.csv"]],
         "embed": _argv(config_workspace, "embed"),
     }
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, json.dumps(runs)],
-                         env=env, capture_output=True, text=True, check=True).stdout
+                         env=_PACKAGE_ENV, capture_output=True, text=True, check=True).stdout
     doc = json.loads(out.splitlines()[-1])
     assert doc["codes"] == [0] * 11
     assert doc["import"] == []
@@ -2013,9 +2061,7 @@ def test_cli_import_loads_no_engine_module(config_workspace):
     """Start-up loads the modules the option declarations and the exit codes
     need; a command loads its engine where it runs."""
     argv = _argv(config_workspace, "train-vertex", extra=["--epochs", "3", "--lr", "1e200"])
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _ENGINE_PROBE, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", _ENGINE_PROBE, *argv], env=_PACKAGE_ENV,
                           capture_output=True, text=True)
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert doc["import"] == []
@@ -2038,9 +2084,7 @@ print(json.dumps(doc))
 
 
 def test_package_names_resolve_on_first_access():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", _PACKAGE_PROBE], env=env,
+    out = subprocess.run([sys.executable, "-c", _PACKAGE_PROBE], env=_PACKAGE_ENV,
                          capture_output=True, text=True, check=True).stdout
     doc = json.loads(out.splitlines()[-1])
     assert doc["import"] == []
