@@ -23,8 +23,8 @@ _EXPORTS = {
     "graph": ("GraphError", "MolecularGraph", "read_json_graphs", "validate_graph"),
     "sdf": ("MolRecord", "parse_sdf"),
     "featurize": ("featurize_corpus",),
-    "vertex": ("EmbeddingError", "VertexEmbeddingMatrix", "embed_vertices",
-               "load_embedding", "random_embedding", "save_embedding"),
+    "vertex": ("EmbeddingError", "VertexEmbeddingMatrix", "load_embedding",
+               "random_embedding", "save_embedding"),
     "cbow": ("CbowConfig", "Contexts", "extract_contexts", "train_cbow"),
     "ngram": ("GraphTooLarge", "NGramEmbedding", "WalkOverflow", "embed_corpus",
               "graph_embed", "oracle_embed"),
@@ -46,7 +46,3 @@ def __getattr__(name):
         # importing a submodule binds it on the package, so this runs once
         return _import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})

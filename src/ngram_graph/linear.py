@@ -427,13 +427,16 @@ def pr_auc(y_true, scores) -> float | None:
 
 
 def compute_metric(name: str, y_true, scores) -> float | None:
+    """The metric of the scores against y_true; a ranking metric refuses
+    labels other than 0 and 1, which its positive class would misread."""
     name = name.lower()
     if name == "rmse":
         return rmse(y_true, scores)
     if name == "mae":
         return mae(y_true, scores)
-    if name == "roc-auc":
-        return roc_auc(y_true, scores)
-    if name == "pr-auc":
-        return pr_auc(y_true, scores)
+    if name in ("roc-auc", "pr-auc"):
+        y = np.asarray(y_true)
+        if not ((y == 0) | (y == 1)).all():
+            raise ValueError(f"{name} needs labels in {{0, 1}}")
+        return (roc_auc if name == "roc-auc" else pr_auc)(y, scores)
     raise ValueError(f"unknown metric {name!r}; choose from {METRICS}")

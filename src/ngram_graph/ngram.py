@@ -44,10 +44,6 @@ class NGramEmbedding:
     def r(self) -> int:  # perfbench's traced walk counter reads it
         return int(self.levels[0].shape[0])
 
-    def level(self, n: int) -> np.ndarray:
-        """1-based level accessor: level(1) is the vertex-sum level."""
-        return self.levels[n - 1]
-
     @property
     def vector(self) -> np.ndarray:
         return np.concatenate(self.levels)

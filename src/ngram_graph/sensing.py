@@ -23,7 +23,7 @@ import numpy as np
 from .counts import count_statistics, subset_table
 from .graph import MolecularGraph
 from .schema import AttributeSchema
-from .vertex import VertexEmbeddingMatrix, embed_vertices
+from .vertex import VertexEmbeddingMatrix, check_schema, vertex_rows
 
 MATERIALIZE_CAP = 10_000_000  # max r * columns entries for a dense level operator
 
@@ -224,7 +224,9 @@ def verify_identity(g: MolecularGraph, B: BlockSensingMatrix, T: int):
     Uses the distinct-value walk set on both sides; with integer blocks the
     residuals are exactly zero. One walk enumeration yields both sides.
     """
-    stats = count_statistics(g, B.schema, T, embed_vertices(g, B.embedding()))
+    emb = B.embedding()
+    check_schema(g, emb)
+    stats = count_statistics(g, B.schema, T, vertex_rows(g.attr, emb))
     residuals = []
     for n in range(1, T + 1):
         lhs = stats.products[n - 1]

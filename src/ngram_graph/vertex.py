@@ -107,13 +107,6 @@ def vertex_rows(attr: np.ndarray, emb: VertexEmbeddingMatrix) -> np.ndarray:
     return F
 
 
-def embed_vertices(g: MolecularGraph, emb: VertexEmbeddingMatrix) -> np.ndarray:
-    """Per-vertex embeddings of a schema-checked graph as an m x r matrix
-    (row i = W h_i), the table :func:`vertex_rows` builds."""
-    check_schema(g, emb)
-    return vertex_rows(g.attr, emb)
-
-
 def save_embedding(path, emb: VertexEmbeddingMatrix) -> None:
     meta = {
         "kind": "vertex-embedding",

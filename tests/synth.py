@@ -14,6 +14,7 @@ from ngram_graph import AttributeSchema, GraphError, MolecularGraph, validate_gr
 from ngram_graph.featurize import ACCEPTOR_ELEMENTS, DEFAULT_VALENCE
 from ngram_graph.schema import BUNDLED_SCHEMAS, UNKNOWN
 from ngram_graph.sdf import CHARGE_CODES
+from ngram_graph.vertex import check_schema, vertex_rows
 
 
 def small_schema(ks=(5, 4), name="test"):
@@ -136,6 +137,13 @@ def one_hot(g, schema, i) -> np.ndarray:
     h = np.zeros(schema.total_width, dtype=np.int64)
     h[np.asarray(schema.offsets, dtype=np.int64) + g.attr[i]] = 1
     return h
+
+
+def checked_rows(g, emb) -> np.ndarray:
+    """The m x r vertex rows of g (row i = W h_i), once g passes the
+    embedding's schema check, as the engine admits a graph."""
+    check_schema(g, emb)
+    return vertex_rows(g.attr, emb)
 
 
 def permute(g, pi):

@@ -69,7 +69,7 @@ class TestAcceptance:
         W = VertexEmbeddingMatrix(matrix=np.array([[1.0, 2.0, 3.0]]),
                                   schema=schema, provenance={})
         walk_levels = [float(lv[0]) for lv in graph_embed(g, W, 3).levels]
-        path_l3 = float(graph_embed(g, W, 3, variant="path").level(3)[0])
+        path_l3 = float(graph_embed(g, W, 3, variant="path").levels[2][0])
         ok = walk_levels == [6.0, 16.0, 48.0] and path_l3 == 12.0
         _report(2, ok, f"levels {walk_levels} (expect [6, 16, 48]), "
                        f"path level 3 = {path_l3} (expect 12)")

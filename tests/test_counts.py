@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ngram_graph as ng
-from ngram_graph import count_statistics, embed_vertices, random_embedding
+from ngram_graph import count_statistics, random_embedding
 from ngram_graph.counts import level_dimension, subset_table
 
 from . import synth
@@ -142,7 +142,7 @@ class TestBruteForceReference:
         T = 4
         rng = np.random.default_rng(seed)
         W = rng.choice((-1, 1), size=(5, sch.total_width)).astype(np.int64)
-        F = embed_vertices(g, ng.VertexEmbeddingMatrix(matrix=W, schema=sch, provenance={}))
+        F = synth.checked_rows(g, ng.VertexEmbeddingMatrix(matrix=W, schema=sch, provenance={}))
         blocks, counts, levels = _brute_force_distinct(g, sch, F, T)
         stats = count_statistics(g, sch, T, F)
         assert stats.walk_counts == tuple(counts)
@@ -153,7 +153,7 @@ class TestBruteForceReference:
         plain = count_statistics(g, sch, T)
         assert all(np.array_equal(plain.level(n), stats.level(n)) for n in range(1, T + 1))
 
-        F = embed_vertices(g, random_embedding(sch, 6, dist="gaussian", seed=seed))
+        F = synth.checked_rows(g, random_embedding(sch, 6, dist="gaussian", seed=seed))
         _, _, levels = _brute_force_distinct(g, sch, F, T)
         got = count_statistics(g, sch, T, F).products
         for a, b in zip(got, levels):

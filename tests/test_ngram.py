@@ -46,22 +46,22 @@ class TestHandDerivedValues:
             matrix=np.array([[1.0, 2.0, 3.0]]), schema=sch, provenance={}
         )
         e = graph_embed(g, W, 3, variant="path")
-        assert float(e.level(3)[0]) == 12.0
+        assert float(e.levels[2][0]) == 12.0
         o = oracle_embed(g, W, 3, variant="path")
-        assert float(o.level(3)[0]) == 12.0
+        assert float(o.levels[2][0]) == 12.0
 
     def test_single_vertex_higher_levels_vanish(self, rng, schema):
         g = synth.random_graph(rng, schema, m=1, density=0.0)
         emb = random_embedding(schema, 6, seed=0)
         e = graph_embed(g, emb, 4)
-        assert np.allclose(e.level(1), emb.matrix @ synth.one_hot(g, schema, 0))
+        assert np.allclose(e.levels[0], emb.matrix @ synth.one_hot(g, schema, 0))
         for n in (2, 3, 4):
-            assert np.all(e.level(n) == 0)
+            assert np.all(e.levels[n - 1] == 0)
 
     def test_edgeless_graph_level_two_zero(self, rng, schema):
         g = synth.random_graph(rng, schema, m=5, density=0.0)
         emb = random_embedding(schema, 4, seed=1)
-        assert np.all(graph_embed(g, emb, 2).level(2) == 0)
+        assert np.all(graph_embed(g, emb, 2).levels[1] == 0)
 
     def test_triangle_identical_rows_path_variant_vanishes(self, schema):
         g = MolecularGraph(
@@ -70,7 +70,7 @@ class TestHandDerivedValues:
         )
         emb = random_embedding(schema, 5, seed=2)
         e = graph_embed(g, emb, 2, variant="path")
-        assert np.all(e.level(2) == 0)
+        assert np.all(e.levels[1] == 0)
 
 
 class TestOracleEquivalence:
@@ -157,8 +157,8 @@ class TestOracleEquivalence:
         g = MolecularGraph(num_vertices=2, attr=[[1], [1]], edges=[[0, 1]],
                            schema_fingerprint=sch.fingerprint)
         emb = random_embedding(sch, 4, seed=3)
-        assert np.all(graph_embed(g, emb, 2, variant="path").level(2) == 0)
-        assert np.any(graph_embed(g, emb, 2, variant="vertex_path").level(2) != 0)
+        assert np.all(graph_embed(g, emb, 2, variant="path").levels[1] == 0)
+        assert np.any(graph_embed(g, emb, 2, variant="vertex_path").levels[1] != 0)
 
 
 class TestProperties:
@@ -183,7 +183,7 @@ class TestProperties:
         a = graph_embed(g, emb, 4)
         b = graph_embed(g, scaled, 4)
         for n in range(1, 5):
-            assert np.allclose(b.level(n), (alpha ** n) * a.level(n))
+            assert np.allclose(b.levels[n - 1], (alpha ** n) * a.levels[n - 1])
 
     def test_level_scale_factorial(self, path_xyz):
         sch, g = path_xyz
@@ -251,7 +251,7 @@ class TestInt64Range:
         with pytest.raises(WalkOverflow):
             oracle_embed(g, W, 8)
         with pytest.raises(WalkOverflow):
-            ng.count_statistics(g, sch, 8, ng.embed_vertices(g, W))
+            ng.count_statistics(g, sch, 8, synth.checked_rows(g, W))
 
     def test_overflow_isolated_in_corpus(self):
         sch, g, W = self._triangle(1000)
@@ -524,7 +524,7 @@ class TestUnitCuts:
         assert alone  # the K7 start vertices
         T = 5
         for g in molecules:
-            ng.count_statistics(g, full_schema, T, ng.embed_vertices(g, emb))
+            ng.count_statistics(g, full_schema, T, synth.checked_rows(g, emb))
         self._check(calls, max(T * S, r))
 
     def test_unsliced_graph_keeps_its_unit(self, rng, full_schema):
@@ -538,8 +538,8 @@ class TestUnitCuts:
     def test_count_statistics_independent_of_slicing(self, rng, monkeypatch):
         sch = synth.small_schema(ks=(8, 9))
         g = synth.random_graph(rng, sch, m=12, density=0.5, connected=True)
-        F = {"int": ng.embed_vertices(g, _int_rademacher(rng, sch, 5)),
-             "float": ng.embed_vertices(g, random_embedding(sch, 6, dist="gaussian", seed=3))}
+        F = {"int": synth.checked_rows(g, _int_rademacher(rng, sch, 5)),
+             "float": synth.checked_rows(g, random_embedding(sch, 6, dist="gaussian", seed=3))}
         whole = {kind: ng.count_statistics(g, sch, 5, f) for kind, f in F.items()}
         monkeypatch.setattr(ng.ngram, "BATCH_ENTRIES", 48)
         calls = _record_frontiers(monkeypatch)

@@ -205,7 +205,7 @@ class TestIdentity:
         g = synth.random_graph(rng, schema, m=6, density=0.5)
         emb = ng.random_embedding(schema, 7, dist="gaussian", seed=2)
         stats = count_statistics(g, schema, 1)
-        f1 = ng.graph_embed(g, emb, 1).level(1)
+        f1 = ng.graph_embed(g, emb, 1).levels[0]
         assert np.allclose(f1, emb.matrix @ stats.level(1))
 
     def test_edgeless_graph_both_sides_zero(self, rng):

@@ -6,7 +6,6 @@ from ngram_graph import (
     EmbeddingError,
     MolecularGraph,
     VertexEmbeddingMatrix,
-    embed_vertices,
     load_embedding,
     random_embedding,
     save_embedding,
@@ -91,14 +90,14 @@ class TestEmbedVertices:
         emb = VertexEmbeddingMatrix(matrix=W, schema=sch, provenance={})
         g = MolecularGraph(num_vertices=1, attr=[[2]], edges=[],
                            schema_fingerprint=sch.fingerprint)
-        assert np.array_equal(embed_vertices(g, emb)[0], W[:, 2])
+        assert np.array_equal(synth.checked_rows(g, emb)[0], W[:, 2])
 
     def test_sum_of_selected_columns(self):
         sch = synth.small_schema(ks=(2, 2))
         emb = VertexEmbeddingMatrix(matrix=np.eye(4), schema=sch, provenance={})
         g = MolecularGraph(num_vertices=1, attr=[[1, 0]], edges=[],
                            schema_fingerprint=sch.fingerprint)
-        f = embed_vertices(g, emb)[0]
+        f = synth.checked_rows(g, emb)[0]
         expected = np.zeros(4)
         expected[1] = expected[2] = 1.0  # e_1 + e_2
         assert np.array_equal(f, expected)
@@ -107,7 +106,7 @@ class TestEmbedVertices:
         g = synth.random_graph(rng, schema, m=7)
         emb = random_embedding(schema, 9, dist="gaussian", seed=3)
         H = np.stack([one_hot(g, schema, i) for i in range(7)], axis=1)
-        assert np.allclose(embed_vertices(g, emb), (emb.matrix @ H).T)
+        assert np.allclose(synth.checked_rows(g, emb), (emb.matrix @ H).T)
 
     def test_fingerprint_mismatch_faults(self, rng, schema):
         # same widths, different vocabulary: accidental transfer must fault
@@ -118,14 +117,14 @@ class TestEmbedVertices:
         assert mism.total_width == schema.total_width
         emb = random_embedding(mism, 4, seed=0)
         with pytest.raises(EmbeddingError):
-            embed_vertices(g, emb)
+            synth.checked_rows(g, emb)
 
     def test_permutation_equivariance(self, rng, schema):
         g = synth.random_graph(rng, schema, m=6, density=0.4)
         emb = random_embedding(schema, 5, dist="gaussian", seed=1)
         pi = rng.permutation(6)
-        F = embed_vertices(g, emb)
-        Fp = embed_vertices(synth.permute(g, pi), emb)
+        F = synth.checked_rows(g, emb)
+        Fp = synth.checked_rows(synth.permute(g, pi), emb)
         assert np.allclose(Fp[pi], F)
 
 
@@ -182,7 +181,7 @@ class TestSerialization:
         other = synth.small_schema(ks=(3, 3), name="different")
         g = synth.random_graph(rng, other, m=3)
         with pytest.raises(EmbeddingError):
-            embed_vertices(g, back)
+            synth.checked_rows(g, back)
 
     def test_corrupt_magic_faults(self, tmp_path, schema):
         from ngram_graph.matrixio import MatrixFormatError
@@ -218,5 +217,5 @@ class TestSerialization:
         save_embedding(path, emb)
         back = load_embedding(path)
         for g in corpus_b:
-            F = embed_vertices(g, back)
+            F = synth.checked_rows(g, back)
             assert F.shape == (g.num_vertices, 6)
