@@ -46,3 +46,7 @@ def __getattr__(name):
         # importing a submodule binds it on the package, so this runs once
         return _import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

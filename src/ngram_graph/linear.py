@@ -385,6 +385,15 @@ def mae(y_true, y_pred) -> float:
     return float(np.mean(np.abs(d)))
 
 
+def _binary_labels(y_true, metric: str) -> np.ndarray:
+    """y_true as a bool array; a ranking metric refuses labels other than
+    0 and 1, which its positive class would misread."""
+    y = np.asarray(y_true)
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError(f"{metric} needs labels in {{0, 1}}")
+    return y.astype(bool)
+
+
 def roc_auc(y_true, scores) -> float | None:
     """Rank-statistic AUC with midranks for ties; None on single-class input.
 
@@ -392,7 +401,7 @@ def roc_auc(y_true, scores) -> float | None:
     value share the mean of the ranks they span. Any NaN score makes the
     result NaN, so a NaN feature row never turns into a plausible score.
     """
-    y = np.asarray(y_true).astype(bool)
+    y = _binary_labels(y_true, "roc-auc")
     s = np.asarray(scores, dtype=np.float64)
     npos = int(y.sum())
     nneg = y.size - npos
@@ -407,7 +416,7 @@ def roc_auc(y_true, scores) -> float | None:
 
 def pr_auc(y_true, scores) -> float | None:
     """Step integration of the precision-recall curve over score thresholds."""
-    y = np.asarray(y_true).astype(bool)
+    y = _binary_labels(y_true, "pr-auc")
     s = np.asarray(scores, dtype=np.float64)
     npos = int(y.sum())
     if npos == 0 or npos == y.size:
@@ -427,16 +436,13 @@ def pr_auc(y_true, scores) -> float | None:
 
 
 def compute_metric(name: str, y_true, scores) -> float | None:
-    """The metric of the scores against y_true; a ranking metric refuses
-    labels other than 0 and 1, which its positive class would misread."""
     name = name.lower()
     if name == "rmse":
         return rmse(y_true, scores)
     if name == "mae":
         return mae(y_true, scores)
-    if name in ("roc-auc", "pr-auc"):
-        y = np.asarray(y_true)
-        if not ((y == 0) | (y == 1)).all():
-            raise ValueError(f"{name} needs labels in {{0, 1}}")
-        return (roc_auc if name == "roc-auc" else pr_auc)(y, scores)
+    if name == "roc-auc":
+        return roc_auc(y_true, scores)
+    if name == "pr-auc":
+        return pr_auc(y_true, scores)
     raise ValueError(f"unknown metric {name!r}; choose from {METRICS}")

@@ -2121,6 +2121,7 @@ def test_package_names_resolve_on_first_access():
     assert doc["import"] == []
     assert doc["submodule"] == "ngram_graph.crossval"
     assert doc["star"] == sorted(ng.__all__)
+    assert set(ng.__all__) <= set(dir(ng))
     assert all(getattr(ng, name) is not None for name in ng.__all__)
     assert ng.parse_sdf is sys.modules["ngram_graph.sdf"].parse_sdf
     assert ng.FULL_SCHEMA is BUNDLED_SCHEMAS["full"]

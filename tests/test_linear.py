@@ -517,6 +517,14 @@ class TestMetrics:
         assert roc_auc([1, 1], [0.2, 0.3]) is None
         assert pr_auc([0, 0], [0.2, 0.3]) is None
 
+    @pytest.mark.parametrize("metric, name", [(roc_auc, "roc-auc"), (pr_auc, "pr-auc")])
+    @pytest.mark.parametrize("y", [[0.0, 2.0, 1.0], [-1.0, 1.0, 1.0], [0.0, 0.5, 1.0]])
+    def test_ranking_metrics_refuse_labels_not_0_1(self, metric, name, y):
+        # these once counted every nonzero label as positive
+        with pytest.raises(ValueError, match=rf"^{name} needs labels in \{{0, 1\}}$"):
+            metric(y, [0.1, 0.2, 0.3])
+        assert metric([True, False, True], [0.3, 0.1, 0.2]) == 1.0
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(7)
         y = (rng.random(200) > 0.4).astype(float)

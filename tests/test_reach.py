@@ -1,13 +1,16 @@
 """Every function and method of the package is reached by one ``ngg`` session.
 
-The session runs every command in-process through ``cli.main``, with the
-error paths it documents, under ``sys.setprofile``. A function or method
+The session runs every command through ``cli.main``, with the error paths
+it documents, under ``sys.setprofile``. A function or method
 defined in the package's own files, closures included, that the session
 does not reach fails :func:`test_every_function_is_reached`, unless it is on
 ``ALLOWLIST``. Module bodies, class bodies and comprehensions do not count,
-and dataclass-generated methods live in no package file. The files are
-found from ``ngram_graph.__file__``, so the check reads the package that the
-run imports, installed or not.
+nor do the package's PEP 562 hooks (``__getattr__`` and ``__dir__``), which
+serve ``import ngram_graph`` in Python, not ``ngg``; dataclass-generated
+methods live in no package file. The files are found from
+``ngram_graph.__file__``, so the check reads the package that the run
+imports, installed or not. The session runs in a new interpreter, so no
+cache filled by an earlier test answers a call in its place.
 
 A command, option or error path added to ``ngg`` gets a step in
 :func:`_session`. Code that no step reaches is surface that only tests use,
@@ -17,23 +20,21 @@ and goes rather than joining the allowlist.
 from __future__ import annotations
 
 import dataclasses
-import importlib
-import importlib.util
 import inspect
 import json
+import subprocess
 import sys
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ngram_graph as ng
-from ngram_graph.cli import main
 from ngram_graph.graph import write_jsonl
 
 from . import synth
 from .synth import WATER, charge_line, molblock, sdf_stream
+from .test_cli import _PACKAGE_ENV
 
 # Functions that no command reaches and a perfbench workload does: each
 # entry names the workload, and the ROADMAP item that retires it once a
@@ -50,17 +51,17 @@ ALLOWLIST = {
     "crossval.kfold_cv": "kfold-path; item 4",
     "graph.MolecularGraph.__post_init__":
         "kfold-path and count-lab, which build graphs with MolecularGraph(...); item 2",
-    "__init__.__getattr__":
-        "every workload, through ng.<name>; none: it serves README's Python API",
 }
 
 _COMPREHENSIONS = ("<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>")
+_MODULE_HOOKS = ("__getattr__", "__dir__")
 
 
 def counted_functions(files) -> dict:
     """``(file, first line, name)`` -> ``module.qualname`` of every function
     and method compiled from the files, closures included; module bodies,
-    class bodies and comprehensions are left out."""
+    class bodies, comprehensions and module-level ``__getattr__`` and
+    ``__dir__`` are left out."""
     counted = {}
 
     def visit(code, prefix):
@@ -69,6 +70,8 @@ def counted_functions(files) -> dict:
                 continue
             if const.co_name in _COMPREHENSIONS:
                 visit(const, prefix)
+            elif code.co_name == "<module>" and const.co_name in _MODULE_HOOKS:
+                continue
             elif const.co_flags & inspect.CO_NEWLOCALS:  # a class body has none
                 name = f"{prefix}.{const.co_name}"
                 counted[(const.co_filename, const.co_firstlineno, const.co_name)] = name
@@ -81,38 +84,38 @@ def counted_functions(files) -> dict:
     return counted
 
 
-def clear_caches(modules) -> None:
-    """Empty every ``functools.lru_cache`` the modules define, and every
-    ``cached_property`` value of the objects they hold, directly or in a
-    dict (the bundled schemas), so that a call a cache would answer runs
-    its function."""
-    for module in modules:
-        for value in vars(module).values():
-            if (callable(getattr(value, "cache_clear", None))
-                    and getattr(value, "__module__", None) == module.__name__):
-                value.cache_clear()
-            for obj in [value, *value.values()] if isinstance(value, dict) else [value]:
-                for name, attr in vars(type(obj)).items():
-                    if isinstance(attr, cached_property):
-                        vars(obj).pop(name, None)
+# Runs argv[1] under a profiler that records every Python function called,
+# then writes them, and the code's `result`, as JSON to argv[2].
+_PROBE = """
+import json, sys
+source, out = sys.argv[1:]
+seen = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        seen.add(frame.f_code)
+
+scope = {}
+sys.setprofile(profile)
+exec(source, scope)
+sys.setprofile(None)
+with open(out, "w", encoding="utf-8") as fh:
+    json.dump({"reached": [[c.co_filename, c.co_firstlineno, c.co_name] for c in seen],
+               "result": scope.get("result")}, fh)
+"""
 
 
-def reached_during(session) -> set:
+def reached_in_new_interpreter(source: str, d: Path, pythonpath: str):
     """The ``(file, first line, name)`` of every Python function that runs
-    while ``session()`` does."""
-    seen = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            seen.add(frame.f_code)
-
-    outer = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        session()
-    finally:
-        sys.setprofile(outer)
-    return {(c.co_filename, c.co_firstlineno, c.co_name) for c in seen}
+    while a new interpreter, started in d with PYTHONPATH set to
+    pythonpath, executes source; and the value source binds to ``result``."""
+    out = d / "reached.json"
+    proc = subprocess.run([sys.executable, "-c", _PROBE, source, str(out)], cwd=d,
+                          env={**_PACKAGE_ENV, "PYTHONPATH": pythonpath},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    return {tuple(key) for key in doc["reached"]}, doc["result"]
 
 
 def audit(counted: dict, reached: set, allowlist) -> list:
@@ -231,15 +234,11 @@ def session(tmp_path_factory):
     """The session's steps, their exit codes and the functions it reached."""
     d = tmp_path_factory.mktemp("session")
     steps = _session(_fixtures(d), d)
-    clear_caches([importlib.import_module(f"ngram_graph.{path.stem}")
-                  for path in _package_files() if path.stem != "__init__"])
-    codes = []
-
-    def run():
-        with np.errstate(all="ignore"):  # the diverging step overflows
-            codes.extend(main(argv) for argv, _ in steps)
-
-    return steps, codes, reached_during(run)
+    reached, codes = reached_in_new_interpreter(
+        "from ngram_graph.cli import main\n"
+        f"result = [main(argv) for argv in {[argv for argv, _ in steps]!r}]",
+        d, _PACKAGE_ENV["PYTHONPATH"])
+    return steps, codes, reached
 
 
 def test_session_steps_exit_as_documented(session):
@@ -289,60 +288,41 @@ class Box:
 @lru_cache(maxsize=None)
 def cached(n):
     return n + 1
-
-
-class Grid:
-    @cached_property
-    def cells(self):
-        return 4
-
-
-GRIDS = {"unit": Grid()}
 '''
+
+# calls every throwaway function but uncalled, outer's closure and Box.area
+_USE = """
+import throwaway
+throwaway.called()
+throwaway.outer()
+assert throwaway.Box(3).width == 3
+throwaway.cached(1)
+"""
 
 
 @pytest.fixture
-def throwaway(tmp_path, monkeypatch):
-    """A module written to tmp_path and imported, and its file."""
+def throwaway(tmp_path):
+    """The functions a throwaway module written to tmp_path defines, and
+    those that running ``_USE`` on it reaches."""
     path = tmp_path / "throwaway.py"
     path.write_text(_THROWAWAY, encoding="utf-8")
-    spec = importlib.util.spec_from_file_location("throwaway", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "throwaway", module)
-    spec.loader.exec_module(module)
-    return module, path
+    return counted_functions([path]), reached_in_new_interpreter(_USE, tmp_path,
+                                                                 str(tmp_path))[0]
 
 
-def _use(module):
-    module.called()
-    module.outer()
-    assert module.Box(3).width == 3
-    module.cached(1)
-    assert module.GRIDS["unit"].cells == 4
-
-
-@pytest.mark.parametrize("clear", [True, False], ids=["caches-cleared", "cache-warm"])
-def test_audit_reports_exactly_the_uncalled_functions(throwaway, clear):
-    module, path = throwaway
-    _use(module)  # calls before the session fill the caches
-    if clear:
-        clear_caches([module])
-    counted = counted_functions([path])
+def test_audit_reports_exactly_the_uncalled_functions(throwaway):
+    counted, reached = throwaway
     assert sorted(counted.values()) == [
-        "throwaway.Box.area", "throwaway.Box.width", "throwaway.Grid.cells", "throwaway.cached",
-        "throwaway.called", "throwaway.outer", "throwaway.outer.<locals>.inner",
-        "throwaway.uncalled"]
-    missed = ["throwaway.Box.area", "throwaway.outer.<locals>.inner", "throwaway.uncalled"]
-    if not clear:
-        missed[1:1] = ["throwaway.Grid.cells", "throwaway.cached"]
-    assert audit(counted, reached_during(lambda: _use(module)), {}) == [
-        f"{name}: reached by no session step" for name in missed]
+        "throwaway.Box.area", "throwaway.Box.width", "throwaway.cached", "throwaway.called",
+        "throwaway.outer", "throwaway.outer.<locals>.inner", "throwaway.uncalled"]
+    assert audit(counted, reached, {}) == [
+        f"{name}: reached by no session step"
+        for name in ("throwaway.Box.area", "throwaway.outer.<locals>.inner",
+                     "throwaway.uncalled")]
 
 
 def test_audit_fails_stale_allowlist_entries(throwaway):
-    module, path = throwaway
-    counted = counted_functions([path])
-    reached = reached_during(lambda: _use(module))
+    counted, reached = throwaway
     allowlist = {"throwaway.uncalled": "", "throwaway.Box.area": "",
                  "throwaway.outer.<locals>.inner": ""}
     assert audit(counted, reached, allowlist) == []
