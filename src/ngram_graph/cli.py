@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -53,16 +52,6 @@ _NUMERIC_ERRORS = (ValueError, ArithmeticError)
 
 
 _SEED = click.IntRange(min=0)
-
-
-def _seed_default() -> int:
-    """$NGG_SEED, or 0 when it is unset; any value but an integer >= 0 is a usage error."""
-    text = os.environ.get("NGG_SEED", "0")
-    try:
-        return _SEED.convert(text, None, None)
-    except click.BadParameter:
-        raise click.UsageError(f"$NGG_SEED={text!r} is not an integer >= 0; "
-                               "fix it or pass --seed") from None
 
 
 def _sha256(path: Path) -> str:
@@ -135,8 +124,7 @@ _task_option = click.option("--task", default="logistic", show_default=True,
                             type=click.Choice(TASKS))
 _metric_option = click.option("--metric", default="roc-auc", show_default=True,
                               type=click.Choice(METRICS))
-_seed_option = click.option("--seed", default=_seed_default, type=_SEED,
-                            help="[default: $NGG_SEED, then 0]")
+_seed_option = click.option("--seed", default=0, show_default=True, type=_SEED)
 
 
 def _manifest(**resolved) -> dict:
@@ -331,23 +319,15 @@ def embed(graphs_path, embedding_path, out, t_steps, variant, normalize,
 # -- oracle-check ------------------------------------------------------------------
 
 
-def _tolerance(ctx, param, value):
-    """A residual tolerance is a number >= 0; a negative one fails every
-    corpus and NaN passes every one."""
-    if not value >= 0:
-        raise click.BadParameter(f"{value} is not a number >= 0", ctx, param)
-    return value
-
-
 @cli.command("oracle-check")
 @click.argument("graphs_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--embedding", "embedding_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--t", "--T", "t_steps", default=4, show_default=True)
 @click.option("--cap", default=12, show_default=True)
-@click.option("--tol", default=1e-10, show_default=True, callback=_tolerance)
-def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
-    """Compare the recurrence against brute-force walk enumeration."""
+def oracle_check(graphs_path, embedding_path, t_steps, cap):
+    """Compare the recurrence against brute-force walk enumeration: exactly
+    for an integer embedding, to a relative 1e-10 for a float one."""
     emb = load_embedding(embedding_path)
     graphs, _ = _load_graphs(graphs_path, emb.schema)
     for i, g in enumerate(graphs):
@@ -365,6 +345,7 @@ def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
         scale = max(float(np.max(np.abs(slow))), 1.0)
         worst = max(worst, float(np.max(np.abs(fast - slow))) / scale)
     click.echo(f"max relative residual over {len(graphs)} graphs: {worst:.3e}")
+    tol = 0.0 if np.issubdtype(emb.matrix.dtype, np.integer) else 1e-10
     if worst > tol:
         raise ValueError(f"residual {worst:.3e} exceeds tolerance {tol:.1e}")
 
@@ -378,7 +359,7 @@ def oracle_check(graphs_path, embedding_path, t_steps, cap, tol):
               help="JSON grid file; defaults to the bundled desk-scale grid")
 @click.option("-o", "--out", default=None, type=click.Path(dir_okay=False))
 @click.option("--seed", default=None, type=_SEED,
-              help="[default: the grid's seed, then $NGG_SEED, then 0]")
+              help="[default: the grid's seed, then 0]")
 @_config_option
 def recover(grid_path, out, seed):
     """Monte-Carlo sparse-recovery success rates over an (r, k, n, s) grid."""
@@ -395,11 +376,8 @@ def recover(grid_path, out, seed):
             .read_text(encoding="utf-8")
         )
     cfg = RecoveryConfig.from_dict(doc)
-    # a flag or a --config value beats the grid's seed, which beats $NGG_SEED
-    if seed is not None:
+    if seed is not None:  # a flag or a --config value beats the grid's seed
         cfg = dataclasses.replace(cfg, seed=seed)
-    elif "seed" not in doc:
-        cfg = dataclasses.replace(cfg, seed=_seed_default())
     cells = recovery_experiment(cfg)
     click.echo(summarize_cells(cells))
     if out:
@@ -443,8 +421,9 @@ def _feature_hash(manifest: dict) -> str:
 def _labeled_features(features_path, graphs_path):
     """The feature file's matrix and manifest, and its graphs' labels.
 
-    The graphs are read under the schema that the feature manifest carries.
-    A graph the embed run recorded as failed exits 1 here, before any fit.
+    The graphs are read under the schema that the feature manifest carries,
+    and pair with the rows by id, in order. A graph the embed run recorded
+    as failed exits 1 here, before any fit.
     """
     from .crossval import check_no_failed_rows, load_features
 
@@ -454,6 +433,11 @@ def _labeled_features(features_path, graphs_path):
     if not len(graphs) == X.shape[0] == len(manifest["ids"]):
         raise ValueError(f"feature rows ({X.shape[0]}) and their ids "
                          f"({len(manifest['ids'])}) do not match graphs ({len(graphs)})")
+    for i, (row_id, g) in enumerate(zip(manifest["ids"], graphs)):
+        graph_id = str(i) if g.graph_id is None else g.graph_id  # as embed_corpus names rows
+        if row_id != graph_id:
+            raise ValueError(f"feature row {i} is graph {row_id!r}, but graph {i} of "
+                             f"{graphs_path} is {graph_id!r}")
     return X, manifest, _labels_for(graphs)
 
 
@@ -499,7 +483,7 @@ def fit_cmd(features_path, graphs_path, task, lam, penalty, out):
 @click.option("--stratified/--no-stratified", default=False, show_default=True)
 @click.option("--predictions", default=None, type=click.Path(dir_okay=False))
 @click.option("--seed", default=None, type=_SEED,
-              help="[default: $NGG_SEED, then 0; read by cross-validation only]")
+              help="[default: 0; cross-validation only]")
 @_config_option
 def eval_cmd(graphs_path, features_path, model_path, folds, task, metric, lam,
              stratified, predictions, seed):
@@ -536,8 +520,7 @@ def eval_cmd(graphs_path, features_path, model_path, folds, task, metric, lam,
 
     from .crossval import kfold_features
 
-    seed = _seed_default() if seed is None else seed
-    report = kfold_features(X, y, task=task, metric=metric, folds=folds, seed=seed,
+    report = kfold_features(X, y, task=task, metric=metric, folds=folds, seed=seed or 0,
                             lam=lam, stratified=stratified)
     click.echo(json.dumps(report.to_dict()))
     _warn_unconverged(report)

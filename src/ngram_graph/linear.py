@@ -415,12 +415,15 @@ def roc_auc(y_true, scores) -> float | None:
 
 
 def pr_auc(y_true, scores) -> float | None:
-    """Step integration of the precision-recall curve over score thresholds."""
+    """Step integration of the precision-recall curve over score thresholds;
+    None on single-class input, NaN when any score is NaN (as ``roc_auc``)."""
     y = _binary_labels(y_true, "pr-auc")
     s = np.asarray(scores, dtype=np.float64)
     npos = int(y.sum())
     if npos == 0 or npos == y.size:
         return None
+    if np.isnan(s).any():
+        return float("nan")
     order = np.argsort(-s, kind="mergesort")
     y_sorted = y[order]
     s_sorted = s[order]

@@ -97,7 +97,7 @@ def _finalize(L, C, level_scale, normalization):
     elif level_scale == "count":
         L = np.where(C[:, :, None] > 0, L / np.maximum(C, 1)[:, :, None], L)
     if normalization == "unit-l2":
-        sq = (L * L).sum(axis=2).astype(np.float64)
+        sq = np.square(L, dtype=np.float64).sum(axis=2)  # an int64 square would wrap
         norm = np.sqrt(np.cumsum(sq, axis=1)[:, -1:])  # summed in level order
         L = np.where(norm[:, :, None] > 0, L / np.where(norm > 0, norm, 1.0)[:, :, None],
                      L.astype(np.float64))

@@ -442,29 +442,6 @@ class TestTrainVertex:
         assert emb.provenance["epochs"] == 0
         assert emb.matrix.shape == (5, ng.FULL_SCHEMA.total_width)
 
-    def test_env_seed_used_when_flag_absent(self, tmp_path, rng, monkeypatch):
-        corpus = self._corpus(tmp_path, rng)
-        monkeypatch.setenv("NGG_SEED", "4242")
-        out = tmp_path / "w.nggm"
-        assert main(["train-vertex", str(corpus), "-o", str(out),
-                     "--r", "4", "--epochs", "1"]) == 0
-        manifest = json.loads((tmp_path / "w.nggm.manifest.json").read_text())
-        assert manifest["params"]["seed"] == 4242
-        assert "seed" not in manifest  # the run record holds it once, in params
-        emb = ng.load_embedding(out)
-        assert emb.provenance["seed"] == 4242
-
-    def test_malformed_env_seed_exits_two(self, tmp_path, rng, monkeypatch, capsys):
-        corpus = self._corpus(tmp_path, rng)
-        monkeypatch.setenv("NGG_SEED", "abc")
-        args = ["train-vertex", str(corpus), "-o", str(tmp_path / "w.nggm"),
-                "--r", "4", "--epochs", "1"]
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert "$NGG_SEED" in err and "--seed" in err
-        # a flag means the environment is not read
-        assert main(args + ["--seed", "3"]) == 0
-
     @pytest.mark.parametrize("command, flags, message", [
         ("train-vertex", ["--r", "0"], "r must be >= 1"),
         ("train-vertex", ["--batch-size", "0"], "batch size must be >= 1"),
@@ -594,29 +571,30 @@ class TestOracleCheck:
         assert 1e-4 < worst <= 1e-3
         assert err == f"error: residual {worst:.3e} exceeds tolerance 1.0e-10\n"
 
-    @pytest.mark.parametrize("tol", ["-1", "nan"])
-    def test_tolerance_no_residual_can_meet_exits_two(self, tmp_path, rng, capsys, tol):
-        # a negative tolerance fails every corpus and NaN passes every one
+    def test_tolerance_is_not_an_option(self, tmp_path, rng, capsys):
+        # the embedding's dtype sets it: 0 for integers, 1e-10 for floats
         sch = synth.small_schema()
         gp = tmp_path / "g.jsonl"
         with open(gp, "w") as fh:
             write_jsonl(synth.random_corpus(rng, sch, 4, density=0.4), sch, fh)
         wp = tmp_path / "w.nggm"
         save_embedding(wp, ng.random_embedding(sch, 4, seed=0))
-        assert main(["oracle-check", str(gp), "--embedding", str(wp), "--tol", tol]) == 2
+        assert main(["oracle-check", str(gp), "--embedding", str(wp), "--tol", "0"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: Invalid value for '--tol': ")
+        assert err.startswith("error: No such option") and "--tol" in err
 
     def test_zero_tolerance_passes_exact_and_fails_any_residual(self, tmp_path, rng,
                                                                monkeypatch, capsys):
+        # an integer embedding is checked exactly
         sch = synth.small_schema()
         gp = tmp_path / "g.jsonl"
         with open(gp, "w") as fh:
             write_jsonl(synth.random_corpus(rng, sch, 4, density=0.4), sch, fh)
         wp = tmp_path / "w.nggm"
-        save_embedding(wp, ng.random_embedding(sch, 4, seed=0))
-        argv = ["oracle-check", str(gp), "--embedding", str(wp), "--T", "3", "--tol", "0"]
+        W = rng.choice((-1, 1), size=(4, sch.total_width)).astype(np.int64)
+        save_embedding(wp, ng.VertexEmbeddingMatrix(matrix=W, schema=sch, provenance={}))
+        argv = ["oracle-check", str(gp), "--embedding", str(wp), "--T", "3"]
         assert main(argv) == 0
         assert capsys.readouterr().out.endswith(": 0.000e+00\n")
         real = cli.oracle_embed
@@ -800,11 +778,12 @@ class TestRecover:
         (5, "7", ["--seed", "3"], 3),
         (5, "7", ["--config", "cfg.json"], 4),
         (5, "7", [], 5),
-        (None, "7", [], 7),
+        (None, "7", [], 0),
         (None, None, [], 0),
     ])
     def test_seed_precedence(self, tmp_path, monkeypatch, grid_seed, env, extra, want):
-        """A flag or --config value, then the grid's seed, then $NGG_SEED, then 0."""
+        """A flag or --config value, then the grid's seed, then 0; $NGG_SEED
+        (env) is not read."""
         monkeypatch.chdir(tmp_path)
         doc = {"r_values": [20], "k_values": [6], "s_values": [2], "trials": 3}
         if grid_seed is not None:
@@ -822,20 +801,6 @@ class TestRecover:
         assert main(["recover", "--grid", "grid.json", "-o", "b.csv",
                      "--seed", str(want)]) == 0
         assert Path("a.csv").read_bytes() == Path("b.csv").read_bytes()
-
-    def test_malformed_env_seed_only_fails_when_read(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("NGG_SEED", "abc")
-        doc = {"r_values": [20], "k_values": [6], "s_values": [2], "trials": 3}
-        Path("seedless.json").write_text(json.dumps(doc))
-        Path("seeded.json").write_text(json.dumps({**doc, "seed": 5}))
-        assert main(["recover", "--grid", "seeded.json", "-o", "a.csv"]) == 0
-        assert json.loads(Path("a.csv.manifest.json").read_text())["params"]["seed"] == 5
-        assert main(["recover", "--grid", "seedless.json", "--seed", "5"]) == 0
-        capsys.readouterr()
-        assert main(["recover", "--grid", "seedless.json"]) == 2
-        err = capsys.readouterr().err
-        assert "$NGG_SEED" in err and "--seed" in err
 
 
 class TestFitEval:
@@ -1185,7 +1150,9 @@ class TestFitEval:
                 unlabeled = tmp_path / "unlabeled.jsonl"
                 with open(unlabeled, "w") as fh:
                     write_jsonl(docs, corpus_schema, fh)
-                assert main(argv + ["--graphs", str(unlabeled)]) == 1, argv
+                own = [_features_of(unlabeled, feats, tmp_path, capsys) if a == str(feats) else a
+                       for a in argv]
+                assert main(own + ["--graphs", str(unlabeled)]) == 1, argv
                 assert capsys.readouterr() == (
                     "", f"error: graph {name} has no label\n"), argv
         assert not (tmp_path / "m").exists() and not (tmp_path / "s").exists()
@@ -1218,7 +1185,9 @@ class TestFitEval:
                     write_jsonl(docs, corpus_schema, fh)
                 read = graph_module.read_json_graphs(bad.read_bytes(), corpus_schema)
                 assert repr(read[2].label) == repr(label)
-                assert main(argv + ["--graphs", str(bad)]) == 1, argv
+                own = [_features_of(bad, feats, tmp_path, capsys) if a == str(feats) else a
+                       for a in argv]
+                assert main(own + ["--graphs", str(bad)]) == 1, argv
                 assert capsys.readouterr() == ("", f"error: graph {name} has label "
                                                    f"{label!r}, which is not finite\n"), argv
         assert not any((tmp_path / name).exists() for name in ("m", "p.csv", "s"))
@@ -1374,13 +1343,11 @@ class TestFitEval:
         ("--task", "least-squares", "logistic"),
         ("--lam", "5", None),
         ("--stratified", True, False),
-        ("--seed", "4", None),  # $NGG_SEED is read only by cross-validation
+        ("--seed", "4", None),
     ])
     def test_eval_model_rejects_cross_validation_options(self, labeled_setup, tmp_path,
-                                                         capsys, monkeypatch, option,
-                                                         value, default):
+                                                         capsys, option, value, default):
         # a saved model fixes what the cross-validation options would choose
-        monkeypatch.setenv("NGG_SEED", "3")
         _, gp, feats = labeled_setup
         model = tmp_path / "model.json"
         assert main(["fit", "--features", str(feats), "--graphs", str(gp),
@@ -1408,22 +1375,48 @@ class TestFitEval:
             assert main(argv + extra) == 0
             assert capsys.readouterr().out == plain
 
-    def test_eval_reads_env_seed_only_to_cross_validate(self, labeled_setup, tmp_path,
-                                                         monkeypatch, capsys):
-        _, gp, feats = labeled_setup
+    def test_features_and_graphs_pair_by_id(self, labeled_setup, tmp_path, capsys):
+        # neither the same graphs in another order nor features embedded from
+        # a corpus without ids (rows named by position) pair with the corpus
+        sch, gp, feats = labeled_setup
         model = tmp_path / "model.json"
         assert main(["fit", "--features", str(feats), "--graphs", str(gp),
                      "-o", str(model)]) == 0
-        monkeypatch.setenv("NGG_SEED", "abc")
-        argv = ["eval", "--graphs", str(gp), "--features", str(feats)]
+        graphs = ng.read_json_graphs(gp.read_bytes(), sch)
+        swapped, unnamed = tmp_path / "swapped.jsonl", tmp_path / "unnamed.jsonl"
+        with open(swapped, "w") as fh:
+            write_jsonl([graphs[1], graphs[0]] + graphs[2:], sch, fh)
+        with open(unnamed, "w") as fh:
+            write_jsonl([dataclasses.replace(g, graph_id=None) for g in graphs], sch, fh)
+        assert main(["embed", str(unnamed), "--embedding", str(tmp_path / "w.nggm"),
+                     "-o", str(tmp_path / "unnamed"), "--T", "2"]) == 0
         capsys.readouterr()
-        assert main(argv + ["--model", str(model)]) == 0  # scoring reads no seed
-        assert main(argv + ["--model", str(model), "--seed", "3"]) == 2
-        assert capsys.readouterr().err == "error: --seed has no effect with --model\n"
-        assert main(argv + ["--folds", "2"]) == 2
-        err = capsys.readouterr().err
-        assert "$NGG_SEED" in err and "--seed" in err
-        assert main(argv + ["--folds", "2", "--seed", "3"]) == 0
+        a, b = graphs[0].graph_id, graphs[1].graph_id
+        cases = [(feats, swapped, f"error: feature row 0 is graph {a!r}, but graph 0 of "
+                                  f"{swapped} is {b!r}\n"),
+                 (tmp_path / "unnamed.nggm", gp, "error: feature row 0 is graph '0', but "
+                                                 f"graph 0 of {gp} is {a!r}\n")]
+        for features, corpus, message in cases:
+            for argv in (["fit", "-o", str(tmp_path / "m2.json")],
+                         ["eval", "--folds", "2"], ["eval", "--model", str(model)]):
+                assert main(argv + ["--features", str(features), "--graphs", str(corpus)]) == 1
+                assert capsys.readouterr() == ("", message)
+        assert not (tmp_path / "m2.json").exists()
+        # the naming rule holds both ways: an unnamed corpus pairs with its features
+        assert main(["fit", "--features", str(tmp_path / "unnamed.nggm"), "--graphs",
+                     str(unnamed), "-o", str(tmp_path / "m3.json")]) == 0
+
+
+def _features_of(corpus, feats, tmp_path, capsys):
+    """``corpus`` embedded with the run params of ``feats``, so its rows
+    pair with the corpus's graphs; ids differ when the corpus's do."""
+    params = ng.load_features(feats)[1]["run"]["params"]
+    (tmp_path / "params.json").write_text(json.dumps(params))
+    out = tmp_path / "own"
+    assert main(["embed", str(corpus), "--embedding", str(tmp_path / "w.nggm"),
+                 "-o", str(out), "--config", str(tmp_path / "params.json")]) == 0
+    capsys.readouterr()
+    return str(out) + ".nggm"
 
 
 def _labeled_corpus(rng, n_graphs, sch=ng.FULL_SCHEMA):
@@ -1487,11 +1480,27 @@ def test_negative_seed_flag_exits_two(config_workspace, capsys, command):
 
 
 @pytest.mark.parametrize("command", _SEEDED)
-def test_negative_env_seed_exits_two(config_workspace, monkeypatch, capsys, command):
-    monkeypatch.setenv("NGG_SEED", "-3")
-    assert main(_argv(config_workspace, command)) == 2
-    assert capsys.readouterr().err == ("error: $NGG_SEED='-3' is not an integer >= 0; "
-                                       "fix it or pass --seed\n")
+def test_seed_ignores_environment(config_workspace, monkeypatch, capsys, command):
+    """No command reads $NGG_SEED: set to anything or unset, a run without
+    --seed prints and writes what one with --seed 0 does, sidecars included."""
+    argvs = [_argv(config_workspace, command)]
+    if command == "recover":  # the workspace's grid names no seed; the bundled one does
+        argvs.append(_argv(config_workspace, command, without="grid_path"))
+    out = {"eval": [], "train-vertex": ["-o", "{}.nggm"]}.get(command, ["-o", "{}.csv"])
+    for argv in argvs:
+        seen = []
+        for name, env, extra in [("flag", None, ["--seed", "0"]), ("unset", None, []),
+                                 ("abc", "abc", []), ("five", "5", [])]:
+            if env is None:
+                monkeypatch.delenv("NGG_SEED", raising=False)
+            else:
+                monkeypatch.setenv("NGG_SEED", env)
+            assert main(argv + [a.format(name) for a in out] + extra) == 0
+            files = sorted(Path().glob(f"{name}.*"))
+            assert len(files) == (2 if out else 0)  # an artifact and its sidecar
+            seen.append((capsys.readouterr(),
+                         [(p.name[len(name):], p.read_bytes()) for p in files]))
+        assert all(run == seen[0] for run in seen[1:])
 
 
 def _run_with_config(command_argv, doc):

@@ -554,8 +554,11 @@ class TestMetrics:
             assert roc_auc(y, s) == reference(y, s)
 
     def test_roc_auc_nan_scores_give_nan(self):
-        assert np.isnan(roc_auc([1, 0, 1, 0], [0.1, np.nan, 0.3, 0.2]))
-        assert np.isnan(roc_auc([1, 0], [np.nan, np.nan]))
+        # pr_auc too: a NaN score has no place in a ranking
+        for metric in (roc_auc, pr_auc):
+            assert np.isnan(metric([1, 0, 1, 0], [0.1, np.nan, 0.3, 0.2]))
+            assert np.isnan(metric([0, 1, 1, 0, 1], [0.1, np.nan, 0.8, 0.3, 0.5]))
+            assert np.isnan(metric([1, 0], [np.nan, np.nan]))
 
     def test_pr_auc_perfect(self):
         assert pr_auc([1, 1, 0, 0], [0.9, 0.8, 0.2, 0.1]) == 1.0

@@ -289,6 +289,24 @@ class TestNormalization:
         X, manifest = embed_corpus([g], emb, 2, normalization="unit-l2")
         assert np.all(X == 0.0) and not manifest["errors"]
 
+    def test_integer_norm_does_not_wrap(self):
+        # x = (1e6, 1e6), y = (1e6, 5e5) on the path x-y-x: the levels are
+        # (3e6, 2.5e6) and (4e12, 2e12), whose squares sum to 2e25, past int64
+        sch = synth.single_attribute_schema(2)
+        g = MolecularGraph(num_vertices=3, attr=[[0], [1], [0]], edges=[[0, 1], [1, 2]],
+                           schema_fingerprint=sch.fingerprint)
+        W = np.array([[10**6, 10**6], [10**6, 5 * 10**5]], dtype=np.int64)
+        rows = []
+        for dtype in (np.int64, np.float64):
+            emb = VertexEmbeddingMatrix(matrix=W.astype(dtype), schema=sch, provenance={})
+            X, manifest = embed_corpus([g], emb, 2, normalization="unit-l2")
+            assert not manifest["errors"]
+            rows.append(X[0])
+        assert np.array_equal(rows[0], rows[1])
+        np.testing.assert_allclose(rows[0], np.array([3e6, 2.5e6, 4e12, 2e12]) / np.sqrt(2e25),
+                                   rtol=1e-12)
+
+
 
 class TestCorpus:
     def test_empty_corpus(self, schema):
