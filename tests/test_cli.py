@@ -571,6 +571,20 @@ class TestOracleCheck:
         assert 1e-4 < worst <= 1e-3
         assert err == f"error: residual {worst:.3e} exceeds tolerance 1.0e-10\n"
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_tolerance_no_residual_can_meet_exits_two(self, tmp_path, rng, capsys, tol):
+        # a tolerance no residual can meet is refused, now by the parser: --tol is gone
+        sch = synth.small_schema()
+        gp = tmp_path / "g.jsonl"
+        with open(gp, "w") as fh:
+            write_jsonl(synth.random_corpus(rng, sch, 4, density=0.4), sch, fh)
+        wp = tmp_path / "w.nggm"
+        save_embedding(wp, ng.random_embedding(sch, 4, seed=0))
+        assert main(["oracle-check", str(gp), "--embedding", str(wp), "--tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: No such option") and "--tol" in err
+
     def test_tolerance_is_not_an_option(self, tmp_path, rng, capsys):
         # the embedding's dtype sets it: 0 for integers, 1e-10 for floats
         sch = synth.small_schema()
