@@ -172,25 +172,25 @@ def ones_csr(indptr, indices, ncols):
     return scipy.sparse.csr_array((data, indices, indptr), shape=(indptr.size - 1, ncols))
 
 
+def attribute_violations(attr: np.ndarray, schema: AttributeSchema) -> list[str]:
+    """The attribute rules of :func:`validate_graph`: the table's width is
+    the schema's S, and every index lies in its attribute's range."""
+    if attr.shape[1] != schema.num_attributes:
+        return [f"attribute table width {attr.shape[1]} != schema S={schema.num_attributes}"]
+    ks = schema.cardinalities
+    bad = (attr < 0) | (attr >= np.asarray(ks))
+    return [f"attr index out of range: attr[{i}][{j}]={attr[i, j]} with k_{j}={ks[j]}"
+            for j, i in zip(*np.nonzero(bad.T))]  # attribute-major order
+
+
 def validate_graph(g: MolecularGraph, schema: AttributeSchema) -> tuple[str, ...]:
     """Check every graph invariant under the schema.
 
     Violations are returned as data, one message per problem; an empty
     tuple means the graph is valid.
     """
-    bad: list[str] = []
+    bad = attribute_violations(g.attr, schema)
     m = g.num_vertices
-    if g.attr.shape[1] != schema.num_attributes:
-        bad.append(
-            f"attribute table width {g.attr.shape[1]} != schema S={schema.num_attributes}"
-        )
-    else:
-        ks = schema.cardinalities
-        bad_attr = (g.attr < 0) | (g.attr >= np.asarray(ks))
-        for j, i in zip(*np.nonzero(bad_attr.T)):  # attribute-major order
-            bad.append(
-                f"attr index out of range: attr[{i}][{j}]={g.attr[i, j]} with k_{j}={ks[j]}"
-            )
 
     u, v = g.edges[:, 0], g.edges[:, 1]
     loop = u == v
@@ -268,8 +268,10 @@ def _doc_fields(doc, schema: AttributeSchema):
     if attr.shape[0] != m:  # a negative count
         raise GraphError(f"attribute table has {attr.shape[0]} rows for {m} vertices")
     edges = _integers(doc.get("edges", []), "edges").reshape(-1, 2)
-    label = doc.get("label")
-    return m, attr, edges, None if label is None else float(label), doc.get("id")
+    label, graph_id = doc.get("label"), doc.get("id")
+    if graph_id is not None and not isinstance(graph_id, str):
+        raise GraphError(f"id must be a JSON string or null, got {type(graph_id).__name__}")
+    return m, attr, edges, None if label is None else float(label), graph_id
 
 
 def write_jsonl(graphs, schema: AttributeSchema, stream) -> None:

@@ -2,8 +2,8 @@
 
 A level-n embedding sums, over all n-vertex walks, the element-wise product
 of the walk's vertex embeddings. One engine embeds a whole corpus: batches
-of graphs are stacked into one block-diagonal CSR adjacency, with one
-vertex-row gather per attribute. ``walk`` runs the recurrence
+of graphs are stacked into one block-diagonal CSR adjacency, with their
+vertex rows as one one-hot product. ``walk`` runs the recurrence
 ``X_n = (A @ X_{n-1}) * X_1``, one sparse product per level, summed per
 graph. ``path`` (no attribute row twice) and ``vertex_path`` (no vertex
 twice) run :func:`expand_walks`, a level-synchronous frontier that carries
@@ -19,12 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MolecularGraph, ones_csr, stack_graphs
-from .vertex import BATCH_ENTRIES, VertexEmbeddingMatrix, check_schema, vertex_rows
+from .graph import MolecularGraph, attribute_violations, ones_csr, stack_graphs
+from .vertex import VertexEmbeddingMatrix, check_schema, vertex_rows
 
 VARIANTS = ("walk", "path", "vertex_path")
 NORMALIZATIONS = ("none", "unit-l2")
 LEVEL_SCALES = ("none", "factorial", "count")
+# Entries (float64-sized) per stacked or frontier array, which set the batch
+# size: 1 MiB arrays stay in cache and keep the engine's peak memory small.
+BATCH_ENTRIES = 1 << 17
 
 
 class GraphTooLarge(ValueError):
@@ -80,9 +83,9 @@ def _check_options(T, variant, level_scale, normalization):
         )
 
 
-def _admit(g, emb, T, variant, level_scale):
+def _admit(g, emb, T, variant, level_scale, ranges=True):
     """Raise the error that keeps g out of the engine, if there is one."""
-    check_schema(g, emb)
+    check_schema(g, emb, ranges)
     if np.issubdtype(emb.matrix.dtype, np.integer):
         check_int64_walks(g, T, vertex_rows(g.attr, emb))
     if variant == "walk" and level_scale == "count":
@@ -334,8 +337,8 @@ def embed_corpus(
 ):
     """Embed a corpus into a (num_graphs x T*r) float64 matrix plus manifest.
 
-    Rows follow input order. Graphs are checked one by one (schema, int64
-    range); one that fails gets a NaN row and an entry in the manifest's
+    Rows follow input order. Graphs are checked (schema, attribute and int64
+    ranges); one that fails gets a NaN row and an entry in the manifest's
     error map instead of aborting the run. The rest go through the batched
     engine: the ``walk`` recurrence on a stacked adjacency, the frontier
     expander for ``path`` and ``vertex_path``; a float row that overflows
@@ -346,10 +349,14 @@ def embed_corpus(
     r = emb.dim
     width = T * r
     ids = [str(i) if g.graph_id is None else g.graph_id for i, g in enumerate(graphs)]
+    # one range check over all tables; per graph, to name one, only if it fails
+    tables = [g.attr for g in graphs]
+    ranges = (len({t.shape[1] for t in tables}) != 1
+              or bool(attribute_violations(np.concatenate(tables), emb.schema)))
     good, errors = [], {}
     for i, g in enumerate(graphs):
         try:
-            _admit(g, emb, T, variant, level_scale)
+            _admit(g, emb, T, variant, level_scale, ranges)
             good.append(i)
         except (ValueError, RuntimeError) as exc:
             errors[i] = str(exc)

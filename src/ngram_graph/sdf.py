@@ -95,34 +95,27 @@ def _counts(lines: list[str]) -> tuple[int, int]:
     return num_atoms, num_bonds
 
 
-def _first_bad_line(body: list[str], num_atoms: int, num_bonds: int) -> str:
-    """The message for the first bad line of a record the masks rejected:
-    atom lines before bond lines, each line's fields left to right."""
-    try:
-        for i, line in enumerate(body[:num_atoms], start=1):
-            if not line[30:34].strip():
-                return f"atom {i}: empty symbol field"
-            code_raw = line[36:39].strip()
-            code = int(code_raw) if code_raw else 0
-            if code not in CHARGE_CODES:
-                return f"atom {i}: unknown charge code {code}"
-        seen = set()
-        for i, line in enumerate(body[num_atoms : num_atoms + num_bonds], start=1):
-            u = _int_field(line, 0, 3, "bond endpoint")
-            v = _int_field(line, 3, 6, "bond endpoint")
-            order_raw = line[6:9].strip()
-            order = int(order_raw) if order_raw else 1
-            if not (1 <= u <= num_atoms and 1 <= v <= num_atoms) or u == v:
-                return f"bond {i}: endpoints ({u},{v}) out of range"
-            if not 1 <= order <= 4:
-                return f"bond {i}: order {order} outside 1..4"
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                return f"bond {i}: duplicate bond ({u},{v})"
-            seen.add(key)
-    except ValueError as exc:
-        return str(exc)
-    raise AssertionError("the masks rejected a record with no bad line")
+def _line_problem(i: int, line: str, values: list, num_atoms: int) -> str:
+    """The first check that bad line i (1-based) fails, from the values read
+    off it (an atom's charge code; a bond's u, v, order). A ``_BAD`` field
+    gets :func:`_int_field`'s message; a bond passing all else repeats."""
+    atom = len(values) == 1
+    if atom and not line[30:34].strip():
+        return f"atom {i}: empty symbol field"
+    for lo, value in zip((36,) if atom else (0, 3, 6), values):
+        if value == _BAD:
+            try:
+                _int_field(line, lo, lo + 3, "bond endpoint")
+            except ValueError as exc:
+                return str(exc)
+    if atom:
+        return f"atom {i}: unknown charge code {values[0]}"
+    u, v, order = values
+    if not (1 <= u <= num_atoms and 1 <= v <= num_atoms) or u == v:
+        return f"bond {i}: endpoints ({u},{v}) out of range"
+    if not 1 <= order <= 4:
+        return f"bond {i}: order {order} outside 1..4"
+    return f"bond {i}: duplicate bond ({u},{v})"
 
 
 def _charge_lines(props: list[str], num_atoms: int, lineno: int) -> np.ndarray | None:
@@ -207,28 +200,37 @@ def parse_sdf(data) -> tuple[list[MolRecord], list[RecordError]]:
     bad_bond = (lo < 1) | (hi > np.repeat(na, nb)) | (lo == hi) | (order < 1) | (order > 4)
     # a repeated pair, keyed by its corpus atom indices (bad bonds never match)
     atom_base = np.concatenate([[0], np.cumsum(na)])
+    bond_base = np.concatenate([[0], np.cumsum(nb)])
     shift = np.repeat(atom_base[:-1], nb) - 1
     key = (lo + shift) * (atom_base[-1] + 1) + hi + shift
     key[bad_bond] = -1 - np.flatnonzero(bad_bond)
     by_key = np.argsort(key, kind="stable")
     bad_bond[by_key[1:][np.diff(key[by_key]) == 0]] = True
-    bad = np.zeros(len(heads), dtype=bool)
-    bad[np.repeat(np.arange(len(heads)), na)[bad_atom]] = True
-    bad[np.repeat(np.arange(len(heads)), nb)[bad_bond]] = True
+    # a bad record is named by its first bad line: atom lines, then bond lines
+    bad_atoms, bad_bonds = np.flatnonzero(bad_atom), np.flatnonzero(bad_bond)
+    owner = np.concatenate([np.repeat(np.arange(len(heads)), na)[bad_atoms],
+                            np.repeat(np.arange(len(heads)), nb)[bad_bonds]])
+    for k, x in zip(*(arr.tolist() for arr in np.unique(owner, return_index=True))):
+        s, _, a, _ = heads[k]
+        if x < bad_atoms.size:
+            i = bad_atoms[x]
+            problems[s] = _line_problem(i - atom_base[k] + 1, atom_lines[i], [codes[i]], a)
+        else:
+            i = bad_bonds[x - bad_atoms.size]
+            problems[s] = _line_problem(i - bond_base[k] + 1, bond_lines[i],
+                                        [u[i], v[i], order[i]], a)
 
     charges = _CODE_CHARGE[np.clip(codes, 0, 7)]
     bonds = np.stack([u, v, order], axis=1)
     for arr in (charges, bonds):
         arr.setflags(write=False)
     records = []
-    bond_base = np.concatenate([[0], np.cumsum(nb)]).tolist()
     radicals = np.flatnonzero(codes == 4)  # corpus atom indices, sliced per record
     rad_base = np.searchsorted(radicals, atom_base).tolist()
     radicals = radicals.tolist()
-    for (s, e, a, b), a0, b0, r0, r1, is_bad in zip(heads, atom_base.tolist(), bond_base,
-                                                    rad_base, rad_base[1:], bad.tolist()):
-        if is_bad:
-            problems[s] = _first_bad_line(lines[s + 4 : s + 4 + a + b], a, b)
+    for (s, e, a, b), a0, b0, r0, r1 in zip(heads, atom_base.tolist(), bond_base.tolist(),
+                                            rad_base, rad_base[1:]):
+        if s in problems:
             continue
         try:
             chg = _charge_lines(lines[s + 4 + a + b : e], a, s + 5 + a + b)

@@ -13,13 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixio
-from .graph import MolecularGraph, validate_graph
+from .graph import MolecularGraph, attribute_violations, ones_csr, validate_graph
 from .schema import AttributeSchema, SchemaError
-
-# Entries (float64-sized) per engine array: a vertex-row block, or a stacked
-# or frontier array of the walk engine, whose batch size it sets. 1 MiB
-# arrays stay in cache and keep the engine's peak memory small.
-BATCH_ENTRIES = 1 << 17
 
 
 class EmbeddingError(ValueError):
@@ -74,37 +69,30 @@ def random_embedding(
     return VertexEmbeddingMatrix(matrix=w, schema=schema, provenance=prov)
 
 
-def check_schema(g: MolecularGraph, emb: VertexEmbeddingMatrix) -> None:
-    """Raise EmbeddingError unless g is encoded under the embedding's schema."""
-    if g.schema_fingerprint is not None:
-        if g.schema_fingerprint != emb.schema.fingerprint:
-            raise EmbeddingError(
-                "schema fingerprint mismatch: graph "
-                f"{g.schema_fingerprint} vs embedding {emb.schema.fingerprint}"
-            )
-    else:
-        violations = validate_graph(g, emb.schema)
-        if violations:
-            raise EmbeddingError("graph invalid under embedding schema: "
-                                 + "; ".join(violations))
+def check_schema(g: MolecularGraph, emb: VertexEmbeddingMatrix, ranges: bool = True) -> None:
+    """Raise EmbeddingError unless g is encoded under the embedding's schema.
+    A fingerprinted graph's attribute ranges are checked too (a graph built
+    by hand can hold any index), unless ``ranges`` says the caller did."""
+    if g.schema_fingerprint not in (None, emb.schema.fingerprint):
+        raise EmbeddingError(
+            "schema fingerprint mismatch: graph "
+            f"{g.schema_fingerprint} vs embedding {emb.schema.fingerprint}"
+        )
+    violations = (validate_graph(g, emb.schema) if g.schema_fingerprint is None
+                  else attribute_violations(g.attr, emb.schema) if ranges else ())
+    if violations:
+        raise EmbeddingError("graph invalid under embedding schema: " + "; ".join(violations))
 
 
 def vertex_rows(attr: np.ndarray, emb: VertexEmbeddingMatrix) -> np.ndarray:
-    """Vertex embeddings as rows (m x r, row i = W h_i) of an unchecked
-    attribute table, for any number of graphs. Rows are built in blocks of
-    ``BATCH_ENTRIES // (2 r)``, so that a block and its gathered rows stay
-    in cache together; each row is 0 + W^T[a_1] + ... + W^T[a_S] in schema
-    order, whatever the block size. The walk engine builds one table per
-    batch span, which the batches of a sliced graph share."""
-    WT = np.ascontiguousarray(emb.matrix.T)
-    idx = attr + np.asarray(emb.schema.offsets, dtype=np.int64)
-    F = np.zeros((attr.shape[0], WT.shape[1]), dtype=WT.dtype)
-    step = max(1, BATCH_ENTRIES // (2 * WT.shape[1]))
-    for b in range(0, attr.shape[0], step):
-        block = F[b : b + step]
-        for j in range(emb.schema.num_attributes):
-            block += WT[idx[b : b + step, j]]
-    return F
+    """Vertex embeddings as rows (m x r, row i = W h_i) of a checked attribute
+    table, for any number of graphs: H W^T, h_i being row i of a sparse H.
+    scipy sums each row from 0 in CSR order, which is schema order, in W's
+    dtype; an index out of range would read outside W^T unnoticed."""
+    m, S = attr.shape
+    H = ones_csr(np.arange(0, m * S + 1, S), (attr + emb.schema.offsets).ravel(),
+                 emb.schema.total_width)
+    return H @ np.ascontiguousarray(emb.matrix.T)
 
 
 def save_embedding(path, emb: VertexEmbeddingMatrix) -> None:

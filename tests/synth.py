@@ -667,13 +667,15 @@ def reference_doc_to_graph(doc, schema):
     except ValueError as exc:
         raise GraphError(f"attributes must be {m} rows of {S} value indices") from exc
     edges = _ref_integers(doc.get("edges", []), "edges").reshape(-1, 2)
-    label = doc.get("label")
+    label, graph_id = doc.get("label"), doc.get("id")
+    if graph_id is not None and not isinstance(graph_id, str):
+        raise GraphError(f"id must be a JSON string or null, got {type(graph_id).__name__}")
     return MolecularGraph(
         num_vertices=m,
         attr=attr,
         edges=edges,
         label=None if label is None else float(label),
-        graph_id=doc.get("id"),
+        graph_id=graph_id,
         schema_fingerprint=schema.fingerprint,
     )
 

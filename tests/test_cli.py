@@ -223,6 +223,7 @@ class TestJsonlInput:
                                      if k != "num_vertices"}).encode(),
         "huge-count": LINES[1].replace(b'"num_vertices": %d' % DOCS[1]["num_vertices"],
                                        b'"num_vertices": 1e400'),
+        "list-id": json.dumps({**DOCS[1], "id": [0]}).encode(),
     }
 
     def _write(self, tmp_path, bad, name="in.jsonl"):
@@ -230,7 +231,8 @@ class TestJsonlInput:
         src.write_bytes(b"\n".join([self.LINES[0], self.BAD[bad], self.LINES[2]]) + b"\n")
         return src
 
-    @pytest.mark.parametrize("bad", ["truncated", "not-utf8", "missing-field", "huge-count"])
+    @pytest.mark.parametrize("bad", ["truncated", "not-utf8", "missing-field", "huge-count",
+                                     "list-id"])
     def test_featurize_skips_the_bad_line(self, tmp_path, capsys, bad):
         out = tmp_path / "out.jsonl"
         assert main(["featurize", str(self._write(tmp_path, bad)), "-o", str(out)]) == 0
@@ -238,6 +240,8 @@ class TestJsonlInput:
         assert "document 1: " in err and "parsed=2 failed=1" in err
         if bad == "missing-field":
             assert "document 1: missing field 'num_vertices'" in err
+        if bad == "list-id":
+            assert "document 1: id must be a JSON string or null, got list" in err
         assert out.read_text().splitlines() == [
             json.dumps(self.DOCS[i], separators=(",", ":")) for i in (0, 2)]
 
@@ -258,6 +262,8 @@ class TestJsonlInput:
         assert err.startswith(f"error: {src}: document 1: ")
         if bad == "missing-field":
             assert "document 1: missing field 'num_vertices'" in err
+        if bad == "list-id":
+            assert "document 1: id must be a JSON string or null, got list" in err
         if bad == "huge-count":
             assert "document 1: num_vertices must be a JSON integer, got float" in err
 
@@ -1829,6 +1835,30 @@ class TestSchemaFromCorpus:
         }[command]
         assert main(argv) == 1
         assert capsys.readouterr() == ("", "error: c.jsonl: no graph documents\n")
+        assert not list(Path().glob("out*"))
+
+    @pytest.mark.parametrize("command", ["train-vertex", "embed", "oracle-check", "fit",
+                                         "eval", "sweep"])
+    @pytest.mark.parametrize("graph_id", [[0], 1, True, {"a": None}],
+                             ids=["list", "int", "bool", "dict"])
+    def test_non_string_id_exits_one(self, config_workspace, capsys, command, graph_id):
+        # a graph id is a CSV row id and a manifest id: a string, or null
+        # for the graph's position
+        lines = Path("g.jsonl").read_text().splitlines()
+        lines[3] = json.dumps({**json.loads(lines[3]), "id": graph_id})
+        Path("c.jsonl").write_text("\n".join(lines) + "\n")
+        argv = {
+            "train-vertex": ["train-vertex", "c.jsonl", "-o", "out.nggm"],
+            "embed": ["embed", "c.jsonl", "--embedding", "w.nggm", "-o", "out"],
+            "oracle-check": ["oracle-check", "c.jsonl", "--embedding", "w.nggm"],
+            "fit": ["fit", "--features", "f.nggm", "--graphs", "c.jsonl", "-o", "out"],
+            "eval": ["eval", "--graphs", "c.jsonl", "--features", "f.nggm", "--folds", "2"],
+            "sweep": ["sweep", "--graphs", "c.jsonl"],
+        }[command]
+        assert main(argv) == 1
+        kind = type(graph_id).__name__
+        assert capsys.readouterr() == (
+            "", f"error: c.jsonl: document 3: id must be a JSON string or null, got {kind}\n")
         assert not list(Path().glob("out*"))
 
     def test_later_document_of_another_schema_exits_one(self, tmp_path, rng, capsys):

@@ -151,12 +151,13 @@ def _fixtures(d: Path) -> dict:
                                            for g in graphs])):
         with open(p[name], "w", encoding="utf-8") as fh:
             write_jsonl(corpus, sch, fh)
-    # reader and featurizer warnings, a malformed counts line, a bond order
-    # out of range and an M  CHG line
+    # reader and featurizer warnings, a malformed counts line, an unreadable
+    # charge code, a bond order out of range and an M  CHG line
     p["mols.sdf"].write_text(sdf_stream(
         molblock("rad", ["C", "C", "Si"], [(1, 2, 1), (2, 3, 1)], [4, 0, 4]),
         "junk\n\n\nnot a counts line",
         WATER,
+        molblock("bad code", ["C", "O"], [(1, 2, 1)], [0, "x"]),
         molblock("bad bond", ["C", "C"], [(1, 2, 5)]),
         molblock("ion", ["N", "Si"], [(1, 2, 1)], [4, 0], props=[charge_line((1, 1))]),
     ), encoding="utf-8")

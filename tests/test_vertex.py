@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -129,8 +131,9 @@ class TestEmbedVertices:
 
 
 class TestRowBlocks:
-    """``vertex_rows`` builds its table in blocks of BATCH_ENTRIES // (2 r)
-    rows; a row is the same sum in the same order whatever its block."""
+    """``vertex_rows`` is one sparse product H W^T over a whole table; each
+    row is the sum 0 + W^T[a_1] + ... + W^T[a_S] in schema order, in W's
+    dtype, whatever the number of rows."""
 
     @staticmethod
     def _reference(attr, emb):
@@ -140,10 +143,10 @@ class TestRowBlocks:
         return F
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
-    @pytest.mark.parametrize("m", [0, 1, 5, 23])
-    def test_blocks_equal_reference(self, rng, monkeypatch, dtype, m):
+    @pytest.mark.parametrize("m", [0, 1, 5, 23, 700, 3000])
+    def test_blocks_equal_reference(self, rng, dtype, m):
         sch = synth.small_schema(ks=(5, 4, 3))
-        r = 3  # blocks of 32 // 6 = 5 rows: 23 rows end in a block of 3
+        r = 3
         if dtype is np.float64:
             # magnitudes far apart, so another summation order rounds
             # differently; value 0 of every attribute is a -0.0 column, so
@@ -156,11 +159,73 @@ class TestRowBlocks:
         emb = VertexEmbeddingMatrix(matrix=W, schema=sch, provenance={})
         attr = np.stack([rng.integers(0, k, size=m) for k in sch.cardinalities], axis=1)
         attr[::4] = 0
-        monkeypatch.setattr(ng.vertex, "BATCH_ENTRIES", 32)
         F = ng.vertex.vertex_rows(attr, emb)
         ref = self._reference(attr, emb)
         assert F.dtype == ref.dtype == dtype and F.shape == (m, r)
         assert F.tobytes() == ref.tobytes()
+
+
+class TestFingerprintedRanges:
+    """A graph that carries its schema's fingerprint has its attribute table
+    checked all the same: a hand-built graph can hold any index, and one
+    outside its attribute's range would read another attribute's column of
+    W, or past W. Each entry point refuses it as it refuses an
+    unfingerprinted graph; the other graphs of a corpus still embed."""
+
+    SCHEMA = synth.small_schema(ks=(5, 4, 3))  # K = 12
+
+    @pytest.fixture(params=[(j, case) for j in range(3) for case in ("k_j", "-1", "past-K")],
+                    ids=lambda p: f"attr{p[0]}-{p[1]}")
+    def bad(self, request):
+        j, case = request.param
+        sch = self.SCHEMA
+        value = {"k_j": sch.cardinalities[j], "-1": -1, "past-K": sch.total_width}[case]
+        attr = np.zeros((3, 3), dtype=np.int64)
+        attr[1, j] = value
+        g = MolecularGraph(num_vertices=3, attr=attr, edges=[[0, 1], [1, 2]],
+                           schema_fingerprint=sch.fingerprint)
+        k = sch.cardinalities[j]
+        return g, (f"graph invalid under embedding schema: attr index out of range: "
+                   f"attr[1][{j}]={value} with k_{j}={k}")
+
+    def test_embed_corpus_gives_an_error_row(self, rng, bad):
+        g, message = bad
+        good = synth.random_corpus(rng, self.SCHEMA, 2, density=0.5)
+        good = [dataclasses.replace(h, schema_fingerprint=self.SCHEMA.fingerprint)
+                for h in good]
+        for emb in (random_embedding(self.SCHEMA, 4, dist="gaussian", seed=0),
+                    VertexEmbeddingMatrix(matrix=rng.integers(-3, 4, size=(4, 12)),
+                                          schema=self.SCHEMA, provenance={})):
+            X, manifest = ng.embed_corpus([good[0], g, good[1]], emb, T=3)
+            assert manifest["errors"] == {"1": message}
+            assert np.isnan(X[1]).all() and np.isfinite(X[[0, 2]]).all()
+            alone, _ = ng.embed_corpus(good, emb, T=3)
+            assert X[[0, 2]].tobytes() == alone.tobytes()
+
+    def test_one_graph_entry_points_raise(self, bad):
+        g, message = bad
+        emb = random_embedding(self.SCHEMA, 4, seed=0)
+        B = ng.build_sensing(self.SCHEMA, 6, seed=0)
+        calls = [lambda: ng.graph_embed(g, emb, 3), lambda: ng.oracle_embed(g, emb, 3),
+                 lambda: ng.graph_embed(g, emb, 3, variant="path"),
+                 lambda: ng.verify_identity(g, B, 3)]
+        for call in calls:
+            with pytest.raises(EmbeddingError) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_width_is_checked_too(self):
+        g = MolecularGraph(num_vertices=2, attr=np.zeros((2, 2)), edges=[[0, 1]],
+                           schema_fingerprint=self.SCHEMA.fingerprint)
+        emb = random_embedding(self.SCHEMA, 4, seed=0)
+        message = "graph invalid under embedding schema: attribute table width 2 != schema S=3"
+        with pytest.raises(EmbeddingError, match=message):
+            ng.graph_embed(g, emb, 2)
+        good = MolecularGraph(num_vertices=1, attr=[[0, 0, 0]], edges=[],
+                              schema_fingerprint=self.SCHEMA.fingerprint)
+        for corpus, bad in (([g], "0"), ([g, g], "1"), ([good, g], "1")):
+            X, manifest = ng.embed_corpus(corpus, emb, 2)
+            assert manifest["errors"][bad] == message and np.isnan(X[int(bad)]).all()
 
 
 class TestSerialization:
