@@ -35,7 +35,7 @@ import numpy as np
 
 # Start-up loads what the option declarations need; each command imports
 # the rest of its engine where it runs.
-from .graph import GraphError, read_json_graphs, write_jsonl
+from .graph import GraphError, _collector_paused, read_json_graphs, write_jsonl
 from .linear import (METRICS, PENALTIES, TASKS, LinearModel, ModelFormatError,
                      compute_metric, fit as fit_linear)
 from .matrixio import MatrixFormatError, write_csv
@@ -198,6 +198,7 @@ def cli():
               help="[default: full for SDF input; for JSON input, the schema "
                    "its documents name]")
 @_config_option
+@_collector_paused()  # records and graphs are freed before the collector resumes
 def featurize_cmd(input_path, out, schema_key):
     """Parse .sdf/.mol or .json/.jsonl into a validated graph corpus."""
     from .featurize import featurize_corpus

@@ -27,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import build_graphs
+from .graph import _collector_paused, build_graphs
 from .schema import FULL_SCHEMA, UNKNOWN, AttributeSchema
 
 DEFAULT_VALENCE = {
@@ -39,6 +39,7 @@ DEFAULT_VALENCE = {
 ACCEPTOR_ELEMENTS = frozenset({"N", "O"})
 
 
+@_collector_paused()
 def featurize_corpus(records, schema: AttributeSchema = FULL_SCHEMA):
     """Compute the vertex attribute tables of a corpus of parsed records
     under a bundled schema.

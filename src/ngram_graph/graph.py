@@ -20,12 +20,23 @@ messages as a tuple, runs only on the graphs the sweep flags. Documents
 are parsed by orjson wherever its result is the standard library's, and by
 ``json`` elsewhere; a written line has its tables spelled by orjson and its
 other fields by ``json``.
+
+The readers (:func:`read_json_graphs`, ``sdf.parse_sdf`` and
+``featurize.featurize_corpus``) run under :func:`_collector_paused`: the
+cyclic garbage collector is off, process-wide, until the outermost of them
+exits. A 10,000-vertex document decodes to ~21,500 lists that stay alive
+until it converts; the collector would traverse them, and every other live
+object, in about 100 collections per read, a full one among them, and free
+nothing, since documents, records and graphs hold no reference cycles.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import re
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -36,6 +47,30 @@ from .schema import BUNDLED_SCHEMAS, AttributeSchema
 
 class GraphError(ValueError):
     """Raised for malformed graph construction or interchange documents."""
+
+
+_pause_lock = threading.Lock()
+_pause = {"depth": 0, "was_enabled": False}
+
+
+@contextmanager
+def _collector_paused():
+    """Run the block (or, as a decorator, the function) with the cyclic
+    garbage collector off, and restore the caller's setting when the
+    outermost pause exits. The switch is process-wide, so pauses nest, and
+    overlap across threads, by a depth count under a lock."""
+    with _pause_lock:
+        if _pause["depth"] == 0:
+            _pause["was_enabled"] = gc.isenabled()
+            gc.disable()
+        _pause["depth"] += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause["depth"] -= 1
+            if _pause["depth"] == 0 and _pause["was_enabled"]:
+                gc.enable()
 
 
 @dataclass(frozen=True)
@@ -234,14 +269,23 @@ def _invalid(graphs, sizes, attr, edges, edge_counts, schema) -> np.ndarray:
 # Canonical form: exactly this field order, edges listed once with u < v in
 # lexicographic order, label omitted when absent, compact separators.
 
-def _integers(values, field: str) -> np.ndarray:
-    """The field as an int64 array, by numpy's own conversion: a float,
-    string, bool-only or out-of-int64 value is refused instead of cast. An
-    integer list with a stray bool still converts, the bool as 0 or 1."""
-    values = np.asarray(values)
+def _table(values, field: str, rows: int | None, width: int, shape: str) -> np.ndarray:
+    """The field as an int64 table of ``rows`` rows (any number for None) of
+    ``width`` integers, by numpy's own conversion: a float, string,
+    bool-only or out-of-int64 value is refused instead of cast. An integer
+    list with a stray bool still converts, the bool as 0 or 1. A table of
+    another shape (flat, ragged, too wide, nested deeper) is refused as not
+    ``shape``; ``[]`` is the table of no rows."""
+    try:
+        values = np.asarray(values)
+    except ValueError:  # ragged rows
+        raise GraphError(f"{field} must be {shape}") from None
     if values.size and values.dtype.kind != "i":
         raise GraphError(f"{field} must be JSON integers")
-    return values.astype(np.int64, copy=False)
+    table = values.reshape(0, width) if values.shape == (0,) else values
+    if table.ndim != 2 or table.shape[1] != width or rows not in (None, table.shape[0]):
+        raise GraphError(f"{field} must be {shape}")
+    return table.astype(np.int64, copy=False)
 
 
 def _doc_fields(doc, schema: AttributeSchema):
@@ -259,15 +303,8 @@ def _doc_fields(doc, schema: AttributeSchema):
     m, S = doc["num_vertices"], schema.num_attributes
     if type(m) is not int:
         raise GraphError(f"num_vertices must be a JSON integer, got {type(m).__name__}")
-    try:
-        attr = _integers(doc["attributes"], "attributes").reshape(m, S)
-    except GraphError:
-        raise
-    except ValueError as exc:  # ragged rows or wrong width
-        raise GraphError(f"attributes must be {m} rows of {S} value indices") from exc
-    if attr.shape[0] != m:  # a negative count
-        raise GraphError(f"attribute table has {attr.shape[0]} rows for {m} vertices")
-    edges = _integers(doc.get("edges", []), "edges").reshape(-1, 2)
+    attr = _table(doc["attributes"], "attributes", m, S, f"{m} rows of {S} value indices")
+    edges = _table(doc.get("edges", []), "edges", None, 2, "a list of [u, v] pairs")
     label, graph_id = doc.get("label"), doc.get("id")
     if graph_id is not None and not isinstance(graph_id, str):
         raise GraphError(f"id must be a JSON string or null, got {type(graph_id).__name__}")
@@ -378,6 +415,7 @@ def _documents(data):
         yield from enumerate(doc) if array else [(pos, doc)]
 
 
+@_collector_paused()
 def read_json_graphs(data, schema: AttributeSchema | None = None,
                      errors: list | None = None) -> list[MolecularGraph]:
     """Parse JSONL text (``bytes`` or ``str``), or one JSON array, of graph

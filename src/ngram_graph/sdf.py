@@ -16,6 +16,11 @@ Charges come from the atom-block charge codes unless the record has
 ``M  CHG`` property lines. As the CTfile specification says, those then
 supersede every atom-block charge of the record: the codes are still
 checked, but neither their charges nor the radical marker count.
+
+:func:`parse_sdf` runs with the cyclic garbage collector paused
+(``graph._collector_paused``): its lines, fields and records hold no
+reference cycles, and at 20,000 records the collections it would start
+took about a tenth of its time, freeing nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .graph import _collector_paused
 
 # Atom-block charge codes (column 36-38). Code 4 is a radical marker, not a
 # charge; it maps to 0 and raises a warning on the record.
@@ -151,6 +158,7 @@ def _charge_lines(props: list[str], num_atoms: int, lineno: int) -> np.ndarray |
     return charges
 
 
+@_collector_paused()
 def parse_sdf(data) -> tuple[list[MolRecord], list[RecordError]]:
     """Split MOL/SDF text (``bytes`` or ``str``) on ``$$$$`` and parse each record.
 

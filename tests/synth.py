@@ -640,8 +640,11 @@ def graph_fields(g):
 # built as one ``MolecularGraph`` and checked by ``validate_graph``.
 
 
-def _ref_integers(values, field):
-    values = np.asarray(values)
+def _ref_integers(values, field, shape):
+    try:
+        values = np.asarray(values)
+    except ValueError:
+        raise GraphError(f"{field} must be {shape}") from None
     if values.size and values.dtype.kind != "i":
         raise GraphError(f"{field} must be JSON integers")
     return values
@@ -660,13 +663,17 @@ def reference_doc_to_graph(doc, schema):
     m, S = doc["num_vertices"], schema.num_attributes
     if type(m) is not int:
         raise GraphError(f"num_vertices must be a JSON integer, got {type(m).__name__}")
-    try:
-        attr = _ref_integers(doc["attributes"], "attributes").reshape(m, S)
-    except GraphError:
-        raise
-    except ValueError as exc:
-        raise GraphError(f"attributes must be {m} rows of {S} value indices") from exc
-    edges = _ref_integers(doc.get("edges", []), "edges").reshape(-1, 2)
+    shape = f"{m} rows of {S} value indices"
+    attr = _ref_integers(doc["attributes"], "attributes", shape)
+    if attr.tolist() == [] and m == 0:
+        attr = attr.reshape(0, S)
+    if attr.shape != (m, S):
+        raise GraphError(f"attributes must be {shape}")
+    edges = _ref_integers(doc.get("edges", []), "edges", "a list of [u, v] pairs")
+    if edges.tolist() == []:
+        edges = edges.reshape(0, 2)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise GraphError("edges must be a list of [u, v] pairs")
     label, graph_id = doc.get("label"), doc.get("id")
     if graph_id is not None and not isinstance(graph_id, str):
         raise GraphError(f"id must be a JSON string or null, got {type(graph_id).__name__}")

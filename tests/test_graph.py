@@ -1,6 +1,9 @@
 import dataclasses
+import gc
 import io
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,7 +13,11 @@ from hypothesis import strategies as st
 
 import ngram_graph as ng
 from ngram_graph import MolecularGraph, validate_graph
-from ngram_graph.graph import build_graphs, ones_csr, read_json_graphs, write_jsonl
+from ngram_graph.cli import main
+from ngram_graph.featurize import featurize_corpus
+from ngram_graph.graph import (_collector_paused, build_graphs, ones_csr, read_json_graphs,
+                               write_jsonl)
+from ngram_graph.sdf import parse_sdf
 
 from . import synth
 from .synth import dumps_graph, one_hot, permute
@@ -301,12 +308,35 @@ class TestJsonDocuments:
         assert g.attr.tolist() == [[0, 1], [1, 1]]
         assert g.edges.tolist() == [[0, 1]] and g.indices.tolist() == [1, 0]
 
+    def test_empty_list_is_a_table_of_no_rows(self, schema):
+        docs = [{"schema_id": schema.schema_id, "num_vertices": 0, "attributes": [],
+                 "edges": []},
+                {"schema_id": schema.schema_id, "num_vertices": 2,
+                 "attributes": [[0, 0], [1, 1]], "edges": []}]
+        empty, lone = read_json_graphs("\n".join(map(json.dumps, docs)), schema)
+        assert empty.attr.shape == (0, 2) and empty.edges.shape == (0, 2)
+        assert lone.attr.shape == (2, 2) and lone.edges.shape == (0, 2)
+
     @pytest.mark.parametrize("field,value,message", [
         ("num_vertices", None, "missing field 'num_vertices'"),
         ("attributes", None, "missing field 'attributes'"),
         ("attributes", [[0, 0], [0]], "attributes must be 2 rows of 2 value indices"),
         ("attributes", [[0, 0, 0], [0, 0, 0]], "attributes must be 2 rows of 2 value indices"),
-    ], ids=["missing-vertex-count", "missing-attributes", "ragged", "wrong-width"])
+        ("attributes", [0, 0, 1, 1], "attributes must be 2 rows of 2 value indices"),
+        ("attributes", [[0, 0, 1, 1]], "attributes must be 2 rows of 2 value indices"),
+        ("attributes", [[[0, 0]], [[1, 1]]], "attributes must be 2 rows of 2 value indices"),
+        ("attributes", [], "attributes must be 2 rows of 2 value indices"),
+        ("edges", [0, 1], "edges must be a list of [u, v] pairs"),
+        ("edges", [[0, 1, 1]], "edges must be a list of [u, v] pairs"),
+        ("edges", [[0, 1, 1], [1, 0, 1]], "edges must be a list of [u, v] pairs"),
+        ("edges", [[[0, 1]]], "edges must be a list of [u, v] pairs"),
+        ("edges", [[0, 1], [1]], "edges must be a list of [u, v] pairs"),
+        ("edges", [[]], "edges must be a list of [u, v] pairs"),
+        ("edges", 5, "edges must be a list of [u, v] pairs"),
+    ], ids=["missing-vertex-count", "missing-attributes", "ragged", "wrong-width",
+            "flat-attributes", "one-wide-row", "attributes-3-deep", "no-rows",
+            "flat-edges", "wide-edge", "wide-edges", "edges-3-deep", "ragged-edges",
+            "empty-pair", "edges-scalar"])
     def test_document_error_names_the_field(self, schema, field, value, message):
         good = {"schema_id": schema.schema_id, "id": "g", "num_vertices": 2,
                 "attributes": [[0, 0], [1, 1]], "edges": [[0, 1]]}
@@ -538,3 +568,124 @@ class TestWriter:
         stream = io.StringIO()
         write_jsonl((g for g in graphs), _SCHEMA, stream)
         assert stream.getvalue().encode() == _BASE
+
+
+_SDF = synth.sdf_stream(synth.WATER, synth.ETHANOL)
+# (call, exception it raises or None), each with the collector as the test set it
+_READER_CALLS = {
+    "json": (lambda: read_json_graphs(_BASE, _SCHEMA), None),
+    "json-errors": (lambda: read_json_graphs(_BASE + b"nul\n\xff\n", _SCHEMA, []), None),
+    "json-bad-document": (lambda: read_json_graphs(b'{"schema_id": "other:0"}\n' + _BASE,
+                                                   _SCHEMA), ng.GraphError),
+    "json-undecodable": (lambda: read_json_graphs(b"\xff\n" + _BASE, _SCHEMA),
+                         UnicodeDecodeError),
+    "sdf": (lambda: parse_sdf(_SDF), None),
+    "sdf-errors": (lambda: parse_sdf(_SDF.replace("  1  2  1", "  1  9  1")), None),
+    "sdf-raises": (lambda: parse_sdf(None), AttributeError),
+    "featurize": (lambda: featurize_corpus(parse_sdf(_SDF)[0]), None),
+    "featurize-raises": (lambda: featurize_corpus([None]), AttributeError),
+}
+
+
+class TestCollectorPause:
+    """The readers run with the cyclic garbage collector paused, and leave
+    it as their caller had it."""
+
+    @pytest.fixture(autouse=True)
+    def _collector_enabled_after(self):
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("call,raises", _READER_CALLS.values(), ids=_READER_CALLS)
+    def test_reader_leaves_the_callers_setting(self, call, raises, enabled):
+        (gc.enable if enabled else gc.disable)()
+        if raises is None:
+            call()
+        else:
+            with pytest.raises(raises):
+                call()
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_featurize_command_leaves_the_callers_setting(self, tmp_path, enabled):
+        """SDF input, JSON input with a bad document, and no graphs (exit 2)."""
+        sdf, jsonl, empty = tmp_path / "m.sdf", tmp_path / "g.jsonl", tmp_path / "e.jsonl"
+        sdf.write_text(_SDF)
+        empty.write_text("\n")
+        (gc.enable if enabled else gc.disable)()
+        assert main(["featurize", str(sdf), "-o", str(jsonl)]) == 0
+        line = jsonl.read_text().splitlines()[0]
+        jsonl.write_text(line.replace('"edges":', '"edges":5,"e":') + "\n" + line + "\n")
+        assert [main(["featurize", str(path), "-o", str(tmp_path / "out.jsonl")])
+                for path in (jsonl, empty)] == [0, 2]
+        assert gc.isenabled() is enabled
+
+    def test_reader_inside_a_pause_keeps_it(self):
+        gc.enable()
+        with _collector_paused():
+            read_json_graphs(_BASE, _SCHEMA)
+            featurize_corpus(parse_sdf(_SDF)[0])
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_overlapping_pauses_restore_at_the_last_exit(self):
+        """Two callers at once: A enters, B enters, A exits, B exits."""
+        gc.enable()
+        a, b = _collector_paused(), _collector_paused()
+        a.__enter__()
+        b.__enter__()
+        a.__exit__(None, None, None)
+        assert not gc.isenabled()
+        b.__exit__(None, None, None)
+        assert gc.isenabled()
+
+    def test_pauses_from_many_threads(self):
+        """More threads than cores, switching often: while any thread holds
+        a pause the collector is off, and after the last one it is on."""
+        gc.enable()
+        faults = []
+
+        def work(k):
+            for i in range(300):
+                with _collector_paused():
+                    if i % 50 == k:
+                        read_json_graphs(_BASE, _SCHEMA)
+                    if gc.isenabled():
+                        faults.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert faults == [] and gc.isenabled()
+
+    def test_large_document_reads_without_a_collection(self):
+        """A 10,000-vertex document decodes to ~25,000 live lists, which
+        would start collections if the collector ran."""
+        m = 10_000
+        attr = np.random.default_rng(0).integers(0, _SCHEMA.cardinalities, size=(m, 2))
+        edges = [[i, i + 1] for i in range(m - 1)] + [[i, i + 2] for i in range(0, m - 2, 2)]
+        data = json.dumps({"schema_id": _SCHEMA.schema_id, "id": "big", "num_vertices": m,
+                           "attributes": attr.tolist(), "edges": edges})
+        started = []
+
+        def hook(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(hook)
+        try:
+            (g,) = read_json_graphs(data, _SCHEMA)
+        finally:
+            gc.callbacks.remove(hook)
+        assert started == [] and g.num_edges == len(edges)
