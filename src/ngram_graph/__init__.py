@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # home module -> the public names it defines
 _EXPORTS = {
     "schema": ("AttributeSchema", "FULL_SCHEMA", "REDUCED_SCHEMA", "SchemaError"),
-    "graph": ("GraphError", "MolecularGraph", "read_json_graphs", "validate_graph"),
+    "graph": ("GraphError", "MolecularGraph", "read_json_graphs"),
     "sdf": ("MolRecord", "parse_sdf"),
     "featurize": ("featurize_corpus",),
     "vertex": ("EmbeddingError", "VertexEmbeddingMatrix", "load_embedding",

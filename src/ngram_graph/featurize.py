@@ -27,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import _collector_paused, build_graphs
+from .graph import GraphError, _collector_paused, build_graphs
 from .schema import FULL_SCHEMA, UNKNOWN, AttributeSchema
 
 DEFAULT_VALENCE = {
@@ -116,8 +116,9 @@ def featurize_corpus(records, schema: AttributeSchema = FULL_SCHEMA):
             "no valence entry, hydrogen count unknown"
         )
 
-    graphs = build_graphs(np.diff(vertex_base), attr, edges,
-                          np.bincount(bond_record[heavy_bond], minlength=len(records)),
-                          ids=[rec.name or None for rec in records],
-                          fingerprint=schema.fingerprint)
+    graphs, faults = build_graphs(np.diff(vertex_base), attr, edges,
+                                  np.bincount(bond_record[heavy_bond], minlength=len(records)),
+                                  ids=[rec.name or None for rec in records], schema=schema)
+    for k, message in faults.items():  # a record that parse_sdf did not check
+        raise GraphError(f"record {k}: {message}")
     return graphs, warnings

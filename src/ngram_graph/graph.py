@@ -10,16 +10,12 @@ multiplies with and the CBOW context counts read.
 
 A corpus is built in one pass (:func:`build_graphs`, which
 :func:`read_json_graphs` and ``featurize.featurize_corpus`` call): one CSR
-build for all its graphs, which are read-only views of the corpus's
-stacked arrays; ``MolecularGraph(...)`` is the one-graph case. The one
-corpus reader, :func:`read_json_graphs`, settles the schema and which
-documents are valid. It decodes and converts each document on its own, so
-that a bad field is named, and then checks the whole corpus with one sweep
-of array masks; :func:`validate_graph`, which returns a graph's violation
-messages as a tuple, runs only on the graphs the sweep flags. Documents
-are parsed by orjson wherever its result is the standard library's, and by
-``json`` elsewhere; a written line has its tables spelled by orjson and its
-other fields by ``json``.
+build and one check by the graph rules, written once (:func:`_violations`),
+for all its graphs, which are read-only views of the corpus's stacked
+arrays. ``MolecularGraph(...)`` is the one-graph case, and refuses a bad
+graph with the reader's message. Documents are parsed by orjson wherever
+its result is the standard library's, and by ``json`` elsewhere; a written
+line has its tables spelled by orjson and its other fields by ``json``.
 
 The readers (:func:`read_json_graphs`, ``sdf.parse_sdf`` and
 ``featurize.featurize_corpus``) run under :func:`_collector_paused`: the
@@ -73,16 +69,17 @@ def _collector_paused():
                 gc.enable()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MolecularGraph:
     """An attributed graph: m x S table of value indices plus edges.
 
-    ``edges`` keeps pairs exactly as given (so validation can report
-    self-loops and duplicates). ``indptr``/``indices`` are the symmetric CSR
-    adjacency of its proper, deduplicated pairs: the neighbours of i are
-    ``indices[indptr[i]:indptr[i + 1]]``, ascending. Every other view of the
-    edges (:attr:`num_edges`, :meth:`degrees`, the canonical edge list that
-    :func:`write_jsonl` writes) is read off the CSR.
+    Construction checks both tables by the reader's rules (the width of
+    ``attr`` is free: a graph has no schema) and raises :class:`GraphError`
+    with the reader's message. ``indptr``/``indices`` are the symmetric CSR
+    adjacency: the neighbours of i are ``indices[indptr[i]:indptr[i + 1]]``,
+    ascending, and every view of the edges is read off it. ``edges`` stores
+    the checked pairs as given only because ``dataclasses.replace(g, ...)``
+    rebuilds a graph from its stored fields. ``==`` is identity.
     """
 
     num_vertices: int
@@ -91,24 +88,18 @@ class MolecularGraph:
     label: float | None = None
     graph_id: str | None = None
     schema_fingerprint: str | None = None
-    indptr: np.ndarray = field(init=False, repr=False, compare=False)
-    indices: np.ndarray = field(init=False, repr=False, compare=False)
+    indptr: np.ndarray = field(init=False, repr=False)
+    indices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        attr = np.asarray(self.attr, dtype=np.int64)
-        if attr.ndim != 2:
-            attr = attr.reshape(self.num_vertices, -1)
-        if attr.shape[0] != self.num_vertices:
-            raise GraphError(
-                f"attribute table has {attr.shape[0]} rows for {self.num_vertices} vertices"
-            )
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        indptr, indices, _ = _block_csr(np.array([self.num_vertices]), edges,
-                                        np.array([len(edges)]))
-        for name, arr in (("attr", attr), ("edges", edges), ("indptr", indptr),
-                          ("indices", indices)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        m = self.num_vertices
+        attr = _table(self.attr, "attributes", m, None, f"{m} rows of value indices")
+        edges = _table(self.edges, "edges", None, 2, "a list of [u, v] pairs")
+        (g,), fault = build_graphs([m], attr, edges, [len(edges)])
+        if fault:
+            raise GraphError(fault[0])
+        for name in ("attr", "edges", "indptr", "indices"):
+            object.__setattr__(self, name, getattr(g, name))
 
     # -- basic structure -------------------------------------------------------
 
@@ -138,7 +129,8 @@ def _block_csr(sizes, edges, edge_counts):
     ``sizes`` holds each graph's vertex count, ``edges`` every graph's pairs
     stacked, in the graph's own vertex numbers, and ``edge_counts`` how many
     pairs each graph has. Self-loops, out-of-range and repeated pairs are
-    dropped. Returns ``(indptr, indices, nnz)`` in each graph's own numbering:
+    dropped, which :func:`_violations` counts: no graph that lost a pair is
+    kept. Returns ``(indptr, indices, nnz)`` in each graph's own numbering:
     graph k's ``indptr`` is ``indptr[offsets[k] + k : offsets[k + 1] + k + 1]``
     and its ``indices`` are ``indices[nnz[k] : nnz[k + 1]]``.
     """
@@ -161,9 +153,9 @@ def _block_csr(sizes, edges, edge_counts):
     return local, col, indptr[offsets]
 
 
-def build_graphs(sizes, attr, edges, edge_counts, labels=None, ids=None,
-                 fingerprint=None) -> list[MolecularGraph]:
-    """Every graph of a corpus from its stacked tables, with one CSR build.
+def build_graphs(sizes, attr, edges, edge_counts, labels=None, ids=None, schema=None):
+    """Every graph of a corpus from its stacked tables, with one CSR build,
+    and by index the messages of each graph that :func:`_violations` flags.
 
     ``sizes`` and ``edge_counts`` hold each graph's vertex and pair count;
     ``attr`` stacks the attribute tables and ``edges`` the pairs, each graph
@@ -176,6 +168,7 @@ def build_graphs(sizes, attr, edges, edge_counts, labels=None, ids=None,
     attr = np.asarray(attr, dtype=np.int64)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     indptr, indices, nnz = _block_csr(sizes, edges, edge_counts)
+    faults = _violations(sizes, attr, edges, edge_counts, np.diff(nnz) // 2, schema)
     for arr in (attr, edges, indptr, indices):
         arr.setflags(write=False)
     n = sizes.size
@@ -184,6 +177,7 @@ def build_graphs(sizes, attr, edges, edge_counts, labels=None, ids=None,
     vs = [0, *accumulate(sizes.tolist())]
     es = [0, *accumulate(edge_counts.tolist())]
     zs = nnz.tolist()
+    fingerprint = None if schema is None else schema.fingerprint
     new = object.__new__
     graphs = []
     for k in range(n):
@@ -195,7 +189,7 @@ def build_graphs(sizes, attr, edges, edge_counts, labels=None, ids=None,
             indices=indices[zs[k] : zs[k + 1]],
         )
         graphs.append(g)
-    return graphs
+    return graphs, faults
 
 
 def ones_csr(indptr, indices, ncols):
@@ -207,9 +201,16 @@ def ones_csr(indptr, indices, ncols):
     return scipy.sparse.csr_array((data, indices, indptr), shape=(indptr.size - 1, ncols))
 
 
+def out_of_range(attr, sizes, schema: AttributeSchema) -> np.ndarray:
+    """Which graphs, of ``sizes`` rows each of a stacked table, hold an index out of range."""
+    out = ((attr < 0) | (attr >= np.asarray(schema.cardinalities))).any(axis=1)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return np.bincount(owner[out], minlength=len(sizes)) > 0
+
+
 def attribute_violations(attr: np.ndarray, schema: AttributeSchema) -> list[str]:
-    """The attribute rules of :func:`validate_graph`: the table's width is
-    the schema's S, and every index lies in its attribute's range."""
+    """The attribute rules under a schema: the table's width is the
+    schema's S, and every index lies in its attribute's range."""
     if attr.shape[1] != schema.num_attributes:
         return [f"attribute table width {attr.shape[1]} != schema S={schema.num_attributes}"]
     ks = schema.cardinalities
@@ -218,47 +219,35 @@ def attribute_violations(attr: np.ndarray, schema: AttributeSchema) -> list[str]
             for j, i in zip(*np.nonzero(bad.T))]  # attribute-major order
 
 
-def validate_graph(g: MolecularGraph, schema: AttributeSchema) -> tuple[str, ...]:
-    """Check every graph invariant under the schema.
-
-    Violations are returned as data, one message per problem; an empty
-    tuple means the graph is valid.
-    """
-    bad = attribute_violations(g.attr, schema)
-    m = g.num_vertices
-
-    u, v = g.edges[:, 0], g.edges[:, 1]
-    loop = u == v
-    outside = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= m)
-    for idx in np.flatnonzero(loop | outside).tolist():
-        if loop[idx]:
-            bad.append(f"self-loop@{u[idx]}")
-        if outside[idx]:
-            bad.append(f"edge ({u[idx]},{v[idx]}) endpoint out of range for m={m}")
-    pairs = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)[~loop]
-    if pairs.shape[0] > g.num_edges:  # some pair repeats or lies out of range
-        pairs, counts = np.unique(pairs, axis=0, return_counts=True)
-        for (a, b), cnt in zip(pairs[counts > 1].tolist(), counts[counts > 1].tolist()):
-            bad.append(f"duplicate edge ({a},{b}) listed {cnt} times")
-
-    return tuple(bad)
-
-
-def _invalid(graphs, sizes, attr, edges, edge_counts, schema) -> np.ndarray:
-    """Which graphs of a read corpus :func:`validate_graph` would fault, by
-    masks over its stacked tables: an attribute index out of range, a
-    self-loop, or more non-loop pairs than CSR edges, which a pair out of
-    range or listed twice leaves. Document conversion has already refused a
-    row of the wrong width."""
-    n = sizes.size
-    bad = np.zeros(n, dtype=bool)
-    out = ((attr < 0) | (attr >= np.asarray(schema.cardinalities))).any(axis=1)
-    bad[np.repeat(np.arange(n), sizes)[out]] = True
-    owner = np.repeat(np.arange(n), edge_counts)
-    loop = edges[:, 0] == edges[:, 1]
-    bad[owner[loop]] = True
-    csr_edges = np.fromiter((g.num_edges for g in graphs), dtype=np.int64, count=n)
-    return bad | (np.bincount(owner[~loop], minlength=n) > csr_edges)
+def _violations(sizes, attr, edges, edge_counts, csr_edges, schema=None) -> dict[int, str]:
+    """The graph rules, over a corpus's converted tables (as :func:`_block_csr`
+    takes them) and its graphs' CSR edge counts: each bad graph's messages,
+    joined by ``"; "``, by index. Masks find them: fewer CSR edges than
+    pairs, which a self-loop, a pair out of range or one listed twice
+    leaves, and under a schema an attribute index out of range. Only those
+    graphs are named: indices out of range (attribute-major), each self-loop
+    and pair out of range in listed order, each repeated pair, sorted."""
+    bad = csr_edges < edge_counts
+    if schema is not None:
+        bad |= out_of_range(attr, sizes, schema)
+    vs, es = np.cumsum(sizes) - sizes, np.cumsum(edge_counts) - edge_counts
+    faults = {}
+    for k in np.flatnonzero(bad).tolist():
+        m, pairs = sizes[k], edges[es[k] : es[k] + edge_counts[k]]
+        found = [] if schema is None else attribute_violations(attr[vs[k] : vs[k] + m], schema)
+        ends = np.sort(pairs, axis=1)
+        loops, outside = ends[:, 0] == ends[:, 1], (ends[:, 0] < 0) | (ends[:, 1] >= m)
+        for i in np.flatnonzero(loops | outside).tolist():
+            u, v = pairs[i].tolist()
+            if loops[i]:
+                found.append(f"self-loop@{u}")
+            if outside[i]:
+                found.append(f"edge ({u},{v}) endpoint out of range for m={m}")
+        keys, times = np.unique(ends[~loops], axis=0, return_counts=True)
+        found += [f"duplicate edge ({a},{b}) listed {t} times"
+                  for (a, b), t in zip(keys[times > 1].tolist(), times[times > 1].tolist())]
+        faults[k] = "; ".join(found)
+    return faults
 
 
 # -- JSON graph documents -----------------------------------------------------
@@ -269,9 +258,9 @@ def _invalid(graphs, sizes, attr, edges, edge_counts, schema) -> np.ndarray:
 # Canonical form: exactly this field order, edges listed once with u < v in
 # lexicographic order, label omitted when absent, compact separators.
 
-def _table(values, field: str, rows: int | None, width: int, shape: str) -> np.ndarray:
-    """The field as an int64 table of ``rows`` rows (any number for None) of
-    ``width`` integers, by numpy's own conversion: a float, string,
+def _table(values, field: str, rows: int | None, width: int | None, shape: str) -> np.ndarray:
+    """The field as an int64 table of ``rows`` rows of ``width`` integers
+    (any number for None), by numpy's own conversion: a float, string,
     bool-only or out-of-int64 value is refused instead of cast. An integer
     list with a stray bool still converts, the bool as 0 or 1. A table of
     another shape (flat, ragged, too wide, nested deeper) is refused as not
@@ -282,8 +271,9 @@ def _table(values, field: str, rows: int | None, width: int, shape: str) -> np.n
         raise GraphError(f"{field} must be {shape}") from None
     if values.size and values.dtype.kind != "i":
         raise GraphError(f"{field} must be JSON integers")
-    table = values.reshape(0, width) if values.shape == (0,) else values
-    if table.ndim != 2 or table.shape[1] != width or rows not in (None, table.shape[0]):
+    table = values.reshape(0, width or 0) if values.shape == (0,) else values
+    if (table.ndim != 2 or width not in (None, table.shape[1])
+            or rows not in (None, table.shape[0])):
         raise GraphError(f"{field} must be {shape}")
     return table.astype(np.int64, copy=False)
 
@@ -308,6 +298,8 @@ def _doc_fields(doc, schema: AttributeSchema):
     label, graph_id = doc.get("label"), doc.get("id")
     if graph_id is not None and not isinstance(graph_id, str):
         raise GraphError(f"id must be a JSON string or null, got {type(graph_id).__name__}")
+    if label is not None and not isinstance(label, (int, float)):  # a bool reads as 1 or 0
+        raise GraphError(f"label must be a JSON number or null, got {type(label).__name__}")
     return m, attr, edges, None if label is None else float(label), graph_id
 
 
@@ -335,7 +327,7 @@ def write_jsonl(graphs, schema: AttributeSchema, stream) -> None:
     local = np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
     edges = local[np.stack([rows[upper], indices[upper]], axis=1)]
     vs = offsets.tolist()
-    es = np.concatenate([[0], np.cumsum(upper)])[indptr[offsets]].tolist()
+    es = [0, *accumulate(g.num_edges for g in graphs)]  # each graph's upper triangle
     head = '{"schema_id":' + json.dumps(schema.schema_id) + ',"id":'
     for k, g in enumerate(graphs):
         tables = orjson.dumps({"attributes": attr[vs[k] : vs[k + 1]],
@@ -432,11 +424,9 @@ def read_json_graphs(data, schema: AttributeSchema | None = None,
     ``GraphError`` for an invalid document, and for an empty corpus read
     without a schema); with one, each is appended as ``(pos, message)``.
 
-    Documents decode and convert one at a time (:func:`_doc_fields`); the
-    corpus is then built in one pass (:func:`build_graphs`), its graphs
-    share its arrays as read-only views, and one array sweep finds the
-    invalid graphs, which alone go through :func:`validate_graph` for their
-    messages.
+    Documents convert one at a time (:func:`_doc_fields`); the corpus is
+    then built and checked in one pass (:func:`build_graphs`), and its
+    graphs share its arrays as read-only views.
     """
     fields, tables, failed = [], [], {}
     for pos, doc in _documents(data):
@@ -462,12 +452,10 @@ def read_json_graphs(data, schema: AttributeSchema | None = None,
     positions, graphs = (), []
     if fields:
         positions, sizes, counts, labels, ids = zip(*fields)
-        sizes = np.array(sizes, dtype=np.int64)
         attr = np.concatenate([a for a, _ in tables])
         edges = np.concatenate([e for _, e in tables])
-        graphs = build_graphs(sizes, attr, edges, counts, labels, ids, schema.fingerprint)
-        for k in np.flatnonzero(_invalid(graphs, sizes, attr, edges, counts, schema)).tolist():
-            failed[positions[k]] = "; ".join(validate_graph(graphs[k], schema))
+        graphs, faults = build_graphs(sizes, attr, edges, counts, labels, ids, schema)
+        failed.update((positions[k], message) for k, message in faults.items())
     for pos in sorted(failed):
         problem = failed[pos]
         if errors is not None:

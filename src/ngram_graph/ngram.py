@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MolecularGraph, attribute_violations, ones_csr, stack_graphs
-from .vertex import VertexEmbeddingMatrix, check_schema, vertex_rows
+from .graph import MolecularGraph, ones_csr, stack_graphs
+from .vertex import VertexEmbeddingMatrix, _off_schema, check_schema, vertex_rows
 
 VARIANTS = ("walk", "path", "vertex_path")
 NORMALIZATIONS = ("none", "unit-l2")
@@ -83,9 +83,8 @@ def _check_options(T, variant, level_scale, normalization):
         )
 
 
-def _admit(g, emb, T, variant, level_scale, ranges=True):
-    """Raise the error that keeps g out of the engine, if there is one."""
-    check_schema(g, emb, ranges)
+def _admit(g, emb, T, variant, level_scale):
+    """Raise the int64 overflow that keeps g, a graph on the schema, out of the engine."""
     if np.issubdtype(emb.matrix.dtype, np.integer):
         check_int64_walks(g, T, vertex_rows(g.attr, emb))
     if variant == "walk" and level_scale == "count":
@@ -281,6 +280,7 @@ def graph_embed(
     sums could leave the int64 range.
     """
     _check_options(T, variant, "none", "none")
+    check_schema(g, emb)
     _admit(g, emb, T, variant, "none")
     L, _ = _levels([g], emb, T, variant)
     return NGramEmbedding(levels=tuple(L[0]))
@@ -349,14 +349,14 @@ def embed_corpus(
     r = emb.dim
     width = T * r
     ids = [str(i) if g.graph_id is None else g.graph_id for i, g in enumerate(graphs)]
-    # one range check over all tables; per graph, to name one, only if it fails
-    tables = [g.attr for g in graphs]
-    ranges = (len({t.shape[1] for t in tables}) != 1
-              or bool(attribute_violations(np.concatenate(tables), emb.schema)))
+    # one schema check over all tables; per graph, to name one, only if it fails
+    off = _off_schema(graphs, emb)
     good, errors = [], {}
     for i, g in enumerate(graphs):
         try:
-            _admit(g, emb, T, variant, level_scale, ranges)
+            if off[i]:
+                check_schema(g, emb)
+            _admit(g, emb, T, variant, level_scale)
             good.append(i)
         except (ValueError, RuntimeError) as exc:
             errors[i] = str(exc)

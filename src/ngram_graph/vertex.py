@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixio
-from .graph import MolecularGraph, attribute_violations, ones_csr, validate_graph
+from .graph import MolecularGraph, attribute_violations, ones_csr, out_of_range
 from .schema import AttributeSchema, SchemaError
 
 
@@ -69,19 +69,29 @@ def random_embedding(
     return VertexEmbeddingMatrix(matrix=w, schema=schema, provenance=prov)
 
 
-def check_schema(g: MolecularGraph, emb: VertexEmbeddingMatrix, ranges: bool = True) -> None:
-    """Raise EmbeddingError unless g is encoded under the embedding's schema.
-    A fingerprinted graph's attribute ranges are checked too (a graph built
-    by hand can hold any index), unless ``ranges`` says the caller did."""
+def check_schema(g: MolecularGraph, emb: VertexEmbeddingMatrix) -> None:
+    """Raise EmbeddingError unless g is encoded under the embedding's schema:
+    by its fingerprint, if any, and its attribute table's width and ranges."""
     if g.schema_fingerprint not in (None, emb.schema.fingerprint):
         raise EmbeddingError(
             "schema fingerprint mismatch: graph "
             f"{g.schema_fingerprint} vs embedding {emb.schema.fingerprint}"
         )
-    violations = (validate_graph(g, emb.schema) if g.schema_fingerprint is None
-                  else attribute_violations(g.attr, emb.schema) if ranges else ())
+    violations = attribute_violations(g.attr, emb.schema)
     if violations:
         raise EmbeddingError("graph invalid under embedding schema: " + "; ".join(violations))
+
+
+def _off_schema(graphs, emb: VertexEmbeddingMatrix) -> np.ndarray:
+    """Which graphs :func:`check_schema` refuses, as a mask: fingerprints and
+    widths graph by graph, index ranges on the stacked tables at once."""
+    schema = emb.schema
+    fits = np.array([g.schema_fingerprint in (None, schema.fingerprint)
+                     and g.attr.shape[1] == schema.num_attributes for g in graphs], dtype=bool)
+    tables = [g.attr for g, ok in zip(graphs, fits) if ok]
+    if tables:
+        fits[fits] = ~out_of_range(np.concatenate(tables), [len(t) for t in tables], schema)
+    return ~fits
 
 
 def vertex_rows(attr: np.ndarray, emb: VertexEmbeddingMatrix) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
@@ -10,7 +11,7 @@ from math import comb
 import numpy as np
 from hypothesis import strategies as st
 
-from ngram_graph import AttributeSchema, GraphError, MolecularGraph, validate_graph
+from ngram_graph import AttributeSchema, GraphError, MolecularGraph
 from ngram_graph.featurize import ACCEPTOR_ELEMENTS, DEFAULT_VALENCE
 from ngram_graph.schema import BUNDLED_SCHEMAS, UNKNOWN
 from ngram_graph.sdf import CHARGE_CODES
@@ -77,29 +78,48 @@ def random_graph(rng, schema, m=None, density=0.3, distinct_values=False,
 
 
 @st.composite
-def messy_graphs(draw, schema, max_m=7):
-    """Small graphs whose edge lists repeat pairs, list both orientations,
-    contain self-loops and leave vertices isolated."""
+def messy_pair_lists(draw, schema, max_m=7):
+    """``(m, attr, pairs)``: an attribute table under the schema and a pair
+    list that repeats pairs, lists both orientations, contains self-loops
+    and endpoints out of range, and leaves vertices isolated."""
     m = draw(st.integers(1, max_m))
     vertex = st.integers(0, m - 1)
     pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * m))
     if pairs:
         again = draw(st.lists(st.sampled_from(pairs), max_size=m))
         pairs += [(v, u) if draw(st.booleans()) else (u, v) for u, v in again]
+    outside = st.sampled_from([-1, m, m + 2])
+    pairs += draw(st.lists(st.tuples(vertex, outside) | st.tuples(outside, vertex), max_size=1))
+    pairs = draw(st.permutations(pairs))
     attr = [[draw(st.integers(0, k - 1)) for k in schema.cardinalities] for _ in range(m)]
-    return MolecularGraph(num_vertices=m, attr=attr, edges=pairs,
-                          schema_fingerprint=schema.fingerprint)
+    return m, attr, pairs
+
+
+def proper_pairs(m, pairs) -> list:
+    """The list's pairs that are no self-loop and lie in range, each once
+    (in either orientation), in the order drawn."""
+    seen, kept = set(), []
+    for u, v in pairs:
+        key = (min(u, v), max(u, v))
+        if u != v and 0 <= key[0] and key[1] < m and key not in seen:
+            seen.add(key)
+            kept.append((u, v))
+    return kept
+
+
+def messy_graphs(schema, max_m=7):
+    """Graphs built from the proper pairs of ``messy_pair_lists``."""
+    return messy_pair_lists(schema, max_m).map(
+        lambda t: MolecularGraph(num_vertices=t[0], attr=t[1], edges=proper_pairs(t[0], t[2]),
+                                 schema_fingerprint=schema.fingerprint))
 
 
 def dense_adjacency(g):
-    """Dense 0/1 adjacency built from the raw edge list (self-loops and
-    out-of-range pairs dropped, both orientations set): a reference that
-    shares no code with the graph's CSR."""
-    m = g.num_vertices
-    a = np.zeros((m, m), dtype=np.int64)
+    """Dense 0/1 adjacency built from the edge list, both orientations set:
+    a reference that shares no code with the graph's CSR."""
+    a = np.zeros((g.num_vertices, g.num_vertices), dtype=np.int64)
     for u, v in g.edges.tolist():
-        if u != v and 0 <= min(u, v) and max(u, v) < m:
-            a[u, v] = a[v, u] = 1
+        a[u, v] = a[v, u] = 1
     return a
 
 
@@ -109,13 +129,11 @@ def has_edge(g, u, v) -> bool:
 
 
 def canonical_edges(g) -> np.ndarray:
-    """The graph's proper pairs, each once as (u, v) with u < v, sorted, from
-    the raw edge list: a reference that shares no code with the CSR that
+    """The graph's pairs, each as (u, v) with u < v, sorted, from the edge
+    list: a reference that shares no code with the CSR that
     ``graph.write_jsonl`` reads them off."""
-    m = g.num_vertices
-    pairs = {(min(u, v), max(u, v)) for u, v in g.edges.tolist()
-             if u != v and 0 <= min(u, v) and max(u, v) < m}
-    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    pairs = sorted((min(u, v), max(u, v)) for u, v in g.edges.tolist())
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def structurally_equal(g, h) -> bool:
@@ -636,8 +654,31 @@ def graph_fields(g):
 # -- reference JSON graph reader -------------------------------------------------
 #
 # The per-document reader that ``graph.read_json_graphs`` replaced, kept as
-# the oracle of a differential test: each document converted on its own,
-# built as one ``MolecularGraph`` and checked by ``validate_graph``.
+# the oracle of a differential test: each document converted and checked on
+# its own, by ``reference_violations``, and then built as one
+# ``MolecularGraph``. It calls no validation code of the package.
+
+
+def reference_violations(m, attr, edges, schema) -> tuple[str, ...]:
+    """Every graph rule that the tables break under the schema, one message
+    each, in the order the reader names them: the table's width or its
+    indices out of range (attribute-major), each self-loop and each pair out
+    of range in listed order, then each pair listed more than once."""
+    ks = schema.cardinalities
+    attr, edges = np.asarray(attr).tolist(), np.asarray(edges).reshape(-1, 2).tolist()
+    if any(len(row) != len(ks) for row in attr):
+        return (f"attribute table width {len(attr[0])} != schema S={len(ks)}",)
+    bad = [f"attr index out of range: attr[{i}][{j}]={row[j]} with k_{j}={k}"
+           for j, k in enumerate(ks) for i, row in enumerate(attr) if not 0 <= row[j] < k]
+    for u, v in edges:
+        if u == v:
+            bad.append(f"self-loop@{u}")
+        if min(u, v) < 0 or max(u, v) >= m:
+            bad.append(f"edge ({u},{v}) endpoint out of range for m={m}")
+    times = Counter((min(u, v), max(u, v)) for u, v in edges if u != v)
+    bad += [f"duplicate edge ({a},{b}) listed {t} times"
+            for (a, b), t in sorted(times.items()) if t > 1]
+    return tuple(bad)
 
 
 def _ref_integers(values, field, shape):
@@ -677,14 +718,14 @@ def reference_doc_to_graph(doc, schema):
     label, graph_id = doc.get("label"), doc.get("id")
     if graph_id is not None and not isinstance(graph_id, str):
         raise GraphError(f"id must be a JSON string or null, got {type(graph_id).__name__}")
-    return MolecularGraph(
-        num_vertices=m,
-        attr=attr,
-        edges=edges,
-        label=None if label is None else float(label),
-        graph_id=graph_id,
-        schema_fingerprint=schema.fingerprint,
-    )
+    if label is not None and type(label) not in (bool, int, float):
+        raise GraphError(f"label must be a JSON number or null, got {type(label).__name__}")
+    label = None if label is None else float(label)
+    violations = reference_violations(m, attr, edges, schema)
+    if violations:
+        raise GraphError("; ".join(violations))
+    return MolecularGraph(num_vertices=m, attr=attr, edges=edges, label=label,
+                          graph_id=graph_id, schema_fingerprint=schema.fingerprint)
 
 
 def _ref_documents(data, errors):
@@ -720,15 +761,10 @@ def reference_read_json_graphs(data, schema, errors=None):
             if schema is None:
                 ids = ", ".join(s.schema_id for s in BUNDLED_SCHEMAS.values())
                 raise GraphError(f"schema_id {named!r} is not a bundled schema ({ids})")
-            g = reference_doc_to_graph(doc, schema)
+            graphs.append(reference_doc_to_graph(doc, schema))
+            continue
         except (GraphError, TypeError, ValueError, OverflowError) as exc:
             problem = str(exc)
-        else:
-            violations = validate_graph(g, schema)
-            if not violations:
-                graphs.append(g)
-                continue
-            problem = "; ".join(violations)
         if errors is None:
             raise GraphError(f"document {pos}: {problem}")
         errors.append((pos, problem))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from ngram_graph import FULL_SCHEMA, REDUCED_SCHEMA, validate_graph
+from ngram_graph import FULL_SCHEMA, REDUCED_SCHEMA, GraphError
 from ngram_graph.featurize import featurize_corpus
 from ngram_graph.graph import write_jsonl
 from ngram_graph.cli import main
@@ -98,7 +98,7 @@ class TestAttributeRules:
     def test_reduced_schema_has_five_attributes(self):
         g, _ = _featurize_text(WATER, REDUCED_SCHEMA)
         assert g.attr.shape == (1, 5)
-        assert validate_graph(g, REDUCED_SCHEMA) == ()
+        assert synth.reference_violations(g.num_vertices, g.attr, g.edges, REDUCED_SCHEMA) == ()
 
     def test_unknown_schema_key_rejected(self, tmp_path, capsys):
         src = tmp_path / "water.sdf"
@@ -123,7 +123,7 @@ class TestInvariants:
             if errors:
                 continue
             (g,), _ = featurize_corpus(records[:1])
-            assert validate_graph(g, FULL_SCHEMA) == ()
+            assert synth.reference_violations(g.num_vertices, g.attr, g.edges, FULL_SCHEMA) == ()
 
     def test_permutation_equivariance(self):
         # reordering record atoms reorders vertices but preserves structure
@@ -170,11 +170,23 @@ class TestInvariants:
             assert np.array_equal(gp.attr, gb.attr)
             assert np.array_equal(synth.canonical_edges(gp), synth.canonical_edges(gb))
 
+    def test_record_with_a_repeated_bond_is_refused(self):
+        """A record built by hand, which parse_sdf has not checked, does not
+        lose its repeated bond without a word."""
+        from ngram_graph.sdf import MolRecord
+
+        ok = MolRecord(name="ok", symbols=("C", "O"), charges=np.zeros(2, dtype=np.int64),
+                       bonds=np.array([[1, 2, 1]]))
+        twice = MolRecord(name="twice", symbols=("C", "O"), charges=np.zeros(2, dtype=np.int64),
+                          bonds=np.array([[1, 2, 1], [2, 1, 1]]))
+        with pytest.raises(GraphError, match=r"^record 1: duplicate edge \(0,1\) listed 2 times$"):
+            featurize_corpus([ok, twice])
+
     def test_all_hydrogen_record_gives_empty_graph(self):
         block = molblock("h2", ["H", "H"], [(1, 2, 1)])
         g, _ = _featurize_text(block)
         assert g.num_vertices == 0
-        assert validate_graph(g, FULL_SCHEMA) == ()
+        assert synth.reference_violations(g.num_vertices, g.attr, g.edges, FULL_SCHEMA) == ()
 
 
 def _array_outputs(data, schema_key):

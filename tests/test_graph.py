@@ -12,46 +12,53 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ngram_graph as ng
-from ngram_graph import MolecularGraph, validate_graph
+from ngram_graph import EmbeddingError, MolecularGraph, random_embedding
 from ngram_graph.cli import main
 from ngram_graph.featurize import featurize_corpus
 from ngram_graph.graph import (_collector_paused, build_graphs, ones_csr, read_json_graphs,
                                write_jsonl)
 from ngram_graph.sdf import parse_sdf
+from ngram_graph.vertex import check_schema
 
 from . import synth
 from .synth import dumps_graph, one_hot, permute
 
 
 class TestValidation:
+    """``MolecularGraph(...)`` checks its tables by the reader's rules and
+    refuses a bad one with the reader's message; ``check_schema`` checks
+    the attributes against an embedding's schema."""
+
     def test_smallest_legal_graph(self, schema):
         g = MolecularGraph(num_vertices=1, attr=[[0, 0]], edges=[])
-        assert validate_graph(g, schema) == ()
+        check_schema(g, random_embedding(schema, 2))
+        assert g.num_edges == 0 and g.attr.dtype == np.int64
 
     def test_self_loop_reported(self, schema):
-        g = MolecularGraph(num_vertices=2, attr=[[0, 0], [0, 0]], edges=[[0, 0]])
-        violations = validate_graph(g, schema)
-        assert violations
-        assert any("self-loop@0" in v for v in violations)
+        with pytest.raises(ng.GraphError, match="^self-loop@0$"):
+            MolecularGraph(num_vertices=2, attr=[[0, 0], [0, 0]], edges=[[0, 0]])
 
     def test_attr_index_out_of_range(self, schema):
         attr = [[0, 0], [0, 0], [0, schema.cardinalities[1]]]
-        g = MolecularGraph(num_vertices=3, attr=attr, edges=[])
-        assert any("out of range" in v for v in validate_graph(g, schema))
+        g = MolecularGraph(num_vertices=3, attr=attr, edges=[])  # a graph has no schema
+        with pytest.raises(EmbeddingError, match="out of range"):
+            check_schema(g, random_embedding(schema, 2))
 
     def test_attribute_width_reported(self, schema):
         g = MolecularGraph(num_vertices=2, attr=[[0, 0, 0], [0, 0, 0]], edges=[[0, 1]])
-        assert validate_graph(g, schema) == ("attribute table width 3 != schema S=2",)
+        with pytest.raises(EmbeddingError) as info:
+            check_schema(g, random_embedding(schema, 2))
+        assert str(info.value) == ("graph invalid under embedding schema: "
+                                   "attribute table width 3 != schema S=2")
 
     def test_duplicate_edge_reported(self, schema):
-        g = MolecularGraph(
-            num_vertices=2, attr=[[0, 0], [0, 0]], edges=[[0, 1], [1, 0]]
-        )
-        assert any("duplicate edge" in v for v in validate_graph(g, schema))
+        with pytest.raises(ng.GraphError, match=r"^duplicate edge \(0,1\) listed 2 times$"):
+            MolecularGraph(num_vertices=2, attr=[[0, 0], [0, 0]], edges=[[0, 1], [1, 0]])
 
     def test_edge_endpoint_out_of_range(self, schema):
-        g = MolecularGraph(num_vertices=2, attr=[[0, 0], [0, 0]], edges=[[0, 5]])
-        assert validate_graph(g, schema) != ()
+        with pytest.raises(ng.GraphError,
+                           match=r"^edge \(0,5\) endpoint out of range for m=2$"):
+            MolecularGraph(num_vertices=2, attr=[[0, 0], [0, 0]], edges=[[0, 5]])
 
     def test_degrees_match_adjacency_rows(self, rng, schema):
         g = synth.random_graph(rng, schema, m=7, density=0.5)
@@ -89,8 +96,91 @@ class TestValidation:
              "attr"],
     )
     def test_violation_strings_in_order(self, schema, m, attr, edges, expected):
-        g = MolecularGraph(num_vertices=m, attr=attr, edges=edges)
-        assert validate_graph(g, schema) == tuple(expected)
+        """The reader's message, and the constructor's; attribute ranges,
+        which a graph without a schema cannot know, are check_schema's."""
+        message = "; ".join(expected)
+        doc = {"schema_id": schema.schema_id, "num_vertices": m, "attributes": attr,
+               "edges": edges}
+        errors = []
+        assert read_json_graphs(json.dumps(doc), schema, errors) == []
+        assert errors == [(0, message)]
+        for fingerprint in (None, schema.fingerprint):
+            fields = dict(num_vertices=m, attr=attr, edges=edges, schema_fingerprint=fingerprint)
+            if expected[0].startswith("attr index"):
+                with pytest.raises(EmbeddingError) as info:
+                    check_schema(MolecularGraph(**fields), random_embedding(schema, 2))
+                assert str(info.value) == f"graph invalid under embedding schema: {message}"
+            else:
+                with pytest.raises(ng.GraphError) as info:
+                    MolecularGraph(**fields)
+                assert str(info.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=synth.messy_pair_lists(synth.small_schema(), max_m=6),
+           fingerprinted=st.booleans())
+    def test_constructor_refuses_as_the_reader_does(self, drawn, fingerprinted):
+        """A pair list with a self-loop, an endpoint out of range or a
+        repeated pair: ``MolecularGraph(...)`` raises the message that the
+        reader records for the same document, with or without a
+        fingerprint; any other list builds the graph the reader reads."""
+        schema = synth.small_schema()
+        m, attr, pairs = drawn
+        doc = {"schema_id": schema.schema_id, "num_vertices": m, "attributes": attr,
+               "edges": [list(p) for p in pairs]}
+        errors = []
+        read = read_json_graphs(json.dumps(doc), schema, errors)
+        messy = synth.proper_pairs(m, pairs) != pairs
+        assert bool(errors) == messy
+        fields = dict(num_vertices=m, attr=attr, edges=pairs,
+                      schema_fingerprint=schema.fingerprint if fingerprinted else None)
+        if messy:
+            with pytest.raises(ng.GraphError) as info:
+                MolecularGraph(**fields)
+            assert errors == [(0, str(info.value))]
+            assert str(info.value) == "; ".join(synth.reference_violations(m, attr, pairs,
+                                                                            schema))
+        else:
+            g = MolecularGraph(**fields)
+            assert np.array_equal(g.indptr, read[0].indptr)
+            assert np.array_equal(g.indices, read[0].indices)
+
+    @pytest.mark.parametrize("attr,edges,message", [
+        ([0, 0, 1, 1, 0, 0, 1, 1], [[0, 1]], "attributes must be 4 rows of value indices"),
+        ([[0, 0], [1, 1]], [[0, 1]], "attributes must be 4 rows of value indices"),
+        ([[0, 0]] * 4, [[0, 1, 2], [3, 0, 2]], "edges must be a list of [u, v] pairs"),
+        ([[0, 0]] * 4, [0, 1, 2, 3], "edges must be a list of [u, v] pairs"),
+        ([[0, 0]] * 4, [[0.7, 1.2]], "edges must be JSON integers"),
+        (np.zeros((4, 2)), [[0, 1]], "attributes must be JSON integers"),
+        ([[0, 0]] * 4, [[True, False]], "edges must be JSON integers"),
+    ], ids=["flat-attributes", "too-few-rows", "wide-edges", "flat-edges", "float-edges",
+            "float-attributes", "bool-edges"])
+    def test_constructor_refuses_a_table_the_reader_refuses(self, schema, attr, edges,
+                                                            message):
+        for fingerprint in (None, schema.fingerprint):
+            with pytest.raises(ng.GraphError) as info:
+                MolecularGraph(num_vertices=4, attr=attr, edges=edges,
+                               schema_fingerprint=fingerprint)
+            assert str(info.value) == message
+
+    def test_replace_on_constructed_and_read_graphs(self, schema):
+        g = MolecularGraph(num_vertices=2, attr=[[0, 0], [1, 1]], edges=[[1, 0]],
+                           schema_fingerprint=schema.fingerprint)
+        (read,) = read_json_graphs(dumps_graph(g, schema), schema)
+        for h in (g, read):
+            labelled = dataclasses.replace(h, label=3.0)
+            assert labelled.label == 3.0 and h.label is None
+            assert synth.structurally_equal(dataclasses.replace(labelled, label=None), h)
+        with pytest.raises(ng.GraphError, match="self-loop@1"):
+            dataclasses.replace(read, edges=[[1, 1]])
+
+    def test_equality_is_identity(self, schema):
+        """Two graphs of equal vertex count and several attribute entries
+        compare, and are found in a list, by identity, not by their arrays."""
+        g, h = (MolecularGraph(num_vertices=2, attr=[[0, 0], [1, 1]], edges=[[0, 1]])
+                for _ in range(2))
+        assert g == g and g != h and not (g == h)
+        assert [h, g].index(g) == 1 and g in [h, g] and g not in [h]
+        assert len({g, h, g}) == 2
 
 
 class TestAdjacency:
@@ -191,7 +281,7 @@ class TestPermute:
         assert synth.structurally_equal(permute(permute(g, pi), np.argsort(pi)), g)
 
     def test_non_bijection_faults(self, schema):
-        g = MolecularGraph(num_vertices=3, attr=np.zeros((3, 2)), edges=[])
+        g = MolecularGraph(num_vertices=3, attr=np.zeros((3, 2), dtype=np.int64), edges=[])
         with pytest.raises(ng.GraphError):
             permute(g, [0, 0, 1])
 
@@ -213,7 +303,9 @@ class TestPermute:
         sch = synth.small_schema()
         g = synth.random_graph(r, sch, m=5, density=0.4)
         pi = r.permutation(5)
-        assert bool(validate_graph(permute(g, pi), sch)) == bool(validate_graph(g, sch))
+        h = permute(g, pi)
+        assert (synth.reference_violations(h.num_vertices, h.attr, h.edges, sch)
+                == synth.reference_violations(g.num_vertices, g.attr, g.edges, sch) == ())
 
 
 class TestJsonDocuments:
@@ -263,7 +355,8 @@ class TestJsonDocuments:
         (None, None, "expected a JSON object, got NoneType"),
         ("num_vertices", None, "num_vertices must be a JSON integer, got NoneType"),
         ("num_vertices", [2], "num_vertices must be a JSON integer, got list"),
-        ("label", {"y": 1}, "float()"),
+        pytest.param("label", {"y": 1}, "label must be a JSON number or null, got dict",
+                     id="label-dict"),
         ("attributes", {"a": 1}, "attributes must be JSON integers"),
         ("num_vertices", float("inf"), "num_vertices must be a JSON integer, got float"),
         ("attributes", [[2**70, 0], [0, 0]], "attributes must be JSON integers"),
@@ -291,8 +384,14 @@ class TestJsonDocuments:
         ("attributes", [[True, False], [False, True]], "attributes must be JSON integers"),
         ("edges", [[0, 1.5]], "edges must be JSON integers"),
         ("edges", [["0", "1"]], "edges must be JSON integers"),
+        ("label", "1.5", "label must be a JSON number or null, got str"),
+        ("label", "nan", "label must be a JSON number or null, got str"),
+        ("label", "inf", "label must be a JSON number or null, got str"),
+        ("label", "abc", "label must be a JSON number or null, got str"),
+        ("label", [1], "label must be a JSON number or null, got list"),
     ], ids=["vertices-float", "vertices-string", "vertices-bool", "attributes-float",
-            "attributes-bool", "edges-float", "edges-string"])
+            "attributes-bool", "edges-float", "edges-string", "label-number-string",
+            "label-nan-string", "label-inf-string", "label-word", "label-list"])
     def test_non_integer_value_is_refused_not_cast(self, schema, field, value, message):
         good = {"schema_id": schema.schema_id, "id": "g", "num_vertices": 2,
                 "attributes": [[0, 0], [1, 1]], "edges": [[0, 1]]}
@@ -300,6 +399,11 @@ class TestJsonDocuments:
         errors = []
         assert len(read_json_graphs(text, schema, errors)) == 1
         assert errors == [(1, message)]
+
+    def test_bool_label_reads_as_a_number(self, schema):
+        doc = {"schema_id": schema.schema_id, "num_vertices": 1, "attributes": [[0, 0]]}
+        text = "\n".join(json.dumps({**doc, "label": b}) for b in (True, False))
+        assert [g.label for g in read_json_graphs(text, schema)] == [1.0, 0.0]
 
     def test_integer_list_with_a_stray_bool_converts(self, schema):
         doc = {"schema_id": schema.schema_id, "id": "g", "num_vertices": 2,
@@ -545,11 +649,13 @@ class TestWriter:
     def test_corpus_views_mixed_with_lone_graphs(self, corpus, alone, data):
         """Graphs that are views of one build_graphs corpus, and of one
         read_json_graphs corpus, shuffled in with stand-alone graphs."""
-        built = build_graphs([g.num_vertices for g in corpus],
-                             np.concatenate([g.attr for g in corpus] or [np.zeros((0, 2))]),
-                             np.concatenate([g.edges for g in corpus] or [np.zeros((0, 2))]),
-                             [len(g.edges) for g in corpus], [g.label for g in corpus],
-                             [g.graph_id for g in corpus])
+        built, faults = build_graphs(
+            [g.num_vertices for g in corpus],
+            np.concatenate([g.attr for g in corpus] or [np.zeros((0, 2))]),
+            np.concatenate([g.edges for g in corpus] or [np.zeros((0, 2))]),
+            [len(g.edges) for g in corpus], [g.label for g in corpus],
+            [g.graph_id for g in corpus])
+        assert faults == {}
         read = read_json_graphs("".join(dumps_graph(g, _SCHEMA) + "\n" for g in corpus),
                                 _SCHEMA, [])
         graphs = data.draw(st.permutations(built + read + alone))

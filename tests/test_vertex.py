@@ -215,7 +215,7 @@ class TestFingerprintedRanges:
             assert str(info.value) == message
 
     def test_width_is_checked_too(self):
-        g = MolecularGraph(num_vertices=2, attr=np.zeros((2, 2)), edges=[[0, 1]],
+        g = MolecularGraph(num_vertices=2, attr=np.zeros((2, 2), dtype=np.int64), edges=[[0, 1]],
                            schema_fingerprint=self.SCHEMA.fingerprint)
         emb = random_embedding(self.SCHEMA, 4, seed=0)
         message = "graph invalid under embedding schema: attribute table width 2 != schema S=3"
