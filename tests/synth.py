@@ -656,7 +656,8 @@ def graph_fields(g):
 # The per-document reader that ``graph.read_json_graphs`` replaced, kept as
 # the oracle of a differential test: each document converted and checked on
 # its own, by ``reference_violations``, and then built as one
-# ``MolecularGraph``. It calls no validation code of the package.
+# ``MolecularGraph``. It calls no validation code of the package to decide
+# which documents are valid.
 
 
 def reference_violations(m, attr, edges, schema) -> tuple[str, ...]:
@@ -691,7 +692,8 @@ def _ref_integers(values, field, shape):
     return values
 
 
-def reference_doc_to_graph(doc, schema):
+def reference_doc_fields(doc, schema) -> dict:
+    """The ``MolecularGraph`` fields of a valid document; a problem raises."""
     if not isinstance(doc, dict):
         raise GraphError(f"expected a JSON object, got {type(doc).__name__}")
     if doc.get("schema_id") != schema.schema_id:
@@ -724,8 +726,8 @@ def reference_doc_to_graph(doc, schema):
     violations = reference_violations(m, attr, edges, schema)
     if violations:
         raise GraphError("; ".join(violations))
-    return MolecularGraph(num_vertices=m, attr=attr, edges=edges, label=label,
-                          graph_id=graph_id, schema_fingerprint=schema.fingerprint)
+    return dict(num_vertices=m, attr=attr, edges=edges, label=label, graph_id=graph_id,
+                schema_fingerprint=schema.fingerprint)
 
 
 def _ref_documents(data, errors):
@@ -761,10 +763,14 @@ def reference_read_json_graphs(data, schema, errors=None):
             if schema is None:
                 ids = ", ".join(s.schema_id for s in BUNDLED_SCHEMAS.values())
                 raise GraphError(f"schema_id {named!r} is not a bundled schema ({ids})")
-            graphs.append(reference_doc_to_graph(doc, schema))
-            continue
+            fields = reference_doc_fields(doc, schema)
         except (GraphError, TypeError, ValueError, OverflowError) as exc:
             problem = str(exc)
+        else:
+            # built outside the handler: a document that the reference passes
+            # and the constructor refuses fails the comparison
+            graphs.append(MolecularGraph(**fields))
+            continue
         if errors is None:
             raise GraphError(f"document {pos}: {problem}")
         errors.append((pos, problem))
