@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -824,10 +826,10 @@ UNICODE_BREAKS = "\u2028\u2029\x85\x1c\x1d\x1e\x0b\x0c"
 
 
 @st.composite
-def graph_documents(draw, schema, max_m=6, defect_percent=50):
+def graph_documents(draw, schema, max_m=6, defect_percent=50, defects=DOCUMENT_DEFECTS):
     """One graph document under the schema: valid (possibly with no vertices
     or no edges, a label and any id), or, with the given chance, with one of
-    ``DOCUMENT_DEFECTS``."""
+    ``defects``."""
     ks = schema.cardinalities
     m = draw(st.integers(0, max_m))
     attr = [[draw(st.integers(0, k - 1)) for k in ks] for _ in range(m)]
@@ -840,7 +842,7 @@ def graph_documents(draw, schema, max_m=6, defect_percent=50):
            "num_vertices": m, "attributes": attr, "edges": [list(e) for e in edges]}
     if draw(st.booleans()):
         doc["label"] = draw(st.floats(allow_nan=False, allow_infinity=False, width=32))
-    defect = (draw(st.sampled_from(DOCUMENT_DEFECTS))
+    defect = (draw(st.sampled_from(defects))
               if draw(st.integers(0, 99)) < defect_percent else None)
     values = [(row, j) for row in doc["attributes"] for j in range(len(row))]
     cell = draw(st.sampled_from(values)) if values else None
@@ -952,5 +954,97 @@ def graph_document_corpora(draw, *schemas, min_docs=0, max_docs=8, defect_percen
         literal = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400"]))
         line = json.dumps(doc, separators=(",", ":"), ensure_ascii=ascii)[:-1]
         lines.insert(draw(st.integers(0, len(lines))), _utf8(f'{line},"label":{literal}}}'))
+    data = b"\n".join(lines)
+    return data if draw(st.booleans()) else data.decode("utf-8", errors="replace")
+
+
+# one each, applied by ``respelled_line`` to a document's line: spellings of
+# a table that json reads (or refuses) and a canonical line never has, and
+# keys that a count of "attributes" or "edges" in the line's bytes misplaces
+TABLE_SPELLINGS = (
+    "space-in-table", "minus-zero", "leading-zero", "nineteen-digits", "key-as-id",
+    "escaped-key", "escaped-key-after", "repeated-key", "nested-key", "nested-key-alone",
+    "space-before-colon", "empty-row", "empty-table",
+)
+# integers of 19 digits inside int64, which no vertex count reaches
+NINETEEN_DIGITS = ("1000000000000000000", "9223372036854775807", "-9223372036854775808")
+# a repeated key's value, besides "[]" and the first value: a table that is
+# not plain integers, or no table
+NOT_PLAIN = ("[[0,true]]", "[[0.5,1]]", "[[1, 2]]", '"x"', "{}", "null", "[[-0]]")
+ESCAPED_KEYS = {"attributes": r'"attr\u0069butes":', "edges": r'"e\u0064ges":'}
+_FIRST_NUMBER = re.compile(r"(?<=[\[,])(-?)(\d+)")
+
+
+def line_with(doc: dict, key: str, text: str, ensure_ascii=True) -> str:
+    """The document's compact JSON line with the key's value written as text."""
+    mark = "\x00mark"
+    line = json.dumps({**doc, key: mark}, separators=(",", ":"), ensure_ascii=ensure_ascii)
+    return line.replace(json.dumps(mark), text)
+
+
+def respelled_line(doc, spelling, key="attributes", variant=0, ensure_ascii=True) -> str:
+    """The document's compact JSON line with ``spelling`` (one of
+    ``TABLE_SPELLINGS``) applied to the ``key`` table or field; ``variant``
+    picks among a spelling's choices. A document that is no object, or a
+    spelling that finds nothing to change, leaves the line canonical."""
+    def dumps(value):
+        return json.dumps(value, separators=(",", ":"), ensure_ascii=ensure_ascii)
+
+    if not isinstance(doc, dict):
+        return dumps(doc)
+    table, line, literal = dumps(doc.get(key)), dumps(doc), f'"{key}":'
+    second = ("[]", table, *NOT_PLAIN)[variant % (len(NOT_PLAIN) + 2)]  # a repeated key's value
+    with_table = partial(line_with, doc, key, ensure_ascii=ensure_ascii)
+
+    def appended(field):  # the line with one more field at its end
+        return line[:-1] + ("," if len(line) > 2 else "") + field + "}"
+
+    if spelling == "space-in-table":
+        cuts = [i + 1 for i, c in enumerate(table) if c in "[,"] or [0]
+        cut = cuts[variant % len(cuts)]
+        return with_table(table[:cut] + " " + table[cut:])
+    if spelling == "minus-zero":
+        return with_table(_FIRST_NUMBER.sub("-0", table, count=1))
+    if spelling == "leading-zero":
+        return with_table(_FIRST_NUMBER.sub(r"\g<1>0\2", table, count=1))
+    if spelling == "nineteen-digits":
+        digits = NINETEEN_DIGITS[variant % len(NINETEEN_DIGITS)]
+        return with_table(_FIRST_NUMBER.sub(digits, table, count=1))
+    if spelling == "key-as-id":
+        return dumps({**doc, "id": key})
+    if spelling == "escaped-key":
+        return line.replace(literal, ESCAPED_KEYS[key], 1)
+    if spelling == "escaped-key-after":  # json keeps the last value, "[]" included
+        return appended(ESCAPED_KEYS[key] + second)
+    if spelling == "repeated-key":
+        return appended(literal + second)
+    if spelling == "nested-key":
+        return appended('"x":{' + literal + table + "}")
+    if spelling == "nested-key-alone":
+        line = dumps({k: v for k, v in doc.items() if k != key})
+        return appended('"x":{' + literal + table + "}")
+    if spelling == "space-before-colon":
+        return line.replace(literal, f'"{key}" :', 1)
+    if spelling == "empty-row":
+        return with_table("[[]]")
+    if spelling == "empty-table":
+        return with_table("[]")
+    raise ValueError(f"unknown spelling {spelling!r}")
+
+
+@st.composite
+def table_spelling_corpora(draw, schema, max_docs=6):
+    """A JSONL stream (bytes or text) of graph documents, some with one of
+    ``DOCUMENT_DEFECTS``, each line canonical or with one of
+    ``TABLE_SPELLINGS``, its non-ASCII text raw or escaped."""
+    ascii, lines = draw(st.booleans()), []
+    for doc in draw(st.lists(graph_documents(schema, defect_percent=20), max_size=max_docs)):
+        spelling = draw(st.none() | st.sampled_from(TABLE_SPELLINGS))
+        if spelling is None:
+            line = json.dumps(doc, separators=(",", ":"), ensure_ascii=ascii)
+        else:
+            line = respelled_line(doc, spelling, draw(st.sampled_from(["attributes", "edges"])),
+                                  draw(st.integers(0, 20)), ascii)
+        lines.append(_utf8(line))
     data = b"\n".join(lines)
     return data if draw(st.booleans()) else data.decode("utf-8", errors="replace")

@@ -5,6 +5,7 @@ import json
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import ngram_graph as ng
 from ngram_graph import EmbeddingError, MolecularGraph, random_embedding
+from ngram_graph import graph as graph_module
 from ngram_graph.cli import main
 from ngram_graph.featurize import featurize_corpus
 from ngram_graph.graph import (_collector_paused, build_graphs, ones_csr, read_json_graphs,
@@ -161,6 +163,35 @@ class TestValidation:
                 MolecularGraph(num_vertices=4, attr=attr, edges=edges,
                                schema_fingerprint=fingerprint)
             assert str(info.value) == message
+
+    @pytest.mark.parametrize("count", [2.0, np.float64(2), True, np.True_, "2", None],
+                             ids=["float", "float64", "bool", "numpy-bool", "str", "none"])
+    def test_constructor_refuses_a_count_the_reader_refuses(self, count):
+        with pytest.raises(ng.GraphError) as info:
+            MolecularGraph(num_vertices=count, attr=[[0, 0], [0, 0]], edges=[])
+        kind = type(count).__name__
+        assert str(info.value) == f"num_vertices must be a JSON integer, got {kind}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=synth.messy_pair_lists(synth.small_schema(), max_m=6),
+           count=st.sampled_from([int, np.int64, np.int32, np.uint8, np.intp]),
+           label=st.none() | st.floats(allow_nan=False, allow_infinity=False)
+           | st.integers(-9, 9),
+           graph_id=st.none() | st.text(), as_array=st.booleans())
+    def test_constructed_graphs_survive_the_writer_and_reader(self, drawn, count, label,
+                                                              graph_id, as_array):
+        """A count given as any integer type is kept as an int, so every
+        graph the constructor builds is written as a document the reader
+        reads back."""
+        schema = synth.small_schema()
+        m, attr, pairs = drawn
+        g = MolecularGraph(num_vertices=count(m), attr=np.array(attr) if as_array else attr,
+                           edges=synth.proper_pairs(m, pairs), label=label, graph_id=graph_id)
+        assert type(g.num_vertices) is int
+        stream = io.StringIO()
+        write_jsonl([g], schema, stream)
+        (back,) = read_json_graphs(stream.getvalue(), schema)
+        assert synth.structurally_equal(back, g)
 
     def test_replace_on_constructed_and_read_graphs(self, schema):
         g = MolecularGraph(num_vertices=2, attr=[[0, 0], [1, 1]], edges=[[1, 0]],
@@ -615,6 +646,115 @@ class TestReaderDifferential:
             arrays = [getattr(g, name) for g in graphs]
             assert not any(a.flags.writeable for a in arrays)
             assert len({id(a.base) for a in arrays}) == 1  # one corpus array
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=synth.table_spelling_corpora(_SCHEMA))
+    def test_table_spellings(self, data):
+        """Whitespace, ``-0``, leading zeros and 19-digit integers in a
+        table, a key that is escaped, repeated, nested, spaced from its
+        colon or an id's value, and ``[[]]`` and ``[]`` tables."""
+        self._agree(data)
+
+
+class TestTablesFromBytes:
+    """A canonical JSONL line's tables are read from its bytes and only the
+    rest of the line is parsed; any other line is parsed whole, and every
+    line reads as it reads alone."""
+
+    @staticmethod
+    def _parsed(monkeypatch) -> list:
+        """The texts that ``graph._loads`` is given from now on."""
+        seen, loads = [], graph_module._loads
+
+        def recorded(chunk):
+            seen.append(chunk)
+            return loads(chunk)
+
+        monkeypatch.setattr(graph_module, "_loads", recorded)
+        return seen
+
+    def test_big_line_parses_only_its_rest(self, monkeypatch):
+        rng, m = np.random.default_rng(5), 10_000
+        attr = np.stack([rng.integers(0, k, m) for k in _SCHEMA.cardinalities], axis=1)
+        tree = np.stack([(rng.random(m - 1) * np.arange(1, m)).astype(np.int64),
+                         np.arange(1, m)], axis=1)
+        g = MolecularGraph(num_vertices=m, attr=attr, edges=tree, label=1.5, graph_id="big",
+                           schema_fingerprint=_SCHEMA.fingerprint)
+        line = dumps_graph(g, _SCHEMA).encode()
+        seen = self._parsed(monkeypatch)
+        for data in (line, line.decode(), line + b"\n" + line):
+            assert all(synth.structurally_equal(h, g) for h in read_json_graphs(data, _SCHEMA))
+        assert len(line) > 100_000 and len(seen) == 4
+        assert max(map(len, seen)) < 150
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=synth.table_spelling_corpora(_SCHEMA, max_docs=12),
+           pass_bytes=st.integers(1, 400))
+    def test_numeric_passes_of_any_size(self, data, pass_bytes):
+        """Tables converted a few at a time read as those converted at once."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_module, "_PASS_BYTES", pass_bytes)
+            TestReaderDifferential()._agree(data)
+
+    def test_negative_numbers_are_read_from_bytes(self, monkeypatch):
+        doc = json.loads(_BASE.splitlines()[0])
+        attr = [[-7, *row[1:]] for row in doc["attributes"]]
+        line = json.dumps({**doc, "attributes": attr, "edges": [[-1, 0], [0, -22]]},
+                          separators=(",", ":"))
+        seen = self._parsed(monkeypatch)
+        errors, expected = [], []
+        assert read_json_graphs(line, _SCHEMA, errors) == []
+        assert len(seen) == 1 and "-" not in seen[0]  # the rest of the line only
+        synth.reference_read_json_graphs(line, _SCHEMA, expected)
+        assert errors == expected and "edge (0,-22) endpoint out of range" in errors[0][1]
+
+    @pytest.mark.parametrize("spelling", synth.TABLE_SPELLINGS)
+    @pytest.mark.parametrize("key", ["attributes", "edges"])
+    def test_spelled_lines_are_parsed_whole(self, monkeypatch, spelling, key):
+        doc = json.loads(_BASE.splitlines()[0])
+        line = synth.respelled_line(doc, spelling, key)
+        seen = self._parsed(monkeypatch)
+        read_json_graphs(line, _SCHEMA, [])
+        # "[]" is the canonical spelling of no rows, read from the bytes
+        assert (seen[-1] == line) == (spelling != "empty-table")
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_each_line_reads_as_it_reads_alone(self, data):
+        """A corpus of canonical lines and lines of every defect."""
+        docs = [data.draw(synth.graph_documents(_SCHEMA, defect_percent=100, defects=(d,)))
+                for d in synth.DOCUMENT_DEFECTS]
+        docs += data.draw(st.lists(synth.graph_documents(_SCHEMA, defect_percent=0),
+                                   min_size=5, max_size=10))
+        # a valid first line, so that neither the corpus nor a line read
+        # after it is one JSON array
+        head = _BASE.splitlines()[0]
+        lines = [head] + [json.dumps(d, separators=(",", ":")).encode()
+                          for d in data.draw(st.permutations(docs))]
+        errors = []
+        graphs = iter(read_json_graphs(b"\n".join(lines), _SCHEMA, errors))
+        problems = dict(errors)
+        for pos, line in enumerate(lines):
+            alone = []
+            read = read_json_graphs(head + b"\n" + line, _SCHEMA, alone)
+            if alone:
+                assert [(1, problems.pop(pos))] == alone
+            else:
+                assert synth.graph_fields(next(graphs)) == synth.graph_fields(read[-1])
+        assert problems == {} and next(graphs, None) is None
+
+    @pytest.mark.parametrize("table", [
+        "[[1,-,2]]", "[[--3,1]]", "[[,,]]", "[[1,2],[3]]", "[[-]]", "[[1-2,3]]",
+        "[[99999999999999999999999,1]]", "[[1,2],,[3,4]]", "[]]", "[[1]2]]", "[[[1,2]]]",
+        "[[1,2]", "[[1,2],[3,4],]]", "[[-9223372036854775809,1]]", "[[],[1,2]]",
+    ])
+    def test_junk_tables_raise_no_warning(self, table):
+        doc = json.loads(_BASE.splitlines()[0])
+        for key in ("attributes", "edges"):
+            line = synth.line_with(doc, key, table)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                TestReaderDifferential()._agree(line.encode())
 
 
 # json escapes DEL and every character outside ASCII; orjson writes both raw
