@@ -13,16 +13,24 @@ gradients of A_1 and W are P W^T and A_1^T P for P = delta_1^T S_in, where
 delta_1 is the loss gradient at the first layer's output. So no (B, r)
 batch embedding is formed, and a batch costs about 2BhK + 3hrK
 multiply-adds in the first layer instead of 3Bhr + 2BrK.
-The Adam update writes its temporaries into two scratch buffers per
-parameter, allocated once per training, and computes each moment and step
-in the order of the textbook expressions, so the weights keep their bits.
+The last layer writes its logits block-major, (K, B), so each attribute
+block is a run of contiguous rows; training and prediction read that one
+layout. Each block's softmax sum adds its rows one by one, in order, so
+its bits follow from the code, not from numpy's summation internals.
+The parameters, their gradients and Adam's two moments are one flat
+buffer each, so the Adam update is one pass of in-place operations over
+all parameters, with its temporaries in two scratch buffers allocated once
+per training, each moment and step in the order of the textbook
+expressions.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -112,29 +120,37 @@ def extract_contexts(graphs, schema: AttributeSchema) -> Contexts:
 
 
 class CbowNetwork:
-    """W plus a rectifier MLP mapping r -> hidden... -> K logits."""
+    """W plus a rectifier MLP mapping r -> hidden... -> K logits.
+
+    The parameters live in one flat float64 buffer, W first and then each
+    layer's A and b, and their gradients in another of the same layout;
+    ``W`` and each layer's ``[A, b]`` are views of the first, and
+    :meth:`loss_and_grads` writes into views of the second."""
 
     def __init__(self, schema: AttributeSchema, cfg: CbowConfig, rng: np.random.Generator):
         self.schema = schema
         self.cfg = cfg
         K = schema.total_width
         sizes = [cfg.r, *cfg.hidden, K]
-        # W gets the same spread as a random embedding so epoch-0 output is
-        # directly usable; MLP layers get He-style fan-in scaling.
-        self.W = rng.standard_normal((cfg.r, K)) * (cfg.r ** -0.5)
-        self.layers = []
+        shapes = [(cfg.r, K)]
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            A = rng.standard_normal((fan_out, fan_in)) * np.sqrt(2.0 / fan_in)
-            b = np.zeros(fan_out)
-            self.layers.append([A, b])
-
-    # -- parameter plumbing (used by Adam and by finite-difference checks) ----
-
-    def parameters(self) -> list[np.ndarray]:
-        out = [self.W]
-        for A, b in self.layers:
-            out.extend((A, b))
-        return out
+            shapes += [(fan_out, fan_in), (fan_out,)]
+        self._flat = np.zeros(sum(math.prod(s) for s in shapes))
+        self._flat_grad = np.empty_like(self._flat)
+        params, self._grads = _views(self._flat, shapes), _views(self._flat_grad, shapes)
+        self.W = params[0]
+        self.layers = [params[i : i + 2] for i in range(1, len(params), 2)]
+        # W gets the same spread as a random embedding so epoch-0 output is
+        # directly usable; MLP layers get He-style fan-in scaling; biases start at 0.
+        self.W[...] = rng.standard_normal(self.W.shape) * (cfg.r ** -0.5)
+        for A, _ in self.layers:
+            A[...] = rng.standard_normal(A.shape) * np.sqrt(2.0 / A.shape[1])
+        # the logits' runs of equal-width blocks: (first row, blocks, width)
+        self._runs, row = [], 0
+        for k, blocks in groupby(schema.cardinalities):
+            g = len(list(blocks))
+            self._runs.append((row, g, k))
+            row += g * k
 
     # -- forward / backward ----------------------------------------------------
 
@@ -145,63 +161,72 @@ class CbowNetwork:
 
     def forward(self, contexts: np.ndarray, sizes: np.ndarray):
         """The network's input S_in (B, K), each hidden layer's rectified
-        output and the logits."""
+        output (B, h) and the logits, block-major: (K, B) = A_L a^T + b_L,
+        so each attribute block is a run of contiguous rows."""
         acts = [self._inputs(contexts, sizes)]
-        for li, (A, b) in enumerate(self.layers):
+        *hidden, (A_L, b_L) = self.layers
+        for li, (A, b) in enumerate(hidden):
             z = acts[-1] @ (A @ self.W if li == 0 else A).T
             z += b
-            if li < len(self.layers) - 1:
-                np.maximum(z, 0.0, out=z)
+            np.maximum(z, 0.0, out=z)
             acts.append(z)
+        z = A_L @ acts[-1].T
+        z += b_L[:, None]
+        acts.append(z)
         return acts
 
     def loss_and_grads(self, contexts, sizes, targets):
-        """Mean per-sample loss (summed over attribute blocks) and gradients.
+        """Mean per-sample loss (summed over attribute blocks) and gradients
+        (W's, then each layer's A and b), as views of the network's
+        gradient buffer, which the call overwrites.
 
-        The blocks' softmax runs in one pass over the K logits, in place,
-        with each block's max and sum spread over its columns by one
-        column-to-block index. Only the two reductions whose order reaches
-        the bits stay per block: each block's row sums and each block's loss
-        sum, added into the loss block by block.
+        The softmax runs in place on the (K, B) logits, one (g, k, B) view
+        per run of g equal-width blocks: each block's max over its k rows,
+        one ``exp`` over all K rows, then each block's sum, its rows added
+        one by one in order, and a division. The loss adds up the targets'
+        log-probabilities attribute by attribute, each attribute's B terms
+        by one ``sum``.
         """
         B = contexts.shape[0]
         acts = self.forward(contexts, sizes)
         p = acts[-1]  # the logits, which the backward pass does not read
-
-        offsets, widths = self.schema.offsets, self.schema.cardinalities
-        starts = np.asarray(offsets)
-        block = np.repeat(np.arange(starts.size), widths)  # each column's block
-        p -= np.maximum.reduceat(p, starts, axis=1)[:, block]
+        for row, g, k in self._runs:
+            run = p[row : row + g * k].reshape(g, k, B)
+            run -= run.max(axis=1, keepdims=True)
         np.exp(p, out=p)
-        sums = [p[:, off : off + k].sum(axis=1) for off, k in zip(offsets, widths)]
-        p /= np.stack(sums, axis=1)[:, block]
-        # the targets' (S, B) positions in p, a fresh C-ordered product whose
-        # ravel is a view
-        flat = (starts[:, None] + targets.T) + np.arange(0, B * p.shape[1], p.shape[1])
+        for row, g, k in self._runs:
+            run = p[row : row + g * k].reshape(g, k, B)
+            total = run[:, 0].copy()
+            for i in range(1, k):
+                total += run[:, i]
+            run /= total[:, None]
+        # the targets' (S, B) positions in p, whose ravel is a view
+        flat = (np.asarray(self.schema.offsets)[:, None] + targets.T) * B + np.arange(B)
         picked = p.ravel()[flat]
         loss = 0.0
-        for row in np.log(np.maximum(picked, 1e-300)):
-            loss -= row.sum()
+        for terms in np.log(np.maximum(picked, 1e-300)):
+            loss -= terms.sum()
         picked -= 1.0
         p.ravel()[flat] = picked
-        p /= B  # the logits' gradient
+        p /= B  # the logits' gradient, block-major like the logits
         loss /= B
 
-        grads = []
-        delta = p
-        for li in range(len(self.layers) - 1, 0, -1):
-            A, _ = self.layers[li]
-            a_prev = acts[li]
-            grads.append((delta.T @ a_prev, delta.sum(axis=0)))
-            delta = delta @ A
-            delta *= a_prev > 0
+        grads = self._grads  # W's, then A_l's at 2l + 1 and b_l's at 2l + 2
+        np.matmul(p, acts[-2], out=grads[-2])
+        np.sum(p, axis=1, out=grads[-1])
+        delta = p.T @ self.layers[-1][0]
+        delta *= acts[-2] > 0
+        for li in range(len(self.layers) - 2, 0, -1):
+            np.matmul(delta.T, acts[li], out=grads[2 * li + 1])
+            np.sum(delta, axis=0, out=grads[2 * li + 2])
+            delta = delta @ self.layers[li][0]
+            delta *= acts[li] > 0
         # the first layer's and W's gradients share P = delta_1^T S_in (h, K)
         P = delta.T @ acts[0]
-        grads.append((P @ self.W.T, delta.sum(axis=0)))
-        grad_list = [self.layers[0][0].T @ P]
-        for gA, gb in reversed(grads):
-            grad_list.extend((gA, gb))
-        return loss, grad_list
+        np.matmul(P, self.W.T, out=grads[1])
+        np.sum(delta, axis=0, out=grads[2])
+        np.matmul(self.layers[0][0].T, P, out=grads[0])
+        return loss, grads
 
     def predict_blocks(self, contexts, sizes) -> np.ndarray:
         """Argmax value index per attribute block, shape (B, S)."""
@@ -209,8 +234,14 @@ class CbowNetwork:
         out = np.empty((contexts.shape[0], self.schema.num_attributes), dtype=np.int64)
         for j, off in enumerate(self.schema.offsets):
             k = self.schema.cardinalities[j]
-            out[:, j] = logits[:, off : off + k].argmax(axis=1)
+            out[:, j] = logits[off : off + k].argmax(axis=0)
         return out
+
+
+def _views(flat, shapes):
+    """Consecutive views of a flat buffer, one per shape."""
+    ends = np.cumsum([math.prod(s) for s in shapes])[:-1]
+    return [part.reshape(s) for part, s in zip(np.split(flat, ends), shapes)]
 
 
 def _batches(n, batch_size, rng):
@@ -240,11 +271,10 @@ def train_cbow(
 
     report = TrainingReport()
 
-    # Adam state, and two scratch buffers per parameter for its update
-    params = net.parameters()
-    m_state = [np.zeros_like(p) for p in params]
-    v_state = [np.zeros_like(p) for p in params]
-    scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+    # Adam's moments and two scratch buffers, each as flat as the parameters
+    params, grads = net._flat, net._flat_grad
+    m_state, v_state = np.zeros_like(params), np.zeros_like(params)
+    s, t = np.empty_like(params), np.empty_like(params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
@@ -254,27 +284,26 @@ def train_cbow(
             epoch_loss = 0.0
             for idx in _batches(train.size, cfg.batch_size, rng):
                 batch = train[idx]
-                loss, grads = net.loss_and_grads(contexts[batch], sizes[batch], targets[batch])
+                loss, _ = net.loss_and_grads(contexts[batch], sizes[batch], targets[batch])
                 if not np.isfinite(loss):
                     raise TrainingDiverged(epoch)
                 step += 1
                 c1, c2 = 1 - beta1 ** step, 1 - beta2 ** step
-                for p, g, ms, vs, (s, t) in zip(params, grads, m_state, v_state, scratch):
-                    # ms = beta1 ms + (1-beta1) g, vs = beta2 vs + ((1-beta2) g) g and
-                    # p -= (lr mhat) / (sqrt(vhat) + eps), each in that order
-                    ms *= beta1
-                    ms += np.multiply(g, 1 - beta1, out=s)
-                    vs *= beta2
-                    np.multiply(g, 1 - beta2, out=s)
-                    s *= g
-                    vs += s
-                    np.divide(vs, c2, out=s)
-                    np.sqrt(s, out=s)
-                    s += eps
-                    np.divide(ms, c1, out=t)
-                    t *= cfg.learning_rate
-                    t /= s
-                    p -= t
+                # m = beta1 m + (1-beta1) g, v = beta2 v + ((1-beta2) g) g and
+                # p -= (lr mhat) / (sqrt(vhat) + eps), each in that order
+                m_state *= beta1
+                m_state += np.multiply(grads, 1 - beta1, out=s)
+                v_state *= beta2
+                np.multiply(grads, 1 - beta2, out=s)
+                s *= grads
+                v_state += s
+                np.divide(v_state, c2, out=s)
+                np.sqrt(s, out=s)
+                s += eps
+                np.divide(m_state, c1, out=t)
+                t *= cfg.learning_rate
+                t /= s
+                params -= t
                 epoch_loss += loss * batch.size
             report.epoch_losses.append(epoch_loss / train.size)
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import gc
 import json
+import numbers
 import operator
 import re
 import threading
@@ -82,9 +83,11 @@ class MolecularGraph:
     Construction checks the vertex count and both tables by the reader's
     rules (the width of ``attr`` is free: a graph has no schema) and raises
     :class:`GraphError` with the reader's message; a count given as a numpy
-    integer is kept as an int. ``indptr``/``indices`` are the symmetric CSR
-    adjacency: the neighbours of i are ``indices[indptr[i]:indptr[i + 1]]``,
-    ascending, and every view of the edges is read off it. ``edges`` stores
+    integer is kept as an int, and a label given as any real number (a numpy
+    scalar or a bool included) as a float. ``indptr``/``indices`` are the
+    symmetric CSR adjacency: the neighbours of i are
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending, and every view of the
+    edges is read off it. ``edges`` stores
     the checked pairs as given only because ``dataclasses.replace(g, ...)``
     rebuilds a graph from its stored fields. ``==`` is identity.
     """
@@ -106,6 +109,9 @@ class MolecularGraph:
         object.__setattr__(self, "num_vertices", m)
         attr = _table(self.attr, "attributes", m, None, f"{m} rows of value indices")
         edges = _table(self.edges, "edges", None, 2, "a list of [u, v] pairs")
+        label, graph_id = _label_and_id(self.label, self.graph_id)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "graph_id", graph_id)
         (g,), fault = build_graphs([m], attr, edges, [len(edges)])
         if fault:
             raise GraphError(fault[0])
@@ -306,12 +312,18 @@ def _doc_fields(doc, schema: AttributeSchema):
         raise GraphError(f"num_vertices must be a JSON integer, got {type(m).__name__}")
     attr = _table(doc["attributes"], "attributes", m, S, f"{m} rows of {S} value indices")
     edges = _table(doc.get("edges", []), "edges", None, 2, "a list of [u, v] pairs")
-    label, graph_id = doc.get("label"), doc.get("id")
+    return (m, attr, edges, *_label_and_id(doc.get("label"), doc.get("id")))
+
+
+def _label_and_id(label, graph_id):
+    """A graph's ``(label, graph_id)``: any real number as a float (a bool,
+    numpy's included, reads as 1.0 or 0.0) and a string, each or None;
+    another value raises."""
     if graph_id is not None and not isinstance(graph_id, str):
         raise GraphError(f"id must be a JSON string or null, got {type(graph_id).__name__}")
-    if label is not None and not isinstance(label, (int, float)):  # a bool reads as 1 or 0
+    if label is not None and not isinstance(label, (numbers.Real, np.bool_)):
         raise GraphError(f"label must be a JSON number or null, got {type(label).__name__}")
-    return m, attr, edges, None if label is None else float(label), graph_id
+    return None if label is None else float(label), graph_id
 
 
 def write_jsonl(graphs, schema: AttributeSchema, stream) -> None:

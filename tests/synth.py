@@ -45,16 +45,13 @@ def subsets_colex(k: int, n: int):
 
 
 def get_flat(net):
-    """A CBOW network's parameters as one vector, for finite differences."""
-    return np.concatenate([p.ravel() for p in net.parameters()])
+    """A copy of a CBOW network's flat parameter buffer, for finite differences."""
+    return net._flat.copy()
 
 
 def set_flat(net, flat):
     """Write a ``get_flat`` vector back into the network's parameters."""
-    pos = 0
-    for p in net.parameters():
-        p[...] = flat[pos : pos + p.size].reshape(p.shape)
-        pos += p.size
+    net._flat[...] = flat
 
 
 def random_graph(rng, schema, m=None, density=0.3, distinct_values=False,

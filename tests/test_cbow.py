@@ -22,34 +22,40 @@ def _line_graph(schema, attrs, edges):
 
 
 def _per_block_logit_grads(net, logits, targets):
-    """The mean loss and the logits' gradient by a loop over the attribute
-    blocks, each with its own max, exp, sum and gather."""
-    B = logits.shape[0]
+    """The mean loss and the logits' gradient, both block-major (K, B), by a
+    loop over the attribute blocks, each with its own max, exp, sum of its
+    rows in order, and gather."""
+    B = logits.shape[1]
     dlogits = np.zeros_like(logits)
     loss = 0.0
     for j, off in enumerate(net.schema.offsets):
         k = net.schema.cardinalities[j]
-        block = logits[:, off : off + k]
-        block = block - block.max(axis=1, keepdims=True)
+        block = logits[off : off + k]
+        block = block - block.max(axis=0)
         expz = np.exp(block)
-        p = expz / expz.sum(axis=1, keepdims=True)
-        rows = np.arange(B)
+        total = expz[0]
+        for i in range(1, k):
+            total = total + expz[i]
+        p = expz / total
+        cols = np.arange(B)
         tj = targets[:, j]
-        loss -= np.log(np.maximum(p[rows, tj], 1e-300)).sum()
+        loss -= np.log(np.maximum(p[tj, cols], 1e-300)).sum()
         grad = p.copy()
-        grad[rows, tj] -= 1.0
-        dlogits[:, off : off + k] = grad / B
+        grad[tj, cols] -= 1.0
+        dlogits[off : off + k] = grad / B
     return loss / B, dlogits
 
 
 def reference_loss_and_grads(net, contexts, sizes, targets):
-    """``CbowNetwork.loss_and_grads`` as it was before its softmax ran in one
-    pass, with fresh temporaries: the per-block loop above, then the backward
-    pass whose first layer meets W only through P = delta_1^T S_in."""
+    """``CbowNetwork.loss_and_grads`` with fresh temporaries: the per-block
+    loop above, then the backward pass from the (K, B) delta, whose first
+    layer meets W only through P = delta_1^T S_in."""
     acts = net.forward(contexts, sizes)
     loss, delta = _per_block_logit_grads(net, acts[-1], targets)
-    grads = []
-    for li in range(len(net.layers) - 1, 0, -1):
+    L = len(net.layers)
+    grads = [(L - 1, delta @ acts[-2], delta.sum(axis=1))]
+    delta = (delta.T @ net.layers[-1][0]) * (acts[-2] > 0)
+    for li in range(L - 2, 0, -1):
         A, _ = net.layers[li]
         a_prev = acts[li]
         grads.append((li, delta.T @ a_prev, delta.sum(axis=0)))
@@ -71,7 +77,8 @@ def textbook_loss_and_grads(net, contexts, sizes, targets):
     for li, (A, b) in enumerate(net.layers):
         z = acts[-1] @ A.T + b
         acts.append(np.maximum(z, 0.0) if li < len(net.layers) - 1 else z)
-    loss, delta = _per_block_logit_grads(net, acts[-1], targets)
+    loss, delta = _per_block_logit_grads(net, acts[-1].T, targets)
+    delta = delta.T
     grads = []
     for li in range(len(net.layers) - 1, -1, -1):
         A, _ = net.layers[li]
@@ -86,17 +93,15 @@ def textbook_loss_and_grads(net, contexts, sizes, targets):
 
 
 class _ReferenceNetwork(CbowNetwork):
-    """The network with its forward pass as it was before the bias and the
-    rectifier ran in place."""
+    """The network with its forward pass written with fresh temporaries."""
 
     def forward(self, contexts, sizes):
         acts = [self._inputs(contexts, sizes)]
-        for li, (A, b) in enumerate(self.layers):
+        for li, (A, b) in enumerate(self.layers[:-1]):
             M = A @ self.W if li == 0 else A
-            z = acts[-1] @ M.T + b
-            if li < len(self.layers) - 1:
-                z = np.maximum(z, 0.0)
-            acts.append(z)
+            acts.append(np.maximum(acts[-1] @ M.T + b, 0.0))
+        A, b = self.layers[-1]
+        acts.append(A @ acts[-1].T + b[:, None])
         return acts
 
 
@@ -108,7 +113,7 @@ def reference_training(samples, schema, cfg):
     net = _ReferenceNetwork(schema, cfg, rng)
     n = len(samples)
     train = rng.permutation(n)[round(cbow.HOLDOUT_FRACTION * n):]
-    params = net.parameters()
+    params = [net.W, *(p for layer in net.layers for p in layer)]
     m_state = [np.zeros_like(p) for p in params]
     v_state = [np.zeros_like(p) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -224,6 +229,23 @@ class TestTraining:
         net = CbowNetwork(sch, cfg, np.random.default_rng(4))
         assert np.array_equal(emb.matrix, net.W)
 
+    def test_returned_matrix_is_a_copy_of_w(self, rng, monkeypatch):
+        nets = []
+
+        class Recorded(CbowNetwork):
+            def __init__(self, *args):
+                super().__init__(*args)
+                nets.append(self)
+
+        monkeypatch.setattr(cbow, "CbowNetwork", Recorded)
+        sch = synth.small_schema()
+        graphs = synth.random_corpus(rng, sch, 10, density=0.5, connected=True)
+        emb, _ = train_cbow(extract_contexts(graphs, sch), sch, CbowConfig(r=5, epochs=2, seed=3))
+        (net,) = nets
+        assert np.shares_memory(net.W, net._flat)
+        assert not np.shares_memory(emb.matrix, net._flat)
+        assert np.array_equal(emb.matrix, net.W)
+
     def test_deterministic_given_seed(self, rng):
         sch = synth.small_schema()
         graphs = synth.random_corpus(rng, sch, 15, density=0.5, connected=True)
@@ -292,15 +314,18 @@ class TestTraining:
 
 
 class TestNetworkMath:
-    @pytest.mark.parametrize("ks", [ng.FULL_SCHEMA.cardinalities, (3, 1, 12)],
-                             ids=["full", "one-value-attribute"])
+    @pytest.mark.parametrize("ks", [ng.FULL_SCHEMA.cardinalities, (3, 1, 12),
+                                    (2, 2, 3, 3, 3, 1, 10), (1,), (9, 9)],
+                             ids=["full", "one-value-attribute", "runs", "one-value-only",
+                                  "one-run"])
     @pytest.mark.parametrize("B", [1, 2, 256, 300])
     @pytest.mark.parametrize("spread", [1.0, 700.0])
     def test_loss_and_grads_equal_per_block_reference(self, ks, B, spread):
         """Bit for bit, also where a target's probability underflows to the
-        1e-300 clamp (logits up to +-700). AttributeSchema refuses a
-        one-value attribute, so that layout is a stand-in with the fields
-        the network reads."""
+        1e-300 clamp (logits up to +-700), and for runs of equal-width
+        blocks that start and end at every position. AttributeSchema refuses
+        a one-value attribute, so those layouts are stand-ins with the
+        fields the network reads."""
         sch = SimpleNamespace(cardinalities=ks, offsets=tuple(accumulate(ks, initial=0))[:-1],
                               total_width=sum(ks), num_attributes=len(ks))
         rng = np.random.default_rng([B, int(spread), len(ks)])
@@ -312,11 +337,11 @@ class TestNetworkMath:
         got = net.loss_and_grads(contexts, sizes, targets)
         ref = reference_loss_and_grads(net, contexts, sizes, targets)
         assert _bits(*got) == _bits(*ref)
-        if spread == 700.0 and B > 2:  # some target's probability is under the clamp
+        if spread == 700.0 and B > 2 and max(ks) > 1:  # a target's probability is clamped
             logits = net.forward(contexts, sizes)[-1]
             starts = np.asarray(sch.offsets)
-            gaps = (np.maximum.reduceat(logits, starts, axis=1)
-                    - logits[np.arange(B)[:, None], starts + targets])
+            gaps = (np.maximum.reduceat(logits, starts, axis=0)
+                    - logits[starts[:, None] + targets.T, np.arange(B)])
             assert gaps.max() > -np.log(1e-300)
 
     @pytest.mark.parametrize("ks", [ng.FULL_SCHEMA.cardinalities, (3, 1, 12)],
@@ -351,7 +376,14 @@ class TestNetworkMath:
                                    sch)
         cfg = CbowConfig(r=8, hidden=(12,), epochs=30, batch_size=64, seed=5)
         emb, report = train_cbow(samples, sch, cfg)
-        monkeypatch.setattr(CbowNetwork, "loss_and_grads", reference_loss_and_grads)
+
+        def reference_into_buffer(net, *batch):  # training reads the network's buffer
+            loss, grads = reference_loss_and_grads(net, *batch)
+            for view, g in zip(net._grads, grads):
+                view[...] = g
+            return loss, net._grads
+
+        monkeypatch.setattr(CbowNetwork, "loss_and_grads", reference_into_buffer)
         ref_emb, ref_report = train_cbow(samples, sch, cfg)
         assert emb.matrix.tobytes() == ref_emb.matrix.tobytes()
         assert report.epoch_losses == ref_report.epoch_losses

@@ -172,6 +172,32 @@ class TestValidation:
         kind = type(count).__name__
         assert str(info.value) == f"num_vertices must be a JSON integer, got {kind}"
 
+    @pytest.mark.parametrize("field, key, value", [
+        ("graph_id", "id", 7), ("graph_id", "id", 1.5), ("graph_id", "id", ["g"]),
+        ("label", "label", "1.5"), ("label", "label", [1]), ("label", "label", {"y": 1}),
+    ], ids=["id-int", "id-float", "id-list", "label-str", "label-list", "label-dict"])
+    def test_constructor_refuses_a_label_or_id_the_reader_refuses(self, schema, field, key,
+                                                                   value):
+        doc = {"schema_id": schema.schema_id, "num_vertices": 1, "attributes": [[0, 0]],
+               key: value}
+        errors = []
+        assert read_json_graphs(json.dumps(doc), schema, errors) == []
+        with pytest.raises(ng.GraphError) as info:
+            MolecularGraph(num_vertices=1, attr=[[0, 0]], edges=[], **{field: value})
+        assert errors == [(0, str(info.value))]
+
+    @pytest.mark.parametrize("label", [np.float32(1.5), np.float64(0.1), np.float16(-2.5),
+                                       np.int64(-3), np.uint8(7), True, np.False_, 2, 0.25],
+                             ids=["float32", "float64", "float16", "int64", "uint8", "bool",
+                                  "numpy-bool", "int", "float"])
+    def test_real_labels_are_kept_as_floats_the_writer_writes(self, schema, label):
+        g = MolecularGraph(num_vertices=1, attr=[[0, 0]], edges=[], label=label)
+        assert type(g.label) is float and g.label == float(label)
+        stream = io.StringIO()
+        write_jsonl([g], schema, stream)
+        (back,) = read_json_graphs(stream.getvalue(), schema)
+        assert type(back.label) is float and back.label == g.label
+
     @settings(max_examples=200, deadline=None)
     @given(drawn=synth.messy_pair_lists(synth.small_schema(), max_m=6),
            count=st.sampled_from([int, np.int64, np.int32, np.uint8, np.intp]),
