@@ -36,8 +36,8 @@ import numpy as np
 # Start-up loads what the option declarations need; each command imports
 # the rest of its engine where it runs.
 from .graph import GraphError, _collector_paused, read_json_graphs, write_jsonl
-from .linear import (METRICS, PENALTIES, TASKS, LinearModel, ModelFormatError,
-                     compute_metric, fit as fit_linear)
+from .linear import (METRICS, TASKS, LinearModel, ModelFormatError, compute_metric,
+                     fit as fit_linear)
 from .matrixio import MatrixFormatError, write_csv
 from .ngram import LEVEL_SCALES, VARIANTS, embed_corpus, oracle_embed
 from .schema import BUNDLED_SCHEMAS, AttributeSchema
@@ -449,14 +449,12 @@ def _labeled_features(features_path, graphs_path):
               type=click.Path(exists=True, dir_okay=False))
 @_task_option
 @click.option("--lam", default=1e-3, show_default=True)
-@click.option("--penalty", default="squared-l2", show_default=True,
-              type=click.Choice(PENALTIES))
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
 @_config_option
-def fit_cmd(features_path, graphs_path, task, lam, penalty, out):
+def fit_cmd(features_path, graphs_path, task, lam, out):
     """Fit the linear head on an exported feature matrix."""
     X, manifest, y = _labeled_features(features_path, graphs_path)
-    model = fit_linear(X, y, task=task, lam=lam, penalty=penalty)
+    model = fit_linear(X, y, task=task, lam=lam)
     model.manifest_hash = _feature_hash(manifest)
     Path(out).write_text(model.to_json(), encoding="utf-8")
     _write_sidecar(out)

@@ -1,18 +1,13 @@
 """Regularized linear models (logistic / least squares) and ranking metrics.
 
 Fitting is a deterministic damped Newton solve with Armijo backtracking
-on the penalized objective; the accepted step never increases the
-objective. Each Newton step adds the penalty to the loss Hessian and
-solves with one LU factorization (least squares when it is singular).
-The penalty is either the squared l2 norm (smooth, default) or the plain
-l2 norm. A plain-l2 fit starts at (0, b0), the best intercept-only point;
-when the loss gradient's weight part is within lam there, that point is
-the exact optimum and the fit stops. Otherwise one backtracked step along
-the minimum-norm subgradient leaves w = 0 below every intercept-only
-objective, so no later iterate comes back to w = 0, where the penalty is
-not differentiable. The intercept is never penalized. A fit has converged
-when the norm of its minimum-norm subgradient is at most ``GRAD_TOL``, one
-absolute tolerance for every fit; ``MAX_ITER`` caps the Newton steps.
+on the mean loss plus lam ||w||^2, the squared l2 norm of the weights;
+the intercept is never penalized. The objective is smooth, and the
+accepted step never increases it. Each Newton step adds the penalty to
+the loss Hessian and solves with one LU factorization (least squares
+when it is singular). A fit has converged when the norm of the
+objective's gradient is at most ``GRAD_TOL``, one absolute tolerance for
+every fit; ``MAX_ITER`` caps the Newton steps.
 Each logistic evaluation takes one exponential, exp(-|z|), for both the
 loss and the sigmoid, and a path computes every logistic Hessian's
 weighted rows in one workspace, allocated once per ``fit_path`` call.
@@ -34,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TASKS = ("logistic", "least-squares")
-PENALTIES = ("squared-l2", "unsquared-l2")
 GRAD_TOL = 1e-8
 MAX_ITER = 2000
 
@@ -69,7 +63,6 @@ class LinearModel:
     intercept: float
     task: str
     lam: float
-    penalty: str
     report: FitReport = field(default_factory=FitReport)
     manifest_hash: str | None = None
 
@@ -82,7 +75,7 @@ class LinearModel:
             "intercept": self.intercept,
             "task": self.task,
             "lambda": self.lam,
-            "penalty": self.penalty,
+            "penalty": "squared-l2",
             "manifest_hash": self.manifest_hash,
             "fit_report": {
                 "iterations": self.report.iterations,
@@ -114,7 +107,7 @@ class LinearModel:
             raise ModelFormatError("model 'intercept' must be finite")
         if not 0 <= doc["lambda"] <= sys.float_info.max:
             raise ModelFormatError("model 'lambda' must be finite and >= 0")
-        for key, choices in (("task", TASKS), ("penalty", PENALTIES)):
+        for key, choices in (("task", TASKS), ("penalty", ("squared-l2",))):
             if doc.get(key) not in choices:
                 raise ModelFormatError(f"model {key!r} must be one of {choices}")
         report = doc.get("fit_report", {})
@@ -132,7 +125,6 @@ class LinearModel:
             intercept=float(doc["intercept"]),
             task=doc["task"],
             lam=float(doc["lambda"]),
-            penalty=doc["penalty"],
             report=rep,
             manifest_hash=doc.get("manifest_hash"),
         )
@@ -150,7 +142,7 @@ def _sigmoid(z, e=None):
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _objective_and_grad(theta, X, y, task, lam, penalty):
+def _objective_and_grad(theta, X, y, task, lam):
     w, b = theta[:-1], theta[-1]
     z = X @ w + b
     n = X.shape[0]
@@ -169,13 +161,8 @@ def _objective_and_grad(theta, X, y, task, lam, penalty):
     grad[-1] = np.add.reduce(resid) / n
 
     wnorm = math.sqrt(w @ w)
-    if penalty == "squared-l2":
-        loss += lam * wnorm ** 2
-        grad[:-1] += 2.0 * lam * w
-    else:
-        loss += lam * wnorm
-        if wnorm > 0:
-            grad[:-1] += lam * w / wnorm
+    loss += lam * wnorm ** 2
+    grad[:-1] += 2.0 * lam * w
     return loss, grad
 
 
@@ -192,51 +179,17 @@ def _loss_hessian(theta, X1, task, work):
     return H
 
 
-def _newton_direction(theta, grad, H, lam, penalty):
-    """Newton direction -H^-1 g, from one LU solve, with H the loss Hessian at
-    theta, which it adds the penalty to in place. Unsquared-l2 iterates never
-    sit at w = 0 (see ``fit_path``)."""
-    k = theta.size - 1
-    if penalty == "squared-l2":
-        H.ravel()[: k * (k + 2): k + 2] += 2.0 * lam  # the diagonal of H[:-1, :-1]
-    else:  # lam / ||w|| * (I - u u^T), u = w / ||w||; uu holds u u^T - I
-        w = theta[:-1]
-        wnorm = math.sqrt(w @ w)
-        uu = np.outer(w / wnorm, w / wnorm)
-        uu.ravel()[:: k + 1] -= 1.0
-        H[:-1, :-1] -= lam / wnorm * uu
+def _newton_direction(grad, H, lam):
+    """Newton direction -H^-1 g, from one LU solve, with g the objective's
+    gradient and H the loss Hessian at the same point, which it adds the
+    penalty's Hessian to in place: 2 lam on the weights' diagonal."""
+    k = grad.size - 1
+    H.ravel()[: k * (k + 2): k + 2] += 2.0 * lam  # the diagonal of H[:-1, :-1]
     try:
         d = -np.linalg.solve(H, grad)
     except np.linalg.LinAlgError:  # singular Hessian: least-squares solution
         d = -np.linalg.lstsq(H, grad, rcond=None)[0]
     return d if float(grad @ d) < 0 else -grad
-
-
-def _leave_zero(theta, grad, X1, task, lam):
-    """Step off w = 0 for the plain l2 norm: the direction -s along the
-    minimum-norm subgradient s = (g_w (1 - lam / ||g_w||), 0), the true slope
-    -||s||^2 (``grad @ d`` leaves out the penalty's +lam ||d_w||) and the
-    Cauchy step length of the quadratic model. A slope of 0 means w = 0 is
-    optimal."""
-    gw = grad[:-1]
-    gnorm = math.sqrt(gw @ gw)
-    if gnorm <= lam:
-        return np.zeros_like(theta), 0.0, 0.0
-    d = np.r_[-gw * (1.0 - lam / gnorm), 0.0]
-    D = 1.0
-    if task == "logistic":
-        p = _sigmoid(X1 @ theta)
-        D = p * (1.0 - p)
-    slope = -float(d @ d)
-    return d, slope, -slope / float(np.add.reduce(D * (X1 @ d) ** 2) / X1.shape[0])
-
-
-def _grad_norm(theta, grad, lam, penalty) -> float:
-    """Norm of the minimum-norm subgradient; for the plain l2 norm at w = 0
-    the loss gradient's weight part shrinks by lam (to zero inside the ball)."""
-    if penalty == "squared-l2" or theta[:-1].any():
-        return math.sqrt(grad @ grad)
-    return float(np.hypot(max(math.sqrt(grad[:-1] @ grad[:-1]) - lam, 0.0), grad[-1]))
 
 
 def _row_space(n: int, d: int) -> bool:
@@ -257,17 +210,18 @@ def fit_path(
     y: np.ndarray,
     lams,
     task: str = "logistic",
-    penalty: str = "squared-l2",
 ) -> list[LinearModel]:
     """One model per lambda in ``lams``, each exactly as ``fit`` gives it alone,
     in at most ``MAX_ITER`` Newton steps per lambda.
 
     The lambda-independent work is done once: the input checks, the
-    intercept column, the start point with its objective and gradient (the
-    penalty and its gradient are 0 at w = 0 for every lambda) and the loss
-    Hessian there, which least squares keeps for every step.
+    intercept column, the start point theta = 0 with its objective and
+    gradient (the penalty and its gradient are 0 at w = 0 for every lambda)
+    and the loss Hessian there, which least squares keeps for every step.
+    Each fit has converged when its objective's gradient norm is at most
+    ``GRAD_TOL``.
 
-    With rows well short of features (``_row_space``): both penalties depend
+    With rows well short of features (``_row_space``): the penalty depends
     on w only through ||w|| and the loss only through X w, so the optimum
     lies in the row space of X. One reduced QR, X^T = Q R, turns the fit
     into one over Z = R^T with n columns, and w = Q a. As Q has orthonormal
@@ -279,8 +233,6 @@ def fit_path(
     lams = tuple(lams)
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}")
-    if penalty not in PENALTIES:
-        raise ValueError(f"penalty must be one of {PENALTIES}")
     if not all(0.0 <= lam < np.inf for lam in lams):
         raise ValueError("lambda must be finite and >= 0")
     if not np.isfinite(X).all():
@@ -300,52 +252,41 @@ def fit_path(
         X = R.T
     X1 = np.hstack([X, np.ones((X.shape[0], 1))])
     theta0 = np.zeros(X.shape[1] + 1)
-    if penalty == "unsquared-l2":  # (0, b0) minimizes the objective over w = 0
-        ybar = float(y.mean())
-        theta0[-1] = np.log(ybar / (1.0 - ybar)) if task == "logistic" else ybar
-    start = theta0, *_objective_and_grad(theta0, X, y, task, 0.0, penalty)
+    start = theta0, *_objective_and_grad(theta0, X, y, task, 0.0)
     # the weighted rows of every logistic Hessian, in X1's memory order
     work = np.empty_like(X1) if task == "logistic" else None
-    # an unsquared-l2 logistic fit leaves its start along the subgradient,
-    # with no Hessian
-    H0 = (_loss_hessian(theta0, X1, task, work)
-          if task == "least-squares" or penalty == "squared-l2" else None)
+    H0 = _loss_hessian(theta0, X1, task, work)
     models = []
     for lam in lams:
-        theta, report = _newton(X, X1, y, task, lam, penalty, start, H0, work)
+        theta, report = _newton(X, X1, y, task, lam, start, H0, work)
         models.append(LinearModel(
             weights=theta[:-1].copy() if Q is None else Q @ theta[:-1],
             intercept=float(theta[-1]),
             task=task,
             lam=lam,
-            penalty=penalty,
             report=report,
         ))
     return models
 
 
-def _newton(X, X1, y, task, lam, penalty, start, H0, work):
-    """Newton steps with backtracking from ``start`` = (theta, objective,
-    gradient), with H0 the loss Hessian there; returns theta and its report."""
+def _newton(X, X1, y, task, lam, start, H0, work):
+    """Damped Newton steps with backtracking from ``start`` = (theta,
+    objective, gradient), with H0 the loss Hessian there; returns theta and
+    its report."""
     theta, obj, grad = start
     report = FitReport()
     for it in range(1, MAX_ITER + 1):
-        if _grad_norm(theta, grad, lam, penalty) <= GRAD_TOL:
+        if math.sqrt(grad @ grad) <= GRAD_TOL:
             break
-        if penalty == "squared-l2" or theta[:-1].any():
-            # least squares has one Hessian, logistic shares the start's: copy it
-            H = (H0.copy() if task == "least-squares" or theta is start[0]
-                 else _loss_hessian(theta, X1, task, work))
-            d = _newton_direction(theta, grad, H, lam, penalty)
-            slope, step = float(grad @ d), 1.0
-        else:
-            d, slope, step = _leave_zero(theta, grad, X1, task, lam)
-            if slope == 0.0:  # w = 0 is optimal
-                break
+        # least squares has one Hessian, logistic shares the start's: copy it
+        H = (H0.copy() if task == "least-squares" or theta is start[0]
+             else _loss_hessian(theta, X1, task, work))
+        d = _newton_direction(grad, H, lam)
+        slope, step = float(grad @ d), 1.0
         report.iterations = it
         for _ in range(80):
             cand = theta + step * d
-            cand_obj, cand_grad = _objective_and_grad(cand, X, y, task, lam, penalty)
+            cand_obj, cand_grad = _objective_and_grad(cand, X, y, task, lam)
             if cand_obj <= obj + 1e-4 * step * slope:
                 break
             step *= 0.5
@@ -353,7 +294,7 @@ def _newton(X, X1, y, task, lam, penalty, start, H0, work):
             break
         theta, obj, grad = cand, cand_obj, cand_grad
     report.objective = obj
-    report.grad_norm = _grad_norm(theta, grad, lam, penalty)
+    report.grad_norm = math.sqrt(grad @ grad)
     report.converged = report.grad_norm <= GRAD_TOL
     return theta, report
 
@@ -363,11 +304,10 @@ def fit(
     y: np.ndarray,
     task: str = "logistic",
     lam: float = 1e-3,
-    penalty: str = "squared-l2",
 ) -> LinearModel:
-    """Minimize mean loss + penalty by Newton steps with backtracking from
+    """Minimize mean loss + lam ||w||^2 by Newton steps with backtracking from
     zero: the one-lambda case of ``fit_path``."""
-    return fit_path(X, y, (lam,), task, penalty)[0]
+    return fit_path(X, y, (lam,), task)[0]
 
 
 # -- metrics --------------------------------------------------------------------

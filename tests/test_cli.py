@@ -904,17 +904,21 @@ class TestFitEval:
                             f"grad_norm={rep.grad_norm:.3g})"]
         assert model_path.read_text() == fitted[0].to_json()
 
-    def test_fit_unsquared_l2_optimum_at_zero_converges(self, labeled_setup,
-                                                        tmp_path, capsys):
+    def test_fit_has_no_penalty_option(self, labeled_setup, tmp_path, capsys):
+        # the squared l2 norm is the one penalty: --penalty is an unknown
+        # option, and a config that names it, as an older fit sidecar's
+        # params do, an unknown key
         sch, gp, feats = labeled_setup
-        model_path = tmp_path / "model.json"
-        assert main(["fit", "--features", str(feats), "--graphs", str(gp),
-                     "--penalty", "unsquared-l2", "--lam", "10",
-                     "-o", str(model_path)]) == 0
-        assert "warning" not in capsys.readouterr().err
-        doc = json.loads(model_path.read_text())
-        assert doc["fit_report"]["converged"]
-        assert not any(doc["weights"])
+        args = ["fit", "--features", str(feats), "--graphs", str(gp),
+                "-o", str(tmp_path / "model.json")]
+        assert main(args + ["--penalty", "squared-l2"]) == 2
+        # click releases punctuate this message differently
+        assert re.fullmatch(r"error: No such option\W+--penalty\W*\n", capsys.readouterr().err)
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"task": "logistic", "lam": 0.001, "penalty": "squared-l2"}))
+        assert main(args + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: unknown config key 'penalty'\n"
+        assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("command", ["fit", "embed"])
     def test_takes_no_seed(self, labeled_setup, tmp_path, monkeypatch, capsys, command):
@@ -1927,6 +1931,8 @@ class TestMalformedFiles:
         (lambda m: {**m, "lambda": -5}, "'lambda' must be finite and >= 0"),
         (lambda m: {**m, "task": "x"}, "'task' must be one of"),
         (lambda m: {**m, "penalty": ["squared-l2"]}, "'penalty' must be one of"),
+        # the plain l2 norm is no longer a penalty a model can name
+        (lambda m: {**m, "penalty": "unsquared-l2"}, "'penalty' must be one of ('squared-l2',)"),
         (lambda m: {**m, "fit_report": 3}, "'fit_report' must be a JSON object"),
         (lambda m: "{", "Expecting property name"),
         (lambda m: {**m, "fit_report": {"iterations": "many", "converged": "yes",
@@ -1946,6 +1952,7 @@ class TestMalformedFiles:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad.json: ") and message in err
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_model_of_another_width_exits_one(self, config_workspace, capsys):
         assert main(_argv(config_workspace, "fit")) == 0
@@ -1971,7 +1978,7 @@ _REPLAYS = [
      ["--T", "3", "--normalize", "--level-scale", "count", "--variant", "path"],
      ["-o", "{}"], ["{}.manifest.json"]),
     ("fit", ["--features", "f.nggm", "--graphs", "g.jsonl"],
-     ["--task", "least-squares", "--lam", "0.01", "--penalty", "unsquared-l2"],
+     ["--task", "least-squares", "--lam", "0.01"],
      ["-o", "{}.json"], ["{}.json.manifest.json"]),
     ("eval", ["--graphs", "g.jsonl", "--features", "f.nggm", "--model", "model.json"],
      ["--metric", "pr-auc"], ["--predictions", "{}.csv"], ["{}.csv.manifest.json"]),

@@ -1,12 +1,9 @@
-from functools import partial
-
 import numpy as np
 import pytest
 
-from ngram_graph import crossval, linear
+from ngram_graph import linear
 from ngram_graph.crossval import LAMBDA_GRID, kfold_features
 from ngram_graph.linear import (
-    PENALTIES,
     TASKS,
     DegenerateLabels,
     FitReport,
@@ -29,7 +26,7 @@ class TestFit:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((60, 5))
         y = (rng.random(60) > 0.3).astype(float)
-        model = fit(X, y, task="logistic", lam=1e6, penalty="squared-l2")
+        model = fit(X, y, task="logistic", lam=1e6)
         assert np.linalg.norm(model.weights) <= 1e-4
         # every prediction collapses to the intercept
         p = model.decision(X)
@@ -54,45 +51,27 @@ class TestFit:
         X = rng.standard_normal((20, 4))
         y = (rng.random(20) > 0.5).astype(float)
         theta = rng.standard_normal(5) * 0.3
-        _, grad = _objective_and_grad(theta, X, y, "logistic", 0.01, "squared-l2")
+        _, grad = _objective_and_grad(theta, X, y, "logistic", 0.01)
         eps = 1e-6
         num = np.empty_like(theta)
         for i in range(theta.size):
             up, dn = theta.copy(), theta.copy()
             up[i] += eps
             dn[i] -= eps
-            lu, _ = _objective_and_grad(up, X, y, "logistic", 0.01, "squared-l2")
-            ld, _ = _objective_and_grad(dn, X, y, "logistic", 0.01, "squared-l2")
+            lu, _ = _objective_and_grad(up, X, y, "logistic", 0.01)
+            ld, _ = _objective_and_grad(dn, X, y, "logistic", 0.01)
             num[i] = (lu - ld) / (2 * eps)
         assert np.linalg.norm(grad - num) / np.linalg.norm(num) <= 1e-5
 
-    def test_unsquared_penalty_gradient_away_from_zero(self):
-        rng = np.random.default_rng(2)
-        X = rng.standard_normal((20, 3))
-        y = (rng.random(20) > 0.5).astype(float)
-        theta = np.array([0.5, -0.2, 0.1, 0.0])
-        _, grad = _objective_and_grad(theta, X, y, "logistic", 0.1, "unsquared-l2")
-        eps = 1e-7
-        num = np.empty_like(theta)
-        for i in range(theta.size):
-            up, dn = theta.copy(), theta.copy()
-            up[i] += eps
-            dn[i] -= eps
-            lu, _ = _objective_and_grad(up, X, y, "logistic", 0.1, "unsquared-l2")
-            ld, _ = _objective_and_grad(dn, X, y, "logistic", 0.1, "unsquared-l2")
-            num[i] = (lu - ld) / (2 * eps)
-        assert np.linalg.norm(grad - num) / np.linalg.norm(num) <= 1e-5
-
-    @pytest.mark.parametrize("penalty", PENALTIES)
     @pytest.mark.parametrize("task", TASKS)
-    def test_objective_nonincreasing(self, task, penalty, monkeypatch):
+    def test_objective_nonincreasing(self, task, monkeypatch):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((40, 6))
         y = (rng.random(40) > 0.5).astype(float)
 
         def capped(k):  # a fit capped at k Newton steps stops where the full fit was after k
             monkeypatch.setattr(linear, "MAX_ITER", k)
-            return fit(X, y, task=task, lam=1e-3, penalty=penalty).report
+            return fit(X, y, task=task, lam=1e-3).report
 
         steps = capped(200).iterations
         trace = [capped(k).objective for k in range(steps + 1)]
@@ -109,20 +88,6 @@ class TestFit:
             assert report.grad_norm <= 1e-8, lam
             assert report.iterations <= 50, lam
 
-    @pytest.mark.parametrize("task", TASKS)
-    def test_unsquared_l2_optimum_at_zero_converges(self, task):
-        # lam exceeds the loss gradient's weight norm at w = 0, so w = 0 is
-        # the optimum and only the intercept moves
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((200, 10))
-        y = (X[:, 0] + rng.standard_normal(200) > 0.3).astype(float)
-        model = fit(X, y, task=task, lam=1.0, penalty="unsquared-l2")
-        assert model.report.converged
-        assert model.report.grad_norm <= 1e-8
-        assert not model.weights.any()
-        assert abs(model.intercept - (np.log(y.mean() / (1 - y.mean()))
-                                      if task == "logistic" else y.mean())) <= 1e-8
-
     def test_squared_l2_least_squares_equals_closed_form_ridge(self):
         rng = np.random.default_rng(12)
         X = rng.standard_normal((50, 7))
@@ -134,26 +99,6 @@ class TestFit:
         model = fit(X, y, task="least-squares", lam=lam)
         assert model.report.converged
         assert np.abs(np.r_[model.weights, model.intercept] - theta).max() <= 1e-10
-
-    def test_unsquared_l2_leaves_zero_when_it_is_not_optimal(self):
-        # sweep problem 45 of seed 101: the loss gradient's weight part exceeds
-        # lam at (0, b0), yet Newton steps on the smooth loss alone used to creep
-        # to ||w|| ~ 1e-14 and stall at the intercept-only objective log 2
-        rng = np.random.default_rng(101)
-        for _ in range(46):
-            n, d = int(rng.integers(8, 100)), int(rng.integers(1, 80))
-            k = int(rng.integers(-2, 3))
-            lam = float(rng.choice([1e-4, 1e-2, 1]))
-            X = rng.standard_normal((n, d)) * 10.0 ** k
-            y = (rng.random(n) < 0.5).astype(float)
-            if y.min() == y.max():
-                y[0] = 1 - y[0]
-            rng.standard_normal(n)  # the least-squares labels of the sweep
-        assert (n, d, k, lam) == (70, 76, -1, 0.01)
-        model = fit(X, y, task="logistic", lam=lam, penalty="unsquared-l2")
-        assert model.report.converged
-        assert np.linalg.norm(model.weights) > 0.1
-        assert model.report.objective < 0.43  # log 2 = 0.693 at w = 0
 
     def test_singular_hessian_takes_lstsq(self, monkeypatch):
         # a duplicated column with no penalty makes the Hessian singular
@@ -210,7 +155,7 @@ class TestFit:
         ("lambda", float("inf"), "'lambda' must be finite and >= 0"),
     ])
     def test_non_finite_model_refused(self, field, value, message):
-        doc = LinearModel(np.array([0.5, -1.0]), 0.25, "logistic", 1e-3, "squared-l2").to_dict()
+        doc = LinearModel(np.array([0.5, -1.0]), 0.25, "logistic", 1e-3).to_dict()
         LinearModel.from_dict(doc)
         with pytest.raises(ModelFormatError, match=message):
             LinearModel.from_dict({**doc, field: value})
@@ -231,7 +176,7 @@ class TestFit:
          "field 'iterations' must be"),
     ])
     def test_malformed_fit_report_refused(self, report, message):
-        doc = LinearModel(np.array([0.5, -1.0]), 0.25, "logistic", 1e-3, "squared-l2").to_dict()
+        doc = LinearModel(np.array([0.5, -1.0]), 0.25, "logistic", 1e-3).to_dict()
         with pytest.raises(ModelFormatError, match=message):
             LinearModel.from_dict({**doc, "fit_report": {**doc["fit_report"], **report}})
 
@@ -242,13 +187,13 @@ class TestFit:
         ({"iterations": 7, "converged": False}, FitReport(iterations=7)),
     ])
     def test_fit_report_fields(self, report, expected):
-        doc = LinearModel(np.array([0.5]), 0.0, "least-squares", 0.0, "unsquared-l2").to_dict()
+        doc = LinearModel(np.array([0.5]), 0.0, "least-squares", 0.0).to_dict()
         rep = LinearModel.from_dict({**doc, "fit_report": report}).report
         assert repr(rep) == repr(expected)  # NaN defaults compare by their spelling
 
     def test_nan_fit_report_reads_back(self):
         # a model no fit made writes NaN objective and gradient norm
-        model = LinearModel(np.array([0.5, -1.0]), 0.25, "logistic", 1e-3, "squared-l2")
+        model = LinearModel(np.array([0.5, -1.0]), 0.25, "logistic", 1e-3)
         text = model.to_json()
         assert "NaN" in text
         back = LinearModel.from_json(text)
@@ -282,7 +227,7 @@ def _log1pexp(z):
     return np.where(z > 0, z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _objective_and_grad_two_branch(theta, X, y, task, lam, penalty):
+def _objective_and_grad_two_branch(theta, X, y, task, lam):
     w, b = theta[:-1], theta[-1]
     z = X @ w + b
     n = X.shape[0]
@@ -297,13 +242,8 @@ def _objective_and_grad_two_branch(theta, X, y, task, lam, penalty):
     gw = X.T @ resid / n
     gb = float(resid.mean())
     wnorm = float(np.linalg.norm(w))
-    if penalty == "squared-l2":
-        loss += lam * wnorm ** 2
-        gw = gw + 2.0 * lam * w
-    else:
-        loss += lam * wnorm
-        if wnorm > 0:
-            gw = gw + lam * w / wnorm
+    loss += lam * wnorm ** 2
+    gw = gw + 2.0 * lam * w
     return loss, np.concatenate([gw, [gb]])
 
 
@@ -324,13 +264,12 @@ class TestOneExponential:
                   rng.standard_normal(5000) * 10.0 ** rng.uniform(-3, 3, 5000)):
             assert np.array_equal(_bits(_sigmoid(z)), _bits(_sigmoid_two_branch(z)))
 
-    @pytest.mark.parametrize("penalty", PENALTIES)
     @pytest.mark.parametrize("label", [0.0, 1.0])
     @pytest.mark.parametrize("z", _EDGE_Z + [-np.nan])
-    def test_edge_values_equal_two_branch(self, z, label, penalty):
+    def test_edge_values_equal_two_branch(self, z, label):
         # theta = (1, -0.0) gives X @ w + b = z exactly, -0.0 included
         args = (np.array([1.0, -0.0]), np.array([[z]]), np.array([label]), "logistic",
-                0.1, penalty)
+                0.1)
         with np.errstate(invalid="ignore"):  # inf * 0 in X.T @ resid
             loss, grad = _objective_and_grad(*args)
             ref_loss, ref_grad = _objective_and_grad_two_branch(*args)
@@ -339,15 +278,14 @@ class TestOneExponential:
         # sets it, and a NaN's sign carries no value
         assert _bits(loss) == _bits(ref_loss) or (np.isnan(loss) and np.isnan(ref_loss))
 
-    @pytest.mark.parametrize("penalty", PENALTIES)
     @pytest.mark.parametrize("task", TASKS)
-    def test_random_problems_equal_two_branch(self, task, penalty):
+    def test_random_problems_equal_two_branch(self, task):
         rng = np.random.default_rng(12)
         for n, d, scale in [(1, 1, 1.0), (50, 7, 1.0), (40, 90, 30.0), (300, 20, 1e-3)]:
             X, y = _problem(int(rng.integers(100)), n, d, task)
             X *= scale
             for theta in (np.zeros(d + 1), rng.standard_normal(d + 1) * 3.0):
-                args = (theta, X, y, task, 1e-2, penalty)
+                args = (theta, X, y, task, 1e-2)
                 loss, grad = _objective_and_grad(*args)
                 ref_loss, ref_grad = _objective_and_grad_two_branch(*args)
                 assert _bits(loss) == _bits(ref_loss)
@@ -373,18 +311,16 @@ def _same_model(a, b):
 
 class TestFitPath:
     @pytest.mark.parametrize("n, d", [(60, 8), (20, 50)])  # primal, row space
-    @pytest.mark.parametrize("penalty", PENALTIES)
     @pytest.mark.parametrize("task", TASKS)
-    def test_grid_equals_one_lambda_fits(self, task, penalty, n, d):
+    def test_grid_equals_one_lambda_fits(self, task, n, d):
         # one lambda must not see another's Hessian, gradient or start point
         X, y = _problem(21, n, d, task)
-        path = fit_path(X, y, LAMBDA_GRID, task=task, penalty=penalty)
+        path = fit_path(X, y, LAMBDA_GRID, task=task)
         assert len(path) == len(LAMBDA_GRID)
         for lam, model in zip(LAMBDA_GRID, path):
-            _same_model(model, fit(X, y, task=task, lam=lam, penalty=penalty))
-        for lam, model in zip(LAMBDA_GRID[::-1], fit_path(X, y, LAMBDA_GRID[::-1],
-                                                          task=task, penalty=penalty)):
-            _same_model(model, fit(X, y, task=task, lam=lam, penalty=penalty))
+            _same_model(model, fit(X, y, task=task, lam=lam))
+        for lam, model in zip(LAMBDA_GRID[::-1], fit_path(X, y, LAMBDA_GRID[::-1], task=task)):
+            _same_model(model, fit(X, y, task=task, lam=lam))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("task", TASKS)
@@ -419,9 +355,8 @@ class TestFitPath:
         with pytest.raises(DegenerateLabels):
             fit_path(np.ones((5, 2)), np.ones(5), LAMBDA_GRID)
 
-    @pytest.mark.parametrize("penalty", PENALTIES)
     @pytest.mark.parametrize("task", TASKS)
-    def test_paths_share_no_state(self, task, penalty):
+    def test_paths_share_no_state(self, task):
         # A, then B, then A again give the models fresh fits give, and no fit
         # writes to the caller's arrays
         def problem(seed, n, d):
@@ -431,8 +366,7 @@ class TestFitPath:
             return X, y
 
         def path(X, y):
-            return [m.to_json() for m in fit_path(X, y, LAMBDA_GRID, task=task,
-                                                  penalty=penalty)]
+            return [m.to_json() for m in fit_path(X, y, LAMBDA_GRID, task=task)]
 
         a, b = problem(31, 60, 8), problem(32, 20, 50)
         fresh = path(*a), path(*b)
@@ -464,13 +398,12 @@ class TestFitPath:
         assert all(m.report.converged for m in path)
         assert counts == {"qr": qrs, "hessian": 1}
 
-    @pytest.mark.parametrize("penalty", PENALTIES)
     @pytest.mark.parametrize("task", TASKS)
-    def test_row_space_matches_primal(self, monkeypatch, task, penalty):
+    def test_row_space_matches_primal(self, monkeypatch, task):
         X, y = _problem(5, 30, 90, task)
-        reduced = fit_path(X, y, LAMBDA_GRID, task=task, penalty=penalty)
+        reduced = fit_path(X, y, LAMBDA_GRID, task=task)
         monkeypatch.setattr(linear, "_row_space", lambda n, d: False)
-        primal = fit_path(X, y, LAMBDA_GRID, task=task, penalty=penalty)
+        primal = fit_path(X, y, LAMBDA_GRID, task=task)
         for a, b in zip(reduced, primal):
             assert a.report.iterations == b.report.iterations
             assert a.report.converged and b.report.converged
@@ -479,15 +412,12 @@ class TestFitPath:
             assert abs(a.intercept - b.intercept) <= 1e-9 * max(abs(b.intercept), 1.0)
             assert abs(a.report.objective - b.report.objective) <= 1e-13 * b.report.objective
 
-    @pytest.mark.parametrize("penalty", PENALTIES)
     @pytest.mark.parametrize("seed, n, d", [(0, 40, 120), (1, 60, 150), (2, 30, 45),
                                             (3, 90, 140), (4, 20, 100)])
-    def test_row_space_fold_values_equal_primal(self, monkeypatch, seed, n, d, penalty):
+    def test_row_space_fold_values_equal_primal(self, monkeypatch, seed, n, d):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n, d))
         y = (X[:, :4].sum(axis=1) + rng.standard_normal(n) > 0).astype(float)
-        # kfold_features always fits squared-l2; bind the penalty under test
-        monkeypatch.setattr(crossval, "fit_path", partial(linear.fit_path, penalty=penalty))
         kw = dict(folds=5, seed=seed, lam=None, stratified=True)
         reduced = kfold_features(X, y, **kw)
         monkeypatch.setattr(linear, "_row_space", lambda n, d: False)

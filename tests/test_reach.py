@@ -204,11 +204,11 @@ def _session(p: dict, d: Path) -> list:
         (["recover", "--grid", str(p["omp.json"]), "-o", str(d / "omp.csv")], 0),
         (["recover", "--grid", str(p["ista.json"])], 0),
     ]
-    steps += [(["fit", "--features", feats, "--graphs", corpus, "--penalty", penalty,
-                "-o", str(d / f"{penalty}.json")], 0)
-              for penalty in ("squared-l2", "unsquared-l2")]
+    steps += [(["fit", "--features", feats, "--graphs", graphs, "--task", task,
+                "-o", str(d / f"{task}.json")], 0)
+              for task, graphs in (("logistic", corpus), ("least-squares", valued))]
     steps += [(["eval", "--graphs", corpus, "--features", feats,
-                "--model", str(d / "unsquared-l2.json"), "--metric", metric,
+                "--model", str(d / "logistic.json"), "--metric", metric,
                 "--predictions", str(d / f"{metric}.csv")], 0)
               for metric in ("roc-auc", "pr-auc", "rmse", "mae")]
     steps += [
